@@ -42,12 +42,13 @@ type Channel struct {
 
 	pendingID  dtsim.EventID
 	hasPending bool
+	fireFn     func(t float64) // ch.fire, bound once rather than per schedule
 }
 
 type futureSeg struct {
 	start float64
 	mode  Mode
-	sol   *ode.Solution2 // local time: t - start
+	sol   ode.Solution2 // local time: t - start
 }
 
 // NewChannel wires a hybrid NOR channel between two input nets and an
@@ -59,6 +60,7 @@ func NewChannel(sim *dtsim.Simulator, p Params, a, b, out *dtsim.Net, vn0 float6
 		return nil, err
 	}
 	ch := &Channel{P: p, sim: sim, a: a, b: b, out: out}
+	ch.fireFn = ch.fire
 	mode := ModeOf(a.Value(), b.Value())
 	state := p.steadyState(mode, vn0)
 	sol, err := p.System(mode).Solve(state)
@@ -132,9 +134,15 @@ func (ch *Channel) onInput(t float64) {
 }
 
 // prune drops segments that ended before now, keeping the active one.
+// It compacts in place, so the slice keeps its capacity and the appends
+// in onInput stop reallocating.
 func (ch *Channel) prune(now float64) {
-	for len(ch.segs) >= 2 && ch.segs[1].start <= now {
-		ch.segs = ch.segs[1:]
+	k := 0
+	for k+1 < len(ch.segs) && ch.segs[k+1].start <= now {
+		k++
+	}
+	if k > 0 {
+		ch.segs = ch.segs[:copy(ch.segs, ch.segs[k:])]
 	}
 }
 
@@ -151,7 +159,7 @@ func (ch *Channel) reschedule() {
 	if !ok {
 		return
 	}
-	id, err := ch.sim.Schedule(tCross, ch.fire)
+	id, err := ch.sim.Schedule(tCross, ch.fireFn)
 	if err != nil {
 		panic(fmt.Sprintf("hybrid: schedule failed: %v", err))
 	}
@@ -162,7 +170,8 @@ func (ch *Channel) reschedule() {
 // nextCrossing finds the first V_th crossing in the given direction at
 // absolute time >= after, scanning every future segment.
 func (ch *Channel) nextCrossing(level float64, rising bool, after float64) (float64, bool) {
-	for i, seg := range ch.segs {
+	for i := range ch.segs {
+		seg := &ch.segs[i]
 		var end float64
 		if i+1 < len(ch.segs) {
 			end = ch.segs[i+1].start
@@ -177,9 +186,7 @@ func (ch *Channel) nextCrossing(level float64, rising bool, after float64) (floa
 			continue
 		}
 		t0 := math.Max(seg.start, after)
-		if t, ok := firstDirectionalCrossing(func(t float64) float64 {
-			return seg.sol.At(t - seg.start).Y
-		}, level, rising, t0, end); ok {
+		if t, ok := firstDirectionalCrossing(curve{sol2: &seg.sol, start: seg.start}, level, rising, t0, end); ok {
 			return t, true
 		}
 	}

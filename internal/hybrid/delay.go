@@ -63,10 +63,11 @@ func (p Params) FallingDelay(delta float64) (float64, error) {
 		first = Mode01
 	}
 	v0 := la.Vec2{X: p.Supply.VDD, Y: p.Supply.VDD}
-	tr, err := p.NewTrajectory(v0, []Phase{
+	var segs [2]segment
+	tr, err := p.solveSchedule(v0, []Phase{
 		{Start: 0, Mode: first},
 		{Start: ts, Mode: Mode11},
-	})
+	}, segs[:0])
 	if err != nil {
 		return 0, err
 	}
@@ -98,10 +99,11 @@ func (p Params) RisingDelayFrom(delta float64, vn0 float64) (float64, error) {
 		first = Mode10
 	}
 	v0 := la.Vec2{X: vn0, Y: 0}
-	tr, err := p.NewTrajectory(v0, []Phase{
+	var segs [2]segment
+	tr, err := p.solveSchedule(v0, []Phase{
 		{Start: 0, Mode: first},
 		{Start: ts, Mode: Mode00},
-	})
+	}, segs[:0])
 	if err != nil {
 		return 0, err
 	}

@@ -164,7 +164,7 @@ func (g SwitchGate) NewTrajectory(v0 []float64, phases []PhaseN) (*TrajectoryN, 
 	if len(v0) != len(g.Caps) {
 		return nil, fmt.Errorf("switchgate %s: initial state has %d entries, want %d", g.Name, len(v0), len(g.Caps))
 	}
-	tr := &TrajectoryN{gate: g}
+	tr := &TrajectoryN{gate: g, segs: make([]segN, 0, len(phases))}
 	state := append([]float64(nil), v0...)
 	for i, ph := range phases {
 		if i > 0 && ph.Start < phases[i-1].Start {
@@ -192,7 +192,7 @@ func (g SwitchGate) NewTrajectory(v0 []float64, phases []PhaseN) (*TrajectoryN, 
 
 // At evaluates the full state at absolute time t.
 func (tr *TrajectoryN) At(t float64) []float64 {
-	seg := tr.segs[tr.segIndex(t)]
+	seg := &tr.segs[tr.segIndex(t)]
 	local := t - seg.start
 	if local < 0 {
 		local = 0
@@ -202,7 +202,7 @@ func (tr *TrajectoryN) At(t float64) []float64 {
 
 // VOut evaluates the output voltage at absolute time t.
 func (tr *TrajectoryN) VOut(t float64) float64 {
-	seg := tr.segs[tr.segIndex(t)]
+	seg := &tr.segs[tr.segIndex(t)]
 	local := t - seg.start
 	if local < 0 {
 		local = 0
@@ -221,7 +221,8 @@ func (tr *TrajectoryN) segIndex(t float64) int {
 // FirstOutputCrossing returns the earliest time >= after at which the
 // output crosses level in the requested direction.
 func (tr *TrajectoryN) FirstOutputCrossing(level float64, rising bool, after float64) (float64, bool) {
-	for _, seg := range tr.segs {
+	for i := range tr.segs {
+		seg := &tr.segs[i]
 		if seg.end <= after {
 			continue
 		}
@@ -234,9 +235,7 @@ func (tr *TrajectoryN) FirstOutputCrossing(level float64, rising bool, after flo
 			}
 			t1 = t0 + 60*tau
 		}
-		if t, ok := firstDirectionalCrossing(func(t float64) float64 {
-			return seg.sol.Component(tr.gate.OutNode, t-seg.start)
-		}, level, rising, t0, t1); ok {
+		if t, ok := firstDirectionalCrossing(curve{solN: seg.sol, node: tr.gate.OutNode, start: seg.start}, level, rising, t0, t1); ok {
 			return t, true
 		}
 	}

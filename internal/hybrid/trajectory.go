@@ -7,7 +7,6 @@ import (
 
 	"hybriddelay/internal/la"
 	"hybriddelay/internal/ode"
-	"hybriddelay/internal/roots"
 )
 
 func sqrt(x float64) float64 { return math.Sqrt(x) }
@@ -30,24 +29,34 @@ type segment struct {
 	start float64 // absolute start time
 	end   float64 // absolute end time (+Inf for the last segment)
 	mode  Mode
-	sol   *ode.Solution2 // local time: t - start
+	sol   ode.Solution2 // local time: t - start
 }
 
 // NewTrajectory solves the schedule starting from state v0 = (V_N, V_O)
 // at the first phase's start time. Phases must be sorted by Start.
 func (p Params) NewTrajectory(v0 la.Vec2, phases []Phase) (*Trajectory, error) {
-	if err := p.Validate(); err != nil {
+	tr, err := p.solveSchedule(v0, phases, make([]segment, 0, len(phases)))
+	if err != nil {
 		return nil, err
 	}
+	return &tr, nil
+}
+
+// solveSchedule is NewTrajectory appending the segments to segs. The
+// delay queries pass a stack array, so a delay evaluation — the inner
+// loop of parameter fitting — allocates nothing.
+func (p Params) solveSchedule(v0 la.Vec2, phases []Phase, segs []segment) (Trajectory, error) {
+	if err := p.Validate(); err != nil {
+		return Trajectory{}, err
+	}
 	if len(phases) == 0 {
-		return nil, fmt.Errorf("hybrid: empty mode schedule")
+		return Trajectory{}, fmt.Errorf("hybrid: empty mode schedule")
 	}
 	for i := 1; i < len(phases); i++ {
 		if phases[i].Start < phases[i-1].Start {
-			return nil, fmt.Errorf("hybrid: phases not sorted at index %d", i)
+			return Trajectory{}, fmt.Errorf("hybrid: phases not sorted at index %d", i)
 		}
 	}
-	tr := &Trajectory{}
 	state := v0
 	for i, ph := range phases {
 		end := math.Inf(1)
@@ -56,14 +65,14 @@ func (p Params) NewTrajectory(v0 la.Vec2, phases []Phase) (*Trajectory, error) {
 		}
 		sol, err := p.System(ph.Mode).Solve(state)
 		if err != nil {
-			return nil, fmt.Errorf("hybrid: solving mode %v: %w", ph.Mode, err)
+			return Trajectory{}, fmt.Errorf("hybrid: solving mode %v: %w", ph.Mode, err)
 		}
-		tr.segs = append(tr.segs, segment{start: ph.Start, end: end, mode: ph.Mode, sol: sol})
+		segs = append(segs, segment{start: ph.Start, end: end, mode: ph.Mode, sol: sol})
 		if !math.IsInf(end, 1) {
 			state = sol.At(end - ph.Start) // continuity across the switch
 		}
 	}
-	return tr, nil
+	return Trajectory{segs: segs}, nil
 }
 
 // Start returns the trajectory's first defined time.
@@ -72,7 +81,7 @@ func (tr *Trajectory) Start() float64 { return tr.segs[0].start }
 // At evaluates the state (V_N, V_O) at absolute time t (clamped to the
 // trajectory start).
 func (tr *Trajectory) At(t float64) la.Vec2 {
-	seg := tr.segs[tr.segmentIndex(t)]
+	seg := &tr.segs[tr.segmentIndex(t)]
 	local := t - seg.start
 	if local < 0 {
 		local = 0
@@ -99,17 +108,12 @@ func (tr *Trajectory) segmentIndex(t float64) int {
 	return i - 1
 }
 
-// crossScanDensity is the number of scan points per segment used to
-// isolate the first threshold crossing before Brent polishing. The output
-// trajectory within a segment is a sum of at most two exponentials plus a
-// constant, so it has at most two extrema; a modest scan is ample.
-const crossScanDensity = 256
-
 // FirstOutputCrossing returns the earliest time t >= after at which V_O
 // crosses level in the requested direction. ok is false if the trajectory
 // never crosses.
 func (tr *Trajectory) FirstOutputCrossing(level float64, rising bool, after float64) (float64, bool) {
-	for _, seg := range tr.segs {
+	for i := range tr.segs {
+		seg := &tr.segs[i]
 		if seg.end <= after {
 			continue
 		}
@@ -124,39 +128,9 @@ func (tr *Trajectory) FirstOutputCrossing(level float64, rising bool, after floa
 			}
 			t1 = t0 + 60*tau
 		}
-		if t, ok := firstDirectionalCrossing(func(t float64) float64 {
-			return seg.sol.At(t - seg.start).Y
-		}, level, rising, t0, t1); ok {
+		if t, ok := firstDirectionalCrossing(curve{sol2: &seg.sol, start: seg.start}, level, rising, t0, t1); ok {
 			return t, true
 		}
-	}
-	return 0, false
-}
-
-// firstDirectionalCrossing finds the earliest crossing of level with the
-// requested slope sign in [t0, t1].
-func firstDirectionalCrossing(f func(float64) float64, level float64, rising bool, t0, t1 float64) (float64, bool) {
-	if t1 <= t0 {
-		return 0, false
-	}
-	g := func(t float64) float64 { return f(t) - level }
-	prevT := t0
-	prevV := g(t0)
-	for i := 1; i <= crossScanDensity; i++ {
-		t := t0 + (t1-t0)*float64(i)/float64(crossScanDensity)
-		v := g(t)
-		crossed := (prevV < 0 && v >= 0 && rising) || (prevV > 0 && v <= 0 && !rising)
-		if crossed {
-			if v == 0 {
-				return t, true
-			}
-			r, err := roots.Brent(g, prevT, t, 0)
-			if err != nil {
-				return 0, false
-			}
-			return r, true
-		}
-		prevT, prevV = t, v
 	}
 	return 0, false
 }

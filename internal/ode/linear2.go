@@ -56,10 +56,11 @@ const (
 )
 
 // Solve constructs the closed-form solution with initial value v0 at t=0.
-func (s Linear2) Solve(v0 la.Vec2) (*Solution2, error) {
+// The solution is returned by value so callers can store it inline.
+func (s Linear2) Solve(v0 la.Vec2) (Solution2, error) {
 	eig, err := la.EigenDecompose2(s.A)
 	if err != nil {
-		return nil, err
+		return Solution2{}, err
 	}
 	det := s.A.Det()
 	// Singular A (one or both eigenvalues zero): the steady state does not
@@ -77,15 +78,15 @@ func (s Linear2) Solve(v0 la.Vec2) (*Solution2, error) {
 	if eig.Defective {
 		l := eig.Lambda1
 		n := s.A.AddMat(la.Mat2{A11: -l, A22: -l})
-		return &Solution2{kind: kindDefective, l1: l, vp: vp, nil2: n, v0: v0, sys: s}, nil
+		return Solution2{kind: kindDefective, l1: l, vp: vp, nil2: n, v0: v0, sys: s}, nil
 	}
 	// Expand w in the eigenbasis: w = c1 v1 + c2 v2.
 	p := la.Mat2{A11: eig.V1.X, A12: eig.V2.X, A21: eig.V1.Y, A22: eig.V2.Y}
 	c, err := p.Solve(w)
 	if err != nil {
-		return nil, fmt.Errorf("ode: eigenvector matrix singular: %w", err)
+		return Solution2{}, fmt.Errorf("ode: eigenvector matrix singular: %w", err)
 	}
-	return &Solution2{
+	return Solution2{
 		kind: kindDiagonal,
 		l1:   eig.Lambda1, l2: eig.Lambda2,
 		v1: eig.V1, v2: eig.V2,
@@ -99,23 +100,23 @@ func (s Linear2) Solve(v0 la.Vec2) (*Solution2, error) {
 // general case with g constant by splitting along eigenvectors: for a zero
 // eigenvalue the response grows linearly (c + g_par*t), for a nonzero one
 // it is the usual exponential relaxation.
-func solveSingular(s Linear2, v0 la.Vec2, eig la.Eigen2) (*Solution2, error) {
+func solveSingular(s Linear2, v0 la.Vec2, eig la.Eigen2) (Solution2, error) {
 	if eig.Defective {
-		return nil, fmt.Errorf("ode: defective singular system not supported (A=%+v)", s.A)
+		return Solution2{}, fmt.Errorf("ode: defective singular system not supported (A=%+v)", s.A)
 	}
 	p := la.Mat2{A11: eig.V1.X, A12: eig.V2.X, A21: eig.V1.Y, A22: eig.V2.Y}
 	if p.Det() == 0 {
-		return nil, fmt.Errorf("ode: eigenvector matrix singular for A=%+v", s.A)
+		return Solution2{}, fmt.Errorf("ode: eigenvector matrix singular for A=%+v", s.A)
 	}
 	c0, err := p.Solve(v0)
 	if err != nil {
-		return nil, err
+		return Solution2{}, err
 	}
 	gc, err := p.Solve(s.G)
 	if err != nil {
-		return nil, err
+		return Solution2{}, err
 	}
-	return &Solution2{
+	return Solution2{
 		kind: kindSingular,
 		l1:   eig.Lambda1, l2: eig.Lambda2,
 		v1: eig.V1, v2: eig.V2,

@@ -164,35 +164,3 @@ func ExpandBracket(f func(float64) float64, a, b, limit float64) (float64, float
 	}
 	return 0, 0, ErrNoBracket
 }
-
-// FirstCrossing returns the earliest t in [t0, t1] with f(t) = level,
-// scanning with nScan samples to isolate the first sign change and then
-// polishing with Brent. It returns ok=false if no crossing exists in the
-// interval.
-func FirstCrossing(f func(float64) float64, level, t0, t1 float64, nScan int) (float64, bool) {
-	if nScan < 2 {
-		nScan = 64
-	}
-	g := func(t float64) float64 { return f(t) - level }
-	prevT := t0
-	prevV := g(t0)
-	if prevV == 0 {
-		return t0, true
-	}
-	for i := 1; i <= nScan; i++ {
-		t := t0 + (t1-t0)*float64(i)/float64(nScan)
-		v := g(t)
-		if v == 0 {
-			return t, true
-		}
-		if math.Signbit(v) != math.Signbit(prevV) {
-			r, err := Brent(g, prevT, t, 0)
-			if err != nil {
-				return 0, false
-			}
-			return r, true
-		}
-		prevT, prevV = t, v
-	}
-	return 0, false
-}

@@ -5,7 +5,6 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-	"testing/quick"
 )
 
 func TestBisectKnownRoot(t *testing.T) {
@@ -107,54 +106,5 @@ func TestExpandBracket(t *testing.T) {
 	}
 	if _, _, err := ExpandBracket(f, 1, 0, 100); err == nil {
 		t.Error("expected failure for inverted interval")
-	}
-}
-
-func TestFirstCrossing(t *testing.T) {
-	// sin crosses 0.5 first at pi/6.
-	tm, ok := FirstCrossing(math.Sin, 0.5, 0, 10, 500)
-	if !ok {
-		t.Fatal("no crossing found")
-	}
-	if math.Abs(tm-math.Pi/6) > 1e-9 {
-		t.Errorf("first crossing at %g, want %g", tm, math.Pi/6)
-	}
-	// No crossing of level 2.
-	if _, ok := FirstCrossing(math.Sin, 2, 0, 10, 100); ok {
-		t.Error("found a crossing that cannot exist")
-	}
-	// Crossing exactly at start.
-	if tm, ok := FirstCrossing(math.Sin, 0, 0, 1, 10); !ok || tm != 0 {
-		t.Errorf("expected crossing at start, got %g ok=%v", tm, ok)
-	}
-}
-
-// TestFirstCrossingOrdering: the returned crossing is never later than
-// any other crossing in the window.
-func TestFirstCrossingOrdering(t *testing.T) {
-	f := func(phase float64) bool {
-		p := math.Mod(math.Abs(phase), 3)
-		g := func(x float64) float64 { return math.Sin(x + p) }
-		tm, ok := FirstCrossing(g, 0.25, 0, 12, 600)
-		if !ok {
-			return true
-		}
-		// Scan densely: no earlier sign change of g-0.25 may exist.
-		prev := g(0) - 0.25
-		for i := 1; i < 4000; i++ {
-			x := 12 * float64(i) / 4000
-			if x >= tm-1e-6 {
-				break
-			}
-			v := g(x) - 0.25
-			if prev != 0 && v != 0 && math.Signbit(prev) != math.Signbit(v) {
-				return false
-			}
-			prev = v
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
-		t.Error(err)
 	}
 }

@@ -293,6 +293,9 @@ func runOneJob(ctx context.Context, hc *http.Client, baseURL, key string, spec J
 		}
 		switch st.State {
 		case StateDone:
+			if st.Result == nil {
+				return nil, time.Since(start), retries, fmt.Errorf("job %s done without a result: %s", id, st.Error)
+			}
 			return st.Result, time.Since(start), retries, nil
 		case StateFailed, StateCancelled:
 			return nil, time.Since(start), retries, fmt.Errorf("job %s ended %s: %s", id, st.State, st.Error)

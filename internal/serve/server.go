@@ -119,10 +119,35 @@ func jsonError(w http.ResponseWriter, status int, format string, args ...any) {
 	json.NewEncoder(w).Encode(map[string]string{"error": fmt.Sprintf(format, args...)})
 }
 
-// writeJSON answers a 200 JSON body.
-func writeJSON(w http.ResponseWriter, v any) {
+// writeJSON answers v as a JSON body with the given status. It marshals
+// before writing anything, so a value encoding/json rejects (a NaN
+// float) comes back as an error instead of a status line with an empty
+// body. The bytes are those json.Encoder would write.
+func writeJSON(w http.ResponseWriter, status int, v any) error {
+	b, err := json.Marshal(v)
+	if err != nil {
+		return err
+	}
 	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(v)
+	w.WriteHeader(status)
+	w.Write(append(b, '\n'))
+	return nil
+}
+
+// writeStatus answers a job status. A result that cannot be encoded
+// (eval reports a normalized area as NaN when the inertial baseline has
+// no deviation) is left out, and the status carries an error that says
+// why, so the client still sees the job's terminal state.
+func writeStatus(w http.ResponseWriter, status int, st JobStatus) {
+	err := writeJSON(w, status, st)
+	if err == nil {
+		return
+	}
+	st.Result = nil
+	st.Error = fmt.Sprintf("result cannot be encoded as JSON: %v", err)
+	if err := writeJSON(w, status, st); err != nil {
+		jsonError(w, http.StatusInternalServerError, "status cannot be encoded as JSON: %v", err)
+	}
 }
 
 // handleSubmit validates the spec, registers the job and offers it to
@@ -198,7 +223,7 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 		jsonError(w, http.StatusNotFound, "no such job")
 		return
 	}
-	writeJSON(w, j.Status())
+	writeStatus(w, http.StatusOK, j.Status())
 }
 
 // handleCancel cancels a queued or running job. Cancelling a queued
@@ -221,8 +246,7 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 		jsonError(w, http.StatusConflict, "job already %s", j.State())
 		return
 	}
-	w.WriteHeader(http.StatusAccepted)
-	writeJSON(w, j.Status())
+	writeStatus(w, http.StatusAccepted, j.Status())
 }
 
 // handleEvents streams the job's event log over SSE: buffered events
@@ -303,7 +327,9 @@ func (s *Server) MetricsSnapshot() Metrics {
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, s.MetricsSnapshot())
+	if err := writeJSON(w, http.StatusOK, s.MetricsSnapshot()); err != nil {
+		jsonError(w, http.StatusInternalServerError, "metrics cannot be encoded as JSON: %v", err)
+	}
 }
 
 // Shutdown drains the server: new submissions are refused (503),

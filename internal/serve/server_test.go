@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -424,5 +425,76 @@ func TestServeShutdownRefusesAndFlushes(t *testing.T) {
 	}
 	if _, status, _ := trySubmit(t, hs.URL, spec, ""); status != http.StatusServiceUnavailable {
 		t.Errorf("post-shutdown submit: status %d, want 503", status)
+	}
+}
+
+// TestServeNaNResultStatus: a result holding a NaN normalized area
+// (NAND2 100/50 LOCAL at 20 transitions, seed 4 at the test operating
+// point: the inertial baseline has no deviation) cannot be encoded as
+// JSON. The status endpoint must still answer the done state, without
+// the result and with an error saying why, instead of a 200 with an
+// empty body. A NaN-free result keeps its exact bytes.
+func TestServeNaNResultStatus(t *testing.T) {
+	if testing.Short() {
+		t.Skip("analog evaluation in -short mode")
+	}
+	srv, hs := newTestServer(t, Options{})
+	stim := sweep.Stimulus{Mode: gen.Local, Mu: 100 * waveform.Pico, Sigma: 50 * waveform.Pico, Transitions: 20}
+	spec := func(seed int64) JobSpec {
+		return JobSpec{Kind: session.KindGate, Gate: "nand2", Stimuli: []sweep.Stimulus{stim}, Seeds: []int64{seed}}
+	}
+
+	nan := waitTerminal(t, hs.URL, submit(t, hs.URL, spec(4), ""), 120*time.Second)
+	if nan.State != StateDone {
+		t.Fatalf("NaN job ended %s: %s", nan.State, nan.Error)
+	}
+	if nan.Result != nil {
+		t.Errorf("unencodable result was served: %+v", nan.Result)
+	}
+	if !strings.Contains(nan.Error, "NaN") {
+		t.Errorf("error %q does not say the result holds a NaN", nan.Error)
+	}
+
+	id := submit(t, hs.URL, spec(1), "")
+	ok := waitTerminal(t, hs.URL, id, 120*time.Second)
+	if ok.State != StateDone || ok.Result == nil || ok.Error != "" {
+		t.Fatalf("NaN-free job: state %s, result %v, error %q", ok.State, ok.Result != nil, ok.Error)
+	}
+	// The body is exactly what json.Encoder writes for the status.
+	resp, err := http.Get(hs.URL + "/v1/jobs/" + id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var body, want bytes.Buffer
+	body.ReadFrom(resp.Body)
+	j, _ := srv.Registry().Get(id)
+	if err := json.NewEncoder(&want).Encode(j.Status()); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(body.Bytes(), want.Bytes()) {
+		t.Errorf("status body changed bytes:\n got %s\nwant %s", body.Bytes(), want.Bytes())
+	}
+	// And its canonical projection equals a one-shot evaluation's.
+	p := fastParams()
+	one := spec(1)
+	job, err := one.Job()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := session.New(session.Options{BaseParams: &p}).Evaluate(context.Background(), job)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := CanonicalResultJSON(ok.Result)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantJSON, err := CanonicalResultJSON(ref)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, wantJSON) {
+		t.Errorf("served result differs from the one-shot reference")
 	}
 }
