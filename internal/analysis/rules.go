@@ -25,6 +25,10 @@ func DefaultKeyRules(m *Module) []KeyRule {
 		// The persistent hdgs-v1 store spells every field explicitly.
 		{Struct: p + "/internal/nor.Params", Builder: p + "/internal/store.keyString"},
 		{Struct: p + "/internal/spice.TransientOptions", Builder: p + "/internal/store.keyString", Ignore: transientIgnore},
+		// Its operating-point key spells every ParamKey field the same way.
+		{Struct: p + "/internal/eval.ParamKey", Builder: p + "/internal/store.pointKeyString"},
+		{Struct: p + "/internal/nor.Params", Builder: p + "/internal/store.pointKeyString"},
+		{Struct: p + "/internal/spice.TransientOptions", Builder: p + "/internal/store.pointKeyString", Ignore: transientIgnore},
 		// The in-process golden cache keys embed the whole Params value.
 		{Struct: p + "/internal/nor.Params", Builder: p + "/internal/eval.CachedSource.Golden"},
 		{Struct: p + "/internal/nor.Params", Builder: p + "/internal/eval.CircuitKey"},

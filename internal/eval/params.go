@@ -36,8 +36,10 @@ type ParamKey struct {
 
 // OperatingPoint is one prepared operating point: the measured
 // characteristic turned into the parametrized Fig. 7 model set, plus a
-// pooled golden source seeded with the bench the measurement ran on
-// (so the construction cost is amortized into the pool too). An
+// pooled golden source — seeded with the bench the measurement ran on
+// (so the construction cost is amortized into the pool too), or empty
+// for a point loaded from a PointStore, whose benches are built only if
+// a golden run actually needs one. An
 // OperatingPoint is shared between cache users and safe for concurrent
 // use: Models is immutable after preparation and BenchSource hands a
 // private bench instance to every concurrent golden run.
@@ -75,11 +77,35 @@ type paramEntry struct {
 type ParamCache struct {
 	mu        sync.Mutex
 	table     map[ParamKey]*paramEntry
+	store     PointStore
 	limit     int // max completed operating points; 0 = unbounded
 	lru       *list.List
 	hits      int64
 	misses    int64
+	diskHits  int64
 	evictions int64
+}
+
+// PointStore is the on-disk tier a ParamCache can mount below its
+// in-memory table (see internal/store): the measure-and-fit output of
+// each operating point, so a later process assembles its model set
+// without a transient solve or a fit. LoadPoint returns ok=false on a
+// clean miss and on a corrupt or unreadable entry alike.
+// Implementations must be safe for concurrent use; store errors never
+// fail a lookup.
+type PointStore interface {
+	LoadPoint(key ParamKey) (gate.Fitted, bool, error)
+	SavePoint(key ParamKey, f gate.Fitted) error
+}
+
+// SetStore mounts a persistent read-through/write-behind tier below the
+// cache: a miss consults the store before measuring, and a freshly
+// prepared point is saved back. Mount it before sharing the cache; nil
+// unmounts.
+func (c *ParamCache) SetStore(p PointStore) {
+	c.mu.Lock()
+	c.store = p
+	c.mu.Unlock()
 }
 
 // NewParamCache returns an empty parametrization cache.
@@ -113,9 +139,12 @@ func (c *ParamCache) evictOverLocked() {
 }
 
 // ParamStats reports parametrization-cache effectiveness counters.
+// DiskHits is omitted from JSON when zero, so the wire form of a
+// session without a store is unchanged.
 type ParamStats struct {
 	Hits      int64 // lookups served from a cached or in-flight operating point
-	Misses    int64 // lookups that had to measure and fit
+	Misses    int64 // lookups not served from memory
+	DiskHits  int64 `json:",omitempty"` // memory misses served from the PointStore tier (no measure, no fit)
 	Evictions int64 // completed operating points dropped by the memory bound
 	Entries   int   // completed operating points currently stored
 }
@@ -133,7 +162,7 @@ func (c *ParamCache) Stats() ParamStats {
 		default:
 		}
 	}
-	return ParamStats{Hits: c.hits, Misses: c.misses, Evictions: c.evictions, Entries: n}
+	return ParamStats{Hits: c.hits, Misses: c.misses, DiskHits: c.diskHits, Evictions: c.evictions, Entries: n}
 }
 
 // SolverStats aggregates the MNA solver counters of every completed
@@ -205,9 +234,11 @@ func (c *ParamCache) OperatingPoint(ctx context.Context, g gate.Gate, p nor.Para
 		e := &paramEntry{ready: make(chan struct{})}
 		c.table[key] = e
 		c.misses++
+		store := c.store
 		c.mu.Unlock()
 
-		e.pt, e.err = PrepareOperatingPoint(ctx, g, p, expDMin)
+		var fromDisk bool
+		e.pt, fromDisk, e.err = loadOrPrepare(ctx, g, key, store)
 		if e.err != nil {
 			c.mu.Lock()
 			delete(c.table, key)
@@ -216,6 +247,9 @@ func (c *ParamCache) OperatingPoint(ctx context.Context, g gate.Gate, p nor.Para
 		close(e.ready)
 		if e.err == nil {
 			c.mu.Lock()
+			if fromDisk {
+				c.diskHits++
+			}
 			e.elem = c.lru.PushFront(key)
 			c.evictOverLocked()
 			c.mu.Unlock()
@@ -224,35 +258,77 @@ func (c *ParamCache) OperatingPoint(ctx context.Context, g gate.Gate, p nor.Para
 	}
 }
 
+// loadOrPrepare is the cache leader's miss path. Read-through: a point
+// the store holds is assembled without any transient or fit; one that
+// fails to load or to assemble counts as a miss. Otherwise the point is
+// measured and fitted, and write-behind saves it — which also repairs
+// a bad entry.
+func loadOrPrepare(ctx context.Context, g gate.Gate, key ParamKey, store PointStore) (*OperatingPoint, bool, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, false, err
+	}
+	if store != nil {
+		if f, ok, err := store.LoadPoint(key); err == nil && ok {
+			if pt, err := assemble(g, key, f, &BenchSource{gate: g, params: key.Bench}); err == nil {
+				return pt, true, nil
+			}
+		}
+	}
+	bench, f, err := measureAndFit(ctx, g, key.Bench)
+	if err != nil {
+		return nil, false, err
+	}
+	pt, err := assemble(g, key, f, NewGateBenchSource(bench))
+	if err == nil && store != nil {
+		_ = store.SavePoint(key, f)
+	}
+	return pt, false, err
+}
+
 // PrepareOperatingPoint runs the uncached preparation chain for one
 // operating point: build a golden bench, measure its characteristic
-// delays and parametrize the Fig. 7 model set. ctx aborts between the
+// delays, fit and assemble the Fig. 7 model set. ctx aborts between the
 // stages; the bench itself seeds the returned source's instance pool.
 func PrepareOperatingPoint(ctx context.Context, g gate.Gate, p nor.Params, expDMin float64) (*OperatingPoint, error) {
-	if err := ctx.Err(); err != nil {
+	bench, f, err := measureAndFit(ctx, g, p)
+	if err != nil {
 		return nil, err
+	}
+	return assemble(g, ParamKey{Gate: g.Name(), Bench: p, ExpDMin: expDMin}, f, NewGateBenchSource(bench))
+}
+
+// measureAndFit builds a golden bench, measures its characteristic
+// delays and fits the hybrid model: everything a PointStore persists.
+func measureAndFit(ctx context.Context, g gate.Gate, p nor.Params) (gate.Bench, gate.Fitted, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, gate.Fitted{}, err
 	}
 	bench, err := g.NewBench(p)
 	if err != nil {
-		return nil, fmt.Errorf("eval: gate %s: bench: %w", g.Name(), err)
+		return nil, gate.Fitted{}, fmt.Errorf("eval: gate %s: bench: %w", g.Name(), err)
 	}
 	if err := ctx.Err(); err != nil {
-		return nil, err
+		return nil, gate.Fitted{}, err
 	}
 	meas, err := bench.Measure()
 	if err != nil {
-		return nil, fmt.Errorf("eval: gate %s: measure: %w", g.Name(), err)
+		return nil, gate.Fitted{}, fmt.Errorf("eval: gate %s: measure: %w", g.Name(), err)
 	}
 	if err := ctx.Err(); err != nil {
-		return nil, err
+		return nil, gate.Fitted{}, err
 	}
-	models, err := g.BuildModels(meas, p.Supply, expDMin)
+	f, err := gate.Fit(g, meas, p.Supply)
+	if err != nil {
+		return nil, gate.Fitted{}, fmt.Errorf("eval: gate %s: models: %w", g.Name(), err)
+	}
+	return bench, f, nil
+}
+
+// assemble turns a fitted point into an OperatingPoint over golden.
+func assemble(g gate.Gate, key ParamKey, f gate.Fitted, golden *BenchSource) (*OperatingPoint, error) {
+	models, err := gate.Assemble(g, f, key.Bench.Supply, key.ExpDMin)
 	if err != nil {
 		return nil, fmt.Errorf("eval: gate %s: models: %w", g.Name(), err)
 	}
-	return &OperatingPoint{
-		Key:    ParamKey{Gate: g.Name(), Bench: p, ExpDMin: expDMin},
-		Models: models,
-		Golden: NewGateBenchSource(bench),
-	}, nil
+	return &OperatingPoint{Key: key, Models: models, Golden: golden}, nil
 }

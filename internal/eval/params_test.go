@@ -150,6 +150,61 @@ func TestParamCacheSingleflight(t *testing.T) {
 	}
 }
 
+// memPointStore is an in-memory PointStore counting its traffic.
+type memPointStore struct {
+	mu           sync.Mutex
+	pts          map[ParamKey]gate.Fitted
+	loads, saves int
+}
+
+func (m *memPointStore) LoadPoint(k ParamKey) (gate.Fitted, bool, error) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.loads++
+	f, ok := m.pts[k]
+	return f, ok, nil
+}
+
+func (m *memPointStore) SavePoint(k ParamKey, f gate.Fitted) error {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.saves++
+	m.pts[k] = f
+	return nil
+}
+
+// TestParamCacheStoreTier: concurrent callers of a cold cache over a
+// point store measure once and save once; concurrent callers of a
+// fresh cache over the filled store load once and never measure.
+func TestParamCacheStoreTier(t *testing.T) {
+	g := &fakeGate{name: "fake2"}
+	ps := &memPointStore{pts: map[ParamKey]gate.Fitted{}}
+	p := nor.DefaultParams()
+	run := func() ParamStats {
+		cache := NewParamCache()
+		cache.SetStore(ps)
+		var wg sync.WaitGroup
+		for i := 0; i < 8; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if _, err := cache.OperatingPoint(context.Background(), g, p, 20e-12); err != nil {
+					t.Error(err)
+				}
+			}()
+		}
+		wg.Wait()
+		return cache.Stats()
+	}
+	if st := run(); st.Misses != 1 || st.DiskHits != 0 || ps.saves != 1 || g.measures.Load() != 1 {
+		t.Fatalf("cold: stats %+v, %d saves, %d measures; want one miss, save and measure", st, ps.saves, g.measures.Load())
+	}
+	if st := run(); st.Misses != 1 || st.DiskHits != 1 || ps.loads != 2 || ps.saves != 1 || g.measures.Load() != 1 {
+		t.Fatalf("warm: stats %+v, %d loads, %d saves, %d measures; want one disk hit and nothing else",
+			st, ps.loads, ps.saves, g.measures.Load())
+	}
+}
+
 func TestParamCacheErrorEviction(t *testing.T) {
 	g := &fakeGate{name: "fake2"}
 	g.failMeasure.Store(true)

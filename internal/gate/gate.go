@@ -156,14 +156,65 @@ type Models struct {
 // resolves the conflict the same way.
 var tailWeights = []float64{3, 1, 3, 3, 1, 3}
 
-// buildModels assembles the shared model-set structure: the inertial
-// arcs and the exp channel come from the gate's own measurement, the two
-// hybrid fits run on the NOR-frame characteristic (each gate maps its
-// measurement into the frame FitCharacteristic expects) and are wrapped
-// into the gate's channel applier by wrap.
-func buildModels(g Gate, meas Measurement, norFrame hybrid.Characteristic,
-	supply waveform.Supply, expDMin float64, wrap func(hybrid.Params) Model) (Models, error) {
+// Fitted is the complete output of one operating point's measure-and-fit
+// chain as plain numbers: the bench measurement and the two NOR-frame
+// hybrid fits. It is what the persistent store keeps per operating
+// point, so a later process rebuilds the model set with Assemble
+// instead of measuring and fitting again.
+type Fitted struct {
+	Meas     Measurement
+	HM       hybrid.Params // NOR-frame fit with pure delay
+	HMNoDMin hybrid.Params // NOR-frame fit without pure delay
+}
+
+// hybridGate is the per-gate half of the shared parametrization that
+// every gate of this package implements: how its pair characteristic
+// maps into the NOR frame hybrid.FitCharacteristic expects, and how a
+// NOR-frame fit becomes its channel applier.
+type hybridGate interface {
+	norFrame(c hybrid.Characteristic) hybrid.Characteristic
+	wrap(p hybrid.Params) Model
+}
+
+// Fit runs the expensive half of a gate's parametrization: the two
+// hybrid fits (with and without pure delay) of the measured pair
+// characteristic in the NOR frame. A gate registered from outside this
+// package exposes no frame; its Fitted carries the measurement alone
+// and Assemble parametrizes it through the gate's own BuildModels.
+func Fit(g Gate, meas Measurement, supply waveform.Supply) (Fitted, error) {
+	f := Fitted{Meas: meas}
+	h, ok := g.(hybridGate)
+	if !ok {
+		return f, nil
+	}
+	frame := h.norFrame(meas.Pair)
+	var err error
+	if f.HM, _, err = hybrid.FitCharacteristic(frame, supply, &hybrid.FitOptions{
+		DMin: -1, Weights: tailWeights,
+	}); err != nil {
+		return f, fmt.Errorf("gate %s: hybrid fit: %w", g.Name(), err)
+	}
+	if f.HMNoDMin, _, err = hybrid.FitCharacteristic(frame, supply, &hybrid.FitOptions{
+		DMin: 0, Weights: tailWeights,
+	}); err != nil {
+		return f, fmt.Errorf("gate %s: hybrid fit without dmin: %w", g.Name(), err)
+	}
+	return f, nil
+}
+
+// Assemble is the cheap half of a gate's parametrization: it validates
+// a fitted operating point and builds the model set from it. The
+// inertial arcs and the exp channel come from the measurement, the two
+// fits are wrapped into the gate's channel applier. A freshly fitted
+// point and one loaded from disk pass through the same checks, and
+// equal points assemble into bit-identical model sets.
+func Assemble(g Gate, f Fitted, supply waveform.Supply, expDMin float64) (Models, error) {
+	h, ok := g.(hybridGate)
+	if !ok {
+		return g.BuildModels(f.Meas, supply, expDMin)
+	}
 	m := Models{Gate: g, Supply: supply}
+	meas := f.Meas
 	if len(meas.Arcs) != g.Arity() {
 		return m, fmt.Errorf("gate %s: measurement has %d arcs, want %d", g.Name(), len(meas.Arcs), g.Arity())
 	}
@@ -182,21 +233,25 @@ func buildModels(g Gate, meas Measurement, norFrame hybrid.Characteristic,
 	if m.Exp, err = idm.ExpFromSIS(riseSIS, fallSIS, expDMin); err != nil {
 		return m, fmt.Errorf("gate %s: exp channel: %w", g.Name(), err)
 	}
-	hm, _, err := hybrid.FitCharacteristic(norFrame, supply, &hybrid.FitOptions{
-		DMin: -1, Weights: tailWeights,
-	})
-	if err != nil {
+	if err := f.HM.Validate(); err != nil {
 		return m, fmt.Errorf("gate %s: hybrid fit: %w", g.Name(), err)
 	}
-	m.HM = wrap(hm)
-	hm0, _, err := hybrid.FitCharacteristic(norFrame, supply, &hybrid.FitOptions{
-		DMin: 0, Weights: tailWeights,
-	})
-	if err != nil {
+	if err := f.HMNoDMin.Validate(); err != nil {
 		return m, fmt.Errorf("gate %s: hybrid fit without dmin: %w", g.Name(), err)
 	}
-	m.HMNoDMin = wrap(hm0)
+	m.HM = h.wrap(f.HM)
+	m.HMNoDMin = h.wrap(f.HMNoDMin)
 	return m, nil
+}
+
+// buildModels is the BuildModels of every gate in this package: Fit
+// then Assemble.
+func buildModels(g Gate, meas Measurement, supply waveform.Supply, expDMin float64) (Models, error) {
+	f, err := Fit(g, meas, supply)
+	if err != nil {
+		return Models{}, err
+	}
+	return Assemble(g, f, supply, expDMin)
 }
 
 // toCharacteristic converts the bench measurement struct into the hybrid

@@ -63,13 +63,16 @@ func (g nand2) Stamp(c *spice.Circuit, prefix, outName string, p nor.Params, vdd
 }
 
 func (g nand2) BuildModels(meas Measurement, supply waveform.Supply, expDMin float64) (Models, error) {
-	// Fit the dual NOR model on the mirrored characteristic (the
-	// duality frame change of hybrid.Characteristic.Mirror), then flip
-	// it back into the NAND parametrization for the channel.
-	return buildModels(g, meas, meas.Pair.Mirror(), supply, expDMin, func(p hybrid.Params) Model {
-		return NAND2Model{N: hybrid.NANDFromDual(p)}
-	})
+	return buildModels(g, meas, supply, expDMin)
 }
+
+// norFrame fits the dual NOR model on the mirrored characteristic (the
+// duality frame change of hybrid.Characteristic.Mirror).
+func (nand2) norFrame(c hybrid.Characteristic) hybrid.Characteristic { return c.Mirror() }
+
+// wrap flips the dual NOR fit back into the NAND parametrization for
+// the channel.
+func (nand2) wrap(p hybrid.Params) Model { return NAND2Model{N: hybrid.NANDFromDual(p)} }
 
 // NAND2Arcs maps the NAND pair characteristic onto per-pin arcs. NAND
 // falling delays are measured from the later rising input (the serial

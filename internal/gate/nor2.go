@@ -62,12 +62,15 @@ func (g nor2) Stamp(c *spice.Circuit, prefix, outName string, p nor.Params, vdd 
 }
 
 func (g nor2) BuildModels(meas Measurement, supply waveform.Supply, expDMin float64) (Models, error) {
-	// The pair characteristic is already in the NOR frame the fit
-	// expects; the fitted parameters drive the closed-form 2x2 channel.
-	return buildModels(g, meas, meas.Pair, supply, expDMin, func(p hybrid.Params) Model {
-		return NOR2Model{P: p}
-	})
+	return buildModels(g, meas, supply, expDMin)
 }
+
+// norFrame: the pair characteristic is already in the NOR frame the fit
+// expects.
+func (nor2) norFrame(c hybrid.Characteristic) hybrid.Characteristic { return c }
+
+// wrap: the fitted parameters drive the closed-form 2x2 channel.
+func (nor2) wrap(p hybrid.Params) Model { return NOR2Model{P: p} }
 
 // NOR2Arcs maps the NOR pair characteristic onto per-pin arcs: a falling
 // output caused by A corresponds to delta_fall(+inf) (A switched first),

@@ -76,21 +76,25 @@ func (g nor3) Stamp(c *spice.Circuit, prefix, outName string, p nor.Params, vdd 
 }
 
 func (g nor3) BuildModels(meas Measurement, supply waveform.Supply, expDMin float64) (Models, error) {
-	// The pair projection is NOR-framed, so the 2-input fit applies
-	// directly — but its R2 lumps the two lower stack devices (T2 plus
-	// the always-on T3 of the held-low pin C), so the 3-stack model
-	// splits it across them, keeping the total path resistance the fit
-	// actually measured. The result drives the generalized switch-level
-	// channel.
-	return buildModels(g, meas, meas.Pair, supply, expDMin, func(p hybrid.Params) Model {
-		return NOR3Model{P: hybrid.NOR3Params{
-			RP1: p.R1, RP2: p.R2 / 2, RP3: p.R2 / 2,
-			RN1: p.R3, RN2: p.R4, RN3: p.R4,
-			CN1: p.CN, CN2: p.CN, CO: p.CO,
-			Supply: p.Supply,
-			DMin:   p.DMin,
-		}}
-	})
+	return buildModels(g, meas, supply, expDMin)
+}
+
+// norFrame: the pair projection is NOR-framed, so the 2-input fit
+// applies directly.
+func (nor3) norFrame(c hybrid.Characteristic) hybrid.Characteristic { return c }
+
+// wrap: the fit's R2 lumps the two lower stack devices (T2 plus the
+// always-on T3 of the held-low pin C), so the 3-stack model splits it
+// across them, keeping the total path resistance the fit actually
+// measured. The result drives the generalized switch-level channel.
+func (nor3) wrap(p hybrid.Params) Model {
+	return NOR3Model{P: hybrid.NOR3Params{
+		RP1: p.R1, RP2: p.R2 / 2, RP3: p.R2 / 2,
+		RN1: p.R3, RN2: p.R4, RN3: p.R4,
+		CN1: p.CN, CN2: p.CN, CO: p.CO,
+		Supply: p.Supply,
+		DMin:   p.DMin,
+	}}
 }
 
 // NOR3Bench adapts the transistor-level 3-input NOR testbench.

@@ -98,8 +98,12 @@ type Options struct {
 	// freshly computed traces spill to disk in the background, so
 	// fig7/sweep/circuit runs warm-start across process restarts. The
 	// store is attached to the session's golden cache, including a
-	// shared cache passed via Golden. The caller keeps ownership and
-	// must Close the store after the session's last use.
+	// shared cache passed via Golden. A store that also implements
+	// eval.PointStore (store.Store does) is mounted below the
+	// parametrization cache too, including one passed via Params, so a
+	// warm start also skips measuring and fitting its operating points.
+	// The caller keeps ownership and must Close the store after the
+	// session's last use.
 	Store eval.PersistentStore
 }
 
@@ -133,6 +137,9 @@ func New(opt Options) *Session {
 	}
 	if opt.Store != nil {
 		s.golden.SetStore(opt.Store)
+	}
+	if ps, ok := opt.Store.(eval.PointStore); ok {
+		s.params.SetStore(ps)
 	}
 	if opt.GoldenBudget > 0 {
 		s.golden.SetLimit(opt.GoldenBudget)

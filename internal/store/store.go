@@ -1,28 +1,33 @@
-// Package store persists digitized golden traces on disk, content-
-// addressed by their eval.GoldenKey. It is the bottom tier of the
-// golden-cache hierarchy: the in-memory GoldenCache serves repeats
-// within a process, the store serves them across processes — a warm
-// store lets fig7/sweep/circuit runs start with zero transient solves.
+// Package store persists digitized golden traces and prepared operating
+// points on disk, content-addressed by their eval.GoldenKey and
+// eval.ParamKey. It is the bottom tier of the golden and
+// parametrization caches: the in-memory caches serve repeats within a
+// process, the store serves them across processes — a warm store lets
+// fig7/sweep/circuit runs start with zero transient solves and zero
+// model fits.
 //
 // Layout (under the root passed to Open):
 //
 //	VERSION               format stamp ("hdgs-v1\n"); mismatch refuses Open
-//	objects/<hh>/<hash>   one entry per golden run, hh = first hash byte
+//	objects/<hh>/<hash>   one entry per golden run or operating point,
+//	                      hh = first hash byte
 //	tmp/                  staging area for atomic writes
 //
 // The address <hash> is the SHA-256 of a canonical key string that
-// spells out every GoldenKey field (gate name, seed, every bench and
-// config parameter with exact hex-float encoding) plus the entry kind,
-// so any parameter change — however small — addresses a different
-// entry. Entries are self-describing: a magic/version header, the kind,
-// the full canonical key echoed back, the payload, and a CRC-32 of
+// spells out every key field (gate name, seed, every bench and config
+// parameter with exact hex-float encoding) plus the entry kind, so any
+// parameter change — however small — addresses a different entry. An
+// operating-point key also carries prepVersion, so a change to the
+// measure-and-fit chain retires old points without a format bump.
+// Entries are self-describing: a magic/version header, the kind, the
+// full canonical key echoed back, the payload, and a CRC-32 of
 // everything before it. A checksum, key-echo or header mismatch (torn
 // write, corruption, hash collision) makes the entry a counted miss;
 // the cache recomputes and overwrites it.
 //
-// Writes are atomic (temp file + rename) and asynchronous: Save/SaveSet
-// enqueue to a single writer goroutine, so the solver hot path never
-// waits on disk. Flush drains the queue; Close flushes and stops the
+// Writes are atomic (temp file + rename) and asynchronous: the Save
+// methods enqueue to a single writer goroutine, so the solver hot path
+// never waits on disk. Flush drains the queue; Close flushes and stops the
 // writer. All methods are safe for concurrent use.
 package store
 
@@ -41,7 +46,11 @@ import (
 	"sync"
 
 	"hybriddelay/internal/eval"
+	"hybriddelay/internal/gate"
 	"hybriddelay/internal/gen"
+	"hybriddelay/internal/hybrid"
+	"hybriddelay/internal/inertial"
+	"hybriddelay/internal/nor"
 	"hybriddelay/internal/spice"
 	"hybriddelay/internal/trace"
 )
@@ -52,6 +61,13 @@ const (
 
 	kindTrace = byte(1) // single digitized trace (gate golden)
 	kindSet   = byte(2) // trace set (composed circuit golden)
+	kindPoint = byte(3) // prepared operating point (measurement + fits)
+
+	// prepVersion is part of every operating-point key. Bump it whenever
+	// a code change alters what the measure-and-fit chain computes for
+	// the same key (solver, measurement or fit changes): old points then
+	// simply miss instead of serving stale fits.
+	prepVersion = 1
 
 	versionStamp = "hdgs-v1\n"
 )
@@ -227,18 +243,32 @@ func mosString(b *bytes.Buffer, tag string, m spice.MOSParams) {
 func keyString(kind byte, k eval.GoldenKey) string {
 	var b bytes.Buffer
 	fmt.Fprintf(&b, "hdgs/%d kind=%d\ngate=%s\nseed=%d\n", version, kind, k.Gate, k.Seed)
-	p := k.Bench
-	fmt.Fprintf(&b, "supply=%s,%s\n", hx(p.Supply.VDD), hx(p.Supply.Vth))
-	mosString(&b, "t1", p.T1)
-	mosString(&b, "t2", p.T2)
-	mosString(&b, "t3", p.T3)
-	mosString(&b, "t4", p.T4)
-	fmt.Fprintf(&b, "cn=%s\nco=%s\nrise=%s\nmaxstep=%s\nltetol=%s\nmethod=%d\nsolver=%d\nsparsepivot=%s\n",
-		hx(p.CN), hx(p.CO), hx(p.InputRise), hx(p.MaxStep), hx(p.LTETol), int(p.Method), int(p.Solver), hx(p.SparsePivotRel))
+	benchString(&b, k.Bench)
 	c := k.Config
 	fmt.Fprintf(&b, "mu=%s\nsigma=%s\nmode=%d\ninputs=%d\ntransitions=%d\nstart=%s\nmingap=%s\n",
 		hx(c.Mu), hx(c.Sigma), int(c.Mode), c.Inputs, c.Transitions, hx(c.Start), hx(c.MinGap))
 	return b.String()
+}
+
+// pointKeyString renders the canonical content key of one prepared
+// operating point: every eval.ParamKey field plus prepVersion.
+func pointKeyString(k eval.ParamKey) string {
+	var b bytes.Buffer
+	fmt.Fprintf(&b, "hdgs/%d kind=%d prep=%d\ngate=%s\n", version, kindPoint, prepVersion, k.Gate)
+	benchString(&b, k.Bench)
+	fmt.Fprintf(&b, "expdmin=%s\n", hx(k.ExpDMin))
+	return b.String()
+}
+
+// benchString spells out every nor.Params field of a key.
+func benchString(b *bytes.Buffer, p nor.Params) {
+	fmt.Fprintf(b, "supply=%s,%s\n", hx(p.Supply.VDD), hx(p.Supply.Vth))
+	mosString(b, "t1", p.T1)
+	mosString(b, "t2", p.T2)
+	mosString(b, "t3", p.T3)
+	mosString(b, "t4", p.T4)
+	fmt.Fprintf(b, "cn=%s\nco=%s\nrise=%s\nmaxstep=%s\nltetol=%s\nmethod=%d\nsolver=%d\nsparsepivot=%s\n",
+		hx(p.CN), hx(p.CO), hx(p.InputRise), hx(p.MaxStep), hx(p.LTETol), int(p.Method), int(p.Solver), hx(p.SparsePivotRel))
 }
 
 // path maps a canonical key string to its object file.
@@ -253,6 +283,7 @@ func (s *Store) path(key string) string {
 var (
 	_                      = gen.Config{}
 	_ eval.PersistentStore = (*Store)(nil)
+	_ eval.PointStore      = (*Store)(nil)
 )
 
 // ---------------------------------------------------------------------
@@ -384,6 +415,9 @@ func decodeTrace(r *reader) (trace.Trace, error) {
 		tr.Events = make([]trace.Event, n)
 		for i := range tr.Events {
 			tr.Events[i] = trace.Event{Time: r.f64(), Value: r.u8() != 0}
+			if t := tr.Events[i].Time; math.IsNaN(t) || math.IsInf(t, 0) {
+				return tr, fmt.Errorf("store: non-finite event time")
+			}
 		}
 	}
 	if r.failed {
@@ -392,50 +426,135 @@ func decodeTrace(r *reader) (trace.Trace, error) {
 	return tr, nil
 }
 
+// decodeTracePayload decodes a kindTrace payload.
+func decodeTracePayload(payload []byte) (trace.Trace, error) {
+	r := &reader{data: payload}
+	tr, err := decodeTrace(r)
+	if err == nil && r.pos != len(payload) {
+		err = fmt.Errorf("store: trailing bytes after trace")
+	}
+	return tr, err
+}
+
+// decodeSetPayload decodes a kindSet payload.
+func decodeSetPayload(payload []byte) (map[string]trace.Trace, error) {
+	r := &reader{data: payload}
+	n := int(r.u32())
+	if r.failed || n < 0 || n > len(payload) {
+		return nil, fmt.Errorf("store: invalid set size")
+	}
+	out := make(map[string]trace.Trace, n)
+	for i := 0; i < n; i++ {
+		name := string(r.bytes(int(r.u32())))
+		tr, err := decodeTrace(r)
+		if err != nil {
+			return nil, err
+		}
+		out[name] = tr
+	}
+	if r.failed || r.pos != len(payload) {
+		return nil, fmt.Errorf("store: malformed set")
+	}
+	return out, nil
+}
+
+// pointFloats lists every float64 of a prepared operating point except
+// the arcs, in payload order: the pair characteristic, then the two
+// NOR-frame fits.
+func pointFloats(f *gate.Fitted) []*float64 {
+	c := &f.Meas.Pair
+	out := []*float64{&c.FallMinusInf, &c.FallZero, &c.FallPlusInf, &c.RiseMinusInf, &c.RiseZero, &c.RisePlusInf}
+	for _, p := range []*hybrid.Params{&f.HM, &f.HMNoDMin} {
+		out = append(out, &p.R1, &p.R2, &p.R3, &p.R4, &p.CN, &p.CO, &p.Supply.VDD, &p.Supply.Vth, &p.DMin)
+	}
+	return out
+}
+
+// encodePoint renders a kindPoint payload: the pointFloats, then the
+// arc count and each arc's fall and rise delay.
+func encodePoint(f gate.Fitted) []byte {
+	var b bytes.Buffer
+	for _, v := range pointFloats(&f) {
+		putF64(&b, *v)
+	}
+	putU32(&b, uint32(len(f.Meas.Arcs)))
+	for _, a := range f.Meas.Arcs {
+		putF64(&b, a.Fall)
+		putF64(&b, a.Rise)
+	}
+	return b.Bytes()
+}
+
+// decodePointPayload decodes a kindPoint payload. Every number must be
+// finite; gate.Assemble then applies the same checks as to a fresh fit.
+func decodePointPayload(payload []byte) (gate.Fitted, error) {
+	var f gate.Fitted
+	r := &reader{data: payload}
+	vals := pointFloats(&f)
+	for _, v := range vals {
+		*v = r.f64()
+	}
+	n := int(r.u32())
+	if r.failed || n < 0 || n > (len(payload)-r.pos)/16 {
+		return gate.Fitted{}, fmt.Errorf("store: invalid arc count")
+	}
+	f.Meas.Arcs = make(inertial.Arcs, n)
+	for i := range f.Meas.Arcs {
+		a := &f.Meas.Arcs[i]
+		a.Fall, a.Rise = r.f64(), r.f64()
+		vals = append(vals, &a.Fall, &a.Rise)
+	}
+	if r.failed || r.pos != len(payload) {
+		return gate.Fitted{}, fmt.Errorf("store: malformed operating point")
+	}
+	for _, v := range vals {
+		if math.IsNaN(*v) || math.IsInf(*v, 0) {
+			return gate.Fitted{}, fmt.Errorf("store: non-finite operating-point value")
+		}
+	}
+	return f, nil
+}
+
 // ---------------------------------------------------------------------
 // eval.PersistentStore
 
-// load reads and verifies one object; the bool reports presence.
-func (s *Store) load(kind byte, k eval.GoldenKey) ([]byte, bool) {
-	key := keyString(kind, k)
+// load reads one object and decodes it with decode; the bool reports a
+// valid entry. A missing file is a counted miss; a frame or payload
+// that fails verification (torn write, corruption, wrong kind, hash
+// collision) is a counted soft miss — the cache recomputes and the
+// rewrite replaces the bad entry.
+func load[T any](s *Store, kind byte, key string, decode func([]byte) (T, error)) (T, bool) {
+	var zero T
 	data, err := os.ReadFile(s.path(key))
 	if err != nil {
-		s.mu.Lock()
-		s.stats.Misses++
-		s.mu.Unlock()
-		return nil, false
+		s.count(&s.stats.Misses)
+		return zero, false
 	}
 	payload, err := decodeObject(data, kind, key)
 	if err != nil {
-		// Torn write or corruption: a counted soft miss; the cache
-		// recomputes and the rewrite replaces the bad entry.
-		s.mu.Lock()
-		s.stats.Corrupt++
-		s.mu.Unlock()
-		return nil, false
+		s.count(&s.stats.Corrupt)
+		return zero, false
 	}
+	v, err := decode(payload)
+	if err != nil {
+		s.count(&s.stats.Corrupt)
+		return zero, false
+	}
+	s.count(&s.stats.Hits)
+	return v, true
+}
+
+// count bumps one traffic counter.
+func (s *Store) count(c *int64) {
 	s.mu.Lock()
-	s.stats.Hits++
+	*c++
 	s.mu.Unlock()
-	return payload, true
 }
 
 // Load implements eval.PersistentStore for single traces.
 func (s *Store) Load(k eval.GoldenKey) (trace.Trace, bool, error) {
-	payload, ok := s.load(kindTrace, k)
-	if !ok {
-		return trace.Trace{}, false, nil
-	}
-	r := &reader{data: payload}
-	tr, err := decodeTrace(r)
-	if err != nil || r.pos != len(payload) {
-		s.mu.Lock()
-		s.stats.Hits--
-		s.stats.Corrupt++
-		s.mu.Unlock()
-		return trace.Trace{}, false, nil
-	}
-	return tr, true, nil
+	tr, ok := load(s, kindTrace, keyString(kindTrace, k), decodeTracePayload)
+	return tr, ok, nil
 }
 
 // Save implements eval.PersistentStore for single traces. The write is
@@ -449,33 +568,8 @@ func (s *Store) Save(k eval.GoldenKey, tr trace.Trace) error {
 
 // LoadSet implements eval.PersistentStore for circuit trace sets.
 func (s *Store) LoadSet(k eval.GoldenKey) (map[string]trace.Trace, bool, error) {
-	payload, ok := s.load(kindSet, k)
-	if !ok {
-		return nil, false, nil
-	}
-	r := &reader{data: payload}
-	n := int(r.u32())
-	if r.failed || n < 0 || n > len(payload) {
-		n = -1
-	}
-	out := make(map[string]trace.Trace, max(n, 0))
-	for i := 0; i < n; i++ {
-		name := string(r.bytes(int(r.u32())))
-		tr, err := decodeTrace(r)
-		if err != nil {
-			n = -1
-			break
-		}
-		out[name] = tr
-	}
-	if n < 0 || r.failed || r.pos != len(payload) {
-		s.mu.Lock()
-		s.stats.Hits--
-		s.stats.Corrupt++
-		s.mu.Unlock()
-		return nil, false, nil
-	}
-	return out, true, nil
+	set, ok := load(s, kindSet, keyString(kindSet, k), decodeSetPayload)
+	return set, ok, nil
 }
 
 // SaveSet implements eval.PersistentStore for circuit trace sets. Nets
@@ -483,6 +577,12 @@ func (s *Store) LoadSet(k eval.GoldenKey) (map[string]trace.Trace, bool, error) 
 // identical bytes.
 func (s *Store) SaveSet(k eval.GoldenKey, set map[string]trace.Trace) error {
 	key := keyString(kindSet, k)
+	return s.enqueue(writeReq{path: s.path(key), data: encodeObject(kindSet, key, encodeSet(set))})
+}
+
+// encodeSet renders a kindSet payload: the net count, then each net's
+// name and trace in sorted-name order.
+func encodeSet(set map[string]trace.Trace) []byte {
 	names := make([]string, 0, len(set))
 	for name := range set {
 		names = append(names, name)
@@ -495,5 +595,19 @@ func (s *Store) SaveSet(k eval.GoldenKey, set map[string]trace.Trace) error {
 		payload.WriteString(name)
 		encodeTrace(&payload, set[name])
 	}
-	return s.enqueue(writeReq{path: s.path(key), data: encodeObject(kindSet, key, payload.Bytes())})
+	return payload.Bytes()
+}
+
+// LoadPoint implements eval.PointStore: the prepared operating point
+// persisted under k, if a valid entry exists.
+func (s *Store) LoadPoint(k eval.ParamKey) (gate.Fitted, bool, error) {
+	f, ok := load(s, kindPoint, pointKeyString(k), decodePointPayload)
+	return f, ok, nil
+}
+
+// SavePoint implements eval.PointStore. The write is asynchronous; use
+// Flush to wait for it.
+func (s *Store) SavePoint(k eval.ParamKey, f gate.Fitted) error {
+	key := pointKeyString(k)
+	return s.enqueue(writeReq{path: s.path(key), data: encodeObject(kindPoint, key, encodePoint(f))})
 }

@@ -10,7 +10,10 @@ import (
 	"testing"
 
 	"hybriddelay/internal/eval"
+	"hybriddelay/internal/gate"
 	"hybriddelay/internal/gen"
+	"hybriddelay/internal/hybrid"
+	"hybriddelay/internal/inertial"
 	"hybriddelay/internal/nor"
 	"hybriddelay/internal/spice"
 	"hybriddelay/internal/trace"
@@ -286,11 +289,31 @@ func TestSchemaDriftGuard(t *testing.T) {
 		{"waveform.Supply", waveform.Supply{}, 2},
 		{"spice.MOSParams", spice.MOSParams{}, 8},
 		{"gen.Config", gen.Config{}, 7},
+		{"eval.ParamKey", eval.ParamKey{}, 3},
 	} {
 		if got := reflect.TypeOf(c.v).NumField(); got != c.want {
 			t.Errorf("%s has %d fields, keyString encodes %d — extend the canonical key encoding "+
 				"(and bump the store version if the new field changes golden identity)",
 				c.name, got, c.want)
+		}
+	}
+	// The operating-point payload spells out these structs field by
+	// field (pointFloats, encodePoint): a new field would be silently
+	// dropped on disk.
+	for _, c := range []struct {
+		name string
+		v    interface{}
+		want int
+	}{
+		{"gate.Fitted", gate.Fitted{}, 3},
+		{"gate.Measurement", gate.Measurement{}, 2},
+		{"hybrid.Characteristic", hybrid.Characteristic{}, 6},
+		{"hybrid.Params", hybrid.Params{}, 8},
+		{"inertial.PinArcs", inertial.PinArcs{}, 2},
+	} {
+		if got := reflect.TypeOf(c.v).NumField(); got != c.want {
+			t.Errorf("%s has %d fields, the operating-point payload encodes %d — extend encodePoint "+
+				"and pointFloats, and bump prepVersion", c.name, got, c.want)
 		}
 	}
 }

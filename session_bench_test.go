@@ -9,8 +9,10 @@ package hybriddelay
 // served from cache) and reports speedup_x against the cold baseline
 // (a fresh Session per call, re-measuring every time), alongside
 // cold_ms and warm_ms. Both paths use a private golden cache per call,
-// so the speedup isolates the parametrization memoization. The numbers
-// land in BENCH_session.json in CI.
+// so the speedup isolates the parametrization memoization.
+// BenchmarkSessionWarmStore adds the cross-process case: a fresh
+// Session per call over a filled persistent store. The numbers land in
+// BENCH_session.json in CI.
 
 import (
 	"context"
@@ -91,5 +93,50 @@ func BenchmarkSessionWarm(b *testing.B) {
 	}
 	if st := s.ParamCache().Stats(); st.Misses != 1 {
 		b.Fatalf("warm session re-prepared: param stats %+v", st)
+	}
+}
+
+// BenchmarkSessionWarmStore is the cross-process warm start: a first
+// run fills a persistent store, then every iteration is a fresh store
+// handle and a fresh Session over it, as back-to-back CLI runs with
+// -store are. Golden traces and the prepared operating point both come
+// from disk, so an iteration runs no transient and no fit; warm_ms and
+// speedup_x compare it with the cold baseline.
+func BenchmarkSessionWarmStore(b *testing.B) {
+	cold := coldSessionSecs(b)
+	dir := b.TempDir()
+	run := func() *Result {
+		st, err := OpenGoldenStore(dir)
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer st.Close()
+		s := NewSession(SessionOptions{Workers: 2, Store: st})
+		job := sessionBenchJob()
+		job.Cache = nil // the session cache fronts the store
+		res, err := s.Evaluate(context.Background(), job)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := s.Close(); err != nil {
+			b.Fatal(err)
+		}
+		return res
+	}
+	run() // fill the store
+	b.ResetTimer()
+	start := time.Now()
+	var res *Result
+	for i := 0; i < b.N; i++ {
+		res = run()
+	}
+	warm := time.Since(start).Seconds() / float64(b.N)
+	b.ReportMetric(cold*1e3, "cold_ms")
+	b.ReportMetric(warm*1e3, "warm_ms")
+	if warm > 0 {
+		b.ReportMetric(cold/warm, "speedup_x")
+	}
+	if st := res.Stats; st.Solver.Steps != 0 || st.Params.DiskHits != 1 {
+		b.Fatalf("warm-store run solved or fitted: %d steps, param stats %+v", st.Solver.Steps, st.Params)
 	}
 }
