@@ -24,6 +24,20 @@ import (
 	"hybriddelay/internal/spice"
 )
 
+// Connection timeouts of the HTTP servers against slow or idle clients.
+// There is no write timeout, which would cut SSE event streams; net/http
+// clears the read deadline once a request's body is read.
+const (
+	readHeaderTimeout = 10 * time.Second
+	readTimeout       = 30 * time.Second
+	idleTimeout       = 120 * time.Second
+)
+
+// newHTTPServer serves h with the connection timeouts above.
+func newHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout, ReadTimeout: readTimeout, IdleTimeout: idleTimeout}
+}
+
 // serveOptions carries the `hybridlab serve` flags.
 type serveOptions struct {
 	addr      string
@@ -127,7 +141,7 @@ func (o *serveOptions) run() error {
 	if err != nil {
 		return err
 	}
-	hs := &http.Server{Handler: srv}
+	hs := newHTTPServer(srv)
 	errc := make(chan error, 1)
 	go func() { errc <- hs.Serve(ln) }()
 	fmt.Fprintf(stderr, "serve: listening on http://%s (POST /v1/jobs, GET /metrics)\n", ln.Addr())
@@ -208,7 +222,7 @@ func (o *loadgenOptions) run() error {
 		if err != nil {
 			return err
 		}
-		hs := &http.Server{Handler: srv}
+		hs := newHTTPServer(srv)
 		go hs.Serve(ln)
 		baseURL = "http://" + ln.Addr().String()
 		fmt.Fprintf(stderr, "loadgen: in-process server on %s\n", baseURL)

@@ -134,6 +134,18 @@ func TestRunServeCmdBadSolver(t *testing.T) {
 	}
 }
 
+// TestHTTPServerTimeouts: the servers drop clients that send slowly or
+// idle, but set no write timeout, which would cut long SSE streams.
+func TestHTTPServerTimeouts(t *testing.T) {
+	hs := newHTTPServer(http.NotFoundHandler())
+	if hs.ReadHeaderTimeout <= 0 || hs.ReadTimeout <= 0 || hs.IdleTimeout <= 0 {
+		t.Errorf("missing timeouts: header %v, read %v, idle %v", hs.ReadHeaderTimeout, hs.ReadTimeout, hs.IdleTimeout)
+	}
+	if hs.WriteTimeout != 0 {
+		t.Errorf("write timeout %v would cut event streams", hs.WriteTimeout)
+	}
+}
+
 // TestRunLoadgenCmdEndToEnd runs the loadgen against its own
 // in-process server and checks the BENCH_serve.json report: every job
 // done, and the server's results byte-identical to a one-shot

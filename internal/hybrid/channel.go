@@ -43,6 +43,11 @@ type Channel struct {
 	pendingID  dtsim.EventID
 	hasPending bool
 	fireFn     func(t float64) // ch.fire, bound once rather than per schedule
+
+	// modes holds the four mode systems, prepared once: a mode's
+	// eigen-decomposition and steady state do not depend on the state
+	// it is entered with, and the segments' solutions refer to them.
+	modes [4]ode.Prepared2
 }
 
 type futureSeg struct {
@@ -61,13 +66,17 @@ func NewChannel(sim *dtsim.Simulator, p Params, a, b, out *dtsim.Net, vn0 float6
 	}
 	ch := &Channel{P: p, sim: sim, a: a, b: b, out: out}
 	ch.fireFn = ch.fire
+	for m := range ch.modes {
+		var err error
+		if ch.modes[m], err = p.System(Mode(m)).Prepare(); err != nil {
+			return nil, fmt.Errorf("hybrid: mode %v: %w", Mode(m), err)
+		}
+	}
 	mode := ModeOf(a.Value(), b.Value())
 	state := p.steadyState(mode, vn0)
-	sol, err := p.System(mode).Solve(state)
-	if err != nil {
-		return nil, err
-	}
-	ch.segs = []futureSeg{{start: sim.Now(), mode: mode, sol: sol}}
+	// A few segments cover the DMin-deferred future; reserve them so
+	// onInput's appends do not regrow the slice.
+	ch.segs = append(make([]futureSeg, 0, 4), futureSeg{start: sim.Now(), mode: mode, sol: ch.modes[mode].Solve(state)})
 	out.SetInitial(state.Y > p.Supply.Vth)
 
 	a.OnChange(func(t float64, _ bool) { ch.onInput(t) })
@@ -122,13 +131,9 @@ func (ch *Channel) onInput(t float64) {
 	i := ch.segIndex(tEff)
 	state := ch.segs[i].sol.At(tEff - ch.segs[i].start)
 	mode := ModeOf(ch.a.Value(), ch.b.Value())
-	sol, err := ch.P.System(mode).Solve(state)
-	if err != nil {
-		panic(fmt.Sprintf("hybrid: mode %v solve failed: %v", mode, err))
-	}
 	// Truncate any previously scheduled future after tEff and append the
 	// new segment.
-	ch.segs = append(ch.segs[:i+1], futureSeg{start: tEff, mode: mode, sol: sol})
+	ch.segs = append(ch.segs[:i+1], futureSeg{start: tEff, mode: mode, sol: ch.modes[mode].Solve(state)})
 	ch.prune(t)
 	ch.reschedule()
 }

@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"hybriddelay/internal/dtsim"
+	"hybriddelay/internal/gen"
 	"hybriddelay/internal/trace"
 )
 
@@ -279,5 +280,31 @@ func TestApplyNORRejectsInvalidParams(t *testing.T) {
 	p.R3 = -1
 	if _, err := ApplyNOR(p, trace.Trace{}, trace.Trace{}, 1e-9, 0); err == nil {
 		t.Error("invalid params accepted")
+	}
+}
+
+// TestApplyNORAllocs pins the channel's allocation budget on the
+// stimulus of BenchmarkChannelOverheadHybrid (the paper's first
+// configuration at 400 transitions). The mode systems are prepared once
+// per channel and the crossing search allocates nothing; what remains
+// is set-up and the doubling growth of the event slab and the recorded
+// output.
+func TestApplyNORAllocs(t *testing.T) {
+	cfg := gen.PaperConfigs()[0]
+	cfg.Transitions = 400
+	in, err := gen.Traces(cfg, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	until := gen.Horizon(in, 600e-12)
+	p := TableI()
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, err := ApplyNOR(p, in[0], in[1], until, 0.8); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("%.0f allocs per ApplyNOR", allocs)
+	if allocs > 35 {
+		t.Errorf("ApplyNOR allocates %.0f times per run, budget 35", allocs)
 	}
 }

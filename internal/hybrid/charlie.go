@@ -205,21 +205,6 @@ func (p Params) CharlieRise(delta, x float64) (float64, error) {
 	return d + p.DMin, nil
 }
 
-// CharlieRiseAtW evaluates the equation (11)/(12) structure literally at
-// the supplied local expansion point (the paper prints w = 2e-10 s of
-// absolute time for delta >= 0 and 1e-10 s for delta < 0). DMin included.
-func (p Params) CharlieRiseAtW(delta, x, w float64) (float64, error) {
-	v, err := p.riseSwitchState(delta, x)
-	if err != nil {
-		return 0, err
-	}
-	d, err := p.rise00TwoExp(v.X, v.Y).taylorStep(p.Supply.Vth, w)
-	if err != nil {
-		return 0, err
-	}
-	return d + p.DMin, nil
-}
-
 // CharlieCharacteristic assembles all six characteristic delays from the
 // closed-form expressions (8)-(12) (V_N = GND for the rising cases),
 // mirroring Characteristic, which uses the exact crossing solver.

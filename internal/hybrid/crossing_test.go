@@ -40,6 +40,15 @@ func scanCrossing(f func(float64) float64, level float64, rising bool, t0, t1 fl
 	return 0, false
 }
 
+// value evaluates the curve at time t through the solutions' own
+// evaluators, which compute their exponentials themselves.
+func (c *curve) value(t float64) float64 {
+	if c.sol2 != nil {
+		return c.sol2.At(t - c.start).Y
+	}
+	return c.solN.Component(c.node, t-c.start)
+}
+
 // gridPoint is grid point j of the window [t0, t1], as both searches
 // compute it.
 func gridPoint(t0, t1 float64, j int) float64 {
@@ -50,7 +59,7 @@ func gridPoint(t0, t1 float64, j int) float64 {
 // exactly (ok and the bits of t) and returns their answer.
 func sameCrossing(t *testing.T, what string, c curve, level float64, rising bool, t0, t1 float64) (float64, bool) {
 	t.Helper()
-	want, wantOK := scanCrossing(c.at, level, rising, t0, t1)
+	want, wantOK := scanCrossing(c.value, level, rising, t0, t1)
 	got, gotOK := firstDirectionalCrossing(c, level, rising, t0, t1)
 	if gotOK != wantOK || math.Float64bits(got) != math.Float64bits(want) {
 		t.Fatalf("%s: level=%.17g rising=%v window=[%.17g, %.17g]: search (%.17g, %v), scan (%.17g, %v)",
@@ -139,10 +148,22 @@ func randomCurve(t *testing.T, rng *rand.Rand, k int, state []float64) crossingC
 	}
 }
 
-// TestSearchMatchesScan is the differential property test: over random
-// NOR2, NAND-dual and NOR3 segments, states, windows, levels and both
-// directions, the pruned search returns exactly the scan's answer.
+// TestSearchMatchesScan is the differential property test: the pruned
+// search returns exactly the scan's answer over random segments and
+// over the cases below that random draws reach only by chance.
 func TestSearchMatchesScan(t *testing.T) {
+	if crossScanDensity>>(expSlots-3) > scanCells {
+		t.Fatalf("expSlots %d holds too few bisection levels for %d cells", expSlots, crossScanDensity)
+	}
+	t.Run("random", searchRandom)
+	t.Run("edge-windows", searchEdgeWindows)
+	t.Run("shared-prepared", searchSharedPrepared)
+	t.Run("many-nodes", searchManyNodes)
+}
+
+// searchRandom: random NOR2, NAND-dual and NOR3 segments, states,
+// windows, levels and both directions.
+func searchRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
 	crossings := 0
 	const trials = 3000
@@ -168,7 +189,7 @@ func TestSearchMatchesScan(t *testing.T) {
 			}
 			// A level equal to a grid value makes g exactly zero there.
 			j := 1 + rng.Intn(crossScanDensity)
-			onGrid := cc.c.at(gridPoint(t0, t1, j))
+			onGrid := cc.c.value(gridPoint(t0, t1, j))
 			if _, ok := sameCrossing(t, cc.name+"/on-grid", cc.c, onGrid, rising, t0, t1); ok {
 				crossings++
 			}
@@ -179,11 +200,142 @@ func TestSearchMatchesScan(t *testing.T) {
 	}
 }
 
+// searchEdgeWindows: a window starting at the segment start (local time
+// 0, whose exponentials are exactly 1), and a crossing in the first cell
+// after a dropped range, where the cell's left value is recomputed from
+// the exponentials the range handed down.
+func searchEdgeWindows(t *testing.T) {
+	rng := rand.New(rand.NewSource(73))
+	crossings := 0
+	const trials = 600
+	for trial := 0; trial < trials; trial++ {
+		cc := randomCurve(t, rng, trial, nil)
+		t0 := cc.c.start
+		t1 := t0 + 60*cc.tau*(0.05+rng.Float64())
+		for _, rising := range []bool{false, true} {
+			sameCrossing(t, cc.name+"/local-0", cc.c, cc.level, rising, t0, t1)
+			// Cells 9, 17, ... open the scan that follows a dropped
+			// range of 8, 16, ... cells when the curve is monotone there.
+			for _, j := range []int{9, 17, 33, 65, 129, 193} {
+				level := 0.5 * (cc.c.value(gridPoint(t0, t1, j-1)) + cc.c.value(gridPoint(t0, t1, j)))
+				if _, ok := sameCrossing(t, cc.name+"/after-drop", cc.c, level, rising, t0, t1); ok {
+					crossings++
+				}
+			}
+		}
+	}
+	if crossings < trials {
+		t.Fatalf("only %d after-drop searches crossed", crossings)
+	}
+}
+
+// searchSharedPrepared: NOR2 and NOR3 solutions that share
+// one prepared system per input state, as a Channel's and a
+// TrajectoryN's segments do, each search exactly like the scan and
+// like a solution of their own freshly solved system.
+func searchSharedPrepared(t *testing.T) {
+	rng := rand.New(rand.NewSource(79))
+	for trial := 0; trial < 40; trial++ {
+		p := randomParams(rng)
+		g := NOR3FromNOR2(p).Gate()
+		for m := 0; m < 8; m++ {
+			in := []bool{m&1 != 0, m&2 != 0, m&4 != 0}
+			sysN, err := g.System(in)
+			if err != nil {
+				t.Fatal(err)
+			}
+			preN, err := sysN.Prepare()
+			if err != nil {
+				t.Fatal(err)
+			}
+			sys2 := p.System(Mode(m % 4))
+			pre2, err := sys2.Prepare()
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Three states per system, all solved before any is searched,
+			// each searched over the shared prepared system and over a
+			// freshly solved one.
+			var pairs [][2]curve
+			for k := 0; k < 3; k++ {
+				v := []float64{0.8 * rng.Float64(), 0.8 * rng.Float64(), 0.8 * rng.Float64()}
+				solN, err := preN.Solve(v)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ownN, err := sysN.Solve(v)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sol2 := pre2.Solve(la.Vec2{X: v[0], Y: v[1]})
+				own2, err := sys2.Solve(la.Vec2{X: v[0], Y: v[1]})
+				if err != nil {
+					t.Fatal(err)
+				}
+				start := 1e-9 * rng.Float64()
+				pairs = append(pairs,
+					[2]curve{{solN: solN, node: g.OutNode, start: start}, {solN: ownN, node: g.OutNode, start: start}},
+					[2]curve{{sol2: &sol2, start: start}, {sol2: &own2, start: start}})
+			}
+			for _, pair := range pairs {
+				t0 := pair[0].start
+				t1 := t0 + 60e-12*(1+100*rng.Float64())
+				for _, rising := range []bool{false, true} {
+					got, ok := sameCrossing(t, "shared", pair[0], p.Supply.Vth, rising, t0, t1)
+					if want, wantOK := firstDirectionalCrossing(pair[1], p.Supply.Vth, rising, t0, t1); ok != wantOK || math.Float64bits(got) != math.Float64bits(want) {
+						t.Fatalf("inputs %v: shared system (%.17g, %v), own system (%.17g, %v)", in, got, ok, want, wantOK)
+					}
+				}
+			}
+		}
+	}
+}
+
+// searchManyNodes: a six-node RC ladder has more modal exponentials
+// than the search's stack buffer holds, so its slots come from the
+// heap; the result is still the scan's.
+func searchManyNodes(t *testing.T) {
+	rng := rand.New(rand.NewSource(83))
+	const n = 6
+	supply := TableI().Supply
+	g := SwitchGate{Name: "ladder", NumInputs: 1, Caps: make([]float64, n), OutNode: n - 1,
+		Logic: func(in []bool) bool { return !in[0] }, Supply: supply}
+	for i := range g.Caps {
+		g.Caps[i] = (0.5 + rng.Float64()) * 1e-15
+		from := int(RailVDD)
+		if i > 0 {
+			from = i - 1
+		}
+		g.Branches = append(g.Branches, SwitchBranch{From: from, To: i, R: (5 + 20*rng.Float64()) * 1e3})
+	}
+	g.Branches = append(g.Branches, SwitchBranch{From: n - 1, To: int(RailGND), R: 10e3, OnWhenHigh: true})
+	for _, high := range []bool{false, true} {
+		sys, err := g.System([]bool{high})
+		if err != nil {
+			t.Fatal(err)
+		}
+		v0 := make([]float64, n)
+		for i := range v0 {
+			if high {
+				v0[i] = supply.VDD * (0.9 + 0.1*rng.Float64())
+			}
+		}
+		sol, err := sys.Solve(v0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := curve{solN: sol, node: n - 1, start: 1e-10}
+		if _, ok := sameCrossing(t, "ladder", c, supply.Vth, !high, c.start, c.start+60*sol.SlowestTimeConstant()); !ok {
+			t.Fatalf("ladder with input %v never crossed V_th", high)
+		}
+	}
+}
+
 // extremum returns the local time of V_O's interior extremum of a 2x2
 // solution in (0, span), found as the root of the derivative.
-func extremum(t *testing.T, sol *ode.Solution2, span float64) float64 {
+func extremum(t *testing.T, sys ode.Linear2, sol *ode.Solution2, span float64) float64 {
 	t.Helper()
-	d := func(tm float64) float64 { return sol.Derivative(tm).Y }
+	d := func(tm float64) float64 { return sys.A.MulVec(sol.At(tm)).Add(sys.G).Y }
 	const n = 4000
 	prev := d(0)
 	for i := 1; i <= n; i++ {
@@ -219,14 +371,15 @@ func TestSearchGrazingExtrema(t *testing.T) {
 			{Mode10, la.Vec2{X: vdd, Y: 0}},
 			{Mode00, la.Vec2{X: 0, Y: vdd}},
 		} {
-			sol, err := p.System(tc.mode).Solve(tc.v0)
+			sys := p.System(tc.mode)
+			sol, err := sys.Solve(tc.v0)
 			if err != nil {
 				t.Fatal(err)
 			}
 			tau := sol.SlowestTimeConstant()
 			start := 1e-9 * rng.Float64()
 			c := curve{sol2: &sol, start: start}
-			tpk := start + extremum(t, &sol, 10*tau)
+			tpk := start + extremum(t, sys, &sol, 10*tau)
 			peak := sol.At(tpk - start).Y
 			for w := 0; w < 4; w++ {
 				t0 := start
@@ -242,7 +395,7 @@ func TestSearchGrazingExtrema(t *testing.T) {
 					jpk := int(float64(crossScanDensity) * (tpk - t0) / (t1 - t0))
 					for j := jpk - 2; j <= jpk+2; j++ {
 						if j >= 0 && j <= crossScanDensity {
-							sameCrossing(t, "graze-grid/"+tc.mode.String(), c, c.at(gridPoint(t0, t1, j)), rising, t0, t1)
+							sameCrossing(t, "graze-grid/"+tc.mode.String(), c, c.value(gridPoint(t0, t1, j)), rising, t0, t1)
 						}
 					}
 				}
@@ -260,7 +413,10 @@ func TestSearchWithoutBound(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := curve{sol2: &sol}
-	if _, _, _, ok := c.bound(0, 1e-9); ok {
+	var ea, eb [2]float64
+	c.exps(0, ea[:])
+	c.exps(1e-9, eb[:])
+	if _, _, _, ok := c.bound(0, 1e-9, ea[:], eb[:]); ok {
 		t.Fatal("defective kind reported a bound")
 	}
 	for _, rising := range []bool{false, true} {

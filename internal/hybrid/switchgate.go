@@ -3,6 +3,7 @@ package hybrid
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"hybriddelay/internal/la"
 	"hybriddelay/internal/ode"
@@ -165,16 +166,32 @@ func (g SwitchGate) NewTrajectory(v0 []float64, phases []PhaseN) (*TrajectoryN, 
 		return nil, fmt.Errorf("switchgate %s: initial state has %d entries, want %d", g.Name, len(v0), len(g.Caps))
 	}
 	tr := &TrajectoryN{gate: g, segs: make([]segN, 0, len(phases))}
+	// An input state's system is prepared the first time a phase enters
+	// it; later phases in that state only solve from their own state.
+	type preparedState struct {
+		inputs []bool
+		sys    *ode.PreparedN
+	}
+	var prepared []preparedState
 	state := append([]float64(nil), v0...)
 	for i, ph := range phases {
 		if i > 0 && ph.Start < phases[i-1].Start {
 			return nil, fmt.Errorf("switchgate %s: phases not sorted", g.Name)
 		}
-		sys, err := g.System(ph.Inputs)
-		if err != nil {
-			return nil, err
+		k := slices.IndexFunc(prepared, func(p preparedState) bool { return slices.Equal(p.inputs, ph.Inputs) })
+		if k < 0 {
+			sys, err := g.System(ph.Inputs)
+			if err != nil {
+				return nil, err
+			}
+			p, err := sys.Prepare()
+			if err != nil {
+				return nil, err
+			}
+			k = len(prepared)
+			prepared = append(prepared, preparedState{ph.Inputs, p})
 		}
-		sol, err := sys.Solve(state)
+		sol, err := prepared[k].sys.Solve(state)
 		if err != nil {
 			return nil, err
 		}

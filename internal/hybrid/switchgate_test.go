@@ -5,6 +5,28 @@ import (
 	"testing"
 )
 
+// NOR2SwitchGate expresses the paper's 2-input NOR model as a generic
+// SwitchGate: node 0 is the internal node N, node 1 the output O. It is
+// used to cross-validate the n-dimensional machinery against the
+// specialised closed-form 2x2 implementation.
+func NOR2SwitchGate(p Params) SwitchGate {
+	return SwitchGate{
+		Name:      "nor2",
+		NumInputs: 2,
+		Caps:      []float64{p.CN, p.CO},
+		Branches: []SwitchBranch{
+			{From: int(RailVDD), To: 0, R: p.R1, Input: 0, OnWhenHigh: false}, // T1
+			{From: 0, To: 1, R: p.R2, Input: 1, OnWhenHigh: false},            // T2
+			{From: 1, To: int(RailGND), R: p.R3, Input: 0, OnWhenHigh: true},  // T3
+			{From: 1, To: int(RailGND), R: p.R4, Input: 1, OnWhenHigh: true},  // T4
+		},
+		OutNode: 1,
+		Logic:   func(in []bool) bool { return !(in[0] || in[1]) },
+		Supply:  p.Supply,
+		DMin:    p.DMin,
+	}
+}
+
 // TestNOR2SwitchGateMatchesClosedForm is the keystone cross-validation:
 // the generic n-dimensional switch-level machinery must reproduce the
 // specialised 2x2 implementation of the paper's NOR exactly (well below

@@ -44,7 +44,8 @@ func (p Params) NewTrajectory(v0 la.Vec2, phases []Phase) (*Trajectory, error) {
 
 // solveSchedule is NewTrajectory appending the segments to segs. The
 // delay queries pass a stack array, so a delay evaluation — the inner
-// loop of parameter fitting — allocates nothing.
+// loop of parameter fitting — allocates only the prepared system each
+// segment's solution refers to.
 func (p Params) solveSchedule(v0 la.Vec2, phases []Phase, segs []segment) (Trajectory, error) {
 	if err := p.Validate(); err != nil {
 		return Trajectory{}, err

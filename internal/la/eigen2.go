@@ -17,18 +17,26 @@ type Vec2 struct {
 }
 
 // Add returns v + w.
+//
+//hybrid:alloc-ok returns a value-type literal, which never reaches the heap
 func (v Vec2) Add(w Vec2) Vec2 { return Vec2{v.X + w.X, v.Y + w.Y} }
 
 // Sub returns v - w.
+//
+//hybrid:alloc-ok returns a value-type literal, which never reaches the heap
 func (v Vec2) Sub(w Vec2) Vec2 { return Vec2{v.X - w.X, v.Y - w.Y} }
 
 // Scale returns s*v.
+//
+//hybrid:alloc-ok returns a value-type literal, which never reaches the heap
 func (v Vec2) Scale(s float64) Vec2 { return Vec2{s * v.X, s * v.Y} }
 
 // Norm returns the Euclidean norm of v.
 func (v Vec2) Norm() float64 { return math.Hypot(v.X, v.Y) }
 
 // MulVec computes m*v.
+//
+//hybrid:alloc-ok returns a value-type literal, which never reaches the heap
 func (m Mat2) MulVec(v Vec2) Vec2 {
 	return Vec2{m.A11*v.X + m.A12*v.Y, m.A21*v.X + m.A22*v.Y}
 }
@@ -58,6 +66,8 @@ func (m Mat2) Det() float64 { return m.A11*m.A22 - m.A12*m.A21 }
 func (m Mat2) Trace() float64 { return m.A11 + m.A22 }
 
 // Solve solves m*x = b for a nonsingular 2x2 system.
+//
+//hybrid:alloc-ok returns a value-type literal, which never reaches the heap
 func (m Mat2) Solve(b Vec2) (Vec2, error) {
 	d := m.Det()
 	if d == 0 {

@@ -63,22 +63,24 @@ type boundAcc struct {
 	n      int     // number of additions
 }
 
+// newBoundAcc starts an accumulator at the constant term k.
+//
+//hybrid:alloc-ok returns a value-type literal, which never reaches the heap
 func newBoundAcc(k float64) boundAcc {
 	return boundAcc{lo: k, hi: k, mag: math.Abs(k), scale: 1}
 }
 
 // add accumulates the term s·w(τ) for the eigenmode w = c·e^{lτ} +
-// g·phi(l, τ) over [a, b].
-func (acc *boundAcc) add(s, l, c, g, a, b float64) {
+// g·phi(l, τ) over [a, b], given ea = e^{la} and eb = e^{lb}.
+func (acc *boundAcc) add(s, l, c, g, a, b, ea, eb float64) {
 	T := max(math.Abs(a), math.Abs(b))
-	ea, eb := math.Exp(l*a), math.Exp(l*b)
 	wa, wb := c*ea, c*eb
 	e := max(ea, eb)
 	lt := math.Abs(l) * T
 	werr := math.Abs(c) * e * (lt + 5)
 	if g != 0 {
-		wa += g * phi(l, a)
-		wb += g * phi(l, b)
+		wa += g * phi(l, a, ea)
+		wb += g * phi(l, b, eb)
 		p := 8 * T
 		if lt >= 0.5e-6 {
 			p += (e*(lt+7) + 3) / math.Abs(l)
@@ -112,30 +114,40 @@ func (acc *boundAcc) result() (lo, hi, margin float64, ok bool) {
 // this file. The defective kind has a polynomial factor that is not
 // monotone termwise and reports ok = false.
 func (sol *Solution2) BoundY(a, b float64) (lo, hi, margin float64, ok bool) {
+	var ea, eb [2]float64
+	sol.Exps(a, ea[:])
+	sol.Exps(b, eb[:])
+	return sol.BoundYExp(a, b, ea[:], eb[:])
+}
+
+// BoundYExp is BoundY given the exponentials Exps(a) and Exps(b).
+func (sol *Solution2) BoundYExp(a, b float64, ea, eb []float64) (lo, hi, margin float64, ok bool) {
 	var acc boundAcc
-	switch sol.kind {
+	p := sol.sys
+	switch p.kind {
 	case kindDiagonal:
-		acc = newBoundAcc(sol.vp.Y)
-		acc.add(sol.v1.Y, sol.l1, sol.c1, 0, a, b)
-		acc.add(sol.v2.Y, sol.l2, sol.c2, 0, a, b)
+		acc = newBoundAcc(p.vp.Y)
+		acc.add(p.v1.Y, p.l1, sol.c.X, 0, a, b, ea[0], eb[0])
+		acc.add(p.v2.Y, p.l2, sol.c.Y, 0, a, b, ea[1], eb[1])
 	case kindSingular:
 		acc = newBoundAcc(0)
-		acc.add(sol.v1.Y, sol.l1, sol.c1, sol.vp.X, a, b)
-		acc.add(sol.v2.Y, sol.l2, sol.c2, sol.vp.Y, a, b)
+		acc.add(p.v1.Y, p.l1, sol.c.X, p.gc.X, a, b, ea[0], eb[0])
+		acc.add(p.v2.Y, p.l2, sol.c.Y, p.gc.Y, a, b, ea[1], eb[1])
 	default:
 		return 0, 0, 0, false
 	}
 	return acc.result()
 }
 
-// BoundComponent bounds component i over the local-time window [a, b]
-// (a <= b): every value Component(i, τ) returns for a float64 τ in
-// [a, b] lies in [lo - margin, hi + margin]. See the derivation at the
-// top of this file.
-func (sol *SolutionN) BoundComponent(i int, a, b float64) (lo, hi, margin float64, ok bool) {
+// BoundComponentExp bounds component i over the local-time window
+// [a, b] (a <= b) given the exponentials Exps(a) and Exps(b): every
+// value Component(i, τ) returns for a float64 τ in [a, b] lies in
+// [lo - margin, hi + margin]. See the derivation at the top of this file.
+func (sol *SolutionN) BoundComponentExp(i int, a, b float64, ea, eb []float64) (lo, hi, margin float64, ok bool) {
+	p := sol.sys
 	acc := newBoundAcc(0)
-	for k := 0; k < sol.n; k++ {
-		acc.add(sol.basis.At(i, k)/sol.sqrtC[i], sol.lambda[k], sol.w0[k], sol.f[k], a, b)
+	for k := 0; k < p.n; k++ {
+		acc.add(p.basis.At(i, k)/p.sqrtC[i], p.lambda[k], sol.w0[k], p.f[k], a, b, ea[k], eb[k])
 	}
 	return acc.result()
 }

@@ -62,8 +62,8 @@ func TestBoundYDiagonal(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if sol.kind != kindDiagonal {
-			t.Fatalf("trial %d: kind %d, want diagonal", trial, sol.kind)
+		if sol.sys.kind != kindDiagonal {
+			t.Fatalf("trial %d: kind %d, want diagonal", trial, sol.sys.kind)
 		}
 		a, b := randomWindow(rng, 20)
 		lo, hi, m, ok := sol.BoundY(a, b)
@@ -108,8 +108,8 @@ func TestBoundYSingular(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %v", tc.name, err)
 			}
-			if sol.kind != kindSingular {
-				t.Fatalf("%s: kind %d, want singular", tc.name, sol.kind)
+			if sol.sys.kind != kindSingular {
+				t.Fatalf("%s: kind %d, want singular", tc.name, sol.sys.kind)
 			}
 			a, b := randomWindow(rng, 40)
 			lo, hi, m, ok := sol.BoundY(a, b)
@@ -125,8 +125,8 @@ func TestBoundYDefectiveHasNone(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sol.kind != kindDefective {
-		t.Fatalf("kind %d, want defective", sol.kind)
+	if sol.sys.kind != kindDefective {
+		t.Fatalf("kind %d, want defective", sol.sys.kind)
 	}
 	if _, _, _, ok := sol.BoundY(0, 1); ok {
 		t.Error("defective solution reported a bound")
@@ -145,6 +145,15 @@ func TestBoundYNonFinite(t *testing.T) {
 	}
 }
 
+// boundComponent is BoundComponentExp with the exponentials of the
+// window ends computed here.
+func boundComponent(sol *SolutionN, i int, a, b float64) (lo, hi, margin float64, ok bool) {
+	ea, eb := make([]float64, sol.Dim()), make([]float64, sol.Dim())
+	sol.Exps(a, ea)
+	sol.Exps(b, eb)
+	return sol.BoundComponentExp(i, a, b, ea, eb)
+}
+
 func TestBoundComponent(t *testing.T) {
 	rng := rand.New(rand.NewSource(47))
 	for trial := 0; trial < 200; trial++ {
@@ -161,7 +170,7 @@ func TestBoundComponent(t *testing.T) {
 		a, b := randomWindow(rng, 20)
 		ts := boundSamples(rng, a, b, 100)
 		for i := 0; i < n; i++ {
-			lo, hi, m, ok := sol.BoundComponent(i, a, b)
+			lo, hi, m, ok := boundComponent(sol, i, a, b)
 			checkBound(t, "component", func(tau float64) float64 { return sol.Component(i, tau) },
 				lo, hi, m, ok, ts)
 		}
@@ -183,7 +192,7 @@ func TestBoundComponentIsolatedNode(t *testing.T) {
 		a, b := randomWindow(rng, 30)
 		ts := boundSamples(rng, a, b, 100)
 		for i := 0; i < 2; i++ {
-			lo, hi, m, ok := sol.BoundComponent(i, a, b)
+			lo, hi, m, ok := boundComponent(sol, i, a, b)
 			checkBound(t, "isolated", func(tau float64) float64 { return sol.Component(i, tau) },
 				lo, hi, m, ok, ts)
 		}

@@ -132,7 +132,7 @@ func TestDerivativeConsistent(t *testing.T) {
 		// Finite-difference check.
 		h := 1e-7
 		num := sol.At(tm + h).Sub(sol.At(tm - h)).Scale(1 / (2 * h))
-		ana := sol.Derivative(tm)
+		ana := derivative(sys, &sol, tm)
 		if num.Sub(ana).Norm() > 1e-5*(1+ana.Norm()) {
 			t.Fatalf("trial %d: derivative mismatch %v vs %v", trial, ana, num)
 		}
@@ -185,10 +185,110 @@ func TestContinuityAcrossRestart(t *testing.T) {
 	}
 }
 
+// TestPreparedSolveShared: solutions of one prepared system — diagonal,
+// singular and defective — stay independent of each other, equal
+// Linear2.Solve from the same state bit for bit, and cost no allocation.
+func TestPreparedSolveShared(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	systems := []Linear2{
+		{A: la.Mat2{A22: -2}, G: la.Vec2{X: 0.5, Y: 1}},
+		{A: la.Mat2{A11: -1, A12: 1, A22: -1}, G: la.Vec2{X: 1, Y: 1}},
+	}
+	for i := 0; i < 20; i++ {
+		systems = append(systems, rcSystem(rng))
+	}
+	bits := func(v la.Vec2) [2]uint64 { return [2]uint64{math.Float64bits(v.X), math.Float64bits(v.Y)} }
+	for k, sys := range systems {
+		p, err := sys.Prepare()
+		if err != nil {
+			t.Fatal(err)
+		}
+		v0s := []la.Vec2{{X: rng.NormFloat64(), Y: rng.NormFloat64()}, {X: 0.8}, {Y: 0.8}}
+		sols := make([]Solution2, len(v0s))
+		for i, v := range v0s {
+			sols[i] = p.Solve(v)
+		}
+		for i, v := range v0s {
+			want, err := sys.Solve(v)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, tm := range []float64{0, 0.3, 2} {
+				if bits(sols[i].At(tm)) != bits(want.At(tm)) {
+					t.Fatalf("system %d, state %d, t=%g: shared %v, own %v", k, i, tm, sols[i].At(tm), want.At(tm))
+				}
+			}
+		}
+		var sink Solution2
+		if allocs := testing.AllocsPerRun(100, func() { sink = p.Solve(v0s[0]) }); allocs != 0 {
+			t.Errorf("system %d: Prepared2.Solve allocates %.0f times", k, allocs)
+		}
+		_ = sink
+	}
+}
+
 func TestRK4ZeroSteps(t *testing.T) {
 	sys := Linear2{A: la.Mat2{A11: -1, A22: -1}}
 	v := sys.RK4(la.Vec2{X: 1, Y: 1}, 1, 0) // n < 1 clamps to 1
 	if math.IsNaN(v.X) || math.IsNaN(v.Y) {
 		t.Error("RK4 produced NaN with clamped step count")
 	}
+}
+
+// SteadyState returns the t -> infinity limit of the solution when it
+// exists (all eigenvalues strictly negative, or zero-eigenvalue modes with
+// zero forcing). ok is false when the trajectory grows without bound or a
+// neutral mode keeps its initial value forever (mode (1,1)'s V_N): in that
+// case the returned value holds the limit with neutral modes frozen.
+func (sol *Solution2) SteadyState() (la.Vec2, bool) {
+	p := sol.sys
+	switch p.kind {
+	case kindDiagonal:
+		return p.vp, p.l1 < 0 && p.l2 < 0
+	case kindDefective:
+		return p.vp, p.l1 < 0
+	case kindSingular:
+		// Neutral modes (l == 0) with zero forcing stay at c_i; with
+		// nonzero forcing they diverge.
+		x1, ok1 := modeLimit(p.l1, sol.c.X, p.gc.X)
+		x2, ok2 := modeLimit(p.l2, sol.c.Y, p.gc.Y)
+		return p.v1.Scale(x1).Add(p.v2.Scale(x2)), ok1 && ok2
+	}
+	return la.Vec2{}, false
+}
+
+func modeLimit(l, c, g float64) (float64, bool) {
+	switch {
+	case l < 0:
+		return -g / l, true
+	case l == 0 && g == 0:
+		return c, false // frozen, not a true global steady state
+	default:
+		return math.Inf(1), false
+	}
+}
+
+// RK4 integrates V' = A V + g numerically from v0 over [0, T] with n
+// steps, returning the final state. It cross-validates the closed-form
+// solution.
+func (s Linear2) RK4(v0 la.Vec2, T float64, n int) la.Vec2 {
+	if n < 1 {
+		n = 1
+	}
+	h := T / float64(n)
+	f := func(v la.Vec2) la.Vec2 { return s.A.MulVec(v).Add(s.G) }
+	v := v0
+	for i := 0; i < n; i++ {
+		k1 := f(v)
+		k2 := f(v.Add(k1.Scale(h / 2)))
+		k3 := f(v.Add(k2.Scale(h / 2)))
+		k4 := f(v.Add(k3.Scale(h)))
+		v = v.Add(k1.Add(k2.Scale(2)).Add(k3.Scale(2)).Add(k4).Scale(h / 6))
+	}
+	return v
+}
+
+// derivative evaluates V'(t) = A V(t) + g of sys's solution sol.
+func derivative(sys Linear2, sol *Solution2, t float64) la.Vec2 {
+	return sys.A.MulVec(sol.At(t)).Add(sys.G)
 }

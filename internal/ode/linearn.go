@@ -26,27 +26,44 @@ type LinearN struct {
 // Dim returns the system dimension.
 func (s LinearN) Dim() int { return len(s.C) }
 
-// SolutionN is a closed-form solution of a LinearN initial-value
-// problem, represented in the symmetrized eigenbasis: every eigenmode is
-// an independent scalar ODE w' = lambda w + f with exact solution.
-type SolutionN struct {
+// PreparedN is a LinearN with the state-independent part of its
+// closed-form solution done: the symmetrized eigenbasis, in which every
+// eigenmode is an independent scalar ODE w' = lambda w + f with exact
+// solution, and the forcing f in eigencoordinates.
+type PreparedN struct {
 	n      int
 	lambda []float64 // eigenvalues of A (shared with S)
 	basis  *la.Matrix
 	sqrtC  []float64
-	w0     []float64 // initial value in eigencoordinates
 	f      []float64 // forcing in eigencoordinates
 }
 
-// Solve constructs the closed-form solution with initial value v0.
+// SolutionN is a closed-form solution of a LinearN initial-value
+// problem: its prepared system and the initial value in eigencoordinates.
+type SolutionN struct {
+	sys *PreparedN
+	w0  []float64
+}
+
+// Solve constructs the closed-form solution with initial value v0:
+// Prepare followed by PreparedN.Solve.
 func (s LinearN) Solve(v0 []float64) (*SolutionN, error) {
+	p, err := s.Prepare()
+	if err != nil {
+		return nil, err
+	}
+	return p.Solve(v0)
+}
+
+// Prepare does the state-independent work of solving the system.
+func (s LinearN) Prepare() (*PreparedN, error) {
 	n := s.Dim()
 	if n == 0 {
 		return nil, fmt.Errorf("ode: empty system")
 	}
-	if s.G.Rows != n || s.G.Cols != n || len(s.U) != n || len(v0) != n {
-		return nil, fmt.Errorf("ode: dimension mismatch (C=%d, G=%dx%d, U=%d, v0=%d)",
-			n, s.G.Rows, s.G.Cols, len(s.U), len(v0))
+	if s.G.Rows != n || s.G.Cols != n || len(s.U) != n {
+		return nil, fmt.Errorf("ode: dimension mismatch (C=%d, G=%dx%d, U=%d)",
+			n, s.G.Rows, s.G.Cols, len(s.U))
 	}
 	sqrtC := make([]float64, n)
 	for i, c := range s.C {
@@ -66,61 +83,87 @@ func (s LinearN) Solve(v0 []float64) (*SolutionN, error) {
 	if err != nil {
 		return nil, fmt.Errorf("ode: eigen decomposition failed: %w", err)
 	}
-	// Eigencoordinates: w = U^T C^{1/2} v,  f = U^T C^{-1/2} u.
-	w0 := make([]float64, n)
+	// Forcing in eigencoordinates: f = U^T C^{-1/2} u.
 	f := make([]float64, n)
 	for k := 0; k < n; k++ {
-		sw, sf := 0.0, 0.0
+		sf := 0.0
 		for i := 0; i < n; i++ {
-			sw += eig.V.At(i, k) * sqrtC[i] * v0[i]
 			sf += eig.V.At(i, k) * s.U[i] / sqrtC[i]
 		}
-		w0[k] = sw
 		f[k] = sf
 	}
-	return &SolutionN{
-		n:      n,
-		lambda: eig.Lambda,
-		basis:  eig.V,
-		sqrtC:  sqrtC,
-		w0:     w0,
-		f:      f,
-	}, nil
+	return &PreparedN{n: n, lambda: eig.Lambda, basis: eig.V, sqrtC: sqrtC, f: f}, nil
+}
+
+// Dim returns the system dimension.
+func (sol *SolutionN) Dim() int { return sol.sys.n }
+
+// Solve constructs the closed-form solution with initial value v0, in
+// eigencoordinates w = U^T C^{1/2} v. The solution refers to p.
+func (p *PreparedN) Solve(v0 []float64) (*SolutionN, error) {
+	n := p.n
+	if len(v0) != n {
+		return nil, fmt.Errorf("ode: dimension mismatch (system %d, v0=%d)", n, len(v0))
+	}
+	w0 := make([]float64, n)
+	for k := 0; k < n; k++ {
+		sw := 0.0
+		for i := 0; i < n; i++ {
+			sw += p.basis.At(i, k) * p.sqrtC[i] * v0[i]
+		}
+		w0[k] = sw
+	}
+	return &SolutionN{sys: p, w0: w0}, nil
 }
 
 // At evaluates V(t) into a fresh slice.
 func (sol *SolutionN) At(t float64) []float64 {
-	out := make([]float64, sol.n)
-	sol.AtInto(out, t)
+	p := sol.sys
+	out := make([]float64, p.n)
+	// w_k(t) = w0_k e^{l t} + f_k phi(l, t); v = C^{-1/2} U w.
+	for k := 0; k < p.n; k++ {
+		wk := sol.mode(k, t, math.Exp(p.lambda[k]*t))
+		for i := 0; i < p.n; i++ {
+			out[i] += p.basis.At(i, k) * wk / p.sqrtC[i]
+		}
+	}
 	return out
 }
 
-// AtInto evaluates V(t) into dst (len n).
-func (sol *SolutionN) AtInto(dst []float64, t float64) {
-	n := sol.n
-	// w_k(t) = w0_k e^{l t} + f_k phi(l, t); v = C^{-1/2} U w.
-	for i := 0; i < n; i++ {
-		dst[i] = 0
-	}
-	for k := 0; k < n; k++ {
-		l := sol.lambda[k]
-		wk := sol.w0[k]*math.Exp(l*t) + sol.f[k]*phi(l, t)
-		for i := 0; i < n; i++ {
-			dst[i] += sol.basis.At(i, k) * wk / sol.sqrtC[i]
-		}
+// mode evaluates eigenmode k at local time t from e = e^{lambda_k t}.
+func (sol *SolutionN) mode(k int, t, e float64) float64 {
+	return sol.w0[k]*e + sol.sys.f[k]*phi(sol.sys.lambda[k], t, e)
+}
+
+// Exps writes the modal exponentials e^{lambda_k t} that Component and
+// BoundComponentExp evaluate at local time t into e (length Dim).
+func (sol *SolutionN) Exps(t float64, e []float64) {
+	for k, l := range sol.sys.lambda {
+		e[k] = math.Exp(l * t)
 	}
 }
 
 // Component evaluates a single state component at time t (cheaper than
 // At when only the output voltage matters).
 func (sol *SolutionN) Component(i int, t float64) float64 {
+	return sol.ComponentExp(i, t, nil)
+}
+
+// ComponentExp is Component given the exponentials Exps(t) in e; a nil e
+// computes them on the fly.
+func (sol *SolutionN) ComponentExp(i int, t float64, e []float64) float64 {
+	p := sol.sys
 	v := 0.0
-	// Same summation order and per-term scaling as AtInto, so the two
+	// Same summation order and per-term scaling as At, so the two
 	// evaluations agree bit for bit.
-	for k := 0; k < sol.n; k++ {
-		l := sol.lambda[k]
-		wk := sol.w0[k]*math.Exp(l*t) + sol.f[k]*phi(l, t)
-		v += sol.basis.At(i, k) * wk / sol.sqrtC[i]
+	for k := 0; k < p.n; k++ {
+		var ek float64
+		if e != nil {
+			ek = e[k]
+		} else {
+			ek = math.Exp(p.lambda[k] * t)
+		}
+		v += p.basis.At(i, k) * sol.mode(k, t, ek) / p.sqrtC[i]
 	}
 	return v
 }
@@ -129,7 +172,7 @@ func (sol *SolutionN) Component(i int, t float64) float64 {
 // +Inf if all modes are neutral.
 func (sol *SolutionN) SlowestTimeConstant() float64 {
 	minMag := math.Inf(1)
-	for _, l := range sol.lambda {
+	for _, l := range sol.sys.lambda {
 		if m := math.Abs(l); m > 1e-30 && m < minMag {
 			minMag = m
 		}
@@ -138,42 +181,4 @@ func (sol *SolutionN) SlowestTimeConstant() float64 {
 		return math.Inf(1)
 	}
 	return 1 / minMag
-}
-
-// RK4N integrates C v' = -G v + u numerically (cross-validation).
-func (s LinearN) RK4N(v0 []float64, T float64, steps int) []float64 {
-	if steps < 1 {
-		steps = 1
-	}
-	n := s.Dim()
-	h := T / float64(steps)
-	deriv := func(v []float64) []float64 {
-		d := make([]float64, n)
-		for i := 0; i < n; i++ {
-			acc := s.U[i]
-			for j := 0; j < n; j++ {
-				acc -= s.G.At(i, j) * v[j]
-			}
-			d[i] = acc / s.C[i]
-		}
-		return d
-	}
-	v := append([]float64(nil), v0...)
-	tmp := make([]float64, n)
-	axpy := func(dst, a []float64, scale float64) []float64 {
-		for i := range dst {
-			tmp[i] = dst[i] + scale*a[i]
-		}
-		return append([]float64(nil), tmp...)
-	}
-	for s := 0; s < steps; s++ {
-		k1 := deriv(v)
-		k2 := deriv(axpy(v, k1, h/2))
-		k3 := deriv(axpy(v, k2, h/2))
-		k4 := deriv(axpy(v, k3, h))
-		for i := 0; i < n; i++ {
-			v[i] += h / 6 * (k1[i] + 2*k2[i] + 2*k3[i] + k4[i])
-		}
-	}
-	return v
 }

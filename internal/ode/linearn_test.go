@@ -119,3 +119,41 @@ func TestLinearNSlowestTimeConstant(t *testing.T) {
 		t.Errorf("slowest tau = %g, want 2", got)
 	}
 }
+
+// RK4N integrates C v' = -G v + u numerically (cross-validation).
+func (s LinearN) RK4N(v0 []float64, T float64, steps int) []float64 {
+	if steps < 1 {
+		steps = 1
+	}
+	n := s.Dim()
+	h := T / float64(steps)
+	deriv := func(v []float64) []float64 {
+		d := make([]float64, n)
+		for i := 0; i < n; i++ {
+			acc := s.U[i]
+			for j := 0; j < n; j++ {
+				acc -= s.G.At(i, j) * v[j]
+			}
+			d[i] = acc / s.C[i]
+		}
+		return d
+	}
+	v := append([]float64(nil), v0...)
+	tmp := make([]float64, n)
+	axpy := func(dst, a []float64, scale float64) []float64 {
+		for i := range dst {
+			tmp[i] = dst[i] + scale*a[i]
+		}
+		return append([]float64(nil), tmp...)
+	}
+	for s := 0; s < steps; s++ {
+		k1 := deriv(v)
+		k2 := deriv(axpy(v, k1, h/2))
+		k3 := deriv(axpy(v, k2, h/2))
+		k4 := deriv(axpy(v, k3, h))
+		for i := 0; i < n; i++ {
+			v[i] += h / 6 * (k1[i] + 2*k2[i] + 2*k3[i] + k4[i])
+		}
+	}
+	return v
+}

@@ -1,8 +1,8 @@
-// Package roots provides scalar root finding used throughout the
-// repository: bisection, Brent's method, and bracket expansion. The hybrid
-// delay model reduces every gate-delay query to "when does the output
-// trajectory cross V_th", which is a root of a sum of exponentials; Brent's
-// method solves these to machine precision in a handful of iterations.
+// Package roots provides the scalar root finding used throughout the
+// repository. The hybrid delay model reduces every gate-delay query to
+// "when does the output trajectory cross V_th", which is a root of a sum
+// of exponentials; Brent's method solves these to machine precision in a
+// handful of iterations.
 package roots
 
 import (
@@ -26,47 +26,20 @@ const DefaultTol = 1e-18
 // DefaultMaxIter bounds the iteration count of the solvers.
 const DefaultMaxIter = 200
 
-// Bisect finds a root of f in [a, b] with f(a) and f(b) of opposite sign.
-func Bisect(f func(float64) float64, a, b, tol float64) (float64, error) {
-	if tol <= 0 {
-		tol = DefaultTol
-	}
-	fa, fb := f(a), f(b)
-	if fa == 0 {
-		return a, nil
-	}
-	if fb == 0 {
-		return b, nil
-	}
-	if math.Signbit(fa) == math.Signbit(fb) {
-		return 0, fmt.Errorf("%w: f(%g)=%g, f(%g)=%g", ErrNoBracket, a, fa, b, fb)
-	}
-	for i := 0; i < 4*DefaultMaxIter; i++ {
-		m := 0.5 * (a + b)
-		if b-a <= tol || m == a || m == b {
-			return m, nil
-		}
-		fm := f(m)
-		if fm == 0 {
-			return m, nil
-		}
-		if math.Signbit(fm) == math.Signbit(fa) {
-			a, fa = m, fm
-		} else {
-			b = m
-		}
-	}
-	return 0.5 * (a + b), nil
-}
-
 // Brent finds a root of f in [a, b] using Brent's method (inverse
 // quadratic interpolation with bisection fallback). f(a) and f(b) must
 // have opposite signs.
 func Brent(f func(float64) float64, a, b, tol float64) (float64, error) {
+	return BrentBracket(f, a, b, f(a), f(b), tol)
+}
+
+// BrentBracket is Brent with the bracket values fa = f(a) and fb = f(b)
+// supplied by a caller that has already evaluated them; it returns the
+// same bits as Brent.
+func BrentBracket(f func(float64) float64, a, b, fa, fb, tol float64) (float64, error) {
 	if tol <= 0 {
 		tol = DefaultTol
 	}
-	fa, fb := f(a), f(b)
 	if fa == 0 {
 		return a, nil
 	}
@@ -136,31 +109,4 @@ func Brent(f func(float64) float64, a, b, tol float64) (float64, error) {
 		}
 	}
 	return b, ErrMaxIter
-}
-
-// ExpandBracket grows [a, b] geometrically away from a until f changes
-// sign or the interval exceeds limit. It returns a bracketing interval.
-func ExpandBracket(f func(float64) float64, a, b, limit float64) (float64, float64, error) {
-	if b <= a {
-		return 0, 0, fmt.Errorf("roots: invalid initial interval [%g, %g]", a, b)
-	}
-	fa := f(a)
-	if fa == 0 {
-		return a, a, nil
-	}
-	lo, hi := a, b
-	for i := 0; i < 128; i++ {
-		fb := f(hi)
-		if fb == 0 || math.Signbit(fa) != math.Signbit(fb) {
-			return lo, hi, nil
-		}
-		w := hi - a
-		lo = hi
-		fa = fb
-		hi = a + 2*w
-		if hi-a > limit {
-			return 0, 0, fmt.Errorf("%w: no sign change in [%g, %g]", ErrNoBracket, a, a+limit)
-		}
-	}
-	return 0, 0, ErrNoBracket
 }

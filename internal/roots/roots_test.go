@@ -2,10 +2,45 @@ package roots
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 )
+
+// Bisect finds a root of f in [a, b] with f(a) and f(b) of opposite
+// sign: the plain reference Brent is checked against.
+func Bisect(f func(float64) float64, a, b, tol float64) (float64, error) {
+	if tol <= 0 {
+		tol = DefaultTol
+	}
+	fa, fb := f(a), f(b)
+	if fa == 0 {
+		return a, nil
+	}
+	if fb == 0 {
+		return b, nil
+	}
+	if math.Signbit(fa) == math.Signbit(fb) {
+		return 0, fmt.Errorf("%w: f(%g)=%g, f(%g)=%g", ErrNoBracket, a, fa, b, fb)
+	}
+	for i := 0; i < 4*DefaultMaxIter; i++ {
+		m := 0.5 * (a + b)
+		if b-a <= tol || m == a || m == b {
+			return m, nil
+		}
+		fm := f(m)
+		if fm == 0 {
+			return m, nil
+		}
+		if math.Signbit(fm) == math.Signbit(fa) {
+			a, fa = m, fm
+		} else {
+			b = m
+		}
+	}
+	return 0.5 * (a + b), nil
+}
 
 func TestBisectKnownRoot(t *testing.T) {
 	f := func(x float64) float64 { return x*x - 2 }
@@ -92,19 +127,49 @@ func TestBrentMatchesBisect(t *testing.T) {
 	}
 }
 
-func TestExpandBracket(t *testing.T) {
-	f := func(x float64) float64 { return x - 10 }
-	lo, hi, err := ExpandBracket(f, 0, 1, 1e6)
-	if err != nil {
-		t.Fatal(err)
+// TestBrentBracketMatchesBrent: over random sums of exponentials (the
+// shape of every delay query) and random brackets, Brent given the
+// bracket values returns the same bits and error as Brent, and takes
+// exactly the two end evaluations fewer.
+func TestBrentBracketMatchesBrent(t *testing.T) {
+	rng := rand.New(rand.NewSource(71))
+	const trials = 2000
+	roots := 0
+	for trial := 0; trial < trials; trial++ {
+		k, a1, a2 := rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64()
+		l1, l2 := -5*rng.Float64(), -50*rng.Float64()
+		calls := 0
+		f := func(x float64) float64 {
+			calls++
+			return k + a1*math.Exp(l1*x) + a2*math.Exp(l2*x)
+		}
+		a := rng.Float64()
+		b := a + 3*rng.Float64()
+		if rng.Intn(4) > 0 {
+			// Put a root inside the bracket.
+			x0 := a + (b-a)*rng.Float64()
+			k = -(a1*math.Exp(l1*x0) + a2*math.Exp(l2*x0))
+		}
+		tol := 0.0
+		if rng.Intn(2) == 0 {
+			tol = 1e-9
+		}
+		want, wantErr := Brent(f, a, b, tol)
+		brentCalls := calls
+		fa, fb := f(a), f(b)
+		calls = 0
+		got, gotErr := BrentBracket(f, a, b, fa, fb, tol)
+		if math.Float64bits(got) != math.Float64bits(want) || (gotErr == nil) != (wantErr == nil) {
+			t.Fatalf("trial %d: BrentBracket (%.17g, %v), Brent (%.17g, %v)", trial, got, gotErr, want, wantErr)
+		}
+		if calls != brentCalls-2 {
+			t.Fatalf("trial %d: BrentBracket evaluated f %d times, Brent %d", trial, calls, brentCalls)
+		}
+		if wantErr == nil {
+			roots++
+		}
 	}
-	if !(f(lo) < 0 && f(hi) > 0) {
-		t.Errorf("bracket [%g, %g] does not straddle the root", lo, hi)
-	}
-	if _, _, err := ExpandBracket(func(float64) float64 { return 1 }, 0, 1, 100); err == nil {
-		t.Error("expected failure for sign-definite function")
-	}
-	if _, _, err := ExpandBracket(f, 1, 0, 100); err == nil {
-		t.Error("expected failure for inverted interval")
+	if roots < trials/4 {
+		t.Fatalf("only %d of %d brackets held a root", roots, trials)
 	}
 }

@@ -206,6 +206,9 @@ func TestServeSpecValidation(t *testing.T) {
 		{Kind: session.KindCircuit, Circuit: "bogus", Stimuli: []sweep.Stimulus{testStimulus(1)}}, // unknown builtin
 		{Kind: session.KindSweep}, // no spec
 		{Kind: session.KindSweep, Gate: "nor2", Sweep: &sweep.Spec{Stimuli: []sweep.Stimulus{testStimulus(1)}}}, // stray field
+		// Oversized seed counts are refused before the seed list is allocated.
+		{Kind: session.KindGate, Gate: "nor2", Stimuli: []sweep.Stimulus{testStimulus(1)}, SeedCount: 1 << 40},
+		{Kind: session.KindSweep, Sweep: &sweep.Spec{Stimuli: []sweep.Stimulus{testStimulus(1)}, SeedCount: 1 << 40}},
 	}
 	for i, spec := range cases {
 		if _, status, body := trySubmit(t, hs.URL, spec, ""); status != http.StatusBadRequest {

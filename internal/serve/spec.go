@@ -63,6 +63,11 @@ type JobSpec struct {
 	ExpDMin float64 `json:"exp_dmin,omitempty"`
 }
 
+// maxSeedCount bounds a job's seed_count (and a sweep spec's): the
+// generated seed list is allocated up front, so an unbounded count from
+// the wire could exhaust memory before any work starts.
+const maxSeedCount = 1 << 12
+
 // seedList resolves the explicit or generated seed list.
 func (js *JobSpec) seedList() []int64 {
 	if len(js.Seeds) > 0 {
@@ -120,6 +125,9 @@ func (js *JobSpec) configs(inputs int) ([]gen.Config, error) {
 // server submits. The returned job carries no Progress callback; the
 // server attaches its own event publisher.
 func (js *JobSpec) Job() (session.Job, error) {
+	if js.SeedCount > maxSeedCount || (js.Sweep != nil && js.Sweep.SeedCount > maxSeedCount) {
+		return nil, fmt.Errorf("serve: seed_count exceeds the limit of %d", maxSeedCount)
+	}
 	switch js.Kind {
 	case session.KindGate:
 		if js.Circuit != "" || js.Netlist != nil || js.Sweep != nil {

@@ -36,6 +36,7 @@ func FuzzDigitize(f *testing.F) {
 	add(0.4, 0, 1e-12, math.NaN(), 0.8)                  // NaN sample
 	add(0.4, 0, math.Inf(1), 0.8, 0.0)                   // Inf time
 	add(math.NaN(), 0, 1e-12, 0.0, 0.8)                  // NaN threshold
+	add(1e-300, -1.87e78, -2.23e-134, -1, 2e-300)        // interpolation rounds past the interval end
 	f.Fuzz(func(t *testing.T, raw []byte, vth float64) {
 		vals := fuzzFloats(raw, 64)
 		n := len(vals) / 2

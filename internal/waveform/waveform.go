@@ -123,7 +123,9 @@ func (w *Waveform) Crossings(level float64) []Crossing {
 			continue
 		}
 		f := v0 / (v0 - v1)
-		t := w.Times[i-1] + f*(w.Times[i]-w.Times[i-1])
+		t0, t1 := w.Times[i-1], w.Times[i]
+		// The interpolation can round past t1 when |t0| ≫ |t1|.
+		t := min(max(t0+f*(t1-t0), t0), t1)
 		out = append(out, Crossing{Time: t, Rising: v1 > v0})
 	}
 	return out
