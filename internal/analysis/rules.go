@@ -43,9 +43,11 @@ func DefaultKeyRules(m *Module) []KeyRule {
 
 // DefaultLockScope lists the packages lockhold checks: the service
 // layer, where a blocking call under a mutex wedges handlers and
-// subscribers (the PR 9 SSE-hang class).
+// subscribers (the SSE-hang class), and the memo cache every
+// lookup of the evaluation engine goes through.
 func DefaultLockScope(m *Module) []string {
 	return []string{
+		m.Path + "/internal/memo",
 		m.Path + "/internal/serve",
 		m.Path + "/internal/session",
 	}

@@ -1,11 +1,13 @@
 package eval
 
 import (
-	"container/list"
+	"context"
 	"sync"
+	"sync/atomic"
 
 	"hybriddelay/internal/gate"
 	"hybriddelay/internal/gen"
+	"hybriddelay/internal/memo"
 	"hybriddelay/internal/nor"
 	"hybriddelay/internal/spice"
 	"hybriddelay/internal/trace"
@@ -159,83 +161,45 @@ type GoldenKey struct {
 	Seed   int64
 }
 
-// goldenEntry is one cache slot; ready is closed once out/err are set,
-// so concurrent requests for the same key wait instead of recomputing.
-// cost and elem are set when the completed entry is admitted to the
-// LRU ring; in-flight and failed entries never join it.
-type goldenEntry struct {
-	ready chan struct{}
-	out   trace.Trace
-	err   error
-	cost  int64
-	elem  *list.Element
-}
-
-// setEntry is one multi-trace cache slot (a composed circuit run
-// producing one digitized trace per recorded net); ready is closed once
-// out/err are set.
-type setEntry struct {
-	ready chan struct{}
-	out   map[string]trace.Trace
-	err   error
-	cost  int64
-	elem  *list.Element
-}
-
-// lruRef locates one completed entry from the LRU ring: its key and
-// which of the two tables (single traces vs circuit trace sets) it
-// lives in.
-type lruRef struct {
+// goldenRef keys the one memo behind a GoldenCache: single-gate traces
+// and circuit trace sets share its cost budget but never its keys.
+type goldenRef struct {
 	key GoldenKey
 	set bool
 }
 
-// traceCost is the eviction cost of one digitized trace: its stored
-// transitions, plus one so even an empty trace has positive weight.
-func traceCost(tr trace.Trace) int64 { return int64(1 + len(tr.Events)) }
-
-// setCost sums the member traces of a circuit trace set.
-func setCost(set map[string]trace.Trace) int64 {
-	var c int64
-	//hybrid:nondet-ok commutative integer sum; total is independent of visit order
-	for _, tr := range set {
-		c += traceCost(tr)
-	}
-	if c == 0 {
-		c = 1
-	}
-	return c
+// goldenValue is a cached single trace or, for a set key, a circuit
+// trace set.
+type goldenValue struct {
+	tr  trace.Trace
+	set map[string]trace.Trace
 }
 
-// GoldenCache memoizes digitized golden traces by GoldenKey. It is safe
-// for concurrent use and deduplicates in-flight computations
-// (singleflight): the first requester of a key computes, later ones wait
-// for its result. Failed computations are not cached. A cache may be
-// shared across runs, gates, benches and worker counts — the gate name
-// and bench parameters are part of the key.
-//
-// Single-gate golden traces (GetOrCompute) and composed circuit trace
-// sets (GetOrComputeSet, keyed by a netlist content key in the Gate
-// field) live in separate tables of the same cache, so one cache can
-// back a whole mixed gate-and-circuit sweep.
-//
-// Memory can be bounded with SetLimit: completed entries then form a
-// cost-based LRU (cost = stored transitions) and the coldest entries
-// are evicted once the budget is exceeded. In-flight computations are
-// never evicted, and waiters already holding an entry keep their result
-// even if it is evicted underneath them.
+// goldenCost is the eviction cost of a cached value: its stored
+// transitions, plus one per trace so even an empty trace weighs
+// something.
+func goldenCost(v goldenValue) int64 {
+	if v.set == nil {
+		return int64(1 + len(v.tr.Events))
+	}
+	var c int64
+	//hybrid:nondet-ok commutative integer sum; total is independent of visit order
+	for _, tr := range v.set {
+		c += int64(1 + len(tr.Events))
+	}
+	return max(c, 1)
+}
+
+// GoldenCache memoizes digitized golden traces by GoldenKey: a
+// memo.Cache (singleflight, failures not retained) that one run, gate,
+// bench or worker count can share with any other — the gate name and
+// bench parameters are part of the key. Single-gate traces
+// (GetOrCompute) and composed circuit trace sets (GetOrComputeSet,
+// keyed by a netlist content key in the Gate field) share its cost
+// budget but never its keys, so one cache backs a mixed sweep.
 type GoldenCache struct {
-	mu        sync.Mutex
-	table     map[GoldenKey]*goldenEntry
-	sets      map[GoldenKey]*setEntry
-	store     PersistentStore
-	limit     int64 // cost budget; 0 = unbounded
-	cost      int64 // total cost of completed entries
-	lru       *list.List
-	hits      int64
-	misses    int64
-	diskHits  int64
-	evictions int64
+	m     *memo.Cache[goldenRef, goldenValue]
+	store atomic.Pointer[PersistentStore]
 }
 
 // PersistentStore is the on-disk tier a GoldenCache can mount below its
@@ -252,69 +216,44 @@ type PersistentStore interface {
 	SaveSet(key GoldenKey, set map[string]trace.Trace) error
 }
 
+// goldenTier adapts a PersistentStore to the memo's tier.
+type goldenTier struct{ p PersistentStore }
+
+func (t goldenTier) Load(r goldenRef) (v goldenValue, ok bool) {
+	var err error
+	if r.set {
+		v.set, ok, err = t.p.LoadSet(r.key)
+	} else {
+		v.tr, ok, err = t.p.Load(r.key)
+	}
+	return v, ok && err == nil
+}
+
+// Save spills a fresh value so later processes can warm-start; a
+// failure is the store's problem, not this lookup's.
+func (t goldenTier) Save(r goldenRef, v goldenValue) {
+	if r.set {
+		_ = t.p.SaveSet(r.key, v.set)
+	} else {
+		_ = t.p.Save(r.key, v.tr)
+	}
+}
+
 // SetStore mounts a persistent read-through/write-behind tier below the
 // in-memory cache: misses consult the store before computing, and
 // freshly computed traces are saved back. Mount the store before
 // handing the cache to workers; nil unmounts.
-func (c *GoldenCache) SetStore(p PersistentStore) {
-	c.mu.Lock()
-	c.store = p
-	c.mu.Unlock()
-}
+func (c *GoldenCache) SetStore(p PersistentStore) { c.store.Store(&p) }
 
 // NewGoldenCache returns an empty golden-trace cache.
 func NewGoldenCache() *GoldenCache {
-	return &GoldenCache{table: map[GoldenKey]*goldenEntry{}, sets: map[GoldenKey]*setEntry{}, lru: list.New()}
+	return &GoldenCache{m: memo.New[goldenRef](goldenCost)}
 }
 
-// SetLimit bounds the cache's memory: budget is the total cost the
-// completed entries may hold, where one entry costs its stored
-// transitions (a circuit trace set sums its member traces). Exceeding
-// the budget evicts least-recently-used entries; a zero (or negative)
-// budget removes the bound. Shrinking below the current total evicts
-// immediately. An entry larger than the whole budget is admitted and
-// then evicted right away — callers still get their result, the cache
-// just refuses to retain it.
-func (c *GoldenCache) SetLimit(budget int64) {
-	c.mu.Lock()
-	c.limit = budget
-	c.evictOverLocked()
-	c.mu.Unlock()
-}
-
-// admitLocked registers a completed entry in the LRU ring and trims
-// over-budget cold entries. Caller holds mu.
-func (c *GoldenCache) admitLocked(ref lruRef, cost int64) *list.Element {
-	elem := c.lru.PushFront(ref)
-	c.cost += cost
-	c.evictOverLocked()
-	return elem
-}
-
-// evictOverLocked drops entries from the cold end of the LRU ring until
-// the cost budget is met. Caller holds mu.
-func (c *GoldenCache) evictOverLocked() {
-	for c.limit > 0 && c.cost > c.limit {
-		back := c.lru.Back()
-		if back == nil {
-			return
-		}
-		ref := back.Value.(lruRef)
-		c.lru.Remove(back)
-		if ref.set {
-			if e, ok := c.sets[ref.key]; ok {
-				c.cost -= e.cost
-				delete(c.sets, ref.key)
-			}
-		} else {
-			if e, ok := c.table[ref.key]; ok {
-				c.cost -= e.cost
-				delete(c.table, ref.key)
-			}
-		}
-		c.evictions++
-	}
-}
+// SetLimit bounds the cache's memory to budget stored transitions
+// (a trace costs its transitions plus one; a set sums its traces);
+// zero or negative removes the bound. See memo.Cache.SetLimit.
+func (c *GoldenCache) SetLimit(budget int64) { c.m.SetLimit(budget) }
 
 // CacheStats reports cache effectiveness counters.
 type CacheStats struct {
@@ -327,27 +266,17 @@ type CacheStats struct {
 
 // Stats returns a snapshot of the cache counters. Entries counts
 // completed single-trace and circuit trace-set entries together.
-func (c *GoldenCache) Stats() CacheStats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	n := 0
-	//hybrid:nondet-ok commutative count of completed entries; order-independent
-	for _, e := range c.table {
-		select {
-		case <-e.ready:
-			n++
-		default:
-		}
+func (c *GoldenCache) Stats() CacheStats { return CacheStats(c.m.Stats()) }
+
+// lookup runs one memo lookup under the mounted tier. A waiter handed
+// another caller's error reports no hit: it was not served a trace.
+func (c *GoldenCache) lookup(r goldenRef, compute func(context.Context) (goldenValue, error)) (goldenValue, bool, error) {
+	var t memo.Tier[goldenRef, goldenValue]
+	if p := c.store.Load(); p != nil && *p != nil {
+		t = goldenTier{*p}
 	}
-	//hybrid:nondet-ok commutative count of completed entries; order-independent
-	for _, e := range c.sets {
-		select {
-		case <-e.ready:
-			n++
-		default:
-		}
-	}
-	return CacheStats{Hits: c.hits, Misses: c.misses, DiskHits: c.diskHits, Evictions: c.evictions, Entries: n}
+	v, hit, err := c.m.Do(context.Background(), r, t, compute)
+	return v, hit && err == nil, err
 }
 
 // GetOrCompute returns the cached trace for key, or runs compute exactly
@@ -366,119 +295,24 @@ func (c *GoldenCache) GetOrCompute(key GoldenKey, compute func() (trace.Trace, e
 // sweep engine uses it to account hit rates per scenario on a cache
 // shared across the whole grid.
 func (c *GoldenCache) GetOrComputeTracked(key GoldenKey, compute func() (trace.Trace, error)) (trace.Trace, bool, error) {
-	c.mu.Lock()
-	if e, ok := c.table[key]; ok {
-		c.mu.Unlock()
-		<-e.ready
-		if e.err == nil {
-			c.mu.Lock()
-			c.hits++
-			if cur, ok := c.table[key]; ok && cur == e && e.elem != nil {
-				c.lru.MoveToFront(e.elem)
-			}
-			c.mu.Unlock()
-			return e.out, true, nil
-		}
-		return e.out, false, e.err
-	}
-	e := &goldenEntry{ready: make(chan struct{})}
-	c.table[key] = e
-	c.misses++
-	store := c.store
-	c.mu.Unlock()
-
-	// Read-through: a populated persistent store serves the miss without
-	// any transient solve. Store errors degrade to a computed miss.
-	if store != nil {
-		if tr, ok, err := store.Load(key); err == nil && ok {
-			e.out = tr
-			close(e.ready)
-			c.mu.Lock()
-			c.diskHits++
-			e.cost = traceCost(e.out)
-			e.elem = c.admitLocked(lruRef{key: key}, e.cost)
-			c.mu.Unlock()
-			return e.out, true, nil
-		}
-	}
-	e.out, e.err = compute()
-	if e.err != nil {
-		c.mu.Lock()
-		delete(c.table, key)
-		c.mu.Unlock()
-	} else if store != nil {
-		// Write-behind: spill the fresh trace so later processes can
-		// warm-start; failures are the store's problem, not this lookup's.
-		_ = store.Save(key, e.out)
-	}
-	close(e.ready)
-	if e.err == nil {
-		c.mu.Lock()
-		e.cost = traceCost(e.out)
-		e.elem = c.admitLocked(lruRef{key: key}, e.cost)
-		c.mu.Unlock()
-	}
-	return e.out, false, e.err
+	v, hit, err := c.lookup(goldenRef{key: key}, func(context.Context) (goldenValue, error) {
+		tr, err := compute()
+		return goldenValue{tr: tr}, err
+	})
+	return v.tr, hit, err
 }
 
-// GetOrComputeSet is the multi-trace counterpart of
-// GetOrComputeTracked for composed circuit golden runs: one transient
-// produces the digitized traces of every recorded net, memoized
-// together under a single key (conventionally carrying the netlist
-// content key in the Gate field). Semantics mirror GetOrComputeTracked:
-// singleflight per key, errors returned to all waiters but evicted,
-// and per-call hit attribution. The returned map is shared between
-// callers and must be treated as read-only.
+// GetOrComputeSet is GetOrComputeTracked for composed circuit golden
+// runs: one transient produces the digitized traces of every recorded
+// net, memoized together under a single key (conventionally carrying
+// the netlist content key in the Gate field). The returned map is
+// shared between callers and must be treated as read-only.
 func (c *GoldenCache) GetOrComputeSet(key GoldenKey, compute func() (map[string]trace.Trace, error)) (map[string]trace.Trace, bool, error) {
-	c.mu.Lock()
-	if e, ok := c.sets[key]; ok {
-		c.mu.Unlock()
-		<-e.ready
-		if e.err == nil {
-			c.mu.Lock()
-			c.hits++
-			if cur, ok := c.sets[key]; ok && cur == e && e.elem != nil {
-				c.lru.MoveToFront(e.elem)
-			}
-			c.mu.Unlock()
-			return e.out, true, nil
-		}
-		return e.out, false, e.err
-	}
-	e := &setEntry{ready: make(chan struct{})}
-	c.sets[key] = e
-	c.misses++
-	store := c.store
-	c.mu.Unlock()
-
-	if store != nil {
-		if set, ok, err := store.LoadSet(key); err == nil && ok {
-			e.out = set
-			close(e.ready)
-			c.mu.Lock()
-			c.diskHits++
-			e.cost = setCost(e.out)
-			e.elem = c.admitLocked(lruRef{key: key, set: true}, e.cost)
-			c.mu.Unlock()
-			return e.out, true, nil
-		}
-	}
-	e.out, e.err = compute()
-	if e.err != nil {
-		c.mu.Lock()
-		delete(c.sets, key)
-		c.mu.Unlock()
-	} else if store != nil {
-		_ = store.SaveSet(key, e.out)
-	}
-	close(e.ready)
-	if e.err == nil {
-		c.mu.Lock()
-		e.cost = setCost(e.out)
-		e.elem = c.admitLocked(lruRef{key: key, set: true}, e.cost)
-		c.mu.Unlock()
-	}
-	return e.out, false, e.err
+	v, hit, err := c.lookup(goldenRef{key: key, set: true}, func(context.Context) (goldenValue, error) {
+		set, err := compute()
+		return goldenValue{set: set}, err
+	})
+	return v.set, hit, err
 }
 
 // CachedSource composes a GoldenCache over an inner GoldenSource. It

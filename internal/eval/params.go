@@ -1,26 +1,15 @@
 package eval
 
 import (
-	"container/list"
 	"context"
 	"fmt"
-	"sync"
+	"sync/atomic"
 
 	"hybriddelay/internal/gate"
+	"hybriddelay/internal/memo"
 	"hybriddelay/internal/nor"
 	"hybriddelay/internal/spice"
 )
-
-// This file adds the second memoization layer of the evaluation engine:
-// where GoldenCache skips re-simulating identical golden transients,
-// ParamCache skips re-preparing identical operating points — the
-// Gate.NewBench → Measure → BuildModels chain that every evaluation
-// workload runs before its first unit, and by far the most expensive
-// per-call fixed cost (a characteristic measurement is a family of
-// analog transients plus two least-squares fits). A long-lived Session
-// shares one ParamCache across gate evaluations, circuit evaluations
-// and sweeps, so repeated workloads at the same operating point never
-// re-measure or re-fit.
 
 // ParamKey is the content key of one prepared operating point: the gate
 // name, the full bench parameter set the bench is built from, and the
@@ -39,51 +28,28 @@ type ParamKey struct {
 // pooled golden source — seeded with the bench the measurement ran on
 // (so the construction cost is amortized into the pool too), or empty
 // for a point loaded from a PointStore, whose benches are built only if
-// a golden run actually needs one. An
-// OperatingPoint is shared between cache users and safe for concurrent
-// use: Models is immutable after preparation and BenchSource hands a
-// private bench instance to every concurrent golden run.
+// a golden run actually needs one. An OperatingPoint is shared between
+// cache users and safe for concurrent use: Models is immutable after
+// preparation and BenchSource hands a private bench instance to every
+// concurrent golden run.
 type OperatingPoint struct {
 	Key    ParamKey
 	Models gate.Models
 	Golden *BenchSource
+
+	fitted gate.Fitted // the measure-and-fit output a PointStore persists
 }
 
-// paramEntry is one cache slot; ready is closed once pt/err are set, so
-// concurrent requests for the same key wait instead of re-measuring.
-// elem is set when the completed entry joins the LRU ring; in-flight
-// and failed entries never join it.
-type paramEntry struct {
-	ready chan struct{}
-	pt    *OperatingPoint
-	err   error
-	elem  *list.Element
-}
-
-// ParamCache memoizes prepared operating points by ParamKey. It is safe
-// for concurrent use and deduplicates in-flight preparations
-// (singleflight): the first requester of a key measures and fits, later
-// ones wait for its result. Failed preparations are not cached, so a
-// later call retries. One cache may back any mix of workloads — the
-// sweep engine's operating-point preparation, circuit model sets and
-// single-gate evaluations all key by (gate, bench params, expDMin).
-//
-// Memory can be bounded with SetLimit: completed operating points then
-// form an LRU (each point weighs one — a point's dominant cost, its
-// bench pool and model set, is roughly uniform across keys) and the
-// coldest points are evicted once the bound is exceeded. In-flight
-// preparations are never evicted, and callers already holding a point
-// keep it even if it is evicted underneath them.
+// ParamCache memoizes prepared operating points — the Gate.NewBench →
+// Measure → Fit → Assemble chain every workload runs before its first
+// unit, and its most expensive fixed cost — so a long-lived Session
+// never re-measures or re-fits an operating point it has seen. It is a
+// memo.Cache keyed by ParamKey (singleflight, failures not retained),
+// bounded by SetLimit to a number of points: a point's dominant cost,
+// its bench pool and model set, is roughly uniform across keys.
 type ParamCache struct {
-	mu        sync.Mutex
-	table     map[ParamKey]*paramEntry
-	store     PointStore
-	limit     int // max completed operating points; 0 = unbounded
-	lru       *list.List
-	hits      int64
-	misses    int64
-	diskHits  int64
-	evictions int64
+	m     *memo.Cache[ParamKey, *OperatingPoint]
+	store atomic.Pointer[PointStore]
 }
 
 // PointStore is the on-disk tier a ParamCache can mount below its
@@ -98,45 +64,41 @@ type PointStore interface {
 	SavePoint(key ParamKey, f gate.Fitted) error
 }
 
+// pointTier adapts a PointStore to the memo's tier for one gate.
+type pointTier struct {
+	p PointStore
+	g gate.Gate
+}
+
+// Load assembles a stored point without any transient or fit; one that
+// fails to load or to assemble counts as a miss, and the save after
+// the fresh preparation repairs it.
+func (t pointTier) Load(key ParamKey) (*OperatingPoint, bool) {
+	f, ok, err := t.p.LoadPoint(key)
+	if err != nil || !ok {
+		return nil, false
+	}
+	pt, err := assemble(t.g, key, f, &BenchSource{gate: t.g, params: key.Bench})
+	return pt, err == nil
+}
+
+func (t pointTier) Save(key ParamKey, pt *OperatingPoint) { _ = t.p.SavePoint(key, pt.fitted) }
+
 // SetStore mounts a persistent read-through/write-behind tier below the
 // cache: a miss consults the store before measuring, and a freshly
 // prepared point is saved back. Mount it before sharing the cache; nil
 // unmounts.
-func (c *ParamCache) SetStore(p PointStore) {
-	c.mu.Lock()
-	c.store = p
-	c.mu.Unlock()
-}
+func (c *ParamCache) SetStore(p PointStore) { c.store.Store(&p) }
 
 // NewParamCache returns an empty parametrization cache.
 func NewParamCache() *ParamCache {
-	return &ParamCache{table: map[ParamKey]*paramEntry{}, lru: list.New()}
+	return &ParamCache{m: memo.New[ParamKey](func(*OperatingPoint) int64 { return 1 })}
 }
 
 // SetLimit bounds the number of retained operating points; zero (or
 // negative) removes the bound. Shrinking evicts immediately, coldest
 // first.
-func (c *ParamCache) SetLimit(n int) {
-	c.mu.Lock()
-	c.limit = n
-	c.evictOverLocked()
-	c.mu.Unlock()
-}
-
-// evictOverLocked drops operating points from the cold end of the LRU
-// ring until the bound is met. Caller holds mu.
-func (c *ParamCache) evictOverLocked() {
-	for c.limit > 0 && c.lru.Len() > c.limit {
-		back := c.lru.Back()
-		if back == nil {
-			return
-		}
-		key := back.Value.(ParamKey)
-		c.lru.Remove(back)
-		delete(c.table, key)
-		c.evictions++
-	}
-}
+func (c *ParamCache) SetLimit(n int) { c.m.SetLimit(int64(n)) }
 
 // ParamStats reports parametrization-cache effectiveness counters.
 // DiskHits is omitted from JSON when zero, so the wire form of a
@@ -150,139 +112,36 @@ type ParamStats struct {
 }
 
 // Stats returns a snapshot of the cache counters.
-func (c *ParamCache) Stats() ParamStats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	n := 0
-	//hybrid:nondet-ok commutative count of completed entries; order-independent
-	for _, e := range c.table {
-		select {
-		case <-e.ready:
-			n++
-		default:
-		}
-	}
-	return ParamStats{Hits: c.hits, Misses: c.misses, DiskHits: c.diskHits, Evictions: c.evictions, Entries: n}
-}
+func (c *ParamCache) Stats() ParamStats { return ParamStats(c.m.Stats()) }
 
 // SolverStats aggregates the MNA solver counters of every completed
 // operating point's bench pool — the measurement transients that
 // prepared each point plus every golden run its pool served since.
 // Points evicted by the memory bound leave the aggregate.
 func (c *ParamCache) SolverStats() spice.SolverStats {
-	c.mu.Lock()
-	pts := make([]*OperatingPoint, 0, len(c.table))
-	//hybrid:nondet-ok collects points for a commutative counter sum (SolverStats.Add); aggregate is order-independent
-	for _, e := range c.table {
-		select {
-		case <-e.ready:
-			if e.err == nil {
-				pts = append(pts, e.pt)
-			}
-		default:
-		}
-	}
-	c.mu.Unlock()
 	var st spice.SolverStats
-	for _, pt := range pts {
+	for _, pt := range c.m.Values() {
 		st.Add(pt.Golden.SolverStats())
 	}
 	return st
 }
 
 // OperatingPoint returns the prepared operating point for (g, p,
-// expDMin), preparing it at most once per key: concurrent callers for
-// the same key block on the first caller's result. Errors are returned
-// to all waiters but evicted, so a later call retries; ctx cancels the
-// wait (and aborts a preparation before it starts), but never evicts a
-// preparation another caller is still waiting on. A waiter whose
-// leader was cancelled (the leader's own context, not the waiter's)
-// does not inherit that cancellation: it retries the preparation under
-// its own context, so concurrent jobs on one session cannot poison
-// each other.
+// expDMin), preparing it at most once per key. ctx cancels this
+// caller's wait and aborts a preparation before it starts. A waiter
+// whose leader was cancelled (the leader's own context, not the
+// waiter's) retries under its own context, so concurrent jobs on one
+// session cannot poison each other.
 func (c *ParamCache) OperatingPoint(ctx context.Context, g gate.Gate, p nor.Params, expDMin float64) (*OperatingPoint, error) {
 	key := ParamKey{Gate: g.Name(), Bench: p, ExpDMin: expDMin}
-	for {
-		c.mu.Lock()
-		if e, ok := c.table[key]; ok {
-			c.mu.Unlock()
-			select {
-			case <-e.ready:
-			case <-ctx.Done():
-				return nil, ctx.Err()
-			}
-			if e.err == nil {
-				c.mu.Lock()
-				c.hits++
-				if cur, ok := c.table[key]; ok && cur == e && e.elem != nil {
-					c.lru.MoveToFront(e.elem)
-				}
-				c.mu.Unlock()
-				return e.pt, nil
-			}
-			if IsContextErr(e.err) {
-				// The leader aborted because *its* context ended. The
-				// failed entry is already evicted; retry as (or behind)
-				// a new leader unless this caller is cancelled too.
-				if err := ctx.Err(); err != nil {
-					return nil, err
-				}
-				continue
-			}
-			return nil, e.err
-		}
-		e := &paramEntry{ready: make(chan struct{})}
-		c.table[key] = e
-		c.misses++
-		store := c.store
-		c.mu.Unlock()
-
-		var fromDisk bool
-		e.pt, fromDisk, e.err = loadOrPrepare(ctx, g, key, store)
-		if e.err != nil {
-			c.mu.Lock()
-			delete(c.table, key)
-			c.mu.Unlock()
-		}
-		close(e.ready)
-		if e.err == nil {
-			c.mu.Lock()
-			if fromDisk {
-				c.diskHits++
-			}
-			e.elem = c.lru.PushFront(key)
-			c.evictOverLocked()
-			c.mu.Unlock()
-		}
-		return e.pt, e.err
+	var t memo.Tier[ParamKey, *OperatingPoint]
+	if ps := c.store.Load(); ps != nil && *ps != nil {
+		t = pointTier{p: *ps, g: g}
 	}
-}
-
-// loadOrPrepare is the cache leader's miss path. Read-through: a point
-// the store holds is assembled without any transient or fit; one that
-// fails to load or to assemble counts as a miss. Otherwise the point is
-// measured and fitted, and write-behind saves it — which also repairs
-// a bad entry.
-func loadOrPrepare(ctx context.Context, g gate.Gate, key ParamKey, store PointStore) (*OperatingPoint, bool, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, false, err
-	}
-	if store != nil {
-		if f, ok, err := store.LoadPoint(key); err == nil && ok {
-			if pt, err := assemble(g, key, f, &BenchSource{gate: g, params: key.Bench}); err == nil {
-				return pt, true, nil
-			}
-		}
-	}
-	bench, f, err := measureAndFit(ctx, g, key.Bench)
-	if err != nil {
-		return nil, false, err
-	}
-	pt, err := assemble(g, key, f, NewGateBenchSource(bench))
-	if err == nil && store != nil {
-		_ = store.SavePoint(key, f)
-	}
-	return pt, false, err
+	pt, _, err := c.m.Do(ctx, key, t, func(ctx context.Context) (*OperatingPoint, error) {
+		return PrepareOperatingPoint(ctx, g, key.Bench, key.ExpDMin)
+	})
+	return pt, err
 }
 
 // PrepareOperatingPoint runs the uncached preparation chain for one
@@ -290,38 +149,28 @@ func loadOrPrepare(ctx context.Context, g gate.Gate, key ParamKey, store PointSt
 // delays, fit and assemble the Fig. 7 model set. ctx aborts between the
 // stages; the bench itself seeds the returned source's instance pool.
 func PrepareOperatingPoint(ctx context.Context, g gate.Gate, p nor.Params, expDMin float64) (*OperatingPoint, error) {
-	bench, f, err := measureAndFit(ctx, g, p)
-	if err != nil {
-		return nil, err
-	}
-	return assemble(g, ParamKey{Gate: g.Name(), Bench: p, ExpDMin: expDMin}, f, NewGateBenchSource(bench))
-}
-
-// measureAndFit builds a golden bench, measures its characteristic
-// delays and fits the hybrid model: everything a PointStore persists.
-func measureAndFit(ctx context.Context, g gate.Gate, p nor.Params) (gate.Bench, gate.Fitted, error) {
 	if err := ctx.Err(); err != nil {
-		return nil, gate.Fitted{}, err
+		return nil, err
 	}
 	bench, err := g.NewBench(p)
 	if err != nil {
-		return nil, gate.Fitted{}, fmt.Errorf("eval: gate %s: bench: %w", g.Name(), err)
+		return nil, fmt.Errorf("eval: gate %s: bench: %w", g.Name(), err)
 	}
 	if err := ctx.Err(); err != nil {
-		return nil, gate.Fitted{}, err
+		return nil, err
 	}
 	meas, err := bench.Measure()
 	if err != nil {
-		return nil, gate.Fitted{}, fmt.Errorf("eval: gate %s: measure: %w", g.Name(), err)
+		return nil, fmt.Errorf("eval: gate %s: measure: %w", g.Name(), err)
 	}
 	if err := ctx.Err(); err != nil {
-		return nil, gate.Fitted{}, err
+		return nil, err
 	}
 	f, err := gate.Fit(g, meas, p.Supply)
 	if err != nil {
-		return nil, gate.Fitted{}, fmt.Errorf("eval: gate %s: models: %w", g.Name(), err)
+		return nil, fmt.Errorf("eval: gate %s: models: %w", g.Name(), err)
 	}
-	return bench, f, nil
+	return assemble(g, ParamKey{Gate: g.Name(), Bench: p, ExpDMin: expDMin}, f, NewGateBenchSource(bench))
 }
 
 // assemble turns a fitted point into an OperatingPoint over golden.
@@ -330,5 +179,5 @@ func assemble(g gate.Gate, key ParamKey, f gate.Fitted, golden *BenchSource) (*O
 	if err != nil {
 		return nil, fmt.Errorf("eval: gate %s: models: %w", g.Name(), err)
 	}
-	return &OperatingPoint{Key: key, Models: models, Golden: golden}, nil
+	return &OperatingPoint{Key: key, Models: models, Golden: golden, fitted: f}, nil
 }

@@ -1,23 +1,14 @@
 package sparse
 
 import (
-	"container/list"
+	"context"
 	"encoding/binary"
 	"math"
 	"strings"
-	"sync"
 
 	"hybriddelay/internal/la"
+	"hybriddelay/internal/memo"
 )
-
-// This file adds the process-wide amortization layer over Analyze:
-// where the golden and parametrization caches skip re-simulating and
-// re-fitting identical workloads, the SymbolicCache skips re-running
-// the Markowitz pilot for identical sparsity structures. Every pooled
-// bench clone, batched transient and serve tenant solving the same
-// topology at the same operating point shares one immutable *Symbolic
-// (documented safe for concurrent use) instead of each paying its own
-// symbolic analysis.
 
 // CacheStats reports symbolic-cache effectiveness counters.
 type CacheStats struct {
@@ -27,103 +18,39 @@ type CacheStats struct {
 	Entries   int   `json:"entries"`   // completed analyses currently stored
 }
 
-// Add accumulates counters from another snapshot.
-func (s *CacheStats) Add(o CacheStats) {
-	s.Hits += o.Hits
-	s.Misses += o.Misses
-	s.Evictions += o.Evictions
-	s.Entries += o.Entries
-}
-
-// symEntry is one cache slot; ready is closed once sym/err are set, so
-// concurrent requests for the same key wait instead of re-analyzing.
-// gen is the cache-unique generation assigned at entry creation —
-// strictly increasing, so any generation a caller obtained from a
-// completed lookup is older than every entry created afterwards. elem
-// is set when the completed entry joins the LRU ring; in-flight and
-// failed entries never join it.
-type symEntry struct {
-	ready chan struct{}
-	sym   *Symbolic
-	err   error
-	gen   uint64
-	elem  *list.Element
-}
-
-// SymbolicCache memoizes Analyze results by content key: the caller's
-// scope string, the system size, the (normalized) Options and the raw
-// pattern offsets. It is safe for concurrent use and deduplicates
-// in-flight analyses (singleflight): the first requester of a key runs
-// the pilot, later ones wait for its result. Failed analyses are not
-// cached, so a later call retries.
+// SymbolicCache memoizes Analyze results process-wide, so every pooled
+// bench clone, batched transient and serve tenant solving one topology
+// at one operating point shares one immutable *Symbolic instead of
+// running its own Markowitz pilot. It is a memo.Cache (singleflight,
+// failures not retained, LRU with each analysis weighing one) keyed by
+// content: the caller's scope string, the system size, the normalized
+// Options and the raw pattern offsets.
 //
-// The scope string keeps pivot orders deterministic: the pilot reads
-// the representative matrix's *values*, so two different operating
-// points with identical patterns must not race to seed one entry.
-// Callers set the scope from whatever identifies the operating point
-// (gate kind plus bench parameters, a netlist content key); clones of
-// one operating point then share, distinct operating points do not.
-//
-// Generations make staleness re-analysis race-free: every completed
-// lookup returns the entry's generation, and Refresh replaces the
-// entry only when it still carries the generation the caller saw —
-// when a concurrent solver already refreshed it, the newer entry is
-// returned as a hit, so N solvers hitting staleness together run
-// exactly one new Analyze.
-//
-// Memory is bounded with SetLimit: completed analyses form an LRU
-// (each weighs one) and the coldest are evicted past the bound.
-// In-flight analyses are never evicted, and callers already holding a
-// Symbolic keep it even if it is evicted underneath them.
+// The scope keeps pivot orders deterministic: the pilot reads the
+// representative matrix's *values*, so two operating points with one
+// pattern must not race to seed one entry. Callers scope by whatever
+// identifies the operating point (gate kind plus bench parameters, a
+// netlist content key).
 type SymbolicCache struct {
-	mu        sync.Mutex
-	table     map[string]*symEntry
-	limit     int // max completed analyses; 0 = unbounded
-	lru       *list.List
-	nextGen   uint64
-	hits      int64
-	misses    int64
-	evictions int64
+	m *memo.Cache[string, *Symbolic]
 }
 
 // NewSymbolicCache returns an empty cache bounded to limit completed
 // analyses (0 or negative = unbounded).
 func NewSymbolicCache(limit int) *SymbolicCache {
-	if limit < 0 {
-		limit = 0
-	}
-	return &SymbolicCache{table: map[string]*symEntry{}, limit: limit, lru: list.New()}
+	c := &SymbolicCache{m: memo.New[string](func(*Symbolic) int64 { return 1 })}
+	c.SetLimit(limit)
+	return c
 }
 
 // SetLimit bounds the number of retained analyses; zero (or negative)
 // removes the bound. Shrinking evicts immediately, coldest first.
-func (c *SymbolicCache) SetLimit(n int) {
-	c.mu.Lock()
-	c.limit = n
-	c.evictOverLocked()
-	c.mu.Unlock()
-}
-
-// evictOverLocked drops analyses from the cold end of the LRU ring
-// until the bound is met. Caller holds mu.
-func (c *SymbolicCache) evictOverLocked() {
-	for c.limit > 0 && c.lru.Len() > c.limit {
-		back := c.lru.Back()
-		if back == nil {
-			return
-		}
-		key := back.Value.(string)
-		c.lru.Remove(back)
-		delete(c.table, key)
-		c.evictions++
-	}
-}
+func (c *SymbolicCache) SetLimit(n int) { c.m.SetLimit(int64(n)) }
 
 // Stats returns a snapshot of the cache counters.
 func (c *SymbolicCache) Stats() CacheStats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return CacheStats{Hits: c.hits, Misses: c.misses, Evictions: c.evictions, Entries: c.lru.Len()}
+	st := c.m.Stats()
+	return CacheStats{Hits: st.Hits, Misses: st.Misses, Evictions: st.Evictions, Entries: st.Entries}
 }
 
 // cacheKey builds the exact content key: no hashing, so distinct
@@ -153,7 +80,7 @@ func cacheKey(scope string, n int, pattern []int32, opt Options) string {
 // block on the first caller's result. hit reports whether the analysis
 // was shared; gen identifies the returned entry for a later Refresh.
 func (c *SymbolicCache) Get(scope string, a *la.Matrix, pattern []int32, opt Options) (sym *Symbolic, gen uint64, hit bool, err error) {
-	return c.lookup(cacheKey(scope, a.Rows, pattern, opt), a, pattern, opt, 0, false)
+	return c.Refresh(scope, a, pattern, opt, 0)
 }
 
 // Refresh re-analyzes after a staleness signal (ErrPivot): the caller
@@ -163,53 +90,15 @@ func (c *SymbolicCache) Get(scope string, a *la.Matrix, pattern []int32, opt Opt
 // refreshed the entry, the newer analysis is returned as a hit and no
 // new pilot runs.
 func (c *SymbolicCache) Refresh(scope string, a *la.Matrix, pattern []int32, opt Options, oldGen uint64) (sym *Symbolic, gen uint64, hit bool, err error) {
-	return c.lookup(cacheKey(scope, a.Rows, pattern, opt), a, pattern, opt, oldGen, true)
-}
-
-func (c *SymbolicCache) lookup(key string, a *la.Matrix, pattern []int32, opt Options, oldGen uint64, refresh bool) (*Symbolic, uint64, bool, error) {
+	key := cacheKey(scope, a.Rows, pattern, opt)
 	for {
-		c.mu.Lock()
-		if e, ok := c.table[key]; ok && !(refresh && e.gen == oldGen) {
-			c.mu.Unlock()
-			<-e.ready
-			if e.err == nil {
-				c.mu.Lock()
-				c.hits++
-				if cur, ok := c.table[key]; ok && cur == e && e.elem != nil {
-					c.lru.MoveToFront(e.elem)
-				}
-				c.mu.Unlock()
-				return e.sym, e.gen, true, nil
-			}
-			// The leader failed; its entry is already evicted. Retry as
-			// (or behind) a new leader.
-			continue
-		} else if ok {
-			// Stale entry this caller is refreshing: unlink it so the
-			// replacement does not duplicate its LRU slot.
-			if e.elem != nil {
-				c.lru.Remove(e.elem)
-			}
+		sym, gen, hit, err = c.m.Refresh(context.Background(), key, oldGen, func(context.Context) (*Symbolic, error) {
+			return Analyze(a, pattern, opt)
+		})
+		// Another caller's pilot failing on its own matrix values (not
+		// part of the key) says nothing about ours: retry.
+		if err == nil || !hit {
+			return sym, gen, hit, err
 		}
-		e := &symEntry{ready: make(chan struct{})}
-		c.nextGen++
-		e.gen = c.nextGen
-		c.table[key] = e
-		c.misses++
-		c.mu.Unlock()
-
-		e.sym, e.err = Analyze(a, pattern, opt)
-		c.mu.Lock()
-		if e.err != nil {
-			if c.table[key] == e {
-				delete(c.table, key)
-			}
-		} else if c.table[key] == e {
-			e.elem = c.lru.PushFront(key)
-			c.evictOverLocked()
-		}
-		c.mu.Unlock()
-		close(e.ready)
-		return e.sym, e.gen, false, e.err
 	}
 }

@@ -7,9 +7,33 @@ package pool
 
 import (
 	"context"
+	"fmt"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 )
+
+// PanicError is a unit's panic turned into its error: the unit index,
+// the value it panicked with and the stack at the panic.
+type PanicError struct {
+	Unit  int
+	Value any
+	Stack []byte
+}
+
+func (e *PanicError) Error() string {
+	return fmt.Sprintf("pool: unit %d panicked: %v", e.Unit, e.Value)
+}
+
+// call runs fn(i), turning a panic into a *PanicError.
+func call(fn func(i int) error, i int) (err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = &PanicError{Unit: i, Value: r, Stack: debug.Stack()}
+		}
+	}()
+	return fn(i)
+}
 
 // Run executes fn(i) for every i in [0, total) on min(workers, total)
 // goroutines (at least one). Units are claimed in index order but may
@@ -26,7 +50,10 @@ func Run(total, workers int, fn func(i int) error, onDone func(i, completed int,
 // are claimed (units already claimed still finish, so shared state
 // stays consistent) and ctx.Err() is returned. A nil error means every
 // unit was claimed; individual unit errors are reported through fn's
-// return value and onDone, exactly as in Run.
+// return value and onDone, exactly as in Run. A unit that panics fails
+// with a *PanicError like any unit error, and RunContext returns the
+// first such error in place of ctx.Err(), so callers that keep unit
+// errors in their own slots still see it.
 func RunContext(ctx context.Context, total, workers int, fn func(i int) error, onDone func(i, completed int, err error)) error {
 	if total <= 0 {
 		return ctx.Err()
@@ -42,6 +69,7 @@ func RunContext(ctx context.Context, total, workers int, fn func(i int) error, o
 		stop      atomic.Bool
 		mu        sync.Mutex
 		completed int
+		panicked  error
 		wg        sync.WaitGroup
 	)
 	done := ctx.Done()
@@ -61,19 +89,25 @@ func RunContext(ctx context.Context, total, workers int, fn func(i int) error, o
 				if i >= total || stop.Load() {
 					return
 				}
-				err := fn(i)
+				err := call(fn, i)
 				if err != nil {
 					stop.Store(true)
 				}
+				mu.Lock()
+				if _, ok := err.(*PanicError); ok && panicked == nil {
+					panicked = err
+				}
 				if onDone != nil {
-					mu.Lock()
 					completed++
 					onDone(i, completed, err)
-					mu.Unlock()
 				}
+				mu.Unlock()
 			}
 		}()
 	}
 	wg.Wait()
+	if panicked != nil {
+		return panicked
+	}
 	return ctx.Err()
 }

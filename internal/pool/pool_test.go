@@ -108,3 +108,32 @@ func TestRunContextCancellation(t *testing.T) {
 		t.Errorf("%d units ran, want 7", ran.Load())
 	}
 }
+
+// TestRunContextPanic: a unit panic does not crash the process. It
+// becomes the unit's *PanicError (index, value, stack), reaches onDone,
+// stops further claiming like any unit error, and is returned.
+func TestRunContextPanic(t *testing.T) {
+	var ran atomic.Int64
+	var seen error
+	err := RunContext(context.Background(), 1000, 1, func(i int) error {
+		ran.Add(1)
+		if i == 3 {
+			panic("unit exploded")
+		}
+		return nil
+	}, func(i, completed int, err error) {
+		if err != nil {
+			seen = err
+		}
+	})
+	var pe *PanicError
+	if !errors.As(err, &pe) || pe.Unit != 3 || pe.Value != "unit exploded" || len(pe.Stack) == 0 {
+		t.Fatalf("RunContext returned %v (%+v), want unit 3's PanicError with its stack", err, pe)
+	}
+	if seen != err {
+		t.Errorf("onDone saw %v, want the same PanicError", seen)
+	}
+	if ran.Load() != 4 {
+		t.Errorf("%d units ran after a serial panic at index 3, want 4", ran.Load())
+	}
+}

@@ -3,12 +3,16 @@ package serve
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"log"
 	"net"
 	"net/http"
+	"runtime/debug"
 	"sync"
 	"time"
 
+	"hybriddelay/internal/pool"
 	"hybriddelay/internal/session"
 	"hybriddelay/internal/store"
 )
@@ -199,7 +203,7 @@ func (s *Server) startJob(j *Job) {
 	go func() {
 		defer s.wg.Done()
 		defer s.adm.Release(j.Client)
-		res, err := s.sess.Evaluate(j.ctx, j.withProgress())
+		res, err := s.evaluate(j)
 		switch {
 		case err == nil:
 			// The wire form drops the prepared model set: its Gate field
@@ -214,6 +218,23 @@ func (s *Server) startJob(j *Job) {
 			s.reg.Finish(j, StateFailed, nil, err)
 		}
 	}()
+}
+
+// evaluate runs a job on the session. A panic in the job, on this
+// goroutine or on one of its pool workers, comes back as an error and
+// its stack is logged, so one bad job cannot take the server down.
+func (s *Server) evaluate(j *Job) (res *session.Result, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			log.Printf("serve: job %s panicked: %v\n%s", j.ID, r, debug.Stack())
+			res, err = nil, fmt.Errorf("serve: job panicked: %v", r)
+		}
+		var pe *pool.PanicError
+		if errors.As(err, &pe) {
+			log.Printf("serve: job %s: %v\n%s", j.ID, pe, pe.Stack)
+		}
+	}()
+	return s.sess.Evaluate(j.ctx, j.withProgress())
 }
 
 // handleStatus answers the job's current status (result once done).
