@@ -12,6 +12,7 @@ package hybriddelay
 // values (delays in ps, normalized deviation areas).
 
 import (
+	"context"
 	"sync"
 	"testing"
 
@@ -29,9 +30,11 @@ import (
 var benchSetup struct {
 	once   sync.Once
 	err    error
+	p      nor.Params
 	bench  *nor.Bench
 	target hybrid.Characteristic
 	models eval.Models
+	params *eval.ParamCache // the NOR2 operating point at p, prepared once
 }
 
 func setupGolden(b *testing.B) (*nor.Bench, hybrid.Characteristic, eval.Models) {
@@ -44,24 +47,53 @@ func setupGolden(b *testing.B) (*nor.Bench, hybrid.Characteristic, eval.Models) 
 			benchSetup.err = err
 			return
 		}
-		target, err := eval.MeasureCharacteristic(bench)
+		target, err := MeasureCharacteristic(bench)
 		if err != nil {
 			benchSetup.err = err
 			return
 		}
-		models, err := eval.BuildModels(target, p.Supply, 20e-12)
+		models, err := BuildModels(target, p.Supply, 20e-12)
 		if err != nil {
 			benchSetup.err = err
 			return
 		}
+		params := eval.NewParamCache()
+		if _, err := params.OperatingPoint(context.Background(), gate.NOR2, p, DefaultSessionExpDMin); err != nil {
+			benchSetup.err = err
+			return
+		}
+		benchSetup.p = p
 		benchSetup.bench = bench
 		benchSetup.target = target
 		benchSetup.models = models
+		benchSetup.params = params
 	})
 	if benchSetup.err != nil {
 		b.Fatal(benchSetup.err)
 	}
 	return benchSetup.bench, benchSetup.target, benchSetup.models
+}
+
+// evalSession returns a session on the given worker budget that
+// already holds the NOR2 operating point of setupGolden, so the
+// benchmarks time evaluation, not parametrization.
+func evalSession(b *testing.B, workers int) *Session {
+	setupGolden(b)
+	return NewSession(SessionOptions{Workers: workers, Params: benchSetup.params})
+}
+
+// evalNOR2 evaluates configs over seeds as one NOR2 gate job at the
+// setupGolden operating point; noCache keeps every golden transient
+// cold.
+func evalNOR2(b *testing.B, s *Session, configs []gen.Config, seeds []int64, noCache bool) []eval.RunResult {
+	b.Helper()
+	res, err := s.Evaluate(context.Background(), GateJob{
+		Params: &benchSetup.p, Configs: configs, Seeds: seeds, NoCache: noCache,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	return res.Gate
 }
 
 // hmParams extracts the fitted 2-input NOR parameters from the default
@@ -200,19 +232,15 @@ func BenchmarkFig6(b *testing.B) {
 }
 
 // fig7Config runs one (reduced-size) Fig. 7 configuration per iteration
-// and reports the normalized deviation areas as metrics.
+// on one worker and reports the normalized deviation areas as metrics.
 func fig7Config(b *testing.B, cfgIndex int) {
-	bench, _, models := setupGolden(b)
+	s := evalSession(b, 1)
 	cfg := gen.PaperConfigs()[cfgIndex]
 	cfg.Transitions /= 4 // keep a single iteration in the ~1 s range
 	var res eval.RunResult
-	var err error
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err = eval.Evaluate(bench, models, cfg, []int64{1, 2})
-		if err != nil {
-			b.Fatal(err)
-		}
+		res = evalNOR2(b, s, []gen.Config{cfg}, []int64{1, 2}, true)[0]
 	}
 	b.ReportMetric(res.Normalized[eval.ModelExp], "exp_norm")
 	b.ReportMetric(res.Normalized[eval.ModelHM], "hm_norm")
@@ -340,7 +368,7 @@ func BenchmarkGoldenTransient(b *testing.B) {
 	a, tb, until := benchTrace()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := eval.GoldenNOR(bench, a, tb, until); err != nil {
+		if _, err := (&gate.NOR2Bench{B: bench}).Golden([]trace.Trace{a, tb}, until); err != nil {
 			b.Fatal(err)
 		}
 	}

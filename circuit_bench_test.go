@@ -3,36 +3,32 @@ package hybriddelay
 // Circuit-level evaluation benchmarks: the composed-golden pipeline
 // over the NOR + inverter-chain netlist, cold (every golden transient
 // simulated) and warm (golden trace sets served from the shared
-// cache). These feed the CI benchmark smoke job's BENCH_circuit.json
-// artifact, so the circuit pipeline's perf trajectory is tracked
-// across PRs.
+// cache), both through Session circuit jobs.
 
 import (
+	"context"
 	"sync"
 	"testing"
 
 	"hybriddelay/internal/eval"
 	"hybriddelay/internal/gate"
 	"hybriddelay/internal/gen"
-	"hybriddelay/internal/hybrid"
-	"hybriddelay/internal/idm"
-	"hybriddelay/internal/inertial"
 	"hybriddelay/internal/netlist"
 	"hybriddelay/internal/nor"
 )
 
-// circuitBenchState prepares the shared chain netlist and a fixed
-// (measurement-free) model set once per process: the benchmarks track
-// evaluation cost, not parametrization cost.
+// circuitBenchState prepares the shared chain netlist and the
+// parametrization of its member gate once per process: the benchmarks
+// track evaluation cost, not parametrization cost.
 var circuitBenchState struct {
-	once sync.Once
-	nl   *netlist.Netlist
-	ms   netlist.ModelSet
-	p    nor.Params
-	err  error
+	once   sync.Once
+	nl     *netlist.Netlist
+	p      nor.Params
+	params *eval.ParamCache
+	err    error
 }
 
-func circuitBenchSetup(b *testing.B) (*netlist.Netlist, netlist.ModelSet, nor.Params) {
+func circuitBenchSetup(b *testing.B) (*netlist.Netlist, nor.Params, *eval.ParamCache) {
 	s := &circuitBenchState
 	s.once.Do(func() {
 		s.nl, s.err = netlist.InverterChain("bench-chain", 3)
@@ -41,30 +37,13 @@ func circuitBenchSetup(b *testing.B) (*netlist.Netlist, netlist.ModelSet, nor.Pa
 		}
 		s.p = nor.DefaultParams()
 		s.p.MaxStep = 8e-12
-		hm := hybrid.TableI()
-		hm0 := hm
-		hm0.DMin = 0
-		var arcs inertial.NORArcs
-		if arcs, s.err = inertial.NORArcsFromSIS(40e-12, 38e-12, 53e-12, 56e-12); s.err != nil {
-			return
-		}
-		var exp idm.Exp
-		if exp, s.err = idm.ExpFromSIS(54.5e-12, 39e-12, 20e-12); s.err != nil {
-			return
-		}
-		s.ms = netlist.ModelSet{"nor2": {
-			Gate:     gate.NOR2,
-			Inertial: arcs.Arcs(),
-			Exp:      exp,
-			HM:       gate.NOR2Model{P: hm},
-			HMNoDMin: gate.NOR2Model{P: hm0},
-			Supply:   hm.Supply,
-		}}
+		s.params = eval.NewParamCache()
+		_, s.err = s.params.OperatingPoint(context.Background(), gate.NOR2, s.p, DefaultSessionExpDMin)
 	})
 	if s.err != nil {
 		b.Fatal(s.err)
 	}
-	return s.nl, s.ms, s.p
+	return s.nl, s.p, s.params
 }
 
 func circuitBenchConfig() gen.Config {
@@ -73,44 +52,46 @@ func circuitBenchConfig() gen.Config {
 	return cfg
 }
 
+// circuitBenchJob is the chain circuit over two seeds.
+func circuitBenchJob(nl *netlist.Netlist, p *nor.Params) CircuitJob {
+	return CircuitJob{Netlist: nl, Params: p, Config: circuitBenchConfig(), Seeds: []int64{1, 2}}
+}
+
 // BenchmarkEvaluateCircuitChain measures the cold circuit pipeline:
-// every iteration simulates the composed golden transients.
+// every iteration runs on a fresh golden cache, so it simulates the
+// composed golden transients.
 func BenchmarkEvaluateCircuitChain(b *testing.B) {
-	nl, ms, p := circuitBenchSetup(b)
-	cfg := circuitBenchConfig()
-	seeds := []int64{1, 2}
+	nl, p, params := circuitBenchSetup(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := eval.EvaluateCircuit(nl, p, ms, cfg, seeds, &eval.Options{Workers: 4})
+		res, err := NewSession(SessionOptions{Workers: 4, Params: params}).Evaluate(context.Background(), circuitBenchJob(nl, &p))
 		if err != nil {
 			b.Fatal(err)
 		}
 		ev := 0
-		for _, net := range res.Nets {
-			ev += res.GoldenEv[net]
+		for _, net := range res.Circuit.Nets {
+			ev += res.Circuit.GoldenEv[net]
 		}
 		b.ReportMetric(float64(ev), "golden_ev")
 	}
 }
 
 // BenchmarkEvaluateCircuitCached measures the warm steady state: the
-// golden trace sets come from the shared cache, so the iteration cost
-// is the model side of the circuit pipeline.
+// golden trace sets come from the session's cache, so the iteration
+// cost is the model side of the circuit pipeline.
 func BenchmarkEvaluateCircuitCached(b *testing.B) {
-	nl, ms, p := circuitBenchSetup(b)
-	cfg := circuitBenchConfig()
-	seeds := []int64{1, 2}
-	cache := eval.NewGoldenCache()
-	if _, err := eval.EvaluateCircuit(nl, p, ms, cfg, seeds, &eval.Options{Workers: 4, Cache: cache}); err != nil {
+	nl, p, params := circuitBenchSetup(b)
+	s := NewSession(SessionOptions{Workers: 4, Params: params})
+	if _, err := s.Evaluate(context.Background(), circuitBenchJob(nl, &p)); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := eval.EvaluateCircuit(nl, p, ms, cfg, seeds, &eval.Options{Workers: 4, Cache: cache}); err != nil {
+		if _, err := s.Evaluate(context.Background(), circuitBenchJob(nl, &p)); err != nil {
 			b.Fatal(err)
 		}
 	}
-	st := cache.Stats()
+	st := s.GoldenCache().Stats()
 	b.ReportMetric(float64(st.Hits)/float64(st.Hits+st.Misses), "hit_rate")
 }
 
@@ -118,7 +99,7 @@ func BenchmarkEvaluateCircuitCached(b *testing.B) {
 // reconvergent c17 circuit — the raw analog cost of circuit-level
 // golden generation.
 func BenchmarkComposedGoldenC17(b *testing.B) {
-	_, _, p := circuitBenchSetup(b)
+	_, p, _ := circuitBenchSetup(b)
 	nl := netlist.C17("c17")
 	bench, err := netlist.NewBench(nl, p)
 	if err != nil {

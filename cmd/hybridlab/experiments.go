@@ -54,7 +54,8 @@ func toPsSlice(xs []float64) []float64 {
 
 // measuredTarget measures the golden characteristic delays.
 func measuredTarget(b *nor.Bench) (hybrid.Characteristic, error) {
-	return eval.MeasureCharacteristic(b)
+	meas, err := (&gate.NOR2Bench{B: b}).Measure()
+	return meas.Pair, err
 }
 
 // runFig2Wave prints the analog waveforms of Fig. 2a (falling output,

@@ -24,7 +24,7 @@ func main() {
 	// The circuit: NOR(a, b) -> three tied-input NOR2 instances acting
 	// as inverters (NOR(x, x) = NOT x). The same description could be
 	// flattened into a composed analog golden with NewCircuitBench or
-	// scored per net with EvaluateCircuit.
+	// scored per net with a session CircuitJob.
 	nl := &hybriddelay.Netlist{
 		Name:   "nor-invchain",
 		Inputs: []string{"a", "b"},

@@ -1,7 +1,9 @@
 package hybriddelay
 
 import (
+	"context"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -150,7 +152,9 @@ func TestFacadeGateFns(t *testing.T) {
 	}
 }
 
-// TestFacadeEvaluateSmall: the full public evaluation path at tiny size.
+// TestFacadeEvaluateSmall: the full public evaluation path at tiny
+// size — a session gate job prepares the same model set the facade's
+// MeasureCharacteristic and BuildModels build by hand.
 func TestFacadeEvaluateSmall(t *testing.T) {
 	if testing.Short() {
 		t.Skip("pipeline in -short mode")
@@ -171,62 +175,54 @@ func TestFacadeEvaluateSmall(t *testing.T) {
 	}
 	cfg := PaperConfigs()[0]
 	cfg.Transitions = 30
-	res, err := Evaluate(bench, models, cfg, []int64{1})
+	res, err := NewSession(SessionOptions{Workers: 1}).Evaluate(context.Background(), GateJob{
+		Params: &bp, Configs: []TraceConfig{cfg}, Seeds: []int64{1},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Normalized["inertial"] != 1 {
+	if res.Gate[0].Normalized["inertial"] != 1 {
 		t.Error("normalization broken")
+	}
+	if !reflect.DeepEqual(*res.Models, models) {
+		t.Error("session prepared a different model set than MeasureCharacteristic + BuildModels")
 	}
 }
 
 // TestFacadeEvaluateParallel: the concurrent engine through the facade —
-// a pooled parallel run with a shared golden cache must reproduce the
-// serial result exactly.
+// a 2-worker session with a golden cache must reproduce the 1-worker
+// result exactly and report every unit through Progress.
 func TestFacadeEvaluateParallel(t *testing.T) {
 	if testing.Short() {
 		t.Skip("pipeline in -short mode")
 	}
 	bp := DefaultBenchParams()
 	bp.MaxStep = 8e-12
-	bench, err := NewBench(bp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	target, err := MeasureCharacteristic(bench)
-	if err != nil {
-		t.Fatal(err)
-	}
-	models, err := BuildModels(target, bp.Supply, Ps(20))
-	if err != nil {
-		t.Fatal(err)
-	}
 	cfg := PaperConfigs()[0]
 	cfg.Transitions = 30
 	seeds := []int64{1, 2}
-	serial, err := Evaluate(bench, models, cfg, seeds)
+	job := GateJob{Params: &bp, Configs: []TraceConfig{cfg}, Seeds: seeds, NoCache: true}
+	serial, err := NewSession(SessionOptions{Workers: 1}).Evaluate(context.Background(), job)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var units int
-	opt := &EvalOptions{
-		Workers:  2,
-		Cache:    NewGoldenCache(),
-		Progress: func(p EvalProgress) { units = p.Completed },
-	}
-	par, err := EvaluateParallel(bench, models, cfg, seeds, opt)
+	job.NoCache = false
+	job.Progress = func(p Progress) { units = p.Completed }
+	s := NewSession(SessionOptions{Workers: 2})
+	par, err := s.Evaluate(context.Background(), job)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if units != len(seeds) {
 		t.Errorf("progress saw %d units, want %d", units, len(seeds))
 	}
-	for name, a := range serial.Area {
-		if par.Area[name] != a {
-			t.Errorf("Area[%s]: parallel %g != serial %g", name, par.Area[name], a)
+	for name, a := range serial.Gate[0].Area {
+		if par.Gate[0].Area[name] != a {
+			t.Errorf("Area[%s]: parallel %g != serial %g", name, par.Gate[0].Area[name], a)
 		}
 	}
-	if st := opt.Cache.Stats(); st.Misses != int64(len(seeds)) || st.Entries != len(seeds) {
+	if st := s.GoldenCache().Stats(); st.Misses != int64(len(seeds)) || st.Entries != len(seeds) {
 		t.Errorf("cache stats %+v, want %d misses/entries", st, len(seeds))
 	}
 }
@@ -257,14 +253,14 @@ func TestFacadeSweep(t *testing.T) {
 		t.Fatalf("expanded %d scenarios, want 8", len(scenarios))
 	}
 	var steps int
-	rep, err := RunSweep(spec, &SweepOptions{
-		Workers:  2,
-		Cache:    NewGoldenCache(),
-		Progress: func(p SweepProgress) { steps++ },
+	res, err := NewSession(SessionOptions{Workers: 2}).Evaluate(context.Background(), SweepJob{
+		Spec:     spec,
+		Progress: func(Progress) { steps++ },
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	rep := res.Sweep
 	if len(rep.Scenarios) != 8 || rep.TotalUnits != 8 {
 		t.Fatalf("report: %d scenarios, %d units", len(rep.Scenarios), rep.TotalUnits)
 	}
@@ -282,8 +278,8 @@ func TestFacadeSweep(t *testing.T) {
 }
 
 // TestFacadeNetlist: the circuit-level pipeline through the facade —
-// parse a netlist, build its models, evaluate, and check the per-net
-// report shape.
+// parse a netlist, evaluate it as a session circuit job, and check the
+// per-net report shape.
 func TestFacadeNetlist(t *testing.T) {
 	if testing.Short() {
 		t.Skip("composed analog transients in -short mode")
@@ -301,16 +297,15 @@ func TestFacadeNetlist(t *testing.T) {
 	}
 	p := DefaultBenchParams()
 	p.MaxStep = 8e-12
-	ms, err := BuildNetlistModels(nl, p, Ps(20))
-	if err != nil {
-		t.Fatal(err)
-	}
 	cfg := PaperConfigs()[0]
 	cfg.Transitions = 8
-	res, err := EvaluateCircuit(nl, p, ms, cfg, []int64{1}, &EvalOptions{Workers: 2, Cache: NewGoldenCache()})
+	out, err := NewSession(SessionOptions{Workers: 2}).Evaluate(context.Background(), CircuitJob{
+		Netlist: nl, Params: &p, Config: cfg, Seeds: []int64{1},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	res := out.Circuit
 	if len(res.Nets) != 2 {
 		t.Fatalf("recorded nets = %v, want [y0 y1]", res.Nets)
 	}

@@ -80,7 +80,6 @@ package hybriddelay
 import (
 	"context"
 	"io"
-	"sync"
 
 	"hybriddelay/internal/dtsim"
 	"hybriddelay/internal/eval"
@@ -194,22 +193,14 @@ func AutoDMin(target Characteristic) float64 { return hybrid.AutoDMin(target) }
 // hybrid with and without pure delay) from measured characteristic
 // delays.
 func BuildModels(target Characteristic, supply Supply, expDMin float64) (Models, error) {
-	return eval.BuildModels(target, supply, expDMin)
+	return gate.NOR2.BuildModels(gate.Measurement{Pair: target, Arcs: gate.NOR2Arcs(target)}, supply, expDMin)
 }
 
 // MeasureCharacteristic measures the six characteristic Charlie delays
 // of a golden-reference bench.
 func MeasureCharacteristic(bench *Bench) (Characteristic, error) {
-	return eval.MeasureCharacteristic(bench)
-}
-
-// Evaluate runs the Fig. 7 accuracy pipeline for one waveform
-// configuration over the given seeds, walking the seeds on a single
-// worker (the serial schedule). EvaluateParallel produces bit-identical
-// results on a worker pool; like it, Evaluate delegates to the default
-// Session.
-func Evaluate(bench *Bench, m Models, cfg TraceConfig, seeds []int64) (eval.RunResult, error) {
-	return EvaluateGate(&gate.NOR2Bench{B: bench}, m, cfg, seeds)
+	meas, err := (&gate.NOR2Bench{B: bench}).Measure()
+	return meas.Pair, err
 }
 
 // RunResult aggregates the deviation areas of one evaluation run.
@@ -217,13 +208,6 @@ type RunResult = eval.RunResult
 
 // SeedResult is the outcome of one (config, seed) evaluation unit.
 type SeedResult = eval.SeedResult
-
-// EvalOptions configures the parallel evaluation engine: worker count,
-// an optional shared golden-trace cache, and a progress callback.
-type EvalOptions = eval.Options
-
-// EvalProgress describes one completed evaluation unit.
-type EvalProgress = eval.Progress
 
 // GoldenCache memoizes digitized golden traces keyed by (bench
 // parameters, configuration, seed); share one across evaluation runs to
@@ -233,16 +217,6 @@ type GoldenCache = eval.GoldenCache
 // NewGoldenCache returns an empty golden-trace cache.
 func NewGoldenCache() *GoldenCache { return eval.NewGoldenCache() }
 
-// EvalRunner fans evaluation units across a bounded worker pool with
-// per-worker bench clones and deterministic merging.
-type EvalRunner = eval.Runner
-
-// NewEvalRunner builds a runner for the given golden bench and model
-// set; opt may be nil for defaults.
-func NewEvalRunner(bench *Bench, m Models, opt *EvalOptions) *EvalRunner {
-	return eval.NewRunner(bench, m, opt)
-}
-
 // Session API: one long-lived, concurrency-safe engine owning the
 // bounded worker pool, the golden-trace cache and the parametrization
 // cache (which memoizes the bench-measure-fit chain per operating
@@ -250,10 +224,7 @@ func NewEvalRunner(bench *Bench, m Models, opt *EvalOptions) *EvalRunner {
 // runs, scenario sweeps — are values submitted through one door,
 // Session.Evaluate(ctx, job), returning a uniform Result and reporting
 // through a single Progress stream, with context cancellation plumbed
-// down to the unit workers. The legacy entry points (Evaluate,
-// EvaluateParallel, EvaluateGate, EvaluateCircuit, RunSweep) remain
-// supported as thin wrappers over a process-wide default Session with
-// bit-identical results.
+// down to the unit workers. It is the only way to evaluate.
 
 // Session is the unified evaluation engine; see NewSession.
 type Session = session.Session
@@ -450,64 +421,6 @@ func RunServeLoad(ctx context.Context, baseURL string, opt LoadOptions) (*LoadRe
 // can be compared byte-for-byte against one-shot runs.
 func CanonicalServeResultJSON(res *Result) ([]byte, error) { return serve.CanonicalResultJSON(res) }
 
-// defaultSession backs the legacy entry points: one process-wide
-// engine. Its parametrization cache gives repeated legacy sweeps
-// cross-call reuse of measured operating points; golden-trace
-// memoization keeps the historical contract (only with an explicit
-// caller-supplied cache), so long-lived legacy callers see no new
-// memory growth.
-var (
-	defaultSessionOnce sync.Once
-	defaultSessionVal  *Session
-)
-
-// DefaultSession returns the process-wide Session the legacy entry
-// points delegate to. It is created on first use with default options.
-func DefaultSession() *Session {
-	defaultSessionOnce.Do(func() { defaultSessionVal = session.New(session.Options{}) })
-	return defaultSessionVal
-}
-
-// evalOverrides maps the legacy EvalOptions onto per-job overrides,
-// translating the session progress stream back onto the legacy
-// callback type. The historical entry points only memoize golden
-// traces when the caller supplies a cache, so noCache is set whenever
-// opt.Cache is nil — delegating to the Session must not change the
-// wrappers' memory behaviour.
-func evalOverrides(opt *EvalOptions) (workers int, cache *GoldenCache, noCache bool, progress func(Progress)) {
-	if opt == nil {
-		return 0, nil, true, nil
-	}
-	workers, cache = opt.Workers, opt.Cache
-	noCache = cache == nil
-	if opt.Progress != nil {
-		fn := opt.Progress
-		progress = func(p Progress) {
-			fn(eval.Progress{Config: p.Config, Seed: p.Seed, Completed: p.Completed, Total: p.Total, Err: p.Err})
-		}
-	}
-	return
-}
-
-// EvaluateParallel runs the Fig. 7 accuracy pipeline for one waveform
-// configuration over the given seeds on a bounded worker pool. For a
-// fixed seed list the result is bit-identical to Evaluate regardless of
-// the worker count. It delegates to the default Session; golden traces
-// are memoized only in an explicitly supplied opt.Cache (the
-// historical contract), while Session jobs get the shared caches.
-func EvaluateParallel(bench *Bench, m Models, cfg TraceConfig, seeds []int64, opt *EvalOptions) (eval.RunResult, error) {
-	workers, cache, noCache, progress := evalOverrides(opt)
-	res, err := DefaultSession().Evaluate(context.Background(), GateJob{
-		Bench: &gate.NOR2Bench{B: bench}, Models: &m,
-		Configs: []TraceConfig{cfg}, Seeds: seeds,
-		Workers: workers, Cache: cache, NoCache: noCache, Progress: progress,
-	})
-	if err != nil {
-		return eval.RunResult{Config: cfg, Area: map[string]float64{}, Normalized: map[string]float64{}}, err
-	}
-	return res.Gate[0], nil
-}
-
 // Gate-registry API: the evaluation pipeline is generic over registered
 // multi-input gates — NOR2 (the paper's gate and the default), its
 // structural dual NAND2 and the 3-input NOR3 extension.
@@ -536,28 +449,6 @@ func LookupGate(name string) (GateSpec, bool) { return gate.Lookup(name) }
 
 // DefaultGate returns the paper's gate, the 2-input NOR.
 func DefaultGate() GateSpec { return gate.Default() }
-
-// EvaluateGate runs the Fig. 7 pipeline on any gate bench, walking the
-// seeds on a single worker (the serial schedule). It delegates to the
-// default Session; results are bit-identical to the historical serial
-// evaluation.
-func EvaluateGate(bench GateBench, m Models, cfg TraceConfig, seeds []int64) (eval.RunResult, error) {
-	res, err := DefaultSession().Evaluate(context.Background(), GateJob{
-		Bench: bench, Models: &m,
-		Configs: []TraceConfig{cfg}, Seeds: seeds,
-		Workers: 1, NoCache: true, // the historical serial path never cached
-	})
-	if err != nil {
-		return eval.MergeSeedResults(cfg, nil), err
-	}
-	return res.Gate[0], nil
-}
-
-// NewGateEvalRunner builds a parallel evaluation runner for any gate
-// bench; opt may be nil for defaults.
-func NewGateEvalRunner(bench GateBench, m Models, opt *EvalOptions) *EvalRunner {
-	return eval.NewGateRunner(bench, m, opt)
-}
 
 // Netlist API: declarative multi-gate circuits over registered gates,
 // elaborated down both sides of the accuracy pipeline — flattened into
@@ -629,28 +520,6 @@ func BuildNetlistModels(nl *Netlist, p BenchParams, expDMin float64) (NetlistMod
 	return netlist.BuildModelSet(nl, p, expDMin)
 }
 
-// EvaluateCircuit runs the circuit-level accuracy pipeline for one
-// waveform configuration over the given seeds on a bounded worker
-// pool: composed golden traces per recorded net (memoized under the
-// netlist content key), every delay model elaborated over the netlist,
-// per-net deviation-area scoring. The result is bit-identical
-// regardless of the worker count, and a single-gate netlist reproduces
-// EvaluateGate exactly. It delegates to the default Session; composed
-// golden traces are memoized only in an explicitly supplied opt.Cache
-// (the historical contract).
-func EvaluateCircuit(nl *Netlist, p BenchParams, ms NetlistModels, cfg TraceConfig, seeds []int64, opt *EvalOptions) (CircuitResult, error) {
-	workers, cache, noCache, progress := evalOverrides(opt)
-	res, err := DefaultSession().Evaluate(context.Background(), CircuitJob{
-		Netlist: nl, Params: &p, Models: ms,
-		Config: cfg, Seeds: seeds,
-		Workers: workers, Cache: cache, NoCache: noCache, Progress: progress,
-	})
-	if err != nil {
-		return eval.MergeCircuitSeedResults(nl, cfg, nil), err
-	}
-	return *res.Circuit, nil
-}
-
 // ElaborateNetlist builds a netlist into the event-driven simulator:
 // one net per named net (primary inputs initialized from initial) and
 // one wire call per instance in topological order.
@@ -692,13 +561,6 @@ const (
 // SweepScenario is one expanded grid point.
 type SweepScenario = sweep.Scenario
 
-// SweepOptions configures a sweep run: the shared worker budget, an
-// optional shared golden-trace cache and a progress callback.
-type SweepOptions = sweep.Options
-
-// SweepProgress describes one completed sweep step.
-type SweepProgress = sweep.Progress
-
 // SweepReport is a sweep's outcome: per-scenario rows in grid order
 // with JSON (WriteJSON) and CSV (WriteCSV) encoders.
 type SweepReport = sweep.Report
@@ -709,37 +571,6 @@ type SweepScenarioResult = sweep.ScenarioResult
 // ExpandSweep validates a sweep spec and expands it into scenarios in
 // deterministic grid order.
 func ExpandSweep(spec SweepSpec) ([]SweepScenario, error) { return sweep.Expand(spec) }
-
-// RunSweep expands and evaluates a scenario grid on one bounded worker
-// pool with a shared golden-trace cache; the report is bit-identical
-// regardless of the worker count. It delegates to the default Session:
-// operating points measured by earlier calls are served from the
-// session's parametrization cache instead of being re-fitted. When
-// opt.Cache is nil the report's golden-cache statistics describe a
-// private per-call cache (the historical behaviour); pass a cache —
-// e.g. DefaultSession().GoldenCache() — to share golden traces across
-// calls too.
-func RunSweep(spec SweepSpec, opt *SweepOptions) (*SweepReport, error) {
-	job := SweepJob{Spec: spec}
-	if opt != nil {
-		job.Workers, job.Cache = opt.Workers, opt.Cache
-		if opt.Progress != nil {
-			fn := opt.Progress
-			job.Progress = func(p Progress) {
-				fn(sweep.Progress{Phase: p.Phase, Scenario: p.Scenario, Seed: p.Seed,
-					Completed: p.Completed, Total: p.Total, Err: p.Err})
-			}
-		}
-	}
-	if job.Cache == nil {
-		job.Cache = NewGoldenCache()
-	}
-	res, err := DefaultSession().Evaluate(context.Background(), job)
-	if err != nil {
-		return nil, err
-	}
-	return res.Sweep, nil
-}
 
 // ParseSweepSpec decodes the JSON grid-file format of `hybridlab sweep
 // -grid`.

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"runtime"
 	"sync"
 
 	"hybriddelay/internal/dtsim"
@@ -12,7 +11,6 @@ import (
 	"hybriddelay/internal/gen"
 	"hybriddelay/internal/netlist"
 	"hybriddelay/internal/nor"
-	"hybriddelay/internal/pool"
 	"hybriddelay/internal/spice"
 	"hybriddelay/internal/trace"
 	"hybriddelay/internal/waveform"
@@ -127,6 +125,7 @@ type CachedCircuitSource struct {
 	Bench nor.Params
 	Cache *GoldenCache
 	Src   CircuitGoldenSource
+	Tally *Tally // when non-nil, counts this source's hits and misses
 }
 
 // CircuitKey builds the cache key of one composed golden run.
@@ -136,8 +135,9 @@ func CircuitKey(contentKey string, bench nor.Params, cfg gen.Config, seed int64)
 
 // GoldenNets implements CircuitGoldenSource with memoization.
 func (s CachedCircuitSource) GoldenNets(req GoldenRequest) (map[string]trace.Trace, error) {
-	out, _, err := s.Cache.GetOrComputeSet(CircuitKey(s.Key, s.Bench, req.Config, req.Seed),
+	out, hit, err := s.Cache.GetOrComputeSet(CircuitKey(s.Key, s.Bench, req.Config, req.Seed),
 		func() (map[string]trace.Trace, error) { return s.Src.GoldenNets(req) })
+	s.Tally.count(hit, err)
 	return out, err
 }
 
@@ -189,20 +189,13 @@ type CircuitSeedResult struct {
 	GoldenEv map[string]int
 }
 
-// EvaluateCircuitSeed runs the circuit pipeline for a single
+// EvaluateCircuitSeedContext runs the circuit pipeline for a single
 // (config, seed) unit: generate the primary input traces, obtain the
 // composed golden traces, elaborate every delay model over the netlist
 // in topological order and measure each recorded net's deviation area.
-// The configuration's input count must match the netlist's primary
-// input count.
-func EvaluateCircuitSeed(golden CircuitGoldenSource, nl *netlist.Netlist, ms netlist.ModelSet,
-	cfg gen.Config, seed int64) (CircuitSeedResult, error) {
-	return EvaluateCircuitSeedContext(context.Background(), golden, nl, ms, cfg, seed)
-}
-
-// EvaluateCircuitSeedContext is EvaluateCircuitSeed with cancellation:
 // ctx is checked between the unit's stages (trace generation, the
-// composed golden run, each model's dataflow walk).
+// composed golden run, each model's dataflow walk). The configuration's
+// input count must match the netlist's primary input count.
 func EvaluateCircuitSeedContext(ctx context.Context, golden CircuitGoldenSource, nl *netlist.Netlist,
 	ms netlist.ModelSet, cfg gen.Config, seed int64) (CircuitSeedResult, error) {
 	res := CircuitSeedResult{Config: cfg, Seed: seed, Nets: nl.Recorded(),
@@ -270,8 +263,8 @@ type CircuitResult struct {
 	// GoldenEv maps net -> golden transitions over all seeds.
 	GoldenEv map[string]int
 	// Solver aggregates the MNA solver counters of the run's composed
-	// bench pool (filled by EvaluateCircuitContext; zero when the merge
-	// was assembled from parts directly).
+	// bench pool (filled by the session's circuit job; zero when the
+	// merge was assembled from parts directly).
 	Solver spice.SolverStats
 }
 
@@ -328,99 +321,4 @@ func MergeCircuitSeedResults(nl *netlist.Netlist, cfg gen.Config, parts []Circui
 	}
 	res.TotalNormalized = normalizeBy(res.TotalArea)
 	return res
-}
-
-// EvaluateCircuit runs the circuit accuracy pipeline for one
-// configuration over the given seeds on a bounded worker pool: the
-// composed golden bench is pooled per worker, golden trace sets are
-// memoized in opt.Cache (when set) under the netlist content key, and
-// per-seed results merge in seed order — the result is bit-identical
-// regardless of the worker count. opt may be nil for defaults.
-func EvaluateCircuit(nl *netlist.Netlist, p nor.Params, ms netlist.ModelSet,
-	cfg gen.Config, seeds []int64, opt *Options) (CircuitResult, error) {
-	return EvaluateCircuitContext(context.Background(), nl, p, ms, cfg, seeds, opt)
-}
-
-// EvaluateCircuitContext is EvaluateCircuit with cancellation: once ctx
-// is done no new seed units are claimed, in-flight units stop at their
-// next stage boundary, and ctx.Err() is returned (unit errors that
-// occurred before the cancellation take precedence).
-func EvaluateCircuitContext(ctx context.Context, nl *netlist.Netlist, p nor.Params, ms netlist.ModelSet,
-	cfg gen.Config, seeds []int64, opt *Options) (CircuitResult, error) {
-	var o Options
-	if opt != nil {
-		o = *opt
-	}
-	if o.Workers <= 0 {
-		o.Workers = runtime.GOMAXPROCS(0)
-	}
-	empty := MergeCircuitSeedResults(nl, cfg, nil)
-	if len(seeds) == 0 {
-		return empty, fmt.Errorf("eval: no seeds supplied")
-	}
-	bench, err := netlist.NewBench(nl, p)
-	if err != nil {
-		return empty, err
-	}
-	benchPool := NewCircuitBenchSource(bench)
-	golden := CircuitGoldenSource(benchPool)
-	if o.Cache != nil {
-		golden = CachedCircuitSource{Key: nl.ContentKey(), Bench: p, Cache: o.Cache, Src: golden}
-	}
-	parts := make([]CircuitSeedResult, len(seeds))
-	errs := make([]error, len(seeds))
-	var progressMu sync.Mutex
-	completed := 0
-	unitDone := func(i int, err error) {
-		if o.Progress == nil {
-			return
-		}
-		progressMu.Lock()
-		completed++
-		o.Progress(Progress{Config: cfg, Seed: seeds[i],
-			Completed: completed, Total: len(seeds), Err: err})
-		progressMu.Unlock()
-	}
-	// Batched claiming, mirroring Runner.RunContext: one leased bench
-	// serves a run of consecutive seeds; results stay index-addressed,
-	// so batching cannot change the merge or the winning error.
-	batch := batchSize(o.Batch, len(seeds), o.Workers)
-	nBatches := (len(seeds) + batch - 1) / batch
-	ctxErr := pool.RunContext(ctx, nBatches, o.Workers, func(bi int) error {
-		lo := bi * batch
-		hi := lo + batch
-		if hi > len(seeds) {
-			hi = len(seeds)
-		}
-		src := golden
-		if l, ok := src.(CircuitLeaser); ok {
-			leased, release, err := l.LeaseCircuit()
-			if err == nil {
-				src = leased
-				defer release()
-			}
-		}
-		for i := lo; i < hi; i++ {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			parts[i], errs[i] = EvaluateCircuitSeedContext(ctx, src, nl, ms, cfg, seeds[i])
-			unitDone(i, errs[i])
-			if errs[i] != nil {
-				return errs[i]
-			}
-		}
-		return nil
-	}, nil)
-	for _, err := range errs {
-		if err != nil && !(ctxErr != nil && IsContextErr(err)) {
-			return empty, err
-		}
-	}
-	if ctxErr != nil {
-		return empty, ctxErr
-	}
-	res := MergeCircuitSeedResults(nl, cfg, parts)
-	res.Solver = benchPool.SolverStats()
-	return res, nil
 }

@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"strings"
@@ -8,6 +9,7 @@ import (
 	"testing"
 
 	"hybriddelay/internal/gate"
+	"hybriddelay/internal/gen"
 	"hybriddelay/internal/netlist"
 	"hybriddelay/internal/nor"
 	"hybriddelay/internal/trace"
@@ -43,10 +45,36 @@ func chainNetlist(t *testing.T, stages int) *netlist.Netlist {
 	return nl
 }
 
+// circuitSource builds a pooled composed bench for nl.
+func circuitSource(t *testing.T, nl *netlist.Netlist, p nor.Params) *CircuitBenchSource {
+	t.Helper()
+	b, err := netlist.NewBench(nl, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return NewCircuitBenchSource(b)
+}
+
+// runCircuit evaluates one circuit configuration through Run on a
+// fresh composed bench pool, behind cache when it is non-nil.
+func runCircuit(t *testing.T, nl *netlist.Netlist, p nor.Params, ms netlist.ModelSet, cfg gen.Config,
+	seeds []int64, workers int, cache *GoldenCache) (CircuitResult, error) {
+	t.Helper()
+	var src CircuitGoldenSource = circuitSource(t, nl, p)
+	if cache != nil {
+		src = CachedCircuitSource{Key: nl.ContentKey(), Bench: p, Cache: cache, Src: src}
+	}
+	_, parts, err := Run(context.Background(), []Block{{Config: cfg, Circuit: src, Netlist: nl, Set: ms}}, seeds, &Options{Workers: workers})
+	if err != nil {
+		return CircuitResult{}, err
+	}
+	return MergeCircuitSeedResults(nl, cfg, parts), nil
+}
+
 // TestSingleGateCircuitBitIdentical is the property test of the
 // netlist refactor: a single-gate netlist's golden trace and accuracy
-// scores are bit-identical to the existing per-gate EvaluateBench path
-// — same areas, same normalized ratios, same golden event counts.
+// scores are bit-identical to the per-gate pipeline — same areas, same
+// normalized ratios, same golden event counts.
 func TestSingleGateCircuitBitIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("analog golden runs in -short mode")
@@ -56,13 +84,13 @@ func TestSingleGateCircuitBitIdentical(t *testing.T) {
 	cfg := testConfig(24)
 	seeds := []int64{1, 2, 3}
 
-	want, err := EvaluateBench(&gate.NOR2Bench{B: b}, m, cfg, seeds)
+	want, err := serialRun(NewGateBenchSource(&gate.NOR2Bench{B: b}), m, cfg, seeds)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	nl := singleNOR2Netlist()
-	got, err := EvaluateCircuit(nl, b.P, netlist.ModelSet{"nor2": m}, cfg, seeds, nil)
+	got, err := runCircuit(t, nl, b.P, netlist.ModelSet{"nor2": m}, cfg, seeds, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +129,7 @@ func TestEvaluateCircuitDeterministicAcrossWorkers(t *testing.T) {
 	seeds := []int64{1, 2, 3, 4}
 
 	cache := NewGoldenCache()
-	serial, err := EvaluateCircuit(nl, p, ms, cfg, seeds, &Options{Workers: 1, Cache: cache})
+	serial, err := runCircuit(t, nl, p, ms, cfg, seeds, 1, cache)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +137,7 @@ func TestEvaluateCircuitDeterministicAcrossWorkers(t *testing.T) {
 		t.Errorf("cold cache stats = %+v, want %d misses", st, len(seeds))
 	}
 	for _, workers := range []int{1, 8} {
-		res, err := EvaluateCircuit(nl, p, ms, cfg, seeds, &Options{Workers: workers, Cache: cache})
+		res, err := runCircuit(t, nl, p, ms, cfg, seeds, workers, cache)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -217,7 +245,7 @@ func TestCircuitKeySeparateFromGateKeys(t *testing.T) {
 	cfg := testConfig(8)
 	p := fastNorParams()
 	gateKey := GoldenKey{Gate: "nor2", Bench: p, Config: cfg, Seed: 1}
-	if _, err := cache.GetOrCompute(gateKey, func() (trace.Trace, error) {
+	if _, _, err := cache.GetOrCompute(gateKey, func() (trace.Trace, error) {
 		return trace.Trace{Initial: true}, nil
 	}); err != nil {
 		t.Fatal(err)
@@ -241,17 +269,17 @@ func TestEvaluateCircuitValidation(t *testing.T) {
 	nl := singleNOR2Netlist()
 	ms := netlist.ModelSet{"nor2": cheapModels(t)}
 	p := fastNorParams()
-	if _, err := EvaluateCircuit(nl, p, ms, testConfig(8), nil, nil); err == nil {
+	if _, err := runCircuit(t, nl, p, ms, testConfig(8), nil, 0, nil); err == nil {
 		t.Error("empty seed list accepted")
 	}
 	badCfg := testConfig(8)
 	badCfg.Inputs = 3
-	if _, err := EvaluateCircuit(nl, p, ms, badCfg, []int64{1}, nil); err == nil ||
+	if _, err := runCircuit(t, nl, p, ms, badCfg, []int64{1}, 0, nil); err == nil ||
 		!strings.Contains(err.Error(), "primary inputs") {
 		t.Errorf("input-count mismatch error = %v", err)
 	}
 	src := &syntheticCircuitSource{nets: []string{"o"}}
-	if _, err := EvaluateCircuitSeed(src, nl, netlist.ModelSet{}, testConfig(8), 1); err == nil ||
+	if _, err := EvaluateCircuitSeedContext(context.Background(), src, nl, netlist.ModelSet{}, testConfig(8), 1); err == nil ||
 		!strings.Contains(err.Error(), "no models") {
 		t.Errorf("missing model set error = %v", err)
 	}
@@ -273,13 +301,14 @@ func (failingCircuitSource) GoldenNets(GoldenRequest) (map[string]trace.Trace, e
 func TestEvaluateCircuitSeedGoldenError(t *testing.T) {
 	nl := singleNOR2Netlist()
 	ms := netlist.ModelSet{"nor2": cheapModels(t)}
-	_, err := EvaluateCircuitSeed(failingCircuitSource{}, nl, ms, testConfig(8), 1)
+	ctx := context.Background()
+	_, err := EvaluateCircuitSeedContext(ctx, failingCircuitSource{}, nl, ms, testConfig(8), 1)
 	if err == nil || !strings.Contains(err.Error(), "synthetic golden failure") {
 		t.Errorf("golden error = %v", err)
 	}
 	// A golden source missing a recorded net is rejected.
 	partial := &syntheticCircuitSource{nets: []string{"not-o"}}
-	if _, err := EvaluateCircuitSeed(partial, nl, ms, testConfig(8), 1); err == nil ||
+	if _, err := EvaluateCircuitSeedContext(ctx, partial, nl, ms, testConfig(8), 1); err == nil ||
 		!strings.Contains(err.Error(), `no trace for net "o"`) {
 		t.Errorf("missing-net error = %v", err)
 	}

@@ -9,13 +9,13 @@
 // the registry (bench construction, characteristic measurement, model
 // parametrization, golden runs), so NOR2 — the paper's gate and the
 // default — NAND2 and NOR3 all flow through the same machinery. It is
-// decomposed into independent (config, seed) units (EvaluateSeed)
-// scheduled either serially (Evaluate, EvaluateBench) or on a bounded
-// worker pool (Runner, EvaluateParallel) with deterministic merging:
-// results are bit-identical regardless of the worker count. The golden
-// reference is abstracted behind GoldenSource, so the analog bench can
-// be pooled per worker (BenchSource) and memoized by content key
-// (GoldenCache, CachedSource — the gate name is part of the key).
+// decomposed into independent (config, seed) units (EvaluateSeedContext,
+// EvaluateCircuitSeedContext) that Run fans across a bounded worker
+// pool with deterministic merging: results are bit-identical regardless
+// of the worker count. The golden reference is abstracted behind
+// GoldenSource, so the analog bench can be pooled per worker
+// (BenchSource) and memoized by content key (GoldenCache, CachedSource —
+// the gate name is part of the key).
 package eval
 
 import (
@@ -24,10 +24,7 @@ import (
 	"hybriddelay/internal/dtsim"
 	"hybriddelay/internal/gate"
 	"hybriddelay/internal/gen"
-	"hybriddelay/internal/hybrid"
-	"hybriddelay/internal/nor"
 	"hybriddelay/internal/trace"
-	"hybriddelay/internal/waveform"
 )
 
 // Model names used in result maps (Fig. 7 legend); the canonical
@@ -45,44 +42,6 @@ var ModelNames = gate.ModelNames
 // Models bundles the parametrized delay models under comparison for one
 // gate; see gate.Models.
 type Models = gate.Models
-
-// BuildModels parametrizes all delay models of the default NOR2 gate
-// from its measured characteristic Charlie delays, mirroring §VI:
-//
-//   - inertial delay: per-arc SIS delays (pin-aware, NLDM-style);
-//   - exp-channel: a single channel at the gate output — it cannot see
-//     which input switched, so each direction uses the mean of the two
-//     SIS delays (exactly the deficiency the paper describes for broad
-//     pulses) — with the empirical pure delay expDMin (paper: 20 ps);
-//   - hybrid model: least-squares fit with automatic pure delay;
-//   - hybrid model without pure delay: least-squares fit forced to
-//     DMin = 0 (the ablation of Figs. 7 and 8).
-//
-// Other gates build the same model set through their registry entry:
-// gate.Lookup(name) and Gate.BuildModels on a Bench measurement.
-func BuildModels(target hybrid.Characteristic, supply waveform.Supply, expDMin float64) (Models, error) {
-	return gate.NOR2.BuildModels(gate.Measurement{
-		Pair: target,
-		Arcs: gate.NOR2Arcs(target),
-	}, supply, expDMin)
-}
-
-// MeasureCharacteristic runs the golden NOR bench's characteristic-delay
-// measurements and converts them into the hybrid package's target type.
-func MeasureCharacteristic(bench *nor.Bench) (hybrid.Characteristic, error) {
-	meas, err := (&gate.NOR2Bench{B: bench}).Measure()
-	if err != nil {
-		return hybrid.Characteristic{}, err
-	}
-	return meas.Pair, nil
-}
-
-// GoldenNOR runs the analog NOR bench over the given input traces and
-// returns the digitized output trace. Both inputs must start low (the
-// bench starts settled in state (0,0)).
-func GoldenNOR(bench *nor.Bench, a, b trace.Trace, until float64) (trace.Trace, error) {
-	return (&gate.NOR2Bench{B: bench}).Golden([]trace.Trace{a, b}, until)
-}
 
 // RunModels produces each model's output trace for the given inputs.
 func RunModels(m Models, inputs []trace.Trace, until float64) (map[string]trace.Trace, error) {
@@ -117,35 +76,4 @@ type RunResult struct {
 	Area       map[string]float64 // summed absolute deviation area [s]
 	Normalized map[string]float64 // area / inertial area (Fig. 7 bars); NaN if the baseline is zero
 	GoldenEv   int                // golden output transitions observed
-}
-
-// EvaluateBench runs the full pipeline for one configuration over the
-// given seeds (repetitions) on any gate bench and aggregates the
-// deviation areas. It is the serial composition of the per-seed units;
-// the Runner fans the same units across a worker pool with bit-identical
-// results.
-func EvaluateBench(bench gate.Bench, m Models, cfg gen.Config, seeds []int64) (RunResult, error) {
-	if len(seeds) == 0 {
-		return RunResult{
-			Config:     cfg,
-			Area:       map[string]float64{},
-			Normalized: map[string]float64{},
-		}, fmt.Errorf("eval: no seeds supplied")
-	}
-	golden := NewGateBenchSource(bench)
-	parts := make([]SeedResult, 0, len(seeds))
-	for _, seed := range seeds {
-		part, err := EvaluateSeed(golden, m, cfg, seed)
-		if err != nil {
-			return MergeSeedResults(cfg, parts), err
-		}
-		parts = append(parts, part)
-	}
-	return MergeSeedResults(cfg, parts), nil
-}
-
-// Evaluate runs the pipeline for one configuration on the default NOR2
-// golden bench; see EvaluateBench for the gate-generic form.
-func Evaluate(bench *nor.Bench, m Models, cfg gen.Config, seeds []int64) (RunResult, error) {
-	return EvaluateBench(&gate.NOR2Bench{B: bench}, m, cfg, seeds)
 }

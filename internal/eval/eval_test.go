@@ -27,20 +27,28 @@ func evalBench(t *testing.T) *nor.Bench {
 
 func measuredTarget(t *testing.T, b *nor.Bench) hybrid.Characteristic {
 	t.Helper()
-	c, err := MeasureCharacteristic(b)
+	meas, err := (&gate.NOR2Bench{B: b}).Measure()
 	if err != nil {
 		t.Fatal(err)
 	}
-	return c
+	return meas.Pair
+}
+
+// nor2Models parametrizes the NOR2 model set from a measured
+// characteristic with the paper's 20 ps exp-channel pure delay.
+func nor2Models(t *testing.T, target hybrid.Characteristic, supply waveform.Supply) Models {
+	t.Helper()
+	m, err := gate.NOR2.BuildModels(gate.Measurement{Pair: target, Arcs: gate.NOR2Arcs(target)}, supply, 20e-12)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
 }
 
 func TestBuildModels(t *testing.T) {
 	b := evalBench(t)
 	target := measuredTarget(t, b)
-	m, err := BuildModels(target, b.P.Supply, 20e-12)
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := nor2Models(t, target, b.P.Supply)
 	// Inertial arcs carry the SIS delays (pin 0 = A, pin 1 = B).
 	if m.Inertial[1].Fall != target.FallMinusInf || m.Inertial[0].Fall != target.FallPlusInf {
 		t.Error("inertial arc mapping wrong")
@@ -71,8 +79,8 @@ func TestBuildModels(t *testing.T) {
 }
 
 func TestGoldenNORRejectsHighInputs(t *testing.T) {
-	b := evalBench(t)
-	if _, err := GoldenNOR(b, trace.Trace{Initial: true}, trace.Trace{}, 1e-9); err == nil {
+	b := &gate.NOR2Bench{B: evalBench(t)}
+	if _, err := b.Golden([]trace.Trace{{Initial: true}, {}}, 1e-9); err == nil {
 		t.Error("high initial input accepted")
 	}
 }
@@ -82,7 +90,7 @@ func TestGoldenNORRejectsHighInputs(t *testing.T) {
 func TestGoldenNORSingleEdge(t *testing.T) {
 	b := evalBench(t)
 	a := trace.New(false, []trace.Event{{Time: 1e-9, Value: true}})
-	out, err := GoldenNOR(b, a, trace.Trace{Initial: false}, 2e-9)
+	out, err := (&gate.NOR2Bench{B: b}).Golden([]trace.Trace{a, {Initial: false}}, 2e-9)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,15 +111,12 @@ func TestEvaluatePipeline(t *testing.T) {
 		t.Skip("full pipeline in -short mode")
 	}
 	b := evalBench(t)
-	target := measuredTarget(t, b)
-	m, err := BuildModels(target, b.P.Supply, 20e-12)
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := nor2Models(t, measuredTarget(t, b), b.P.Supply)
+	src := NewGateBenchSource(&gate.NOR2Bench{B: b})
 
 	short := gen.PaperConfigs()[0]
 	short.Transitions = 120
-	resShort, err := Evaluate(b, m, short, []int64{1, 2, 3})
+	resShort, err := runGate(src, m, short, []int64{1, 2, 3}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +135,7 @@ func TestEvaluatePipeline(t *testing.T) {
 
 	broad := gen.PaperConfigs()[2] // 2000/1000 GLOBAL
 	broad.Transitions = 120
-	resBroad, err := Evaluate(b, m, broad, []int64{1, 2})
+	resBroad, err := runGate(src, m, broad, []int64{1, 2}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,18 +155,15 @@ func TestEvaluatePipeline(t *testing.T) {
 
 func TestEvaluateValidation(t *testing.T) {
 	b := evalBench(t)
-	target := measuredTarget(t, b)
-	m, err := BuildModels(target, b.P.Supply, 20e-12)
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := nor2Models(t, measuredTarget(t, b), b.P.Supply)
+	src := NewGateBenchSource(&gate.NOR2Bench{B: b})
 	cfg := gen.PaperConfigs()[0]
-	if _, err := Evaluate(b, m, cfg, nil); err == nil {
+	if _, err := runGate(src, m, cfg, nil, nil); err == nil {
 		t.Error("empty seed list accepted")
 	}
 	cfg.Inputs = 3
 	cfg.Transitions = 9
-	if _, err := Evaluate(b, m, cfg, []int64{1}); err == nil {
+	if _, err := runGate(src, m, cfg, []int64{1}, nil); err == nil {
 		t.Error("3-input config accepted by the NOR pipeline")
 	}
 }
@@ -170,11 +172,7 @@ func TestEvaluateValidation(t *testing.T) {
 // trace.
 func TestRunModelsProducesAllModels(t *testing.T) {
 	b := evalBench(t)
-	target := measuredTarget(t, b)
-	m, err := BuildModels(target, b.P.Supply, 20e-12)
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := nor2Models(t, measuredTarget(t, b), b.P.Supply)
 	cfg := gen.PaperConfigs()[0]
 	cfg.Transitions = 40
 	inputs, err := gen.Traces(cfg, 9)

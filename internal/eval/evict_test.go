@@ -34,7 +34,7 @@ func TestGoldenCacheEviction(t *testing.T) {
 	computes := map[int64]int{}
 	get := func(seed int64) {
 		t.Helper()
-		if _, err := c.GetOrCompute(evKey(seed), func() (trace.Trace, error) {
+		if _, _, err := c.GetOrCompute(evKey(seed), func() (trace.Trace, error) {
 			computes[seed]++
 			return evTrace(10), nil
 		}); err != nil {
@@ -71,7 +71,7 @@ func TestGoldenCacheEvictionSets(t *testing.T) {
 	if _, _, err := c.GetOrComputeSet(evKey(1), mkSet); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.GetOrCompute(evKey(2), func() (trace.Trace, error) { return evTrace(10), nil }); err != nil {
+	if _, _, err := c.GetOrCompute(evKey(2), func() (trace.Trace, error) { return evTrace(10), nil }); err != nil {
 		t.Fatal(err)
 	}
 	// 22 + 11 > 30: the set (older) is evicted.
@@ -96,7 +96,7 @@ func TestGoldenCacheEvictionSets(t *testing.T) {
 func TestGoldenCacheOversizedEntry(t *testing.T) {
 	c := NewGoldenCache()
 	c.SetLimit(5)
-	out, err := c.GetOrCompute(evKey(1), func() (trace.Trace, error) { return evTrace(10), nil })
+	out, _, err := c.GetOrCompute(evKey(1), func() (trace.Trace, error) { return evTrace(10), nil })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +114,7 @@ func TestGoldenCacheOversizedEntry(t *testing.T) {
 func TestGoldenCacheUnboundedByDefault(t *testing.T) {
 	c := NewGoldenCache()
 	for seed := int64(0); seed < 50; seed++ {
-		if _, err := c.GetOrCompute(evKey(seed), func() (trace.Trace, error) { return evTrace(100), nil }); err != nil {
+		if _, _, err := c.GetOrCompute(evKey(seed), func() (trace.Trace, error) { return evTrace(100), nil }); err != nil {
 			t.Fatal(err)
 		}
 	}

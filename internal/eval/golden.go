@@ -26,7 +26,7 @@ type GoldenRequest struct {
 }
 
 // GoldenSource produces the digitized golden output trace for a request.
-// Implementations must be safe for concurrent use; the evaluation runner
+// Implementations must be safe for concurrent use; the evaluation fan-out
 // calls Golden from multiple workers.
 type GoldenSource interface {
 	Golden(req GoldenRequest) (trace.Trace, error)
@@ -44,12 +44,6 @@ type BenchSource struct {
 
 	mu   sync.Mutex
 	free []gate.Bench
-}
-
-// NewBenchSource wraps a NOR2 bench as a concurrency-safe golden source;
-// see NewGateBenchSource for the gate-generic form.
-func NewBenchSource(b *nor.Bench) *BenchSource {
-	return NewGateBenchSource(&gate.NOR2Bench{B: b})
 }
 
 // NewGateBenchSource wraps any gate bench as a concurrency-safe golden
@@ -282,19 +276,13 @@ func (c *GoldenCache) lookup(r goldenRef, compute func(context.Context) (goldenV
 // GetOrCompute returns the cached trace for key, or runs compute exactly
 // once per key (concurrent callers for the same key block on the first
 // caller's result). Errors are returned to all waiters but evicted, so a
-// later call retries; a waiter handed an error counts as neither hit
-// nor miss — it was not served a trace and did not compute one.
-func (c *GoldenCache) GetOrCompute(key GoldenKey, compute func() (trace.Trace, error)) (trace.Trace, error) {
-	out, _, err := c.GetOrComputeTracked(key, compute)
-	return out, err
-}
-
-// GetOrComputeTracked is GetOrCompute with per-call attribution: hit
-// reports whether this lookup was served from a cached or in-flight
-// entry (false when it computed, and false for error outcomes). The
-// sweep engine uses it to account hit rates per scenario on a cache
-// shared across the whole grid.
-func (c *GoldenCache) GetOrComputeTracked(key GoldenKey, compute func() (trace.Trace, error)) (trace.Trace, bool, error) {
+// later call retries. hit reports whether this lookup was served from a
+// cached or in-flight entry: false when it computed, and false for an
+// error outcome — a waiter handed an error counts as neither hit nor
+// miss. CachedSource uses it to account hit rates per Tally (the
+// sweep's per-scenario columns) on a cache shared across the whole
+// grid.
+func (c *GoldenCache) GetOrCompute(key GoldenKey, compute func() (trace.Trace, error)) (trace.Trace, bool, error) {
 	v, hit, err := c.lookup(goldenRef{key: key}, func(context.Context) (goldenValue, error) {
 		tr, err := compute()
 		return goldenValue{tr: tr}, err
@@ -302,7 +290,7 @@ func (c *GoldenCache) GetOrComputeTracked(key GoldenKey, compute func() (trace.T
 	return v.tr, hit, err
 }
 
-// GetOrComputeSet is GetOrComputeTracked for composed circuit golden
+// GetOrComputeSet is GetOrCompute for composed circuit golden
 // runs: one transient produces the digitized traces of every recorded
 // net, memoized together under a single key (conventionally carrying
 // the netlist content key in the Gate field). The returned map is
@@ -323,14 +311,17 @@ type CachedSource struct {
 	Bench nor.Params // key component identifying the golden reference
 	Cache *GoldenCache
 	Src   GoldenSource
+	Tally *Tally // when non-nil, counts this source's hits and misses
 }
 
 // Golden implements GoldenSource with memoization.
 func (s CachedSource) Golden(req GoldenRequest) (trace.Trace, error) {
 	key := GoldenKey{Gate: s.Gate, Bench: s.Bench, Config: req.Config, Seed: req.Seed}
-	return s.Cache.GetOrCompute(key, func() (trace.Trace, error) {
+	out, hit, err := s.Cache.GetOrCompute(key, func() (trace.Trace, error) {
 		return s.Src.Golden(req)
 	})
+	s.Tally.count(hit, err)
+	return out, err
 }
 
 // Lease implements Leaser by leasing the inner source when it supports

@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"context"
 	"fmt"
 	"hash/fnv"
 	"sync"
@@ -85,18 +86,18 @@ func TestGateRunnerDeterministicAcrossWorkers(t *testing.T) {
 	cfg := testConfig(12)
 	seeds := []int64{1, 2, 3, 4}
 	src := &countingSource{}
-	base, err := (&Runner{golden: src, models: m, workers: 1}).Run([]gen.Config{cfg}, seeds)
+	base, err := runGate(src, m, cfg, seeds, &Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 5} {
-		res, err := (&Runner{golden: src, models: m, workers: workers}).Run([]gen.Config{cfg}, seeds)
+		res, err := runGate(src, m, cfg, seeds, &Options{Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
-		for name, v := range base[0].Area {
-			if res[0].Area[name] != v {
-				t.Errorf("workers=%d: Area[%s] = %g, want %g", workers, name, res[0].Area[name], v)
+		for name, v := range base.Area {
+			if res.Area[name] != v {
+				t.Errorf("workers=%d: Area[%s] = %g, want %g", workers, name, res.Area[name], v)
 			}
 		}
 	}
@@ -107,7 +108,7 @@ func TestGateRunnerDeterministicAcrossWorkers(t *testing.T) {
 func TestEvaluateSeedRejectsNilGate(t *testing.T) {
 	m := cheapModels(t)
 	m.Gate = nil
-	if _, err := EvaluateSeed(&countingSource{}, m, testConfig(4), 1); err == nil {
+	if _, err := EvaluateSeedContext(context.Background(), &countingSource{}, m, testConfig(4), 1); err == nil {
 		t.Fatal("nil Models.Gate accepted")
 	}
 }
@@ -162,7 +163,7 @@ func TestGoldenCacheConcurrentMixedScenarios(t *testing.T) {
 					for _, cfg := range configs {
 						for _, seed := range seeds {
 							key := GoldenKey{Gate: gateName, Bench: bench, Config: cfg, Seed: seed}
-							out, hit, err := cache.GetOrComputeTracked(key, func() (trace.Trace, error) {
+							out, hit, err := cache.GetOrCompute(key, func() (trace.Trace, error) {
 								return keyStampSource{gate: gateName, bench: bench}.Golden(GoldenRequest{Config: cfg, Seed: seed})
 							})
 							if err != nil {

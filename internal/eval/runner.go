@@ -7,10 +7,11 @@ import (
 	"math"
 	"runtime"
 	"sync"
+	"sync/atomic"
+	"time"
 
-	"hybriddelay/internal/gate"
 	"hybriddelay/internal/gen"
-	"hybriddelay/internal/nor"
+	"hybriddelay/internal/netlist"
 	"hybriddelay/internal/pool"
 	"hybriddelay/internal/trace"
 	"hybriddelay/internal/waveform"
@@ -26,20 +27,14 @@ type SeedResult struct {
 	GoldenEv int                // golden output transitions observed
 }
 
-// EvaluateSeed runs the pipeline for a single (config, seed) unit:
-// generate the random inputs, obtain the digitized golden trace from the
-// source, run every delay model and measure the deviation areas. It is
-// the building block both the serial Evaluate and the parallel Runner
-// are assembled from. The configuration's input count must match the
-// model gate's arity.
-func EvaluateSeed(golden GoldenSource, m Models, cfg gen.Config, seed int64) (SeedResult, error) {
-	return EvaluateSeedContext(context.Background(), golden, m, cfg, seed)
-}
-
-// EvaluateSeedContext is EvaluateSeed with cancellation: ctx is checked
-// between the unit's stages (trace generation, the golden run, the
-// model runs), so a cancelled evaluation stops before its next analog
-// transient instead of running the unit to completion.
+// EvaluateSeedContext runs the pipeline for a single (config, seed)
+// unit: generate the random inputs, obtain the digitized golden trace
+// from the source, run every delay model and measure the deviation
+// areas. ctx is checked between the unit's stages (trace generation,
+// the golden run, the model runs), so a cancelled evaluation stops
+// before its next analog transient instead of running the unit to
+// completion. The configuration's input count must match the model
+// gate's arity.
 func EvaluateSeedContext(ctx context.Context, golden GoldenSource, m Models, cfg gen.Config, seed int64) (SeedResult, error) {
 	res := SeedResult{Config: cfg, Seed: seed, Area: map[string]float64{}}
 	if m.Gate == nil {
@@ -79,7 +74,7 @@ func EvaluateSeedContext(ctx context.Context, golden GoldenSource, m Models, cfg
 // MergeSeedResults folds per-seed results into a RunResult. Results are
 // summed in the given order, so for a fixed seed order the merged
 // floating-point sums are identical no matter how many workers produced
-// the parts — this is what makes the parallel runner deterministic.
+// the parts — this is what makes the fan-out deterministic.
 func MergeSeedResults(cfg gen.Config, parts []SeedResult) RunResult {
 	res := RunResult{
 		Config:     cfg,
@@ -109,75 +104,96 @@ func MergeSeedResults(cfg gen.Config, parts []SeedResult) RunResult {
 	return res
 }
 
-// Progress describes one completed evaluation unit. Completed counts all
-// units finished so far (including this one) out of Total; Err is the
-// unit's error, if any.
+// Progress describes one completed evaluation unit: the index of its
+// Block and its seed. Completed counts all units finished so far
+// (including this one) out of Total; Err is the unit's error, if any.
 type Progress struct {
-	Config    gen.Config
+	Block     int
 	Seed      int64
 	Completed int
 	Total     int
 	Err       error
 }
 
-// Options configures the parallel evaluation runner.
+// Options configures Run.
 type Options struct {
 	// Workers bounds the worker pool. Zero or negative selects
-	// runtime.GOMAXPROCS(0); one runs serially on the caller's bench.
+	// runtime.GOMAXPROCS(0).
 	Workers int
-
-	// Cache, when non-nil, memoizes digitized golden traces across
-	// units, runs and benches (the gate name and bench parameters are
-	// part of the key). Share one cache between calls to skip
-	// re-simulating identical (gate, bench, config, seed) golden runs.
-	Cache *GoldenCache
 
 	// Progress, when non-nil, is invoked after each completed unit.
 	// Calls are serialized; units may complete in any order.
 	Progress func(Progress)
-
-	// Batch sets how many consecutive units one worker claims per pool
-	// round. When the golden source supports leasing (see Leaser), each
-	// claim leases one bench for its whole batch, amortizing the
-	// free-list round trip and keeping a warm solver workspace pinned to
-	// the worker. Results are bit-identical for every batch size (the
-	// merge order is fixed by the unit index, not by scheduling). Zero
-	// selects an automatic size (about two claims per worker); one
-	// disables batching.
-	Batch int
 }
 
-// Runner fans evaluation units (config × seed) across a bounded worker
-// pool. Each worker obtains private bench instances through the golden
-// source, so no simulator state is shared; results are merged in seed
-// order, making the output independent of the worker count.
-type Runner struct {
-	golden   GoldenSource
-	models   Models
-	workers  int
-	batch    int
-	progress func(Progress)
+// Block is one waveform configuration evaluated once per seed against
+// one golden source: a single gate (Golden and Models) or, when Netlist
+// is set, a circuit (Circuit, Netlist and Set).
+type Block struct {
+	Config gen.Config
+
+	Golden GoldenSource
+	Models Models
+
+	Circuit CircuitGoldenSource
+	Netlist *netlist.Netlist
+	Set     netlist.ModelSet
+
+	// Label, when non-empty, prefixes the error of a failed unit.
+	Label string
+	// Tally, when non-nil, accumulates the wall time of the block's
+	// units in Nanos.
+	Tally *Tally
 }
 
-// batchSize resolves the configured batch size for a run of total
-// units: explicit sizes pass through, zero picks roughly two claims per
-// worker so the tail stays balanced.
-func batchSize(batch, total, workers int) int {
-	if batch > 0 {
-		return batch
+// Tally counts one group of units' golden lookups and evaluation time,
+// for per-group report columns (the sweep's per-scenario cache and time
+// columns): CachedSource and CachedCircuitSource count Hits and Misses,
+// Run adds each unit's wall time to Nanos.
+type Tally struct {
+	Hits, Misses, Nanos atomic.Int64
+}
+
+// count records one lookup outcome; errors count as neither.
+func (t *Tally) count(hit bool, err error) {
+	switch {
+	case t == nil || err != nil:
+	case hit:
+		t.Hits.Add(1)
+	default:
+		t.Misses.Add(1)
 	}
-	b := (total + 2*workers - 1) / (2 * workers)
-	if b < 1 {
-		b = 1
-	}
-	return b
 }
 
-// NewGateRunner builds a runner evaluating the given models against any
-// gate bench's golden reference. The bench itself is reused as one of
-// the pool's instances; extra workers run on instances built from its
-// gate and parameters. opt may be nil for defaults.
-func NewGateRunner(bench gate.Bench, m Models, opt *Options) *Runner {
+// lease pins one bench of the block's source for a run of its units.
+// A failed lease falls back to the shared source: if the bench
+// constructor is broken, the unit's own golden run reproduces the error
+// with full context.
+func (b Block) lease() (Block, func()) {
+	if l, ok := b.Golden.(Leaser); ok {
+		if src, release, err := l.Lease(); err == nil {
+			b.Golden = src
+			return b, release
+		}
+	}
+	if l, ok := b.Circuit.(CircuitLeaser); ok {
+		if src, release, err := l.LeaseCircuit(); err == nil {
+			b.Circuit = src
+			return b, release
+		}
+	}
+	return b, func() {}
+}
+
+// Run evaluates every block over the given seeds on a bounded worker
+// pool and returns the per-unit results block-major, seed-minor: unit
+// i is block i/len(seeds) with seed seeds[i%len(seeds)], its result in
+// gates[i] for a gate block and in circuits[i] for a circuit block
+// (circuits is nil when no block is a circuit). Once ctx is done no new
+// units are claimed, in-flight units stop at their next stage boundary,
+// and ctx.Err() is returned; otherwise the error of the earliest failed
+// unit is returned.
+func Run(ctx context.Context, blocks []Block, seeds []int64, opt *Options) (gates []SeedResult, circuits []CircuitSeedResult, err error) {
 	var o Options
 	if opt != nil {
 		o = *opt
@@ -185,101 +201,70 @@ func NewGateRunner(bench gate.Bench, m Models, opt *Options) *Runner {
 	if o.Workers <= 0 {
 		o.Workers = runtime.GOMAXPROCS(0)
 	}
-	src := GoldenSource(NewGateBenchSource(bench))
-	if o.Cache != nil {
-		src = CachedSource{Gate: bench.Gate().Name(), Bench: bench.Params(), Cache: o.Cache, Src: src}
-	}
-	return &Runner{golden: src, models: m, workers: o.Workers, batch: o.Batch, progress: o.Progress}
+	return fanOut(ctx, blocks, seeds, o.Workers, batchSize(len(blocks)*len(seeds), o.Workers), o.Progress)
 }
 
-// NewRunner builds a runner for the default NOR2 golden bench; see
-// NewGateRunner for the gate-generic form.
-func NewRunner(bench *nor.Bench, m Models, opt *Options) *Runner {
-	return NewGateRunner(&gate.NOR2Bench{B: bench}, m, opt)
+// batchSize picks roughly two claims per worker, so the tail stays
+// balanced.
+func batchSize(total, workers int) int {
+	return max((total+2*workers-1)/(2*workers), 1)
 }
 
-// NewSourceRunner builds a runner over an arbitrary golden source — the
-// session engine composes pooled and cached sources itself and hands
-// the finished source here. opt.Cache is ignored (a source-level cache
-// needs the gate name and bench parameters for its keys; compose a
-// CachedSource instead); opt.Workers and opt.Progress apply as in
-// NewGateRunner.
-func NewSourceRunner(src GoldenSource, m Models, opt *Options) *Runner {
-	var o Options
-	if opt != nil {
-		o = *opt
-	}
-	if o.Workers <= 0 {
-		o.Workers = runtime.GOMAXPROCS(0)
-	}
-	return &Runner{golden: src, models: m, workers: o.Workers, batch: o.Batch, progress: o.Progress}
-}
-
-// Run evaluates every configuration over the given seeds and returns one
-// merged RunResult per configuration, in input order. On the first unit
-// error the pool stops picking up new units and the error of the
-// earliest failed unit (in config-major, seed-minor order) is returned.
-func (r *Runner) Run(configs []gen.Config, seeds []int64) ([]RunResult, error) {
-	return r.RunContext(context.Background(), configs, seeds)
-}
-
-// RunContext is Run with cancellation: once ctx is done no new units
-// are claimed, in-flight units stop at their next stage boundary, and
-// ctx.Err() is returned (unit errors that occurred before the
-// cancellation take precedence).
-func (r *Runner) RunContext(ctx context.Context, configs []gen.Config, seeds []int64) ([]RunResult, error) {
+// fanOut is the one evaluation schedule: workers claim batches of batch
+// consecutive units, lease one bench per run of same-block units within
+// a batch, and check ctx before each unit. Results and errors land in
+// index-addressed slots, so neither the worker count nor the batch size
+// can change what is merged or which error wins.
+func fanOut(ctx context.Context, blocks []Block, seeds []int64, workers, batch int, progress func(Progress)) ([]SeedResult, []CircuitSeedResult, error) {
 	if len(seeds) == 0 {
-		return nil, fmt.Errorf("eval: no seeds supplied")
+		return nil, nil, fmt.Errorf("eval: no seeds supplied")
 	}
-	if len(configs) == 0 {
-		return nil, fmt.Errorf("eval: no configurations supplied")
+	if len(blocks) == 0 {
+		return nil, nil, fmt.Errorf("eval: no configurations supplied")
 	}
-	total := len(configs) * len(seeds)
-	parts := make([]SeedResult, total)
+	total := len(blocks) * len(seeds)
+	gates := make([]SeedResult, total)
+	var circuits []CircuitSeedResult
+	for _, b := range blocks {
+		if b.Netlist != nil {
+			circuits = make([]CircuitSeedResult, total)
+			break
+		}
+	}
 	errs := make([]error, total)
 
 	var progressMu sync.Mutex
 	completed := 0
 	unitDone := func(i int, err error) {
-		if r.progress == nil {
+		if progress == nil {
 			return
 		}
 		progressMu.Lock()
 		completed++
-		r.progress(Progress{
-			Config: configs[i/len(seeds)], Seed: seeds[i%len(seeds)],
-			Completed: completed, Total: total, Err: err,
-		})
+		progress(Progress{Block: i / len(seeds), Seed: seeds[i%len(seeds)], Completed: completed, Total: total, Err: err})
 		progressMu.Unlock()
 	}
-	// Workers claim batches of consecutive units; a claim leases one
-	// bench (when the source supports it) for all of its units. The
-	// per-unit results and errors land in index-addressed slots, so
-	// batching cannot change what is merged or which error wins.
-	batch := batchSize(r.batch, total, r.workers)
-	nBatches := (total + batch - 1) / batch
-	ctxErr := pool.RunContext(ctx, nBatches, r.workers, func(bi int) error {
-		lo := bi * batch
-		hi := lo + batch
-		if hi > total {
-			hi = total
-		}
-		src := r.golden
-		if l, ok := src.(Leaser); ok {
-			leased, release, err := l.Lease()
-			if err == nil {
-				src = leased
-				defer release()
-			}
-			// A failed lease falls back to the shared source: if the
-			// bench constructor is broken, the unit's own golden run
-			// reproduces the error with full context.
-		}
-		for i := lo; i < hi; i++ {
+	ctxErr := pool.RunContext(ctx, (total+batch-1)/batch, workers, func(bi int) error {
+		leasedBlock, b, release := -1, Block{}, func() {}
+		defer func() { release() }()
+		for i := bi * batch; i < min((bi+1)*batch, total); i++ {
 			if err := ctx.Err(); err != nil {
 				return err
 			}
-			parts[i], errs[i] = EvaluateSeedContext(ctx, src, r.models, configs[i/len(seeds)], seeds[i%len(seeds)])
+			if bk := i / len(seeds); bk != leasedBlock {
+				release()
+				leasedBlock = bk
+				b, release = blocks[bk].lease()
+			}
+			start := time.Now()
+			if b.Netlist != nil {
+				circuits[i], errs[i] = EvaluateCircuitSeedContext(ctx, b.Circuit, b.Netlist, b.Set, b.Config, seeds[i%len(seeds)])
+			} else {
+				gates[i], errs[i] = EvaluateSeedContext(ctx, b.Golden, b.Models, b.Config, seeds[i%len(seeds)])
+			}
+			if b.Tally != nil {
+				b.Tally.Nanos.Add(time.Since(start).Nanoseconds())
+			}
 			unitDone(i, errs[i])
 			if errs[i] != nil {
 				return errs[i]
@@ -287,22 +272,21 @@ func (r *Runner) RunContext(ctx context.Context, configs []gen.Config, seeds []i
 		}
 		return nil
 	}, nil)
-	for _, err := range errs {
+	for i, err := range errs {
 		// Context-flavoured unit errors are only collapsed into the
 		// run's own ctx.Err(); if this run is live they are real unit
 		// failures and must surface.
 		if err != nil && !(ctxErr != nil && IsContextErr(err)) {
-			return nil, err
+			if label := blocks[i/len(seeds)].Label; label != "" {
+				err = fmt.Errorf("%s: %w", label, err)
+			}
+			return nil, nil, err
 		}
 	}
 	if ctxErr != nil {
-		return nil, ctxErr
+		return nil, nil, ctxErr
 	}
-	out := make([]RunResult, len(configs))
-	for ci := range configs {
-		out[ci] = MergeSeedResults(configs[ci], parts[ci*len(seeds):(ci+1)*len(seeds)])
-	}
-	return out, nil
+	return gates, circuits, nil
 }
 
 // IsContextErr reports whether an error is (or wraps) a context
@@ -310,17 +294,4 @@ func (r *Runner) RunContext(ctx context.Context, configs []gen.Config, seeds []i
 // errors into a cancelled run's single ctx.Err().
 func IsContextErr(err error) bool {
 	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
-}
-
-// EvaluateParallel runs the Fig. 7 pipeline for one configuration over
-// the given seeds on a bounded worker pool against the default NOR2
-// bench. For a fixed seed list the result is bit-identical to the serial
-// Evaluate regardless of the worker count; see Options for caching and
-// progress reporting, and NewGateRunner for other gates.
-func EvaluateParallel(bench *nor.Bench, m Models, cfg gen.Config, seeds []int64, opt *Options) (RunResult, error) {
-	res, err := NewRunner(bench, m, opt).Run([]gen.Config{cfg}, seeds)
-	if err != nil {
-		return RunResult{Config: cfg, Area: map[string]float64{}, Normalized: map[string]float64{}}, err
-	}
-	return res[0], nil
 }

@@ -1,8 +1,11 @@
 package eval
 
 import (
+	"context"
 	"fmt"
 	"math"
+	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
@@ -66,6 +69,29 @@ func (s *countingSource) count() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.calls
+}
+
+// serialRun is the serial reference every fan-out must reproduce: each
+// seed evaluated in order on the caller's goroutine, then merged.
+func serialRun(src GoldenSource, m Models, cfg gen.Config, seeds []int64) (RunResult, error) {
+	parts := make([]SeedResult, 0, len(seeds))
+	for _, seed := range seeds {
+		part, err := EvaluateSeedContext(context.Background(), src, m, cfg, seed)
+		if err != nil {
+			return RunResult{}, err
+		}
+		parts = append(parts, part)
+	}
+	return MergeSeedResults(cfg, parts), nil
+}
+
+// runGate evaluates one configuration through Run.
+func runGate(src GoldenSource, m Models, cfg gen.Config, seeds []int64, opt *Options) (RunResult, error) {
+	parts, _, err := Run(context.Background(), []Block{{Config: cfg, Golden: src, Models: m}}, seeds, opt)
+	if err != nil {
+		return RunResult{}, err
+	}
+	return MergeSeedResults(cfg, parts), nil
 }
 
 func testConfig(transitions int) gen.Config {
@@ -137,11 +163,9 @@ func TestGoldenCacheDoesNotCacheErrors(t *testing.T) {
 func TestRunnerEarlyErrorAndProgress(t *testing.T) {
 	m := cheapModels(t)
 	src := &countingSource{failSeed: 3}
-	r := &Runner{golden: src, models: m, workers: 4}
 	var events []Progress
-	r.progress = func(p Progress) { events = append(events, p) }
-	cfg := testConfig(4)
-	_, err := r.Run([]gen.Config{cfg}, []int64{1, 2, 3, 4, 5, 6, 7, 8})
+	opt := &Options{Workers: 4, Progress: func(p Progress) { events = append(events, p) }}
+	_, err := runGate(src, m, testConfig(4), []int64{1, 2, 3, 4, 5, 6, 7, 8}, opt)
 	if err == nil {
 		t.Fatal("runner swallowed the unit error")
 	}
@@ -150,7 +174,7 @@ func TestRunnerEarlyErrorAndProgress(t *testing.T) {
 	}
 	sawErr := false
 	for _, p := range events {
-		if p.Total != 8 || p.Completed < 1 || p.Completed > 8 {
+		if p.Total != 8 || p.Completed < 1 || p.Completed > 8 || p.Block != 0 {
 			t.Errorf("malformed progress event %+v", p)
 		}
 		if p.Err != nil {
@@ -162,14 +186,21 @@ func TestRunnerEarlyErrorAndProgress(t *testing.T) {
 	}
 }
 
+// TestRunnerValidation: Run rejects an empty seed or block list, and a
+// block's Label prefixes its unit errors.
 func TestRunnerValidation(t *testing.T) {
 	m := cheapModels(t)
-	r := &Runner{golden: &countingSource{}, models: m, workers: 2}
-	if _, err := r.Run([]gen.Config{testConfig(4)}, nil); err == nil {
+	block := Block{Config: testConfig(4), Golden: &countingSource{}, Models: m}
+	if _, _, err := Run(context.Background(), []Block{block}, nil, nil); err == nil {
 		t.Error("empty seed list accepted")
 	}
-	if _, err := r.Run(nil, []int64{1}); err == nil {
+	if _, _, err := Run(context.Background(), nil, []int64{1}, nil); err == nil {
 		t.Error("empty config list accepted")
+	}
+	block.Golden, block.Label = &countingSource{failSeed: 1}, "scenario 7"
+	if _, _, err := Run(context.Background(), []Block{block}, []int64{1}, nil); err == nil ||
+		!strings.HasPrefix(err.Error(), "scenario 7: eval: seed 1: synthetic golden failure") {
+		t.Errorf("labelled unit error = %v", err)
 	}
 }
 
@@ -189,39 +220,30 @@ func TestMergeSeedResultsNaNOnZeroBaseline(t *testing.T) {
 }
 
 // TestEvaluateParallelDeterministic: the acceptance property of the
-// concurrent engine — identical Area maps for 1, 4 and 8 workers, all
-// bit-identical to the serial Evaluate (run under -race in CI).
+// concurrent engine — identical results for 1, 4 and 8 workers, all
+// bit-identical to the serial reference (run under -race in CI).
 func TestEvaluateParallelDeterministic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("analog golden runs in -short mode")
 	}
-	b := evalBench(t)
+	benches := NewGateBenchSource(&gate.NOR2Bench{B: evalBench(t)})
 	m := cheapModels(t)
 	cfg := testConfig(40)
 	seeds := []int64{1, 2, 3, 4, 5, 6}
 
-	serial, err := Evaluate(b, m, cfg, seeds)
+	serial, err := serialRun(benches, m, cfg, seeds)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cache := NewGoldenCache()
+	src := CachedSource{Gate: "nor2", Bench: benches.Params(), Cache: cache, Src: benches}
 	for _, workers := range []int{1, 4, 8} {
-		res, err := EvaluateParallel(b, m, cfg, seeds, &Options{Workers: workers, Cache: cache})
+		res, err := runGate(src, m, cfg, seeds, &Options{Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.GoldenEv != serial.GoldenEv {
-			t.Errorf("workers=%d: golden events %d != serial %d", workers, res.GoldenEv, serial.GoldenEv)
-		}
-		for _, name := range ModelNames {
-			if res.Area[name] != serial.Area[name] {
-				t.Errorf("workers=%d: Area[%s] = %g != serial %g",
-					workers, name, res.Area[name], serial.Area[name])
-			}
-			if res.Normalized[name] != serial.Normalized[name] {
-				t.Errorf("workers=%d: Normalized[%s] = %g != serial %g",
-					workers, name, res.Normalized[name], serial.Normalized[name])
-			}
+		if !reflect.DeepEqual(res, serial) {
+			t.Errorf("workers=%d: %+v != serial %+v", workers, res, serial)
 		}
 	}
 	st := cache.Stats()

@@ -1,8 +1,8 @@
 // Package pool provides the bounded work-claiming loop shared by the
-// evaluation runner, the sweep engine and the session engine: a fixed
-// set of indexed units fanned across a capped number of goroutines,
-// with early stop on the first error or context cancellation and
-// serialized completion callbacks.
+// evaluation fan-out (eval.Run) and the sweep's operating-point
+// preparation: a fixed set of indexed units fanned across a capped
+// number of goroutines, with early stop on the first error or context
+// cancellation and serialized completion callbacks.
 package pool
 
 import (

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"hybriddelay/internal/gen"
+	"hybriddelay/internal/netlist"
 	"hybriddelay/internal/nor"
 	"hybriddelay/internal/session"
 	"hybriddelay/internal/sweep"
@@ -213,6 +214,35 @@ func TestServeSpecValidation(t *testing.T) {
 	for i, spec := range cases {
 		if _, status, body := trySubmit(t, hs.URL, spec, ""); status != http.StatusBadRequest {
 			t.Errorf("case %d: status %d (want 400): %s", i, status, body)
+		}
+	}
+	// Specs that are valid but one past a size bound are refused by the
+	// bound: one case per cap.
+	many := make([]sweep.Stimulus, maxStimuli+1)
+	for i := range many {
+		many[i] = testStimulus(i + 1)
+	}
+	huge, err := netlist.InverterChain("huge", maxInstances)
+	if err != nil {
+		t.Fatal(err)
+	}
+	axis := func(n int) []float64 {
+		out := make([]float64, n)
+		for i := range out {
+			out[i] = 1 + float64(i)/float64(n)
+		}
+		return out
+	}
+	bounded := []JobSpec{
+		{Kind: session.KindGate, Gate: "nor2", Stimuli: []sweep.Stimulus{testStimulus(maxTransitions + 1)}},
+		{Kind: session.KindGate, Gate: "nor2", Stimuli: many},
+		{Kind: session.KindCircuit, Netlist: huge, Stimuli: []sweep.Stimulus{testStimulus(1)}},
+		{Kind: session.KindSweep, Sweep: &sweep.Spec{Stimuli: []sweep.Stimulus{testStimulus(1)},
+			VDDScale: axis(1 << 8), LoadScale: axis(1 << 8), SeedCount: 2}},
+	}
+	for i, spec := range bounded {
+		if _, status, body := trySubmit(t, hs.URL, spec, ""); status != http.StatusBadRequest || !strings.Contains(body, "limit") {
+			t.Errorf("bounded case %d: status %d (want 400 naming the limit): %s", i, status, body)
 		}
 	}
 	// Unknown job id surfaces 404 on every per-job endpoint.

@@ -63,10 +63,84 @@ type JobSpec struct {
 	ExpDMin float64 `json:"exp_dmin,omitempty"`
 }
 
-// maxSeedCount bounds a job's seed_count (and a sweep spec's): the
-// generated seed list is allocated up front, so an unbounded count from
-// the wire could exhaust memory before any work starts.
-const maxSeedCount = 1 << 12
+// Wire-input bounds. Every one of these sizes is allocated or expanded
+// up front (seed lists, generated traces, flattened netlists, the sweep
+// grid), so an unbounded value from the wire could exhaust the process
+// before admission; Job refuses a spec past any of them. They sit far
+// above the paper's workloads: at most 500 transitions per stimulus,
+// four stimuli, and rca16's 144 instances.
+const (
+	maxSeedCount   = 1 << 12 // a job's or a sweep spec's seed_count
+	maxTransitions = 1 << 14 // transitions per stimulus
+	maxStimuli     = 64      // stimuli per job or sweep spec
+	maxInstances   = 1024    // instances per inline netlist
+	maxSweepUnits  = 1 << 16 // expanded sweep scenarios × seeds
+)
+
+// checkBounds refuses a spec past the wire-input bounds, before
+// anything is generated from it.
+func (js *JobSpec) checkBounds() error {
+	if js.SeedCount > maxSeedCount {
+		return fmt.Errorf("serve: seed_count exceeds the limit of %d", maxSeedCount)
+	}
+	if err := checkStimuli(js.Stimuli); err != nil {
+		return err
+	}
+	if err := checkInstances(js.Netlist); err != nil {
+		return err
+	}
+	sp := js.Sweep
+	if sp == nil {
+		return nil
+	}
+	if sp.SeedCount > maxSeedCount {
+		return fmt.Errorf("serve: seed_count exceeds the limit of %d", maxSeedCount)
+	}
+	if err := checkStimuli(sp.Stimuli); err != nil {
+		return err
+	}
+	for i := range sp.Circuits {
+		if err := checkInstances(&sp.Circuits[i]); err != nil {
+			return err
+		}
+	}
+	// Saturating product of the grid axes, as Expand and SeedList read
+	// them (an empty axis expands to one value).
+	seeds := len(sp.Seeds)
+	if seeds == 0 {
+		seeds = sp.SeedCount
+	}
+	units := 1
+	for _, n := range []int{len(sp.Gates) + len(sp.Circuits), len(sp.VDDScale), len(sp.LoadScale), len(sp.Stimuli), seeds} {
+		n = max(n, 1)
+		if units > maxSweepUnits/n {
+			return fmt.Errorf("serve: sweep expands past the limit of %d units", maxSweepUnits)
+		}
+		units *= n
+	}
+	return nil
+}
+
+// checkStimuli bounds a stimulus list and each stimulus's length.
+func checkStimuli(stimuli []sweep.Stimulus) error {
+	if len(stimuli) > maxStimuli {
+		return fmt.Errorf("serve: %d stimuli exceed the limit of %d", len(stimuli), maxStimuli)
+	}
+	for i, st := range stimuli {
+		if st.Transitions > maxTransitions {
+			return fmt.Errorf("serve: stimulus %d: %d transitions exceed the limit of %d", i, st.Transitions, maxTransitions)
+		}
+	}
+	return nil
+}
+
+// checkInstances bounds an inline netlist's instance count.
+func checkInstances(nl *netlist.Netlist) error {
+	if nl != nil && len(nl.Instances) > maxInstances {
+		return fmt.Errorf("serve: netlist %q has %d instances, over the limit of %d", nl.Name, len(nl.Instances), maxInstances)
+	}
+	return nil
+}
 
 // seedList resolves the explicit or generated seed list.
 func (js *JobSpec) seedList() []int64 {
@@ -125,8 +199,8 @@ func (js *JobSpec) configs(inputs int) ([]gen.Config, error) {
 // server submits. The returned job carries no Progress callback; the
 // server attaches its own event publisher.
 func (js *JobSpec) Job() (session.Job, error) {
-	if js.SeedCount > maxSeedCount || (js.Sweep != nil && js.Sweep.SeedCount > maxSeedCount) {
-		return nil, fmt.Errorf("serve: seed_count exceeds the limit of %d", maxSeedCount)
+	if err := js.checkBounds(); err != nil {
+		return nil, err
 	}
 	switch js.Kind {
 	case session.KindGate:

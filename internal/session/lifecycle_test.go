@@ -133,7 +133,6 @@ func TestSessionProgressSerializedMonotonic(t *testing.T) {
 		Params:  &p,
 		Configs: []gen.Config{testConfig(2, 2), testConfig(2, 3)},
 		Seeds:   []int64{1, 2, 3},
-		Workers: 8,
 		Progress: func(pr Progress) {
 			if pr.Phase != PhaseEval {
 				return
@@ -145,7 +144,7 @@ func TestSessionProgressSerializedMonotonic(t *testing.T) {
 			total = pr.Total
 		},
 	}
-	if _, err := New(Options{}).Evaluate(context.Background(), job); err != nil {
+	if _, err := New(Options{Workers: 8}).Evaluate(context.Background(), job); err != nil {
 		t.Fatalf("Evaluate: %v", err)
 	}
 	if len(bad) != 0 {

@@ -1,10 +1,8 @@
-// Package session unifies the evaluation entry points of the accuracy
-// study behind one long-lived, concurrency-safe engine. The paper's
-// pipeline is a single flow — golden simulation, model parametrization,
-// trace comparison — but PRs 1–4 grew one entry-point family per
-// workload (gate evaluation, circuit evaluation, scenario sweeps), each
-// threading its own worker count, golden cache and freshly re-fitted
-// models. A Session owns those resources once:
+// Package session runs every evaluation of the accuracy study on one
+// long-lived, concurrency-safe engine. The paper's pipeline is a single
+// flow — golden simulation, model parametrization, trace comparison —
+// and its workloads (gate evaluation, circuit evaluation, scenario
+// sweeps) share the same resources. A Session owns them once:
 //
 //   - the bounded worker budget every workload schedules on,
 //   - the shared golden-trace cache (eval.GoldenCache), and
@@ -19,11 +17,8 @@
 // stats) and reporting through a single Progress stream. Cancellation
 // via the context is plumbed down to the unit workers: a cancelled job
 // stops claiming units and aborts in-flight units at their next stage
-// boundary.
-//
-// The legacy facade entry points (EvaluateParallel, EvaluateGate,
-// EvaluateCircuit, RunSweep) remain supported as thin wrappers over a
-// process-wide default Session, with bit-identical results.
+// boundary. Every flavour runs its (config, seed) units through the one
+// batched fan-out in internal/eval (eval.Run).
 package session
 
 import (
@@ -52,8 +47,7 @@ const DefaultExpDMin = 20 * waveform.Pico
 // Options configures a Session.
 type Options struct {
 	// Workers bounds the worker pool each job schedules on. Zero or
-	// negative selects runtime.GOMAXPROCS(0); individual jobs may
-	// override per submission.
+	// negative selects runtime.GOMAXPROCS(0).
 	Workers int
 
 	// Solver selects the session's default MNA solver mode
@@ -238,43 +232,28 @@ type Job interface {
 // GateJob evaluates the Fig. 7 accuracy pipeline for one gate at one
 // operating point over one or more waveform configurations. The zero
 // value of every optional field selects a default: the registry's
-// default gate, the calibrated bench parameters, DefaultExpDMin, the
-// session's worker budget. When Models (and optionally Bench) are set
-// the job skips the parametrization cache and evaluates exactly the
-// given model set — this is how the legacy entry points, which receive
-// pre-built models, submit their work.
+// default gate, the session's bench parameters and DefaultExpDMin. The
+// model set is prepared through (or served from) the session's
+// parametrization cache.
 type GateJob struct {
 	// Gate is the registry name ("nor2", "nand2", "nor3"); empty
-	// selects the default gate. Ignored when Models is set.
+	// selects the default gate.
 	Gate string
-	// Params overrides the bench parameters; nil selects
-	// nor.DefaultParams().
+	// Params overrides the bench parameters; nil selects the session's
+	// operating point (see Options.BaseParams).
 	Params *nor.Params
-	// Bench, when non-nil, seeds the golden bench pool with an existing
-	// instance instead of constructing one (its gate and parameters take
-	// precedence over Gate/Params).
-	Bench gate.Bench
-	// Models, when non-nil, is evaluated as-is; nil prepares (or reuses)
-	// the operating point through the session's parametrization cache.
-	Models *gate.Models
 	// Configs lists the waveform configurations; each is evaluated over
 	// Seeds and reported as one Result row.
 	Configs []gen.Config
 	// Seeds lists the repetitions per configuration.
 	Seeds []int64
 	// ExpDMin overrides the exp channel's empirical pure delay;
-	// 0 selects DefaultExpDMin. Ignored when Models is set.
+	// 0 selects DefaultExpDMin.
 	ExpDMin float64
-	// Cache overrides the session's golden cache for this job; nil
-	// shares the session cache.
-	Cache *eval.GoldenCache
 	// NoCache evaluates without golden-trace memoization entirely —
 	// for workloads whose (config, seed) units never repeat, where
-	// caching would only grow memory without ever hitting. Overrides
-	// Cache.
+	// caching would only grow memory without ever hitting.
 	NoCache bool
-	// Workers overrides the session's worker budget for this job.
-	Workers int
 	// Progress, when non-nil, receives the job's progress events.
 	Progress func(Progress)
 }
@@ -285,31 +264,20 @@ func (GateJob) kind() Kind { return KindGate }
 // netlist at one operating point under one waveform configuration.
 // Zero-value optional fields select defaults as in GateJob; the member
 // gates' model sets are prepared through (or served from) the session's
-// parametrization cache unless Models is set.
+// parametrization cache.
 type CircuitJob struct {
 	// Netlist is the evaluated circuit. Required.
 	Netlist *netlist.Netlist
-	// Params overrides the bench parameters; nil selects
-	// nor.DefaultParams().
+	// Params overrides the bench parameters; nil selects the session's
+	// operating point.
 	Params *nor.Params
-	// Models, when non-nil, is used as-is; nil prepares one model set
-	// per distinct member gate through the parametrization cache.
-	Models netlist.ModelSet
 	// Config is the waveform configuration driving the primary inputs.
 	Config gen.Config
 	// Seeds lists the repetitions.
 	Seeds []int64
 	// ExpDMin overrides the exp channel's pure delay; 0 selects
-	// DefaultExpDMin. Ignored when Models is set.
+	// DefaultExpDMin.
 	ExpDMin float64
-	// Cache overrides the session's golden cache for this job; nil
-	// shares the session cache.
-	Cache *eval.GoldenCache
-	// NoCache evaluates without golden-trace memoization entirely;
-	// see GateJob.NoCache. Overrides Cache.
-	NoCache bool
-	// Workers overrides the session's worker budget for this job.
-	Workers int
 	// Progress, when non-nil, receives the job's progress events.
 	Progress func(Progress)
 }
@@ -323,13 +291,6 @@ func (CircuitJob) kind() Kind { return KindCircuit }
 type SweepJob struct {
 	// Spec is the scenario grid. Required.
 	Spec sweep.Spec
-	// Cache overrides the session's golden cache for this job (the
-	// legacy RunSweep wrapper uses a private cache per call so its
-	// report's cache statistics stay those of one run). Nil shares the
-	// session cache.
-	Cache *eval.GoldenCache
-	// Workers overrides the session's worker budget for this job.
-	Workers int
 	// Progress, when non-nil, receives the job's progress events.
 	Progress func(Progress)
 }
@@ -338,14 +299,13 @@ func (SweepJob) kind() Kind { return KindSweep }
 
 // Stats reports a job's resource picture: snapshots of the cache
 // counters taken when the job finished, and the job's wall time.
-// Golden describes the golden cache the job actually used — the
-// session's shared cache, or the job's Cache override (zero when the
-// job opted out with NoCache); Params always describes the session's
-// shared parametrization cache. Snapshots are cache-lifetime values,
+// Golden describes the session's golden cache (zero when a GateJob
+// opted out with NoCache); Params describes the session's shared
+// parametrization cache. Snapshots are cache-lifetime values,
 // not per-job deltas — a warm session shows the accumulated
 // effectiveness.
 type Stats struct {
-	Golden      eval.CacheStats // snapshot of the golden cache the job used
+	Golden      eval.CacheStats // golden cache snapshot
 	Params      eval.ParamStats // parametrization cache snapshot
 	WallSeconds float64         // job wall time
 	// Solver aggregates the MNA solver traffic visible at job end: the
@@ -366,8 +326,8 @@ type Result struct {
 	// Gate holds one merged row per GateJob configuration, in input
 	// order.
 	Gate []eval.RunResult
-	// Models is the model set a GateJob evaluated (prepared or passed
-	// in), for callers that report fit parameters.
+	// Models is the model set a GateJob evaluated, for callers that
+	// report fit parameters.
 	Models *gate.Models
 
 	// Circuit holds a CircuitJob's per-net accuracy rows.
@@ -430,26 +390,6 @@ func serializeProgress(fn func(Progress)) func(Progress) {
 	}
 }
 
-// goldenFor resolves the golden cache a job uses: its override, the
-// session's shared cache, or none (NoCache).
-func (s *Session) goldenFor(override *eval.GoldenCache, noCache bool) *eval.GoldenCache {
-	if noCache {
-		return nil
-	}
-	if override != nil {
-		return override
-	}
-	return s.golden
-}
-
-// workersFor resolves a job's effective worker budget.
-func (s *Session) workersFor(override int) int {
-	if override > 0 {
-		return override
-	}
-	return s.workers
-}
-
 // expDMinOr resolves a job's exp-channel pure delay.
 func expDMinOr(v float64) float64 {
 	if v > 0 {
@@ -474,89 +414,55 @@ func (s *Session) paramsOr(p *nor.Params) nor.Params {
 	return d
 }
 
-// gateProgress adapts the eval runner's progress events onto the
-// session stream.
-func gateProgress(kind Kind, fn func(Progress)) func(eval.Progress) {
+// evalProgress adapts the fan-out's progress events onto the session
+// stream; config maps a block index to its configuration.
+func evalProgress(kind Kind, fn func(Progress), config func(block int) gen.Config) func(eval.Progress) {
 	if fn == nil {
 		return nil
 	}
 	return func(p eval.Progress) {
 		fn(Progress{
-			Kind: kind, Phase: PhaseEval, Config: p.Config, Scenario: -1,
+			Kind: kind, Phase: PhaseEval, Config: config(p.Block), Scenario: -1,
 			Seed: p.Seed, Completed: p.Completed, Total: p.Total, Err: p.Err,
 		})
 	}
 }
 
-// evaluateGate resolves the operating point (from the job or the
-// parametrization cache), composes the pooled and cached golden source
-// and fans the (config, seed) units across the job's worker budget.
+// evaluateGate resolves the operating point through the
+// parametrization cache, puts the golden cache in front of its bench
+// pool and runs one block per configuration on the session's workers.
 func (s *Session) evaluateGate(ctx context.Context, j GateJob) (*Result, error) {
-	var (
-		models  gate.Models
-		src     eval.GoldenSource
-		params  nor.Params
-		ownPool *eval.BenchSource // job-private pool outside the param cache
-	)
-	switch {
-	case j.Models != nil:
-		models = *j.Models
-		if models.Gate == nil {
-			return nil, fmt.Errorf("session: GateJob.Models.Gate is unset (build models through a registered gate)")
-		}
-		if j.Bench != nil {
-			params = j.Bench.Params()
-			ownPool = eval.NewGateBenchSource(j.Bench)
-		} else {
-			params = s.paramsOr(j.Params)
-			bench, err := models.Gate.NewBench(params)
-			if err != nil {
-				return nil, fmt.Errorf("session: gate %s: bench: %w", models.Gate.Name(), err)
-			}
-			ownPool = eval.NewGateBenchSource(bench)
-		}
-		src = ownPool
-	case j.Bench != nil:
-		// A bench without models: prepare the bench's own operating
-		// point through the cache (the bench still seeds nothing — the
-		// cached point pools its own instances).
-		op, err := s.params.OperatingPoint(ctx, j.Bench.Gate(), j.Bench.Params(), expDMinOr(j.ExpDMin))
-		if err != nil {
-			return nil, err
-		}
-		models, src, params = op.Models, op.Golden, j.Bench.Params()
-	default:
-		g, err := gate.Find(j.Gate)
-		if err != nil {
-			return nil, fmt.Errorf("session: %w", err)
-		}
-		params = s.paramsOr(j.Params)
-		op, err := s.params.OperatingPoint(ctx, g, params, expDMinOr(j.ExpDMin))
-		if err != nil {
-			return nil, err
-		}
-		models, src = op.Models, op.Golden
+	g, err := gate.Find(j.Gate)
+	if err != nil {
+		return nil, fmt.Errorf("session: %w", err)
 	}
-	cache := s.goldenFor(j.Cache, j.NoCache)
-	if cache != nil {
-		src = eval.CachedSource{Gate: models.Gate.Name(), Bench: params, Cache: cache, Src: src}
-	}
-	runner := eval.NewSourceRunner(src, models, &eval.Options{
-		Workers:  s.workersFor(j.Workers),
-		Progress: gateProgress(KindGate, j.Progress),
-	})
-	rows, err := runner.RunContext(ctx, j.Configs, j.Seeds)
+	params := s.paramsOr(j.Params)
+	op, err := s.params.OperatingPoint(ctx, g, params, expDMinOr(j.ExpDMin))
 	if err != nil {
 		return nil, err
 	}
-	res := &Result{Kind: KindGate, Gate: rows, Models: &models}
-	if cache != nil {
-		res.Stats.Golden = cache.Stats()
+	models := op.Models
+	src := eval.GoldenSource(op.Golden)
+	if !j.NoCache {
+		src = eval.CachedSource{Gate: g.Name(), Bench: params, Cache: s.golden, Src: src}
 	}
-	if ownPool != nil {
-		// A job-private pool is not part of the parametrization cache's
-		// aggregate, so its traffic is added here.
-		res.Stats.Solver = ownPool.SolverStats()
+	blocks := make([]eval.Block, len(j.Configs))
+	for i, cfg := range j.Configs {
+		blocks[i] = eval.Block{Config: cfg, Golden: src, Models: models}
+	}
+	parts, _, err := eval.Run(ctx, blocks, j.Seeds, &eval.Options{
+		Workers:  s.workers,
+		Progress: evalProgress(KindGate, j.Progress, func(b int) gen.Config { return j.Configs[b] }),
+	})
+	if err != nil {
+		return nil, err
+	}
+	res := &Result{Kind: KindGate, Gate: make([]eval.RunResult, len(j.Configs)), Models: &models}
+	for i, cfg := range j.Configs {
+		res.Gate[i] = eval.MergeSeedResults(cfg, parts[i*len(j.Seeds):(i+1)*len(j.Seeds)])
+	}
+	if !j.NoCache {
+		res.Stats.Golden = s.golden.Stats()
 	}
 	return res, nil
 }
@@ -584,52 +490,48 @@ func (s *Session) modelSetFor(ctx context.Context, nl *netlist.Netlist, p nor.Pa
 }
 
 // evaluateCircuit validates the netlist, resolves the member-gate model
-// sets (from the job or the parametrization cache) and runs the
-// circuit pipeline on the job's worker budget against the session's
-// golden cache.
+// sets through the parametrization cache and runs the circuit pipeline
+// on a job-private composed bench pool behind the session's golden
+// cache.
 func (s *Session) evaluateCircuit(ctx context.Context, j CircuitJob) (*Result, error) {
-	if j.Netlist == nil {
+	nl := j.Netlist
+	if nl == nil {
 		return nil, fmt.Errorf("session: CircuitJob.Netlist is nil")
 	}
-	if err := j.Netlist.Validate(); err != nil {
+	if err := nl.Validate(); err != nil {
 		return nil, err
 	}
 	p := s.paramsOr(j.Params)
-	ms := j.Models
-	if ms == nil {
-		var err error
-		if ms, err = s.modelSetFor(ctx, j.Netlist, p, expDMinOr(j.ExpDMin)); err != nil {
-			return nil, err
-		}
+	ms, err := s.modelSetFor(ctx, nl, p, expDMinOr(j.ExpDMin))
+	if err != nil {
+		return nil, err
 	}
-	cache := s.goldenFor(j.Cache, j.NoCache)
-	res, err := eval.EvaluateCircuitContext(ctx, j.Netlist, p, ms, j.Config, j.Seeds, &eval.Options{
-		Workers:  s.workersFor(j.Workers),
-		Cache:    cache, // nil (NoCache) evaluates uncached
-		Progress: gateProgress(KindCircuit, j.Progress),
+	bench, err := netlist.NewBench(nl, p)
+	if err != nil {
+		return nil, err
+	}
+	benchPool := eval.NewCircuitBenchSource(bench)
+	block := eval.Block{Config: j.Config, Netlist: nl, Set: ms,
+		Circuit: eval.CachedCircuitSource{Key: nl.ContentKey(), Bench: p, Cache: s.golden, Src: benchPool}}
+	_, parts, err := eval.Run(ctx, []eval.Block{block}, j.Seeds, &eval.Options{
+		Workers:  s.workers,
+		Progress: evalProgress(KindCircuit, j.Progress, func(int) gen.Config { return j.Config }),
 	})
 	if err != nil {
 		return nil, err
 	}
-	out := &Result{Kind: KindCircuit, Circuit: &res}
-	if cache != nil {
-		out.Stats.Golden = cache.Stats()
-	}
-	// The run's composed-bench pool is job-private; the shared-cache
+	res := eval.MergeCircuitSeedResults(nl, j.Config, parts)
+	res.Solver = benchPool.SolverStats()
+	// The composed-bench pool is job-private; the shared-cache
 	// aggregate is added by Evaluate.
-	out.Stats.Solver = res.Solver
-	return out, nil
+	return &Result{Kind: KindCircuit, Circuit: &res, Stats: Stats{Golden: s.golden.Stats(), Solver: res.Solver}}, nil
 }
 
-// evaluateSweep runs the scenario grid on the job's worker budget; the
+// evaluateSweep runs the scenario grid on the session's workers; the
 // session's parametrization cache serves operating points prepared by
-// any earlier job, and the golden cache (unless overridden) memoizes
-// across the grid and across jobs.
+// any earlier job, and its golden cache memoizes across the grid and
+// across jobs.
 func (s *Session) evaluateSweep(ctx context.Context, j SweepJob) (*Result, error) {
-	cache := j.Cache
-	if cache == nil {
-		cache = s.golden
-	}
 	if j.Spec.Bench == nil {
 		// A spec without explicit bench parameters inherits the session's
 		// default solver mode, like the other job flavours.
@@ -647,13 +549,13 @@ func (s *Session) evaluateSweep(ctx context.Context, j SweepJob) (*Result, error
 		}
 	}
 	rep, err := sweep.RunSweepContext(ctx, j.Spec, &sweep.Options{
-		Workers:  s.workersFor(j.Workers),
-		Cache:    cache,
+		Workers:  s.workers,
+		Cache:    s.golden,
 		Params:   s.params,
 		Progress: progress,
 	})
 	if err != nil {
 		return nil, err
 	}
-	return &Result{Kind: KindSweep, Sweep: rep, Stats: Stats{Golden: cache.Stats()}}, nil
+	return &Result{Kind: KindSweep, Sweep: rep, Stats: Stats{Golden: s.golden.Stats()}}, nil
 }

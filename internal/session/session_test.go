@@ -55,6 +55,10 @@ func testSweepSpec(transitions int) sweep.Spec {
 	}
 }
 
+// TestSessionGateJobMatchesLegacyRunner: a gate job on a 4-worker
+// session is bit-identical to the serial reference — the same model
+// set, measured and fitted by hand, evaluated seed by seed with
+// eval.EvaluateSeedContext and merged with eval.MergeSeedResults.
 func TestSessionGateJobMatchesLegacyRunner(t *testing.T) {
 	if testing.Short() {
 		t.Skip("analog evaluation in -short mode")
@@ -75,14 +79,20 @@ func TestSessionGateJobMatchesLegacyRunner(t *testing.T) {
 	cfg := testConfig(2, 10)
 	seeds := []int64{1, 2}
 
-	want, err := eval.EvaluateBench(bench, models, cfg, seeds)
-	if err != nil {
-		t.Fatal(err)
+	src := eval.NewGateBenchSource(bench)
+	var parts []eval.SeedResult
+	for _, seed := range seeds {
+		part, err := eval.EvaluateSeedContext(context.Background(), src, models, cfg, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		parts = append(parts, part)
 	}
+	want := eval.MergeSeedResults(cfg, parts)
 
 	s := New(Options{Workers: 4})
 	res, err := s.Evaluate(context.Background(), GateJob{
-		Models: &models, Params: &p,
+		Gate: "nor2", Params: &p,
 		Configs: []gen.Config{cfg}, Seeds: seeds,
 	})
 	if err != nil {
@@ -92,9 +102,9 @@ func TestSessionGateJobMatchesLegacyRunner(t *testing.T) {
 		t.Fatalf("result shape: kind=%s rows=%d", res.Kind, len(res.Gate))
 	}
 	if !reflect.DeepEqual(res.Gate[0], want) {
-		t.Errorf("session result differs from legacy serial evaluation:\n got %+v\nwant %+v", res.Gate[0], want)
+		t.Errorf("session result differs from the serial evaluation:\n got %+v\nwant %+v", res.Gate[0], want)
 	}
-	if res.Models == nil || res.Models.Gate.Name() != "nor2" {
+	if res.Models == nil || !reflect.DeepEqual(*res.Models, models) {
 		t.Error("result does not carry the evaluated model set")
 	}
 }
@@ -134,6 +144,11 @@ func TestSessionGateJobPreparesOnceAndCachesGolden(t *testing.T) {
 	}
 }
 
+// TestSessionCircuitJobMatchesLegacy: a circuit job on a 2-worker
+// session is bit-identical to the serial reference — the member model
+// sets built by hand, each seed evaluated in order with
+// eval.EvaluateCircuitSeedContext and merged — including the solver
+// traffic of its composed bench pool.
 func TestSessionCircuitJobMatchesLegacy(t *testing.T) {
 	if testing.Short() {
 		t.Skip("analog evaluation in -short mode")
@@ -150,10 +165,21 @@ func TestSessionCircuitJobMatchesLegacy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := eval.EvaluateCircuit(nl, p, ms, cfg, seeds, &eval.Options{Workers: 2})
+	bench, err := netlist.NewBench(nl, p)
 	if err != nil {
 		t.Fatal(err)
 	}
+	src := eval.NewCircuitBenchSource(bench)
+	var parts []eval.CircuitSeedResult
+	for _, seed := range seeds {
+		part, err := eval.EvaluateCircuitSeedContext(context.Background(), src, nl, ms, cfg, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		parts = append(parts, part)
+	}
+	want := eval.MergeCircuitSeedResults(nl, cfg, parts)
+	want.Solver = src.SolverStats()
 
 	s := New(Options{Workers: 2})
 	res, err := s.Evaluate(context.Background(), CircuitJob{
@@ -166,10 +192,13 @@ func TestSessionCircuitJobMatchesLegacy(t *testing.T) {
 		t.Fatalf("result shape: kind=%s circuit=%v", res.Kind, res.Circuit)
 	}
 	if !reflect.DeepEqual(*res.Circuit, want) {
-		t.Errorf("session circuit result differs from legacy:\n got %+v\nwant %+v", *res.Circuit, want)
+		t.Errorf("session circuit result differs from the serial evaluation:\n got %+v\nwant %+v", *res.Circuit, want)
 	}
 }
 
+// TestSessionSweepJobMatchesLegacy: a sweep job on a fresh 4-worker
+// session encodes byte-identically to sweep.RunSweepContext run
+// directly with private caches.
 func TestSessionSweepJobMatchesLegacy(t *testing.T) {
 	if testing.Short() {
 		t.Skip("analog sweep in -short mode")
@@ -184,15 +213,14 @@ func TestSessionSweepJobMatchesLegacy(t *testing.T) {
 		}
 		return buf.String()
 	}
-	want, err := sweep.RunSweep(spec, &sweep.Options{Workers: 4})
+	want, err := sweep.RunSweepContext(context.Background(), spec, &sweep.Options{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	s := New(Options{Workers: 4})
-	// A private golden cache per job mirrors the legacy call's private
-	// cache, keeping the report's cache statistics comparable.
-	res, err := s.Evaluate(context.Background(), SweepJob{Spec: spec, Cache: eval.NewGoldenCache()})
+	// A fresh session's golden cache is as empty as the direct run's
+	// private one, so the report's cache statistics stay comparable.
+	res, err := New(Options{Workers: 4}).Evaluate(context.Background(), SweepJob{Spec: spec})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +228,7 @@ func TestSessionSweepJobMatchesLegacy(t *testing.T) {
 		t.Fatalf("result shape: kind=%s sweep=%v", res.Kind, res.Sweep)
 	}
 	if got, exp := encode(res.Sweep), encode(want); got != exp {
-		t.Errorf("session sweep report differs from legacy:\n--- session ---\n%s\n--- legacy ---\n%s", got, exp)
+		t.Errorf("session sweep report differs from the direct run:\n--- session ---\n%s\n--- direct ---\n%s", got, exp)
 	}
 }
 
@@ -226,14 +254,16 @@ func TestSessionMixedJobsConcurrent(t *testing.T) {
 	circuitJob := CircuitJob{
 		Netlist: nl, Params: &p, Config: testConfig(len(nl.Inputs), 8), Seeds: []int64{1, 2},
 	}
-	// Sweep jobs get a private golden cache so the report's cache rows
-	// cannot depend on what the sibling jobs put into the shared cache
-	// first — the byte-identity assertion needs schedule-independent
-	// reports. The parametrization cache stays shared: reuse there is
-	// invisible to report bytes (preparation is deterministic).
+	// The sweep runs on a sibling session with its own golden cache so
+	// the report's cache rows cannot depend on what the other jobs put
+	// into the shared cache first — the byte-identity assertion needs
+	// schedule-independent reports. The parametrization cache stays
+	// shared: reuse there is invisible to report bytes (preparation is
+	// deterministic).
 	run := func(s *Session, concurrent bool) (gateRows []eval.RunResult, circ eval.CircuitResult, sweepJSON string) {
 		t.Helper()
-		sweepJob := SweepJob{Spec: testSweepSpec(8), Cache: eval.NewGoldenCache()}
+		sweepJob := SweepJob{Spec: testSweepSpec(8)}
+		sweeper := New(Options{Workers: s.Workers(), Params: s.ParamCache()})
 		var gres, cres, sres *Result
 		if concurrent {
 			var wg sync.WaitGroup
@@ -241,7 +271,7 @@ func TestSessionMixedJobsConcurrent(t *testing.T) {
 			wg.Add(3)
 			go func() { defer wg.Done(); gres, errs[0] = s.Evaluate(context.Background(), gateJob) }()
 			go func() { defer wg.Done(); cres, errs[1] = s.Evaluate(context.Background(), circuitJob) }()
-			go func() { defer wg.Done(); sres, errs[2] = s.Evaluate(context.Background(), sweepJob) }()
+			go func() { defer wg.Done(); sres, errs[2] = sweeper.Evaluate(context.Background(), sweepJob) }()
 			wg.Wait()
 			for _, err := range errs {
 				if err != nil {
@@ -256,7 +286,7 @@ func TestSessionMixedJobsConcurrent(t *testing.T) {
 			if cres, err = s.Evaluate(context.Background(), circuitJob); err != nil {
 				t.Fatal(err)
 			}
-			if sres, err = s.Evaluate(context.Background(), sweepJob); err != nil {
+			if sres, err = sweeper.Evaluate(context.Background(), sweepJob); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -335,9 +365,6 @@ func TestSessionJobValidation(t *testing.T) {
 	if _, err := s.Evaluate(ctx, SweepJob{}); err == nil {
 		t.Error("empty sweep spec accepted")
 	}
-	if _, err := s.Evaluate(ctx, GateJob{Models: &gate.Models{}}); err == nil {
-		t.Error("models without a gate accepted")
-	}
 }
 
 func TestSessionProgressStream(t *testing.T) {
@@ -380,11 +407,8 @@ func TestSessionAccessorsAndDefaults(t *testing.T) {
 	if s.GoldenCache() != golden || s.ParamCache() != params {
 		t.Error("session did not adopt the seeded caches")
 	}
-	if got := s.workersFor(0); got != 3 {
-		t.Errorf("workersFor(0) = %d, want the session budget 3", got)
-	}
-	if got := s.workersFor(7); got != 7 {
-		t.Errorf("workersFor(7) = %d, want the override", got)
+	if got := s.Workers(); got != 3 {
+		t.Errorf("Workers() = %d, want the session budget 3", got)
 	}
 	if expDMinOr(0) != DefaultExpDMin || expDMinOr(5e-12) != 5e-12 {
 		t.Error("expDMinOr resolution wrong")
@@ -420,8 +444,7 @@ func TestSessionAccessorsAndDefaults(t *testing.T) {
 
 // TestSessionGoldenCacheControls pins the per-job golden-cache
 // resolution: NoCache evaluates without memoization (nothing stored,
-// zero stats), a Cache override accrues (and reports) on the override
-// instead of the session cache.
+// zero stats), and a default job accrues on the session cache.
 func TestSessionGoldenCacheControls(t *testing.T) {
 	if testing.Short() {
 		t.Skip("analog evaluation in -short mode")
@@ -446,21 +469,15 @@ func TestSessionGoldenCacheControls(t *testing.T) {
 		t.Errorf("NoCache job touched the session cache: %+v", st)
 	}
 
-	private := eval.NewGoldenCache()
-	ov := job
-	ov.Cache = private
-	res, err = s.Evaluate(context.Background(), ov)
+	res, err = s.Evaluate(context.Background(), job)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st := private.Stats(); st.Misses != 1 || st.Entries != 1 {
-		t.Errorf("override cache stats %+v, want the job's one golden run", st)
+	if st := s.GoldenCache().Stats(); st.Misses != 1 || st.Entries != 1 {
+		t.Errorf("session cache stats %+v, want the job's one golden run", st)
 	}
-	if res.Stats.Golden != private.Stats() {
-		t.Errorf("result stats %+v do not describe the override cache %+v", res.Stats.Golden, private.Stats())
-	}
-	if st := s.GoldenCache().Stats(); st.Entries != 0 {
-		t.Errorf("override job leaked into the session cache: %+v", st)
+	if res.Stats.Golden != s.GoldenCache().Stats() {
+		t.Errorf("result stats %+v do not describe the session cache %+v", res.Stats.Golden, s.GoldenCache().Stats())
 	}
 }
 
@@ -576,7 +593,7 @@ func TestSessionCacheLimits(t *testing.T) {
 	s := New(Options{GoldenBudget: 3, ParamLimit: 1})
 	for seed := int64(1); seed <= 3; seed++ {
 		key := eval.GoldenKey{Gate: "limit-test", Seed: seed}
-		if _, err := s.GoldenCache().GetOrCompute(key, func() (trace.Trace, error) {
+		if _, _, err := s.GoldenCache().GetOrCompute(key, func() (trace.Trace, error) {
 			return trace.New(false, []trace.Event{{Time: 1e-12, Value: true}}), nil
 		}); err != nil {
 			t.Fatal(err)

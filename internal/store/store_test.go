@@ -343,7 +343,7 @@ func TestWarmStoreServesFreshCache(t *testing.T) {
 
 	cold := eval.NewGoldenCache()
 	cold.SetStore(st)
-	got, err := cold.GetOrCompute(k, func() (trace.Trace, error) { return want, nil })
+	got, _, err := cold.GetOrCompute(k, func() (trace.Trace, error) { return want, nil })
 	if err != nil || !reflect.DeepEqual(got, want) {
 		t.Fatalf("cold compute = %+v, %v", got, err)
 	}
@@ -364,7 +364,7 @@ func TestWarmStoreServesFreshCache(t *testing.T) {
 	warm := eval.NewGoldenCache()
 	warm.SetStore(st2)
 	fail := failingSource{t: t}
-	got, err = warm.GetOrCompute(k, fail.compute)
+	got, _, err = warm.GetOrCompute(k, fail.compute)
 	if err != nil || !reflect.DeepEqual(got, want) {
 		t.Fatalf("warm load = %+v, %v", got, err)
 	}
@@ -385,7 +385,7 @@ func TestWarmStoreServesFreshCache(t *testing.T) {
 	// Second lookup in the same process is a memory hit, not a second
 	// disk read.
 	before := st2.Stats().Hits
-	if _, err := warm.GetOrCompute(k, fail.compute); err != nil {
+	if _, _, err := warm.GetOrCompute(k, fail.compute); err != nil {
 		t.Fatal(err)
 	}
 	if after := st2.Stats().Hits; after != before {

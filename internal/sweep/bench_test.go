@@ -6,6 +6,7 @@ package sweep
 // steady state where every golden transient is served from memory.
 
 import (
+	"context"
 	"runtime"
 	"testing"
 	"time"
@@ -26,7 +27,7 @@ func BenchmarkRunSweep(b *testing.B) {
 			start := time.Now()
 			var units int
 			for i := 0; i < b.N; i++ {
-				rep, err := RunSweep(spec, &Options{Workers: workers[name]})
+				rep, err := RunSweepContext(context.Background(), spec, &Options{Workers: workers[name]})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -43,13 +44,13 @@ func BenchmarkRunSweep(b *testing.B) {
 func BenchmarkRunSweepCached(b *testing.B) {
 	spec := benchSpec()
 	cache := eval.NewGoldenCache()
-	if _, err := RunSweep(spec, &Options{Cache: cache}); err != nil { // warm the cache
+	if _, err := RunSweepContext(context.Background(), spec, &Options{Cache: cache}); err != nil { // warm the cache
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	start := time.Now()
 	for i := 0; i < b.N; i++ {
-		if _, err := RunSweep(spec, &Options{Cache: cache}); err != nil {
+		if _, err := RunSweepContext(context.Background(), spec, &Options{Cache: cache}); err != nil {
 			b.Fatal(err)
 		}
 	}

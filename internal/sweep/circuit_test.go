@@ -2,6 +2,7 @@ package sweep
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 
@@ -92,7 +93,7 @@ func TestRunSweepCircuitAxis(t *testing.T) {
 	}
 	spec := circuitSpec(10)
 	cache := eval.NewGoldenCache()
-	baseline, err := RunSweep(spec, &Options{Workers: 1, Cache: cache})
+	baseline, err := RunSweepContext(context.Background(), spec, &Options{Workers: 1, Cache: cache})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +122,7 @@ func TestRunSweepCircuitAxis(t *testing.T) {
 	if err := baseline.WriteJSON(&want); err != nil {
 		t.Fatal(err)
 	}
-	rerun, err := RunSweep(spec, &Options{Workers: 8, Cache: cache})
+	rerun, err := RunSweepContext(context.Background(), spec, &Options{Workers: 8, Cache: cache})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +156,7 @@ func TestRunSweepCircuitSharesGatePoints(t *testing.T) {
 	}
 	spec := circuitSpec(8)
 	prepared := 0
-	_, err := RunSweep(spec, &Options{Workers: 2, Progress: func(p Progress) {
+	_, err := RunSweepContext(context.Background(), spec, &Options{Workers: 2, Progress: func(p Progress) {
 		if p.Phase == PhasePrepare && p.Completed == p.Total {
 			prepared = p.Total
 		}

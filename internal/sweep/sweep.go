@@ -11,10 +11,10 @@
 //
 // The engine reuses the existing evaluation machinery end to end: each
 // scenario's operating point is prepared with Gate.NewBench / Measure /
-// BuildModels, each (scenario, seed) unit runs eval.EvaluateSeed, and
-// golden traces are memoized in a single eval.GoldenCache shared across
-// the whole grid. Cache keys incorporate the scenario's bench
-// parameters (the scaled supply and load are part of nor.Params), so
+// BuildModels, every scenario is one eval.Block of the single eval.Run
+// fan-out, and golden traces are memoized in a single eval.GoldenCache
+// shared across the whole grid. Cache keys incorporate the scenario's
+// bench parameters (the scaled supply and load are part of nor.Params), so
 // distinct operating points never collide even though they share one
 // cache. Results are merged deterministically in grid order: for a
 // fixed spec the Report — including its JSON and CSV encodings — is
@@ -26,8 +26,6 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"hybriddelay/internal/eval"
@@ -36,7 +34,6 @@ import (
 	"hybriddelay/internal/netlist"
 	"hybriddelay/internal/nor"
 	"hybriddelay/internal/pool"
-	"hybriddelay/internal/trace"
 	"hybriddelay/internal/waveform"
 )
 
@@ -75,7 +72,7 @@ type Spec struct {
 	// same VDD/load/stimulus axes (the stimulus drives the circuit's
 	// primary inputs), is scored through the composed analog golden,
 	// and reports the deviation areas summed over its recorded nets
-	// (per-net detail is available through eval.EvaluateCircuit). Every
+	// (per-net detail is available through a session CircuitJob). Every
 	// circuit needs a unique name; its report rows appear under
 	// "circuit:<name>".
 	Circuits []netlist.Netlist `json:"circuits,omitempty"`
@@ -337,17 +334,17 @@ type Options struct {
 	Workers int
 
 	// Cache, when non-nil, memoizes golden traces across the whole grid
-	// (and across RunSweep calls). When nil, RunSweep creates a private
-	// cache so hit rates are still reported.
+	// (and across RunSweepContext calls). When nil, RunSweepContext
+	// creates a private cache so hit rates are still reported.
 	Cache *eval.GoldenCache
 
 	// Params, when non-nil, memoizes prepared operating points (bench
 	// construction, characteristic measurement, model fits) across
-	// RunSweep calls — a sweep revisiting an operating point a previous
-	// sweep (or gate/circuit evaluation through the same session)
-	// already measured skips the whole preparation phase for it. When
-	// nil, RunSweep prepares privately; within one call each unique
-	// operating point is prepared only once either way.
+	// RunSweepContext calls — a sweep revisiting an operating point a
+	// previous sweep (or gate/circuit evaluation through the same
+	// session) already measured skips the whole preparation phase for
+	// it. When nil, RunSweepContext prepares privately; within one call
+	// each unique operating point is prepared only once either way.
 	Params *eval.ParamCache
 
 	// Progress, when non-nil, is invoked after each completed step.
@@ -412,91 +409,6 @@ func memberGates(nl *netlist.Netlist) ([]string, error) {
 	return out, nil
 }
 
-// trackedSource adapts one scenario's golden lookups onto the shared
-// cache, attributing hits and misses to the scenario.
-type trackedSource struct {
-	gate   string
-	bench  nor.Params
-	cache  *eval.GoldenCache
-	src    eval.GoldenSource
-	hits   *atomic.Int64
-	misses *atomic.Int64
-}
-
-// Golden implements eval.GoldenSource.
-func (s trackedSource) Golden(req eval.GoldenRequest) (trace.Trace, error) {
-	key := eval.GoldenKey{Gate: s.gate, Bench: s.bench, Config: req.Config, Seed: req.Seed}
-	out, hit, err := s.cache.GetOrComputeTracked(key, func() (trace.Trace, error) {
-		return s.src.Golden(req)
-	})
-	if err == nil {
-		if hit {
-			s.hits.Add(1)
-		} else {
-			s.misses.Add(1)
-		}
-	}
-	return out, err
-}
-
-// Lease implements eval.Leaser by leasing the underlying bench pool
-// when it supports leasing, so batched sweep units pin one warm bench;
-// tracking and the shared cache stay in front.
-func (s trackedSource) Lease() (eval.GoldenSource, func(), error) {
-	l, ok := s.src.(eval.Leaser)
-	if !ok {
-		return s, func() {}, nil
-	}
-	inner, release, err := l.Lease()
-	if err != nil {
-		return nil, nil, err
-	}
-	leased := s
-	leased.src = inner
-	return leased, release, nil
-}
-
-// trackedCircuitSource is the circuit counterpart of trackedSource:
-// composed golden trace sets looked up in the shared cache under the
-// netlist content key, with per-scenario hit attribution.
-type trackedCircuitSource struct {
-	key    string // netlist content key
-	bench  nor.Params
-	cache  *eval.GoldenCache
-	src    eval.CircuitGoldenSource
-	hits   *atomic.Int64
-	misses *atomic.Int64
-}
-
-// GoldenNets implements eval.CircuitGoldenSource.
-func (s trackedCircuitSource) GoldenNets(req eval.GoldenRequest) (map[string]trace.Trace, error) {
-	out, hit, err := s.cache.GetOrComputeSet(eval.CircuitKey(s.key, s.bench, req.Config, req.Seed),
-		func() (map[string]trace.Trace, error) { return s.src.GoldenNets(req) })
-	if err == nil {
-		if hit {
-			s.hits.Add(1)
-		} else {
-			s.misses.Add(1)
-		}
-	}
-	return out, err
-}
-
-// LeaseCircuit implements eval.CircuitLeaser; see trackedSource.Lease.
-func (s trackedCircuitSource) LeaseCircuit() (eval.CircuitGoldenSource, func(), error) {
-	l, ok := s.src.(eval.CircuitLeaser)
-	if !ok {
-		return s, func() {}, nil
-	}
-	inner, release, err := l.LeaseCircuit()
-	if err != nil {
-		return nil, nil, err
-	}
-	leased := s
-	leased.src = inner
-	return leased, release, nil
-}
-
 // circuitToSeedResult folds a per-net circuit unit result into the flat
 // per-model shape the sweep report aggregates: areas and golden events
 // summed over the recorded nets, in net and model order (deterministic
@@ -512,19 +424,15 @@ func circuitToSeedResult(cr eval.CircuitSeedResult) eval.SeedResult {
 	return out
 }
 
-// RunSweep expands the spec and evaluates every scenario. All scenarios
-// share one bounded worker pool and one golden-trace cache; per-scenario
-// results are merged in seed order and reported in grid order, so the
-// report is independent of the worker count. On the first failing step
-// the pool stops picking up new work and the error of the earliest
-// failed step (grid-major, seed-minor) is returned.
-func RunSweep(spec Spec, opt *Options) (*Report, error) {
-	return RunSweepContext(context.Background(), spec, opt)
-}
-
-// RunSweepContext is RunSweep with cancellation: once ctx is done no
-// new preparation or evaluation units are claimed, in-flight units stop
-// at their next stage boundary, and ctx.Err() is returned.
+// RunSweepContext expands the spec and evaluates every scenario. All
+// scenarios share one bounded worker pool and one golden-trace cache;
+// per-scenario results are merged in seed order and reported in grid
+// order, so the report is independent of the worker count. On the
+// first failing step the pool stops picking up new work and the error
+// of the earliest failed step (grid-major, seed-minor) is returned.
+// Once ctx is done no new preparation or evaluation units are claimed,
+// in-flight units stop at their next stage boundary, and ctx.Err() is
+// returned.
 func RunSweepContext(ctx context.Context, spec Spec, opt *Options) (*Report, error) {
 	var o Options
 	if opt != nil {
@@ -555,136 +463,36 @@ func RunSweepContext(ctx context.Context, spec Spec, opt *Options) (*Report, err
 		return nil, err
 	}
 
-	// One flat unit list over the whole grid: scenario-major (grid
-	// order), seed-minor — exactly the eval runner's schedule, lifted
-	// over scenarios so every scenario shares the same worker budget.
-	total := len(scenarios) * len(seeds)
-	parts := make([]eval.SeedResult, total)
-	errs := make([]error, total)
-	scenarioHits := make([]atomic.Int64, len(scenarios))
-	scenarioMisses := make([]atomic.Int64, len(scenarios))
-	scenarioNanos := make([]atomic.Int64, len(scenarios))
-	sources := make([]eval.GoldenSource, len(scenarios))
-	csources := make([]eval.CircuitGoldenSource, len(scenarios))
+	// One block per scenario in grid order, all on one fan-out, so every
+	// scenario shares the same worker budget; each scenario's Tally
+	// collects its cache hits and misses and its unit time.
+	tallies := make([]eval.Tally, len(scenarios))
+	blocks := make([]eval.Block, len(scenarios))
 	for i, sc := range scenarios {
+		b := eval.Block{Config: sc.Config, Label: fmt.Sprintf("sweep: scenario %d (%s)", i, sc.Name()), Tally: &tallies[i]}
 		if sc.Circuit != nil {
 			cp := cpoints[circuitKey{sc.Circuit.Name, sc.VDDScale, sc.LoadScale}]
-			csources[i] = trackedCircuitSource{
-				key:    sc.Circuit.ContentKey(),
-				bench:  cp.params,
-				cache:  o.Cache,
-				src:    cp.golden,
-				hits:   &scenarioHits[i],
-				misses: &scenarioMisses[i],
-			}
-			continue
+			b.Netlist, b.Set = sc.Circuit, cp.models
+			b.Circuit = eval.CachedCircuitSource{Key: sc.Circuit.ContentKey(), Bench: cp.params, Cache: o.Cache, Src: cp.golden, Tally: &tallies[i]}
+		} else {
+			pt := points[opKey{sc.Gate, sc.VDDScale, sc.LoadScale}]
+			b.Models = pt.models
+			b.Golden = eval.CachedSource{Gate: sc.Gate, Bench: pt.params, Cache: o.Cache, Src: pt.golden, Tally: &tallies[i]}
 		}
-		pt := points[opKey{sc.Gate, sc.VDDScale, sc.LoadScale}]
-		sources[i] = trackedSource{
-			gate:   sc.Gate,
-			bench:  pt.params,
-			cache:  o.Cache,
-			src:    pt.golden,
-			hits:   &scenarioHits[i],
-			misses: &scenarioMisses[i],
+		blocks[i] = b
+	}
+	var progress func(eval.Progress)
+	if o.Progress != nil {
+		progress = func(p eval.Progress) {
+			o.Progress(Progress{Phase: PhaseEval, Scenario: p.Block, Seed: p.Seed, Completed: p.Completed, Total: p.Total, Err: p.Err})
 		}
+	}
+	gates, circuits, err := eval.Run(ctx, blocks, seeds, &eval.Options{Workers: o.Workers, Progress: progress})
+	if err != nil {
+		return nil, err
 	}
 
-	var progressMu sync.Mutex
-	completed := 0
-	unitDone := func(i int, err error) {
-		if o.Progress == nil {
-			return
-		}
-		progressMu.Lock()
-		completed++
-		o.Progress(Progress{
-			Phase: PhaseEval, Scenario: i / len(seeds), Seed: seeds[i%len(seeds)],
-			Completed: completed, Total: total, Err: err,
-		})
-		progressMu.Unlock()
-	}
-	// Workers claim batches of consecutive units; within a batch, runs
-	// of units sharing a scenario lease one bench (see eval.Leaser), so
-	// the seed-minor schedule keeps a warm solver workspace pinned per
-	// scenario. Results stay index-addressed, so batching cannot change
-	// the merge or the winning error.
-	batch := (total + 2*o.Workers - 1) / (2 * o.Workers)
-	if batch < 1 {
-		batch = 1
-	}
-	nBatches := (total + batch - 1) / batch
-	ctxErr := pool.RunContext(ctx, nBatches, o.Workers, func(bi int) error {
-		lo := bi * batch
-		hi := lo + batch
-		if hi > total {
-			hi = total
-		}
-		var (
-			leaseSi      = -1
-			leaseRelease func()
-			leaseSrc     eval.GoldenSource
-			leaseCSrc    eval.CircuitGoldenSource
-		)
-		defer func() {
-			if leaseRelease != nil {
-				leaseRelease()
-			}
-		}()
-		for i := lo; i < hi; i++ {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			si := i / len(seeds)
-			sc := scenarios[si]
-			if si != leaseSi {
-				if leaseRelease != nil {
-					leaseRelease()
-					leaseRelease = nil
-				}
-				leaseSi = si
-				if sc.Circuit != nil {
-					leaseCSrc = csources[si]
-					if l, ok := leaseCSrc.(eval.CircuitLeaser); ok {
-						if leased, release, err := l.LeaseCircuit(); err == nil {
-							leaseCSrc, leaseRelease = leased, release
-						}
-					}
-				} else {
-					leaseSrc = sources[si]
-					if l, ok := leaseSrc.(eval.Leaser); ok {
-						if leased, release, err := l.Lease(); err == nil {
-							leaseSrc, leaseRelease = leased, release
-						}
-					}
-				}
-			}
-			unitStart := time.Now()
-			if sc.Circuit != nil {
-				cp := cpoints[circuitKey{sc.Circuit.Name, sc.VDDScale, sc.LoadScale}]
-				var cres eval.CircuitSeedResult
-				cres, errs[i] = eval.EvaluateCircuitSeedContext(ctx, leaseCSrc, sc.Circuit, cp.models, sc.Config, seeds[i%len(seeds)])
-				parts[i] = circuitToSeedResult(cres)
-			} else {
-				parts[i], errs[i] = eval.EvaluateSeedContext(ctx, leaseSrc, points[opKey{sc.Gate, sc.VDDScale, sc.LoadScale}].models, sc.Config, seeds[i%len(seeds)])
-			}
-			scenarioNanos[si].Add(time.Since(unitStart).Nanoseconds())
-			unitDone(i, errs[i])
-			if errs[i] != nil {
-				return errs[i]
-			}
-		}
-		return nil
-	}, nil)
-	for i, err := range errs {
-		if err != nil && !(ctxErr != nil && eval.IsContextErr(err)) {
-			return nil, fmt.Errorf("sweep: scenario %d (%s): %w", i/len(seeds), scenarios[i/len(seeds)].Name(), err)
-		}
-	}
-	if ctxErr != nil {
-		return nil, ctxErr
-	}
-
+	total := len(scenarios) * len(seeds)
 	rep := &Report{
 		Seeds:      seeds,
 		ModelNames: append([]string(nil), eval.ModelNames...),
@@ -692,9 +500,13 @@ func RunSweepContext(ctx context.Context, spec Spec, opt *Options) (*Report, err
 		TotalUnits: total,
 	}
 	for si, sc := range scenarios {
-		merged := eval.MergeSeedResults(sc.Config, parts[si*len(seeds):(si+1)*len(seeds)])
-		rep.Scenarios[si] = buildScenarioResult(sc, merged, parts[si*len(seeds):(si+1)*len(seeds)],
-			scenarioHits[si].Load(), scenarioMisses[si].Load(), scenarioNanos[si].Load())
+		parts := gates[si*len(seeds) : (si+1)*len(seeds)]
+		if sc.Circuit != nil {
+			for k := range parts {
+				parts[k] = circuitToSeedResult(circuits[si*len(seeds)+k])
+			}
+		}
+		rep.Scenarios[si] = buildScenarioResult(sc, eval.MergeSeedResults(sc.Config, parts), parts, &tallies[si])
 	}
 	rep.Cache = o.Cache.Stats()
 	rep.WallSeconds = time.Since(start).Seconds()
@@ -816,7 +628,8 @@ func prepareCircuitPoints(scenarios []Scenario, points map[opKey]*opPoint) (map[
 
 // buildScenarioResult folds one scenario's merged and per-seed results
 // into the report row.
-func buildScenarioResult(sc Scenario, merged eval.RunResult, parts []eval.SeedResult, hits, misses, nanos int64) ScenarioResult {
+func buildScenarioResult(sc Scenario, merged eval.RunResult, parts []eval.SeedResult, t *eval.Tally) ScenarioResult {
+	hits, misses := t.Hits.Load(), t.Misses.Load()
 	res := ScenarioResult{
 		Index:        sc.Index,
 		Gate:         sc.Gate,
@@ -831,7 +644,7 @@ func buildScenarioResult(sc Scenario, merged eval.RunResult, parts []eval.SeedRe
 		GoldenEvents: merged.GoldenEv,
 		CacheHits:    hits,
 		CacheMisses:  misses,
-		WallSeconds:  float64(nanos) / 1e9,
+		WallSeconds:  float64(t.Nanos.Load()) / 1e9,
 	}
 	//hybrid:nondet-ok map-to-map copy with distinct keys; the report JSON/CSV encoders emit models in sorted/declared order
 	for name, v := range merged.Normalized {

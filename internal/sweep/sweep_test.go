@@ -176,7 +176,7 @@ func TestRunSweepDeterministicAcrossWorkers(t *testing.T) {
 	spec := testSpec(12)
 	encode := func(workers int) (string, string) {
 		t.Helper()
-		rep, err := RunSweep(spec, &Options{Workers: workers})
+		rep, err := RunSweepContext(context.Background(), spec, &Options{Workers: workers})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -219,7 +219,7 @@ func TestRunSweepOperatingPointsNeverCollide(t *testing.T) {
 	}
 	spec := testSpec(10)
 	cache := eval.NewGoldenCache()
-	rep, err := RunSweep(spec, &Options{Workers: 4, Cache: cache})
+	rep, err := RunSweepContext(context.Background(), spec, &Options{Workers: 4, Cache: cache})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,11 +264,11 @@ func TestRunSweepSharedCacheHitRate(t *testing.T) {
 		Bench:    fastBench(),
 	}
 	cache := eval.NewGoldenCache()
-	cold, err := RunSweep(spec, &Options{Workers: 4, Cache: cache})
+	cold, err := RunSweepContext(context.Background(), spec, &Options{Workers: 4, Cache: cache})
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm, err := RunSweep(spec, &Options{Workers: 4, Cache: cache})
+	warm, err := RunSweepContext(context.Background(), spec, &Options{Workers: 4, Cache: cache})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -295,7 +295,7 @@ func TestRunSweepPrepareError(t *testing.T) {
 		Stimuli: testStimuli(4),
 		Bench:   &nor.Params{}, // zero-value params: invalid supply
 	}
-	_, err := RunSweep(spec, &Options{Workers: 2})
+	_, err := RunSweepContext(context.Background(), spec, &Options{Workers: 2})
 	if err == nil {
 		t.Fatal("sweep with an invalid bench succeeded")
 	}
@@ -316,7 +316,7 @@ func TestRunSweepWorstSeed(t *testing.T) {
 		Seeds:   []int64{1, 2, 3},
 		Bench:   fastBench(),
 	}
-	rep, err := RunSweep(spec, &Options{Workers: 2})
+	rep, err := RunSweepContext(context.Background(), spec, &Options{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -353,7 +353,7 @@ func TestRunSweepParamCacheReuse(t *testing.T) {
 		// Each run gets a private golden cache (as a cold caller would),
 		// so the reports stay comparable; only the parametrization cache
 		// is shared across the calls.
-		rep, err := RunSweep(spec, &Options{Workers: 4, Params: params})
+		rep, err := RunSweepContext(context.Background(), spec, &Options{Workers: 4, Params: params})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,20 +1,21 @@
 package hybriddelay
 
 // Serial-vs-parallel wall time of the Fig. 7 accuracy pipeline (the
-// repo's hottest path). BenchmarkEvaluateParallel reports speedup_x, the
-// ratio of serial Evaluate wall time to the 4-worker runner's per-
-// iteration time on the same configs and seeds, so the speedup
-// trajectory is tracked across PRs; the Cached variant measures the
-// steady state of a warm golden-trace cache (golden transients skipped
-// entirely). speedup_x scales with the core count — on a single-core
-// machine it sits near 1.
+// repo's hottest path), all through Session gate jobs.
+// BenchmarkEvaluateParallel reports speedup_x, the ratio of the
+// 1-worker session's wall time to the 4-worker session's per-iteration
+// time on the same configs and seeds, so the speedup trajectory is
+// tracked across PRs; the Cached variant measures the steady state of a
+// warm golden-trace cache (golden transients skipped entirely).
+// speedup_x scales with the core count — on a single-core machine it
+// sits near 1.
 
 import (
+	"context"
 	"sync"
 	"testing"
 	"time"
 
-	"hybriddelay/internal/eval"
 	"hybriddelay/internal/gate"
 	"hybriddelay/internal/gen"
 	"hybriddelay/internal/nor"
@@ -22,106 +23,62 @@ import (
 
 const parallelBenchWorkers = 4
 
-// fig7ParallelSetup returns the shared golden bench and the paper
-// configurations at the same reduced size BenchmarkFig7Accuracy uses.
-func fig7ParallelSetup(b *testing.B) (*nor.Bench, eval.Models, []gen.Config, []int64) {
-	bench, _, models := setupGolden(b)
+// fig7ParallelConfigs returns the paper configurations at the same
+// reduced size BenchmarkFig7Accuracy uses, and the seeds.
+func fig7ParallelConfigs(inputs int) ([]gen.Config, []int64) {
 	configs := gen.PaperConfigs()
 	for i := range configs {
+		configs[i].Inputs = inputs
 		configs[i].Transitions /= 4 // keep a single iteration in the ~1 s range
 	}
-	return bench, models, configs, []int64{1, 2, 3, 4}
+	return configs, []int64{1, 2, 3, 4}
 }
 
-// serialBaseline measures one serial pass over all configs once per
+// serialBaseline measures one 1-worker pass over all configs once per
 // process, for the speedup metrics.
 var serialBaselineState struct {
 	once sync.Once
 	secs float64
-	err  error
 }
 
 func serialBaseline(b *testing.B) float64 {
-	bench, models, configs, seeds := fig7ParallelSetup(b)
+	configs, seeds := fig7ParallelConfigs(2)
+	s := evalSession(b, 1)
 	serialBaselineState.once.Do(func() {
 		start := time.Now()
-		for _, cfg := range configs {
-			if _, err := eval.Evaluate(bench, models, cfg, seeds); err != nil {
-				serialBaselineState.err = err
-				return
-			}
-		}
+		evalNOR2(b, s, configs, seeds, true)
 		serialBaselineState.secs = time.Since(start).Seconds()
 	})
-	if serialBaselineState.err != nil {
-		b.Fatal(serialBaselineState.err)
-	}
 	return serialBaselineState.secs
 }
 
-// BenchmarkEvaluateSerial is the reference: the serial pipeline over the
-// Fig. 7 configs.
+// BenchmarkEvaluateSerial is the reference: the Fig. 7 configs on a
+// 1-worker session.
 func BenchmarkEvaluateSerial(b *testing.B) {
-	bench, models, configs, seeds := fig7ParallelSetup(b)
+	configs, seeds := fig7ParallelConfigs(2)
+	s := evalSession(b, 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		for _, cfg := range configs {
-			if _, err := eval.Evaluate(bench, models, cfg, seeds); err != nil {
-				b.Fatal(err)
-			}
-		}
+		evalNOR2(b, s, configs, seeds, true)
 	}
 }
 
-// BenchmarkEvaluateParallel runs the same work on the 4-worker runner
-// (cold cache each iteration: every golden transient is re-simulated,
-// so speedup comes purely from the worker pool).
+// BenchmarkEvaluateParallel runs the same work on a 4-worker session
+// (no golden memoization: every golden transient is re-simulated, so
+// speedup comes purely from the worker pool).
 func BenchmarkEvaluateParallel(b *testing.B) {
-	bench, models, configs, seeds := fig7ParallelSetup(b)
+	configs, seeds := fig7ParallelConfigs(2)
 	serial := serialBaseline(b)
+	s := evalSession(b, parallelBenchWorkers)
 	b.ResetTimer()
 	start := time.Now()
 	for i := 0; i < b.N; i++ {
-		r := eval.NewRunner(bench, models, &eval.Options{Workers: parallelBenchWorkers})
-		if _, err := r.Run(configs, seeds); err != nil {
-			b.Fatal(err)
-		}
+		evalNOR2(b, s, configs, seeds, true)
 	}
 	perIter := time.Since(start).Seconds() / float64(b.N)
 	b.StopTimer()
 	b.ReportMetric(serial/perIter, "speedup_x")
 	b.ReportMetric(parallelBenchWorkers, "workers")
-}
-
-// gateBenchSetup builds the generic-pipeline inputs for one registered
-// gate: bench, measured models and the reduced paper configs at the
-// gate's arity.
-func gateBenchSetup(b *testing.B, name string) (gate.Bench, eval.Models, []gen.Config, []int64) {
-	b.Helper()
-	g, ok := gate.Lookup(name)
-	if !ok {
-		b.Fatalf("gate %q not registered", name)
-	}
-	p := nor.DefaultParams()
-	p.MaxStep = 8e-12
-	bench, err := g.NewBench(p)
-	if err != nil {
-		b.Fatal(err)
-	}
-	meas, err := bench.Measure()
-	if err != nil {
-		b.Fatal(err)
-	}
-	models, err := g.BuildModels(meas, p.Supply, 20e-12)
-	if err != nil {
-		b.Fatal(err)
-	}
-	configs := gen.PaperConfigs()
-	for i := range configs {
-		configs[i].Inputs = g.Arity()
-		configs[i].Transitions /= 4
-	}
-	return bench, models, configs, []int64{1, 2, 3, 4}
 }
 
 // BenchmarkEvalParallel tracks the generic registry-driven pipeline with
@@ -130,12 +87,22 @@ func gateBenchSetup(b *testing.B, name string) (gate.Bench, eval.Models, []gen.C
 func BenchmarkEvalParallel(b *testing.B) {
 	for _, name := range []string{"nor2", "nand2"} {
 		b.Run(name, func(b *testing.B) {
-			bench, models, configs, seeds := gateBenchSetup(b, name)
+			g, err := gate.Find(name)
+			if err != nil {
+				b.Fatal(err)
+			}
+			p := nor.DefaultParams()
+			p.MaxStep = 8e-12
+			s := NewSession(SessionOptions{Workers: parallelBenchWorkers})
+			if _, err := s.ParamCache().OperatingPoint(context.Background(), g, p, DefaultSessionExpDMin); err != nil {
+				b.Fatal(err)
+			}
+			configs, seeds := fig7ParallelConfigs(g.Arity())
+			job := GateJob{Gate: name, Params: &p, Configs: configs, Seeds: seeds, NoCache: true}
 			b.ResetTimer()
 			start := time.Now()
 			for i := 0; i < b.N; i++ {
-				r := eval.NewGateRunner(bench, models, &eval.Options{Workers: parallelBenchWorkers})
-				if _, err := r.Run(configs, seeds); err != nil {
+				if _, err := s.Evaluate(context.Background(), job); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -148,26 +115,21 @@ func BenchmarkEvalParallel(b *testing.B) {
 }
 
 // BenchmarkEvaluateParallelCached measures the warm-cache steady state:
-// the golden traces are memoized, so each iteration only reruns the
-// digital models and the merge.
+// the golden traces are memoized in the session's cache, so each
+// iteration only reruns the digital models and the merge.
 func BenchmarkEvaluateParallelCached(b *testing.B) {
-	bench, models, configs, seeds := fig7ParallelSetup(b)
+	configs, seeds := fig7ParallelConfigs(2)
 	serial := serialBaseline(b)
-	cache := eval.NewGoldenCache()
-	r := eval.NewRunner(bench, models, &eval.Options{Workers: parallelBenchWorkers, Cache: cache})
-	if _, err := r.Run(configs, seeds); err != nil { // warm the cache
-		b.Fatal(err)
-	}
+	s := evalSession(b, parallelBenchWorkers)
+	evalNOR2(b, s, configs, seeds, false) // warm the cache
 	b.ResetTimer()
 	start := time.Now()
 	for i := 0; i < b.N; i++ {
-		if _, err := r.Run(configs, seeds); err != nil {
-			b.Fatal(err)
-		}
+		evalNOR2(b, s, configs, seeds, false)
 	}
 	perIter := time.Since(start).Seconds() / float64(b.N)
 	b.StopTimer()
 	b.ReportMetric(serial/perIter, "speedup_x")
-	st := cache.Stats()
+	st := s.GoldenCache().Stats()
 	b.ReportMetric(float64(st.Hits)/float64(st.Hits+st.Misses), "hit_rate")
 }

@@ -8,11 +8,10 @@ package hybriddelay
 // BenchmarkSessionWarm evaluates on one long-lived Session (preparation
 // served from cache) and reports speedup_x against the cold baseline
 // (a fresh Session per call, re-measuring every time), alongside
-// cold_ms and warm_ms. Both paths use a private golden cache per call,
-// so the speedup isolates the parametrization memoization.
+// cold_ms and warm_ms. Both paths memoize no golden traces, so the
+// speedup isolates the parametrization memoization.
 // BenchmarkSessionWarmStore adds the cross-process case: a fresh
-// Session per call over a filled persistent store. The numbers land in
-// BENCH_session.json in CI.
+// Session per call over a filled persistent store.
 
 import (
 	"context"
@@ -25,8 +24,8 @@ import (
 
 // sessionBenchJob returns the repeated-operating-point workload: the
 // default gate at the calibrated operating point, two small
-// configurations over two seeds. A fresh private golden cache per call
-// keeps golden-transient memoization out of the measurement.
+// configurations over two seeds. NoCache keeps golden-transient
+// memoization out of the measurement.
 func sessionBenchJob() GateJob {
 	mk := func(mode gen.Mode, mu, sigma float64) TraceConfig {
 		return TraceConfig{Mu: mu, Sigma: sigma, Mode: mode, Inputs: 2,
@@ -36,7 +35,7 @@ func sessionBenchJob() GateJob {
 		Gate:    "nor2",
 		Configs: []TraceConfig{mk(gen.Local, 200e-12, 100e-12), mk(gen.Global, 500e-12, 250e-12)},
 		Seeds:   []int64{1, 2},
-		Cache:   NewGoldenCache(),
+		NoCache: true,
 	}
 }
 
@@ -113,7 +112,7 @@ func BenchmarkSessionWarmStore(b *testing.B) {
 		defer st.Close()
 		s := NewSession(SessionOptions{Workers: 2, Store: st})
 		job := sessionBenchJob()
-		job.Cache = nil // the session cache fronts the store
+		job.NoCache = false // the session cache fronts the store
 		res, err := s.Evaluate(context.Background(), job)
 		if err != nil {
 			b.Fatal(err)

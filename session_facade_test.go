@@ -14,12 +14,12 @@ import (
 	"hybriddelay/internal/sweep"
 )
 
-// The legacy facade entry points are thin wrappers over the default
-// Session. These property tests pin the redesign's compatibility
-// contract: for every workload shape the wrapper's output is
-// bit-identical (reflect.DeepEqual on results, byte equality on
-// encoded reports) to the pre-redesign pipeline composition it
-// replaced, across several configurations and seed lists.
+// Session is the only evaluation entry point. These property tests pin
+// its determinism contract: for every workload shape a Session result
+// is bit-identical (reflect.DeepEqual on results, byte equality on
+// encoded reports) to the serial reference built from the per-unit
+// primitives, for one worker and for several, across several
+// configurations and seed lists.
 
 // fastFacadeParams returns coarse-step bench parameters for quick
 // analog property runs.
@@ -61,6 +61,35 @@ func propertyConfigs(inputs int) []TraceConfig {
 	}
 }
 
+// serialGate is the serial reference of a gate job: each seed
+// evaluated in order with eval.EvaluateSeedContext, then merged.
+func serialGate(t *testing.T, bench GateBench, m Models, cfg TraceConfig, seeds []int64) RunResult {
+	t.Helper()
+	src := eval.NewGateBenchSource(bench)
+	var parts []SeedResult
+	for _, seed := range seeds {
+		part, err := eval.EvaluateSeedContext(context.Background(), src, m, cfg, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		parts = append(parts, part)
+	}
+	return eval.MergeSeedResults(cfg, parts)
+}
+
+// gateRow evaluates one configuration as a gate job on a fresh session
+// with the given worker budget.
+func gateRow(t *testing.T, workers int, name string, p BenchParams, cfg TraceConfig, seeds []int64) RunResult {
+	t.Helper()
+	res, err := NewSession(SessionOptions{Workers: workers}).Evaluate(context.Background(), GateJob{
+		Gate: name, Params: &p, Configs: []TraceConfig{cfg}, Seeds: seeds,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res.Gate[0]
+}
+
 func TestEvaluateParallelDelegatesBitIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("analog property in -short mode")
@@ -68,18 +97,9 @@ func TestEvaluateParallelDelegatesBitIdentical(t *testing.T) {
 	bench, m := facadeModels(t)
 	seeds := []int64{1, 2}
 	for _, cfg := range propertyConfigs(2) {
-		// Pre-redesign path: the serial per-seed composition the parallel
-		// entry point has been bit-identical to since PR 1.
-		want, err := eval.EvaluateBench(&gate.NOR2Bench{B: bench}, m, cfg, seeds)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := EvaluateParallel(bench, m, cfg, seeds, &EvalOptions{Workers: 4})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("%s: EvaluateParallel diverged from the pre-redesign pipeline:\n got %+v\nwant %+v",
+		want := serialGate(t, &gate.NOR2Bench{B: bench}, m, cfg, seeds)
+		if got := gateRow(t, 4, "nor2", bench.P, cfg, seeds); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: 4-worker session diverged from the serial reference:\n got %+v\nwant %+v",
 				cfg.Name(), got, want)
 		}
 	}
@@ -108,17 +128,12 @@ func TestEvaluateGateDelegatesBitIdentical(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, cfg := range propertyConfigs(g.Arity())[:1] {
-			want, err := eval.EvaluateBench(bench, m, cfg, []int64{1, 2})
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := EvaluateGate(bench, m, cfg, []int64{1, 2})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Errorf("%s %s: EvaluateGate diverged from the pre-redesign pipeline:\n got %+v\nwant %+v",
-					name, cfg.Name(), got, want)
+			want := serialGate(t, bench, m, cfg, []int64{1, 2})
+			for _, workers := range []int{1, 3} {
+				if got := gateRow(t, workers, name, p, cfg, []int64{1, 2}); !reflect.DeepEqual(got, want) {
+					t.Errorf("%s %s: %d-worker session diverged from the serial reference:\n got %+v\nwant %+v",
+						name, cfg.Name(), workers, got, want)
+				}
 			}
 		}
 	}
@@ -139,17 +154,32 @@ func TestEvaluateCircuitDelegatesBitIdentical(t *testing.T) {
 	}
 	seeds := []int64{1, 2}
 	for _, cfg := range propertyConfigs(len(nl.Inputs))[:1] {
-		want, err := eval.EvaluateCircuit(nl, p, ms, cfg, seeds, &eval.Options{Workers: 2})
+		bench, err := NewCircuitBench(nl, p)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := EvaluateCircuit(nl, p, ms, cfg, seeds, &EvalOptions{Workers: 2})
-		if err != nil {
-			t.Fatal(err)
+		src := eval.NewCircuitBenchSource(bench)
+		var parts []CircuitSeedResult
+		for _, seed := range seeds {
+			part, err := eval.EvaluateCircuitSeedContext(context.Background(), src, nl, ms, cfg, seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			parts = append(parts, part)
 		}
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("%s: EvaluateCircuit diverged from the pre-redesign pipeline:\n got %+v\nwant %+v",
-				cfg.Name(), got, want)
+		want := eval.MergeCircuitSeedResults(nl, cfg, parts)
+		want.Solver = src.SolverStats()
+		for _, workers := range []int{1, 2} {
+			res, err := NewSession(SessionOptions{Workers: workers}).Evaluate(context.Background(), CircuitJob{
+				Netlist: nl, Params: &p, Config: cfg, Seeds: seeds,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := *res.Circuit; !reflect.DeepEqual(got, want) {
+				t.Errorf("%s: %d-worker session diverged from the serial reference:\n got %+v\nwant %+v",
+					cfg.Name(), workers, got, want)
+			}
 		}
 	}
 }
@@ -181,32 +211,35 @@ func TestRunSweepDelegatesBitIdentical(t *testing.T) {
 		}
 		return j.String(), c.String()
 	}
-	want, err := sweep.RunSweep(spec, &sweep.Options{Workers: 4})
+	want, err := sweep.RunSweepContext(context.Background(), spec, &sweep.Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := RunSweep(spec, &SweepOptions{Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	gj, gc := encode(got)
 	wj, wc := encode(want)
-	if gj != wj {
-		t.Errorf("RunSweep JSON report diverged from the pre-redesign engine:\n--- facade ---\n%s\n--- direct ---\n%s", gj, wj)
+	run := func(s *Session) (string, string) {
+		t.Helper()
+		res, err := s.Evaluate(context.Background(), SweepJob{Spec: spec})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return encode(res.Sweep)
 	}
-	if gc != wc {
-		t.Errorf("RunSweep CSV report diverged from the pre-redesign engine:\n--- facade ---\n%s\n--- direct ---\n%s", gc, wc)
+	var warm *Session
+	for _, workers := range []int{1, 4} {
+		warm = NewSession(SessionOptions{Workers: workers})
+		if gj, gc := run(warm); gj != wj || gc != wc {
+			t.Errorf("%d-worker session sweep diverged from the serial engine run:\n--- session JSON ---\n%s\n--- direct JSON ---\n%s\n--- session CSV ---\n%s\n--- direct CSV ---\n%s",
+				workers, gj, wj, gc, wc)
+		}
 	}
-	// Re-running the facade sweep hits the default session's
-	// parametrization cache (no re-measurement) and still encodes
+	// A session sharing the warm parametrization cache (no
+	// re-measurement) but with a fresh golden cache still encodes
 	// byte-identically.
-	again, err := RunSweep(spec, &SweepOptions{Workers: 4})
-	if err != nil {
-		t.Fatal(err)
+	if aj, ac := run(NewSession(SessionOptions{Workers: 4, Params: warm.ParamCache()})); aj != wj || ac != wc {
+		t.Error("sweep with parametrization served from cache is not byte-identical to the cold run")
 	}
-	aj, ac := encode(again)
-	if aj != gj || ac != gc {
-		t.Error("warm facade sweep (parametrization served from cache) is not byte-identical to the cold run")
+	if st := warm.ParamCache().Stats(); st.Hits == 0 {
+		t.Errorf("warm parametrization cache never hit: %+v", st)
 	}
 }
 
@@ -220,9 +253,6 @@ func TestFacadeSessionSurface(t *testing.T) {
 	}
 	if st := s.ParamCache().Stats(); st != (ParamCacheStats{}) {
 		t.Errorf("fresh param cache stats = %+v", st)
-	}
-	if DefaultSession() == nil || DefaultSession() != DefaultSession() {
-		t.Error("DefaultSession is not a stable process-wide instance")
 	}
 	if _, err := s.Evaluate(context.Background(), CircuitJob{}); err == nil {
 		t.Error("invalid job accepted through the facade surface")
@@ -247,7 +277,7 @@ func TestFacadeGoldenStoreRoundTrip(t *testing.T) {
 	cfg := propertyConfigs(2)[0]
 	p := fastFacadeParams()
 	job := GateJob{Gate: "nor2", Params: &p,
-		Configs: []TraceConfig{cfg}, Seeds: []int64{1}, Workers: 2}
+		Configs: []TraceConfig{cfg}, Seeds: []int64{1}}
 
 	st, err := OpenGoldenStore(dir)
 	if err != nil {
@@ -297,21 +327,9 @@ func TestFacadeReexportExercise(t *testing.T) {
 	if DefaultGate().Name() != "nor2" {
 		t.Errorf("DefaultGate = %q", DefaultGate().Name())
 	}
-	b, err := NewBench(fastFacadeParams())
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := Models{}
-	if r := NewEvalRunner(b, m, nil); r == nil {
-		t.Error("NewEvalRunner returned nil")
-	}
 	g, _ := LookupGate("nand2")
-	gb, err := g.NewBench(fastFacadeParams())
-	if err != nil {
+	if _, err := g.NewBench(fastFacadeParams()); err != nil {
 		t.Fatal(err)
-	}
-	if r := NewGateEvalRunner(gb, m, &EvalOptions{Workers: 2}); r == nil {
-		t.Error("NewGateEvalRunner returned nil")
 	}
 	nl, err := BuiltinNetlist("nor-invchain")
 	if err != nil {

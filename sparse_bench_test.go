@@ -9,10 +9,10 @@ package hybriddelay
 // These rows feed the CI bench-smoke job's BENCH_sparse.json artifact.
 
 import (
+	"context"
 	"testing"
 	"time"
 
-	"hybriddelay/internal/eval"
 	"hybriddelay/internal/gate"
 	"hybriddelay/internal/gen"
 	"hybriddelay/internal/netlist"
@@ -31,41 +31,31 @@ func BenchmarkSparseSpeedupGate(b *testing.B) {
 	ps := pd
 	ps.Solver = spice.SparseFast
 
-	mkRunner := func(p nor.Params) *eval.Runner {
-		bench, err := gate.NOR2.NewBench(p)
-		if err != nil {
+	// One session per mode with its operating point prepared up front,
+	// so the loop times evaluation only.
+	mkSession := func(p nor.Params) *Session {
+		s := NewSession(SessionOptions{Workers: parallelBenchWorkers})
+		if _, err := s.ParamCache().OperatingPoint(context.Background(), gate.NOR2, p, DefaultSessionExpDMin); err != nil {
 			b.Fatal(err)
 		}
-		meas, err := bench.Measure()
-		if err != nil {
-			b.Fatal(err)
-		}
-		models, err := gate.NOR2.BuildModels(meas, p.Supply, 20e-12)
-		if err != nil {
-			b.Fatal(err)
-		}
-		return eval.NewGateRunner(bench, models, &eval.Options{Workers: parallelBenchWorkers})
+		return s
 	}
-	dense, sparse := mkRunner(pd), mkRunner(ps)
-	configs := gen.PaperConfigs()
-	for i := range configs {
-		configs[i].Transitions /= 4
-	}
+	dense, sparse := mkSession(pd), mkSession(ps)
+	configs, _ := fig7ParallelConfigs(2)
 	seeds := []int64{1, 2}
+	run := func(s *Session, p nor.Params) float64 {
+		start := time.Now()
+		if _, err := s.Evaluate(context.Background(), GateJob{Params: &p, Configs: configs, Seeds: seeds, NoCache: true}); err != nil {
+			b.Fatal(err)
+		}
+		return time.Since(start).Seconds()
+	}
 
 	var dSecs, sSecs float64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		start := time.Now()
-		if _, err := dense.Run(configs, seeds); err != nil {
-			b.Fatal(err)
-		}
-		dSecs += time.Since(start).Seconds()
-		start = time.Now()
-		if _, err := sparse.Run(configs, seeds); err != nil {
-			b.Fatal(err)
-		}
-		sSecs += time.Since(start).Seconds()
+		dSecs += run(dense, pd)
+		sSecs += run(sparse, ps)
 	}
 	b.StopTimer()
 	b.ReportMetric(dSecs/sSecs, "speedup_x")
