@@ -123,8 +123,8 @@ func reportSolver(stderr io.Writer, st spice.SolverStats) {
 	if st.Steps == 0 && st.Iterations == 0 {
 		return
 	}
-	fmt.Fprintf(stderr, "solver: %d steps (%d rejected), %d Newton iterations, %d factorizations (%d reused LU)\n",
-		st.Steps, st.Rejected, st.Iterations, st.Factorizations, st.Reused)
+	fmt.Fprintf(stderr, "solver: %d steps (%d rejected), %d Newton iterations, %d factorizations\n",
+		st.Steps, st.Rejected, st.Iterations, st.Factorizations)
 	if st.SparseFactorizations > 0 || st.LinearReuses > 0 || st.SparseFallbacks > 0 {
 		fmt.Fprintf(stderr, "solver: sparse path: %d sparse factorizations, %d dense fallbacks, %d linear restamps skipped\n",
 			st.SparseFactorizations, st.SparseFallbacks, st.LinearReuses)

@@ -4,9 +4,14 @@
 // closed-form eigen-decomposition and matrix exponentials for the 2x2
 // systems that govern the hybrid NOR model.
 //
-// The package is deliberately minimal: circuit matrices in this repository
-// are tiny (a handful of nodes), so a straightforward O(n^3) LU without
-// blocking is both simple and fast.
+// Circuit matrices in this repository are tiny (a handful of nodes to a
+// few dozen) but factored millions of times per golden run, with the
+// same structure and almost always the same pivot sequence. The dense
+// LU therefore keeps a plain O(n^3) partial-pivot kernel as the
+// reference and, given the structural pattern (LU.SetPattern), replays
+// a learned pivot schedule that skips the structurally zero positions
+// while staying bit-identical to the plain kernel. Larger systems use
+// the static-pivot sparse LU in the sparse subpackage.
 package la
 
 import (
@@ -74,6 +79,8 @@ type LU struct {
 	buf  []float64 // owned backing storage for lu (FactorInto); FactorInPlace aliases the caller's matrix instead
 	piv  []int
 	sign int
+
+	rp replayState // learned pivot schedules (SetPattern)
 }
 
 // Factor computes the LU factorization of the square matrix a.
@@ -135,10 +142,17 @@ func (f *LU) FactorInPlace(a *Matrix) error {
 // the passes saves a separate permute + forward-substitution walk per
 // solve, which matters in the Newton inner loop.
 //
+// With a structural pattern set (SetPattern) for this size, the call
+// replays a learned pivot schedule instead where it can (see replay.go);
+// x and the returned error are the same bit for bit. A replayed solve
+// leaves the factors in a's original row order, so f then keeps no
+// reusable factorization.
+//
 // Allocation-free in the steady state (the pivot workspace grows once
-// per size): enforced statically by hybridlint's noalloc analyzer and
-// dynamically by CI's BenchmarkSolverNewton -benchmem gate, which
-// drives this function every iteration.
+// per size, and only learning a new pivot sequence allocates):
+// enforced statically by hybridlint's noalloc analyzer and dynamically
+// by CI's BenchmarkSolverNewton -benchmem gate, which drives this
+// function every iteration.
 //
 //hybrid:noalloc
 func (f *LU) FactorSolveInPlace(a *Matrix, x, b []float64) error {
@@ -155,25 +169,55 @@ func (f *LU) FactorSolveInPlace(a *Matrix, x, b []float64) error {
 	} else {
 		f.piv = f.piv[:n]
 	}
-	f.n, f.sign = n, 1
-	lu, piv := f.lu, f.piv
-	for i := range piv {
-		piv[i] = i
+	f.n = n
+	k := 0
+	if f.rp.replayable(n, b) {
+		var done bool
+		var err error
+		if k, done, err = f.replay(x, b); done {
+			return err
+		}
+	} else {
+		copy(x, b)
+		f.sign = 1
+		for i := range f.piv {
+			f.piv[i] = i
+		}
 	}
-	copy(x, b)
-	// Pivot search fused into the elimination pass, exactly as factor().
-	p := 0
-	max := math.Abs(lu[0])
-	for i := 1; i < n; i++ {
-		if v := math.Abs(lu[i*n]); v > max {
+	if err := f.eliminate(k, x); err != nil {
+		return err
+	}
+	f.adopt()
+	return nil
+}
+
+// eliminate runs the fused partial-pivot elimination from column k0 to
+// the end, then back-substitutes. lu, x, piv and sign must hold the
+// state the elimination reached at the start of column k0; k0 = 0 is
+// the plain kernel. The pivot sequence it chooses is recorded for
+// learning.
+func (f *LU) eliminate(k0 int, x []float64) error {
+	n, lu, piv := f.n, f.lu, f.piv
+	// The column-k0 pivot search; every later column's search is fused
+	// into the elimination pass below. Column 0 seeds the maximum with
+	// row 0's magnitude (so a NaN there is kept as the pivot); later
+	// columns start from zero at the first candidate row, exactly as
+	// the fused search does.
+	p, max, start := k0, 0.0, k0
+	if k0 == 0 {
+		max, start = math.Abs(lu[0]), 1
+	}
+	for i := start; i < n; i++ {
+		if v := math.Abs(lu[i*n+k0]); v > max {
 			max, p = v, i
 		}
 	}
-	for k := 0; k < n; k++ {
+	for k := k0; k < n; k++ {
 		if max == 0 {
 			f.n = 0
 			return ErrSingular
 		}
+		f.rp.record(k, p)
 		if p != k {
 			rp, rk := lu[p*n:p*n+n], lu[k*n:k*n+n]
 			for j := range rk {
@@ -208,8 +252,14 @@ func (f *LU) FactorSolveInPlace(a *Matrix, x, b []float64) error {
 		}
 		p, max = nextP, nextMax
 	}
-	// Back substitution, exactly SolveInto's final pass.
-	for i := n - 1; i >= 0; i-- {
+	return f.backSubstitute(n-1, x)
+}
+
+// backSubstitute finishes x from row i0 down to row 0 over the packed
+// U, exactly SolveInto's final pass.
+func (f *LU) backSubstitute(i0 int, x []float64) error {
+	n, lu := f.n, f.lu
+	for i := i0; i >= 0; i-- {
 		s := x[i]
 		row := lu[i*n : i*n+n]
 		tail := row[i+1:]

@@ -1,9 +1,11 @@
 package spice
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
+	"hybriddelay/internal/la"
 	"hybriddelay/internal/waveform"
 )
 
@@ -12,12 +14,49 @@ import (
 
 func TestSingularMNAFails(t *testing.T) {
 	// A floating node with only a capacitor has no DC path: the DC
-	// operating point is singular and must be reported.
+	// operating point is singular and must be reported as a typed
+	// solve error wrapping la.ErrSingular.
 	c := NewCircuit()
 	n := c.Node("float")
 	c.AddCapacitor("C", n, Ground, 1e-15)
-	if _, err := OperatingPoint(c, 0, NewtonOptions{}); err == nil {
-		t.Error("singular DC system accepted")
+	_, err := OperatingPoint(c, 0, NewtonOptions{})
+	var se *SolveError
+	if !errors.As(err, &se) {
+		t.Fatalf("error %v is not a *SolveError", err)
+	}
+	if !errors.Is(err, la.ErrSingular) {
+		t.Errorf("error %v does not wrap la.ErrSingular", err)
+	}
+	if se.Time != 0 || se.Step != 0 || se.Iterations != 0 || se.Node != "" {
+		t.Errorf("context = %+v, want the first iteration of the DC solve at t=0", se)
+	}
+	if !strings.HasPrefix(err.Error(), "spice: MNA matrix singular at t=0") {
+		t.Errorf("message %q lost its prefix", err)
+	}
+}
+
+func TestNewtonNonConvergenceIsTyped(t *testing.T) {
+	// One Newton iteration cannot settle the NOR gate from an all-zero
+	// iterate: the transient's first step fails with the time, step,
+	// iteration count and the node that moved most.
+	c, _ := nor2Circuit()
+	_, err := Transient(c, TransientOptions{
+		TStart: 0, TStop: 100e-12, MaxStep: 4e-12, MinStep: 1e-12,
+		InitialConditions: map[NodeID]float64{},
+		Newton:            NewtonOptions{MaxIter: 1},
+	})
+	var se *SolveError
+	if !errors.As(err, &se) {
+		t.Fatalf("error %v does not wrap a *SolveError", err)
+	}
+	if errors.Is(err, la.ErrSingular) || se.Err != nil {
+		t.Errorf("non-convergence %v wraps a linear-algebra error", err)
+	}
+	if se.Time <= 0 || se.Step <= 0 || se.Iterations != 1 || se.Node == "" {
+		t.Errorf("context = %+v, want a transient step after one iteration with a worst node", se)
+	}
+	if !strings.Contains(err.Error(), "spice: Newton did not converge at t=") {
+		t.Errorf("message %q lost its prefix", err)
 	}
 }
 

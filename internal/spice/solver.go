@@ -28,16 +28,18 @@ type Solver struct {
 	ctx StampContext
 
 	xNew    []float64 // next Newton iterate
-	rtmp    []float64 // residual buffer for modified-Newton solves
 	v       []float64 // transient solution vector
 	vPrev   []float64 // last accepted transient solution
 	srcVals []float64 // hoisted per-solve source values, by branch
 
-	lu     la.LU
-	haveLU bool // lu factors a recent Jacobian (modified Newton only)
+	// pattern holds the dense offsets of every Jacobian entry a device
+	// stamp can touch, built once from topology. The sparse path
+	// analyzes it; the dense LU replays its pivot schedules over it.
+	pattern []int32
+	lu      la.LU
 
 	mode SolverMode  // linear-solver strategy of the current transient
-	sp   sparseState // SparseFast workspace (pattern, base, symbolic)
+	sp   sparseState // SparseFast workspace (device partition, base, symbolic)
 
 	// Symbolic-analysis sharing and tuning (SparseFast only): the
 	// cache the solver resolves Symbolics through (nil = the
@@ -57,7 +59,9 @@ type SolverStats struct {
 	Rejected       int64 // rejected (re-tried) transient steps
 	Iterations     int64 // Newton iterations
 	Factorizations int64 // LU factorizations (dense and sparse)
-	Reused         int64 // iterations solved on a reused (stale) LU
+	// Reused is always 0: every Newton iteration factors its fresh
+	// Jacobian. The field stays for the readers of the counter set.
+	Reused int64
 
 	// SparseFast-mode counters (zero on the dense golden path).
 	LinearReuses         int64 // iterations that reused the frozen linear stamp base
@@ -117,15 +121,19 @@ func (s *Solver) ensure() {
 	//hybrid:alloc-ok one-time workspace build behind the nil/size guard; cold after the first call per system size
 	if s.ctx.G == nil || s.ctx.G.Rows != n {
 		s.ctx.G = la.NewMatrix(n, n)
+		s.pattern = s.c.stampPattern()
+		// The dense loop also stamps gmin shunts on the node diagonals.
+		dense := append([]int32(nil), s.pattern...)
+		for i := 0; i < s.c.NumNodes()-1; i++ {
+			dense = append(dense, int32(i*n+i))
+		}
+		s.lu.SetPattern(n, dense)
 	}
 	if len(s.ctx.RHS) != n {
 		s.ctx.RHS = make([]float64, n)
 	}
 	if len(s.xNew) != n {
 		s.xNew = make([]float64, n)
-	}
-	if len(s.rtmp) != n {
-		s.rtmp = make([]float64, n)
 	}
 	if len(s.v) != n {
 		s.v = make([]float64, n)
@@ -138,18 +146,48 @@ func (s *Solver) ensure() {
 	}
 }
 
-// residual computes r = rhs - G·v, the KCL residual of the companion
-// system at the current iterate.
-func residual(r []float64, g *la.Matrix, v, rhs []float64) {
-	n := g.Rows
-	for i := 0; i < n; i++ {
-		row := g.Data[i*n : i*n+n]
-		sum := 0.0
-		for j, gij := range row {
-			sum += gij * v[j]
+// stampPattern returns the dense row-major offsets of every MNA
+// Jacobian entry a device stamp can touch, derived from device
+// topology, not stamped values: a MOSFET in cutoff stamps numeric
+// zeros at structurally live positions, so value-based extraction
+// would under-approximate. Unknown devices are assumed to stamp within
+// the block of their declared nodes (the contract of the generic stamp
+// helpers).
+func (c *Circuit) stampPattern() []int32 {
+	n := c.unknowns()
+	var pattern []int32
+	seen := make([]bool, n*n)
+	add := func(i, j int) {
+		if i >= 0 && j >= 0 && !seen[i*n+j] {
+			seen[i*n+j] = true
+			pattern = append(pattern, int32(i*n+j))
 		}
-		r[i] = rhs[i] - sum
 	}
+	for _, d := range c.devices {
+		switch dev := d.(type) {
+		case *VSource:
+			ib := c.branchVar(dev.branch)
+			ip, im := nodeVar(dev.plus), nodeVar(dev.minus)
+			add(ip, ib)
+			add(im, ib)
+			add(ib, ip)
+			add(ib, im)
+		case *ISource:
+			// RHS only.
+		default:
+			// Node blocks: MOSFET channel partials cover rows {d,s} ×
+			// cols {d,g,s}, and gmin and cgs/cgd/cdb stay inside the
+			// {d,g,s} block as well; resistors and capacitors stamp
+			// their two-node block.
+			nodes := d.Nodes()
+			for _, a := range nodes {
+				for _, b := range nodes {
+					add(nodeVar(a), nodeVar(b))
+				}
+			}
+		}
+	}
+	return pattern
 }
 
 // newton iterates the MNA system at the solver's current context until
@@ -160,14 +198,9 @@ func residual(r []float64, g *la.Matrix, v, rhs []float64) {
 // historical gmin solver, so stage behaviour is bit-identical to the
 // per-call reference.
 //
-// The default path factors the fresh Jacobian every iteration and
-// solves G·x = RHS directly — exactly the reference iteration. With
-// opt.ModifiedNewton set, the solver instead reuses the most recent LU
-// (possibly from a previous step) on the residual form
-// J_stale·Δ = RHS - G·v and refactors only when the iteration stalls;
-// the converged solution then agrees within tolerance but is NOT
-// bit-identical, so modified Newton is opt-in and off on the golden
-// path.
+// Every iteration factors the freshly stamped Jacobian and solves
+// G·x = RHS directly. A failed solve outside a gmin stage returns a
+// *SolveError.
 //
 // This loop is allocation-free in the steady state, enforced twice:
 // statically by hybridlint's noalloc analyzer (this annotation), and
@@ -180,7 +213,7 @@ func (s *Solver) newton(v []float64, opt NewtonOptions, gmin float64, gminStage 
 	// operating points and gmin homotopy stages have a different
 	// structural pattern (capacitors open, added shunt diagonals) and
 	// run once per transient, so they stay on the robust dense path.
-	if s.mode == SparseFast && gmin == 0 && !gminStage && !s.ctx.DC && !opt.ModifiedNewton {
+	if s.mode == SparseFast && gmin == 0 && !gminStage && !s.ctx.DC {
 		return s.newtonSparse(v, opt)
 	}
 	// This dense solve factors ctx.G in place, leaving LU residue at
@@ -194,7 +227,6 @@ func (s *Solver) newton(v []float64, opt NewtonOptions, gmin float64, gminStage 
 	n := c.unknowns()
 	nv := c.NumNodes() - 1
 	ctx := &s.ctx
-	modified := opt.ModifiedNewton && !gminStage
 	// Hoist the source evaluation: every iteration of this solve stamps
 	// at the same ctx.Time.
 	for i, vs := range c.vsources {
@@ -202,7 +234,7 @@ func (s *Solver) newton(v []float64, opt NewtonOptions, gmin float64, gminStage 
 	}
 	ctx.srcVals = s.srcVals
 	xNew := s.xNew
-	prevDelta := math.Inf(1)
+	worst := -1 // voltage unknown with the largest last update
 	for iter := 0; iter < opt.MaxIter; iter++ {
 		ctx.capFresh = iter == 0
 		ctx.G.Zero()
@@ -219,56 +251,18 @@ func (s *Solver) newton(v []float64, opt NewtonOptions, gmin float64, gminStage 
 				ctx.G.Add(i, i, gmin)
 			}
 		}
-		reused := false
-		if modified && s.haveLU {
-			residual(s.rtmp, ctx.G, v, rhs)
-			if s.lu.SolveInto(xNew, s.rtmp) == nil {
-				reused = true
-				s.stats.Reused++
-				for i := 0; i < n; i++ {
-					xNew[i] += v[i]
-				}
-			} else {
-				s.haveLU = false
+		// Fused factor+solve on the Jacobian in place: G is re-stamped
+		// from zero next iteration anyway, and carrying the RHS through
+		// the elimination folds the permute and forward substitution
+		// into the factorization sweep (bit-identical, see
+		// la.FactorSolveInPlace).
+		if err := s.lu.FactorSolveInPlace(ctx.G, xNew, rhs); err != nil {
+			if gminStage {
+				return err
 			}
+			return s.solveError(iter, worst, err)
 		}
-		if !reused {
-			// Default path: fused factor+solve on the Jacobian in place —
-			// G is re-stamped from zero next iteration anyway, and carrying
-			// the RHS through the elimination folds the permute and forward
-			// substitution into the factorization sweep (bit-identical, see
-			// la.FactorSolveInPlace). Modified Newton must keep its LU alive
-			// across re-stamps (and steps), so it pays for the copying
-			// FactorInto plus a separate solve.
-			if modified {
-				if err := s.lu.FactorInto(ctx.G); err != nil {
-					s.haveLU = false
-					if gminStage {
-						return err
-					}
-					return fmt.Errorf("spice: MNA matrix singular at t=%g: %w", ctx.Time, err)
-				}
-				s.stats.Factorizations++
-				s.haveLU = true
-				if err := s.lu.SolveInto(xNew, rhs); err != nil {
-					s.haveLU = false
-					if gminStage {
-						return err
-					}
-					return fmt.Errorf("spice: solve failed at t=%g: %w", ctx.Time, err)
-				}
-			} else {
-				if err := s.lu.FactorSolveInPlace(ctx.G, xNew, rhs); err != nil {
-					s.haveLU = false
-					if gminStage {
-						return err
-					}
-					return fmt.Errorf("spice: MNA matrix singular at t=%g: %w", ctx.Time, err)
-				}
-				s.stats.Factorizations++
-				s.haveLU = false
-			}
-		}
+		s.stats.Factorizations++
 		s.stats.Iterations++
 		// Damped update with convergence check on node voltages. The
 		// infinity norm of the updated voltages is accumulated in the same
@@ -288,19 +282,13 @@ func (s *Solver) newton(v []float64, opt NewtonOptions, gmin float64, gminStage 
 			v[i] += d
 			if i < nv {
 				if a := math.Abs(d); a > maxDelta {
-					maxDelta = a
+					maxDelta, worst = a, i
 				}
 				if a := math.Abs(v[i]); a > maxV {
 					maxV = a
 				}
 			}
 		}
-		if reused && !(maxDelta <= opt.StallRatio*prevDelta) {
-			// The stale-Jacobian update stopped contracting: refactor on
-			// the next iteration.
-			s.haveLU = false
-		}
-		prevDelta = maxDelta
 		if maxDelta <= opt.AbsTol+opt.RelTol*maxV {
 			return nil
 		}
@@ -308,7 +296,41 @@ func (s *Solver) newton(v []float64, opt NewtonOptions, gmin float64, gminStage 
 	if gminStage {
 		return fmt.Errorf("spice: gmin stage did not converge")
 	}
-	return fmt.Errorf("spice: Newton did not converge at t=%g", ctx.Time)
+	return s.solveError(opt.MaxIter, worst, nil)
+}
+
+// SolveError reports a Newton solve of the MNA system that failed: the
+// matrix was singular (Err wraps la.ErrSingular) or the iteration did
+// not converge (Err is nil).
+type SolveError struct {
+	Time       float64 // time of the solve [s]
+	Step       float64 // step size of the solve [s]; 0 at a DC operating point
+	Iterations int     // Newton iterations completed before the failure
+	Node       string  // node with the largest last update; "" before the first
+	Err        error   // la.ErrSingular for a singular matrix, else nil
+}
+
+func (e *SolveError) Error() string {
+	if e.Err != nil {
+		return fmt.Sprintf("spice: MNA matrix singular at t=%g (step %g, %d iterations, worst node %q): %v",
+			e.Time, e.Step, e.Iterations, e.Node, e.Err)
+	}
+	return fmt.Sprintf("spice: Newton did not converge at t=%g (step %g, %d iterations, worst node %q)",
+		e.Time, e.Step, e.Iterations, e.Node)
+}
+
+// Unwrap returns the linear-algebra cause, if any.
+func (e *SolveError) Unwrap() error { return e.Err }
+
+// solveError describes a failed solve at the solver's current context
+// after iters iterations; worst is the voltage unknown with the largest
+// last update, or -1.
+func (s *Solver) solveError(iters, worst int, err error) *SolveError {
+	e := &SolveError{Time: s.ctx.Time, Step: s.ctx.Dt, Iterations: iters, Err: err}
+	if worst >= 0 {
+		e.Node = s.c.NodeName(NodeID(worst + 1))
+	}
+	return e
 }
 
 // gminStages is the shrinking-shunt homotopy schedule used when the
@@ -322,7 +344,6 @@ var gminStages = [...]float64{1e-3, 1e-6, 1e-9, 1e-12}
 // branch currents.
 func (s *Solver) OperatingPoint(t float64, opt NewtonOptions) ([]float64, error) {
 	s.ensure()
-	s.haveLU = false // a stale transient Jacobian is useless at DC
 	v := make([]float64, s.c.unknowns())
 	s.ctx.Time, s.ctx.Dt, s.ctx.Method, s.ctx.DC = t, 0, Trapezoidal, true
 	if err := s.newton(v, opt, 0, false); err == nil {
@@ -420,7 +441,6 @@ func (s *Solver) Transient(opt TransientOptions) (*TransientResult, error) {
 
 	// Initial state.
 	s.ensure()
-	s.haveLU = false
 	v := s.v
 	if opt.InitialConditions != nil {
 		for i := range v {

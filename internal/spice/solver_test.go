@@ -93,9 +93,6 @@ func TestSolverTransientBitIdentical(t *testing.T) {
 	if st.Steps == 0 || st.Iterations == 0 || st.Factorizations == 0 {
 		t.Errorf("stats not counting: %+v", st)
 	}
-	if st.Reused != 0 {
-		t.Errorf("default path reused a stale LU %d times; must factor fresh", st.Reused)
-	}
 }
 
 // TestSolverOperatingPointBitIdentical: repeated operating points in
@@ -123,51 +120,6 @@ func TestSolverOperatingPointBitIdentical(t *testing.T) {
 			if got[i] != want[i] {
 				t.Errorf("t=%g: unknown %d = %v, want %v", tm, i, got[i], want[i])
 			}
-		}
-	}
-}
-
-// TestModifiedNewtonConverges: the opt-in stale-Jacobian iteration
-// reuses factorizations and still lands within Newton tolerance of the
-// reference transient (it is explicitly NOT bit-identical).
-func TestModifiedNewtonConverges(t *testing.T) {
-	c, out := inverterCircuit()
-	s, err := NewSolver(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opt := inverterOptions()
-	opt.Newton.ModifiedNewton = true
-	got, err := s.Transient(opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := s.Stats()
-	if st.Reused == 0 {
-		t.Fatal("modified Newton never reused a factorization")
-	}
-	if st.Factorizations >= st.Iterations {
-		t.Errorf("factorizations (%d) not below iterations (%d)", st.Factorizations, st.Iterations)
-	}
-	ref, _ := inverterCircuit()
-	want, err := Transient(ref, inverterOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	gw, err := got.Waveform(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ww, err := want.Waveform(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The stale-Jacobian stepper takes a slightly different step
-	// schedule, so compare against the reference at the waveform level
-	// within the LTE scale rather than bit-for-bit.
-	for _, tm := range []float64{0.5e-9, 2.5e-9, 4e-9, 5.5e-9} {
-		if d := math.Abs(gw.At(tm) - ww.At(tm)); d > 1e-4 {
-			t.Errorf("V(out, %g) differs from reference by %g", tm, d)
 		}
 	}
 }

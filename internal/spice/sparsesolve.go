@@ -1,7 +1,6 @@
 package spice
 
 import (
-	"fmt"
 	"math"
 
 	"hybriddelay/internal/la"
@@ -22,14 +21,12 @@ type SplitStamper interface {
 }
 
 // sparseState is the Solver's workspace for the SparseFast mode: the
-// structural stamp pattern, the linear/nonlinear device partition, the
-// frozen per-solve linear base, and the symbolic/numeric factorization
-// pair. Topology is fixed per solver, so everything but the symbolic
-// analysis is built exactly once.
+// linear/nonlinear device partition, the frozen per-solve linear base,
+// and the symbolic/numeric factorization pair over the solver's stamp
+// pattern. Topology is fixed per solver, so everything but the
+// symbolic analysis is built exactly once.
 type sparseState struct {
 	built bool
-
-	pattern []int32 // dense offsets every device stamp can touch
 
 	linDevs   []Device       // wholly linear: stamped once per solve
 	splitDevs []SplitStamper // linear part frozen, nonlinear replayed
@@ -98,9 +95,9 @@ func (s *Solver) resolveSymbolic() error {
 		err error
 	)
 	if sp.sym == nil {
-		sym, gen, hit, err = cache.Get(s.symScope, s.ctx.G, sp.pattern, s.sparseOptions())
+		sym, gen, hit, err = cache.Get(s.symScope, s.ctx.G, s.pattern, s.sparseOptions())
 	} else {
-		sym, gen, hit, err = cache.Refresh(s.symScope, s.ctx.G, sp.pattern, s.sparseOptions(), sp.gen)
+		sym, gen, hit, err = cache.Refresh(s.symScope, s.ctx.G, s.pattern, s.sparseOptions(), sp.gen)
 	}
 	if err != nil {
 		return err
@@ -120,10 +117,7 @@ func (s *Solver) resolveSymbolic() error {
 	return nil
 }
 
-// ensureSparse builds the structural pattern and device partition. The
-// pattern is derived from device topology, not stamped values: a
-// MOSFET in cutoff stamps numeric zeros at structurally live
-// positions, so value-based extraction would under-approximate.
+// ensureSparse builds the linear/nonlinear device partition.
 //
 //hybrid:alloc-ok one-time topology build, guarded by sp.built; never re-runs in the iteration loop
 func (s *Solver) ensureSparse() {
@@ -131,61 +125,18 @@ func (s *Solver) ensureSparse() {
 	if sp.built {
 		return
 	}
-	c := s.c
-	n := c.unknowns()
-	seen := make([]bool, n*n)
-	add := func(i, j int) {
-		if i >= 0 && j >= 0 && !seen[i*n+j] {
-			seen[i*n+j] = true
-			sp.pattern = append(sp.pattern, int32(i*n+j))
-		}
-	}
-	block := func(vars []int) {
-		for _, i := range vars {
-			for _, j := range vars {
-				add(i, j)
-			}
-		}
-	}
-	var vars [8]int
-	nodeBlock := func(nodes []NodeID) {
-		v := vars[:0]
-		for _, nd := range nodes {
-			v = append(v, nodeVar(nd))
-		}
-		block(v)
-	}
-	for _, d := range c.devices {
+	for _, d := range s.c.devices {
 		switch dev := d.(type) {
 		case *MOSFET:
-			// Channel partials cover rows {d,s} × cols {d,g,s}; gmin and
-			// cgs/cgd/cdb stay inside the {d,g,s} block as well.
-			nodeBlock(dev.Nodes())
 			sp.splitDevs = append(sp.splitDevs, dev)
-		case *Resistor:
-			nodeBlock(dev.Nodes())
+		case *Resistor, *Capacitor, *VSource, *ISource:
 			sp.linDevs = append(sp.linDevs, dev)
-		case *Capacitor:
-			nodeBlock(dev.Nodes())
-			sp.linDevs = append(sp.linDevs, dev)
-		case *VSource:
-			ib := c.branchVar(dev.branch)
-			ip, im := nodeVar(dev.plus), nodeVar(dev.minus)
-			add(ip, ib)
-			add(im, ib)
-			add(ib, ip)
-			add(ib, im)
-			sp.linDevs = append(sp.linDevs, dev)
-		case *ISource:
-			sp.linDevs = append(sp.linDevs, dev) // RHS only
 		default:
-			// Unknown device: assume it may depend on the iterate and
-			// stamps within the block of its declared nodes (the
-			// contract of the generic stamp helpers).
-			nodeBlock(d.Nodes())
+			// Unknown device: assume it may depend on the iterate.
 			sp.nlDevs = append(sp.nlDevs, d)
 		}
 	}
+	n := s.c.unknowns()
 	sp.linG = la.NewMatrix(n, n)
 	sp.linRHS = make([]float64, n)
 	sp.built = true
@@ -209,7 +160,7 @@ func (s *Solver) restampSparse(v []float64, firstIter bool) {
 		// outside the pattern, so copying pattern positions restores
 		// the complete clean state.
 		g.Zero()
-		for _, off := range sp.pattern {
+		for _, off := range s.pattern {
 			g.Data[off] = sp.linG.Data[off]
 		}
 		sp.denseDirty = false
@@ -247,7 +198,6 @@ func (s *Solver) newtonSparse(v []float64, opt NewtonOptions) error {
 	n := c.unknowns()
 	nv := c.NumNodes() - 1
 	ctx := &s.ctx
-	s.haveLU = false // any dense LU is invalidated by the solves below
 	// Hoist the source evaluation: every iteration of this solve stamps
 	// at the same ctx.Time.
 	for i, vs := range c.vsources {
@@ -262,7 +212,7 @@ func (s *Solver) newtonSparse(v []float64, opt NewtonOptions) error {
 	// dense path.
 	gSave, rhsSave := ctx.G, ctx.RHS
 	ctx.G, ctx.RHS = sp.linG, sp.linRHS
-	for _, off := range sp.pattern {
+	for _, off := range s.pattern {
 		sp.linG.Data[off] = 0
 	}
 	for i := range sp.linRHS {
@@ -279,6 +229,7 @@ func (s *Solver) newtonSparse(v []float64, opt NewtonOptions) error {
 	ctx.G, ctx.RHS = gSave, rhsSave
 
 	xNew := s.xNew
+	worst := -1 // voltage unknown with the largest last update
 	for iter := 0; iter < opt.MaxIter; iter++ {
 		s.restampSparse(v, iter == 0)
 		if iter > 0 {
@@ -311,7 +262,7 @@ func (s *Solver) newtonSparse(v []float64, opt NewtonOptions) error {
 			// matrix, including positions outside the touched set.
 			sp.denseDirty = true
 			if err := s.lu.FactorSolveInPlace(ctx.G, xNew, ctx.RHS); err != nil {
-				return fmt.Errorf("spice: MNA matrix singular at t=%g: %w", ctx.Time, err)
+				return s.solveError(iter, worst, err)
 			}
 			s.stats.Factorizations++
 		}
@@ -332,7 +283,7 @@ func (s *Solver) newtonSparse(v []float64, opt NewtonOptions) error {
 			v[i] += d
 			if i < nv {
 				if a := math.Abs(d); a > maxDelta {
-					maxDelta = a
+					maxDelta, worst = a, i
 				}
 				if a := math.Abs(v[i]); a > maxV {
 					maxV = a
@@ -343,5 +294,5 @@ func (s *Solver) newtonSparse(v []float64, opt NewtonOptions) error {
 			return nil
 		}
 	}
-	return fmt.Errorf("spice: Newton did not converge at t=%g", ctx.Time)
+	return s.solveError(opt.MaxIter, worst, nil)
 }
