@@ -75,6 +75,42 @@ func TestFig7Golden(t *testing.T) {
 	}
 }
 
+// TestFig7CSVGolden pins the fig7 CSV of every registered gate. The CSV
+// prints each normalized deviation area with %g, the shortest
+// representation that round-trips, so a change of one ulp in any
+// result fails it.
+func TestFig7CSVGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("accuracy pipeline in -short mode")
+	}
+	for _, name := range gate.Names() {
+		t.Run(name, func(t *testing.T) {
+			opt := fig7GoldenOpts()
+			opt.gate, opt.csv = name, true
+			var buf bytes.Buffer
+			opt.out = &buf
+			if err := runFig7(opt); err != nil {
+				t.Fatal(err)
+			}
+			path := filepath.Join("testdata", fmt.Sprintf("fig7_%s.csv.golden", name))
+			if *updateGolden {
+				if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+					t.Fatal(err)
+				}
+				return
+			}
+			want, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatalf("missing golden file (regenerate with -update): %v", err)
+			}
+			if !bytes.Equal(buf.Bytes(), want) {
+				t.Errorf("fig7 -csv -gate %s output drifted from %s.\n--- got ---\n%s\n--- want ---\n%s",
+					name, path, buf.Bytes(), want)
+			}
+		})
+	}
+}
+
 // TestFig7GoldenWorkerIndependence: the golden bytes do not depend on
 // the worker count — the same property the eval runner guarantees for
 // its merged areas, observed at the CLI output layer.

@@ -138,6 +138,24 @@ func (b *Bench) Clone() (*Bench, error) { return NewBench(b.nl, b.p) }
 // starts in the settled all-low-input state, with internal nodes that
 // the state isolates at the paper's worst case GND.
 func (b *Bench) Golden(inputs []trace.Trace, until float64) (map[string]trace.Trace, error) {
+	res, err := b.transient(inputs, until)
+	if err != nil {
+		return nil, err
+	}
+	out := make(map[string]trace.Trace, len(b.recorded))
+	for i, net := range b.recorded {
+		w, err := res.Waveform(b.recordIDs[i])
+		if err != nil {
+			return nil, fmt.Errorf("netlist %s: net %q: %w", b.nl.label(), net, err)
+		}
+		out[net] = trace.Digitize(w, b.p.Supply.Vth)
+	}
+	return out, nil
+}
+
+// transient runs the composed analog transient behind Golden and
+// returns the recorded nets' raw waveforms.
+func (b *Bench) transient(inputs []trace.Trace, until float64) (*spice.TransientResult, error) {
 	if len(inputs) != len(b.nl.Inputs) {
 		return nil, fmt.Errorf("netlist %s: %d primary inputs, got %d traces",
 			b.nl.label(), len(b.nl.Inputs), len(inputs))
@@ -164,13 +182,5 @@ func (b *Bench) Golden(inputs []trace.Trace, until float64) (map[string]trace.Tr
 	if err != nil {
 		return nil, fmt.Errorf("netlist %s: composed transient: %w", b.nl.label(), err)
 	}
-	out := make(map[string]trace.Trace, len(b.recorded))
-	for i, net := range b.recorded {
-		w, err := res.Waveform(b.recordIDs[i])
-		if err != nil {
-			return nil, fmt.Errorf("netlist %s: net %q: %w", b.nl.label(), net, err)
-		}
-		out[net] = trace.Digitize(w, b.p.Supply.Vth)
-	}
-	return out, nil
+	return res, nil
 }

@@ -28,13 +28,17 @@ type StampContext struct {
 	Method IntegrationMethod // integration scheme for this step
 	DC     bool              // true during operating-point analysis
 
-	circuit *Circuit
+	// g, rhs and x are what bound stamps address (see binder): g and rhs
+	// are G.Data and RHS extended by one trash cell that absorbs every
+	// write to a ground row or column, and x is V extended by the
+	// ground cell, which stays 0.
+	g, rhs, x []float64
 
-	// srcVals, when non-nil, holds every voltage source's signal value at
-	// Time, indexed by branch ordinal. The solver fills it once per
-	// Newton solve so that source signals (closures with binary searches
-	// behind them) are not re-evaluated on every iteration. Signals are
-	// pure functions of time, so the hoisted value is identical.
+	// srcVals holds every voltage source's signal value at Time, indexed
+	// by branch ordinal. The solver fills it once per Newton solve so
+	// that source signals (closures with binary searches behind them)
+	// are not re-evaluated on every iteration. Signals are pure
+	// functions of time, so the hoisted value is identical.
 	srcVals []float64
 
 	// capFresh is true on the first Newton iteration of a solve: cap
@@ -44,46 +48,73 @@ type StampContext struct {
 	capFresh bool
 }
 
-// nodeV returns the node voltage in the current iterate (0 for ground).
-func (ctx *StampContext) nodeV(n NodeID) float64 {
-	i := nodeVar(n)
-	if i < 0 {
-		return 0
+// binder hands devices the flat offsets of the cells they stamp, once
+// per solver (SPICE3's TSTALLOC setup). Unknowns are indexed as in the
+// MNA vector; ground is index n, the trash cell of RHS and the zero
+// cell of the iterate, and every Jacobian cell in a ground row or
+// column is the trash cell n*n of G. The structural pattern is the
+// union of the bound cells, in the order they were first bound.
+//
+// A bound stamp writes its cells in the statement order of the guarded
+// row-and-column stamp it replaces, so every cell receives the same
+// sums in the same order; only the writes that were skipped for ground
+// now land in the trash cells, which nothing reads.
+type binder struct {
+	n, nv   int32 // unknowns; node unknowns (the first branch unknown)
+	pattern []int32
+	seen    []bool
+}
+
+// node returns the unknown of node id, or n for ground.
+func (b *binder) node(id NodeID) int32 {
+	if id == Ground {
+		return b.n
 	}
-	return ctx.V[i]
+	return int32(nodeVar(id))
 }
 
-// addG accumulates a conductance between variables i and j (node indices
-// already mapped; negative index = ground, ignored).
-func (ctx *StampContext) addG(i, j int, g float64) {
-	if i < 0 || j < 0 {
-		return
+// cell binds the Jacobian cell (i, j) of two unknowns.
+func (b *binder) cell(i, j int32) int32 {
+	if i == b.n || j == b.n {
+		return b.n * b.n
 	}
-	ctx.G.Add(i, j, g)
-}
-
-// addRHS accumulates into the right-hand side.
-func (ctx *StampContext) addRHS(i int, v float64) {
-	if i < 0 {
-		return
+	off := i*b.n + j
+	if !b.seen[off] {
+		b.seen[off] = true
+		b.pattern = append(b.pattern, off)
 	}
-	ctx.RHS[i] += v
+	return off
 }
 
-// stampConductance stamps a two-terminal conductance g between nodes a, b.
-func (ctx *StampContext) stampConductance(a, b NodeID, g float64) {
-	ia, ib := nodeVar(a), nodeVar(b)
-	ctx.addG(ia, ia, g)
-	ctx.addG(ib, ib, g)
-	ctx.addG(ia, ib, -g)
-	ctx.addG(ib, ia, -g)
+// block binds every cell among the given nodes: the cells a device that
+// does not bind itself may stamp through StampContext.G.
+func (b *binder) block(nodes []NodeID) {
+	for _, r := range nodes {
+		for _, c := range nodes {
+			b.cell(b.node(r), b.node(c))
+		}
+	}
 }
 
-// stampCurrent stamps a constant current i flowing from node a to node b
-// through the device (i.e. leaving a, entering b).
-func (ctx *StampContext) stampCurrent(a, b NodeID, i float64) {
-	ctx.addRHS(nodeVar(a), -i)
-	ctx.addRHS(nodeVar(b), +i)
+// pair binds the node block of a two-terminal element between a and b.
+func (b *binder) pair(a, c NodeID) pairCells {
+	ia, ib := b.node(a), b.node(c)
+	return pairCells{
+		aa: b.cell(ia, ia), ab: b.cell(ia, ib), ba: b.cell(ib, ia), bb: b.cell(ib, ib),
+		a: ia, b: ib,
+	}
+}
+
+// pairCells are the bound cells of a two-terminal element: four
+// Jacobian offsets and the two unknowns, which index RHS and the
+// iterate.
+type pairCells struct{ aa, ab, ba, bb, a, b int32 }
+
+// bindable devices bind their cells once and stamp through them. A
+// device without bind stamps through StampContext.G and RHS within the
+// node block of its declared nodes.
+type bindable interface {
+	bind(b *binder)
 }
 
 // Device is an element that can stamp itself into the MNA system.
@@ -99,7 +130,8 @@ type Device interface {
 type Stateful interface {
 	Device
 	// Init establishes device state from a converged DC solution or
-	// user-supplied initial conditions.
+	// user-supplied initial conditions: v holds the MNA unknowns and,
+	// past them, a 0 for ground.
 	Init(v []float64)
 	// Commit updates internal state after a step has been accepted.
 	Commit(ctx *StampContext)
@@ -110,9 +142,10 @@ type Stateful interface {
 
 // Resistor is a linear two-terminal resistor.
 type Resistor struct {
-	name string
-	a, b NodeID
-	R    float64
+	name  string
+	a, b  NodeID
+	R     float64
+	cells pairCells
 }
 
 // Name returns the device name.
@@ -121,9 +154,15 @@ func (r *Resistor) Name() string { return r.name }
 // Nodes returns the connected nodes.
 func (r *Resistor) Nodes() []NodeID { return []NodeID{r.a, r.b} }
 
+func (r *Resistor) bind(b *binder) { r.cells = b.pair(r.a, r.b) }
+
 // Stamp implements Device.
 func (r *Resistor) Stamp(ctx *StampContext) {
-	ctx.stampConductance(r.a, r.b, 1/r.R)
+	g, p, G := 1/r.R, &r.cells, ctx.g
+	G[p.aa] += g
+	G[p.bb] += g
+	G[p.ab] -= g
+	G[p.ba] -= g
 }
 
 // ---------------------------------------------------------------------
@@ -132,6 +171,8 @@ func (r *Resistor) Stamp(ctx *StampContext) {
 // capState integrates a single capacitance; shared by Capacitor and the
 // MOSFET's parasitic capacitances.
 type capState struct {
+	cells pairCells // bound cells of the branch
+
 	vPrev float64 // branch voltage at the last accepted step
 	iPrev float64 // branch current at the last accepted step
 
@@ -145,16 +186,10 @@ type capState struct {
 	ieq float64
 }
 
-// stampIdx adds the companion model of a linear capacitance c across
-// the node variables (ia, ib) (already mapped; negative = ground); the
-// branch current implied by the iterate is geq*v - ieq. It addresses
-// the matrix rows directly rather than going through the generic
-// addG/stampConductance helpers: cap stamps are the bulk of the Newton
-// inner loop's scattered accumulations, and hoisting the row base and
-// ground checks is worth ~a third of the stamping time. Per-cell
-// accumulation order matches the helper sequence exactly — only writes
-// to distinct cells (independent float64 sums) are reordered.
-func (s *capState) stampIdx(ctx *StampContext, ia, ib int, c float64) {
+// stamp adds the companion model of a linear capacitance c across the
+// bound branch; the branch current implied by the iterate is
+// geq*v - ieq.
+func (s *capState) stamp(ctx *StampContext, c float64) {
 	if ctx.DC {
 		return // open circuit at DC
 	}
@@ -165,46 +200,37 @@ func (s *capState) stampIdx(ctx *StampContext, ia, ib int, c float64) {
 			s.ieq = s.geq * s.vPrev
 		default: // Trapezoidal
 			s.geq = 2 * c / ctx.Dt
-			s.ieq = s.geq*s.vPrev + s.iPrev
+			s.ieq = float64(s.geq*s.vPrev) + s.iPrev
 		}
 	}
 	geq, ieq := s.geq, s.ieq
-	data, nc := ctx.G.Data, ctx.G.Cols
-	rhs := ctx.RHS
-	if ia >= 0 {
-		row := data[ia*nc : ia*nc+nc]
-		row[ia] += geq
-		if ib >= 0 {
-			row[ib] -= geq
-		}
-		rhs[ia] += ieq
-	}
-	if ib >= 0 {
-		row := data[ib*nc : ib*nc+nc]
-		row[ib] += geq
-		if ia >= 0 {
-			row[ia] -= geq
-		}
-		rhs[ib] -= ieq
-	}
+	p := &s.cells
+	G, rhs := ctx.g, ctx.rhs
+	G[p.aa] += geq
+	G[p.ab] -= geq
+	rhs[p.a] += ieq
+	G[p.bb] += geq
+	G[p.ba] -= geq
+	rhs[p.b] -= ieq
 }
 
 // commit records the accepted branch voltage/current. A transient
 // commit always follows a converged Newton solve at the same (Dt,
-// Method, state), so the cached companion values from stampIdx are
+// Method, state), so the cached companion values from stamp are
 // exactly what a recomputation would produce.
-func (s *capState) commit(ctx *StampContext, a, b NodeID) {
-	v := ctx.nodeV(a) - ctx.nodeV(b)
+func (s *capState) commit(ctx *StampContext) {
+	v := ctx.x[s.cells.a] - ctx.x[s.cells.b]
 	if ctx.DC || ctx.Dt == 0 {
 		s.vPrev, s.iPrev = v, 0
 		return
 	}
-	s.iPrev = s.geq*v - s.ieq
+	s.iPrev = float64(s.geq*v) - s.ieq
 	s.vPrev = v
 }
 
-// init sets the stored voltage and zeroes the current.
-func (s *capState) init(v float64) { s.vPrev, s.iPrev = v, 0 }
+// init sets the stored voltage from the iterate x and zeroes the
+// current.
+func (s *capState) init(x []float64) { s.vPrev, s.iPrev = x[s.cells.a]-x[s.cells.b], 0 }
 
 // Capacitor is a linear two-terminal capacitor.
 type Capacitor struct {
@@ -220,25 +246,16 @@ func (c *Capacitor) Name() string { return c.name }
 // Nodes returns the connected nodes.
 func (c *Capacitor) Nodes() []NodeID { return []NodeID{c.a, c.b} }
 
+func (c *Capacitor) bind(b *binder) { c.state.cells = b.pair(c.a, c.b) }
+
 // Stamp implements Device.
-func (c *Capacitor) Stamp(ctx *StampContext) {
-	c.state.stampIdx(ctx, nodeVar(c.a), nodeVar(c.b), c.C)
-}
+func (c *Capacitor) Stamp(ctx *StampContext) { c.state.stamp(ctx, c.C) }
 
 // Init implements Stateful.
-func (c *Capacitor) Init(v []float64) {
-	va, vb := 0.0, 0.0
-	if i := nodeVar(c.a); i >= 0 {
-		va = v[i]
-	}
-	if i := nodeVar(c.b); i >= 0 {
-		vb = v[i]
-	}
-	c.state.init(va - vb)
-}
+func (c *Capacitor) Init(x []float64) { c.state.init(x) }
 
 // Commit implements Stateful.
-func (c *Capacitor) Commit(ctx *StampContext) { c.state.commit(ctx, c.a, c.b) }
+func (c *Capacitor) Commit(ctx *StampContext) { c.state.commit(ctx) }
 
 // ---------------------------------------------------------------------
 // Voltage source
@@ -250,6 +267,10 @@ type VSource struct {
 	plus, minus NodeID
 	Signal      waveform.Signal
 	branch      int // ordinal among voltage sources, set by Circuit.Add
+
+	// Bound cells: the KCL entries of the branch current in the plus
+	// and minus rows, the branch row's entries, and the branch unknown.
+	pb, mb, bp, bm, ib int32
 }
 
 // Name returns the device name.
@@ -258,21 +279,23 @@ func (v *VSource) Name() string { return v.name }
 // Nodes returns the connected nodes.
 func (v *VSource) Nodes() []NodeID { return []NodeID{v.plus, v.minus} }
 
+func (v *VSource) bind(b *binder) {
+	v.ib = b.nv + int32(v.branch)
+	ip, im := b.node(v.plus), b.node(v.minus)
+	v.pb, v.mb = b.cell(ip, v.ib), b.cell(im, v.ib)
+	v.bp, v.bm = b.cell(v.ib, ip), b.cell(v.ib, im)
+}
+
 // Stamp implements Device.
 func (v *VSource) Stamp(ctx *StampContext) {
-	ib := ctx.circuit.branchVar(v.branch)
-	ip, im := nodeVar(v.plus), nodeVar(v.minus)
+	G := ctx.g
 	// KCL rows: branch current leaves plus, enters minus.
-	ctx.addG(ip, ib, 1)
-	ctx.addG(im, ib, -1)
+	G[v.pb]++
+	G[v.mb]--
 	// Branch row: V(plus) - V(minus) = signal(t).
-	ctx.addG(ib, ip, 1)
-	ctx.addG(ib, im, -1)
-	if ctx.srcVals != nil {
-		ctx.addRHS(ib, ctx.srcVals[v.branch])
-	} else {
-		ctx.addRHS(ib, v.Signal(ctx.Time))
-	}
+	G[v.bp]++
+	G[v.bm]--
+	ctx.rhs[v.ib] += ctx.srcVals[v.branch]
 }
 
 // Current returns the branch current of the source in a solution vector.
@@ -289,6 +312,8 @@ type ISource struct {
 	name        string
 	plus, minus NodeID
 	I           float64
+
+	ip, im int32 // bound RHS rows
 }
 
 // Name returns the device name.
@@ -297,7 +322,10 @@ func (s *ISource) Name() string { return s.name }
 // Nodes returns the connected nodes.
 func (s *ISource) Nodes() []NodeID { return []NodeID{s.plus, s.minus} }
 
+func (s *ISource) bind(b *binder) { s.ip, s.im = b.node(s.plus), b.node(s.minus) }
+
 // Stamp implements Device.
 func (s *ISource) Stamp(ctx *StampContext) {
-	ctx.stampCurrent(s.minus, s.plus, s.I)
+	ctx.rhs[s.im] -= s.I
+	ctx.rhs[s.ip] += s.I
 }

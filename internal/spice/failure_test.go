@@ -60,6 +60,32 @@ func TestNewtonNonConvergenceIsTyped(t *testing.T) {
 	}
 }
 
+func TestCollapsedStepIsTyped(t *testing.T) {
+	// The first step of this transient is clamped up to MinStep and its
+	// Newton solve fails there: the transient ends with a *StepError at
+	// the start time and minimum step, wrapping the *SolveError.
+	c, _ := nor2Circuit()
+	_, err := Transient(c, TransientOptions{
+		TStart: 0, TStop: 100e-12, MaxStep: 4e-12, MinStep: 1e-12,
+		InitialConditions: map[NodeID]float64{},
+		Newton:            NewtonOptions{MaxIter: 1},
+	})
+	var step *StepError
+	if !errors.As(err, &step) {
+		t.Fatalf("error %v is not a *StepError", err)
+	}
+	var se *SolveError
+	if !errors.As(err, &se) || step.Err != se {
+		t.Fatalf("step error %v does not wrap the *SolveError", err)
+	}
+	if step.Time != 0 || step.Step != 1e-12 || se.Step != step.Step {
+		t.Errorf("step error %+v (solve %+v), want t=0 at the 1 ps minimum step", step, se)
+	}
+	if !strings.HasPrefix(err.Error(), "spice: step failed at minimum step size t=0") {
+		t.Errorf("message %q lost its prefix", err)
+	}
+}
+
 func TestShortedSourcesFail(t *testing.T) {
 	// Two ideal voltage sources forcing different voltages on the same
 	// node produce an inconsistent (singular) MNA system.

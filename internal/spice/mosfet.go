@@ -26,6 +26,11 @@ type MOSFET struct {
 	P       MOSParams
 
 	cgs, cgd, cdb capState
+
+	// Bound cells: the terminal unknowns and the Jacobian block rows
+	// {d, g, s} by columns {d, g, s}.
+	iD, iG, iS                         int32
+	dd, dg, ds, gd, gg, gs, sd, sg, ss int32
 }
 
 // Name returns the device name.
@@ -44,13 +49,13 @@ func idsLaw(p MOSParams, vgs, vds float64) (i, gm, gds float64) {
 	if vov <= 0 {
 		return 0, 0, 0
 	}
-	lam := 1 + p.Lambda*vds
+	lam := 1 + float64(p.Lambda*vds)
 	if vds < vov {
 		// Triode region.
-		q := vov*vds - 0.5*vds*vds
+		q := float64(vov*vds) - float64(0.5*vds*vds)
 		i = p.K * q * lam
 		gm = p.K * vds * lam
-		gds = p.K*(vov-vds)*lam + p.K*q*p.Lambda
+		gds = float64(p.K*(vov-vds)*lam) + float64(p.K*q*p.Lambda)
 	} else {
 		// Saturation.
 		q := 0.5 * vov * vov
@@ -120,68 +125,38 @@ func (m *MOSFET) Stamp(ctx *StampContext) {
 	m.StampLinear(ctx)
 }
 
+func (m *MOSFET) bind(b *binder) {
+	m.iD, m.iG, m.iS = b.node(m.d), b.node(m.g), b.node(m.s)
+	m.dd, m.dg, m.ds = b.cell(m.iD, m.iD), b.cell(m.iD, m.iG), b.cell(m.iD, m.iS)
+	m.gd, m.gg, m.gs = b.cell(m.iG, m.iD), b.cell(m.iG, m.iG), b.cell(m.iG, m.iS)
+	m.sd, m.sg, m.ss = b.cell(m.iS, m.iD), b.cell(m.iS, m.iG), b.cell(m.iS, m.iS)
+	m.cgs.cells = b.pair(m.g, m.s)
+	m.cgd.cells = b.pair(m.g, m.d)
+	m.cdb.cells = b.pair(m.d, Ground)
+}
+
 // StampNonlinear stamps only the channel linearisation — the part of
 // the device that depends on the Newton iterate.
-// The body addresses the Jacobian rows directly rather than through the
-// generic addG/stampConductance helpers: a transistor stamp is the
-// densest accumulation in the Newton inner loop, and hoisting the row
-// slices (and the ground checks) once per terminal is worth ~a third of
-// the stamping time. Values and per-cell accumulation order are exactly
-// the helper sequence's — only writes to distinct cells, which are
-// independent float64 sums, are emitted in a different order.
 func (m *MOSFET) StampNonlinear(ctx *StampContext) {
-	iD, iG, iS := nodeVar(m.d), nodeVar(m.g), nodeVar(m.s)
-	V := ctx.V
-	var vd, vg, vs float64
-	if iD >= 0 {
-		vd = V[iD]
-	}
-	if iG >= 0 {
-		vg = V[iG]
-	}
-	if iS >= 0 {
-		vs = V[iS]
-	}
+	x := ctx.x
+	vd, vg, vs := x[m.iD], x[m.iG], x[m.iS]
 
 	i0, gd, gg, gs := m.Eval(vd, vg, vs)
 
-	data, nc := ctx.G.Data, ctx.G.Cols
-	var rowD, rowS []float64
-	if iD >= 0 {
-		rowD = data[iD*nc : iD*nc+nc]
-	}
-	if iS >= 0 {
-		rowS = data[iS*nc : iS*nc+nc]
-	}
+	G := ctx.g
 	// KCL at drain: +I leaves the node into the device.
-	if rowD != nil {
-		rowD[iD] += gd
-		if iG >= 0 {
-			rowD[iG] += gg
-		}
-		if iS >= 0 {
-			rowD[iS] += gs
-		}
-	}
+	G[m.dd] += gd
+	G[m.dg] += gg
+	G[m.ds] += gs
 	// KCL at source: -I.
-	if rowS != nil {
-		if iD >= 0 {
-			rowS[iD] -= gd
-		}
-		if iG >= 0 {
-			rowS[iG] -= gg
-		}
-		rowS[iS] -= gs
-	}
+	G[m.sd] -= gd
+	G[m.sg] -= gg
+	G[m.ss] -= gs
 	// Affine remainder as a current leaving the drain, entering the source.
-	ieq := i0 - gd*vd - gg*vg - gs*vs
-	rhs := ctx.RHS
-	if iD >= 0 {
-		rhs[iD] -= ieq
-	}
-	if iS >= 0 {
-		rhs[iS] += ieq
-	}
+	ieq := i0 - float64(gd*vd) - float64(gg*vg) - float64(gs*vs)
+	rhs := ctx.rhs
+	rhs[m.iD] -= ieq
+	rhs[m.iS] += ieq
 }
 
 // StampLinear stamps the iterate-independent part of the device: the
@@ -190,51 +165,33 @@ func (m *MOSFET) StampNonlinear(ctx *StampContext) {
 // (companion values depend only on Dt, Method and committed state), so
 // the sparse solver stamps them once per solve into a frozen base.
 func (m *MOSFET) StampLinear(ctx *StampContext) {
-	iD, iG, iS := nodeVar(m.d), nodeVar(m.g), nodeVar(m.s)
-
 	// Leakage conductance for convergence robustness.
 	if g := m.P.Gmin; g > 0 {
-		data, nc := ctx.G.Data, ctx.G.Cols
-		if iD >= 0 {
-			rowD := data[iD*nc : iD*nc+nc]
-			rowD[iD] += g
-			if iS >= 0 {
-				rowD[iS] -= g
-			}
-		}
-		if iS >= 0 {
-			rowS := data[iS*nc : iS*nc+nc]
-			rowS[iS] += g
-			if iD >= 0 {
-				rowS[iD] -= g
-			}
-		}
+		G := ctx.g
+		G[m.dd] += g
+		G[m.ds] -= g
+		G[m.ss] += g
+		G[m.sd] -= g
 	}
 
 	// Parasitic capacitances.
-	m.cgs.stampIdx(ctx, iG, iS, m.P.Cgs)
-	m.cgd.stampIdx(ctx, iG, iD, m.P.Cgd)
-	m.cdb.stampIdx(ctx, iD, -1, m.P.Cdb)
+	m.cgs.stamp(ctx, m.P.Cgs)
+	m.cgd.stamp(ctx, m.P.Cgd)
+	m.cdb.stamp(ctx, m.P.Cdb)
 }
 
 // Init implements Stateful.
-func (m *MOSFET) Init(v []float64) {
-	get := func(n NodeID) float64 {
-		if i := nodeVar(n); i >= 0 {
-			return v[i]
-		}
-		return 0
-	}
-	m.cgs.init(get(m.g) - get(m.s))
-	m.cgd.init(get(m.g) - get(m.d))
-	m.cdb.init(get(m.d))
+func (m *MOSFET) Init(x []float64) {
+	m.cgs.init(x)
+	m.cgd.init(x)
+	m.cdb.init(x)
 }
 
 // Commit implements Stateful.
 func (m *MOSFET) Commit(ctx *StampContext) {
-	m.cgs.commit(ctx, m.g, m.s)
-	m.cgd.commit(ctx, m.g, m.d)
-	m.cdb.commit(ctx, m.d, Ground)
+	m.cgs.commit(ctx)
+	m.cgd.commit(ctx)
+	m.cdb.commit(ctx)
 }
 
 // DrainCurrent returns the static channel current flowing into the drain

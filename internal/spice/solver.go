@@ -3,6 +3,7 @@ package spice
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"hybriddelay/internal/la"
@@ -27,14 +28,16 @@ type Solver struct {
 	c   *Circuit
 	ctx StampContext
 
-	xNew    []float64 // next Newton iterate
-	v       []float64 // transient solution vector
-	vPrev   []float64 // last accepted transient solution
-	srcVals []float64 // hoisted per-solve source values, by branch
+	xNew     []float64  // next Newton iterate
+	vPrev    []float64  // last accepted transient solution
+	srcVals  []float64  // hoisted per-solve source values, by branch
+	stateful []Stateful // the circuit's stateful devices, in order
+	nbound   int        // devices bound by ensure
 
-	// pattern holds the dense offsets of every Jacobian entry a device
-	// stamp can touch, built once from topology. The sparse path
-	// analyzes it; the dense LU replays its pivot schedules over it.
+	// pattern holds the dense offsets of every Jacobian cell a device
+	// stamp can touch: the union of the cells bound by ensure. The
+	// sparse path analyzes it; the dense LU replays its pivot schedules
+	// over it.
 	pattern []int32
 	lu      la.LU
 
@@ -92,9 +95,7 @@ func NewSolver(c *Circuit) (*Solver, error) {
 	if err := c.Validate(); err != nil {
 		return nil, err
 	}
-	s := &Solver{c: c}
-	s.ctx.circuit = c
-	return s, nil
+	return &Solver{c: c}, nil
 }
 
 // Stats returns the cumulative work counters.
@@ -115,154 +116,135 @@ func (s *Solver) SetSymbolicCache(c *sparse.SymbolicCache) { s.symCache = c }
 // byte-identical construction.
 func (s *Solver) SetSymbolicScope(scope string) { s.symScope = scope }
 
-// ensure sizes the workspace for the circuit's current system size.
+// ensure binds the circuit's devices on first use, and again if the
+// system size or the device list changed.
 func (s *Solver) ensure() {
-	n := s.c.unknowns()
-	//hybrid:alloc-ok one-time workspace build behind the nil/size guard; cold after the first call per system size
-	if s.ctx.G == nil || s.ctx.G.Rows != n {
-		s.ctx.G = la.NewMatrix(n, n)
-		s.pattern = s.c.stampPattern()
-		// The dense loop also stamps gmin shunts on the node diagonals.
-		dense := append([]int32(nil), s.pattern...)
-		for i := 0; i < s.c.NumNodes()-1; i++ {
-			dense = append(dense, int32(i*n+i))
-		}
-		s.lu.SetPattern(n, dense)
-	}
-	if len(s.ctx.RHS) != n {
-		s.ctx.RHS = make([]float64, n)
-	}
-	if len(s.xNew) != n {
-		s.xNew = make([]float64, n)
-	}
-	if len(s.v) != n {
-		s.v = make([]float64, n)
-	}
-	if len(s.vPrev) != n {
-		s.vPrev = make([]float64, n)
-	}
-	if len(s.srcVals) != len(s.c.vsources) {
-		s.srcVals = make([]float64, len(s.c.vsources))
+	if s.ctx.G == nil || s.ctx.G.Rows != s.c.unknowns() || s.nbound != len(s.c.devices) {
+		s.bind()
 	}
 }
 
-// stampPattern returns the dense row-major offsets of every MNA
-// Jacobian entry a device stamp can touch, derived from device
-// topology, not stamped values: a MOSFET in cutoff stamps numeric
-// zeros at structurally live positions, so value-based extraction
-// would under-approximate. Unknown devices are assumed to stamp within
-// the block of their declared nodes (the contract of the generic stamp
-// helpers).
-func (c *Circuit) stampPattern() []int32 {
+// bind sizes the workspace and binds every device to the cells it
+// stamps (see binder), so the Newton loop stamps and commits with no
+// per-iteration index mapping, ground test or type assertion. The
+// structural pattern is the union of the bound cells.
+//
+//hybrid:alloc-ok one-time workspace build behind ensure's guard; cold after the first call per circuit
+func (s *Solver) bind() {
+	c := s.c
 	n := c.unknowns()
-	var pattern []int32
-	seen := make([]bool, n*n)
-	add := func(i, j int) {
-		if i >= 0 && j >= 0 && !seen[i*n+j] {
-			seen[i*n+j] = true
-			pattern = append(pattern, int32(i*n+j))
-		}
-	}
+	ctx := &s.ctx
+	ctx.g = make([]float64, n*n+1)
+	ctx.rhs = make([]float64, n+1)
+	ctx.x = make([]float64, n+1)
+	ctx.G = &la.Matrix{Rows: n, Cols: n, Data: ctx.g[:n*n]}
+	ctx.RHS, ctx.V = ctx.rhs[:n], ctx.x[:n]
+	s.xNew = make([]float64, n)
+	s.vPrev = make([]float64, n)
+	s.srcVals = make([]float64, len(c.vsources))
+	ctx.srcVals = s.srcVals
+
+	b := binder{n: int32(n), nv: int32(c.NumNodes() - 1), seen: make([]bool, n*n)}
+	s.stateful = s.stateful[:0]
 	for _, d := range c.devices {
-		switch dev := d.(type) {
-		case *VSource:
-			ib := c.branchVar(dev.branch)
-			ip, im := nodeVar(dev.plus), nodeVar(dev.minus)
-			add(ip, ib)
-			add(im, ib)
-			add(ib, ip)
-			add(ib, im)
-		case *ISource:
-			// RHS only.
-		default:
-			// Node blocks: MOSFET channel partials cover rows {d,s} ×
-			// cols {d,g,s}, and gmin and cgs/cgd/cdb stay inside the
-			// {d,g,s} block as well; resistors and capacitors stamp
-			// their two-node block.
-			nodes := d.Nodes()
-			for _, a := range nodes {
-				for _, b := range nodes {
-					add(nodeVar(a), nodeVar(b))
-				}
-			}
+		if bd, ok := d.(bindable); ok {
+			bd.bind(&b)
+		} else {
+			b.block(d.Nodes())
+		}
+		if st, ok := d.(Stateful); ok {
+			s.stateful = append(s.stateful, st)
 		}
 	}
-	return pattern
+	s.pattern = b.pattern
+	s.nbound = len(c.devices)
+	// The dense loop also stamps gmin shunts on the node diagonals.
+	dense := slices.Clone(s.pattern)
+	for i := 0; i < c.NumNodes()-1; i++ {
+		dense = append(dense, int32(i*n+i))
+	}
+	s.lu.SetPattern(n, dense)
+	s.sp = sparseState{}
 }
 
 // newton iterates the MNA system at the solver's current context until
-// the update norm is below tolerance. v is the starting iterate and
-// holds the solution on success. gmin, when positive, adds a shunt
-// conductance from every node to ground (homotopy stage); gminStage
-// additionally selects the undamped iteration and error wording of the
-// historical gmin solver, so stage behaviour is bit-identical to the
-// per-call reference.
+// the update norm is below tolerance. The iterate is ctx.V: it holds
+// the starting point on entry and the solution on success. gmin, when
+// positive, adds a shunt conductance from every node to ground
+// (homotopy stage); gminStage additionally selects the undamped
+// iteration and error wording of the historical gmin solver, so stage
+// behaviour is bit-identical to the per-call reference.
 //
-// Every iteration factors the freshly stamped Jacobian and solves
-// G·x = RHS directly. A failed solve outside a gmin stage returns a
-// *SolveError.
+// The factor backend is fixed for the solve. The dense backend
+// re-stamps every device and runs the fused factor+solve with the
+// replayed pivot schedules. The sparse backend (SparseFast transient
+// steps) freezes the linear stamps once per solve and refactors over
+// the static pivot order, falling back to the dense kernel when a
+// scheduled pivot degrades. DC operating points and gmin homotopy
+// stages have a different structural pattern (capacitors open, added
+// shunt diagonals) and run once per transient, so they stay dense. A
+// failed solve outside a gmin stage returns a *SolveError.
 //
 // This loop is allocation-free in the steady state, enforced twice:
 // statically by hybridlint's noalloc analyzer (this annotation), and
-// dynamically by CI's "enforce zero-allocation Newton inner loop" gate
-// on BenchmarkSolverNewton's -benchmem allocs/op.
+// dynamically by CI's zero-allocation gates on BenchmarkSolverNewton
+// and BenchmarkSolverNewtonSparse.
 //
 //hybrid:noalloc
-func (s *Solver) newton(v []float64, opt NewtonOptions, gmin float64, gminStage bool) error {
-	// The sparse path serves only the transient inner loop: DC
-	// operating points and gmin homotopy stages have a different
-	// structural pattern (capacitors open, added shunt diagonals) and
-	// run once per transient, so they stay on the robust dense path.
-	if s.mode == SparseFast && gmin == 0 && !gminStage && !s.ctx.DC {
-		return s.newtonSparse(v, opt)
-	}
-	// This dense solve factors ctx.G in place, leaving LU residue at
-	// positions outside the sparse pattern's touched set; the next
-	// sparse restamp must reset the workspace in full (every sparse
-	// transient's DC/gmin prelude runs through here).
-	s.sp.denseDirty = true
+func (s *Solver) newton(opt NewtonOptions, gmin float64, gminStage bool) error {
 	opt.defaults()
 	s.ensure()
 	c := s.c
 	n := c.unknowns()
 	nv := c.NumNodes() - 1
 	ctx := &s.ctx
+	sparse := s.mode == SparseFast && gmin == 0 && !ctx.DC
 	// Hoist the source evaluation: every iteration of this solve stamps
 	// at the same ctx.Time.
 	for i, vs := range c.vsources {
 		s.srcVals[i] = vs.Signal(ctx.Time)
 	}
-	ctx.srcVals = s.srcVals
-	xNew := s.xNew
+	if sparse {
+		s.freezeLinear()
+	} else {
+		// The dense solve factors ctx.G in place, leaving LU residue at
+		// positions outside the sparse pattern's touched set; the next
+		// sparse restamp must reset the workspace in full.
+		s.sp.denseDirty = true
+	}
+	v, xNew := ctx.V, s.xNew
 	worst := -1 // voltage unknown with the largest last update
 	for iter := 0; iter < opt.MaxIter; iter++ {
 		ctx.capFresh = iter == 0
-		ctx.G.Zero()
-		rhs := ctx.RHS
-		for i := range rhs {
-			rhs[i] = 0
-		}
-		ctx.V = v
-		for _, d := range c.devices {
-			d.Stamp(ctx)
-		}
-		if gmin > 0 {
-			for i := 0; i < nv; i++ {
-				ctx.G.Add(i, i, gmin)
+		var err error
+		if sparse {
+			err = s.sparseIteration(iter)
+		} else {
+			clear(ctx.g)
+			clear(ctx.rhs)
+			for _, d := range c.devices {
+				d.Stamp(ctx)
+			}
+			if gmin > 0 {
+				for i := 0; i < nv; i++ {
+					ctx.g[i*n+i] += gmin
+				}
+			}
+			// Fused factor+solve on the Jacobian in place: G is
+			// re-stamped from zero next iteration anyway, and carrying
+			// the RHS through the elimination folds the permute and
+			// forward substitution into the factorization sweep
+			// (bit-identical, see la.FactorSolveInPlace).
+			if err = s.lu.FactorSolveInPlace(ctx.G, xNew, ctx.RHS); err == nil {
+				s.stats.Factorizations++
 			}
 		}
-		// Fused factor+solve on the Jacobian in place: G is re-stamped
-		// from zero next iteration anyway, and carrying the RHS through
-		// the elimination folds the permute and forward substitution
-		// into the factorization sweep (bit-identical, see
-		// la.FactorSolveInPlace).
-		if err := s.lu.FactorSolveInPlace(ctx.G, xNew, rhs); err != nil {
+		if err != nil {
 			if gminStage {
 				return err
 			}
 			return s.solveError(iter, worst, err)
 		}
-		s.stats.Factorizations++
 		s.stats.Iterations++
 		// Damped update with convergence check on node voltages. The
 		// infinity norm of the updated voltages is accumulated in the same
@@ -289,7 +271,7 @@ func (s *Solver) newton(v []float64, opt NewtonOptions, gmin float64, gminStage 
 				}
 			}
 		}
-		if maxDelta <= opt.AbsTol+opt.RelTol*maxV {
+		if maxDelta <= opt.AbsTol+float64(opt.RelTol*maxV) {
 			return nil
 		}
 	}
@@ -333,6 +315,22 @@ func (s *Solver) solveError(iters, worst int, err error) *SolveError {
 	return e
 }
 
+// StepError reports a transient that failed at the minimum step size:
+// the Newton solve of the step from Time did not succeed even with the
+// step collapsed to Step. Err is the solve's error, a *SolveError.
+type StepError struct {
+	Time float64 // accepted time the step started from [s]
+	Step float64 // the collapsed step size [s]
+	Err  error
+}
+
+func (e *StepError) Error() string {
+	return fmt.Sprintf("spice: step failed at minimum step size t=%g (step %g): %v", e.Time, e.Step, e.Err)
+}
+
+// Unwrap returns the failed solve's error.
+func (e *StepError) Unwrap() error { return e.Err }
+
 // gminStages is the shrinking-shunt homotopy schedule used when the
 // plain operating-point solve fails.
 var gminStages = [...]float64{1e-3, 1e-6, 1e-9, 1e-12}
@@ -344,25 +342,24 @@ var gminStages = [...]float64{1e-3, 1e-6, 1e-9, 1e-12}
 // branch currents.
 func (s *Solver) OperatingPoint(t float64, opt NewtonOptions) ([]float64, error) {
 	s.ensure()
-	v := make([]float64, s.c.unknowns())
+	v := s.ctx.V
+	clear(v)
 	s.ctx.Time, s.ctx.Dt, s.ctx.Method, s.ctx.DC = t, 0, Trapezoidal, true
-	if err := s.newton(v, opt, 0, false); err == nil {
-		return v, nil
+	if err := s.newton(opt, 0, false); err == nil {
+		return slices.Clone(v), nil
 	}
 	// Gmin homotopy: solve with shrinking shunts to ground, carrying the
 	// solution from stage to stage, then polish without the shunts.
-	for i := range v {
-		v[i] = 0
-	}
+	clear(v)
 	for _, gmin := range gminStages {
-		if err := s.newton(v, opt, gmin, true); err != nil {
+		if err := s.newton(opt, gmin, true); err != nil {
 			return nil, fmt.Errorf("spice: operating point gmin stage %g failed: %w", gmin, err)
 		}
 	}
-	if err := s.newton(v, opt, 0, false); err != nil {
+	if err := s.newton(opt, 0, false); err != nil {
 		return nil, err
 	}
-	return v, nil
+	return slices.Clone(v), nil
 }
 
 // normalizeBreakpoints validates and canonicalizes the breakpoint
@@ -389,7 +386,7 @@ func normalizeBreakpoints(bps []float64, tstart, tstop float64) ([]float64, erro
 	sort.Float64s(out)
 	dst := out[:0]
 	for _, b := range out {
-		if n := len(dst); n > 0 && b-dst[n-1] <= 1e-24+1e-12*math.Abs(b) {
+		if n := len(dst); n > 0 && b-dst[n-1] <= 1e-24+float64(1e-12*math.Abs(b)) {
 			continue
 		}
 		dst = append(dst, b)
@@ -439,13 +436,11 @@ func (s *Solver) Transient(opt TransientOptions) (*TransientResult, error) {
 		return nil, err
 	}
 
-	// Initial state.
+	// Initial state. The transient solution lives in the Newton iterate.
 	s.ensure()
-	v := s.v
+	v := s.ctx.V
 	if opt.InitialConditions != nil {
-		for i := range v {
-			v[i] = 0
-		}
+		clear(v)
 		//hybrid:nondet-ok each node writes its own v[i]; distinct keys touch distinct indices, so visit order cannot change the result
 		for n, val := range opt.InitialConditions {
 			if i := nodeVar(n); i >= 0 {
@@ -463,16 +458,13 @@ func (s *Solver) Transient(opt TransientOptions) (*TransientResult, error) {
 			}
 		}
 	} else {
-		op, err := s.OperatingPoint(opt.TStart, opt.Newton)
-		if err != nil {
+		// OperatingPoint leaves the solved point in the iterate v.
+		if _, err := s.OperatingPoint(opt.TStart, opt.Newton); err != nil {
 			return nil, fmt.Errorf("spice: operating point failed: %w", err)
 		}
-		copy(v, op)
 	}
-	for _, d := range c.devices {
-		if st, ok := d.(Stateful); ok {
-			st.Init(v)
-		}
+	for _, st := range s.stateful {
+		st.Init(s.ctx.x)
 	}
 
 	// Size the capture buffers for the common case — mostly MaxStep-sized
@@ -536,10 +528,10 @@ func (s *Solver) Transient(opt TransientOptions) (*TransientResult, error) {
 		// Solve the step.
 		ctx.Time, ctx.Dt, ctx.Method = t+hTry, hTry, method
 		copy(v, vPrev)
-		err := s.newton(v, opt.Newton, 0, false)
+		err := s.newton(opt.Newton, 0, false)
 		if err != nil {
 			if hTry <= opt.MinStep*1.0001 {
-				return nil, fmt.Errorf("spice: step failed at minimum step size t=%g: %w", t, err)
+				return nil, &StepError{Time: t, Step: hTry, Err: err}
 			}
 			h = hTry / 4
 			s.stats.Rejected++
@@ -561,18 +553,15 @@ func (s *Solver) Transient(opt TransientOptions) (*TransientResult, error) {
 		}
 
 		// Accept.
-		ctx.V = v
-		for _, d := range c.devices {
-			if st, ok := d.(Stateful); ok {
-				st.Commit(ctx)
-			}
+		for _, st := range s.stateful {
+			st.Commit(ctx)
 		}
 		t += hTry
 		copy(vPrev, v)
 		capture(t, v)
 		s.stats.Steps++
 		justBroke = false
-		if nextBp < len(bps) && math.Abs(t-bps[nextBp]) <= 1e-24+1e-12*math.Abs(t) {
+		if nextBp < len(bps) && math.Abs(t-bps[nextBp]) <= 1e-24+float64(1e-12*math.Abs(t)) {
 			justBroke = true
 			h = opt.MaxStep / 64
 			continue

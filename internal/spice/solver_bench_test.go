@@ -16,12 +16,11 @@ func BenchmarkSolverNewton(b *testing.B) {
 		b.Fatal(err)
 	}
 	s.ctx.Time, s.ctx.Dt, s.ctx.Method, s.ctx.DC = 10e-12, 10e-12, Trapezoidal, false
-	v := make([]float64, len(op))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		copy(v, op)
-		if err := s.newton(v, NewtonOptions{}, 0, false); err != nil {
+		copy(s.ctx.V, op)
+		if err := s.newton(NewtonOptions{}, 0, false); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -78,17 +77,16 @@ func BenchmarkSolverNewtonSparse(b *testing.B) {
 	}
 	s.mode = SparseFast
 	s.ctx.Time, s.ctx.Dt, s.ctx.Method, s.ctx.DC = 10e-12, 10e-12, Trapezoidal, false
-	v := make([]float64, len(op))
 	// Warm-up solve performs the symbolic analysis.
-	copy(v, op)
-	if err := s.newton(v, NewtonOptions{}, 0, false); err != nil {
+	copy(s.ctx.V, op)
+	if err := s.newton(NewtonOptions{}, 0, false); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		copy(v, op)
-		if err := s.newton(v, NewtonOptions{}, 0, false); err != nil {
+		copy(s.ctx.V, op)
+		if err := s.newton(NewtonOptions{}, 0, false); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -47,19 +47,15 @@ func TestMOSFETSplitStampMatchesStamp(t *testing.T) {
 	}
 	s.ensure()
 	n := c.unknowns()
-	v := make([]float64, n)
-	for i := range v {
-		v[i] = 0.1 * float64(i+1)
+	for i := 0; i < n; i++ {
+		s.ctx.V[i] = 0.1 * float64(i+1)
 	}
 	stampAll := func(split bool) ([]float64, []float64) {
 		ctx := &s.ctx
 		ctx.Time, ctx.Dt, ctx.Method, ctx.DC = 1e-9, 1e-12, Trapezoidal, false
-		ctx.V = v
 		ctx.capFresh = true
-		ctx.G.Zero()
-		for i := range ctx.RHS {
-			ctx.RHS[i] = 0
-		}
+		clear(ctx.g)
+		clear(ctx.rhs)
 		for _, d := range c.devices {
 			m, ok := d.(*MOSFET)
 			if ok && split {
@@ -235,10 +231,10 @@ func (d *switchDevice) Name() string {
 func (d *switchDevice) Nodes() []NodeID { return []NodeID{d.a, d.b} }
 func (d *switchDevice) Stamp(ctx *StampContext) {
 	ia, ib := nodeVar(d.a), nodeVar(d.b)
-	ctx.addG(ia, ia, *d.gaa)
-	ctx.addG(ia, ib, *d.gab)
-	ctx.addG(ib, ia, *d.gba)
-	ctx.addG(ib, ib, *d.gbb)
+	ctx.G.Add(ia, ia, *d.gaa)
+	ctx.G.Add(ia, ib, *d.gab)
+	ctx.G.Add(ib, ia, *d.gba)
+	ctx.G.Add(ib, ib, *d.gbb)
 }
 
 // TestSparseStaticPivotFallback drives a transient whose Jacobian
@@ -373,8 +369,8 @@ func TestSparseFallbackOffTouchedGarbage(t *testing.T) {
 
 	// Simulate the restamp that precedes any later dense fallback, then
 	// scan the workspace matrix for garbage outside the touched set.
-	v := make([]float64, len(sv.xNew))
-	sv.restampSparse(v, true)
+	clear(sv.ctx.V)
+	sv.restampSparse()
 	touched := map[int32]bool{}
 	for _, off := range sv.sp.sym.Touched() {
 		touched[off] = true

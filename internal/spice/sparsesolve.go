@@ -1,11 +1,6 @@
 package spice
 
-import (
-	"math"
-
-	"hybriddelay/internal/la"
-	"hybriddelay/internal/la/sparse"
-)
+import "hybriddelay/internal/la/sparse"
 
 // SplitStamper is a Device whose stamp separates into a part that is
 // constant across the iterations of one Newton solve (StampLinear) and
@@ -32,8 +27,9 @@ type sparseState struct {
 	splitDevs []SplitStamper // linear part frozen, nonlinear replayed
 	nlDevs    []Device       // unknown devices: re-stamped every iteration
 
-	linG   *la.Matrix // frozen linear-base Jacobian
-	linRHS []float64  // frozen linear-base right-hand side
+	// The frozen linear base, laid out like StampContext's g and rhs
+	// (trash cell included) so bound stamps write it directly.
+	linG, linRHS []float64
 
 	sym   *sparse.Symbolic
 	num   *sparse.Numeric
@@ -136,38 +132,60 @@ func (s *Solver) ensureSparse() {
 			sp.nlDevs = append(sp.nlDevs, d)
 		}
 	}
-	n := s.c.unknowns()
-	sp.linG = la.NewMatrix(n, n)
-	sp.linRHS = make([]float64, n)
+	sp.linG = make([]float64, len(s.ctx.g))
+	sp.linRHS = make([]float64, len(s.ctx.rhs))
 	sp.built = true
+}
+
+// freezeLinear stamps the linear base of one Newton solve. capFresh
+// makes the capacitor companion models recompute geq/ieq for this
+// step's (Dt, Method, state) during the base stamp; the cached values
+// are also what Commit consumes after acceptance, exactly as on the
+// dense path.
+func (s *Solver) freezeLinear() {
+	s.ensureSparse()
+	sp := &s.sp
+	ctx := &s.ctx
+	g, rhs := ctx.g, ctx.rhs
+	ctx.g, ctx.rhs = sp.linG, sp.linRHS
+	for _, off := range s.pattern {
+		sp.linG[off] = 0
+	}
+	clear(sp.linRHS)
+	ctx.capFresh = true
+	for _, d := range sp.linDevs {
+		d.Stamp(ctx)
+	}
+	for _, d := range sp.splitDevs {
+		d.StampLinear(ctx)
+	}
+	ctx.g, ctx.rhs = g, rhs
 }
 
 // restampSparse rebuilds the Jacobian and RHS for the current iterate
 // from the frozen linear base: structural positions are copied from
 // the base (fill slots are never stamped, so they come back as zeros)
 // and only the nonlinear stamps are replayed.
-func (s *Solver) restampSparse(v []float64, firstIter bool) {
+func (s *Solver) restampSparse() {
 	sp := &s.sp
 	ctx := &s.ctx
-	g, rhs := ctx.G, ctx.RHS
+	g := ctx.g
 	if sp.sym != nil && !sp.denseDirty {
 		for _, off := range sp.sym.Touched() {
-			g.Data[off] = sp.linG.Data[off]
+			g[off] = sp.linG[off]
 		}
 	} else {
 		// No analysis yet, or the dense kernel polluted the workspace:
 		// the matrix may hold anything, reset fully. linG is zero
 		// outside the pattern, so copying pattern positions restores
 		// the complete clean state.
-		g.Zero()
+		clear(g)
 		for _, off := range s.pattern {
-			g.Data[off] = sp.linG.Data[off]
+			g[off] = sp.linG[off]
 		}
 		sp.denseDirty = false
 	}
-	copy(rhs, sp.linRHS)
-	ctx.V = v
-	ctx.capFresh = firstIter
+	copy(ctx.rhs, sp.linRHS)
 	for _, d := range sp.splitDevs {
 		d.StampNonlinear(ctx)
 	}
@@ -176,123 +194,43 @@ func (s *Solver) restampSparse(v []float64, firstIter bool) {
 	}
 }
 
-// newtonSparse is the SparseFast Newton iteration for transient steps:
-// same damped update and convergence test as the dense reference, but
-// the linear device stamps are frozen once per solve and the linear
-// system is solved by the static-pivot sparse refactor, falling back
-// to the dense partial-pivot kernel (and scheduling a re-analysis)
-// when a scheduled pivot degrades.
-//
-// Allocation-free in the steady state (the one-time topology build and
-// cold symbolic resolution are //hybrid:alloc-ok): enforced statically
-// by hybridlint's noalloc analyzer and dynamically by CI's -benchmem
-// gates on BenchmarkSolverNewton and BenchmarkSparseFactorSolve.
-//
-//hybrid:noalloc
-func (s *Solver) newtonSparse(v []float64, opt NewtonOptions) error {
-	opt.defaults()
-	s.ensure()
-	s.ensureSparse()
+// sparseIteration stamps and solves one SparseFast Newton iteration
+// into s.xNew: the static-pivot sparse refactor over the frozen base,
+// falling back to the dense partial-pivot kernel (and scheduling a
+// re-analysis) when a scheduled pivot degrades.
+func (s *Solver) sparseIteration(iter int) error {
 	sp := &s.sp
-	c := s.c
-	n := c.unknowns()
-	nv := c.NumNodes() - 1
 	ctx := &s.ctx
-	// Hoist the source evaluation: every iteration of this solve stamps
-	// at the same ctx.Time.
-	for i, vs := range c.vsources {
-		s.srcVals[i] = vs.Signal(ctx.Time)
+	s.restampSparse()
+	if iter > 0 {
+		s.stats.LinearReuses++
 	}
-	ctx.srcVals = s.srcVals
-
-	// Freeze the linear base for this solve. capFresh makes the
-	// capacitor companion models recompute geq/ieq for this step's
-	// (Dt, Method, state) during the base stamp; the cached values are
-	// also what Commit consumes after acceptance, exactly as on the
-	// dense path.
-	gSave, rhsSave := ctx.G, ctx.RHS
-	ctx.G, ctx.RHS = sp.linG, sp.linRHS
-	for _, off := range s.pattern {
-		sp.linG.Data[off] = 0
-	}
-	for i := range sp.linRHS {
-		sp.linRHS[i] = 0
-	}
-	ctx.V = v
-	ctx.capFresh = true
-	for _, d := range sp.linDevs {
-		d.Stamp(ctx)
-	}
-	for _, d := range sp.splitDevs {
-		d.StampLinear(ctx)
-	}
-	ctx.G, ctx.RHS = gSave, rhsSave
-
-	xNew := s.xNew
-	worst := -1 // voltage unknown with the largest last update
-	for iter := 0; iter < opt.MaxIter; iter++ {
-		s.restampSparse(v, iter == 0)
-		if iter > 0 {
-			s.stats.LinearReuses++
+	if sp.sym == nil || sp.stale {
+		if err := s.resolveSymbolic(); err != nil && sp.sym == nil {
+			// Nothing to refactor over; only the dense kernel can
+			// decide whether this iterate is genuinely singular.
+			sp.stale = true
 		}
-		if sp.sym == nil || sp.stale {
-			if err := s.resolveSymbolic(); err != nil && sp.sym == nil {
-				// Nothing to refactor over; only the dense kernel can
-				// decide whether this iterate is genuinely singular.
-				sp.stale = true
-			}
-		}
-		solved := false
-		if sp.sym != nil && !sp.stale {
-			if err := sp.num.FactorSolve(ctx.G, xNew, ctx.RHS); err == nil {
-				solved = true
-				s.stats.Factorizations++
-				s.stats.SparseFactorizations++
-			} else {
-				// Static pivot order no longer stable for these values:
-				// re-stamp (the failed refactor clobbered the matrix) and
-				// let dense partial pivoting finish this iteration.
-				s.stats.SparseFallbacks++
-				sp.stale = true
-				s.restampSparse(v, iter == 0)
-			}
-		}
-		if !solved {
-			// The in-place dense factorization overwrites the whole
-			// matrix, including positions outside the touched set.
-			sp.denseDirty = true
-			if err := s.lu.FactorSolveInPlace(ctx.G, xNew, ctx.RHS); err != nil {
-				return s.solveError(iter, worst, err)
-			}
+	}
+	if sp.sym != nil && !sp.stale {
+		if err := sp.num.FactorSolve(ctx.G, s.xNew, ctx.RHS); err == nil {
 			s.stats.Factorizations++
-		}
-		s.stats.Iterations++
-		// Damped update with convergence check on node voltages — the
-		// same update as the dense reference.
-		maxDelta := 0.0
-		maxV := 0.0
-		for i := 0; i < n; i++ {
-			d := xNew[i] - v[i]
-			if i < nv { // voltage unknowns only for damping
-				if d > opt.Damping {
-					d = opt.Damping
-				} else if d < -opt.Damping {
-					d = -opt.Damping
-				}
-			}
-			v[i] += d
-			if i < nv {
-				if a := math.Abs(d); a > maxDelta {
-					maxDelta, worst = a, i
-				}
-				if a := math.Abs(v[i]); a > maxV {
-					maxV = a
-				}
-			}
-		}
-		if maxDelta <= opt.AbsTol+opt.RelTol*maxV {
+			s.stats.SparseFactorizations++
 			return nil
 		}
+		// Static pivot order no longer stable for these values:
+		// re-stamp (the failed refactor clobbered the matrix) and let
+		// dense partial pivoting finish this iteration.
+		s.stats.SparseFallbacks++
+		sp.stale = true
+		s.restampSparse()
 	}
-	return s.solveError(opt.MaxIter, worst, nil)
+	// The in-place dense factorization overwrites the whole matrix,
+	// including positions outside the touched set.
+	sp.denseDirty = true
+	if err := s.lu.FactorSolveInPlace(ctx.G, s.xNew, ctx.RHS); err != nil {
+		return err
+	}
+	s.stats.Factorizations++
+	return nil
 }
