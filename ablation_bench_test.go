@@ -8,6 +8,7 @@ package hybriddelay
 import (
 	"testing"
 
+	"hybriddelay/internal/gate"
 	"hybriddelay/internal/hybrid"
 	"hybriddelay/internal/nor"
 	"hybriddelay/internal/spice"
@@ -24,11 +25,11 @@ func BenchmarkAblationIntegrationMethod(b *testing.B) {
 		p := nor.DefaultParams()
 		p.MaxStep = maxStep
 		p.Method = method
-		bench, err := nor.New(p)
+		bench, err := NewBench(p)
 		if err != nil {
 			b.Fatal(err)
 		}
-		d, err := bench.FallingDelay(0)
+		d, err := bench.Delay(bench.Pair(0, true))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -105,17 +106,18 @@ func BenchmarkNANDDelayQuery(b *testing.B) {
 func BenchmarkNANDGoldenSweep(b *testing.B) {
 	p := nor.DefaultParams()
 	p.MaxStep = 8e-12
-	bench, err := nor.NewNAND(p)
+	bench, err := gate.NAND2.NewBench(p)
 	if err != nil {
 		b.Fatal(err)
 	}
-	var c nor.CharacteristicDelays
+	var c Characteristic
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c, err = bench.Characteristic()
+		m, err := bench.Measure()
 		if err != nil {
 			b.Fatal(err)
 		}
+		c = m.Pair
 	}
 	b.ReportMetric(100*(c.RiseZero-c.RiseMinusInf)/c.RiseMinusInf, "nand_risedip_%")
 }

@@ -31,18 +31,18 @@ var benchSetup struct {
 	once   sync.Once
 	err    error
 	p      nor.Params
-	bench  *nor.Bench
+	bench  *Bench
 	target hybrid.Characteristic
 	models eval.Models
 	params *eval.ParamCache // the NOR2 operating point at p, prepared once
 }
 
-func setupGolden(b *testing.B) (*nor.Bench, hybrid.Characteristic, eval.Models) {
+func setupGolden(b *testing.B) (*Bench, hybrid.Characteristic, eval.Models) {
 	b.Helper()
 	benchSetup.once.Do(func() {
 		p := nor.DefaultParams()
 		p.MaxStep = 8e-12
-		bench, err := nor.New(p)
+		bench, err := NewBench(p)
 		if err != nil {
 			benchSetup.err = err
 			return
@@ -96,6 +96,21 @@ func evalNOR2(b *testing.B, s *Session, configs []gen.Config, seeds []int64, noC
 	return res.Gate
 }
 
+// goldenSweep samples the bench's pair-probe delays over the
+// separations: falling outputs under rising inputs, rising outputs
+// (from V_N = GND) under falling ones.
+func goldenSweep(b *testing.B, bench *Bench, deltas []float64, rising bool) []float64 {
+	b.Helper()
+	out := make([]float64, len(deltas))
+	for i, d := range deltas {
+		var err error
+		if out[i], err = bench.Delay(bench.Pair(d, rising)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	return out
+}
+
 // hmParams extracts the fitted 2-input NOR parameters from the default
 // gate's model set.
 func hmParams(m gate.Model) hybrid.Params { return m.(gate.NOR2Model).P }
@@ -106,10 +121,10 @@ func BenchmarkFig2Waveforms(b *testing.B) {
 	bench, _, _ := setupGolden(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := bench.FallingWaveforms(10e-12); err != nil {
+		if _, err := bench.Waveforms(bench.Pair(10e-12, true)); err != nil {
 			b.Fatal(err)
 		}
-		if _, err := bench.RisingWaveforms(40e-12, 0); err != nil {
+		if _, err := bench.Waveforms(bench.Pair(40e-12, false)); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -122,9 +137,7 @@ func BenchmarkFig2FallingSweep(b *testing.B) {
 	deltas := []float64{-60e-12, -40e-12, -20e-12, 0, 20e-12, 40e-12, 60e-12}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := bench.FallingSweep(deltas); err != nil {
-			b.Fatal(err)
-		}
+		goldenSweep(b, bench, deltas, true)
 	}
 	b.ReportMetric(100*(target.FallZero-target.FallMinusInf)/target.FallMinusInf, "misdip_%")
 }
@@ -136,9 +149,7 @@ func BenchmarkFig2RisingSweep(b *testing.B) {
 	deltas := []float64{-60e-12, -40e-12, -20e-12, 0, 20e-12, 40e-12, 60e-12}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := bench.RisingSweep(deltas, 0); err != nil {
-			b.Fatal(err)
-		}
+		goldenSweep(b, bench, deltas, false)
 	}
 	b.ReportMetric(100*(target.RiseZero-target.RiseMinusInf)/target.RiseMinusInf, "misbump_%")
 }
@@ -191,10 +202,7 @@ func BenchmarkTable1Fit(b *testing.B) {
 func BenchmarkFig5(b *testing.B) {
 	bench, target, models := setupGolden(b)
 	deltas := []float64{-60e-12, -30e-12, -10e-12, 0, 10e-12, 30e-12, 60e-12}
-	golden, err := bench.FallingSweep(deltas)
-	if err != nil {
-		b.Fatal(err)
-	}
+	golden := goldenSweep(b, bench, deltas, true)
 	_ = target
 	var worst float64
 	b.ResetTimer()
@@ -205,7 +213,7 @@ func BenchmarkFig5(b *testing.B) {
 		}
 		worst = 0
 		for j := range pts {
-			d := pts[j].Delay - golden[j].Delay
+			d := pts[j].Delay - golden[j]
 			if d < 0 {
 				d = -d
 			}
@@ -261,10 +269,7 @@ func BenchmarkFig7Accuracy(b *testing.B) {
 // reports the Delta = 0 error of the ablated model.
 func BenchmarkFig8(b *testing.B) {
 	bench, _, models := setupGolden(b)
-	goldenZero, err := bench.FallingDelay(0)
-	if err != nil {
-		b.Fatal(err)
-	}
+	goldenZero := goldenSweep(b, bench, []float64{0}, true)[0]
 	deltas := []float64{-60e-12, -30e-12, 0, 30e-12, 60e-12}
 	var zeroErr float64
 	b.ResetTimer()
@@ -368,7 +373,7 @@ func BenchmarkGoldenTransient(b *testing.B) {
 	a, tb, until := benchTrace()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := (&gate.NOR2Bench{B: bench}).Golden([]trace.Trace{a, tb}, until); err != nil {
+		if _, err := bench.Golden([]trace.Trace{a, tb}, until); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -27,9 +27,30 @@ func benchParams(opt options) nor.Params {
 	return p
 }
 
+// analogBench builds the analog golden bench of a registered gate.
+func analogBench(opt options, name string) (*gate.Analog, error) {
+	g, err := gate.Find(name)
+	if err != nil {
+		return nil, err
+	}
+	return gate.NewAnalog(g, benchParams(opt))
+}
+
 // goldenBench builds the calibrated golden-reference NOR bench.
-func goldenBench(opt options) (*nor.Bench, error) {
-	return nor.New(benchParams(opt))
+func goldenBench(opt options) (*gate.Analog, error) { return analogBench(opt, "nor2") }
+
+// pairSweep samples the bench's pair-probe delay over the separations:
+// the falling output delays under rising inputs, the rising ones (from
+// the worst case V_N = GND) under falling inputs.
+func pairSweep(b *gate.Analog, deltas []float64, rising bool) ([]float64, error) {
+	out := make([]float64, len(deltas))
+	for i, d := range deltas {
+		var err error
+		if out[i], err = b.Delay(b.Pair(d, rising)); err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
 }
 
 // deltaGrid returns the MIS sweep grid in seconds.
@@ -53,8 +74,8 @@ func toPsSlice(xs []float64) []float64 {
 }
 
 // measuredTarget measures the golden characteristic delays.
-func measuredTarget(b *nor.Bench) (hybrid.Characteristic, error) {
-	meas, err := (&gate.NOR2Bench{B: b}).Measure()
+func measuredTarget(b *gate.Analog) (hybrid.Characteristic, error) {
+	meas, err := b.Measure()
 	return meas.Pair, err
 }
 
@@ -65,17 +86,17 @@ func runFig2Wave(opt options) error {
 	if err != nil {
 		return err
 	}
-	fall, err := b.FallingWaveforms(10e-12)
+	fall, err := b.Waveforms(b.Pair(10e-12, true))
 	if err != nil {
 		return err
 	}
-	rise, err := b.RisingWaveforms(40e-12, 0)
+	rise, err := b.Waveforms(b.Pair(40e-12, false))
 	if err != nil {
 		return err
 	}
-	render := func(title string, r *nor.Result) {
+	render := func(title string, r gate.ProbeWaves) {
 		n := 160
-		t0, t1 := r.O.Start(), r.O.End()
+		t0, t1 := r.Out.Start(), r.Out.End()
 		xs := make([]float64, n+1)
 		mk := func(w *waveform.Waveform) []float64 {
 			ys := make([]float64, n+1)
@@ -87,10 +108,10 @@ func runFig2Wave(opt options) error {
 			return ys
 		}
 		ss := []series{
-			{name: "VA", marker: 'a', xs: xs, ys: mk(r.A)},
-			{name: "VB", marker: 'b', xs: xs, ys: mk(r.B)},
-			{name: "VO", marker: 'O', xs: xs, ys: mk(r.O)},
-			{name: "VN", marker: 'n', xs: xs, ys: mk(r.N)},
+			{name: "VA", marker: 'a', xs: xs, ys: mk(r.In[0])},
+			{name: "VB", marker: 'b', xs: xs, ys: mk(r.In[1])},
+			{name: "VO", marker: 'O', xs: xs, ys: mk(r.Out)},
+			{name: "VN", marker: 'n', xs: xs, ys: mk(r.Internal[0])},
 		}
 		if opt.csv {
 			fmt.Printf("# %s\n%s", title, csvOut("t_ps", ss))
@@ -110,29 +131,18 @@ func runFig2Fall(opt options) error {
 		return err
 	}
 	deltas := deltaGrid(opt, 60, 5)
-	pts, err := b.FallingSweep(deltas)
+	delays, err := pairSweep(b, deltas, true)
 	if err != nil {
 		return err
 	}
-	xs := make([]float64, len(pts))
-	ys := make([]float64, len(pts))
-	for i, p := range pts {
-		xs[i] = waveform.ToPs(p.Delta)
-		ys[i] = waveform.ToPs(p.Delay)
-	}
+	xs, ys := toPsSlice(deltas), toPsSlice(delays)
 	s := []series{{name: "delta_fall_S", marker: '*', xs: xs, ys: ys}}
 	if opt.csv {
 		fmt.Print(csvOut("delta_ps", s))
 	} else {
 		fmt.Print(asciiPlot("Fig. 2b — golden falling MIS delay", "Delta [ps]", "delay [ps]", 90, 18, s))
-		min, tail := ys[0], ys[0]
-		for _, y := range ys {
-			if y < min {
-				min = y
-			}
-		}
+		tail := ys[0]
 		fmt.Printf("speed-up at Delta=0: %.1f%% (paper: ~-28%%)\n", 100*(findAt(xs, ys, 0)-tail)/tail)
-		_ = min
 	}
 	return nil
 }
@@ -158,17 +168,11 @@ func runFig2Rise(opt options) error {
 		return err
 	}
 	deltas := deltaGrid(opt, 60, 5)
-	pts, err := b.RisingSweep(deltas, 0)
+	delays, err := pairSweep(b, deltas, false)
 	if err != nil {
 		return err
 	}
-	xs := make([]float64, len(pts))
-	ys := make([]float64, len(pts))
-	for i, p := range pts {
-		xs[i] = waveform.ToPs(p.Delta)
-		ys[i] = waveform.ToPs(p.Delay)
-	}
-	s := []series{{name: "delta_rise_S", marker: '*', xs: xs, ys: ys}}
+	s := []series{{name: "delta_rise_S", marker: '*', xs: toPsSlice(deltas), ys: toPsSlice(delays)}}
 	if opt.csv {
 		fmt.Print(csvOut("delta_ps", s))
 	} else {
@@ -226,7 +230,7 @@ func runTable1(opt options) error {
 	if err != nil {
 		return err
 	}
-	p, rep, err := hybrid.FitCharacteristic(target, b.P.Supply, nil)
+	p, rep, err := hybrid.FitCharacteristic(target, b.Params().Supply, nil)
 	if err != nil {
 		return err
 	}
@@ -263,12 +267,12 @@ func runFig5(opt options) error {
 	if err != nil {
 		return err
 	}
-	p, _, err := hybrid.FitCharacteristic(target, b.P.Supply, nil)
+	p, _, err := hybrid.FitCharacteristic(target, b.Params().Supply, nil)
 	if err != nil {
 		return err
 	}
 	deltas := deltaGrid(opt, 60, 5)
-	goldenPts, err := b.FallingSweep(deltas)
+	golden, err := pairSweep(b, deltas, true)
 	if err != nil {
 		return err
 	}
@@ -277,10 +281,9 @@ func runFig5(opt options) error {
 		return err
 	}
 	xs := toPsSlice(deltas)
-	gold := make([]float64, len(goldenPts))
+	gold := toPsSlice(golden)
 	model := make([]float64, len(modelPts))
-	for i := range goldenPts {
-		gold[i] = waveform.ToPs(goldenPts[i].Delay)
+	for i := range modelPts {
 		model[i] = waveform.ToPs(modelPts[i].Delay)
 	}
 	ss := []series{
@@ -307,21 +310,17 @@ func runFig6(opt options) error {
 	if err != nil {
 		return err
 	}
-	p, _, err := hybrid.FitCharacteristic(target, b.P.Supply, nil)
+	p, _, err := hybrid.FitCharacteristic(target, b.Params().Supply, nil)
 	if err != nil {
 		return err
 	}
 	deltas := deltaGrid(opt, 90, 7.5)
-	goldenPts, err := b.RisingSweep(deltas, 0)
+	golden, err := pairSweep(b, deltas, false)
 	if err != nil {
 		return err
 	}
 	xs := toPsSlice(deltas)
-	gold := make([]float64, len(goldenPts))
-	for i := range goldenPts {
-		gold[i] = waveform.ToPs(goldenPts[i].Delay)
-	}
-	ss := []series{{name: "delta_rise_S (golden)", marker: '*', xs: xs, ys: gold}}
+	ss := []series{{name: "delta_rise_S (golden)", marker: '*', xs: xs, ys: toPsSlice(golden)}}
 	for _, vn := range []hybrid.VNInitial{hybrid.VNGround, hybrid.VNHalf, hybrid.VNSupply} {
 		pts, err := p.RisingSweep(deltas, vn)
 		if err != nil {
@@ -482,17 +481,17 @@ func runFig8(opt options) error {
 	if err != nil {
 		return err
 	}
-	withD, _, err := hybrid.FitCharacteristic(target, b.P.Supply, nil)
+	withD, _, err := hybrid.FitCharacteristic(target, b.Params().Supply, nil)
 	if err != nil {
 		return err
 	}
 	tailW := []float64{3, 1, 3, 3, 1, 3}
-	without, _, err := hybrid.FitCharacteristic(target, b.P.Supply, &hybrid.FitOptions{DMin: 0, Weights: tailW})
+	without, _, err := hybrid.FitCharacteristic(target, b.Params().Supply, &hybrid.FitOptions{DMin: 0, Weights: tailW})
 	if err != nil {
 		return err
 	}
 	deltas := deltaGrid(opt, 60, 5)
-	goldenPts, err := b.FallingSweep(deltas)
+	golden, err := pairSweep(b, deltas, true)
 	if err != nil {
 		return err
 	}
@@ -512,12 +511,8 @@ func runFig8(opt options) error {
 		}
 		return out
 	}
-	gold := make([]float64, len(goldenPts))
-	for i := range goldenPts {
-		gold[i] = waveform.ToPs(goldenPts[i].Delay)
-	}
 	ss := []series{
-		{name: "golden", marker: '*', xs: xs, ys: gold},
+		{name: "golden", marker: '*', xs: xs, ys: toPsSlice(golden)},
 		{name: "HM with δmin", marker: 'o', xs: xs, ys: mk(a)},
 		{name: "HM without δmin", marker: 'x', xs: xs, ys: mk(c)},
 	}

@@ -3,6 +3,7 @@ package main
 import (
 	"fmt"
 
+	"hybriddelay/internal/gate"
 	"hybriddelay/internal/hybrid"
 	"hybriddelay/internal/nor"
 	"hybriddelay/internal/waveform"
@@ -11,18 +12,15 @@ import (
 // runNAND compares the duality-derived NAND model against the
 // transistor-level NAND bench (extension X1 of DESIGN.md).
 func runNAND(opt options) error {
-	p := nor.DefaultParams()
-	if opt.fast {
-		p.MaxStep = 8e-12
-	}
-	bench, err := nor.NewNAND(p)
+	bench, err := analogBench(opt, "nand2")
 	if err != nil {
 		return err
 	}
-	analog, err := bench.Characteristic()
+	meas, err := bench.Measure()
 	if err != nil {
 		return err
 	}
+	analog := meas.Pair
 	model := hybrid.NANDFromDual(hybrid.TableI())
 	mc, err := model.Characteristic()
 	if err != nil {
@@ -53,11 +51,7 @@ func runNAND(opt options) error {
 // the transistor-level 3-input bench (extension of the paper's
 // multi-input premise).
 func runNOR3(opt options) error {
-	p := nor.DefaultParams()
-	if opt.fast {
-		p.MaxStep = 8e-12
-	}
-	bench, err := nor.NewNOR3(p)
+	bench, err := analogBench(opt, "nor3")
 	if err != nil {
 		return err
 	}
@@ -66,22 +60,21 @@ func runNOR3(opt options) error {
 	if err != nil {
 		return err
 	}
-	aAll, err := bench.FallingDelay3(0, 0)
-	if err != nil {
-		return err
+	// Falling probes from a precharged stack, the rising one from the
+	// worst case (discharged internal nodes).
+	vdd := bench.Params().Supply.VDD
+	var a [4]float64
+	for i, pr := range []gate.Probe{
+		{Offsets: []float64{0, 0, 0}, Rising: true, VInt: vdd},
+		{Offsets: []float64{0, 0, nor.SISFar}, Rising: true, VInt: vdd},
+		{Offsets: []float64{0, nor.SISFar, 2 * nor.SISFar}, Rising: true, VInt: vdd},
+		{Offsets: []float64{0, 0, 0}},
+	} {
+		if a[i], err = bench.Delay(pr); err != nil {
+			return err
+		}
 	}
-	aTwo, err := bench.FallingDelay3(0, nor.SISFar)
-	if err != nil {
-		return err
-	}
-	aSIS, err := bench.FallingDelay3(nor.SISFar, 2*nor.SISFar)
-	if err != nil {
-		return err
-	}
-	aRise, err := bench.RisingDelay3(0, 0, 0)
-	if err != nil {
-		return err
-	}
+	aAll, aTwo, aSIS, aRise := a[0], a[1], a[2], a[3]
 	fmt.Println("3-input NOR (generalized switch-level hybrid model, 3x3 modes):")
 	fmt.Printf("  %-28s %10s %10s\n", "delay", "analog", "model*")
 	fmt.Printf("  %-28s %10.2f %10.2f\n", "fall, all simultaneous [ps]", waveform.ToPs(aAll), waveform.ToPs(mc.FallAllZero))

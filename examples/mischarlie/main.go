@@ -40,11 +40,13 @@ func main() {
 	fmt.Printf("fitted model: %s (cost %.2e)\n\n", model, report.Cost)
 
 	// 3. Sweep the input separation and compare (Fig. 5 for falling,
-	//    Fig. 6 for rising with the worst-case V_N = GND).
+	//    Fig. 6 for rising with the worst-case V_N = GND). The bench's
+	//    pair probe switches both inputs Delta apart: rising inputs make
+	//    the NOR output fall, falling ones make it rise.
 	fmt.Println("Delta [ps] | golden fall | model fall | golden rise | model rise")
 	for _, dPs := range []float64{-60, -40, -20, -10, 0, 10, 20, 40, 60} {
 		delta := hybriddelay.Ps(dPs)
-		gf, err := bench.FallingDelay(delta)
+		gf, err := bench.Delay(bench.Pair(delta, true))
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -52,7 +54,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		gr, err := bench.RisingDelay(delta, 0)
+		gr, err := bench.Delay(bench.Pair(delta, false))
 		if err != nil {
 			log.Fatal(err)
 		}

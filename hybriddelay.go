@@ -33,12 +33,14 @@
 //	                   parametrization, the 2-input digital channel and
 //	                   the generalized switch-level SwitchGate channel
 //	internal/spice   - MNA transient analog simulator (golden reference)
-//	internal/nor     - transistor-level NOR/NAND/NOR3 testbenches
-//	                   (paper Fig. 1 and its structural variants)
-//	internal/gate    - the gate registry: bench construction, Charlie
-//	                   measurement and model parametrization behind one
-//	                   Gate interface (nor2 default, nand2, nor3), so
-//	                   the pipeline is gate-generic
+//	internal/nor     - testbench parameters and the transistor-level
+//	                   NOR/NAND/NOR3 device stamps (paper Fig. 1 and
+//	                   its structural variants)
+//	internal/gate    - the gate registry and the one analog bench built
+//	                   from Gate.Stamp: golden runs, Charlie probes and
+//	                   model parametrization behind one Gate interface
+//	                   (nor2 default, nand2, nor3), so the pipeline is
+//	                   gate-generic
 //	internal/dtsim   - event-driven digital timing simulator
 //	internal/idm     - involution (exp / sum-exp) channels
 //	internal/inertial- pure/inertial and arity-generic per-pin arc
@@ -146,8 +148,9 @@ type Trace = trace.Trace
 // BenchParams configures the transistor-level NOR golden reference.
 type BenchParams = nor.Params
 
-// Bench is the instantiated transistor-level NOR testbench.
-type Bench = nor.Bench
+// Bench is the transistor-level analog golden bench of a gate; NewBench
+// builds the paper's NOR. Its Pair probes drive Delay and Waveforms.
+type Bench = gate.Analog
 
 // Models bundles the delay models compared in the Fig. 7 evaluation.
 type Models = eval.Models
@@ -177,7 +180,7 @@ func DefaultSupply() Supply { return waveform.DefaultSupply() }
 func DefaultBenchParams() BenchParams { return nor.DefaultParams() }
 
 // NewBench instantiates the transistor-level NOR testbench.
-func NewBench(p BenchParams) (*Bench, error) { return nor.New(p) }
+func NewBench(p BenchParams) (*Bench, error) { return gate.NewAnalog(gate.NOR2, p) }
 
 // FitCharacteristic calibrates model parameters against measured
 // characteristic Charlie delays (paper §V).
@@ -199,7 +202,7 @@ func BuildModels(target Characteristic, supply Supply, expDMin float64) (Models,
 // MeasureCharacteristic measures the six characteristic Charlie delays
 // of a golden-reference bench.
 func MeasureCharacteristic(bench *Bench) (Characteristic, error) {
-	meas, err := (&gate.NOR2Bench{B: bench}).Measure()
+	meas, err := bench.Measure()
 	return meas.Pair, err
 }
 

@@ -67,7 +67,7 @@ func TestBenchSourceLeaseBitIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("analog golden runs in -short mode")
 	}
-	src := NewGateBenchSource(&gate.NOR2Bench{B: evalBench(t)})
+	src := NewGateBenchSource(evalBench(t))
 	cfg := testConfig(6)
 	inputs, err := gen.Traces(cfg, 3)
 	if err != nil {
@@ -105,7 +105,7 @@ func TestEvaluateParallelBatchBitIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("analog golden runs in -short mode")
 	}
-	src := NewGateBenchSource(&gate.NOR2Bench{B: evalBench(t)})
+	src := NewGateBenchSource(evalBench(t))
 	m := cheapModels(t)
 	cfg := testConfig(24)
 	seeds := []int64{1, 2, 3, 4, 5}
@@ -143,7 +143,7 @@ func TestEvaluateCircuitBatchBitIdentical(t *testing.T) {
 	cfg := testConfig(8)
 	cfg.Inputs = len(nl.Inputs)
 	seeds := []int64{1, 2}
-	src := circuitSource(t, nl, evalBench(t).P)
+	src := circuitSource(t, nl, evalBench(t).Params())
 
 	var parts []CircuitSeedResult
 	for _, seed := range seeds {

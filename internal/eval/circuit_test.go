@@ -8,7 +8,6 @@ import (
 	"sync"
 	"testing"
 
-	"hybriddelay/internal/gate"
 	"hybriddelay/internal/gen"
 	"hybriddelay/internal/netlist"
 	"hybriddelay/internal/nor"
@@ -84,13 +83,13 @@ func TestSingleGateCircuitBitIdentical(t *testing.T) {
 	cfg := testConfig(24)
 	seeds := []int64{1, 2, 3}
 
-	want, err := serialRun(NewGateBenchSource(&gate.NOR2Bench{B: b}), m, cfg, seeds)
+	want, err := serialRun(NewGateBenchSource(b), m, cfg, seeds)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	nl := singleNOR2Netlist()
-	got, err := runCircuit(t, nl, b.P, netlist.ModelSet{"nor2": m}, cfg, seeds, 0, nil)
+	got, err := runCircuit(t, nl, b.Params(), netlist.ModelSet{"nor2": m}, cfg, seeds, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +123,7 @@ func TestEvaluateCircuitDeterministicAcrossWorkers(t *testing.T) {
 	nl := chainNetlist(t, 2)
 	m := cheapModels(t)
 	ms := netlist.ModelSet{"nor2": m}
-	p := evalBench(t).P
+	p := evalBench(t).Params()
 	cfg := testConfig(16)
 	seeds := []int64{1, 2, 3, 4}
 

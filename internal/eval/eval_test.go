@@ -14,20 +14,20 @@ import (
 
 // evalBench builds the golden bench with a coarser integrator step for
 // test speed (delay error well below the deviation areas measured).
-func evalBench(t *testing.T) *nor.Bench {
+func evalBench(t *testing.T) gate.Bench {
 	t.Helper()
 	p := nor.DefaultParams()
 	p.MaxStep = 8e-12
-	b, err := nor.New(p)
+	b, err := gate.NOR2.NewBench(p)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return b
 }
 
-func measuredTarget(t *testing.T, b *nor.Bench) hybrid.Characteristic {
+func measuredTarget(t *testing.T, b gate.Bench) hybrid.Characteristic {
 	t.Helper()
-	meas, err := (&gate.NOR2Bench{B: b}).Measure()
+	meas, err := b.Measure()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +48,7 @@ func nor2Models(t *testing.T, target hybrid.Characteristic, supply waveform.Supp
 func TestBuildModels(t *testing.T) {
 	b := evalBench(t)
 	target := measuredTarget(t, b)
-	m := nor2Models(t, target, b.P.Supply)
+	m := nor2Models(t, target, b.Params().Supply)
 	// Inertial arcs carry the SIS delays (pin 0 = A, pin 1 = B).
 	if m.Inertial[1].Fall != target.FallMinusInf || m.Inertial[0].Fall != target.FallPlusInf {
 		t.Error("inertial arc mapping wrong")
@@ -79,7 +79,7 @@ func TestBuildModels(t *testing.T) {
 }
 
 func TestGoldenNORRejectsHighInputs(t *testing.T) {
-	b := &gate.NOR2Bench{B: evalBench(t)}
+	b := evalBench(t)
 	if _, err := b.Golden([]trace.Trace{{Initial: true}, {}}, 1e-9); err == nil {
 		t.Error("high initial input accepted")
 	}
@@ -90,7 +90,7 @@ func TestGoldenNORRejectsHighInputs(t *testing.T) {
 func TestGoldenNORSingleEdge(t *testing.T) {
 	b := evalBench(t)
 	a := trace.New(false, []trace.Event{{Time: 1e-9, Value: true}})
-	out, err := (&gate.NOR2Bench{B: b}).Golden([]trace.Trace{a, {Initial: false}}, 2e-9)
+	out, err := b.Golden([]trace.Trace{a, {Initial: false}}, 2e-9)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,8 +111,8 @@ func TestEvaluatePipeline(t *testing.T) {
 		t.Skip("full pipeline in -short mode")
 	}
 	b := evalBench(t)
-	m := nor2Models(t, measuredTarget(t, b), b.P.Supply)
-	src := NewGateBenchSource(&gate.NOR2Bench{B: b})
+	m := nor2Models(t, measuredTarget(t, b), b.Params().Supply)
+	src := NewGateBenchSource(b)
 
 	short := gen.PaperConfigs()[0]
 	short.Transitions = 120
@@ -155,8 +155,8 @@ func TestEvaluatePipeline(t *testing.T) {
 
 func TestEvaluateValidation(t *testing.T) {
 	b := evalBench(t)
-	m := nor2Models(t, measuredTarget(t, b), b.P.Supply)
-	src := NewGateBenchSource(&gate.NOR2Bench{B: b})
+	m := nor2Models(t, measuredTarget(t, b), b.Params().Supply)
+	src := NewGateBenchSource(b)
 	cfg := gen.PaperConfigs()[0]
 	if _, err := runGate(src, m, cfg, nil, nil); err == nil {
 		t.Error("empty seed list accepted")
@@ -172,7 +172,7 @@ func TestEvaluateValidation(t *testing.T) {
 // trace.
 func TestRunModelsProducesAllModels(t *testing.T) {
 	b := evalBench(t)
-	m := nor2Models(t, measuredTarget(t, b), b.P.Supply)
+	m := nor2Models(t, measuredTarget(t, b), b.Params().Supply)
 	cfg := gen.PaperConfigs()[0]
 	cfg.Transitions = 40
 	inputs, err := gen.Traces(cfg, 9)

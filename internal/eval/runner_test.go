@@ -226,7 +226,7 @@ func TestEvaluateParallelDeterministic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("analog golden runs in -short mode")
 	}
-	benches := NewGateBenchSource(&gate.NOR2Bench{B: evalBench(t)})
+	benches := NewGateBenchSource(evalBench(t))
 	m := cheapModels(t)
 	cfg := testConfig(40)
 	seeds := []int64{1, 2, 3, 4, 5, 6}

@@ -3,12 +3,15 @@
 // the digital channels and the CLI from any particular gate topology.
 //
 // A Gate bundles everything the pipeline needs generically — the boolean
-// function, transistor-level golden-bench construction, characteristic
-// Charlie-delay measurement, the per-pin inertial baseline and the
-// hybrid-model parametrization hooks — so that a new gate is a registry
-// entry (Register) rather than a new copy of the pipeline. The paper's
-// 2-input NOR (the default), its structural dual NAND2 and the 3-input
-// NOR extension are registered in this package.
+// function, its transistor-level stamp, characteristic Charlie-delay
+// measurement, the per-pin inertial baseline and the hybrid-model
+// parametrization hooks — so that a new gate is a registry entry
+// (Register) rather than a new copy of the pipeline. The paper's 2-input
+// NOR (the default), its structural dual NAND2 and the 3-input NOR
+// extension are registered in this package. All three share one analog
+// golden bench (Analog, on the Testbench core the netlist composer also
+// uses), built from their stamps; each adds only its pair probe, probe
+// tails and arc mapping.
 package gate
 
 import (
@@ -62,9 +65,8 @@ type Gate interface {
 	// the returned Subcircuit carries the created node IDs and the
 	// settled initial voltage of every created node in that input state
 	// (internal nodes isolated by the input state use the paper's worst
-	// case GND). For a gate stamped alone with all-low inputs the
-	// resulting circuit is device-for-device identical to its
-	// standalone bench.
+	// case GND). The gate's analog bench (NewAnalog) is this stamp
+	// alone with all-low inputs, started from the returned voltages.
 	Stamp(c *spice.Circuit, prefix, outName string, p nor.Params, vdd spice.NodeID, in []spice.NodeID, init []bool) (Subcircuit, error)
 	// BuildModels parametrizes the Fig. 7 model set (per-pin inertial
 	// arcs, exp-channel, hybrid model with and without pure delay) from
@@ -254,24 +256,13 @@ func buildModels(g Gate, meas Measurement, supply waveform.Supply, expDMin float
 	return Assemble(g, f, supply, expDMin)
 }
 
-// toCharacteristic converts the bench measurement struct into the hybrid
-// package's target type.
-func toCharacteristic(m nor.CharacteristicDelays) hybrid.Characteristic {
-	return hybrid.Characteristic{
-		FallMinusInf: m.FallMinusInf,
-		FallZero:     m.FallZero,
-		FallPlusInf:  m.FallPlusInf,
-		RiseMinusInf: m.RiseMinusInf,
-		RiseZero:     m.RiseZero,
-		RisePlusInf:  m.RisePlusInf,
-	}
-}
-
 // InputSignals converts digital traces into analog bench stimuli: one
 // raised-cosine edge train per input plus the transient breakpoints at
 // the edge starts. All inputs must start low. It is the one conversion
-// convention every golden run shares — the standalone benches and the
-// netlist composer drive their input sources through it.
+// convention every golden run shares — the gate benches and the
+// netlist composer drive their input sources through it. The halved
+// rise time is rounded explicitly so no platform fuses the breakpoint
+// into a multiply-add.
 func InputSignals(p nor.Params, inputs []trace.Trace) ([]waveform.Signal, []float64, error) {
 	sigs := make([]waveform.Signal, len(inputs))
 	var bps []float64
@@ -285,7 +276,7 @@ func InputSignals(p nor.Params, inputs []trace.Trace) ([]waveform.Signal, []floa
 		}
 		sigs[i] = sig
 		for _, e := range in.Events {
-			bps = append(bps, e.Time-p.InputRise/2)
+			bps = append(bps, e.Time-float64(p.InputRise/2))
 		}
 	}
 	return sigs, bps, nil

@@ -26,20 +26,14 @@ func (nand2) Describe() string     { return "2-input CMOS NAND, structural dual 
 func (nand2) Arity() int           { return 2 }
 func (nand2) Logic(in []bool) bool { return !(in[0] && in[1]) }
 
-func (nand2) NewBench(p nor.Params) (Bench, error) {
-	b, err := nor.NewNAND(p)
-	if err != nil {
-		return nil, err
-	}
-	return &NAND2Bench{B: b}, nil
-}
+func (g nand2) NewBench(p nor.Params) (Bench, error) { return newBench(g, p) }
 
 // Stamp implements Gate: the dual NAND devices with the internal stack
 // node M created first. Settled voltages: the output follows the NAND
 // logic; M is pulled to GND while the bottom nMOS conducts (A high),
 // tracks the high output while only the upper stack device conducts
 // (A low, B high), and starts discharged (GND) when isolated in state
-// (0,0) — matching the standalone bench's golden initial condition.
+// (0,0) — the golden start NAND2Model.Apply assumes too.
 func (g nand2) Stamp(c *spice.Circuit, prefix, outName string, p nor.Params, vdd spice.NodeID, in []spice.NodeID, init []bool) (Subcircuit, error) {
 	if err := stampArgs(g, p, in, init); err != nil {
 		return Subcircuit{}, err
@@ -74,6 +68,21 @@ func (nand2) norFrame(c hybrid.Characteristic) hybrid.Characteristic { return c.
 // the channel.
 func (nand2) wrap(p hybrid.Params) Model { return NAND2Model{N: hybrid.NANDFromDual(p)} }
 
+func (nand2) pairOffsets(delta float64, _ bool) []float64 { return []float64{0, delta} }
+
+// tail: the falling output discharges through the nMOS stack within
+// 400 ps of the last edge, the rising one within 300 ps.
+func (nand2) tail(rising bool) float64 {
+	if rising {
+		return 400e-12
+	}
+	return 300e-12
+}
+
+func (nand2) arcs(_ *Analog, c hybrid.Characteristic) (inertial.Arcs, error) {
+	return NAND2Arcs(c), nil
+}
+
 // NAND2Arcs maps the NAND pair characteristic onto per-pin arcs. NAND
 // falling delays are measured from the later rising input (the serial
 // stack only discharges once both inputs are high), so delta_fall(-inf)
@@ -85,53 +94,6 @@ func NAND2Arcs(c hybrid.Characteristic) inertial.Arcs {
 		{Fall: c.FallMinusInf, Rise: c.RisePlusInf},
 		{Fall: c.FallPlusInf, Rise: c.RiseMinusInf},
 	}
-}
-
-// NAND2Bench adapts the transistor-level NAND testbench.
-type NAND2Bench struct {
-	B *nor.NANDBench
-}
-
-// Gate implements Bench.
-func (b *NAND2Bench) Gate() Gate { return NAND2 }
-
-// Params implements Bench.
-func (b *NAND2Bench) Params() nor.Params { return b.B.P }
-
-// SolverStats exposes the underlying bench's cumulative MNA solver
-// counters for traffic reporting.
-func (b *NAND2Bench) SolverStats() spice.SolverStats { return b.B.SolverStats() }
-
-// Measure implements Bench: the six characteristic NAND delays
-// (worst-case V_M = VDD for the falling experiments) plus the SIS arc
-// mapping.
-func (b *NAND2Bench) Measure() (Measurement, error) {
-	c, err := b.B.Characteristic()
-	if err != nil {
-		return Measurement{}, err
-	}
-	pair := toCharacteristic(c)
-	return Measurement{Pair: pair, Arcs: NAND2Arcs(pair)}, nil
-}
-
-// Golden implements Bench. The bench starts settled in state (0,0) with
-// the output high; the isolated internal stack node M starts fully
-// discharged (V_M = 0), matching the hybrid NAND channel's initial
-// state in NAND2Model.Apply.
-func (b *NAND2Bench) Golden(inputs []trace.Trace, until float64) (trace.Trace, error) {
-	if len(inputs) != 2 {
-		return trace.Trace{}, fmt.Errorf("gate nand2: want 2 inputs, got %d", len(inputs))
-	}
-	sigs, bps, err := InputSignals(b.B.P, inputs)
-	if err != nil {
-		return trace.Trace{}, err
-	}
-	supply := b.B.P.Supply
-	out, err := b.B.RunOutput(sigs[0], sigs[1], until, 0, supply.VDD, bps)
-	if err != nil {
-		return trace.Trace{}, fmt.Errorf("gate nand2: golden transient: %w", err)
-	}
-	return trace.Digitize(out, supply.Vth), nil
 }
 
 // NAND2Model applies the duality-derived 2-input hybrid NAND channel.

@@ -35,13 +35,7 @@ func (nor3) Describe() string     { return "3-input CMOS NOR extension (three-de
 func (nor3) Arity() int           { return 3 }
 func (nor3) Logic(in []bool) bool { return !(in[0] || in[1] || in[2]) }
 
-func (nor3) NewBench(p nor.Params) (Bench, error) {
-	b, err := nor.NewNOR3(p)
-	if err != nil {
-		return nil, err
-	}
-	return &NOR3Bench{B: b}, nil
-}
+func (g nor3) NewBench(p nor.Params) (Bench, error) { return newBench(g, p) }
 
 // Stamp implements Gate: the three-deep stack with internal nodes N1
 // and N2 created first. Settled voltages follow the stack conduction
@@ -97,86 +91,38 @@ func (nor3) wrap(p hybrid.Params) Model {
 	}}
 }
 
-// NOR3Bench adapts the transistor-level 3-input NOR testbench.
-type NOR3Bench struct {
-	B *nor.NOR3Bench
+// pairOffsets parks pin C far away from the pin-(0,1) probe: rising
+// far later when the inputs rise, falling far earlier when they fall,
+// so the measured output transition is a pure A/B event.
+func (nor3) pairOffsets(delta float64, rising bool) []float64 {
+	if rising {
+		return []float64{0, delta, farPin}
+	}
+	return []float64{0, delta, -farPin}
 }
 
-// Gate implements Bench.
-func (b *NOR3Bench) Gate() Gate { return NOR3 }
+// tail: the falling output settles within 400 ps of the last edge, the
+// rising one through the three-deep pMOS stack within 600 ps.
+func (nor3) tail(rising bool) float64 {
+	if rising {
+		return 400e-12
+	}
+	return 600e-12
+}
 
-// Params implements Bench.
-func (b *NOR3Bench) Params() nor.Params { return b.B.P }
-
-// SolverStats exposes the underlying bench's cumulative MNA solver
-// counters for traffic reporting.
-func (b *NOR3Bench) SolverStats() spice.SolverStats { return b.B.SolverStats() }
-
-// Measure implements Bench. The pair characteristic probes pins A and B
-// with pin C parked far away (rising far later in the falling
-// experiments, falling far earlier in the rising ones, so the measured
-// output transition is a pure A/B event); the per-pin arcs add the two
-// C-caused SIS delays the projection cannot see. Rising experiments use
-// the paper's worst-case internal fill V = GND.
-func (b *NOR3Bench) Measure() (Measurement, error) {
-	var m Measurement
+// arcs: pins A and B reuse the pair mapping; pin C gets dedicated SIS
+// probes (C switching isolated: first for falls, last for rises).
+func (nor3) arcs(b *Analog, pair hybrid.Characteristic) (inertial.Arcs, error) {
 	far := nor.SISFar
-	type probe struct {
-		dst    *float64
-		dB, dC float64
-		rise   bool
-	}
-	probes := []probe{
-		{&m.Pair.FallMinusInf, -far, farPin, false},
-		{&m.Pair.FallZero, 0, farPin, false},
-		{&m.Pair.FallPlusInf, far, farPin, false},
-		{&m.Pair.RiseMinusInf, -far, -farPin, true},
-		{&m.Pair.RiseZero, 0, -farPin, true},
-		{&m.Pair.RisePlusInf, far, -farPin, true},
-	}
-	for _, p := range probes {
-		var err error
-		if p.rise {
-			*p.dst, err = b.B.RisingDelay3(p.dB, p.dC, 0)
-		} else {
-			*p.dst, err = b.B.FallingDelay3(p.dB, p.dC)
-		}
-		if err != nil {
-			return Measurement{}, fmt.Errorf("gate nor3: pair characteristic: %w", err)
-		}
-	}
-	// Pins 0 and 1 reuse the pair mapping; pin 2 gets dedicated SIS
-	// probes (C switching isolated: first for falls, last for rises).
-	arcs := NOR2Arcs(m.Pair)
-	cFall, err := b.B.FallingDelay3(0, -far)
+	cFall, err := b.Delay(Probe{Offsets: []float64{0, 0, -far}, Rising: true, VInt: b.p.Supply.VDD})
 	if err != nil {
-		return Measurement{}, fmt.Errorf("gate nor3: pin C fall arc: %w", err)
+		return nil, fmt.Errorf("gate nor3: pin C fall arc: %w", err)
 	}
-	cRise, err := b.B.RisingDelay3(-far, far, 0)
+	cRise, err := b.Delay(Probe{Offsets: []float64{0, -far, far}})
 	if err != nil {
-		return Measurement{}, fmt.Errorf("gate nor3: pin C rise arc: %w", err)
+		return nil, fmt.Errorf("gate nor3: pin C rise arc: %w", err)
 	}
-	m.Arcs = append(arcs, inertial.PinArcs{Fall: cFall, Rise: cRise})
-	return m, nil
-}
-
-// Golden implements Bench. The bench starts settled in state (0,0,0):
-// output and both internal stack nodes high.
-func (b *NOR3Bench) Golden(inputs []trace.Trace, until float64) (trace.Trace, error) {
-	if len(inputs) != 3 {
-		return trace.Trace{}, fmt.Errorf("gate nor3: want 3 inputs, got %d", len(inputs))
-	}
-	sigs, bps, err := InputSignals(b.B.P, inputs)
-	if err != nil {
-		return trace.Trace{}, err
-	}
-	supply := b.B.P.Supply
-	vdd := supply.VDD
-	o, err := b.B.Run(sigs[0], sigs[1], sigs[2], until, vdd, vdd, vdd, bps)
-	if err != nil {
-		return trace.Trace{}, fmt.Errorf("gate nor3: golden transient: %w", err)
-	}
-	return trace.Digitize(o, supply.Vth), nil
+	return append(NOR2Arcs(pair), inertial.PinArcs{Fall: cFall, Rise: cRise}), nil
 }
 
 // NOR3Model applies the generalized switch-level hybrid channel of the

@@ -7,7 +7,6 @@ import (
 	"hybriddelay/internal/nor"
 	"hybriddelay/internal/spice"
 	"hybriddelay/internal/trace"
-	"hybriddelay/internal/waveform"
 )
 
 // Bench is a netlist elaborated into one flat transistor-level MNA
@@ -16,25 +15,23 @@ import (
 // next stage's gate capacitances through its own per-stage output load
 // — the composed analog golden reference of circuit-level evaluation.
 //
-// Like the single-gate benches, a Bench owns mutable simulator state
+// Like the gate benches, a Bench owns mutable simulator state
 // (input-source signals, device charge state) and must not run two
 // transients at once; use Clone (or the pooling CircuitBenchSource in
 // internal/eval) for concurrency.
 //
-// Construction is deliberately order-preserving: nodes are created as
-// supply, then primary inputs in netlist order, then per instance (in
-// topological order) internals before output, and devices as the
-// supply source, the primary input sources and each instance's stamp.
-// For a single-gate netlist this reproduces the standalone bench's MNA
-// system variable for variable and device for device, which is what
-// makes the composed golden bit-identical to the per-gate pipeline.
+// It is built on the same gate.Testbench core as the single-gate
+// bench: nodes are created as supply, then primary inputs in netlist
+// order, then per instance (in topological order) internals before
+// output, and devices as the supply source, the primary input sources
+// and each instance's stamp. For a single-gate netlist this is the
+// gate bench's MNA system variable for variable and device for device,
+// which is what makes the composed golden bit-identical to the
+// per-gate pipeline.
 type Bench struct {
+	*gate.Testbench
 	nl *Netlist
-	p  nor.Params
 
-	circuit   *spice.Circuit
-	solver    *spice.Solver
-	srcs      []*spice.VSource // one per primary input, in netlist order
 	nodes     map[string]spice.NodeID
 	init      map[spice.NodeID]float64
 	recorded  []string
@@ -56,81 +53,58 @@ func NewBench(nl *Netlist, p nor.Params) (*Bench, error) {
 	}
 	b := &Bench{
 		nl:    nl,
-		p:     p,
 		nodes: map[string]spice.NodeID{},
 		init:  map[spice.NodeID]float64{},
 	}
-	c := spice.NewCircuit()
-	vdd := c.Node("vdd")
-	for _, name := range nl.Inputs {
-		b.nodes[name] = c.Node(name)
+	scope := nl.ContentKey() + "|" + nor.SymbolicScope("netlist", p)
+	tb, err := gate.NewTestbench(p, nl.Inputs, scope, func(c *spice.Circuit, vdd spice.NodeID, inputs []spice.NodeID) error {
+		for k, name := range nl.Inputs {
+			b.nodes[name] = inputs[k]
+		}
+		for _, i := range order {
+			inst := nl.Instances[i]
+			g, err := gateOf(inst)
+			if err != nil {
+				return err
+			}
+			in := make([]spice.NodeID, len(inst.Inputs))
+			initIn := make([]bool, len(inst.Inputs))
+			for k, net := range inst.Inputs {
+				in[k] = b.nodes[net]
+				initIn[k] = initVals[net]
+			}
+			sub, err := g.Stamp(c, inst.Name+".", inst.Output, p, vdd, in, initIn)
+			if err != nil {
+				return fmt.Errorf("instance %q: %w", inst.Name, err)
+			}
+			b.nodes[inst.Output] = sub.Out
+			//hybrid:nondet-ok map-to-map copy with distinct keys; visit order cannot change the merged contents
+			for node, v := range sub.Initial {
+				b.init[node] = v
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, fmt.Errorf("netlist %s: %w", nl.label(), err)
 	}
-	c.AddDCVSource("Vdd", vdd, spice.Ground, p.Supply.VDD)
-	for _, name := range nl.Inputs {
-		// Constant-low placeholder signals, as in the standalone benches;
-		// Golden substitutes the per-run stimuli.
-		b.srcs = append(b.srcs, c.AddVSource("V."+name, b.nodes[name], spice.Ground, waveform.Constant(0)))
-	}
-	for _, i := range order {
-		inst := nl.Instances[i]
-		g, err := gateOf(inst)
-		if err != nil {
-			return nil, err
-		}
-		in := make([]spice.NodeID, len(inst.Inputs))
-		initIn := make([]bool, len(inst.Inputs))
-		for k, net := range inst.Inputs {
-			in[k] = b.nodes[net]
-			initIn[k] = initVals[net]
-		}
-		sub, err := g.Stamp(c, inst.Name+".", inst.Output, p, vdd, in, initIn)
-		if err != nil {
-			return nil, fmt.Errorf("netlist %s: instance %q: %w", nl.label(), inst.Name, err)
-		}
-		b.nodes[inst.Output] = sub.Out
-		//hybrid:nondet-ok map-to-map copy with distinct keys; visit order cannot change the merged contents
-		for node, v := range sub.Initial {
-			b.init[node] = v
-		}
-	}
+	b.Testbench = tb
 	b.recorded = nl.Recorded()
 	for _, net := range b.recorded {
 		b.recordIDs = append(b.recordIDs, b.nodes[net])
 	}
-	if err := c.Validate(); err != nil {
-		return nil, fmt.Errorf("netlist %s: composed circuit: %w", nl.label(), err)
-	}
-	b.circuit = c
-	// One persistent solver per bench: every Golden run reuses the same
-	// MNA workspace, with bit-identical results to the per-call solver.
-	sv, err := spice.NewSolver(c)
-	if err != nil {
-		return nil, fmt.Errorf("netlist %s: %w", nl.label(), err)
-	}
-	sv.SetSymbolicScope(nl.ContentKey() + "|" + nor.SymbolicScope("netlist", p))
-	b.solver = sv
 	return b, nil
 }
 
 // Netlist returns the description the bench was elaborated from.
 func (b *Bench) Netlist() *Netlist { return b.nl }
 
-// Params returns the shared testbench parameters.
-func (b *Bench) Params() nor.Params { return b.p }
-
-// Circuit exposes the flattened MNA circuit (diagnostics and tests).
-func (b *Bench) Circuit() *spice.Circuit { return b.circuit }
-
 // Recorded returns the recorded net names in report order.
 func (b *Bench) Recorded() []string { return append([]string(nil), b.recorded...) }
 
-// SolverStats returns the persistent solver's cumulative counters over
-// every composed transient this bench has run.
-func (b *Bench) SolverStats() spice.SolverStats { return b.solver.Stats() }
-
 // Clone returns an independent bench over the same netlist and
 // parameters; clones may run transients concurrently.
-func (b *Bench) Clone() (*Bench, error) { return NewBench(b.nl, b.p) }
+func (b *Bench) Clone() (*Bench, error) { return NewBench(b.nl, b.Params()) }
 
 // Golden runs the composed analog transient over the given primary
 // input traces (all starting low, as everywhere in the pipeline) and
@@ -148,7 +122,7 @@ func (b *Bench) Golden(inputs []trace.Trace, until float64) (map[string]trace.Tr
 		if err != nil {
 			return nil, fmt.Errorf("netlist %s: net %q: %w", b.nl.label(), net, err)
 		}
-		out[net] = trace.Digitize(w, b.p.Supply.Vth)
+		out[net] = trace.Digitize(w, b.Params().Supply.Vth)
 	}
 	return out, nil
 }
@@ -160,25 +134,11 @@ func (b *Bench) transient(inputs []trace.Trace, until float64) (*spice.Transient
 		return nil, fmt.Errorf("netlist %s: %d primary inputs, got %d traces",
 			b.nl.label(), len(b.nl.Inputs), len(inputs))
 	}
-	sigs, bps, err := gate.InputSignals(b.p, inputs)
+	sigs, bps, err := gate.InputSignals(b.Params(), inputs)
 	if err != nil {
 		return nil, fmt.Errorf("netlist %s: %w", b.nl.label(), err)
 	}
-	for i, src := range b.srcs {
-		src.Signal = sigs[i]
-	}
-	res, err := b.solver.Transient(spice.TransientOptions{
-		TStart:            0,
-		TStop:             until,
-		MaxStep:           b.p.MaxStep,
-		LTETol:            b.p.LTETol,
-		Method:            b.p.Method,
-		Solver:            b.p.Solver,
-		SparsePivotRel:    b.p.SparsePivotRel,
-		Breakpoints:       bps,
-		InitialConditions: b.init,
-		Record:            b.recordIDs,
-	})
+	res, err := b.Transient(sigs, bps, until, b.init, b.recordIDs)
 	if err != nil {
 		return nil, fmt.Errorf("netlist %s: composed transient: %w", b.nl.label(), err)
 	}

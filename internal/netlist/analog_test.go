@@ -45,7 +45,7 @@ func equalTraces(a, b trace.Trace) bool {
 
 // TestSingleGateGoldenBitIdentical is the composition anchor: a
 // netlist holding one instance of a gate must produce, through the
-// flattened composed circuit, the exact trace the standalone bench
+// flattened composed circuit, the exact trace the gate's own bench
 // produces — same MNA variables, same device stamps, same integration
 // path, bit-identical digitized events.
 func TestSingleGateGoldenBitIdentical(t *testing.T) {
@@ -89,7 +89,7 @@ func TestSingleGateGoldenBitIdentical(t *testing.T) {
 			t.Errorf("%s: golden trace has no events (weak test)", gname)
 		}
 		if !equalTraces(got["o"], want) {
-			t.Errorf("%s: composed golden differs from standalone bench:\n got %+v\nwant %+v",
+			t.Errorf("%s: composed golden differs from the gate bench:\n got %+v\nwant %+v",
 				gname, got["o"], want)
 		}
 	}

@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"hybriddelay/internal/gate"
-	"hybriddelay/internal/nor"
 	"hybriddelay/internal/spice"
 	"hybriddelay/internal/waveform"
 )
@@ -40,7 +39,7 @@ func countersOf(st spice.SolverStats) pinCounters {
 }
 
 // TestGoldenWaveformPins pins the analog golden waveforms of the NOR2
-// bench and of the c17 netlist at full precision, under both solver
+// gate bench (all four nodes A, B, N, O) and of the c17 netlist at full precision, under both solver
 // modes: a SHA-256 over the raw bits of every recorded sample, and the
 // solver's work counters. Any change to the arithmetic of a stamp, the
 // order of device stamps, the LU or the step control moves them; a
@@ -69,7 +68,7 @@ func TestGoldenWaveformPins(t *testing.T) {
 		)
 		switch pin.circuit {
 		case "nor2":
-			b, err := nor.New(p)
+			b, err := gate.NewAnalog(gate.NOR2, p)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -78,12 +77,19 @@ func TestGoldenWaveformPins(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			vdd := p.Supply.VDD
-			res, err := b.Run(sigs[0], sigs[1], until, vdd, vdd, bps)
+			sub := b.Subcircuit()
+			nodes := append(append(b.Inputs(), sub.Internal...), sub.Out) // A, B, N, O
+			res, err := b.Transient(sigs, bps, until, sub.Initial, nodes)
 			if err != nil {
 				t.Fatal(err)
 			}
-			sha, counts = waveformSHA(res.A, res.B, res.N, res.O), countersOf(b.SolverStats())
+			ws := make([]*waveform.Waveform, len(nodes))
+			for i, n := range nodes {
+				if ws[i], err = res.Waveform(n); err != nil {
+					t.Fatal(err)
+				}
+			}
+			sha, counts = waveformSHA(ws...), countersOf(b.SolverStats())
 		case "c17":
 			b, err := NewBench(C17("c17"), p)
 			if err != nil {

@@ -1,44 +1,36 @@
-package nor
+package nor_test
 
 import (
 	"sync"
 	"testing"
+
+	"hybriddelay/internal/gate"
 )
 
-// TestBenchClone: clones share parameters but no simulator state — the
-// same delay query on the original and on concurrently running clones
-// must agree exactly (run under -race in CI).
+// TestBenchClone: benches built from one parameter set share no
+// simulator state — the way the evaluation pool gives each worker its
+// own bench. The same probe on concurrently running benches must agree
+// exactly with a serial run (run under -race in CI).
 func TestBenchClone(t *testing.T) {
-	p := DefaultParams()
-	p.MaxStep = 8e-12
-	b, err := New(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := b.FallingDelay(0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	b := newBench(t, gate.NOR2, 8e-12)
+	want := delay(t, b, b.Pair(0, true))
 
 	const clones = 3
 	got := make([]float64, clones)
 	errs := make([]error, clones)
 	var wg sync.WaitGroup
 	for i := 0; i < clones; i++ {
-		c, err := b.Clone()
+		c, err := gate.NewAnalog(gate.NOR2, b.Params())
 		if err != nil {
 			t.Fatal(err)
 		}
-		if c == b || c.circuit == b.circuit {
-			t.Fatal("clone shares the netlist with the original")
-		}
-		if c.P != b.P {
-			t.Fatalf("clone params %+v differ from original %+v", c.P, b.P)
+		if c.Circuit() == b.Circuit() {
+			t.Fatal("bench shares the netlist with the original")
 		}
 		wg.Add(1)
-		go func(i int, c *Bench) {
+		go func(i int, c *gate.Analog) {
 			defer wg.Done()
-			got[i], errs[i] = c.FallingDelay(0)
+			got[i], errs[i] = c.Delay(c.Pair(0, true))
 		}(i, c)
 	}
 	wg.Wait()
@@ -47,7 +39,7 @@ func TestBenchClone(t *testing.T) {
 			t.Fatal(errs[i])
 		}
 		if got[i] != want {
-			t.Errorf("clone %d delay %g != original %g", i, got[i], want)
+			t.Errorf("bench %d delay %g != original %g", i, got[i], want)
 		}
 	}
 }

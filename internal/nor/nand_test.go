@@ -1,110 +1,42 @@
-package nor
+package nor_test
 
 import (
 	"testing"
 
-	"hybriddelay/internal/waveform"
+	"hybriddelay/internal/gate"
 )
-
-func newNAND(t *testing.T) *NANDBench {
-	t.Helper()
-	p := DefaultParams()
-	p.MaxStep = 8e-12
-	b, err := NewNAND(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return b
-}
-
-func TestNANDNewValidation(t *testing.T) {
-	p := DefaultParams()
-	p.CO = 0
-	if _, err := NewNAND(p); err == nil {
-		t.Error("zero CO accepted")
-	}
-	p = DefaultParams()
-	p.InputRise = -1
-	if _, err := NewNAND(p); err == nil {
-		t.Error("negative rise accepted")
-	}
-	p = DefaultParams()
-	p.Supply = waveform.Supply{}
-	if _, err := NewNAND(p); err == nil {
-		t.Error("invalid supply accepted")
-	}
-}
-
-// TestNANDTruthTable: settled outputs for all four input states.
-func TestNANDTruthTable(t *testing.T) {
-	b := newNAND(t)
-	vdd := b.P.Supply.VDD
-	cases := []struct {
-		a, bb float64
-		high  bool
-	}{
-		{0, 0, true},
-		{0, vdd, true},
-		{vdd, 0, true},
-		{vdd, vdd, false},
-	}
-	for _, c := range cases {
-		res, err := b.Run(waveform.Constant(c.a), waveform.Constant(c.bb),
-			2e-9, vdd/2, vdd/2, nil)
-		if err != nil {
-			t.Fatalf("(%g, %g): %v", c.a, c.bb, err)
-		}
-		vo := res.O.At(2e-9)
-		if c.high && vo < 0.9*vdd {
-			t.Errorf("NAND(%g, %g) settled at %g, want ~VDD", c.a, c.bb, vo)
-		}
-		if !c.high && vo > 0.1*vdd {
-			t.Errorf("NAND(%g, %g) settled at %g, want ~0", c.a, c.bb, vo)
-		}
-	}
-}
 
 // TestNANDMISMirrored: the analog NAND shows the mirrored Charlie
 // effects — rising speed-up (parallel pMOS), falling slow-down bump
 // (serial nMOS stack with node M).
 func TestNANDMISMirrored(t *testing.T) {
-	b := newNAND(t)
-	c, err := b.Characteristic()
-	if err != nil {
-		t.Fatal(err)
-	}
+	fm, f0, fp, rm, r0, rp := characteristic(t, newBench(t, gate.NAND2, 8e-12))
 	// Rising output: MIS speed-up.
-	if !(c.RiseZero < c.RiseMinusInf && c.RiseZero < c.RisePlusInf) {
-		t.Errorf("NAND rising speed-up missing: %+v", c)
+	if !(r0 < rm && r0 < rp) {
+		t.Errorf("NAND rising speed-up missing: %g %g %g", rm, r0, rp)
 	}
-	dip := (c.RiseZero - c.RiseMinusInf) / c.RiseMinusInf
+	dip := (r0 - rm) / rm
 	if dip > -0.15 || dip < -0.55 {
 		t.Errorf("NAND rising dip = %.1f%%, expected a pronounced speed-up", 100*dip)
 	}
 	// Falling output: MIS slow-down at Delta = 0 relative to both tails.
-	if !(c.FallZero > c.FallMinusInf && c.FallZero > c.FallPlusInf) {
-		t.Errorf("NAND falling slow-down missing: %+v", c)
+	if !(f0 > fm && f0 > fp) {
+		t.Errorf("NAND falling slow-down missing: %g %g %g", fm, f0, fp)
 	}
 	// The serial stack makes falling slower than rising overall.
-	if c.FallMinusInf < c.RiseMinusInf {
-		t.Errorf("NAND fall(-inf)=%g should exceed rise(-inf)=%g (stack vs parallel)",
-			c.FallMinusInf, c.RiseMinusInf)
+	if fm < rm {
+		t.Errorf("NAND fall(-inf)=%g should exceed rise(-inf)=%g (stack vs parallel)", fm, rm)
 	}
 }
 
 // TestNANDWorstCaseM: a precharged stack node M slows the falling output
 // (the mirror of the paper's V_N worst-case discussion).
 func TestNANDWorstCaseM(t *testing.T) {
-	b := newNAND(t)
-	slow, err := b.FallingDelay(0, b.P.Supply.VDD)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fast, err := b.FallingDelay(0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if slow <= fast {
+	b := newBench(t, gate.NAND2, 8e-12)
+	pr := b.Pair(0, true)
+	slow := delay(t, b, pr)
+	pr.VInt = 0
+	if fast := delay(t, b, pr); slow <= fast {
 		t.Errorf("VM=VDD (%g) should be slower than VM=0 (%g)", slow, fast)
 	}
 }

@@ -1,58 +1,28 @@
-package nor
+package nor_test
 
 import (
 	"testing"
 
+	"hybriddelay/internal/gate"
 	"hybriddelay/internal/hybrid"
+	"hybriddelay/internal/nor"
 	"hybriddelay/internal/waveform"
 )
 
-func newNOR3(t *testing.T) *NOR3Bench {
-	t.Helper()
-	p := DefaultParams()
-	p.MaxStep = 8e-12
-	b, err := NewNOR3(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return b
-}
-
-func TestNOR3Validation(t *testing.T) {
-	p := DefaultParams()
-	p.CO = 0
-	if _, err := NewNOR3(p); err == nil {
-		t.Error("zero CO accepted")
-	}
-	p = DefaultParams()
-	p.Supply = waveform.Supply{}
-	if _, err := NewNOR3(p); err == nil {
-		t.Error("invalid supply accepted")
-	}
-	p = DefaultParams()
-	p.InputRise = 0
-	if _, err := NewNOR3(p); err == nil {
-		t.Error("zero rise accepted")
-	}
+// nor3Fall is the NOR3 falling probe with rising inputs at offsets
+// (0, dB, dC) from a precharged stack.
+func nor3Fall(b *gate.Analog, dB, dC float64) gate.Probe {
+	return gate.Probe{Offsets: []float64{0, dB, dC}, Rising: true, VInt: b.Params().Supply.VDD}
 }
 
 // TestNOR3AnalogMISOrdering: the analog 3-input gate shows the
 // three-level falling MIS hierarchy the generalized hybrid model
 // predicts: all-simultaneous < pairwise < SIS.
 func TestNOR3AnalogMISOrdering(t *testing.T) {
-	b := newNOR3(t)
-	all, err := b.FallingDelay3(0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	two, err := b.FallingDelay3(0, SISFar)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sis, err := b.FallingDelay3(SISFar, 2*SISFar)
-	if err != nil {
-		t.Fatal(err)
-	}
+	b := newBench(t, gate.NOR3, 8e-12)
+	all := delay(t, b, nor3Fall(b, 0, 0))
+	two := delay(t, b, nor3Fall(b, 0, nor.SISFar))
+	sis := delay(t, b, nor3Fall(b, nor.SISFar, 2*nor.SISFar))
 	if !(all < two && two < sis) {
 		t.Errorf("analog 3-input MIS ordering broken: all=%.2fps two=%.2fps sis=%.2fps",
 			waveform.ToPs(all), waveform.ToPs(two), waveform.ToPs(sis))
@@ -69,67 +39,36 @@ func TestNOR3AnalogMISOrdering(t *testing.T) {
 // output relative to the 2-input gate, and discharged internal nodes
 // (worst case) are slower than precharged ones.
 func TestNOR3AnalogRisingStack(t *testing.T) {
-	b3 := newNOR3(t)
-	p2 := DefaultParams()
-	p2.MaxStep = 8e-12
-	b2, err := New(p2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rise3, err := b3.RisingDelay3(0, 0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rise2, err := b2.RisingDelay(0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	b3 := newBench(t, gate.NOR3, 8e-12)
+	b2 := newBench(t, gate.NOR2, 8e-12)
+	worst := gate.Probe{Offsets: []float64{0, 0, 0}}
+	rise3 := delay(t, b3, worst)
+	rise2 := delay(t, b2, b2.Pair(0, false))
 	if rise3 <= rise2 {
 		t.Errorf("NOR3 rise(0)=%.2fps should exceed NOR2 rise(0)=%.2fps",
 			waveform.ToPs(rise3), waveform.ToPs(rise2))
 	}
-	worst, err := b3.RisingDelay3(0, 0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pre, err := b3.RisingDelay3(0, 0, b3.P.Supply.VDD)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pre >= worst {
+	pre := worst
+	pre.VInt = b3.Params().Supply.VDD
+	if p := delay(t, b3, pre); p >= rise3 {
 		t.Errorf("precharged stack (%.2fps) should be faster than discharged (%.2fps)",
-			waveform.ToPs(pre), waveform.ToPs(worst))
+			waveform.ToPs(p), waveform.ToPs(rise3))
 	}
 }
 
 // TestNOR3ModelTracksAnalog: the generalized switch-level model,
-// parametrized by a least-squares-free direct mapping from the 2-input
-// fit, tracks the analog 3-input MIS *shape* (ordering and rough dip
-// depth), which is the same standard the paper's Fig. 5 holds the
-// 2-input model to.
+// extrapolated from the Table I 2-input fit, tracks the analog 3-input
+// MIS *shape* (ordering and rough dip depth), which is the same
+// standard the paper's Fig. 5 holds the 2-input model to.
 func TestNOR3ModelTracksAnalog(t *testing.T) {
-	// This test compares shapes, not absolute ps (the 3-input model is
-	// extrapolated, not fitted).
-	b := newNOR3(t)
-	all, err := b.FallingDelay3(0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sis, err := b.FallingDelay3(SISFar, 2*SISFar)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// Shapes, not absolute ps: the 3-input model is extrapolated, not
+	// fitted.
+	b := newBench(t, gate.NOR3, 8e-12)
+	all := delay(t, b, nor3Fall(b, 0, 0))
+	sis := delay(t, b, nor3Fall(b, nor.SISFar, 2*nor.SISFar))
 	analogDip := (all - sis) / sis
 
-	// Model: extrapolate from a fit against the 2-input golden bench.
-	p2 := DefaultParams()
-	p2.MaxStep = 8e-12
-	// Reuse the known-good archived characteristic rather than refitting
-	// (cheap and deterministic): measured values of the default bench.
-	// (See eval tests for the full fit path.)
-	_ = p2
-	model := hybrid.NOR3FromNOR2(hybrid.TableI())
-	mc, err := model.Characteristic3()
+	mc, err := hybrid.NOR3FromNOR2(hybrid.TableI()).Characteristic3()
 	if err != nil {
 		t.Fatal(err)
 	}

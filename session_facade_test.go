@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"hybriddelay/internal/eval"
-	"hybriddelay/internal/gate"
 	"hybriddelay/internal/gen"
 	"hybriddelay/internal/netlist"
 	"hybriddelay/internal/nor"
@@ -41,7 +40,7 @@ func facadeModels(t *testing.T) (*Bench, Models) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := BuildModels(target, b.P.Supply, 20e-12)
+	m, err := BuildModels(target, b.Params().Supply, 20e-12)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,8 +96,8 @@ func TestEvaluateParallelDelegatesBitIdentical(t *testing.T) {
 	bench, m := facadeModels(t)
 	seeds := []int64{1, 2}
 	for _, cfg := range propertyConfigs(2) {
-		want := serialGate(t, &gate.NOR2Bench{B: bench}, m, cfg, seeds)
-		if got := gateRow(t, 4, "nor2", bench.P, cfg, seeds); !reflect.DeepEqual(got, want) {
+		want := serialGate(t, bench, m, cfg, seeds)
+		if got := gateRow(t, 4, "nor2", bench.Params(), cfg, seeds); !reflect.DeepEqual(got, want) {
 			t.Errorf("%s: 4-worker session diverged from the serial reference:\n got %+v\nwant %+v",
 				cfg.Name(), got, want)
 		}
