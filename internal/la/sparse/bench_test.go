@@ -59,8 +59,9 @@ func BenchmarkSparseFactorSolve(b *testing.B) {
 		if err != nil {
 			b.Fatalf("Analyze: %v", err)
 		}
-		nu := sym.NewNumeric()
-		work := a.Clone()
+		nu, layout := compile(b, sym, pattern)
+		base := pack(nu, layout, a)
+		work := make([]float64, len(base))
 		x := make([]float64, n)
 		rhs := make([]float64, n)
 		for i := range rhs {
@@ -69,9 +70,7 @@ func BenchmarkSparseFactorSolve(b *testing.B) {
 		b.ReportMetric(float64(sym.NNZ()), "nnz")
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			for _, off := range sym.Touched() {
-				work.Data[off] = a.Data[off]
-			}
+			copy(work, base)
 			if err := nu.FactorSolve(work, x, rhs); err != nil {
 				b.Fatalf("FactorSolve: %v", err)
 			}

@@ -82,7 +82,8 @@ func FuzzFactorSolve(f *testing.F) {
 			t.Fatalf("dense reference failed: %v", err)
 		}
 		x := make([]float64, n)
-		if err := sym.NewNumeric().FactorSolve(a.Clone(), x, b); err != nil {
+		nu, layout := compile(t, sym, pattern)
+		if err := nu.FactorSolve(pack(nu, layout, a), x, b); err != nil {
 			t.Fatalf("FactorSolve failed: %v", err)
 		}
 		for i := range x {

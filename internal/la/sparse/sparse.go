@@ -16,11 +16,13 @@
 // allocations, and — because the schedule only visits structural
 // positions — O(nnz)-proportional work instead of O(n³).
 //
-// Storage stays dense (la.Matrix row-major), which the stamping layer
-// already produces; only the *work* is sparse. For the tiny-to-medium
-// systems here (n ≲ a few hundred) that removes the indirection and
-// scatter/gather costs of compressed-column storage while keeping the
-// asymptotic win over dense elimination.
+// Values are stored packed. The caller keeps every structural entry in
+// one slot of a flat value array — the handles SPICE3's TSTALLOC hands
+// its devices, KLU's packed Ax — and NewNumeric compiles the schedules
+// against that slot numbering once, so a refactor touches only the
+// packed values: a few cache lines per pivot row rather than one n-wide
+// dense row each. Analyze still reads its representative values from a
+// dense row-major la.Matrix; it runs once per pattern.
 //
 // Analyze additionally partitions the elimination order into
 // supernodes — maximal runs of consecutive steps whose columns share
@@ -43,13 +45,14 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"hybriddelay/internal/la"
 )
 
 // ErrPivot reports that a statically scheduled pivot became too small
 // relative to its row during a numeric refactor. The factorization is
-// abandoned mid-sweep (the matrix is partially clobbered); the caller
+// abandoned mid-sweep (the values are partially clobbered); the caller
 // should re-stamp, solve densely with partial pivoting, and request a
 // fresh Analyze before the next sparse refactor.
 var ErrPivot = errors.New("sparse: static pivot below stability threshold")
@@ -94,7 +97,7 @@ type Symbolic struct {
 
 	// Lower schedule, CSR-flattened by pivot step: the steps (> k)
 	// whose rows hold a structural entry in pivot column k and must be
-	// updated during step k's elimination.
+	// updated during step k's elimination, in ascending step order.
 	lowPtr   []int32
 	lowSteps []int32
 
@@ -108,11 +111,9 @@ type Symbolic struct {
 	upSteps []int32
 
 	// touched lists every structural position (input pattern plus
-	// fill-in) as dense row-major offsets; stamp lists the deduplicated
-	// input pattern only. Callers rebuilding a matrix for refactoring
-	// must guarantee zeros at touched positions not explicitly stamped
-	// — copying a base matrix over the touched offsets does exactly
-	// that, because fill positions are never stamped.
+	// fill-in) as dense row-major offsets, ascending; stamp lists the
+	// deduplicated input pattern only. NewNumeric gives every touched
+	// position a slot.
 	touched []int32
 	stamp   []int32
 
@@ -139,15 +140,6 @@ func (s *Symbolic) Fill() int { return s.fill }
 
 // NNZ returns the number of structural positions (pattern plus fill).
 func (s *Symbolic) NNZ() int { return len(s.touched) }
-
-// Touched returns the dense row-major offsets of every structural
-// position (stamped pattern plus fill-in). The slice is owned by the
-// Symbolic and must not be modified.
-func (s *Symbolic) Touched() []int32 { return s.touched }
-
-// Stamp returns the deduplicated dense offsets of the input pattern.
-// The slice is owned by the Symbolic and must not be modified.
-func (s *Symbolic) Stamp() []int32 { return s.stamp }
 
 // Supernodes returns the number of multi-column supernodes (width >= 2)
 // the analysis detected; the numeric phase eliminates each with the
@@ -350,7 +342,7 @@ func Analyze(a *la.Matrix, pattern []int32, opt Options) (*Symbolic, error) {
 					rowCnt[i]++
 					colCnt[j]++
 				}
-				vals[base+j] -= l * vals[pbase+j]
+				vals[base+j] -= float64(l * vals[pbase+j])
 			}
 		}
 	}
@@ -409,49 +401,182 @@ func Analyze(a *la.Matrix, pattern []int32, opt Options) (*Symbolic, error) {
 		s.snodePtr = append(s.snodePtr, int32(k1))
 		k = k1
 	}
+	// Lower entries in step order put each supernode step's in-block
+	// targets first. Rows update independently, so the order changes
+	// no value.
+	for k := 0; k < n; k++ {
+		slices.Sort(s.lowSteps[s.lowPtr[k]:s.lowPtr[k+1]])
+	}
 	return s, nil
 }
 
-// Numeric holds the per-solver mutable state of the numeric phase: the
-// hoisted pivot reciprocals, the permuted solution workspace, and the
-// blocked kernel's packed-multiplier scratch. One Numeric serves one
-// solver goroutine; create more with NewNumeric for concurrent use of
+// Numeric is the numeric phase of one Symbolic compiled against one
+// packed value layout, plus its per-solver mutable state: the hoisted
+// pivot reciprocals, the permuted solution workspace and the blocked
+// kernel's multiplier scratch. Every schedule entry is a slot of the
+// caller's value array, so a refactor reads and writes only the packed
+// values and never forms a row-major address. One Numeric serves one
+// solver goroutine; compile more with NewNumeric for concurrent use of
 // the same Symbolic.
 type Numeric struct {
 	s     *Symbolic
+	slots int // value slots the layout spans, fill included
+
+	// Compiled schedules. piv[k] is the slot of step k's pivot; up is
+	// aligned with s.upCols (the U slots of each pivot row); low is
+	// aligned with s.lowSteps (the L slot of each (step, lower row)
+	// entry). The i-th lower entry of step k updates the slots of its
+	// row in the U columns of k, which tgt holds from tgtOff[k] +
+	// i*len(U(k)) on, in the order of up.
+	piv, up, low, tgt, tgtOff []int32
+
+	// Supernode tables, indexed by supernode t (empty for singletons).
+	// blk[blkPtr[t]:blkPtr[t+1]] holds the w×w in-block U slots (pivot
+	// row j, column of step jj > j; row-major in the block, -1 on and
+	// below the diagonal), then each pivot row's slots in the shared
+	// trailing columns, w rows of nsh. ext[extPtr[t]:extPtr[t+1]] holds
+	// each exterior row's w L slots, in the order of the last step's
+	// lower entries.
+	blk, blkPtr, ext, extPtr []int32
+
 	recip []float64
 	xw    []float64
 	// Blocked-kernel scratch: the packed nonzero multipliers of one
-	// exterior row against one supernode, and their pivot-row bases.
+	// exterior row against one supernode, and the offsets in blk of
+	// their pivot rows' shared-column slots.
 	lv   []float64
-	lrow []int
+	lsrc []int32
 }
 
-// NewNumeric returns a numeric-phase workspace bound to s.
-func (s *Symbolic) NewNumeric() *Numeric {
-	return &Numeric{
-		s:     s,
-		recip: make([]float64, s.n),
-		xw:    make([]float64, s.n),
-		lv:    make([]float64, s.maxWidth),
-		lrow:  make([]int, s.maxWidth),
+// NewNumeric compiles s against the caller's packed value layout and
+// returns a numeric-phase workspace for it. layout[i] is the dense
+// row-major position (row*n + col) held in slot i of the caller's
+// value array, or negative for a slot the factorization never touches
+// (a trash cell absorbing writes to a grounded row, say). Positions the
+// analysis does not schedule are likewise never touched. Every
+// position of the analyzed pattern needs exactly one slot; fill
+// positions without one get the slots len(layout), len(layout)+1, …
+// in ascending position order. Value arrays passed to FactorSolve span
+// Slots() entries, with zeros in the fill slots.
+func (s *Symbolic) NewNumeric(layout []int32) (*Numeric, error) {
+	n := s.n
+	slot := make(map[int32]int32, len(s.touched))
+	for i, off := range layout {
+		if off < 0 {
+			continue
+		}
+		if int(off) >= n*n {
+			return nil, fmt.Errorf("sparse: layout position %d outside %dx%d matrix", off, n, n)
+		}
+		if _, dup := slot[off]; dup {
+			return nil, fmt.Errorf("sparse: layout holds position %d twice", off)
+		}
+		slot[off] = int32(i)
 	}
+	for _, off := range s.stamp {
+		if _, ok := slot[off]; !ok {
+			return nil, fmt.Errorf("sparse: layout has no slot for pattern position %d", off)
+		}
+	}
+	slots := len(layout)
+	for _, off := range s.touched {
+		if _, ok := slot[off]; !ok {
+			slot[off] = int32(slots)
+			slots++
+		}
+	}
+	at := func(r, c int32) int32 { return slot[r*int32(n)+c] }
+
+	nu := &Numeric{
+		s:      s,
+		slots:  slots,
+		piv:    make([]int32, n),
+		up:     make([]int32, len(s.upCols)),
+		low:    make([]int32, len(s.lowSteps)),
+		tgtOff: make([]int32, n),
+		blkPtr: make([]int32, len(s.snodePtr)),
+		extPtr: make([]int32, len(s.snodePtr)),
+		recip:  make([]float64, n),
+		xw:     make([]float64, n),
+		lv:     make([]float64, s.maxWidth),
+		lsrc:   make([]int32, s.maxWidth),
+	}
+	for k := 0; k < n; k++ {
+		nu.piv[k] = at(s.rowOf[k], s.colOf[k])
+		up := s.upCols[s.upPtr[k]:s.upPtr[k+1]]
+		for p, c := range up {
+			nu.up[int(s.upPtr[k])+p] = at(s.rowOf[k], c)
+		}
+		nu.tgtOff[k] = int32(len(nu.tgt))
+		for e := s.lowPtr[k]; e < s.lowPtr[k+1]; e++ {
+			r := s.rowOf[s.lowSteps[e]]
+			nu.low[e] = at(r, s.colOf[k])
+			for _, c := range up {
+				nu.tgt = append(nu.tgt, at(r, c))
+			}
+		}
+	}
+	for t := 0; t+1 < len(s.snodePtr); t++ {
+		nu.blkPtr[t], nu.extPtr[t] = int32(len(nu.blk)), int32(len(nu.ext))
+		k0, k1 := s.snodePtr[t], s.snodePtr[t+1]
+		if k1-k0 < 2 {
+			continue
+		}
+		for j := k0; j < k1; j++ {
+			for jj := k0; jj < k1; jj++ {
+				u := int32(-1)
+				if jj > j {
+					u = at(s.rowOf[j], s.colOf[jj])
+				}
+				nu.blk = append(nu.blk, u)
+			}
+		}
+		shared := s.upCols[s.upPtr[k1-1]:s.upPtr[k1]]
+		for j := k0; j < k1; j++ {
+			for _, c := range shared {
+				nu.blk = append(nu.blk, at(s.rowOf[j], c))
+			}
+		}
+		for _, si := range s.lowSteps[s.lowPtr[k1-1]:s.lowPtr[k1]] {
+			for j := k0; j < k1; j++ {
+				nu.ext = append(nu.ext, at(s.rowOf[si], s.colOf[j]))
+			}
+		}
+	}
+	last := len(s.snodePtr) - 1
+	nu.blkPtr[last], nu.extPtr[last] = int32(len(nu.blk)), int32(len(nu.ext))
+	return nu, nil
 }
 
-// FactorSolve refactors a over the analyzed pattern and solves a·x = b
-// in the same sweep, replaying the precomputed elimination schedule
-// with the static pivot order. Supernodes eliminate through the blocked
-// kernel, singleton steps through the scalar schedule; the two produce
-// bit-identical factors, reciprocals and solutions (see stepBlocked for
-// the argument). a is modified in place (its structural positions come
-// to hold the LU factors); values outside the touched pattern are
-// neither read nor written, so off-pattern garbage is harmless. b is
-// not modified; x and b must have length n and may alias each other.
-// The call performs no allocations.
+// Slots returns the number of value slots the compiled layout spans:
+// the caller's layout plus the appended fill slots.
+func (nu *Numeric) Slots() int { return nu.slots }
+
+// check validates the operand sizes of one factor+solve.
+func (nu *Numeric) check(v, x, b []float64) error {
+	if len(v) < nu.slots {
+		return fmt.Errorf("sparse: %d values for a layout of %d slots", len(v), nu.slots)
+	}
+	if n := nu.s.n; len(x) != n || len(b) != n {
+		return fmt.Errorf("sparse: slice lengths (%d, %d) do not match system size %d", len(x), len(b), n)
+	}
+	return nil
+}
+
+// FactorSolve refactors the packed values v over the analyzed pattern
+// and solves a·x = b in the same sweep, replaying the compiled
+// elimination schedule with the static pivot order. Supernodes
+// eliminate through the blocked kernel, singleton steps through the
+// scalar schedule; the two produce bit-identical factors, reciprocals
+// and solutions (see stepBlocked for the argument). v is modified in
+// place (its scheduled slots come to hold the LU factors); every other
+// slot is neither read nor written, so trash and unused slots may hold
+// anything. b is not modified; x and b must have length n and may
+// alias each other. The call performs no allocations.
 //
 // Each pivot is guarded: if its magnitude falls below RefactorRel
 // times the largest magnitude in its updated row, FactorSolve returns
-// ErrPivot with a partially clobbered — re-stamp, solve densely, and
+// ErrPivot with v partially clobbered — re-stamp, solve densely, and
 // re-Analyze before retrying the sparse path. The failing step is the
 // same one the scalar schedule would fail on, though the partial
 // clobber left behind may differ.
@@ -462,52 +587,48 @@ func (s *Symbolic) NewNumeric() *Numeric {
 // BenchmarkSparseFactorSolve's -benchmem allocs/op.
 //
 //hybrid:noalloc
-func (nu *Numeric) FactorSolve(a *la.Matrix, x, b []float64) error {
+func (nu *Numeric) FactorSolve(v, x, b []float64) error {
+	if err := nu.check(v, x, b); err != nil {
+		return err
+	}
 	s := nu.s
-	n := s.n
-	if a.Rows != n || a.Cols != n {
-		return fmt.Errorf("sparse: matrix %dx%d does not match analyzed size %d", a.Rows, a.Cols, n)
-	}
-	if len(x) != n || len(b) != n {
-		return fmt.Errorf("sparse: slice lengths (%d, %d) do not match system size %d", len(x), len(b), n)
-	}
-	data := a.Data
-	xw := nu.xw
-	// Gather the RHS into elimination order.
-	for k := 0; k < n; k++ {
-		xw[k] = b[s.rowOf[k]]
-	}
+	nu.gather(b)
 	for t := 0; t < len(s.snodePtr)-1; t++ {
 		k0, k1 := int(s.snodePtr[t]), int(s.snodePtr[t+1])
 		var err error
 		if k1-k0 == 1 {
-			err = nu.stepScalar(data, n, k0)
+			err = nu.stepScalar(v, k0)
 		} else {
-			err = nu.stepBlocked(data, n, k0, k1)
+			err = nu.stepBlocked(v, t, k0, k1)
 		}
 		if err != nil {
 			return err
 		}
 	}
-	nu.backSolve(data, x)
+	nu.backSolve(v, x)
 	return nil
 }
 
-// stepScalar replays one singleton elimination step: the scalar
-// schedule the pre-supernodal refactor ran for every step, and the
-// reference the blocked kernel must match bit-for-bit.
-func (nu *Numeric) stepScalar(data []float64, n, k int) error {
+// gather permutes the RHS into elimination order.
+func (nu *Numeric) gather(b []float64) {
+	for k, r := range nu.s.rowOf {
+		nu.xw[k] = b[r]
+	}
+}
+
+// step guards step k's pivot against its row's current magnitudes,
+// stores its reciprocal and applies the step to its lower entries
+// [lowPtr[k], e1): each row's multiplier replaces its L entry, and a
+// nonzero one updates the row's U-column slots and its permuted RHS
+// entry.
+func (nu *Numeric) step(v []float64, k int, e1 int32) error {
 	s := nu.s
-	xw := nu.xw
-	rowK := data[int(s.rowOf[k])*n : int(s.rowOf[k])*n+n]
-	pc := int(s.colOf[k])
-	up := s.upCols[s.upPtr[k]:s.upPtr[k+1]]
-	piv := rowK[pc]
-	// Stability guard against the row's current magnitudes.
+	up := nu.up[s.upPtr[k]:s.upPtr[k+1]]
+	piv := v[nu.piv[k]]
 	rmax := math.Abs(piv)
-	for _, c := range up {
-		if v := math.Abs(rowK[c]); v > rmax {
-			rmax = v
+	for _, u := range up {
+		if a := math.Abs(v[u]); a > rmax {
+			rmax = a
 		}
 	}
 	if piv == 0 || math.Abs(piv) < s.refactorRel*rmax {
@@ -515,152 +636,142 @@ func (nu *Numeric) stepScalar(data []float64, n, k int) error {
 	}
 	r := 1 / piv
 	nu.recip[k] = r
-	xk := xw[k]
-	for _, si := range s.lowSteps[s.lowPtr[k]:s.lowPtr[k+1]] {
-		rowI := data[int(s.rowOf[si])*n : int(s.rowOf[si])*n+n]
-		l := rowI[pc] * r
-		rowI[pc] = l
+	xw, xk := nu.xw, nu.xw[k]
+	tgt := nu.tgt[nu.tgtOff[k]:]
+	for e := s.lowPtr[k]; e < e1; e++ {
+		ls := nu.low[e]
+		l := v[ls] * r
+		v[ls] = l
 		if l != 0 {
-			for _, c := range up {
-				rowI[c] -= l * rowK[c]
+			tg := tgt[:len(up)]
+			for i, u := range up {
+				v[tg[i]] -= float64(l * v[u])
 			}
-			xw[si] -= l * xk
+			xw[s.lowSteps[e]] -= float64(l * xk)
 		}
+		tgt = tgt[len(up):]
 	}
 	return nil
 }
 
-// stepBlocked eliminates the supernode covering steps [k0, k1) in two
+// stepScalar replays one singleton elimination step: the scalar
+// schedule, and the reference the blocked kernel must match
+// bit-for-bit.
+func (nu *Numeric) stepScalar(v []float64, k int) error {
+	return nu.step(v, k, nu.s.lowPtr[k+1])
+}
+
+// stepBlocked eliminates supernode t, covering steps [k0, k1), in two
 // phases. Phase A factors the diagonal block: each step runs its exact
 // scalar body restricted to the in-supernode target rows (by the
-// supernode invariant those are precisely steps k+1 .. k1-1), so every
-// guard value, reciprocal, pivot-row entry and permuted-RHS entry a
-// later read consumes is bit-identical to the scalar sweep — exterior
-// rows never write pivot rows, so deferring them cannot perturb this
-// phase. Phase B then processes each exterior row once against the
-// whole block: its multipliers are computed sequentially in step order
-// (each after the in-block column updates of the previous steps,
-// exactly as the scalar schedule interleaves them), zero multipliers
-// are skipped just as the scalar `l != 0` test skips them (skipping is
-// load-bearing for bit-identity: updating with a zero multiplier could
-// still flip a signed zero or propagate a non-finite pivot-row value),
-// and the surviving multipliers apply to the shared trailing columns
-// as an unrolled rank-k update. Per memory position the update
-// sequence is the scalar one — same multiplier values, same pivot-row
-// values, same step order, same expression shape (so platforms that
-// fuse multiply-subtract fuse both kernels identically) — only the
-// interleaving across distinct positions changes, which floating-point
-// cannot observe.
+// supernode invariant those are precisely steps k+1 .. k1-1, the first
+// k1-1-k of its lower entries in step order), so every guard value,
+// reciprocal, pivot-row entry and permuted-RHS entry a later read
+// consumes is bit-identical to the scalar sweep — exterior rows never
+// write pivot rows, so deferring them cannot perturb this phase. Phase
+// B then processes each exterior row once against the whole block: its
+// multipliers are computed sequentially in step order (each after the
+// in-block column updates of the previous steps, exactly as the scalar
+// schedule interleaves them), zero multipliers are skipped just as the
+// scalar `l != 0` test skips them (skipping is load-bearing for
+// bit-identity: updating with a zero multiplier could still flip a
+// signed zero or propagate a non-finite pivot-row value), and the
+// surviving multipliers apply to the shared trailing columns as an
+// unrolled rank-k update. Per slot the update sequence is the scalar
+// one — same multiplier values, same pivot-row values, same step order,
+// every product rounded on its own before it is subtracted, in both
+// kernels — only the interleaving across distinct slots changes, which
+// floating-point cannot observe.
 //
 //hybrid:noalloc
-func (nu *Numeric) stepBlocked(data []float64, n, k0, k1 int) error {
+func (nu *Numeric) stepBlocked(v []float64, t, k0, k1 int) error {
 	s := nu.s
 	xw := nu.xw
 	// Phase A: diagonal block.
 	for k := k0; k < k1; k++ {
-		rowK := data[int(s.rowOf[k])*n : int(s.rowOf[k])*n+n]
-		pc := int(s.colOf[k])
-		up := s.upCols[s.upPtr[k]:s.upPtr[k+1]]
-		piv := rowK[pc]
-		rmax := math.Abs(piv)
-		for _, c := range up {
-			if v := math.Abs(rowK[c]); v > rmax {
-				rmax = v
-			}
-		}
-		if piv == 0 || math.Abs(piv) < s.refactorRel*rmax {
-			return ErrPivot
-		}
-		r := 1 / piv
-		nu.recip[k] = r
-		xk := xw[k]
-		for kk := k + 1; kk < k1; kk++ {
-			rowI := data[int(s.rowOf[kk])*n : int(s.rowOf[kk])*n+n]
-			l := rowI[pc] * r
-			rowI[pc] = l
-			if l != 0 {
-				for _, c := range up {
-					rowI[c] -= l * rowK[c]
-				}
-				xw[kk] -= l * xk
-			}
+		if err := nu.step(v, k, s.lowPtr[k]+int32(k1-1-k)); err != nil {
+			return err
 		}
 	}
 	// Phase B: exterior rows. The supernode invariant makes the last
-	// step's schedules the shared ones: its lower targets are exactly
-	// the rows below the supernode, its U columns exactly the trailing
-	// columns every step in the block updates beyond the block itself.
+	// step's schedules the shared ones: its lower entries are exactly
+	// the rows below the supernode, and its U columns exactly the
+	// trailing columns every step in the block updates beyond the block
+	// itself — so an exterior row's targets under the last step are its
+	// shared-column slots.
+	w := k1 - k0
 	ext := s.lowSteps[s.lowPtr[k1-1]:s.lowPtr[k1]]
-	shared := s.upCols[s.upPtr[k1-1]:s.upPtr[k1]]
-	lv, lrow := nu.lv, nu.lrow
-	for _, si := range ext {
-		rowI := data[int(s.rowOf[si])*n : int(s.rowOf[si])*n+n]
+	nsh := int(s.upPtr[k1] - s.upPtr[k1-1])
+	blk := nu.blk[nu.blkPtr[t]:nu.blkPtr[t+1]]
+	lsl := nu.ext[nu.extPtr[t]:nu.extPtr[t+1]]
+	shTgt := nu.tgt[nu.tgtOff[k1-1]:]
+	recip := nu.recip[k0:k1]
+	lv, lsrc := nu.lv, nu.lsrc
+	for e, si := range ext {
+		ls := lsl[e*w : e*w+w]
+		tg := shTgt[e*nsh : e*nsh+nsh]
 		na := 0
-		for j := k0; j < k1; j++ {
-			base := int(s.rowOf[j]) * n
-			rowJ := data[base : base+n]
-			pc := int(s.colOf[j])
-			l := rowI[pc] * nu.recip[j]
-			rowI[pc] = l
+		for j := 0; j < w; j++ {
+			l := v[ls[j]] * recip[j]
+			v[ls[j]] = l
 			if l != 0 {
-				for jj := j + 1; jj < k1; jj++ {
-					c := int(s.colOf[jj])
-					rowI[c] -= l * rowJ[c]
+				ub := blk[j*w : j*w+w]
+				for jj := j + 1; jj < w; jj++ {
+					v[ls[jj]] -= float64(l * v[ub[jj]])
 				}
-				xw[si] -= l * xw[j]
+				xw[si] -= float64(l * xw[k0+j])
 				lv[na] = l
-				lrow[na] = base
+				lsrc[na] = int32(w*w + j*nsh)
 				na++
 			}
 		}
 		// Fused trailing update over the shared columns, unrolled in
 		// chunks of four. Chunks apply in packing (= step) order, so
-		// each position still sees its multipliers in the scalar
-		// sequence.
+		// each slot still sees its multipliers in the scalar sequence.
 		a := 0
 		for ; a+4 <= na; a += 4 {
 			l0, l1, l2, l3 := lv[a], lv[a+1], lv[a+2], lv[a+3]
-			r0 := data[lrow[a] : lrow[a]+n]
-			r1 := data[lrow[a+1] : lrow[a+1]+n]
-			r2 := data[lrow[a+2] : lrow[a+2]+n]
-			r3 := data[lrow[a+3] : lrow[a+3]+n]
-			for _, c := range shared {
-				v := rowI[c]
-				v -= l0 * r0[c]
-				v -= l1 * r1[c]
-				v -= l2 * r2[c]
-				v -= l3 * r3[c]
-				rowI[c] = v
+			r0 := blk[lsrc[a] : int(lsrc[a])+nsh]
+			r1 := blk[lsrc[a+1] : int(lsrc[a+1])+nsh]
+			r2 := blk[lsrc[a+2] : int(lsrc[a+2])+nsh]
+			r3 := blk[lsrc[a+3] : int(lsrc[a+3])+nsh]
+			for i, c := range tg {
+				x := v[c]
+				x -= float64(l0 * v[r0[i]])
+				x -= float64(l1 * v[r1[i]])
+				x -= float64(l2 * v[r2[i]])
+				x -= float64(l3 * v[r3[i]])
+				v[c] = x
 			}
 		}
 		switch na - a {
 		case 3:
 			l0, l1, l2 := lv[a], lv[a+1], lv[a+2]
-			r0 := data[lrow[a] : lrow[a]+n]
-			r1 := data[lrow[a+1] : lrow[a+1]+n]
-			r2 := data[lrow[a+2] : lrow[a+2]+n]
-			for _, c := range shared {
-				v := rowI[c]
-				v -= l0 * r0[c]
-				v -= l1 * r1[c]
-				v -= l2 * r2[c]
-				rowI[c] = v
+			r0 := blk[lsrc[a] : int(lsrc[a])+nsh]
+			r1 := blk[lsrc[a+1] : int(lsrc[a+1])+nsh]
+			r2 := blk[lsrc[a+2] : int(lsrc[a+2])+nsh]
+			for i, c := range tg {
+				x := v[c]
+				x -= float64(l0 * v[r0[i]])
+				x -= float64(l1 * v[r1[i]])
+				x -= float64(l2 * v[r2[i]])
+				v[c] = x
 			}
 		case 2:
 			l0, l1 := lv[a], lv[a+1]
-			r0 := data[lrow[a] : lrow[a]+n]
-			r1 := data[lrow[a+1] : lrow[a+1]+n]
-			for _, c := range shared {
-				v := rowI[c]
-				v -= l0 * r0[c]
-				v -= l1 * r1[c]
-				rowI[c] = v
+			r0 := blk[lsrc[a] : int(lsrc[a])+nsh]
+			r1 := blk[lsrc[a+1] : int(lsrc[a+1])+nsh]
+			for i, c := range tg {
+				x := v[c]
+				x -= float64(l0 * v[r0[i]])
+				x -= float64(l1 * v[r1[i]])
+				v[c] = x
 			}
 		case 1:
 			l0 := lv[a]
-			r0 := data[lrow[a] : lrow[a]+n]
-			for _, c := range shared {
-				rowI[c] -= l0 * r0[c]
+			r0 := blk[lsrc[a] : int(lsrc[a])+nsh]
+			for i, c := range tg {
+				v[c] -= float64(l0 * v[r0[i]])
 			}
 		}
 	}
@@ -670,50 +781,38 @@ func (nu *Numeric) stepBlocked(data []float64, n, k0, k1 int) error {
 // backSolve runs the back substitution over the U schedule (divisions
 // hoisted into the stored reciprocals) and scatters the solution to
 // natural unknown order.
-func (nu *Numeric) backSolve(data []float64, x []float64) {
+func (nu *Numeric) backSolve(v, x []float64) {
 	s := nu.s
-	n := s.n
 	xw := nu.xw
-	recip := nu.recip
-	for k := n - 1; k >= 0; k-- {
-		rowK := data[int(s.rowOf[k])*n : int(s.rowOf[k])*n+n]
-		up := s.upCols[s.upPtr[k]:s.upPtr[k+1]]
+	for k := s.n - 1; k >= 0; k-- {
+		up := nu.up[s.upPtr[k]:s.upPtr[k+1]]
 		us := s.upSteps[s.upPtr[k]:s.upPtr[k+1]]
+		us = us[:len(up)]
 		sum := xw[k]
-		for t, c := range up {
-			sum -= rowK[c] * xw[us[t]]
+		for t, u := range up {
+			sum -= float64(v[u] * xw[us[t]])
 		}
-		xw[k] = sum * recip[k]
+		xw[k] = sum * nu.recip[k]
 	}
-	for k := 0; k < n; k++ {
-		x[s.colOf[k]] = xw[k]
+	for k, c := range s.colOf {
+		x[c] = xw[k]
 	}
 }
 
-// factorSolveScalar is the pre-supernodal refactor, kept verbatim as
-// the bit-identity reference: FactorSolve must produce exactly the
-// same LU values, reciprocals and solution, and fail on exactly the
-// same step. Exercised by the property tests and the supernode fuzz
-// target only.
-func (nu *Numeric) factorSolveScalar(a *la.Matrix, x, b []float64) error {
-	s := nu.s
-	n := s.n
-	if a.Rows != n || a.Cols != n {
-		return fmt.Errorf("sparse: matrix %dx%d does not match analyzed size %d", a.Rows, a.Cols, n)
+// factorSolveScalar is the pre-supernodal refactor, kept as the
+// bit-identity reference: FactorSolve must produce exactly the same LU
+// values, reciprocals and solution, and fail on exactly the same step.
+// Exercised by the property tests and the supernode fuzz target only.
+func (nu *Numeric) factorSolveScalar(v, x, b []float64) error {
+	if err := nu.check(v, x, b); err != nil {
+		return err
 	}
-	if len(x) != n || len(b) != n {
-		return fmt.Errorf("sparse: slice lengths (%d, %d) do not match system size %d", len(x), len(b), n)
-	}
-	data := a.Data
-	xw := nu.xw
-	for k := 0; k < n; k++ {
-		xw[k] = b[s.rowOf[k]]
-	}
-	for k := 0; k < n; k++ {
-		if err := nu.stepScalar(data, n, k); err != nil {
+	nu.gather(b)
+	for k := 0; k < nu.s.n; k++ {
+		if err := nu.stepScalar(v, k); err != nil {
 			return err
 		}
 	}
-	nu.backSolve(data, x)
+	nu.backSolve(v, x)
 	return nil
 }

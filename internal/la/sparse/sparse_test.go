@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"hybriddelay/internal/la"
@@ -28,6 +29,48 @@ func randomSystem(rng *rand.Rand, n int, density float64) (*la.Matrix, []int32) 
 		}
 	}
 	return a, pattern
+}
+
+// packedLayout is the value layout the tests compile against: a trash
+// slot first, then the distinct pattern positions in their given
+// order, so the slot numbering differs from both the row-major and
+// the sorted order.
+func packedLayout(pattern []int32) []int32 {
+	layout := []int32{-1}
+	seen := map[int32]bool{}
+	for _, off := range pattern {
+		if !seen[off] {
+			seen[off] = true
+			layout = append(layout, off)
+		}
+	}
+	return layout
+}
+
+// compile compiles sym against packedLayout(pattern).
+func compile(t testing.TB, sym *Symbolic, pattern []int32) (*Numeric, []int32) {
+	t.Helper()
+	layout := packedLayout(pattern)
+	nu, err := sym.NewNumeric(layout)
+	if err != nil {
+		t.Fatalf("NewNumeric: %v", err)
+	}
+	return nu, layout
+}
+
+// pack gathers a's values into a fresh value array for nu under
+// layout: the trash slot holds NaN, which would poison the solution if
+// the kernel ever read it, and the fill slots hold zeros.
+func pack(nu *Numeric, layout []int32, a *la.Matrix) []float64 {
+	v := make([]float64, nu.Slots())
+	for i, off := range layout {
+		if off < 0 {
+			v[i] = math.NaN()
+		} else {
+			v[i] = a.Data[off]
+		}
+	}
+	return v
 }
 
 // solveDense is the reference: masked copy of a solved by the dense
@@ -57,10 +100,9 @@ func TestFactorSolveMatchesDense(t *testing.T) {
 			t.Fatalf("trial %d (n=%d): Analyze: %v", trial, n, err)
 		}
 		want := solveDense(t, a, b)
-		nu := sym.NewNumeric()
+		nu, layout := compile(t, sym, pattern)
 		x := make([]float64, n)
-		work := a.Clone()
-		if err := nu.FactorSolve(work, x, b); err != nil {
+		if err := nu.FactorSolve(pack(nu, layout, a), x, b); err != nil {
 			t.Fatalf("trial %d (n=%d): FactorSolve: %v", trial, n, err)
 		}
 		for i := range x {
@@ -82,7 +124,7 @@ func TestRefactorNewValues(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Analyze: %v", err)
 	}
-	nu := sym.NewNumeric()
+	nu, layout := compile(t, sym, pattern)
 	x := make([]float64, n)
 	b := make([]float64, n)
 	for round := 0; round < 50; round++ {
@@ -97,7 +139,7 @@ func TestRefactorNewValues(t *testing.T) {
 			b[i] = rng.NormFloat64()
 		}
 		want := solveDense(t, work, b)
-		if err := nu.FactorSolve(work, x, b); err != nil {
+		if err := nu.FactorSolve(pack(nu, layout, work), x, b); err != nil {
 			t.Fatalf("round %d: FactorSolve: %v", round, err)
 		}
 		for i := range x {
@@ -119,7 +161,8 @@ func TestN1System(t *testing.T) {
 		t.Fatalf("n=1 symbolic: N=%d Fill=%d NNZ=%d", sym.N(), sym.Fill(), sym.NNZ())
 	}
 	x := make([]float64, 1)
-	if err := sym.NewNumeric().FactorSolve(a, x, []float64{10}); err != nil {
+	nu, layout := compile(t, sym, []int32{0})
+	if err := nu.FactorSolve(pack(nu, layout, a), x, []float64{10}); err != nil {
 		t.Fatalf("FactorSolve: %v", err)
 	}
 	if x[0] != 2 {
@@ -163,7 +206,8 @@ func TestZeroDiagonalPivoting(t *testing.T) {
 	b := []float64{5, 2}
 	want := solveDense(t, a, b)
 	x := make([]float64, 2)
-	if err := sym.NewNumeric().FactorSolve(a.Clone(), x, b); err != nil {
+	nu, layout := compile(t, sym, pattern)
+	if err := nu.FactorSolve(pack(nu, layout, a), x, b); err != nil {
 		t.Fatalf("FactorSolve: %v", err)
 	}
 	for i := range x {
@@ -187,9 +231,9 @@ func TestStaticPivotFallback(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Analyze: %v", err)
 	}
-	nu := sym.NewNumeric()
+	nu, layout := compile(t, sym, pattern)
 	x := make([]float64, 2)
-	if err := nu.FactorSolve(a.Clone(), x, []float64{1, 1}); err != nil {
+	if err := nu.FactorSolve(pack(nu, layout, a), x, []float64{1, 1}); err != nil {
 		t.Fatalf("representative FactorSolve: %v", err)
 	}
 	// Same pattern, degenerate values under the static order.
@@ -198,7 +242,7 @@ func TestStaticPivotFallback(t *testing.T) {
 	bad.Set(0, 1, 1e3)
 	bad.Set(1, 0, 1)
 	bad.Set(1, 1, 1)
-	err = nu.FactorSolve(bad, x, []float64{1, 1})
+	err = nu.FactorSolve(pack(nu, layout, bad), x, []float64{1, 1})
 	if !errors.Is(err, ErrPivot) {
 		t.Fatalf("degenerate FactorSolve error = %v, want ErrPivot", err)
 	}
@@ -216,8 +260,9 @@ func TestStaticPivotFallback(t *testing.T) {
 }
 
 // TestOffPatternGarbageIgnored verifies both contracts that let the
-// solver skip full zeroing: Analyze masks off-pattern values, and
-// FactorSolve never reads them.
+// solver keep stray values around: Analyze masks values off the
+// pattern, and FactorSolve never reads or writes the trash slot or a
+// slot whose position the analysis does not schedule.
 func TestOffPatternGarbageIgnored(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	n := 6
@@ -228,34 +273,83 @@ func TestOffPatternGarbageIgnored(t *testing.T) {
 	}
 	want := solveDense(t, a, b)
 
-	// Touched = pattern + fill must stay clean (fill slots hold zeros);
-	// everything else may carry garbage.
+	// Touched = pattern + fill; everything else may carry garbage.
 	pre, err := Analyze(a, pattern, Options{})
 	if err != nil {
 		t.Fatalf("Analyze: %v", err)
 	}
 	dirty := a.Clone()
 	onTouched := make([]bool, n*n)
-	for _, off := range pre.Touched() {
+	for _, off := range pre.touched {
 		onTouched[off] = true
 	}
+	var unused []int32
 	for off := range dirty.Data {
 		if !onTouched[off] {
 			dirty.Data[off] = rng.NormFloat64() * 1e6
+			unused = append(unused, int32(off))
 		}
+	}
+	if len(unused) == 0 {
+		t.Fatal("no off-pattern positions to dirty")
 	}
 	sym, err := Analyze(dirty, pattern, Options{})
 	if err != nil {
 		t.Fatalf("Analyze on dirty matrix: %v", err)
 	}
+	// The layout interleaves the unused positions with the pattern,
+	// behind a trash slot; their garbage and the trash slot's NaN must
+	// not reach the solution, and must survive the refactor untouched.
+	layout := []int32{-1}
+	for i, off := range pattern {
+		layout = append(layout, off)
+		if i < len(unused) {
+			layout = append(layout, unused[i])
+		}
+	}
+	nu, err := sym.NewNumeric(layout)
+	if err != nil {
+		t.Fatalf("NewNumeric: %v", err)
+	}
+	v := pack(nu, layout, dirty)
+	before := slices.Clone(v)
 	x := make([]float64, n)
-	if err := sym.NewNumeric().FactorSolve(dirty, x, b); err != nil {
-		t.Fatalf("FactorSolve on dirty matrix: %v", err)
+	if err := nu.FactorSolve(v, x, b); err != nil {
+		t.Fatalf("FactorSolve with garbage slots: %v", err)
 	}
 	for i := range x {
 		if d := math.Abs(x[i] - want[i]); d > 1e-9*(1+math.Abs(want[i])) {
 			t.Fatalf("x[%d] = %g, dense %g", i, x[i], want[i])
 		}
+	}
+	for i, off := range layout {
+		if (off < 0 || !onTouched[off]) && math.Float64bits(v[i]) != math.Float64bits(before[i]) {
+			t.Fatalf("slot %d (position %d) written by FactorSolve: %g -> %g", i, off, before[i], v[i])
+		}
+	}
+}
+
+// TestNewNumericRejectsBadLayout: a layout must give every pattern
+// position exactly one slot inside the matrix.
+func TestNewNumericRejectsBadLayout(t *testing.T) {
+	a := la.NewMatrix(2, 2)
+	a.Set(0, 0, 1)
+	a.Set(1, 1, 1)
+	sym, err := Analyze(a, []int32{0, 3}, Options{})
+	if err != nil {
+		t.Fatalf("Analyze: %v", err)
+	}
+	for _, layout := range [][]int32{{0}, {0, 3, 3}, {0, 3, 4}} {
+		if _, err := sym.NewNumeric(layout); err == nil {
+			t.Errorf("layout %v accepted", layout)
+		}
+	}
+	nu, err := sym.NewNumeric([]int32{3, -1, 1, 0})
+	if err != nil {
+		t.Fatalf("valid layout rejected: %v", err)
+	}
+	if nu.Slots() != 4 {
+		t.Fatalf("Slots = %d, want 4", nu.Slots())
 	}
 }
 
@@ -296,11 +390,11 @@ func TestFactorSolveRejectsSizeMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Analyze: %v", err)
 	}
-	nu := sym.NewNumeric()
-	if err := nu.FactorSolve(la.NewMatrix(3, 3), make([]float64, 3), make([]float64, 3)); err == nil {
-		t.Fatal("size-mismatched matrix accepted")
+	nu, layout := compile(t, sym, []int32{0, 3})
+	if err := nu.FactorSolve(make([]float64, 1), make([]float64, 2), make([]float64, 2)); err == nil {
+		t.Fatal("short value array accepted")
 	}
-	if err := nu.FactorSolve(a, make([]float64, 1), make([]float64, 2)); err == nil {
+	if err := nu.FactorSolve(pack(nu, layout, a), make([]float64, 1), make([]float64, 2)); err == nil {
 		t.Fatal("short solution slice accepted")
 	}
 }
@@ -315,15 +409,16 @@ func TestFactorSolveNoAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Analyze: %v", err)
 	}
-	nu := sym.NewNumeric()
-	work := a.Clone()
+	nu, layout := compile(t, sym, pattern)
+	base := pack(nu, layout, a)
+	work := slices.Clone(base)
 	x := make([]float64, n)
 	b := make([]float64, n)
 	for i := range b {
 		b[i] = float64(i + 1)
 	}
 	allocs := testing.AllocsPerRun(100, func() {
-		copy(work.Data, a.Data)
+		copy(work, base)
 		if err := nu.FactorSolve(work, x, b); err != nil {
 			t.Fatalf("FactorSolve: %v", err)
 		}

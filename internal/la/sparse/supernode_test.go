@@ -10,20 +10,19 @@ import (
 )
 
 // checkBitIdentical runs the blocked FactorSolve and the scalar
-// reference on separate clones of a and asserts the contract: the same
-// error (if any), and on success bit-identical solutions, LU values
-// and hoisted reciprocals.
-func checkBitIdentical(t *testing.T, sym *Symbolic, a *la.Matrix, b []float64) {
+// reference on separate packed copies of a and asserts the contract:
+// the same error (if any), and on success bit-identical solutions, LU
+// values in every slot and hoisted reciprocals.
+func checkBitIdentical(t *testing.T, sym *Symbolic, a *la.Matrix, pattern []int32, b []float64) {
 	t.Helper()
 	n := a.Rows
-	wb := a.Clone()
-	ws := a.Clone()
+	nb, layout := compile(t, sym, pattern)
+	ns, _ := compile(t, sym, pattern)
+	vb, vs := pack(nb, layout, a), pack(ns, layout, a)
 	xb := make([]float64, n)
 	xs := make([]float64, n)
-	nb := sym.NewNumeric()
-	ns := sym.NewNumeric()
-	errB := nb.FactorSolve(wb, xb, b)
-	errS := ns.factorSolveScalar(ws, xs, b)
+	errB := nb.FactorSolve(vb, xb, b)
+	errS := ns.factorSolveScalar(vs, xs, b)
 	if !errors.Is(errB, errS) && !errors.Is(errS, errB) {
 		t.Fatalf("error mismatch: blocked %v, scalar %v", errB, errS)
 	}
@@ -36,9 +35,9 @@ func checkBitIdentical(t *testing.T, sym *Symbolic, a *la.Matrix, b []float64) {
 				i, math.Float64bits(xb[i]), xb[i], math.Float64bits(xs[i]), xs[i])
 		}
 	}
-	for _, off := range sym.Touched() {
-		if math.Float64bits(wb.Data[off]) != math.Float64bits(ws.Data[off]) {
-			t.Fatalf("LU[%d]: blocked %g, scalar %g", off, wb.Data[off], ws.Data[off])
+	for i := range vb {
+		if math.Float64bits(vb[i]) != math.Float64bits(vs[i]) {
+			t.Fatalf("LU slot %d: blocked %g, scalar %g", i, vb[i], vs[i])
 		}
 	}
 	for k := 0; k < n; k++ {
@@ -65,7 +64,7 @@ func TestBlockedMatchesScalarMNA(t *testing.T) {
 			for i := range b {
 				b[i] = rng.NormFloat64()
 			}
-			checkBitIdentical(t, sym, a, b)
+			checkBitIdentical(t, sym, a, pattern, b)
 			// Drift the values (pattern fixed) as Newton iterations do.
 			for _, off := range pattern {
 				a.Data[off] *= 1 + 0.2*rng.Float64()
@@ -94,7 +93,8 @@ func TestBlockedMatchesDense(t *testing.T) {
 			t.Fatalf("dense reference: %v", err)
 		}
 		x := make([]float64, n)
-		if err := sym.NewNumeric().FactorSolve(a.Clone(), x, b); err != nil {
+		nu, layout := compile(t, sym, pattern)
+		if err := nu.FactorSolve(pack(nu, layout, a), x, b); err != nil {
 			t.Fatalf("FactorSolve: %v", err)
 		}
 		for i := range x {
@@ -137,7 +137,7 @@ func TestSupernodesDetectedDense(t *testing.T) {
 	for i := range b {
 		b[i] = rng.NormFloat64()
 	}
-	checkBitIdentical(t, sym, a, b)
+	checkBitIdentical(t, sym, a, pattern, b)
 }
 
 // TestSupernodesOnGateChain: the MNA-shaped generator must yield at
@@ -185,14 +185,14 @@ func TestBlockedErrPivotMatchesScalar(t *testing.T) {
 	for i := range b {
 		b[i] = 1
 	}
-	nu := sym.NewNumeric()
-	if err := nu.FactorSolve(drift.Clone(), make([]float64, n), b); !errors.Is(err, ErrPivot) {
+	nu, layout := compile(t, sym, pattern)
+	if err := nu.FactorSolve(pack(nu, layout, drift), make([]float64, n), b); !errors.Is(err, ErrPivot) {
 		t.Fatalf("blocked: got %v, want ErrPivot", err)
 	}
-	if err := nu.factorSolveScalar(drift.Clone(), make([]float64, n), b); !errors.Is(err, ErrPivot) {
+	if err := nu.factorSolveScalar(pack(nu, layout, drift), make([]float64, n), b); !errors.Is(err, ErrPivot) {
 		t.Fatalf("scalar: got %v, want ErrPivot", err)
 	}
-	checkBitIdentical(t, sym, drift, b)
+	checkBitIdentical(t, sym, drift, pattern, b)
 }
 
 // TestBlockedSignedZeroMultipliers: zero multipliers must be skipped,
@@ -228,7 +228,7 @@ func TestBlockedSignedZeroMultipliers(t *testing.T) {
 		for i := range b {
 			b[i] = rng.NormFloat64()
 		}
-		checkBitIdentical(t, sym, drift, b)
+		checkBitIdentical(t, sym, drift, pattern, b)
 	}
 }
 
@@ -247,7 +247,7 @@ func TestBlockedRandomPatterns(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: Analyze: %v", trial, err)
 		}
-		checkBitIdentical(t, sym, a, b)
+		checkBitIdentical(t, sym, a, pattern, b)
 	}
 }
 
@@ -276,9 +276,10 @@ func FuzzSupernodeBlocked(f *testing.F) {
 		check := func(m *la.Matrix) {
 			t.Helper()
 			n := m.Rows
-			wb, ws := m.Clone(), m.Clone()
+			nb, layout := compile(t, sym, pattern)
+			ns, _ := compile(t, sym, pattern)
+			wb, ws := pack(nb, layout, m), pack(ns, layout, m)
 			xb, xs := make([]float64, n), make([]float64, n)
-			nb, ns := sym.NewNumeric(), sym.NewNumeric()
 			errB := nb.FactorSolve(wb, xb, b)
 			errS := ns.factorSolveScalar(ws, xs, b)
 			if (errB == nil) != (errS == nil) {
@@ -292,9 +293,9 @@ func FuzzSupernodeBlocked(f *testing.F) {
 					t.Fatalf("x[%d]: blocked %g, scalar %g", i, xb[i], xs[i])
 				}
 			}
-			for _, off := range sym.Touched() {
-				if math.Float64bits(wb.Data[off]) != math.Float64bits(ws.Data[off]) {
-					t.Fatalf("LU[%d]: blocked %g, scalar %g", off, wb.Data[off], ws.Data[off])
+			for i := range wb {
+				if math.Float64bits(wb[i]) != math.Float64bits(ws[i]) {
+					t.Fatalf("LU slot %d: blocked %g, scalar %g", i, wb[i], ws[i])
 				}
 			}
 		}

@@ -1,9 +1,6 @@
 package spice
 
-import (
-	"hybriddelay/internal/la"
-	"hybriddelay/internal/waveform"
-)
+import "hybriddelay/internal/waveform"
 
 // IntegrationMethod selects the charge integration scheme.
 type IntegrationMethod int
@@ -19,19 +16,20 @@ const (
 // StampContext carries the state a device needs to stamp itself into the
 // MNA system for one Newton iteration.
 type StampContext struct {
-	G   *la.Matrix // Jacobian / conductance matrix
-	RHS []float64  // right-hand side (current) vector
-	V   []float64  // current Newton iterate of the unknown vector
+	RHS []float64 // right-hand side (current) vector
+	V   []float64 // current Newton iterate of the unknown vector
 
 	Time   float64           // absolute time of the step being solved
 	Dt     float64           // step size (0 during DC analysis)
 	Method IntegrationMethod // integration scheme for this step
 	DC     bool              // true during operating-point analysis
 
-	// g, rhs and x are what bound stamps address (see binder): g and rhs
-	// are G.Data and RHS extended by one trash cell that absorbs every
-	// write to a ground row or column, and x is V extended by the
-	// ground cell, which stays 0.
+	// g, rhs and x are what bound stamps address (see binder). g holds
+	// the Jacobian cells in the layout the devices were bound to — the
+	// row-major n×n matrix followed by a trash cell, or packed slots
+	// with the trash cell first — and the trash cell absorbs every
+	// write to a ground row or column. rhs is RHS extended by a trash
+	// cell, and x is V extended by the ground cell, which stays 0.
 	g, rhs, x []float64
 
 	// srcVals holds every voltage source's signal value at Time, indexed
@@ -48,21 +46,27 @@ type StampContext struct {
 	capFresh bool
 }
 
-// binder hands devices the flat offsets of the cells they stamp, once
-// per solver (SPICE3's TSTALLOC setup). Unknowns are indexed as in the
-// MNA vector; ground is index n, the trash cell of RHS and the zero
-// cell of the iterate, and every Jacobian cell in a ground row or
-// column is the trash cell n*n of G. The structural pattern is the
-// union of the bound cells, in the order they were first bound.
+// binder hands devices the cells they stamp, once per solver (SPICE3's
+// TSTALLOC setup). Unknowns are indexed as in the MNA vector; ground is
+// index n, the trash cell of RHS and the zero cell of the iterate. The
+// structural pattern is the union of the bound Jacobian cells as dense
+// row-major offsets, in the order they were first bound. A cell's
+// handle depends on the layout:
+//   - row-major (DenseExact): the offset i*n+j, with every cell in a
+//     ground row or column the trash cell n*n;
+//   - packed (SparseFast): the slot k+1 for pattern[k], with slot 0 the
+//     trash cell.
 //
 // A bound stamp writes its cells in the statement order of the guarded
 // row-and-column stamp it replaces, so every cell receives the same
-// sums in the same order; only the writes that were skipped for ground
-// now land in the trash cells, which nothing reads.
+// sums in the same order in either layout; only the writes that were
+// skipped for ground now land in the trash cells, which nothing reads.
 type binder struct {
 	n, nv   int32 // unknowns; node unknowns (the first branch unknown)
+	packed  bool
+	trash   int32
 	pattern []int32
-	seen    []bool
+	slot    []int32 // by dense offset: 1 + the cell's index in pattern, 0 while unbound
 }
 
 // node returns the unknown of node id, or n for ground.
@@ -76,24 +80,17 @@ func (b *binder) node(id NodeID) int32 {
 // cell binds the Jacobian cell (i, j) of two unknowns.
 func (b *binder) cell(i, j int32) int32 {
 	if i == b.n || j == b.n {
-		return b.n * b.n
+		return b.trash
 	}
 	off := i*b.n + j
-	if !b.seen[off] {
-		b.seen[off] = true
+	if b.slot[off] == 0 {
 		b.pattern = append(b.pattern, off)
+		b.slot[off] = int32(len(b.pattern))
+	}
+	if b.packed {
+		return b.slot[off]
 	}
 	return off
-}
-
-// block binds every cell among the given nodes: the cells a device that
-// does not bind itself may stamp through StampContext.G.
-func (b *binder) block(nodes []NodeID) {
-	for _, r := range nodes {
-		for _, c := range nodes {
-			b.cell(b.node(r), b.node(c))
-		}
-	}
 }
 
 // pair binds the node block of a two-terminal element between a and b.
@@ -106,24 +103,20 @@ func (b *binder) pair(a, c NodeID) pairCells {
 }
 
 // pairCells are the bound cells of a two-terminal element: four
-// Jacobian offsets and the two unknowns, which index RHS and the
+// Jacobian handles and the two unknowns, which index RHS and the
 // iterate.
 type pairCells struct{ aa, ab, ba, bb, a, b int32 }
 
-// bindable devices bind their cells once and stamp through them. A
-// device without bind stamps through StampContext.G and RHS within the
-// node block of its declared nodes.
-type bindable interface {
-	bind(b *binder)
-}
-
-// Device is an element that can stamp itself into the MNA system.
+// Device is an element that can stamp itself into the MNA system. A
+// device binds every cell it stamps before its first stamp, so the
+// interface is closed to this package's device kinds.
 type Device interface {
 	Name() string
 	Nodes() []NodeID
 	// Stamp adds the device's linearised contribution for the current
 	// Newton iterate.
 	Stamp(ctx *StampContext)
+	bind(b *binder)
 }
 
 // Stateful devices carry charge state across timesteps.
@@ -164,6 +157,9 @@ func (r *Resistor) Stamp(ctx *StampContext) {
 	G[p.ab] -= g
 	G[p.ba] -= g
 }
+
+// StampLinearRHS implements LinearStamper: a resistor stamps no RHS.
+func (r *Resistor) StampLinearRHS(*StampContext) {}
 
 // ---------------------------------------------------------------------
 // Capacitor
@@ -214,6 +210,21 @@ func (s *capState) stamp(ctx *StampContext, c float64) {
 	rhs[p.b] -= ieq
 }
 
+// stampRHS adds only the companion current of stamp, recomputed from
+// the cached geq and the committed state: the RHS half of a stamp at
+// the (Dt, Method) geq was last computed for, outside DC. The formula
+// and the write order are stamp's, so the sums are bit-identical.
+func (s *capState) stampRHS(ctx *StampContext) {
+	if ctx.Method == BackwardEuler {
+		s.ieq = s.geq * s.vPrev
+	} else {
+		s.ieq = float64(s.geq*s.vPrev) + s.iPrev
+	}
+	rhs := ctx.rhs
+	rhs[s.cells.a] += s.ieq
+	rhs[s.cells.b] -= s.ieq
+}
+
 // commit records the accepted branch voltage/current. A transient
 // commit always follows a converged Newton solve at the same (Dt,
 // Method, state), so the cached companion values from stamp are
@@ -250,6 +261,9 @@ func (c *Capacitor) bind(b *binder) { c.state.cells = b.pair(c.a, c.b) }
 
 // Stamp implements Device.
 func (c *Capacitor) Stamp(ctx *StampContext) { c.state.stamp(ctx, c.C) }
+
+// StampLinearRHS implements LinearStamper.
+func (c *Capacitor) StampLinearRHS(ctx *StampContext) { c.state.stampRHS(ctx) }
 
 // Init implements Stateful.
 func (c *Capacitor) Init(x []float64) { c.state.init(x) }
@@ -298,6 +312,9 @@ func (v *VSource) Stamp(ctx *StampContext) {
 	ctx.rhs[v.ib] += ctx.srcVals[v.branch]
 }
 
+// StampLinearRHS implements LinearStamper.
+func (v *VSource) StampLinearRHS(ctx *StampContext) { ctx.rhs[v.ib] += ctx.srcVals[v.branch] }
+
 // Current returns the branch current of the source in a solution vector.
 func (v *VSource) Current(c *Circuit, sol []float64) float64 {
 	return sol[c.branchVar(v.branch)]
@@ -329,3 +346,6 @@ func (s *ISource) Stamp(ctx *StampContext) {
 	ctx.rhs[s.im] -= s.I
 	ctx.rhs[s.ip] += s.I
 }
+
+// StampLinearRHS implements LinearStamper: the whole stamp is RHS.
+func (s *ISource) StampLinearRHS(ctx *StampContext) { s.Stamp(ctx) }

@@ -77,7 +77,7 @@ func StampCoverage(c *Circuit, rng *rand.Rand, sentinel float64) (pattern, stray
 			for i := range s.srcVals {
 				s.srcVals[i] = rng.Float64()
 			}
-			for off := range ctx.G.Data {
+			for off := range ctx.g[:n*n] {
 				ctx.g[off] = sentinel
 				if live[off] {
 					ctx.g[off] = 0
@@ -90,7 +90,7 @@ func StampCoverage(c *Circuit, rng *rand.Rand, sentinel float64) (pattern, stray
 			for i := 0; i < nv; i++ {
 				ctx.g[i*n+i] += 1e-12
 			}
-			for off, v := range ctx.G.Data {
+			for off, v := range ctx.g[:n*n] {
 				if !live[off] && v != sentinel {
 					strays = append(strays, int32(off))
 				}

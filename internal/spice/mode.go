@@ -10,18 +10,19 @@ import "fmt"
 // results are bit-identical across all entry points and form the
 // golden contract of this repository.
 //
-// SparseFast freezes the linear device stamps (resistors, capacitor
+// SparseFast keeps the Jacobian in packed slots, one per structural
+// cell, freezes the linear device stamps (resistors, capacitor
 // companion models, sources, MOSFET parasitics and leakage) into a
-// base matrix once per Newton solve, re-stamps only the nonlinear
-// MOSFET channels per iteration, and factors over a precomputed
-// structural sparsity pattern with a static pivot order
-// (internal/la/sparse). It is numerically equivalent — solutions agree
-// to solver tolerance, delays to well under a picosecond — but NOT
-// bit-identical, so it is opt-in everywhere. DC operating points and
-// gmin homotopy stages always use the dense path (their pattern and
-// robustness needs differ); if a statically scheduled pivot degrades,
-// an iteration transparently falls back to the dense solve and the
-// pattern is re-analyzed.
+// base whose Jacobian half is re-stamped only when the step size or
+// method changes, re-stamps only the nonlinear MOSFET channels per
+// iteration, and factors over a precomputed structural sparsity
+// pattern with a static pivot order (internal/la/sparse). It is
+// numerically equivalent — solutions agree to solver tolerance, delays
+// to well under a picosecond — but NOT bit-identical, so it is opt-in
+// everywhere. DC operating points and gmin homotopy stages always use
+// the dense path (their pattern and robustness needs differ); if a
+// statically scheduled pivot degrades, an iteration transparently
+// falls back to the dense solve and the pattern is re-analyzed.
 type SolverMode int
 
 const (

@@ -118,8 +118,7 @@ func (m *MOSFET) Eval(vd, vg, vs float64) (i, gd, gg, gs float64) {
 // parasitic capacitances), called in exactly the historical accumulation
 // order so the dense golden path stays bit-identical. The sparse solver
 // calls the two halves separately: the linear half is frozen into a base
-// matrix once per Newton solve and only the channel is re-stamped per
-// iteration.
+// once per step size and only the channel is re-stamped per iteration.
 func (m *MOSFET) Stamp(ctx *StampContext) {
 	m.StampNonlinear(ctx)
 	m.StampLinear(ctx)
@@ -163,7 +162,8 @@ func (m *MOSFET) StampNonlinear(ctx *StampContext) {
 // convergence leakage conductance and the parasitic capacitances'
 // companion models. Within one Newton solve these values are constant
 // (companion values depend only on Dt, Method and committed state), so
-// the sparse solver stamps them once per solve into a frozen base.
+// the sparse solver stamps them into a frozen base: the Jacobian part
+// once per step size, the RHS part (StampLinearRHS) once per solve.
 func (m *MOSFET) StampLinear(ctx *StampContext) {
 	// Leakage conductance for convergence robustness.
 	if g := m.P.Gmin; g > 0 {
@@ -178,6 +178,14 @@ func (m *MOSFET) StampLinear(ctx *StampContext) {
 	m.cgs.stamp(ctx, m.P.Cgs)
 	m.cgd.stamp(ctx, m.P.Cgd)
 	m.cdb.stamp(ctx, m.P.Cdb)
+}
+
+// StampLinearRHS implements SplitStamper: the RHS half of StampLinear,
+// the parasitic capacitances' companion currents.
+func (m *MOSFET) StampLinearRHS(ctx *StampContext) {
+	m.cgs.stampRHS(ctx)
+	m.cgd.stampRHS(ctx)
+	m.cdb.stampRHS(ctx)
 }
 
 // Init implements Stateful.

@@ -11,11 +11,19 @@ import (
 )
 
 // Solver owns the reusable workspace for MNA analyses on one circuit:
-// one StampContext, the Jacobian G, the RHS vector, the Newton iterate
-// buffers and the LU factorization workspace. The circuit topology is
-// fixed per bench, so the system size never changes and every transient
-// step and Newton iteration can run in the same buffers — a fresh
-// per-call solver re-allocates all of this on every step.
+// one StampContext, the Jacobian cells, the RHS vector, the Newton
+// iterate buffers and the LU factorization workspace. The circuit
+// topology is fixed per bench, so the system size never changes and
+// every transient step and Newton iteration can run in the same
+// buffers — a fresh per-call solver re-allocates all of this on every
+// step.
+//
+// The Jacobian layout follows the solver mode. DenseExact binds the
+// devices to the row-major n×n matrix its dense LU factors in place.
+// SparseFast binds them to packed slots, one per structural cell, which
+// the sparse refactor addresses directly; its DC operating point, gmin
+// stages and pivot fallbacks scatter the packed values into a separate
+// n×n matrix for the dense LU.
 //
 // The circuit is validated once at construction; the topology must not
 // change afterwards. A Solver is not safe for concurrent use — build
@@ -33,13 +41,17 @@ type Solver struct {
 	srcVals  []float64  // hoisted per-solve source values, by branch
 	stateful []Stateful // the circuit's stateful devices, in order
 	nbound   int        // devices bound by ensure
+	packed   bool       // devices are bound to packed slots (SparseFast)
 
 	// pattern holds the dense offsets of every Jacobian cell a device
 	// stamp can touch: the union of the cells bound by ensure. The
 	// sparse path analyzes it; the dense LU replays its pivot schedules
-	// over it.
+	// over it. In the packed layout, cell pattern[k] is slot k+1.
 	pattern []int32
-	lu      la.LU
+	// dense is the n×n matrix the dense LU factors: ctx.g itself in the
+	// row-major layout, a scatter of ctx.g (see scatter) in the packed.
+	dense la.Matrix
+	lu    la.LU
 
 	mode SolverMode  // linear-solver strategy of the current transient
 	sp   sparseState // SparseFast workspace (device partition, base, symbolic)
@@ -117,47 +129,51 @@ func (s *Solver) SetSymbolicCache(c *sparse.SymbolicCache) { s.symCache = c }
 func (s *Solver) SetSymbolicScope(scope string) { s.symScope = scope }
 
 // ensure binds the circuit's devices on first use, and again if the
-// system size or the device list changed.
+// system size, the device list or the layout the mode asks for changed.
 func (s *Solver) ensure() {
-	if s.ctx.G == nil || s.ctx.G.Rows != s.c.unknowns() || s.nbound != len(s.c.devices) {
+	if s.dense.Rows != s.c.unknowns() || s.nbound != len(s.c.devices) || s.packed != (s.mode == SparseFast) {
 		s.bind()
 	}
 }
 
 // bind sizes the workspace and binds every device to the cells it
-// stamps (see binder), so the Newton loop stamps and commits with no
-// per-iteration index mapping, ground test or type assertion. The
-// structural pattern is the union of the bound cells.
+// stamps in the mode's layout (see binder), so the Newton loop stamps
+// and commits with no per-iteration index mapping, ground test or type
+// assertion. The structural pattern is the union of the bound cells.
 //
-//hybrid:alloc-ok one-time workspace build behind ensure's guard; cold after the first call per circuit
+//hybrid:alloc-ok one-time workspace build behind ensure's guard; cold after the first call per circuit and layout
 func (s *Solver) bind() {
 	c := s.c
 	n := c.unknowns()
 	ctx := &s.ctx
-	ctx.g = make([]float64, n*n+1)
-	ctx.rhs = make([]float64, n+1)
-	ctx.x = make([]float64, n+1)
-	ctx.G = &la.Matrix{Rows: n, Cols: n, Data: ctx.g[:n*n]}
-	ctx.RHS, ctx.V = ctx.rhs[:n], ctx.x[:n]
-	s.xNew = make([]float64, n)
-	s.vPrev = make([]float64, n)
-	s.srcVals = make([]float64, len(c.vsources))
-	ctx.srcVals = s.srcVals
-
-	b := binder{n: int32(n), nv: int32(c.NumNodes() - 1), seen: make([]bool, n*n)}
+	s.packed = s.mode == SparseFast
+	b := &binder{n: int32(n), nv: int32(c.NumNodes() - 1), packed: s.packed, trash: int32(n * n), slot: make([]int32, n*n)}
+	if s.packed {
+		b.trash = 0
+	}
 	s.stateful = s.stateful[:0]
 	for _, d := range c.devices {
-		if bd, ok := d.(bindable); ok {
-			bd.bind(&b)
-		} else {
-			b.block(d.Nodes())
-		}
+		d.bind(b)
 		if st, ok := d.(Stateful); ok {
 			s.stateful = append(s.stateful, st)
 		}
 	}
 	s.pattern = b.pattern
 	s.nbound = len(c.devices)
+	if s.packed {
+		ctx.g = make([]float64, len(s.pattern)+1)
+		s.dense = la.Matrix{Rows: n, Cols: n, Data: make([]float64, n*n)}
+	} else {
+		ctx.g = make([]float64, n*n+1)
+		s.dense = la.Matrix{Rows: n, Cols: n, Data: ctx.g[:n*n]}
+	}
+	ctx.rhs = make([]float64, n+1)
+	ctx.x = make([]float64, n+1)
+	ctx.RHS, ctx.V = ctx.rhs[:n], ctx.x[:n]
+	s.xNew = make([]float64, n)
+	s.vPrev = make([]float64, n)
+	s.srcVals = make([]float64, len(c.vsources))
+	ctx.srcVals = s.srcVals
 	// The dense loop also stamps gmin shunts on the node diagonals.
 	dense := slices.Clone(s.pattern)
 	for i := 0; i < c.NumNodes()-1; i++ {
@@ -178,8 +194,8 @@ func (s *Solver) bind() {
 // The factor backend is fixed for the solve. The dense backend
 // re-stamps every device and runs the fused factor+solve with the
 // replayed pivot schedules. The sparse backend (SparseFast transient
-// steps) freezes the linear stamps once per solve and refactors over
-// the static pivot order, falling back to the dense kernel when a
+// steps) stamps over the frozen linear base and refactors over the
+// static pivot order, falling back to the dense kernel when a
 // scheduled pivot degrades. DC operating points and gmin homotopy
 // stages have a different structural pattern (capacitors open, added
 // shunt diagonals) and run once per transient, so they stay dense. A
@@ -206,11 +222,6 @@ func (s *Solver) newton(opt NewtonOptions, gmin float64, gminStage bool) error {
 	}
 	if sparse {
 		s.freezeLinear()
-	} else {
-		// The dense solve factors ctx.G in place, leaving LU residue at
-		// positions outside the sparse pattern's touched set; the next
-		// sparse restamp must reset the workspace in full.
-		s.sp.denseDirty = true
 	}
 	v, xNew := ctx.V, s.xNew
 	worst := -1 // voltage unknown with the largest last update
@@ -225,17 +236,20 @@ func (s *Solver) newton(opt NewtonOptions, gmin float64, gminStage bool) error {
 			for _, d := range c.devices {
 				d.Stamp(ctx)
 			}
+			if s.packed {
+				s.scatter()
+			}
 			if gmin > 0 {
 				for i := 0; i < nv; i++ {
-					ctx.g[i*n+i] += gmin
+					s.dense.Data[i*n+i] += gmin
 				}
 			}
-			// Fused factor+solve on the Jacobian in place: G is
+			// Fused factor+solve on the Jacobian in place: it is
 			// re-stamped from zero next iteration anyway, and carrying
 			// the RHS through the elimination folds the permute and
 			// forward substitution into the factorization sweep
 			// (bit-identical, see la.FactorSolveInPlace).
-			if err = s.lu.FactorSolveInPlace(ctx.G, xNew, ctx.RHS); err == nil {
+			if err = s.lu.FactorSolveInPlace(&s.dense, xNew, ctx.RHS); err == nil {
 				s.stats.Factorizations++
 			}
 		}
@@ -437,7 +451,10 @@ func (s *Solver) Transient(opt TransientOptions) (*TransientResult, error) {
 	}
 
 	// Initial state. The transient solution lives in the Newton iterate.
+	// The first sparse solve re-freezes the linear base: device
+	// parameters may have changed since the last transient.
 	s.ensure()
+	s.sp.frozen = false
 	v := s.ctx.V
 	if opt.InitialConditions != nil {
 		clear(v)

@@ -71,11 +71,11 @@ func BenchmarkSolverNewtonSparse(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	s.mode = SparseFast
 	op, err := s.OperatingPoint(0, NewtonOptions{})
 	if err != nil {
 		b.Fatal(err)
 	}
-	s.mode = SparseFast
 	s.ctx.Time, s.ctx.Dt, s.ctx.Method, s.ctx.DC = 10e-12, 10e-12, Trapezoidal, false
 	// Warm-up solve performs the symbolic analysis.
 	copy(s.ctx.V, op)

@@ -65,7 +65,7 @@ func TestMOSFETSplitStampMatchesStamp(t *testing.T) {
 				d.Stamp(ctx)
 			}
 		}
-		g := append([]float64(nil), ctx.G.Data...)
+		g := append([]float64(nil), ctx.g...)
 		rhs := append([]float64(nil), ctx.RHS...)
 		return g, rhs
 	}
@@ -213,13 +213,14 @@ func TestSparseSingleUnknown(t *testing.T) {
 }
 
 // switchDevice is a programmable conductance block used to break the
-// static pivot order between solves: it stamps raw values into the
-// {a,b} node block, which is exactly the contract the sparse pattern
-// builder assumes for unknown device types.
+// static pivot order between solves: it stamps raw values into its
+// bound {a,b} node block. It is neither a LinearStamper nor a
+// SplitStamper, so the sparse solver re-stamps it on every iteration.
 type switchDevice struct {
 	name               string // "" defaults to "SW"
 	a, b               NodeID
 	gaa, gab, gba, gbb *float64
+	cells              pairCells
 }
 
 func (d *switchDevice) Name() string {
@@ -229,12 +230,13 @@ func (d *switchDevice) Name() string {
 	return "SW"
 }
 func (d *switchDevice) Nodes() []NodeID { return []NodeID{d.a, d.b} }
+func (d *switchDevice) bind(b *binder)  { d.cells = b.pair(d.a, d.b) }
 func (d *switchDevice) Stamp(ctx *StampContext) {
-	ia, ib := nodeVar(d.a), nodeVar(d.b)
-	ctx.G.Add(ia, ia, *d.gaa)
-	ctx.G.Add(ia, ib, *d.gab)
-	ctx.G.Add(ib, ia, *d.gba)
-	ctx.G.Add(ib, ib, *d.gbb)
+	p := &d.cells
+	ctx.g[p.aa] += *d.gaa
+	ctx.g[p.ab] += *d.gab
+	ctx.g[p.ba] += *d.gba
+	ctx.g[p.bb] += *d.gbb
 }
 
 // TestSparseStaticPivotFallback drives a transient whose Jacobian
@@ -313,17 +315,16 @@ func TestSparseModeDoesNotLeakIntoDense(t *testing.T) {
 	requireBitIdentical(t, got, want, "dense after sparse")
 }
 
-// TestSparseFallbackOffTouchedGarbage is the promoted PR 7 review
-// probe: after a sparse→dense pivot fallback (which runs the dense LU
-// over the full matrix and triggers a re-analysis), the next sparse
-// restamp must not leave stale dense-factorization values at positions
-// outside the symbolic pattern's touched set. Such garbage would be
-// invisible to the scheduled sparse refactor (it only reads touched
-// offsets) but would be consumed by any later dense fallback — or by a
-// re-analyzed pattern whose fill extends past the old touched set —
-// silently corrupting the solve. The ring of programmable conductance
-// blocks first runs benignly (establishing a pivot order), then flips
-// to values that swamp the scheduled pivots and force the fallback.
+// TestSparseFallbackOffTouchedGarbage is a promoted review probe:
+// after a sparse→dense pivot fallback (which runs the dense LU
+// over the full matrix and triggers a re-analysis), the matrix the next
+// dense fallback factors must hold the freshly stamped pattern values
+// and nothing else — no residue of the earlier dense factorization and
+// no stale sparse LU values. Such garbage would be consumed by the
+// dense kernel, silently corrupting the solve. The ring of programmable
+// conductance blocks first runs benignly (establishing a pivot order),
+// then flips to values that swamp the scheduled pivots and force the
+// fallback.
 func TestSparseFallbackOffTouchedGarbage(t *testing.T) {
 	g := make([]float64, 16)
 	set := func(vals ...float64) { copy(g, vals) }
@@ -367,17 +368,77 @@ func TestSparseFallbackOffTouchedGarbage(t *testing.T) {
 		t.Fatalf("degenerate values did not trigger a fallback, stats %+v", st)
 	}
 
-	// Simulate the restamp that precedes any later dense fallback, then
-	// scan the workspace matrix for garbage outside the touched set.
+	// Simulate the restamp and scatter that precede any later dense
+	// fallback, then compare the dense matrix with the packed values
+	// and scan it for garbage outside the pattern.
 	clear(sv.ctx.V)
 	sv.restampSparse()
-	touched := map[int32]bool{}
-	for _, off := range sv.sp.sym.Touched() {
-		touched[off] = true
+	sv.scatter()
+	want := map[int32]float64{}
+	for k, off := range sv.pattern {
+		want[off] = sv.ctx.g[k+1]
 	}
-	for off, val := range sv.ctx.G.Data {
-		if !touched[int32(off)] && val != 0 {
-			t.Errorf("off-touched garbage at dense offset %d: %g survives restampSparse after a dense fallback", off, val)
+	for off, val := range sv.dense.Data {
+		if w := want[int32(off)]; val != w {
+			t.Errorf("dense fallback matrix at offset %d holds %g, the stamped value is %g", off, val, w)
 		}
+	}
+}
+
+// TestSparseLinearBaseFollowsParameters: the frozen linear base is
+// keyed on the step size and method, so it must also be rebuilt when a
+// device parameter changes between two transients on one solver. Here
+// every solve runs at one (Dt, Method) — MinStep = MaxStep forces the
+// step size and backward Euler the method — so a base keyed on (Dt,
+// Method) alone would carry the first transient's resistor or
+// capacitor into the second, and the second result would differ from
+// a fresh solver's.
+func TestSparseLinearBaseFollowsParameters(t *testing.T) {
+	type parts struct {
+		r  *Resistor
+		cx *Capacitor
+		is *ISource
+	}
+	build := func() (*Circuit, parts) {
+		c, out := inverterCircuit()
+		return c, parts{
+			r:  c.AddResistor("RL", out, Ground, 50e3),
+			cx: c.AddCapacitor("CX", out, Ground, 1e-15),
+			is: c.AddISource("IL", out, Ground, 1e-6),
+		}
+	}
+	opt := inverterOptions()
+	opt.Solver = SparseFast
+	opt.Method = BackwardEuler
+	opt.MinStep = opt.MaxStep
+	opt.Breakpoints = nil
+	for _, tc := range []struct {
+		name   string
+		mutate func(parts)
+	}{
+		{"R", func(p parts) { p.r.R = 20e3 }},
+		{"C", func(p parts) { p.cx.C = 5e-15 }},
+		{"I", func(p parts) { p.is.I = -2e-6 }},
+	} {
+		c, p := build()
+		sv, err := NewSolver(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sv.Transient(opt); err != nil {
+			t.Fatalf("%s: first transient: %v", tc.name, err)
+		}
+		tc.mutate(p)
+		got, err := sv.Transient(opt)
+		if err != nil {
+			t.Fatalf("%s: second transient: %v", tc.name, err)
+		}
+		fc, fp := build()
+		tc.mutate(fp)
+		want, err := Transient(fc, opt)
+		if err != nil {
+			t.Fatalf("%s: fresh transient: %v", tc.name, err)
+		}
+		requireBitIdentical(t, got, want, tc.name+" changed between transients")
 	}
 }

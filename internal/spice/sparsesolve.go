@@ -2,48 +2,57 @@ package spice
 
 import "hybriddelay/internal/la/sparse"
 
+// LinearStamper is a Device whose stamp does not depend on the Newton
+// iterate. Its Jacobian part depends only on (Dt, Method) and the
+// device's parameters; StampLinearRHS adds only its RHS part (source
+// values, companion currents), in Stamp's write order, so the sparse
+// solver re-stamps the Jacobian part only when the step size or method
+// changes.
+type LinearStamper interface {
+	Device
+	StampLinearRHS(ctx *StampContext)
+}
+
 // SplitStamper is a Device whose stamp separates into a part that is
 // constant across the iterations of one Newton solve (StampLinear) and
 // a part that depends on the current iterate (StampNonlinear). Calling
-// both in order must accumulate exactly what Stamp accumulates. The
-// sparse solver freezes the linear parts of all devices into a base
-// matrix once per solve and replays only the nonlinear parts per
-// iteration.
+// both in order must accumulate exactly what Stamp accumulates.
+// StampLinearRHS adds only the RHS part of StampLinear, as for a
+// LinearStamper. The sparse solver freezes the linear parts of all
+// devices into a base once per step size and replays only the
+// nonlinear parts per iteration.
 type SplitStamper interface {
 	Device
 	StampLinear(ctx *StampContext)
 	StampNonlinear(ctx *StampContext)
+	StampLinearRHS(ctx *StampContext)
 }
 
 // sparseState is the Solver's workspace for the SparseFast mode: the
-// linear/nonlinear device partition, the frozen per-solve linear base,
-// and the symbolic/numeric factorization pair over the solver's stamp
-// pattern. Topology is fixed per solver, so everything but the
-// symbolic analysis is built exactly once.
+// device partition, the frozen linear base, and the symbolic/numeric
+// factorization pair over the solver's stamp pattern. Topology is
+// fixed per solver, so everything but the symbolic analysis is built
+// exactly once.
 type sparseState struct {
 	built bool
 
-	linDevs   []Device       // wholly linear: stamped once per solve
-	splitDevs []SplitStamper // linear part frozen, nonlinear replayed
-	nlDevs    []Device       // unknown devices: re-stamped every iteration
+	linDevs   []LinearStamper // wholly linear: base stamped once per step size
+	splitDevs []SplitStamper  // linear part frozen, nonlinear replayed
+	nlDevs    []Device        // neither: re-stamped every iteration
 
-	// The frozen linear base, laid out like StampContext's g and rhs
-	// (trash cell included) so bound stamps write it directly.
+	// The frozen linear base in the packed layout of StampContext's g
+	// and rhs (trash cells included), so bound stamps write it
+	// directly. The Jacobian half linG was stamped at (dt, method);
+	// frozen is false until the first freeze of a transient.
 	linG, linRHS []float64
+	frozen       bool
+	dt           float64
+	method       IntegrationMethod
 
 	sym   *sparse.Symbolic
-	num   *sparse.Numeric
-	gen   uint64 // cache generation sym was obtained under (see Refresh)
-	stale bool   // values drifted off the static pivot order: re-analyze
-
-	// denseDirty records that the dense kernel factored ctx.G in place
-	// (a pivot fallback here, or a dense-mode Newton solve on the same
-	// workspace), leaving LU residue at positions outside the touched
-	// set. The touched-only restore in restampSparse is then
-	// insufficient: a later dense fallback would consume the residue,
-	// and a re-analysis could schedule fill slots on top of it, so the
-	// next restamp resets the matrix in full.
-	denseDirty bool
+	num   *sparse.Numeric // sym compiled against the solver's slot layout
+	gen   uint64          // cache generation sym was obtained under (see Refresh)
+	stale bool            // values drifted off the static pivot order: re-analyze
 }
 
 // sharedSymCache is the process-wide symbolic-factorization cache:
@@ -78,7 +87,10 @@ func (s *Solver) sparseOptions() sparse.Options {
 // generation-gated Refresh after a staleness signal (so N pooled
 // solvers hitting staleness together run one re-analysis — whoever
 // wins replaces the shared entry, the rest adopt it as a hit). The
-// pilot reads ctx.G's current values.
+// pilot reads the current values, scattered into the dense matrix. A
+// new analysis is compiled against the packed layout — pattern[k] in
+// slot k+1, slot 0 the trash cell — and the value arrays grow by its
+// fill slots.
 //
 //hybrid:alloc-ok cold path: runs once per topology (or per staleness refresh), never in the per-iteration loop
 func (s *Solver) resolveSymbolic() error {
@@ -90,10 +102,11 @@ func (s *Solver) resolveSymbolic() error {
 		hit bool
 		err error
 	)
+	s.scatter()
 	if sp.sym == nil {
-		sym, gen, hit, err = cache.Get(s.symScope, s.ctx.G, s.pattern, s.sparseOptions())
+		sym, gen, hit, err = cache.Get(s.symScope, &s.dense, s.pattern, s.sparseOptions())
 	} else {
-		sym, gen, hit, err = cache.Refresh(s.symScope, s.ctx.G, s.pattern, s.sparseOptions(), sp.gen)
+		sym, gen, hit, err = cache.Refresh(s.symScope, &s.dense, s.pattern, s.sparseOptions(), sp.gen)
 	}
 	if err != nil {
 		return err
@@ -104,8 +117,15 @@ func (s *Solver) resolveSymbolic() error {
 		s.stats.SymbolicMisses++
 	}
 	if sym != sp.sym {
-		sp.sym = sym
-		sp.num = sym.NewNumeric()
+		num, err := sym.NewNumeric(append([]int32{-1}, s.pattern...))
+		if err != nil {
+			return err
+		}
+		if fill := num.Slots() - len(sp.linG); fill > 0 {
+			s.ctx.g = append(s.ctx.g, make([]float64, fill)...)
+			sp.linG = append(sp.linG, make([]float64, fill)...)
+		}
+		sp.sym, sp.num = sym, num
 		s.stats.Supernodes += int64(sym.Supernodes())
 	}
 	sp.gen = gen
@@ -113,7 +133,9 @@ func (s *Solver) resolveSymbolic() error {
 	return nil
 }
 
-// ensureSparse builds the linear/nonlinear device partition.
+// ensureSparse builds the device partition from the stamp methods each
+// device implements. A SplitStamper also has LinearStamper's method
+// set, so it is matched first.
 //
 //hybrid:alloc-ok one-time topology build, guarded by sp.built; never re-runs in the iteration loop
 func (s *Solver) ensureSparse() {
@@ -123,12 +145,11 @@ func (s *Solver) ensureSparse() {
 	}
 	for _, d := range s.c.devices {
 		switch dev := d.(type) {
-		case *MOSFET:
+		case SplitStamper:
 			sp.splitDevs = append(sp.splitDevs, dev)
-		case *Resistor, *Capacitor, *VSource, *ISource:
+		case LinearStamper:
 			sp.linDevs = append(sp.linDevs, dev)
 		default:
-			// Unknown device: assume it may depend on the iterate.
 			sp.nlDevs = append(sp.nlDevs, d)
 		}
 	}
@@ -137,60 +158,69 @@ func (s *Solver) ensureSparse() {
 	sp.built = true
 }
 
-// freezeLinear stamps the linear base of one Newton solve. capFresh
-// makes the capacitor companion models recompute geq/ieq for this
-// step's (Dt, Method, state) during the base stamp; the cached values
-// are also what Commit consumes after acceptance, exactly as on the
-// dense path.
+// freezeLinear stamps the linear base of one Newton solve. Its
+// Jacobian half depends only on (Dt, Method) and the device parameters,
+// so it is re-stamped only on the first solve of a transient (the
+// parameters may have changed since the last one) and when the step
+// size or method differs from the last freeze; capFresh then makes the
+// capacitor companion models recompute geq/ieq. Otherwise only the RHS
+// half is re-stamped, in the same device order, with the companion
+// currents recomputed from the cached geq and the committed state. The
+// cached values are also what Commit consumes after acceptance,
+// exactly as on the dense path.
 func (s *Solver) freezeLinear() {
 	s.ensureSparse()
 	sp := &s.sp
 	ctx := &s.ctx
 	g, rhs := ctx.g, ctx.rhs
 	ctx.g, ctx.rhs = sp.linG, sp.linRHS
-	for _, off := range s.pattern {
-		sp.linG[off] = 0
-	}
 	clear(sp.linRHS)
-	ctx.capFresh = true
-	for _, d := range sp.linDevs {
-		d.Stamp(ctx)
-	}
-	for _, d := range sp.splitDevs {
-		d.StampLinear(ctx)
+	if sp.frozen && ctx.Dt == sp.dt && ctx.Method == sp.method {
+		for _, d := range sp.linDevs {
+			d.StampLinearRHS(ctx)
+		}
+		for _, d := range sp.splitDevs {
+			d.StampLinearRHS(ctx)
+		}
+	} else {
+		clear(sp.linG)
+		ctx.capFresh = true
+		for _, d := range sp.linDevs {
+			d.Stamp(ctx)
+		}
+		for _, d := range sp.splitDevs {
+			d.StampLinear(ctx)
+		}
+		sp.frozen, sp.dt, sp.method = true, ctx.Dt, ctx.Method
 	}
 	ctx.g, ctx.rhs = g, rhs
 }
 
 // restampSparse rebuilds the Jacobian and RHS for the current iterate
-// from the frozen linear base: structural positions are copied from
-// the base (fill slots are never stamped, so they come back as zeros)
-// and only the nonlinear stamps are replayed.
+// from the frozen linear base (fill slots are never stamped, so they
+// come back as zeros) and replays only the nonlinear stamps.
 func (s *Solver) restampSparse() {
 	sp := &s.sp
 	ctx := &s.ctx
-	g := ctx.g
-	if sp.sym != nil && !sp.denseDirty {
-		for _, off := range sp.sym.Touched() {
-			g[off] = sp.linG[off]
-		}
-	} else {
-		// No analysis yet, or the dense kernel polluted the workspace:
-		// the matrix may hold anything, reset fully. linG is zero
-		// outside the pattern, so copying pattern positions restores
-		// the complete clean state.
-		clear(g)
-		for _, off := range s.pattern {
-			g[off] = sp.linG[off]
-		}
-		sp.denseDirty = false
-	}
+	copy(ctx.g, sp.linG)
 	copy(ctx.rhs, sp.linRHS)
 	for _, d := range sp.splitDevs {
 		d.StampNonlinear(ctx)
 	}
 	for _, d := range sp.nlDevs {
 		d.Stamp(ctx)
+	}
+}
+
+// scatter fills the dense matrix from the packed values: the pattern's
+// cells, zeros everywhere else. The dense kernel factors it for the DC
+// operating point, the gmin stages and pivot fallbacks of the packed
+// layout.
+func (s *Solver) scatter() {
+	d, g := s.dense.Data, s.ctx.g
+	clear(d)
+	for k, off := range s.pattern {
+		d[off] = g[k+1]
 	}
 }
 
@@ -213,22 +243,20 @@ func (s *Solver) sparseIteration(iter int) error {
 		}
 	}
 	if sp.sym != nil && !sp.stale {
-		if err := sp.num.FactorSolve(ctx.G, s.xNew, ctx.RHS); err == nil {
+		if err := sp.num.FactorSolve(ctx.g, s.xNew, ctx.RHS); err == nil {
 			s.stats.Factorizations++
 			s.stats.SparseFactorizations++
 			return nil
 		}
 		// Static pivot order no longer stable for these values:
-		// re-stamp (the failed refactor clobbered the matrix) and let
+		// re-stamp (the failed refactor clobbered the values) and let
 		// dense partial pivoting finish this iteration.
 		s.stats.SparseFallbacks++
 		sp.stale = true
 		s.restampSparse()
 	}
-	// The in-place dense factorization overwrites the whole matrix,
-	// including positions outside the touched set.
-	sp.denseDirty = true
-	if err := s.lu.FactorSolveInPlace(ctx.G, s.xNew, ctx.RHS); err != nil {
+	s.scatter()
+	if err := s.lu.FactorSolveInPlace(&s.dense, s.xNew, ctx.RHS); err != nil {
 		return err
 	}
 	s.stats.Factorizations++
