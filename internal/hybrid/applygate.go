@@ -2,6 +2,7 @@ package hybrid
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"hybriddelay/internal/trace"
@@ -34,8 +35,8 @@ func ApplyGate(g SwitchGate, inputs []trace.Trace, until float64, isolatedFill f
 	for i, in := range inputs {
 		state[i] = in.Initial
 		for _, e := range in.Events {
-			if e.Time < 0 {
-				return trace.Trace{}, fmt.Errorf("hybrid: gate %s: input %d event before t=0", g.Name, i)
+			if !(e.Time >= 0) || math.IsInf(e.Time, 1) { // NaN, ±Inf or before t=0
+				return trace.Trace{}, fmt.Errorf("hybrid: gate %s: input %d: invalid event time %g", g.Name, i, e.Time)
 			}
 			evs = append(evs, ev{e.Time, i, e.Value})
 		}

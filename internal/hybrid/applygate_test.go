@@ -112,3 +112,33 @@ func TestApplyGateValidation(t *testing.T) {
 		t.Error("negative event time accepted")
 	}
 }
+
+// TestAppliersRejectInvalidEventTimes: every applier refuses a NaN,
+// infinite or negative input event time with an error, rather than
+// dropping the events around it.
+func TestAppliersRejectInvalidEventTimes(t *testing.T) {
+	p := TableI()
+	appliers := []struct {
+		name  string
+		apply func(a trace.Trace) (trace.Trace, error)
+	}{
+		{"ApplyNOR", func(a trace.Trace) (trace.Trace, error) {
+			return ApplyNOR(p, a, trace.Trace{}, 1e-9, 0)
+		}},
+		{"ApplyNAND", func(a trace.Trace) (trace.Trace, error) {
+			return ApplyNAND(NANDFromDual(p), a, trace.Trace{}, 1e-9, 0)
+		}},
+		{"ApplyGate", func(a trace.Trace) (trace.Trace, error) {
+			return ApplyGate(NOR3FromNOR2(p).Gate(), []trace.Trace{a, {}, {}}, 1e-9, 0)
+		}},
+	}
+	for _, ap := range appliers {
+		for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -1e-12} {
+			// A rises at 10 ps; the invalid event would be its fall.
+			a := trace.Trace{Events: []trace.Event{{Time: 10e-12, Value: true}, {Time: bad, Value: false}}}
+			if out, err := ap.apply(a); err == nil {
+				t.Errorf("%s accepted event time %g: %+v", ap.name, bad, out)
+			}
+		}
+	}
+}

@@ -2,7 +2,6 @@ package hybrid
 
 import (
 	"fmt"
-	"math"
 
 	"hybriddelay/internal/dtsim"
 	"hybriddelay/internal/la"
@@ -23,10 +22,9 @@ import (
 //
 // Because the pure delay DMin defers each mode switch, the channel's
 // continuous future is known DMin ahead of the simulation clock. It is
-// kept as a piecewise trajectory (a list of segments), so threshold
-// crossings that fall inside the deferred window survive later input
-// events — an input event only changes the trajectory *after* its own
-// effective switch time.
+// kept as a Trajectory, so threshold crossings that fall inside the
+// deferred window survive later input events — an input event cuts the
+// trajectory only at its own effective switch time.
 type Channel struct {
 	P   Params
 	sim *dtsim.Simulator
@@ -34,11 +32,9 @@ type Channel struct {
 	b   *dtsim.Net
 	out *dtsim.Net
 
-	// segs is the piecewise future of the continuous state: segs[i] is
-	// active on [segs[i].start, segs[i+1].start), the last segment
-	// extends to infinity. Invariant: segs[0].start <= sim.Now() after
-	// every event, and the list is sorted.
-	segs []futureSeg
+	// future is the known future of the continuous state. Its first
+	// segment starts at or before sim.Now() after every event.
+	future Trajectory
 
 	pendingID  dtsim.EventID
 	hasPending bool
@@ -48,12 +44,6 @@ type Channel struct {
 	// eigen-decomposition and steady state do not depend on the state
 	// it is entered with, and the segments' solutions refer to them.
 	modes [4]ode.Prepared2
-}
-
-type futureSeg struct {
-	start float64
-	mode  Mode
-	sol   ode.Solution2 // local time: t - start
 }
 
 // NewChannel wires a hybrid NOR channel between two input nets and an
@@ -76,7 +66,7 @@ func NewChannel(sim *dtsim.Simulator, p Params, a, b, out *dtsim.Net, vn0 float6
 	state := p.steadyState(mode, vn0)
 	// A few segments cover the DMin-deferred future; reserve them so
 	// onInput's appends do not regrow the slice.
-	ch.segs = append(make([]futureSeg, 0, 4), futureSeg{start: sim.Now(), mode: mode, sol: ch.modes[mode].Solve(state)})
+	ch.future.segs = append(make([]segment, 0, 4), segment{start: sim.Now(), mode: mode, sol2: ch.modes[mode].Solve(state)})
 	out.SetInitial(state.Y > p.Supply.Vth)
 
 	a.OnChange(func(t float64, _ bool) { ch.onInput(t) })
@@ -99,56 +89,16 @@ func (p Params) steadyState(m Mode, vn0 float64) la.Vec2 {
 	}
 }
 
-// StateAt evaluates the channel's continuous state at absolute time t
-// (within the currently known future).
-func (ch *Channel) StateAt(t float64) la.Vec2 {
-	i := ch.segIndex(t)
-	local := t - ch.segs[i].start
-	if local < 0 {
-		local = 0
-	}
-	return ch.segs[i].sol.At(local)
-}
-
-// ModeAt returns the scheduled mode at absolute time t.
-func (ch *Channel) ModeAt(t float64) Mode {
-	return ch.segs[ch.segIndex(t)].mode
-}
-
-func (ch *Channel) segIndex(t float64) int {
-	i := len(ch.segs) - 1
-	for i > 0 && ch.segs[i].start > t {
-		i--
-	}
-	return i
-}
-
 // onInput handles an input transition at simulation time t. The pure
 // delay DMin defers the mode switch to t + DMin; the trajectory before
 // that instant is unaffected.
 func (ch *Channel) onInput(t float64) {
 	tEff := t + ch.P.DMin
-	i := ch.segIndex(tEff)
-	state := ch.segs[i].sol.At(tEff - ch.segs[i].start)
+	state := ch.future.cut(tEff)
 	mode := ModeOf(ch.a.Value(), ch.b.Value())
-	// Truncate any previously scheduled future after tEff and append the
-	// new segment.
-	ch.segs = append(ch.segs[:i+1], futureSeg{start: tEff, mode: mode, sol: ch.modes[mode].Solve(state)})
-	ch.prune(t)
+	ch.future.segs = append(ch.future.segs, segment{start: tEff, mode: mode, sol2: ch.modes[mode].Solve(state)})
+	ch.future.prune(t)
 	ch.reschedule()
-}
-
-// prune drops segments that ended before now, keeping the active one.
-// It compacts in place, so the slice keeps its capacity and the appends
-// in onInput stop reallocating.
-func (ch *Channel) prune(now float64) {
-	k := 0
-	for k+1 < len(ch.segs) && ch.segs[k+1].start <= now {
-		k++
-	}
-	if k > 0 {
-		ch.segs = ch.segs[:copy(ch.segs, ch.segs[k:])]
-	}
 }
 
 // reschedule recomputes the next output threshold crossing across the
@@ -158,9 +108,8 @@ func (ch *Channel) reschedule() {
 		ch.sim.Cancel(ch.pendingID)
 		ch.hasPending = false
 	}
-	now := ch.sim.Now()
 	rising := !ch.out.Value()
-	tCross, ok := ch.nextCrossing(ch.P.Supply.Vth, rising, now)
+	tCross, ok := ch.future.FirstOutputCrossing(ch.P.Supply.Vth, rising, ch.sim.Now())
 	if !ok {
 		return
 	}
@@ -172,39 +121,13 @@ func (ch *Channel) reschedule() {
 	ch.hasPending = true
 }
 
-// nextCrossing finds the first V_th crossing in the given direction at
-// absolute time >= after, scanning every future segment.
-func (ch *Channel) nextCrossing(level float64, rising bool, after float64) (float64, bool) {
-	for i := range ch.segs {
-		seg := &ch.segs[i]
-		var end float64
-		if i+1 < len(ch.segs) {
-			end = ch.segs[i+1].start
-		} else {
-			tau := seg.sol.SlowestTimeConstant()
-			if math.IsInf(tau, 1) {
-				tau = 1e-9
-			}
-			end = math.Max(seg.start, after) + 60*tau
-		}
-		if end <= after {
-			continue
-		}
-		t0 := math.Max(seg.start, after)
-		if t, ok := firstDirectionalCrossing(curve{sol2: &seg.sol, start: seg.start}, level, rising, t0, end); ok {
-			return t, true
-		}
-	}
-	return 0, false
-}
-
 // fire emits the pending output transition and looks for a follow-up
 // crossing (a segment's two-exponential V_O can cross the threshold at
 // most twice, and later segments may cross again).
 func (ch *Channel) fire(t float64) {
 	ch.hasPending = false
 	ch.out.Set(t, !ch.out.Value())
-	ch.prune(t)
+	ch.future.prune(t)
 	ch.reschedule()
 }
 

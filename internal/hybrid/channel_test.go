@@ -251,7 +251,8 @@ func TestChannelSimultaneousEdges(t *testing.T) {
 	}
 }
 
-// TestChannelStateAccessors: StateAt/ModeAt reflect the scheduled future.
+// TestChannelStateAccessors: the channel's future starts in the mode
+// and steady state of its initial inputs.
 func TestChannelStateAccessors(t *testing.T) {
 	p := TableI()
 	sim := dtsim.NewSimulator()
@@ -262,11 +263,11 @@ func TestChannelStateAccessors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ch.ModeAt(0) != Mode00 {
-		t.Errorf("initial mode %v", ch.ModeAt(0))
+	if m := ch.future.segs[0].mode; m != Mode00 {
+		t.Errorf("initial mode %v", m)
 	}
-	st := ch.StateAt(0)
-	if math.Abs(st.X-p.Supply.VDD) > 1e-12 || math.Abs(st.Y-p.Supply.VDD) > 1e-12 {
+	st := ch.future.At(0)
+	if math.Abs(st[0]-p.Supply.VDD) > 1e-12 || math.Abs(st[1]-p.Supply.VDD) > 1e-12 {
 		t.Errorf("initial state %v", st)
 	}
 	if !no.Value() {

@@ -47,7 +47,7 @@ func (p Params) CharlieFallZero() float64 {
 // the single-transistor discharge through R4 in mode (0,1), with DMin
 // included.
 func (p Params) CharlieFallMinusInf() float64 {
-	return -math.Log(p.Supply.Vth/p.Supply.VDD)*p.CO*p.R4 + p.DMin
+	return float64(-math.Log(p.Supply.Vth/p.Supply.VDD)*p.CO*p.R4) + p.DMin
 }
 
 // PaperW10 and PaperW20 are the expansion points printed in the paper.
@@ -67,11 +67,11 @@ type twoExp struct {
 }
 
 func (f twoExp) at(t float64) float64 {
-	return f.vp + f.c1*f.e1*math.Exp(f.l1*t) + f.c2*f.e2*math.Exp(f.l2*t)
+	return f.vp + float64(f.c1*f.e1*math.Exp(f.l1*t)) + float64(f.c2*f.e2*math.Exp(f.l2*t))
 }
 
 func (f twoExp) deriv(t float64) float64 {
-	return f.c1*f.e1*f.l1*math.Exp(f.l1*t) + f.c2*f.e2*f.l2*math.Exp(f.l2*t)
+	return float64(f.c1*f.e1*f.l1*math.Exp(f.l1*t)) + float64(f.c2*f.e2*f.l2*math.Exp(f.l2*t))
 }
 
 // taylorStep is the shared structure of equations (10)-(12): one
@@ -107,8 +107,8 @@ func (f twoExp) slowEstimate(level float64) (float64, error) {
 func (p Params) fall10TwoExp() twoExp {
 	co := p.Coefficients10()
 	vdd := p.Supply.VDD
-	c2 := vdd * ((co.Alpha+co.Beta)*p.CN*p.R2 - 1) / (2 * co.Beta)
-	c1 := vdd*p.CN*p.R2 - c2
+	c2 := vdd * (float64((co.Alpha+co.Beta)*p.CN*p.R2) - 1) / (2 * co.Beta)
+	c1 := float64(vdd*p.CN*p.R2) - c2
 	return twoExp{
 		vp: 0,
 		c1: c1, c2: c2,
@@ -124,8 +124,8 @@ func (p Params) rise00TwoExp(vn0, vo0 float64) twoExp {
 	vdd := p.Supply.VDD
 	// c1 + c2 = (vn0 - VDD) CN R2;  c1 e1 + c2 e2 = vo0 - VDD.
 	cnr2 := p.CN * p.R2
-	c1 := ((vo0 - vdd) - (vn0-vdd)*cnr2*(co.Alpha-co.Beta)) / (2 * co.Beta)
-	c2 := (vn0-vdd)*cnr2 - c1
+	c1 := ((vo0 - vdd) - float64((vn0-vdd)*cnr2*(co.Alpha-co.Beta))) / (2 * co.Beta)
+	c2 := float64((vn0-vdd)*cnr2) - c1
 	return twoExp{
 		vp: vdd,
 		c1: c1, c2: c2,
@@ -164,7 +164,7 @@ func (p Params) CharlieFallPlusInfAtW(w float64) (float64, error) {
 // the internal-node voltage after spending Delta >= 0 in mode (0,1)
 // starting from X (paper §V).
 func (p Params) VN01(delta, x float64) float64 {
-	return p.Supply.VDD + (x-p.Supply.VDD)*math.Exp(-delta/(p.CN*p.R1))
+	return p.Supply.VDD + float64((x-p.Supply.VDD)*math.Exp(-delta/(p.CN*p.R1)))
 }
 
 // riseSwitchState returns the (V_N, V_O) state at the moment the gate

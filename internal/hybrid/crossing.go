@@ -43,6 +43,15 @@ func (c *curve) exps(t float64, e []float64) {
 	}
 }
 
+// slowestTimeConstant returns the magnitude of the curve's slowest
+// stable pole's time constant (+Inf if it has none).
+func (c *curve) slowestTimeConstant() float64 {
+	if c.sol2 != nil {
+		return c.sol2.SlowestTimeConstant()
+	}
+	return c.solN.SlowestTimeConstant()
+}
+
 func (c *curve) at(t float64, e []float64) float64 {
 	if c.sol2 != nil {
 		return c.sol2.AtExp(t-c.start, e).Y
@@ -137,7 +146,7 @@ func (s *crossingSearch) gridTime(j int) float64 {
 	if j == 0 {
 		return s.t0
 	}
-	return s.t0 + (s.t1-s.t0)*float64(j)/float64(crossScanDensity)
+	return s.t0 + float64((s.t1-s.t0)*float64(j)/float64(crossScanDensity))
 }
 
 // g evaluates curve - level at t from the exponentials e of t.

@@ -52,7 +52,7 @@ func (c *curve) value(t float64) float64 {
 // gridPoint is grid point j of the window [t0, t1], as both searches
 // compute it.
 func gridPoint(t0, t1 float64, j int) float64 {
-	return t0 + (t1-t0)*float64(j)/float64(crossScanDensity)
+	return t0 + float64((t1-t0)*float64(j)/float64(crossScanDensity))
 }
 
 // sameCrossing asserts that the search and the reference scan agree
@@ -231,7 +231,7 @@ func searchEdgeWindows(t *testing.T) {
 
 // searchSharedPrepared: NOR2 and NOR3 solutions that share
 // one prepared system per input state, as a Channel's and a
-// TrajectoryN's segments do, each search exactly like the scan and
+// SwitchGate Trajectory's segments do, each search exactly like the scan and
 // like a solution of their own freshly solved system.
 func searchSharedPrepared(t *testing.T) {
 	rng := rand.New(rand.NewSource(79))

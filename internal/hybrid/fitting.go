@@ -153,7 +153,7 @@ func FitCharacteristic(target Characteristic, supply waveform.Supply, opt *FitOp
 			r := resid(x)
 			s := 0.0
 			for _, v := range r {
-				s += v * v
+				s += float64(v * v)
 			}
 			return 0.5 * s
 		}, res.X, nil, 3, 1e-10)

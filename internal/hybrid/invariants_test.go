@@ -50,7 +50,7 @@ func TestTrajectoryStaysInRails(t *testing.T) {
 		}
 		for i := 0; i <= 300; i++ {
 			tt := (tm + 200e-12) * float64(i) / 300
-			v := tr.At(tt)
+			v := vec2(tr.At(tt))
 			if v.X < -1e-9 || v.X > 0.8+1e-9 || v.Y < -1e-9 || v.Y > 0.8+1e-9 {
 				return false
 			}

@@ -115,10 +115,11 @@ type ModeCoefficients struct {
 // Coefficients10 returns (alpha, beta, lambda_1,2) of mode (1,0) as given
 // by paper equations (1)-(3).
 func (p Params) Coefficients10() ModeCoefficients {
-	alpha := (p.CO*p.R3 - p.CN*(p.R2+p.R3)) / (2 * p.CO * p.CN * p.R2 * p.R3)
-	disc := (p.CO*p.R3+p.CN*(p.R2+p.R3))*(p.CO*p.R3+p.CN*(p.R2+p.R3)) - 4*p.CO*p.CN*p.R2*p.R3
+	coR3, cnR23 := float64(p.CO*p.R3), float64(p.CN*(p.R2+p.R3))
+	alpha := (coR3 - cnR23) / (2 * p.CO * p.CN * p.R2 * p.R3)
+	disc := float64((coR3+cnR23)*(coR3+cnR23)) - float64(4*p.CO*p.CN*p.R2*p.R3)
 	beta := sqrtChecked(disc) / (2 * p.CO * p.CN * p.R2 * p.R3)
-	base := -(p.CO*p.R3 + p.CN*(p.R2+p.R3)) / (2 * p.CO * p.CN * p.R2 * p.R3)
+	base := -(coR3 + cnR23) / (2 * p.CO * p.CN * p.R2 * p.R3)
 	return ModeCoefficients{
 		Alpha:   alpha,
 		Beta:    beta,
@@ -130,10 +131,11 @@ func (p Params) Coefficients10() ModeCoefficients {
 // Coefficients00 returns (alpha, beta, gamma, lambda_1,2) of mode (0,0)
 // as given by paper equations (4)-(7).
 func (p Params) Coefficients00() ModeCoefficients {
-	alpha := (p.CO*(p.R1+p.R2) - p.CN*p.R1) / (2 * p.CO * p.CN * p.R1 * p.R2)
-	disc := (p.CN*p.R1+p.CO*(p.R1+p.R2))*(p.CN*p.R1+p.CO*(p.R1+p.R2)) - 4*p.CO*p.CN*p.R1*p.R2
+	cnR1, coR12 := float64(p.CN*p.R1), float64(p.CO*(p.R1+p.R2))
+	alpha := (coR12 - cnR1) / (2 * p.CO * p.CN * p.R1 * p.R2)
+	disc := float64((cnR1+coR12)*(cnR1+coR12)) - float64(4*p.CO*p.CN*p.R1*p.R2)
 	beta := sqrtChecked(disc) / (2 * p.CO * p.CN * p.R1 * p.R2)
-	gamma := -(p.CN*p.R1 + p.CO*(p.R1+p.R2)) / (2 * p.CO * p.CN * p.R1 * p.R2)
+	gamma := -(cnR1 + coR12) / (2 * p.CO * p.CN * p.R1 * p.R2)
 	return ModeCoefficients{
 		Alpha:   alpha,
 		Beta:    beta,

@@ -121,7 +121,7 @@ func (g SwitchGate) System(inputs []bool) (ode.LinearN, error) {
 			case j >= 0:
 				cond.Add(i, j, -gc)
 			case j == int(RailVDD):
-				u[i] += gc * g.Supply.VDD
+				u[i] += float64(gc * g.Supply.VDD)
 			} // GND contributes nothing to u
 		}
 		if b.From >= 0 {
@@ -140,22 +140,9 @@ type PhaseN struct {
 	Inputs []bool
 }
 
-// TrajectoryN is the piecewise closed-form solution over a schedule.
-type TrajectoryN struct {
-	gate SwitchGate
-	segs []segN
-}
-
-type segN struct {
-	start  float64
-	end    float64
-	inputs []bool
-	sol    *ode.SolutionN
-}
-
 // NewTrajectory solves the schedule starting from node voltages v0 at
 // the first phase's start.
-func (g SwitchGate) NewTrajectory(v0 []float64, phases []PhaseN) (*TrajectoryN, error) {
+func (g SwitchGate) NewTrajectory(v0 []float64, phases []PhaseN) (*Trajectory, error) {
 	if err := g.Validate(); err != nil {
 		return nil, err
 	}
@@ -165,7 +152,7 @@ func (g SwitchGate) NewTrajectory(v0 []float64, phases []PhaseN) (*TrajectoryN, 
 	if len(v0) != len(g.Caps) {
 		return nil, fmt.Errorf("switchgate %s: initial state has %d entries, want %d", g.Name, len(v0), len(g.Caps))
 	}
-	tr := &TrajectoryN{gate: g, segs: make([]segN, 0, len(phases))}
+	tr := &Trajectory{segs: make([]segment, 0, len(phases)), out: g.OutNode}
 	// An input state's system is prepared the first time a phase enters
 	// it; later phases in that state only solve from their own state.
 	type preparedState struct {
@@ -195,68 +182,12 @@ func (g SwitchGate) NewTrajectory(v0 []float64, phases []PhaseN) (*TrajectoryN, 
 		if err != nil {
 			return nil, err
 		}
-		end := math.Inf(1)
+		tr.segs = append(tr.segs, segment{start: ph.Start, solN: sol})
 		if i+1 < len(phases) {
-			end = phases[i+1].Start
-		}
-		tr.segs = append(tr.segs, segN{start: ph.Start, end: end, inputs: ph.Inputs, sol: sol})
-		if !math.IsInf(end, 1) {
-			state = sol.At(end - ph.Start)
+			state = sol.At(phases[i+1].Start - ph.Start)
 		}
 	}
 	return tr, nil
-}
-
-// At evaluates the full state at absolute time t.
-func (tr *TrajectoryN) At(t float64) []float64 {
-	seg := &tr.segs[tr.segIndex(t)]
-	local := t - seg.start
-	if local < 0 {
-		local = 0
-	}
-	return seg.sol.At(local)
-}
-
-// VOut evaluates the output voltage at absolute time t.
-func (tr *TrajectoryN) VOut(t float64) float64 {
-	seg := &tr.segs[tr.segIndex(t)]
-	local := t - seg.start
-	if local < 0 {
-		local = 0
-	}
-	return seg.sol.Component(tr.gate.OutNode, local)
-}
-
-func (tr *TrajectoryN) segIndex(t float64) int {
-	i := len(tr.segs) - 1
-	for i > 0 && tr.segs[i].start > t {
-		i--
-	}
-	return i
-}
-
-// FirstOutputCrossing returns the earliest time >= after at which the
-// output crosses level in the requested direction.
-func (tr *TrajectoryN) FirstOutputCrossing(level float64, rising bool, after float64) (float64, bool) {
-	for i := range tr.segs {
-		seg := &tr.segs[i]
-		if seg.end <= after {
-			continue
-		}
-		t0 := math.Max(seg.start, after)
-		t1 := seg.end
-		if math.IsInf(t1, 1) {
-			tau := seg.sol.SlowestTimeConstant()
-			if math.IsInf(tau, 1) {
-				tau = 1e-9
-			}
-			t1 = t0 + 60*tau
-		}
-		if t, ok := firstDirectionalCrossing(curve{solN: seg.sol, node: tr.gate.OutNode, start: seg.start}, level, rising, t0, t1); ok {
-			return t, true
-		}
-	}
-	return 0, false
 }
 
 // SteadyState returns the settled node voltages of an input state, with

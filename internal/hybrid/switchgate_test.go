@@ -163,7 +163,7 @@ func TestSwitchGateSteadyStates(t *testing.T) {
 }
 
 // TestTrajectoryNContinuity: state continuity across switches for the
-// 3-node gate.
+// 3-node gate, whose output curve is its output node.
 func TestTrajectoryNContinuity(t *testing.T) {
 	p3 := NOR3FromNOR2(TableI())
 	g := p3.Gate()
@@ -187,7 +187,7 @@ func TestTrajectoryNContinuity(t *testing.T) {
 			}
 		}
 	}
-	if tr.VOut(0) != tr.At(0)[2] {
-		t.Error("VOut inconsistent with At")
+	if out := tr.curve(0); out.node != 2 || out.solN != tr.segs[0].solN {
+		t.Error("output curve is not the gate's output node")
 	}
 }

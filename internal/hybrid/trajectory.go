@@ -18,18 +18,26 @@ type Phase struct {
 	Mode  Mode
 }
 
-// Trajectory is the piecewise closed-form solution of a mode schedule.
-// The state vector is carried continuously across mode switches, exactly
-// as the hybrid automaton of the paper prescribes.
+// Trajectory is the paper's hybrid model as one object: the piecewise
+// closed-form solution of a mode schedule. Each segment solves the mode
+// active from its start until the next segment's start (the last one
+// extends to infinity), and the state is carried continuously across
+// every mode switch, exactly as the hybrid automaton of the paper
+// prescribes. A segment's body is the 2x2 closed form of the NOR's
+// (V_N, V_O) with its Mode, or the n-node solution of a SwitchGate's
+// input state. The delay queries, the SwitchGate appliers and the
+// event-driven Channel all read output crossings off this one type.
 type Trajectory struct {
 	segs []segment
+	out  int // output node of the n-node bodies
 }
 
+// segment is one leg of a Trajectory, solved in local time t - start.
 type segment struct {
-	start float64 // absolute start time
-	end   float64 // absolute end time (+Inf for the last segment)
-	mode  Mode
-	sol   ode.Solution2 // local time: t - start
+	start float64
+	mode  Mode           // two-node body
+	sol2  ode.Solution2  // two-node body
+	solN  *ode.SolutionN // n-node body; nil for a two-node one
 }
 
 // NewTrajectory solves the schedule starting from state v0 = (V_N, V_O)
@@ -60,85 +68,101 @@ func (p Params) solveSchedule(v0 la.Vec2, phases []Phase, segs []segment) (Traje
 	}
 	state := v0
 	for i, ph := range phases {
-		end := math.Inf(1)
-		if i+1 < len(phases) {
-			end = phases[i+1].Start
-		}
 		sol, err := p.System(ph.Mode).Solve(state)
 		if err != nil {
 			return Trajectory{}, fmt.Errorf("hybrid: solving mode %v: %w", ph.Mode, err)
 		}
-		segs = append(segs, segment{start: ph.Start, end: end, mode: ph.Mode, sol: sol})
-		if !math.IsInf(end, 1) {
-			state = sol.At(end - ph.Start) // continuity across the switch
+		segs = append(segs, segment{start: ph.Start, mode: ph.Mode, sol2: sol})
+		if i+1 < len(phases) {
+			state = sol.At(phases[i+1].Start - ph.Start) // continuity across the switch
 		}
 	}
 	return Trajectory{segs: segs}, nil
 }
 
-// Start returns the trajectory's first defined time.
-func (tr *Trajectory) Start() float64 { return tr.segs[0].start }
+// seg returns the index of the segment active at t: the last one that
+// starts at or before t, or the first one for t before the start.
+func (tr *Trajectory) seg(t float64) int {
+	return max(sort.Search(len(tr.segs), func(i int) bool { return tr.segs[i].start > t })-1, 0)
+}
 
-// At evaluates the state (V_N, V_O) at absolute time t (clamped to the
-// trajectory start).
-func (tr *Trajectory) At(t float64) la.Vec2 {
-	seg := &tr.segs[tr.segmentIndex(t)]
+// local returns the segment active at t and t in its local time,
+// clamped to the trajectory start.
+func (tr *Trajectory) local(t float64) (*segment, float64) {
+	seg := &tr.segs[tr.seg(t)]
 	local := t - seg.start
 	if local < 0 {
 		local = 0
 	}
-	return seg.sol.At(local)
+	return seg, local
 }
 
-// VO evaluates the output voltage at absolute time t.
-func (tr *Trajectory) VO(t float64) float64 { return tr.At(t).Y }
-
-// VN evaluates the internal node voltage at absolute time t.
-func (tr *Trajectory) VN(t float64) float64 { return tr.At(t).X }
-
-// ModeAt returns the active mode at time t.
-func (tr *Trajectory) ModeAt(t float64) Mode {
-	return tr.segs[tr.segmentIndex(t)].mode
-}
-
-func (tr *Trajectory) segmentIndex(t float64) int {
-	i := sort.Search(len(tr.segs), func(i int) bool { return tr.segs[i].start > t })
-	if i == 0 {
-		return 0
+// At evaluates the node voltages at absolute time t (clamped to the
+// trajectory start): (V_N, V_O) for a two-node body.
+func (tr *Trajectory) At(t float64) []float64 {
+	seg, local := tr.local(t)
+	if seg.solN != nil {
+		return seg.solN.At(local)
 	}
-	return i - 1
+	v := seg.sol2.At(local)
+	return []float64{v.X, v.Y}
 }
 
-// FirstOutputCrossing returns the earliest time t >= after at which V_O
-// crosses level in the requested direction. ok is false if the trajectory
-// never crosses.
+// FirstOutputCrossing returns the earliest time t >= after at which the
+// output crosses level in the requested direction. The walk starts at
+// the segment active at after; a segment's window ends where the next
+// one starts, and the last one's after 60 of its slowest time constants
+// (if the steady state never reaches the level, only a finite excursion
+// could cross). ok is false if the trajectory never crosses.
 func (tr *Trajectory) FirstOutputCrossing(level float64, rising bool, after float64) (float64, bool) {
-	for i := range tr.segs {
-		seg := &tr.segs[i]
-		if seg.end <= after {
-			continue
-		}
-		t0 := math.Max(seg.start, after)
-		t1 := seg.end
-		if math.IsInf(t1, 1) {
-			// Size the window by the slowest pole; if the steady state
-			// never reaches the level, only a finite excursion could cross.
-			tau := seg.sol.SlowestTimeConstant()
+	for i := tr.seg(after); i < len(tr.segs); i++ {
+		c := tr.curve(i)
+		t0 := math.Max(c.start, after)
+		var t1 float64
+		if i+1 < len(tr.segs) {
+			t1 = tr.segs[i+1].start
+		} else {
+			tau := c.slowestTimeConstant()
 			if math.IsInf(tau, 1) {
 				tau = 1e-9 // all-neutral system: fixed 1 ns window
 			}
-			t1 = t0 + 60*tau
+			t1 = t0 + float64(60*tau)
 		}
-		if t, ok := firstDirectionalCrossing(curve{sol2: &seg.sol, start: seg.start}, level, rising, t0, t1); ok {
+		if t, ok := firstDirectionalCrossing(c, level, rising, t0, t1); ok {
 			return t, true
 		}
 	}
 	return 0, false
 }
 
-// Sample evaluates the trajectory on a uniform grid (used to render
-// Fig. 4-style trajectory plots and for cross-validation against the
-// analog simulator).
+// curve returns segment i's output as the crossing search sees it.
+func (tr *Trajectory) curve(i int) curve {
+	seg := &tr.segs[i]
+	if seg.solN != nil {
+		return curve{solN: seg.solN, node: tr.out, start: seg.start}
+	}
+	return curve{sol2: &seg.sol2, start: seg.start}
+}
+
+// cut drops the segments that start after t and returns the two-node
+// state at t: the start state of a segment appended at t.
+func (tr *Trajectory) cut(t float64) la.Vec2 {
+	i := tr.seg(t)
+	tr.segs = tr.segs[:i+1]
+	return tr.segs[i].sol2.At(t - tr.segs[i].start)
+}
+
+// prune drops the segments that ended at or before now, keeping the
+// active one. It compacts in place, so the slice keeps its capacity.
+func (tr *Trajectory) prune(now float64) {
+	if k := tr.seg(now); k > 0 {
+		tr.segs = tr.segs[:copy(tr.segs, tr.segs[k:])]
+	}
+}
+
+// Sample evaluates a two-node trajectory on a uniform grid (used to
+// render Fig. 4-style trajectory plots and for cross-validation against
+// the analog simulator).
 func (tr *Trajectory) Sample(t0, t1 float64, n int) (times []float64, vn []float64, vo []float64) {
 	if n < 1 {
 		n = 1
@@ -148,7 +172,8 @@ func (tr *Trajectory) Sample(t0, t1 float64, n int) (times []float64, vn []float
 	vo = make([]float64, n+1)
 	for i := 0; i <= n; i++ {
 		t := t0 + (t1-t0)*float64(i)/float64(n)
-		v := tr.At(t)
+		seg, local := tr.local(t)
+		v := seg.sol2.At(local)
 		times[i] = t
 		vn[i] = v.X
 		vo[i] = v.Y

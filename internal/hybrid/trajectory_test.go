@@ -63,8 +63,8 @@ func TestTrajectoryContinuity(t *testing.T) {
 		}
 		for _, ph := range phases[1:] {
 			eps := 1e-18
-			before := tr.At(ph.Start - eps)
-			after := tr.At(ph.Start + eps)
+			before := vec2(tr.At(ph.Start - eps))
+			after := vec2(tr.At(ph.Start + eps))
 			if before.Sub(after).Norm() > 1e-6 {
 				return false
 			}
@@ -103,12 +103,15 @@ func TestTrajectoryMatchesRK4(t *testing.T) {
 			}
 			state = rk4(p.System(ph.Mode), state, end-ph.Start, 6000)
 		}
-		got := tr.At(tm + 50e-12)
+		got := vec2(tr.At(tm + 50e-12))
 		if got.Sub(state).Norm() > 1e-4 {
 			t.Fatalf("trial %d: analytic %v vs RK4 %v", trial, got, state)
 		}
 	}
 }
+
+// vec2 reads a two-node state (V_N, V_O) off Trajectory.At.
+func vec2(v []float64) la.Vec2 { return la.Vec2{X: v[0], Y: v[1]} }
 
 func TestTrajectoryAccessors(t *testing.T) {
 	p := TableI()
@@ -119,21 +122,21 @@ func TestTrajectoryAccessors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tr.Start() != 0 {
-		t.Error("Start wrong")
+	if tr.segs[0].start != 0 {
+		t.Error("start wrong")
 	}
-	if tr.ModeAt(10e-12) != Mode10 || tr.ModeAt(40e-12) != Mode11 {
-		t.Error("ModeAt wrong")
+	if tr.segs[tr.seg(10e-12)].mode != Mode10 || tr.segs[tr.seg(40e-12)].mode != Mode11 {
+		t.Error("active mode wrong")
 	}
-	if got := tr.VO(0); math.Abs(got-0.8) > 1e-12 {
-		t.Errorf("VO(0) = %g", got)
+	if got := tr.At(0)[1]; math.Abs(got-0.8) > 1e-12 {
+		t.Errorf("V_O(0) = %g", got)
 	}
-	if got := tr.VN(0); math.Abs(got-0.8) > 1e-12 {
-		t.Errorf("VN(0) = %g", got)
+	if got := tr.At(0)[0]; math.Abs(got-0.8) > 1e-12 {
+		t.Errorf("V_N(0) = %g", got)
 	}
 	// Before the first phase the state clamps to the initial value.
-	if got := tr.VO(-5e-12); math.Abs(got-0.8) > 1e-12 {
-		t.Errorf("VO before start = %g", got)
+	if got := tr.At(-5e-12)[1]; math.Abs(got-0.8) > 1e-12 {
+		t.Errorf("V_O before start = %g", got)
 	}
 	times, vn, vo := tr.Sample(0, 100e-12, 50)
 	if len(times) != 51 || len(vn) != 51 || len(vo) != 51 {
@@ -165,26 +168,26 @@ func TestFig4TrajectoryShapes(t *testing.T) {
 
 	at := 20e-12
 	// (1,1) discharges the output fastest (parallel paths).
-	if !(tr11.VO(at) < tr10.VO(at) && tr11.VO(at) < tr01.VO(at)) {
-		t.Errorf("(1,1) not steepest: %g vs %g, %g", tr11.VO(at), tr10.VO(at), tr01.VO(at))
+	if !(tr11.At(at)[1] < tr10.At(at)[1] && tr11.At(at)[1] < tr01.At(at)[1]) {
+		t.Errorf("(1,1) not steepest: %g vs %g, %g", tr11.At(at)[1], tr10.At(at)[1], tr01.At(at)[1])
 	}
 	// (1,1) keeps V_N frozen.
-	if math.Abs(tr11.VN(100e-12)-vdd/2) > 1e-12 {
+	if math.Abs(tr11.At(100e-12)[0]-vdd/2) > 1e-12 {
 		t.Error("(1,1) changed V_N")
 	}
 	// (0,0) charges both nodes toward VDD, V_N leading V_O.
-	if !(tr00.VN(at) > tr00.VO(at)) {
-		t.Errorf("(0,0): V_N (%g) should lead V_O (%g)", tr00.VN(at), tr00.VO(at))
+	if !(tr00.At(at)[0] > tr00.At(at)[1]) {
+		t.Errorf("(0,0): V_N (%g) should lead V_O (%g)", tr00.At(at)[0], tr00.At(at)[1])
 	}
-	if tr00.VO(500e-12) < 0.99*vdd {
+	if tr00.At(500e-12)[1] < 0.99*vdd {
 		t.Error("(0,0) did not charge the output")
 	}
 	// (0,1) recharges N to VDD while draining O.
-	if tr01.VN(500e-12) < 0.99*vdd || tr01.VO(500e-12) > 0.01*vdd {
+	if tr01.At(500e-12)[0] < 0.99*vdd || tr01.At(500e-12)[1] > 0.01*vdd {
 		t.Error("(0,1) end state wrong")
 	}
 	// (1,0) drains both nodes (N follows O through R2).
-	if tr10.VN(1e-9) > 0.01*vdd || tr10.VO(1e-9) > 0.01*vdd {
+	if tr10.At(1e-9)[0] > 0.01*vdd || tr10.At(1e-9)[1] > 0.01*vdd {
 		t.Error("(1,0) end state wrong")
 	}
 }

@@ -29,7 +29,7 @@ func (v Vec2) Sub(w Vec2) Vec2 { return Vec2{v.X - w.X, v.Y - w.Y} }
 // Scale returns s*v.
 //
 //hybrid:alloc-ok returns a value-type literal, which never reaches the heap
-func (v Vec2) Scale(s float64) Vec2 { return Vec2{s * v.X, s * v.Y} }
+func (v Vec2) Scale(s float64) Vec2 { return Vec2{float64(s * v.X), float64(s * v.Y)} }
 
 // Norm returns the Euclidean norm of v.
 func (v Vec2) Norm() float64 { return math.Hypot(v.X, v.Y) }
@@ -38,7 +38,7 @@ func (v Vec2) Norm() float64 { return math.Hypot(v.X, v.Y) }
 //
 //hybrid:alloc-ok returns a value-type literal, which never reaches the heap
 func (m Mat2) MulVec(v Vec2) Vec2 {
-	return Vec2{m.A11*v.X + m.A12*v.Y, m.A21*v.X + m.A22*v.Y}
+	return Vec2{float64(m.A11*v.X) + float64(m.A12*v.Y), float64(m.A21*v.X) + float64(m.A22*v.Y)}
 }
 
 // Mul computes m*n.
@@ -60,7 +60,7 @@ func (m Mat2) AddMat(n Mat2) Mat2 {
 }
 
 // Det returns the determinant.
-func (m Mat2) Det() float64 { return m.A11*m.A22 - m.A12*m.A21 }
+func (m Mat2) Det() float64 { return float64(m.A11*m.A22) - float64(m.A12*m.A21) }
 
 // Trace returns the trace.
 func (m Mat2) Trace() float64 { return m.A11 + m.A22 }
@@ -74,8 +74,8 @@ func (m Mat2) Solve(b Vec2) (Vec2, error) {
 		return Vec2{}, ErrSingular
 	}
 	return Vec2{
-		(b.X*m.A22 - b.Y*m.A12) / d,
-		(m.A11*b.Y - m.A21*b.X) / d,
+		(float64(b.X*m.A22) - float64(b.Y*m.A12)) / d,
+		(float64(m.A11*b.Y) - float64(m.A21*b.X)) / d,
 	}, nil
 }
 

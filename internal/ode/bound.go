@@ -74,26 +74,28 @@ func newBoundAcc(k float64) boundAcc {
 // g·phi(l, τ) over [a, b], given ea = e^{la} and eb = e^{lb}.
 func (acc *boundAcc) add(s, l, c, g, a, b, ea, eb float64) {
 	T := max(math.Abs(a), math.Abs(b))
-	wa, wb := c*ea, c*eb
+	wa, wb := float64(c*ea), float64(c*eb)
 	e := max(ea, eb)
-	lt := math.Abs(l) * T
+	lt := float64(math.Abs(l) * T)
 	werr := math.Abs(c) * e * (lt + 5)
 	if g != 0 {
-		wa += g * phi(l, a, ea)
-		wb += g * phi(l, b, eb)
-		p := 8 * T
+		wa += float64(g * phi(l, a, ea))
+		wb += float64(g * phi(l, b, eb))
+		p := float64(8 * T)
 		if lt >= 0.5e-6 {
-			p += (e*(lt+7) + 3) / math.Abs(l)
+			p += (float64(e*(lt+7)) + 3) / math.Abs(l)
 		}
-		werr += math.Abs(g) * p
+		// float64(werr) rounds the product that set werr, which a
+		// multiply-add would otherwise absorb into this sum.
+		werr = float64(werr) + float64(math.Abs(g)*p)
 	}
 	ta, tb := s*wa, s*wb
 	acc.lo += min(ta, tb)
 	acc.hi += max(ta, tb)
 	w := max(math.Abs(wa), math.Abs(wb))
 	as := math.Abs(s)
-	acc.err += as * (werr*unitRoundoff + 2*unitRoundoff*w)
-	acc.mag += as * w
+	acc.err += float64(as * (float64(werr*unitRoundoff) + float64(2*unitRoundoff*w)))
+	acc.mag += float64(as * w)
 	acc.scale += as
 	acc.n++
 }
@@ -101,8 +103,8 @@ func (acc *boundAcc) add(s, l, c, g, a, b, ea, eb float64) {
 // result returns the bound and its margin; ok is false when any of them
 // is not finite (an overflowing or NaN mode).
 func (acc *boundAcc) result() (lo, hi, margin float64, ok bool) {
-	eval := acc.err + float64(acc.n)*unitRoundoff*acc.mag
-	margin = 4*eval + 0x1p-1000*acc.scale
+	eval := acc.err + float64(float64(acc.n)*unitRoundoff*acc.mag)
+	margin = float64(4*eval) + float64(0x1p-1000*acc.scale)
 	ok = !math.IsNaN(acc.lo+acc.hi+margin) && !math.IsInf(acc.lo, 0) &&
 		!math.IsInf(acc.hi, 0) && !math.IsInf(margin, 0)
 	return acc.lo, acc.hi, margin, ok

@@ -162,8 +162,8 @@ func (sol *Solution2) AtExp(t float64, e []float64) la.Vec2 {
 	case kindSingular:
 		// Per-eigenmode: x_i(t) = c_i e^{l_i t} + g_i * phi(l_i, t), where
 		// phi(l, t) = (e^{l t} - 1)/l, extended continuously to phi(0,t)=t.
-		x1 := sol.c.X*e[0] + p.gc.X*phi(p.l1, t, e[0])
-		x2 := sol.c.Y*e[1] + p.gc.Y*phi(p.l2, t, e[1])
+		x1 := float64(sol.c.X*e[0]) + float64(p.gc.X*phi(p.l1, t, e[0]))
+		x2 := float64(sol.c.Y*e[1]) + float64(p.gc.Y*phi(p.l2, t, e[1]))
 		return p.v1.Scale(x1).Add(p.v2.Scale(x2))
 	}
 	panic("ode: unknown solution kind")
@@ -175,7 +175,7 @@ func phi(l, t, e float64) float64 {
 	x := l * t
 	if math.Abs(x) < 1e-6 {
 		// (e^x - 1)/l = t (1 + x/2 + x^2/6 + ...)
-		return t * (1 + x/2 + x*x/6)
+		return t * (1 + float64(x/2) + x*x/6)
 	}
 	return (e - 1) / l
 }

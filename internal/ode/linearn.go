@@ -109,7 +109,7 @@ func (p *PreparedN) Solve(v0 []float64) (*SolutionN, error) {
 	for k := 0; k < n; k++ {
 		sw := 0.0
 		for i := 0; i < n; i++ {
-			sw += p.basis.At(i, k) * p.sqrtC[i] * v0[i]
+			sw += float64(p.basis.At(i, k) * p.sqrtC[i] * v0[i])
 		}
 		w0[k] = sw
 	}
@@ -132,7 +132,7 @@ func (sol *SolutionN) At(t float64) []float64 {
 
 // mode evaluates eigenmode k at local time t from e = e^{lambda_k t}.
 func (sol *SolutionN) mode(k int, t, e float64) float64 {
-	return sol.w0[k]*e + sol.sys.f[k]*phi(sol.sys.lambda[k], t, e)
+	return float64(sol.w0[k]*e) + float64(sol.sys.f[k]*phi(sol.sys.lambda[k], t, e))
 }
 
 // Exps writes the modal exponentials e^{lambda_k t} that Component and

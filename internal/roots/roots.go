@@ -58,8 +58,8 @@ func BrentBracket(f func(float64) float64, a, b, fa, fb, tol float64) (float64, 
 			fa, fb, fc = fb, fc, fb
 		}
 		eps := 2*math.Nextafter(math.Abs(b), math.Inf(1)) - 2*math.Abs(b)
-		tol1 := eps + 0.5*tol
-		xm := 0.5 * (c - b)
+		tol1 := eps + float64(0.5*tol)
+		xm := float64(0.5 * (c - b))
 		if math.Abs(xm) <= tol1 || fb == 0 {
 			return b, nil
 		}
@@ -73,14 +73,14 @@ func BrentBracket(f func(float64) float64, a, b, fa, fb, tol float64) (float64, 
 			} else {
 				q = fa / fc
 				r := fb / fc
-				p = s * (2*xm*q*(q-r) - (b-a)*(r-1))
+				p = s * (float64(2*xm*q*(q-r)) - float64((b-a)*(r-1)))
 				q = (q - 1) * (r - 1) * (s - 1)
 			}
 			if p > 0 {
 				q = -q
 			}
 			p = math.Abs(p)
-			min1 := 3*xm*q - math.Abs(tol1*q)
+			min1 := float64(3*xm*q) - math.Abs(tol1*q)
 			min2 := math.Abs(e * q)
 			if 2*p < math.Min(min1, min2) {
 				e = d
