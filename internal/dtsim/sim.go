@@ -13,7 +13,6 @@ package dtsim
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"hybriddelay/internal/trace"
 )
@@ -296,10 +295,10 @@ func Drive(sim *Simulator, n *Net, tr trace.Trace) error {
 		n.rec.Initial = tr.Initial
 	}
 	events := tr.Events
-	if !sort.SliceIsSorted(events, func(i, j int) bool { return events[i].Time < events[j].Time }) {
+	if !trace.Sorted(events) {
 		// Equal times keep their trace order, as their seqs would.
-		events = append([]trace.Event(nil), events...)
-		sort.SliceStable(events, func(i, j int) bool { return events[i].Time < events[j].Time })
+		events = make([]trace.Event, 0, len(events))
+		trace.Merge([]trace.Trace{tr}, func(_ int, e trace.Event) { events = append(events, e) })
 	}
 	for _, e := range events {
 		if err := sim.check(e.Time); err != nil {

@@ -154,7 +154,7 @@ func Traces(cfg Config, seed int64) ([]trace.Trace, error) {
 	}
 	rng := rand.New(rand.NewSource(seed))
 	gap := func() float64 {
-		g := cfg.Mu + cfg.Sigma*rng.NormFloat64()
+		g := cfg.Mu + float64(cfg.Sigma*rng.NormFloat64())
 		if g < minGap {
 			g = minGap
 		}

@@ -3,7 +3,6 @@ package hybrid
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"hybriddelay/internal/trace"
 )
@@ -25,12 +24,6 @@ func ApplyGate(g SwitchGate, inputs []trace.Trace, until float64, isolatedFill f
 	if len(inputs) != g.NumInputs {
 		return trace.Trace{}, fmt.Errorf("hybrid: gate %s wants %d inputs, got %d", g.Name, g.NumInputs, len(inputs))
 	}
-	type ev struct {
-		t   float64
-		pin int
-		val bool
-	}
-	var evs []ev
 	state := make([]bool, g.NumInputs)
 	for i, in := range inputs {
 		state[i] = in.Initial
@@ -38,17 +31,15 @@ func ApplyGate(g SwitchGate, inputs []trace.Trace, until float64, isolatedFill f
 			if !(e.Time >= 0) || math.IsInf(e.Time, 1) { // NaN, ±Inf or before t=0
 				return trace.Trace{}, fmt.Errorf("hybrid: gate %s: input %d: invalid event time %g", g.Name, i, e.Time)
 			}
-			evs = append(evs, ev{e.Time, i, e.Value})
 		}
 	}
-	sort.SliceStable(evs, func(i, j int) bool { return evs[i].t < evs[j].t })
 
 	clone := func(s []bool) []bool { return append([]bool(nil), s...) }
 	phases := []PhaseN{{Start: 0, Inputs: clone(state)}}
-	for _, e := range evs {
-		state[e.pin] = e.val
-		phases = append(phases, PhaseN{Start: e.t + g.DMin, Inputs: clone(state)})
-	}
+	trace.Merge(inputs, func(pin int, e trace.Event) {
+		state[pin] = e.Value
+		phases = append(phases, PhaseN{Start: e.Time + g.DMin, Inputs: clone(state)})
+	})
 
 	v0, err := g.SteadyState(phases[0].Inputs, isolatedFill)
 	if err != nil {

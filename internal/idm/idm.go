@@ -57,12 +57,12 @@ func ExpFromSIS(dUpInf, dDownInf, dmin float64) (Exp, error) {
 
 // DelayUp implements dtsim.DelayFunc.
 func (e Exp) DelayUp(T float64) float64 {
-	return e.DMin + e.TauUp*logArg(T, e.DMin, e.TauDown)
+	return e.DMin + float64(e.TauUp*logArg(T, e.DMin, e.TauDown))
 }
 
 // DelayDown implements dtsim.DelayFunc.
 func (e Exp) DelayDown(T float64) float64 {
-	return e.DMin + e.TauDown*logArg(T, e.DMin, e.TauUp)
+	return e.DMin + float64(e.TauDown*logArg(T, e.DMin, e.TauUp))
 }
 
 // logArg evaluates ln(2 - e^{-(T+dmin)/tauPrev}) with domain clamping:
@@ -78,10 +78,10 @@ func logArg(T, dmin, tauPrev float64) float64 {
 }
 
 // DelayUpInf returns delta_up(inf) = dmin + tau_up ln 2.
-func (e Exp) DelayUpInf() float64 { return e.DMin + e.TauUp*math.Ln2 }
+func (e Exp) DelayUpInf() float64 { return e.DMin + float64(e.TauUp*math.Ln2) }
 
 // DelayDownInf returns delta_down(inf) = dmin + tau_down ln 2.
-func (e Exp) DelayDownInf() float64 { return e.DMin + e.TauDown*math.Ln2 }
+func (e Exp) DelayDownInf() float64 { return e.DMin + float64(e.TauDown*math.Ln2) }
 
 // SumExp is a channel whose switching waveform is a weighted sum of two
 // exponentials (the "SumExp-Channel" of the Involution Tool, whose VHDL
@@ -116,7 +116,7 @@ func NewSumExp(tau1, tau2, w, dmin float64) (SumExp, error) {
 // decay evaluates the normalized remaining distance to the rail,
 // w e^{-t/tau1} + (1-w) e^{-t/tau2}, a strictly decreasing function.
 func (s SumExp) decay(t float64) float64 {
-	return s.W*math.Exp(-t/s.Tau1) + (1-s.W)*math.Exp(-t/s.Tau2)
+	return float64(s.W*math.Exp(-t/s.Tau1)) + float64((1-s.W)*math.Exp(-t/s.Tau2))
 }
 
 // invertDecay solves decay(t) = y for t >= 0 by bisection (y in (0, 1]).
@@ -169,9 +169,9 @@ func (s SumExp) delay(T float64) float64 {
 		// previous trajectory backward (it is still above threshold).
 		// Solve decay(t*) continuation; for tEff < 0 the previous output
 		// had not yet reached 1/2, distance > 1/2.
-		start = 1 - 0.5*s.decayExtended(tEff)
+		start = 1 - float64(0.5*s.decayExtended(tEff))
 	} else {
-		start = 1 - 0.5*s.decay(tEff)
+		start = 1 - float64(0.5*s.decay(tEff))
 	}
 	if start <= 0.5 {
 		return math.Inf(-1) // pulse cannot be transmitted

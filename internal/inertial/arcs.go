@@ -3,7 +3,6 @@ package inertial
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"hybriddelay/internal/trace"
 )
@@ -52,19 +51,6 @@ func (a Arcs) Apply(logic func([]bool) bool, inputs ...trace.Trace) trace.Trace 
 	if len(inputs) != len(a) {
 		panic(fmt.Sprintf("inertial: %d input traces for %d arcs", len(inputs), len(a)))
 	}
-	type tagged struct {
-		time float64
-		pin  int
-		val  bool
-	}
-	var events []tagged
-	for i, in := range inputs {
-		for _, e := range in.Events {
-			events = append(events, tagged{e.Time, i, e.Value})
-		}
-	}
-	sort.SliceStable(events, func(i, j int) bool { return events[i].time < events[j].time })
-
 	state := make([]bool, len(inputs))
 	for i, in := range inputs {
 		state[i] = in.Initial
@@ -86,27 +72,27 @@ func (a Arcs) Apply(logic func([]bool) bool, inputs ...trace.Trace) trace.Trace 
 	}
 	// cur tracks the zero-time gate value to detect causal transitions.
 	cur := outVal
-	for _, e := range events {
-		flush(e.time)
-		state[e.pin] = e.val
+	trace.Merge(inputs, func(pin int, e trace.Event) {
+		flush(e.Time)
+		state[pin] = e.Value
 		v := logic(state)
 		if v == cur {
-			continue
+			return
 		}
 		cur = v
-		d := a[e.pin].Rise
+		d := a[pin].Rise
 		if !v {
-			d = a[e.pin].Fall
+			d = a[pin].Fall
 		}
 		// VHDL inertial semantics: the new transaction replaces any
 		// pending one; a transaction restoring the committed value means
 		// the pulse was too short to transmit.
 		pending = pending[:0]
 		if v == outVal {
-			continue
+			return
 		}
-		pending = append(pending, pend{e.time + d, v})
-	}
+		pending = append(pending, pend{e.Time + d, v})
+	})
 	flush(math.Inf(1))
 	return out
 }

@@ -27,17 +27,12 @@ type Trace struct {
 // New builds a normalized trace from an initial value and transition
 // events: events are sorted, redundant events (no value change) dropped.
 func New(initial bool, events []Event) Trace {
-	ev := append([]Event(nil), events...)
-	sort.SliceStable(ev, func(i, j int) bool { return ev[i].Time < ev[j].Time })
 	out := Trace{Initial: initial}
-	cur := initial
-	for _, e := range ev {
-		if e.Value == cur {
-			continue
+	Merge([]Trace{{Events: events}}, func(_ int, e Event) {
+		if e.Value != out.Final() {
+			out.Events = append(out.Events, e)
 		}
-		out.Events = append(out.Events, e)
-		cur = e.Value
-	}
+	})
 	return out
 }
 
@@ -64,11 +59,16 @@ func Digitize(w *waveform.Waveform, vth float64) Trace {
 	return New(initial, ts)
 }
 
-// Validate checks the sorted/alternating invariants.
+// Validate checks the sorted/alternating invariants. A NaN time is
+// rejected: it compares false against every time, so it would hide the
+// order check of the event after it.
 func (t Trace) Validate() error {
 	cur := t.Initial
 	last := math.Inf(-1)
 	for i, e := range t.Events {
+		if math.IsNaN(e.Time) {
+			return fmt.Errorf("trace: event %d at NaN time", i)
+		}
 		if e.Time < last {
 			return fmt.Errorf("trace: event %d out of order (%g after %g)", i, e.Time, last)
 		}
@@ -148,37 +148,23 @@ func DeviationArea(a, b Trace, t0, t1 float64) float64 {
 	if t1 <= t0 {
 		return 0
 	}
-	type edge struct {
-		time float64
-		isA  bool
-		val  bool
-	}
-	var edges []edge
-	for _, e := range a.Events {
-		if e.Time > t0 && e.Time < t1 {
-			edges = append(edges, edge{e.Time, true, e.Value})
-		}
-	}
-	for _, e := range b.Events {
-		if e.Time > t0 && e.Time < t1 {
-			edges = append(edges, edge{e.Time, false, e.Value})
-		}
-	}
-	sort.SliceStable(edges, func(i, j int) bool { return edges[i].time < edges[j].time })
 	va, vb := a.At(t0), b.At(t0)
 	prev := t0
 	area := 0.0
-	for _, e := range edges {
+	Merge([]Trace{a, b}, func(i int, e Event) {
+		if !(e.Time > t0 && e.Time < t1) {
+			return
+		}
 		if va != vb {
-			area += e.time - prev
+			area += e.Time - prev
 		}
-		prev = e.time
-		if e.isA {
-			va = e.val
+		prev = e.Time
+		if i == 0 {
+			va = e.Value
 		} else {
-			vb = e.val
+			vb = e.Value
 		}
-	}
+	})
 	if va != vb {
 		area += t1 - prev
 	}
@@ -196,30 +182,27 @@ func Combine(f func([]bool) bool, inputs ...Trace) Trace {
 		vals[i] = in.Initial
 	}
 	out := Trace{Initial: f(vals)}
-	type tagged struct {
-		time float64
-		idx  int
-		val  bool
-	}
-	var all []tagged
-	for i, in := range inputs {
-		for _, e := range in.Events {
-			all = append(all, tagged{e.Time, i, e.Value})
-		}
-	}
-	sort.SliceStable(all, func(i, j int) bool { return all[i].time < all[j].time })
-	cur := out.Initial
-	for k := 0; k < len(all); {
-		// Apply all simultaneous events before re-evaluating.
-		t := all[k].time
-		for k < len(all) && all[k].time == t {
-			vals[all[k].idx] = all[k].val
-			k++
-		}
-		if v := f(vals); v != cur {
+	// Apply all simultaneous events before re-evaluating: a group, timed
+	// by its first event, ends at the next event of a different time.
+	var t float64
+	open := false
+	flush := func() {
+		if v := f(vals); v != out.Final() {
 			out.Events = append(out.Events, Event{Time: t, Value: v})
-			cur = v
 		}
+	}
+	Merge(inputs, func(i int, e Event) {
+		if open && e.Time != t {
+			flush()
+			open = false
+		}
+		if !open {
+			t, open = e.Time, true
+		}
+		vals[i] = e.Value
+	})
+	if open {
+		flush()
 	}
 	return out
 }

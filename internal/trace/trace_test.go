@@ -63,6 +63,12 @@ func TestValidateRejects(t *testing.T) {
 	if err := bad2.Validate(); err == nil {
 		t.Error("expected ordering error")
 	}
+	// A NaN time is itself invalid, and must not hide the order check
+	// of the next event (NaN < x and x < NaN are both false).
+	nan := Trace{Initial: false, Events: []Event{{Time: 1, Value: true}, {Time: math.NaN(), Value: false}, {Time: 0.5, Value: true}}}
+	if err := nan.Validate(); err == nil {
+		t.Error("expected NaN time error")
+	}
 }
 
 func TestDigitize(t *testing.T) {

@@ -26,7 +26,7 @@ func RaisedCosineEdge(t50, trise, v0, v1 float64) Signal {
 	if trise <= 0 {
 		panic(fmt.Sprintf("waveform: non-positive rise time %g", trise))
 	}
-	start := t50 - trise/2
+	start := t50 - float64(trise/2)
 	return func(t float64) float64 {
 		x := (t - start) / trise
 		switch {
@@ -35,7 +35,7 @@ func RaisedCosineEdge(t50, trise, v0, v1 float64) Signal {
 		case x >= 1:
 			return v1
 		default:
-			return v0 + (v1-v0)*0.5*(1-math.Cos(math.Pi*x))
+			return v0 + float64((v1-v0)*0.5*(1-math.Cos(math.Pi*x)))
 		}
 	}
 }
@@ -116,14 +116,14 @@ func Edges(transitions []Transition, trise, vLow, vHigh float64) (Signal, error)
 			if start := times[idx] - half; t >= start {
 				from, to := settled[idx], settled[idx+1]
 				x := (t - start) / trise
-				return from + (to-from)*0.5*(1-math.Cos(math.Pi*x))
+				return from + float64((to-from)*0.5*(1-math.Cos(math.Pi*x)))
 			}
 		}
 		if idx > 0 {
 			if start := times[idx-1] - half; t <= times[idx-1]+half {
 				from, to := settled[idx-1], settled[idx]
 				x := (t - start) / trise
-				return from + (to-from)*0.5*(1-math.Cos(math.Pi*x))
+				return from + float64((to-from)*0.5*(1-math.Cos(math.Pi*x)))
 			}
 		}
 		return settled[idx]

@@ -101,7 +101,7 @@ func (w *Waveform) At(t float64) float64 {
 	t0, t1 := w.Times[i-1], w.Times[i]
 	v0, v1 := w.Values[i-1], w.Values[i]
 	f := (t - t0) / (t1 - t0)
-	return v0 + f*(v1-v0)
+	return v0 + float64(f*(v1-v0))
 }
 
 // Crossing describes one threshold crossing of a waveform.
@@ -125,7 +125,7 @@ func (w *Waveform) Crossings(level float64) []Crossing {
 		f := v0 / (v0 - v1)
 		t0, t1 := w.Times[i-1], w.Times[i]
 		// The interpolation can round past t1 when |t0| ≫ |t1|.
-		t := min(max(t0+f*(t1-t0), t0), t1)
+		t := min(max(t0+float64(f*(t1-t0)), t0), t1)
 		out = append(out, Crossing{Time: t, Rising: v1 > v0})
 	}
 	return out
