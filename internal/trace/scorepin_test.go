@@ -1,12 +1,14 @@
 package trace_test
 
 import (
+	"cmp"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
 	"hash"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"hybriddelay/internal/inertial"
@@ -91,6 +93,11 @@ func pinTrace(h hash.Hash, tr trace.Trace) {
 	}
 }
 
+// pinSorted reports whether a trace's events are in time order.
+func pinSorted(tr trace.Trace) bool {
+	return slices.IsSortedFunc(tr.Events, func(a, b trace.Event) int { return cmp.Compare(a.Time, b.Time) })
+}
+
 func nor(v []bool) bool  { return !(v[0] || v[1]) }
 func nand(v []bool) bool { return !(v[0] && v[1]) }
 
@@ -123,6 +130,21 @@ func TestScorePins(t *testing.T) {
 			for range 400 {
 				tr := pinTraces(rng, 2, 1+rng.Intn(30))
 				t0, t1 := pinWindow(rng, tr)
+				pinFloat(h, trace.DeviationArea(tr[0], tr[1], t0, t1))
+				pinFloat(h, trace.DeviationArea(tr[1], tr[0], t0, t1))
+			}
+		}},
+		{"DeviationArea sorted", "2311874c8bffa4a7ebbbef573288eefe7fbf4ceadde1ee1be490fdc4e88a0c8a", func(h hash.Hash) {
+			// The DeviationArea stimuli, hashing only the pairs whose
+			// traces are both sorted: the results that do not depend on
+			// how unsorted input is read.
+			rng := rand.New(rand.NewSource(1))
+			for range 400 {
+				tr := pinTraces(rng, 2, 1+rng.Intn(30))
+				t0, t1 := pinWindow(rng, tr)
+				if !pinSorted(tr[0]) || !pinSorted(tr[1]) {
+					continue
+				}
 				pinFloat(h, trace.DeviationArea(tr[0], tr[1], t0, t1))
 				pinFloat(h, trace.DeviationArea(tr[1], tr[0], t0, t1))
 			}
