@@ -72,3 +72,36 @@ func FuzzDigitize(f *testing.F) {
 		}
 	})
 }
+
+// FuzzDeviationAreaOrder checks that DeviationArea reads traces whose
+// events are out of time order as the traces New builds from them. Each
+// byte after the first three is one event: bit 7 picks the trace, bit 6
+// the value and the low six bits the time on a 1 ps grid, so equal
+// times and redundant events are common. The match is relative, not
+// exact: an event that leaves the value unchanged still ends one summed
+// interval and starts the next, which moves the rounding.
+func FuzzDeviationAreaOrder(f *testing.F) {
+	const grid = 1e-12
+	f.Add([]byte{2, 10, 0, 0x07, 0x46, 0x41}) // [(7,↓),(6,↑),(1,↑)] from low against low, over [2, 10]
+	f.Add([]byte{0, 64, 3, 0x05, 0x85, 0x45, 0xc3, 0x02, 0x82})
+	f.Add([]byte{5, 5, 1, 0x45, 0x05, 0xc5})
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		if len(raw) < 3 {
+			return
+		}
+		t0, t1 := float64(raw[0]%72)*grid, float64(raw[1]%72)*grid
+		var tr [2]Trace
+		tr[0].Initial, tr[1].Initial = raw[2]&1 != 0, raw[2]&2 != 0
+		for _, c := range raw[3:] {
+			l := &tr[c>>7]
+			l.Events = append(l.Events, Event{Time: float64(c&0x3f) * grid, Value: c&0x40 != 0})
+		}
+		a, b := New(tr[0].Initial, tr[0].Events), New(tr[1].Initial, tr[1].Events)
+		for _, p := range [][4]Trace{{tr[0], tr[1], a, b}, {tr[1], tr[0], b, a}} {
+			got, want := DeviationArea(p[0], p[1], t0, t1), DeviationArea(p[2], p[3], t0, t1)
+			if math.Abs(got-want) > 1e-12*math.Abs(want) {
+				t.Fatalf("DeviationArea of the raw events %g, of the normalized traces %g", got, want)
+			}
+		}
+	})
+}

@@ -125,7 +125,7 @@ func TestScorePins(t *testing.T) {
 		sha   string
 		write func(h hash.Hash)
 	}{
-		{"DeviationArea", "8e29087faccf9d0b5a64285331dbec5de5d584718399e6a7a469794a41102c4a", func(h hash.Hash) {
+		{"DeviationArea", "b8e2231666f0540cd23f692a264eff0cc73a1a2b46bda1f2b1975f6f38b677bd", func(h hash.Hash) {
 			rng := rand.New(rand.NewSource(1))
 			for range 400 {
 				tr := pinTraces(rng, 2, 1+rng.Intn(30))

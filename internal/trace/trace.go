@@ -148,17 +148,22 @@ func DeviationArea(a, b Trace, t0, t1 float64) float64 {
 	if t1 <= t0 {
 		return 0
 	}
-	va, vb := a.At(t0), b.At(t0)
+	// The values at t0 come from the visit itself, not from At: the
+	// traces may be unsorted, and Merge visits their events in time
+	// order either way.
+	va, vb := a.Initial, b.Initial
 	prev := t0
 	area := 0.0
 	Merge([]Trace{a, b}, func(i int, e Event) {
-		if !(e.Time > t0 && e.Time < t1) {
-			return
+		switch {
+		case e.Time > t0 && e.Time < t1:
+			if va != vb {
+				area += e.Time - prev
+			}
+			prev = e.Time
+		case !(e.Time <= t0):
+			return // at or after t1, or NaN
 		}
-		if va != vb {
-			area += e.Time - prev
-		}
-		prev = e.Time
 		if i == 0 {
 			va = e.Value
 		} else {
