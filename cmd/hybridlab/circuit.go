@@ -13,6 +13,7 @@ import (
 	"hybriddelay/internal/netlist"
 	"hybriddelay/internal/session"
 	"hybriddelay/internal/spice"
+	"hybriddelay/internal/sweep"
 	"hybriddelay/internal/waveform"
 )
 
@@ -82,13 +83,10 @@ func (o circuitOptions) run() error {
 	if err != nil {
 		return err
 	}
-	cfg := gen.Config{
-		Mu:          waveform.Ps(o.mu),
-		Sigma:       waveform.Ps(o.sigma),
-		Mode:        mode,
-		Inputs:      len(nl.Inputs),
-		Transitions: o.trans,
-		Start:       200 * waveform.Pico,
+	stim := sweep.Stimulus{Mode: mode, Mu: waveform.Ps(o.mu), Sigma: waveform.Ps(o.sigma), Transitions: o.trans}
+	cfg, err := stim.Config(len(nl.Inputs))
+	if err != nil {
+		return fmt.Errorf("circuit: stimulus: %w", err)
 	}
 	solver, err := spice.ParseSolverMode(o.solver)
 	if err != nil {
@@ -114,7 +112,6 @@ func (o circuitOptions) run() error {
 	s := session.New(sopt)
 	jres, err := s.Evaluate(context.Background(), session.CircuitJob{
 		Netlist: nl, Params: &p, Config: cfg, Seeds: seeds,
-		ExpDMin:  20 * waveform.Pico,
 		Progress: sessionProgress(stderr, "evaluating seeds"),
 	})
 	if err != nil {

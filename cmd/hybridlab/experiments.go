@@ -393,7 +393,6 @@ func runFig7(opt options) error {
 	job := session.GateJob{
 		Gate: g.Name(), Params: &p,
 		Configs: configs, Seeds: seeds,
-		ExpDMin: 20e-12,
 		// No golden cache: every (config, seed) unit in a single fig7
 		// run is unique, so memoization could never hit within one CLI
 		// invocation — it would only hold every trace in memory. With a

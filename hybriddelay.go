@@ -347,7 +347,7 @@ type ParamCacheStats = eval.ParamStats
 
 // DefaultSessionExpDMin is the exp channel's empirical pure delay a
 // session job applies when not overridden (paper: 20 ps).
-const DefaultSessionExpDMin = session.DefaultExpDMin
+const DefaultSessionExpDMin = sweep.DefaultExpDMin
 
 // SessionSnapshot is a point-in-time view of a session's shared
 // resources (caches, aggregate solver traffic, worker budget) —

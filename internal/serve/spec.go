@@ -16,7 +16,6 @@ import (
 	"hybriddelay/internal/netlist"
 	"hybriddelay/internal/session"
 	"hybriddelay/internal/sweep"
-	"hybriddelay/internal/waveform"
 )
 
 // JobSpec is the wire form of one submitted job — the POST /v1/jobs
@@ -142,55 +141,20 @@ func checkInstances(nl *netlist.Netlist) error {
 	return nil
 }
 
-// seedList resolves the explicit or generated seed list.
-func (js *JobSpec) seedList() []int64 {
-	if len(js.Seeds) > 0 {
-		return append([]int64(nil), js.Seeds...)
-	}
-	n := js.SeedCount
-	if n <= 0 {
-		n = 1
-	}
-	base := js.BaseSeed
-	if base == 0 {
-		base = 1
-	}
-	out := make([]int64, n)
-	for i := range out {
-		out[i] = base + int64(i)
-	}
-	return out
-}
-
 // configs derives one generator configuration per stimulus for the
-// given input count, applying the same defaults as the sweep grid.
+// given input count, through the same validation and defaults as the
+// sweep grid.
 func (js *JobSpec) configs(inputs int) ([]gen.Config, error) {
 	if len(js.Stimuli) == 0 {
 		return nil, fmt.Errorf("serve: %s job needs at least one stimulus", js.Kind)
 	}
-	out := make([]gen.Config, 0, len(js.Stimuli))
+	out := make([]gen.Config, len(js.Stimuli))
 	for i, st := range js.Stimuli {
-		if st.Mu <= 0 || st.Sigma < 0 {
-			return nil, fmt.Errorf("serve: stimulus %d: invalid gap distribution mu=%g sigma=%g", i, st.Mu, st.Sigma)
+		cfg, err := st.Config(inputs)
+		if err != nil {
+			return nil, fmt.Errorf("serve: stimulus %d: %w", i, err)
 		}
-		if st.Transitions < 1 {
-			return nil, fmt.Errorf("serve: stimulus %d: need at least one transition", i)
-		}
-		if st.Mode != gen.Local && st.Mode != gen.Global {
-			return nil, fmt.Errorf("serve: stimulus %d: unknown mode %d", i, int(st.Mode))
-		}
-		if st.Start <= 0 {
-			st.Start = 200 * waveform.Pico
-		}
-		out = append(out, gen.Config{
-			Mu:          st.Mu,
-			Sigma:       st.Sigma,
-			Mode:        st.Mode,
-			Inputs:      inputs,
-			Transitions: st.Transitions,
-			Start:       st.Start,
-			MinGap:      st.MinGap,
-		})
+		out[i] = cfg
 	}
 	return out, nil
 }
@@ -202,6 +166,7 @@ func (js *JobSpec) Job() (session.Job, error) {
 	if err := js.checkBounds(); err != nil {
 		return nil, err
 	}
+	seeds := sweep.Spec{Seeds: js.Seeds, SeedCount: js.SeedCount, BaseSeed: js.BaseSeed}.SeedList()
 	switch js.Kind {
 	case session.KindGate:
 		if js.Circuit != "" || js.Netlist != nil || js.Sweep != nil {
@@ -218,7 +183,7 @@ func (js *JobSpec) Job() (session.Job, error) {
 		return session.GateJob{
 			Gate:    g.Name(),
 			Configs: cfgs,
-			Seeds:   js.seedList(),
+			Seeds:   seeds,
 			ExpDMin: js.ExpDMin,
 		}, nil
 	case session.KindCircuit:
@@ -252,7 +217,7 @@ func (js *JobSpec) Job() (session.Job, error) {
 		return session.CircuitJob{
 			Netlist: nl,
 			Config:  cfgs[0],
-			Seeds:   js.seedList(),
+			Seeds:   seeds,
 			ExpDMin: js.ExpDMin,
 		}, nil
 	case session.KindSweep:

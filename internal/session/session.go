@@ -17,8 +17,9 @@
 // stats) and reporting through a single Progress stream. Cancellation
 // via the context is plumbed down to the unit workers: a cancelled job
 // stops claiming units and aborts in-flight units at their next stage
-// boundary. Every flavour runs its (config, seed) units through the one
-// batched fan-out in internal/eval (eval.Run).
+// boundary. Every flavour turns into evaluation blocks through the one
+// planner, sweep.Plan, and runs its (config, seed) units through the
+// one batched fan-out in internal/eval (eval.Run).
 package session
 
 import (
@@ -36,13 +37,7 @@ import (
 	"hybriddelay/internal/nor"
 	"hybriddelay/internal/spice"
 	"hybriddelay/internal/sweep"
-	"hybriddelay/internal/waveform"
 )
-
-// DefaultExpDMin is the exp channel's empirical pure delay used when a
-// job does not override it (paper: 20 ps) — the same default the sweep
-// engine and the CLI apply.
-const DefaultExpDMin = 20 * waveform.Pico
 
 // Options configures a Session.
 type Options struct {
@@ -232,7 +227,7 @@ type Job interface {
 // GateJob evaluates the Fig. 7 accuracy pipeline for one gate at one
 // operating point over one or more waveform configurations. The zero
 // value of every optional field selects a default: the registry's
-// default gate, the session's bench parameters and DefaultExpDMin. The
+// default gate, the session's bench parameters and sweep.DefaultExpDMin. The
 // model set is prepared through (or served from) the session's
 // parametrization cache.
 type GateJob struct {
@@ -248,7 +243,7 @@ type GateJob struct {
 	// Seeds lists the repetitions per configuration.
 	Seeds []int64
 	// ExpDMin overrides the exp channel's empirical pure delay;
-	// 0 selects DefaultExpDMin.
+	// 0 selects sweep.DefaultExpDMin.
 	ExpDMin float64
 	// NoCache evaluates without golden-trace memoization entirely —
 	// for workloads whose (config, seed) units never repeat, where
@@ -276,7 +271,7 @@ type CircuitJob struct {
 	// Seeds lists the repetitions.
 	Seeds []int64
 	// ExpDMin overrides the exp channel's pure delay; 0 selects
-	// DefaultExpDMin.
+	// sweep.DefaultExpDMin.
 	ExpDMin float64
 	// Progress, when non-nil, receives the job's progress events.
 	Progress func(Progress)
@@ -390,14 +385,6 @@ func serializeProgress(fn func(Progress)) func(Progress) {
 	}
 }
 
-// expDMinOr resolves a job's exp-channel pure delay.
-func expDMinOr(v float64) float64 {
-	if v > 0 {
-		return v
-	}
-	return DefaultExpDMin
-}
-
 // paramsOr resolves a job's bench parameters: explicit parameters are
 // used as-is (their Solver field included); nil selects the session's
 // base operating point — Options.BaseParams when set, else the
@@ -428,29 +415,32 @@ func evalProgress(kind Kind, fn func(Progress), config func(block int) gen.Confi
 	}
 }
 
-// evaluateGate resolves the operating point through the
-// parametrization cache, puts the golden cache in front of its bench
-// pool and runs one block per configuration on the session's workers.
+// evaluateGate plans one block per configuration — one operating point
+// behind the golden cache unless the job opts out — and runs them on
+// the session's workers.
 func (s *Session) evaluateGate(ctx context.Context, j GateJob) (*Result, error) {
-	g, err := gate.Find(j.Gate)
-	if err != nil {
-		return nil, fmt.Errorf("session: %w", err)
+	cache := s.golden
+	if j.NoCache {
+		cache = nil
 	}
-	params := s.paramsOr(j.Params)
-	op, err := s.params.OperatingPoint(ctx, g, params, expDMinOr(j.ExpDMin))
+	// A job without configurations still prepares its operating point
+	// and returns the model set; its one planned block is not run.
+	p := s.paramsOr(j.Params)
+	targets := make([]sweep.Target, max(len(j.Configs), 1))
+	for i := range targets {
+		targets[i] = sweep.Target{Gate: j.Gate, Params: p}
+		if i < len(j.Configs) {
+			targets[i].Config = j.Configs[i]
+		}
+	}
+	// Options.Progress stays nil: gate and circuit jobs report one event
+	// per evaluation unit and none for the prepare phase.
+	blocks, _, err := sweep.Plan(ctx, targets, j.ExpDMin, sweep.Options{Workers: s.workers, Cache: cache, Params: s.params})
 	if err != nil {
 		return nil, err
 	}
-	models := op.Models
-	src := eval.GoldenSource(op.Golden)
-	if !j.NoCache {
-		src = eval.CachedSource{Gate: g.Name(), Bench: params, Cache: s.golden, Src: src}
-	}
-	blocks := make([]eval.Block, len(j.Configs))
-	for i, cfg := range j.Configs {
-		blocks[i] = eval.Block{Config: cfg, Golden: src, Models: models}
-	}
-	parts, _, err := eval.Run(ctx, blocks, j.Seeds, &eval.Options{
+	models := blocks[0].Models
+	parts, _, err := eval.Run(ctx, blocks[:len(j.Configs)], j.Seeds, &eval.Options{
 		Workers:  s.workers,
 		Progress: evalProgress(KindGate, j.Progress, func(b int) gen.Config { return j.Configs[b] }),
 	})
@@ -461,38 +451,16 @@ func (s *Session) evaluateGate(ctx context.Context, j GateJob) (*Result, error) 
 	for i, cfg := range j.Configs {
 		res.Gate[i] = eval.MergeSeedResults(cfg, parts[i*len(j.Seeds):(i+1)*len(j.Seeds)])
 	}
-	if !j.NoCache {
-		res.Stats.Golden = s.golden.Stats()
+	if cache != nil {
+		res.Stats.Golden = cache.Stats()
 	}
 	return res, nil
 }
 
-// modelSetFor assembles a netlist's per-gate model sets from the
-// parametrization cache: one prepared operating point per distinct
-// member gate.
-func (s *Session) modelSetFor(ctx context.Context, nl *netlist.Netlist, p nor.Params, expDMin float64) (netlist.ModelSet, error) {
-	ms := netlist.ModelSet{}
-	for _, inst := range nl.Instances {
-		g, err := gate.Find(inst.Gate)
-		if err != nil {
-			return nil, fmt.Errorf("session: netlist instance %q: %w", inst.Name, err)
-		}
-		if _, ok := ms[g.Name()]; ok {
-			continue
-		}
-		op, err := s.params.OperatingPoint(ctx, g, p, expDMin)
-		if err != nil {
-			return nil, err
-		}
-		ms[g.Name()] = op.Models
-	}
-	return ms, nil
-}
-
-// evaluateCircuit validates the netlist, resolves the member-gate model
-// sets through the parametrization cache and runs the circuit pipeline
-// on a job-private composed bench pool behind the session's golden
-// cache.
+// evaluateCircuit validates the netlist, plans its block — member-gate
+// model sets from the parametrization cache, a job-private composed
+// bench pool behind the session's golden cache — and runs the circuit
+// pipeline on the session's workers.
 func (s *Session) evaluateCircuit(ctx context.Context, j CircuitJob) (*Result, error) {
 	nl := j.Netlist
 	if nl == nil {
@@ -501,19 +469,12 @@ func (s *Session) evaluateCircuit(ctx context.Context, j CircuitJob) (*Result, e
 	if err := nl.Validate(); err != nil {
 		return nil, err
 	}
-	p := s.paramsOr(j.Params)
-	ms, err := s.modelSetFor(ctx, nl, p, expDMinOr(j.ExpDMin))
+	target := sweep.Target{Netlist: nl, Params: s.paramsOr(j.Params), Config: j.Config}
+	blocks, pools, err := sweep.Plan(ctx, []sweep.Target{target}, j.ExpDMin, sweep.Options{Workers: s.workers, Cache: s.golden, Params: s.params})
 	if err != nil {
 		return nil, err
 	}
-	bench, err := netlist.NewBench(nl, p)
-	if err != nil {
-		return nil, err
-	}
-	benchPool := eval.NewCircuitBenchSource(bench)
-	block := eval.Block{Config: j.Config, Netlist: nl, Set: ms,
-		Circuit: eval.CachedCircuitSource{Key: nl.ContentKey(), Bench: p, Cache: s.golden, Src: benchPool}}
-	_, parts, err := eval.Run(ctx, []eval.Block{block}, j.Seeds, &eval.Options{
+	_, parts, err := eval.Run(ctx, blocks, j.Seeds, &eval.Options{
 		Workers:  s.workers,
 		Progress: evalProgress(KindCircuit, j.Progress, func(int) gen.Config { return j.Config }),
 	})
@@ -521,7 +482,7 @@ func (s *Session) evaluateCircuit(ctx context.Context, j CircuitJob) (*Result, e
 		return nil, err
 	}
 	res := eval.MergeCircuitSeedResults(nl, j.Config, parts)
-	res.Solver = benchPool.SolverStats()
+	res.Solver = pools[0].SolverStats()
 	// The composed-bench pool is job-private; the shared-cache
 	// aggregate is added by Evaluate.
 	return &Result{Kind: KindCircuit, Circuit: &res, Stats: Stats{Golden: s.golden.Stats(), Solver: res.Solver}}, nil

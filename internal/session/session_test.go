@@ -72,7 +72,7 @@ func TestSessionGateJobMatchesLegacyRunner(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	models, err := gate.NOR2.BuildModels(meas, p.Supply, DefaultExpDMin)
+	models, err := gate.NOR2.BuildModels(meas, p.Supply, sweep.DefaultExpDMin)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +161,7 @@ func TestSessionCircuitJobMatchesLegacy(t *testing.T) {
 	cfg := testConfig(len(nl.Inputs), 8)
 	seeds := []int64{1, 2}
 
-	ms, err := netlist.BuildModelSet(nl, p, DefaultExpDMin)
+	ms, err := netlist.BuildModelSet(nl, p, sweep.DefaultExpDMin)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,6 +193,83 @@ func TestSessionCircuitJobMatchesLegacy(t *testing.T) {
 	}
 	if !reflect.DeepEqual(*res.Circuit, want) {
 		t.Errorf("session circuit result differs from the serial evaluation:\n got %+v\nwant %+v", *res.Circuit, want)
+	}
+}
+
+// TestSessionMixedGateCircuitJob: a circuit job over a netlist of three
+// gate types prepares each member gate once, gives the same result on
+// one and on three workers, and equals the serial reference (the model
+// set from netlist.BuildModelSet at the default exp-channel delay, each
+// seed evaluated in turn). A later sweep over the same netlist at the
+// same operating point prepares nothing new.
+func TestSessionMixedGateCircuitJob(t *testing.T) {
+	if testing.Short() {
+		t.Skip("analog evaluation in -short mode")
+	}
+	nl := &netlist.Netlist{
+		Name:   "mixed",
+		Inputs: []string{"a", "b", "c"},
+		Instances: []netlist.Instance{
+			{Name: "g1", Gate: "nor2", Inputs: []string{"a", "b"}, Output: "x"},
+			{Name: "g2", Gate: "nand2", Inputs: []string{"b", "c"}, Output: "y"},
+			{Name: "g3", Gate: "nor3", Inputs: []string{"x", "b", "c"}, Output: "z"},
+		},
+	}
+	p := fastParams()
+	cfg := testConfig(len(nl.Inputs), 8)
+	seeds := []int64{1, 2}
+	run := func(workers int) (*eval.CircuitResult, *Session) {
+		t.Helper()
+		s := New(Options{Workers: workers})
+		res, err := s.Evaluate(context.Background(), CircuitJob{Netlist: nl, Params: &p, Config: cfg, Seeds: seeds})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st := s.ParamCache().Stats(); st.Misses != 3 {
+			t.Errorf("%d workers: %d operating points prepared, want 3 (one per gate type)", workers, st.Misses)
+		}
+		return res.Circuit, s
+	}
+	serial, _ := run(1)
+	got, s := run(3)
+	if !reflect.DeepEqual(got, serial) {
+		t.Errorf("3-worker circuit result differs from the 1-worker one:\n got %+v\nwant %+v", *got, *serial)
+	}
+
+	ms, err := netlist.BuildModelSet(nl, p, sweep.DefaultExpDMin)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bench, err := netlist.NewBench(nl, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := eval.NewCircuitBenchSource(bench)
+	var parts []eval.CircuitSeedResult
+	for _, seed := range seeds {
+		part, err := eval.EvaluateCircuitSeedContext(context.Background(), src, nl, ms, cfg, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		parts = append(parts, part)
+	}
+	want := eval.MergeCircuitSeedResults(nl, cfg, parts)
+	want.Solver = src.SolverStats()
+	if !reflect.DeepEqual(*got, want) {
+		t.Errorf("session circuit result differs from the serial evaluation:\n got %+v\nwant %+v", *got, want)
+	}
+
+	spec := sweep.Spec{
+		Circuits: []netlist.Netlist{*nl},
+		Stimuli:  []sweep.Stimulus{{Mode: gen.Local, Mu: cfg.Mu, Sigma: cfg.Sigma, Transitions: cfg.Transitions}},
+		Seeds:    seeds,
+		Bench:    &p,
+	}
+	if _, err := s.Evaluate(context.Background(), SweepJob{Spec: spec}); err != nil {
+		t.Fatal(err)
+	}
+	if st := s.ParamCache().Stats(); st.Misses != 3 {
+		t.Errorf("the sweep over the same netlist prepared again: %d misses, want still 3", st.Misses)
 	}
 }
 
@@ -409,9 +486,6 @@ func TestSessionAccessorsAndDefaults(t *testing.T) {
 	}
 	if got := s.Workers(); got != 3 {
 		t.Errorf("Workers() = %d, want the session budget 3", got)
-	}
-	if expDMinOr(0) != DefaultExpDMin || expDMinOr(5e-12) != 5e-12 {
-		t.Error("expDMinOr resolution wrong")
 	}
 	p := fastParams()
 	if s.paramsOr(&p) != p || s.paramsOr(nil) != nor.DefaultParams() {

@@ -9,11 +9,13 @@
 // scoring summed into the report row) and share their member gates'
 // measured operating points with the gate axis.
 //
-// The engine reuses the existing evaluation machinery end to end: each
-// scenario's operating point is prepared with Gate.NewBench / Measure /
-// BuildModels, every scenario is one eval.Block of the single eval.Run
-// fan-out, and golden traces are memoized in a single eval.GoldenCache
-// shared across the whole grid. Cache keys incorporate the scenario's
+// The engine reuses the existing evaluation machinery end to end: Plan
+// turns each scenario into one eval.Block of the single eval.Run
+// fan-out, preparing every distinct operating point once through the
+// parametrization cache (Gate.NewBench / Measure / fit), and golden
+// traces are memoized in a single eval.GoldenCache shared across the
+// whole grid. Plan is also the one path by which a session's gate and
+// circuit jobs turn into blocks. Cache keys incorporate the scenario's
 // bench parameters (the scaled supply and load are part of nor.Params), so
 // distinct operating points never collide even though they share one
 // cache. Results are merged deterministically in grid order: for a
@@ -33,7 +35,6 @@ import (
 	"hybriddelay/internal/gen"
 	"hybriddelay/internal/netlist"
 	"hybriddelay/internal/nor"
-	"hybriddelay/internal/pool"
 	"hybriddelay/internal/waveform"
 )
 
@@ -52,6 +53,34 @@ type Stimulus struct {
 // Name renders the paper-style label, e.g. "100/50 - LOCAL".
 func (s Stimulus) Name() string {
 	return fmt.Sprintf("%.0f/%.0f - %s", s.Mu/waveform.Pico, s.Sigma/waveform.Pico, s.Mode)
+}
+
+// Config validates the stimulus and derives its generator configuration
+// for a gate or circuit with the given number of inputs, applying the
+// 200 ps default start.
+func (s Stimulus) Config(inputs int) (gen.Config, error) {
+	if !(s.Mu > 0) || !(s.Sigma >= 0) {
+		return gen.Config{}, fmt.Errorf("invalid gap distribution mu=%g sigma=%g", s.Mu, s.Sigma)
+	}
+	if s.Transitions < 1 {
+		return gen.Config{}, fmt.Errorf("need at least one transition")
+	}
+	if s.Mode != gen.Local && s.Mode != gen.Global {
+		return gen.Config{}, fmt.Errorf("unknown mode %d", int(s.Mode))
+	}
+	start := s.Start
+	if start <= 0 {
+		start = 200 * waveform.Pico
+	}
+	return gen.Config{
+		Mu:          s.Mu,
+		Sigma:       s.Sigma,
+		Mode:        s.Mode,
+		Inputs:      inputs,
+		Transitions: s.Transitions,
+		Start:       start,
+		MinGap:      s.MinGap,
+	}, nil
 }
 
 // Spec is the declarative scenario grid. The expanded grid is the cross
@@ -97,7 +126,8 @@ type Spec struct {
 	SeedCount int     `json:"seed_count,omitempty"`
 	BaseSeed  int64   `json:"base_seed,omitempty"`
 
-	// ExpDMin is the exp channel's empirical pure delay; default 20 ps.
+	// ExpDMin is the exp channel's empirical pure delay; zero selects
+	// DefaultExpDMin.
 	ExpDMin float64 `json:"exp_dmin,omitempty"`
 
 	// Bench overrides the base testbench parameters the scale axes are
@@ -145,14 +175,6 @@ func (s Spec) SeedList() []int64 {
 		out[i] = base + int64(i)
 	}
 	return out
-}
-
-// expDMin resolves the exp channel's pure delay.
-func (s Spec) expDMin() float64 {
-	if s.ExpDMin > 0 {
-		return s.ExpDMin
-	}
-	return 20 * waveform.Pico
 }
 
 // baseParams resolves the base bench parameters.
@@ -246,20 +268,17 @@ func Expand(spec Spec) ([]Scenario, error) {
 		return nil, fmt.Errorf("sweep: no stimuli supplied")
 	}
 	seenStim := map[Stimulus]bool{}
+	cfgs := make([]gen.Config, len(spec.Stimuli)) // Inputs set per gate below
 	for i, st := range spec.Stimuli {
-		if st.Mu <= 0 || st.Sigma < 0 {
-			return nil, fmt.Errorf("sweep: stimulus %d: invalid gap distribution mu=%g sigma=%g", i, st.Mu, st.Sigma)
-		}
-		if st.Transitions < 1 {
-			return nil, fmt.Errorf("sweep: stimulus %d: need at least one transition", i)
-		}
-		if st.Mode != gen.Local && st.Mode != gen.Global {
-			return nil, fmt.Errorf("sweep: stimulus %d: unknown mode %d", i, int(st.Mode))
+		cfg, err := st.Config(0)
+		if err != nil {
+			return nil, fmt.Errorf("sweep: stimulus %d: %w", i, err)
 		}
 		if seenStim[st] {
 			return nil, fmt.Errorf("sweep: stimulus %d (%s, %d transitions) listed twice", i, st.Name(), st.Transitions)
 		}
 		seenStim[st] = true
+		cfgs[i] = cfg
 	}
 	seenSeed := map[int64]bool{}
 	for _, s := range spec.SeedList() {
@@ -273,28 +292,18 @@ func Expand(spec Spec) ([]Scenario, error) {
 	add := func(label string, inputs int, circuit *netlist.Netlist) {
 		for _, vdd := range vdds {
 			for _, load := range loads {
-				for _, st := range spec.Stimuli {
-					stim := st
-					if stim.Start <= 0 {
-						stim.Start = 200 * waveform.Pico
-					}
+				for k, st := range spec.Stimuli {
+					cfg := cfgs[k]
+					cfg.Inputs = inputs
 					out = append(out, Scenario{
 						Index:     len(out),
 						Gate:      label,
 						VDDScale:  vdd,
 						LoadScale: load,
-						Stimulus:  stim,
+						Stimulus:  st,
 						Params:    scaleParams(base, vdd, load),
 						Circuit:   circuit,
-						Config: gen.Config{
-							Mu:          stim.Mu,
-							Sigma:       stim.Sigma,
-							Mode:        stim.Mode,
-							Inputs:      inputs,
-							Transitions: stim.Transitions,
-							Start:       stim.Start,
-							MinGap:      stim.MinGap,
-						},
+						Config:    cfg,
 					})
 				}
 			}
@@ -326,7 +335,8 @@ type Progress struct {
 	Err       error  // the step's error, if any
 }
 
-// Options configures a sweep run.
+// Options configures a sweep run, and Plan (see there for how it reads
+// a nil Cache).
 type Options struct {
 	// Workers bounds the single worker pool shared by every scenario
 	// (both the prepare and the evaluation phase). Zero or negative
@@ -350,63 +360,6 @@ type Options struct {
 	// Progress, when non-nil, is invoked after each completed step.
 	// Calls are serialized; steps may complete in any order.
 	Progress func(Progress)
-}
-
-// opKey identifies one operating point: everything that determines the
-// bench and model preparation, but not the stimulus.
-type opKey struct {
-	gate      string
-	vddScale  float64
-	loadScale float64
-}
-
-// opPoint carries one prepared operating point.
-type opPoint struct {
-	key    opKey
-	params nor.Params
-	models eval.Models
-	golden *eval.BenchSource
-}
-
-// adopt copies a prepared (possibly cache-shared) operating point into
-// the sweep-local slot.
-func (pt *opPoint) adopt(op *eval.OperatingPoint) {
-	pt.models = op.Models
-	pt.golden = op.Golden
-}
-
-// circuitKey identifies one circuit operating point.
-type circuitKey struct {
-	circuit   string
-	vddScale  float64
-	loadScale float64
-}
-
-// circuitPoint carries one prepared circuit operating point: the
-// pooled composed bench and the per-gate model set assembled from the
-// already-prepared single-gate operating points.
-type circuitPoint struct {
-	params nor.Params
-	models netlist.ModelSet
-	golden *eval.CircuitBenchSource
-}
-
-// memberGates lists the distinct resolved gate names a netlist uses,
-// in instance order.
-func memberGates(nl *netlist.Netlist) ([]string, error) {
-	seen := map[string]bool{}
-	var out []string
-	for _, inst := range nl.Instances {
-		g, err := gate.Find(inst.Gate)
-		if err != nil {
-			return nil, err
-		}
-		if !seen[g.Name()] {
-			seen[g.Name()] = true
-			out = append(out, g.Name())
-		}
-	}
-	return out, nil
 }
 
 // circuitToSeedResult folds a per-net circuit unit result into the flat
@@ -444,9 +397,6 @@ func RunSweepContext(ctx context.Context, spec Spec, opt *Options) (*Report, err
 	if o.Cache == nil {
 		o.Cache = eval.NewGoldenCache()
 	}
-	if o.Params == nil {
-		o.Params = eval.NewParamCache()
-	}
 	scenarios, err := Expand(spec)
 	if err != nil {
 		return nil, err
@@ -454,32 +404,18 @@ func RunSweepContext(ctx context.Context, spec Spec, opt *Options) (*Report, err
 	seeds := spec.SeedList()
 	start := time.Now()
 
-	points, err := preparePoints(ctx, scenarios, spec.expDMin(), o)
-	if err != nil {
-		return nil, err
-	}
-	cpoints, err := prepareCircuitPoints(scenarios, points)
-	if err != nil {
-		return nil, err
-	}
-
 	// One block per scenario in grid order, all on one fan-out, so every
 	// scenario shares the same worker budget; each scenario's Tally
 	// collects its cache hits and misses and its unit time.
 	tallies := make([]eval.Tally, len(scenarios))
-	blocks := make([]eval.Block, len(scenarios))
+	targets := make([]Target, len(scenarios))
 	for i, sc := range scenarios {
-		b := eval.Block{Config: sc.Config, Label: fmt.Sprintf("sweep: scenario %d (%s)", i, sc.Name()), Tally: &tallies[i]}
-		if sc.Circuit != nil {
-			cp := cpoints[circuitKey{sc.Circuit.Name, sc.VDDScale, sc.LoadScale}]
-			b.Netlist, b.Set = sc.Circuit, cp.models
-			b.Circuit = eval.CachedCircuitSource{Key: sc.Circuit.ContentKey(), Bench: cp.params, Cache: o.Cache, Src: cp.golden, Tally: &tallies[i]}
-		} else {
-			pt := points[opKey{sc.Gate, sc.VDDScale, sc.LoadScale}]
-			b.Models = pt.models
-			b.Golden = eval.CachedSource{Gate: sc.Gate, Bench: pt.params, Cache: o.Cache, Src: pt.golden, Tally: &tallies[i]}
-		}
-		blocks[i] = b
+		targets[i] = Target{Gate: sc.Gate, Netlist: sc.Circuit, Params: sc.Params, Config: sc.Config,
+			Label: fmt.Sprintf("sweep: scenario %d (%s)", i, sc.Name()), Tally: &tallies[i]}
+	}
+	blocks, _, err := Plan(ctx, targets, spec.ExpDMin, o)
+	if err != nil {
+		return nil, err
 	}
 	var progress func(eval.Progress)
 	if o.Progress != nil {
@@ -511,119 +447,6 @@ func RunSweepContext(ctx context.Context, spec Spec, opt *Options) (*Report, err
 	rep.Cache = o.Cache.Stats()
 	rep.WallSeconds = time.Since(start).Seconds()
 	return rep, nil
-}
-
-// preparePoints resolves each unique operating point (gate, VDD scale,
-// load scale) once — bench construction, characteristic measurement and
-// model fitting, served from the options' parametrization cache when an
-// earlier run already prepared the point — on the shared worker budget.
-// Circuit scenarios contribute the operating points of their member
-// gates, so a circuit sharing a gate with the gate axis (or with
-// another circuit) measures and fits that gate only once.
-func preparePoints(ctx context.Context, scenarios []Scenario, expDMin float64, o Options) (map[opKey]*opPoint, error) {
-	points := map[opKey]*opPoint{}
-	var order []opKey
-	add := func(gname string, sc Scenario) {
-		key := opKey{gname, sc.VDDScale, sc.LoadScale}
-		if _, ok := points[key]; !ok {
-			points[key] = &opPoint{key: key, params: sc.Params}
-			order = append(order, key)
-		}
-	}
-	for _, sc := range scenarios {
-		if sc.Circuit != nil {
-			members, err := memberGates(sc.Circuit)
-			if err != nil {
-				return nil, fmt.Errorf("sweep: circuit %q: %w", sc.Circuit.Name, err)
-			}
-			for _, gname := range members {
-				add(gname, sc)
-			}
-			continue
-		}
-		add(sc.Gate, sc)
-	}
-	errs := make([]error, len(order))
-	var onDone func(i, completed int, err error)
-	if o.Progress != nil {
-		onDone = func(i, completed int, err error) {
-			o.Progress(Progress{
-				Phase: PhasePrepare, Scenario: -1,
-				Completed: completed, Total: len(order), Err: err,
-			})
-		}
-	}
-	ctxErr := pool.RunContext(ctx, len(order), o.Workers, func(i int) error {
-		errs[i] = preparePoint(ctx, points[order[i]], expDMin, o.Params)
-		return errs[i]
-	}, onDone)
-	for i, err := range errs {
-		// Only collapse context-flavoured errors into this run's own
-		// cancellation; a live run must surface them as real failures
-		// (an unprepared point would otherwise flow into evaluation).
-		if err != nil && !(ctxErr != nil && eval.IsContextErr(err)) {
-			k := order[i]
-			return nil, fmt.Errorf("sweep: operating point %s vdd=%.2f load=%.2f: %w", k.gate, k.vddScale, k.loadScale, err)
-		}
-	}
-	if ctxErr != nil {
-		return nil, ctxErr
-	}
-	return points, nil
-}
-
-// preparePoint resolves one operating point through the parametrization
-// cache: the measurement and fits run at most once per (gate, scaled
-// bench parameters, expDMin) — concurrent preparations of the same
-// point, and later sweeps through the same cache, share the result.
-func preparePoint(ctx context.Context, pt *opPoint, expDMin float64, cache *eval.ParamCache) error {
-	g, err := gate.Find(pt.key.gate)
-	if err != nil {
-		return err
-	}
-	op, err := cache.OperatingPoint(ctx, g, pt.params, expDMin)
-	if err != nil {
-		return err
-	}
-	pt.adopt(op)
-	return nil
-}
-
-// prepareCircuitPoints flattens each unique circuit operating point
-// (circuit, VDD scale, load scale) into a pooled composed bench and
-// assembles its per-gate model set from the prepared single-gate
-// points. Flattening is pure netlist work (no analog runs), so it
-// stays serial.
-func prepareCircuitPoints(scenarios []Scenario, points map[opKey]*opPoint) (map[circuitKey]*circuitPoint, error) {
-	cpoints := map[circuitKey]*circuitPoint{}
-	for _, sc := range scenarios {
-		if sc.Circuit == nil {
-			continue
-		}
-		key := circuitKey{sc.Circuit.Name, sc.VDDScale, sc.LoadScale}
-		if _, ok := cpoints[key]; ok {
-			continue
-		}
-		members, err := memberGates(sc.Circuit)
-		if err != nil {
-			return nil, fmt.Errorf("sweep: circuit %q: %w", sc.Circuit.Name, err)
-		}
-		models := netlist.ModelSet{}
-		for _, gname := range members {
-			models[gname] = points[opKey{gname, sc.VDDScale, sc.LoadScale}].models
-		}
-		bench, err := netlist.NewBench(sc.Circuit, sc.Params)
-		if err != nil {
-			return nil, fmt.Errorf("sweep: circuit %q vdd=%.2f load=%.2f: %w",
-				sc.Circuit.Name, sc.VDDScale, sc.LoadScale, err)
-		}
-		cpoints[key] = &circuitPoint{
-			params: sc.Params,
-			models: models,
-			golden: eval.NewCircuitBenchSource(bench),
-		}
-	}
-	return cpoints, nil
 }
 
 // buildScenarioResult folds one scenario's merged and per-seed results
