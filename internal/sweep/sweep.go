@@ -221,14 +221,15 @@ func Expand(spec Spec) ([]Scenario, error) {
 	arities := make(map[string]int, len(gates))
 	seen := map[string]bool{}
 	for _, name := range gates {
-		if seen[name] {
-			return nil, fmt.Errorf("sweep: gate %q listed twice", name)
-		}
-		seen[name] = true
 		g, err := gate.Find(name)
 		if err != nil {
 			return nil, fmt.Errorf("sweep: %w", err)
 		}
+		// By resolved name: "" and the default gate's name are one gate.
+		if seen[g.Name()] {
+			return nil, fmt.Errorf("sweep: gate %q listed twice", g.Name())
+		}
+		seen[g.Name()] = true
 		arities[name] = g.Arity()
 	}
 	vdds := spec.VDDScale

@@ -105,6 +105,7 @@ func TestExpandValidation(t *testing.T) {
 	}{
 		{"unknown gate", func(s *Spec) { s.Gates = []string{"xor7"} }, "unknown gate"},
 		{"duplicate gate", func(s *Spec) { s.Gates = []string{"nor2", "nor2"} }, "listed twice"},
+		{"default gate listed by name too", func(s *Spec) { s.Gates = []string{"", "nor2"} }, "listed twice"},
 		{"zero vdd scale", func(s *Spec) { s.VDDScale = []float64{0} }, "VDD scale"},
 		{"negative vdd scale", func(s *Spec) { s.VDDScale = []float64{-1} }, "VDD scale"},
 		{"nan vdd scale", func(s *Spec) { s.VDDScale = []float64{nan()} }, "VDD scale"},
