@@ -148,9 +148,8 @@ func DeviationArea(a, b Trace, t0, t1 float64) float64 {
 	if t1 <= t0 {
 		return 0
 	}
-	// The values at t0 come from the visit itself, not from At: the
-	// traces may be unsorted, and Merge visits their events in time
-	// order either way.
+	// The values at t0 come from the visit itself: the traces may be
+	// unsorted, and Merge visits their events in time order either way.
 	va, vb := a.Initial, b.Initial
 	prev := t0
 	area := 0.0
