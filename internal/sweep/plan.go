@@ -19,7 +19,8 @@ const DefaultExpDMin = 20 * waveform.Pico
 
 // Target is one evaluation block for Plan: a gate (Netlist nil) or a
 // validated netlist at one operating point under one configuration.
-// Label, when non-empty, prefixes the error of a failed unit; Tally,
+// Label, when non-empty, prefixes the error of a failed unit and that
+// of a failed operating point the target is the first to use; Tally,
 // when non-nil, counts the block's golden lookups and unit time.
 type Target struct {
 	Gate    string // registry name ("" selects the default gate); unread for a netlist
@@ -55,10 +56,11 @@ func Plan(ctx context.Context, targets []Target, expDMin float64, o Options) ([]
 		params nor.Params
 	}
 	var (
-		order []pointKey // distinct points in first-use order
-		gates []gate.Gate
-		index = map[pointKey]int{}
-		uses  = make([][]int, len(targets)) // the points each target evaluates with
+		order  []pointKey // distinct points in first-use order
+		gates  []gate.Gate
+		labels []string // the Label of each point's first target
+		index  = map[pointKey]int{}
+		uses   = make([][]int, len(targets)) // the points each target evaluates with
 	)
 	for i, t := range targets {
 		names := []string{t.Gate}
@@ -78,7 +80,7 @@ func Plan(ctx context.Context, targets []Target, expDMin float64, o Options) ([]
 			if !ok {
 				at = len(order)
 				index[k] = at
-				order, gates = append(order, k), append(gates, g)
+				order, gates, labels = append(order, k), append(gates, g), append(labels, t.Label)
 			}
 			uses[i] = append(uses[i], at)
 		}
@@ -102,7 +104,11 @@ func Plan(ctx context.Context, targets []Target, expDMin float64, o Options) ([]
 		// (an unprepared point would otherwise flow into evaluation).
 		if err != nil && !(ctxErr != nil && eval.IsContextErr(err)) {
 			k := order[i]
-			return nil, nil, fmt.Errorf("sweep: operating point %s VDD=%g CO=%g: %w", k.gate, k.params.Supply.VDD, k.params.CO, err)
+			err = fmt.Errorf("operating point %s VDD=%g CO=%g: %w", k.gate, k.params.Supply.VDD, k.params.CO, err)
+			if labels[i] != "" {
+				err = fmt.Errorf("%s: %w", labels[i], err)
+			}
+			return nil, nil, err
 		}
 	}
 	if ctxErr != nil {

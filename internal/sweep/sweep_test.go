@@ -303,6 +303,9 @@ func TestRunSweepPrepareError(t *testing.T) {
 	if !strings.Contains(err.Error(), "operating point") {
 		t.Errorf("error %q does not identify the failing operating point", err)
 	}
+	if !strings.HasPrefix(err.Error(), "sweep: scenario 0 (nor2 vdd=1.00 load=1.00 ") {
+		t.Errorf("error %q does not name the scenario of the failing operating point", err)
+	}
 }
 
 // TestRunSweepWorstSeed: the reported worst seed is the per-seed
