@@ -173,16 +173,14 @@ func writeCircuitTable(w io.Writer, nl *netlist.Netlist, cfg gen.Config, res eva
 		ew.printf(" %12s", model)
 	}
 	ew.printf("\n")
+	total := 0
 	for _, net := range res.Nets {
+		total += res.GoldenEv[net]
 		ew.printf("%-12s %10d", net, res.GoldenEv[net])
 		for _, model := range eval.ModelNames {
 			ew.printf(" %12s", fmtRatio(res.Normalized[net][model]))
 		}
 		ew.printf("\n")
-	}
-	total := 0
-	for _, net := range res.Nets {
-		total += res.GoldenEv[net]
 	}
 	ew.printf("%-12s %10d", "TOTAL", total)
 	for _, model := range eval.ModelNames {
@@ -213,14 +211,12 @@ func writeCircuitCSV(w io.Writer, res eval.CircuitResult) error {
 		_, err := fmt.Fprintln(w, strings.Join(fields, ","))
 		return err
 	}
-	for _, net := range res.Nets {
-		if err := row(net, res.GoldenEv[net], res.Area[net], res.Normalized[net]); err != nil {
-			return err
-		}
-	}
 	total := 0
 	for _, net := range res.Nets {
 		total += res.GoldenEv[net]
+		if err := row(net, res.GoldenEv[net], res.Area[net], res.Normalized[net]); err != nil {
+			return err
+		}
 	}
 	return row("TOTAL", total, res.TotalArea, res.TotalNormalized)
 }

@@ -79,10 +79,7 @@ const (
 // checkBounds refuses a spec past the wire-input bounds, before
 // anything is generated from it.
 func (js *JobSpec) checkBounds() error {
-	if js.SeedCount > maxSeedCount {
-		return fmt.Errorf("serve: seed_count exceeds the limit of %d", maxSeedCount)
-	}
-	if err := checkStimuli(js.Stimuli); err != nil {
+	if err := checkSeedsStimuli(js.SeedCount, js.Stimuli); err != nil {
 		return err
 	}
 	if err := checkInstances(js.Netlist); err != nil {
@@ -92,10 +89,7 @@ func (js *JobSpec) checkBounds() error {
 	if sp == nil {
 		return nil
 	}
-	if sp.SeedCount > maxSeedCount {
-		return fmt.Errorf("serve: seed_count exceeds the limit of %d", maxSeedCount)
-	}
-	if err := checkStimuli(sp.Stimuli); err != nil {
+	if err := checkSeedsStimuli(sp.SeedCount, sp.Stimuli); err != nil {
 		return err
 	}
 	for i := range sp.Circuits {
@@ -120,8 +114,12 @@ func (js *JobSpec) checkBounds() error {
 	return nil
 }
 
-// checkStimuli bounds a stimulus list and each stimulus's length.
-func checkStimuli(stimuli []sweep.Stimulus) error {
+// checkSeedsStimuli bounds a seed count, a stimulus list and each
+// stimulus's length.
+func checkSeedsStimuli(seedCount int, stimuli []sweep.Stimulus) error {
+	if seedCount > maxSeedCount {
+		return fmt.Errorf("serve: seed_count exceeds the limit of %d", maxSeedCount)
+	}
 	if len(stimuli) > maxStimuli {
 		return fmt.Errorf("serve: %d stimuli exceed the limit of %d", len(stimuli), maxStimuli)
 	}
