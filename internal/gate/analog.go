@@ -78,16 +78,60 @@ func (tb *Testbench) SolverStats() spice.SolverStats { return tb.solver.Stats() 
 
 // Transient drives the inputs with sigs over [0, until], starting from
 // the given node voltages (inputs and the supply are held by their
-// sources), and records the given nodes. Record selection only affects
-// capture: the computed samples are the same whichever nodes are kept.
+// sources), and records every accepted sample of the given nodes.
+// Record selection only affects capture: the computed samples are the
+// same whichever nodes are kept.
 func (tb *Testbench) Transient(sigs []waveform.Signal, bps []float64, until float64, init map[spice.NodeID]float64, record []spice.NodeID) (*spice.TransientResult, error) {
+	opt, err := tb.options(sigs, bps, until, init, record)
+	if err != nil {
+		return nil, err
+	}
+	return tb.solver.Transient(opt)
+}
+
+// Digitize runs the transient of Transient and digitizes each recorded
+// node at V_th while it runs, one trace per node in record order. It
+// keeps the crossings, not the samples, and equals digitizing the
+// waveforms Transient records, bit for bit.
+func (tb *Testbench) Digitize(sigs []waveform.Signal, bps []float64, until float64, init map[spice.NodeID]float64, record []spice.NodeID) ([]trace.Trace, error) {
+	opt, err := tb.options(sigs, bps, until, init, record)
+	if err != nil {
+		return nil, err
+	}
+	digs := make([]trace.Digitizer, len(record))
+	for i := range digs {
+		digs[i] = trace.NewDigitizer(tb.p.Supply.Vth)
+	}
+	err = tb.solver.Run(opt, func(t float64, v []float64) error {
+		for i := range digs {
+			if err := digs[i].Add(t, v[i]); err != nil {
+				return fmt.Errorf("node %q: %w", tb.circuit.NodeName(record[i]), err)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	out := make([]trace.Trace, len(digs))
+	for i := range digs {
+		if out[i], err = digs[i].Trace(); err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
+}
+
+// options substitutes the run's input signals and returns the transient
+// options every run of the testbench shares.
+func (tb *Testbench) options(sigs []waveform.Signal, bps []float64, until float64, init map[spice.NodeID]float64, record []spice.NodeID) (spice.TransientOptions, error) {
 	if len(sigs) != len(tb.srcs) {
-		return nil, fmt.Errorf("testbench: %d inputs, got %d signals", len(tb.srcs), len(sigs))
+		return spice.TransientOptions{}, fmt.Errorf("testbench: %d inputs, got %d signals", len(tb.srcs), len(sigs))
 	}
 	for i, src := range tb.srcs {
 		src.Signal = sigs[i]
 	}
-	return tb.solver.Transient(spice.TransientOptions{
+	return spice.TransientOptions{
 		TStart:            0,
 		TStop:             until,
 		MaxStep:           tb.p.MaxStep,
@@ -98,7 +142,7 @@ func (tb *Testbench) Transient(sigs []waveform.Signal, bps []float64, until floa
 		Breakpoints:       bps,
 		InitialConditions: init,
 		Record:            record,
-	})
+	}, nil
 }
 
 // analogGate is the per-gate data of the analog bench: everything a
@@ -167,7 +211,7 @@ func (b *Analog) Subcircuit() Subcircuit { return b.sub }
 
 // Golden implements Bench: the analog transient over the input traces,
 // started from the settled all-low state of the stamp, digitized at
-// V_th.
+// V_th while it runs.
 func (b *Analog) Golden(inputs []trace.Trace, until float64) (trace.Trace, error) {
 	if len(inputs) != b.g.Arity() {
 		return trace.Trace{}, fmt.Errorf("gate %s: want %d inputs, got %d", b.g.Name(), b.g.Arity(), len(inputs))
@@ -176,15 +220,11 @@ func (b *Analog) Golden(inputs []trace.Trace, until float64) (trace.Trace, error
 	if err != nil {
 		return trace.Trace{}, err
 	}
-	res, err := b.Transient(sigs, bps, until, b.sub.Initial, []spice.NodeID{b.sub.Out})
+	out, err := b.Digitize(sigs, bps, until, b.sub.Initial, []spice.NodeID{b.sub.Out})
 	if err != nil {
 		return trace.Trace{}, fmt.Errorf("gate %s: golden transient: %w", b.g.Name(), err)
 	}
-	out, err := res.Waveform(b.sub.Out)
-	if err != nil {
-		return trace.Trace{}, err
-	}
-	return trace.Digitize(out, b.p.Supply.Vth), nil
+	return out[0], nil
 }
 
 // Measure implements Bench: the six characteristic Charlie delays of

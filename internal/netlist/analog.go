@@ -7,6 +7,7 @@ import (
 	"hybriddelay/internal/nor"
 	"hybriddelay/internal/spice"
 	"hybriddelay/internal/trace"
+	"hybriddelay/internal/waveform"
 )
 
 // Bench is a netlist elaborated into one flat transistor-level MNA
@@ -108,39 +109,36 @@ func (b *Bench) Clone() (*Bench, error) { return NewBench(b.nl, b.Params()) }
 
 // Golden runs the composed analog transient over the given primary
 // input traces (all starting low, as everywhere in the pipeline) and
-// returns the digitized trace of every recorded net. The circuit
-// starts in the settled all-low-input state, with internal nodes that
-// the state isolates at the paper's worst case GND.
+// returns the trace of every recorded net, digitized at V_th while the
+// transient runs. The circuit starts in the settled all-low-input
+// state, with internal nodes that the state isolates at the paper's
+// worst case GND.
 func (b *Bench) Golden(inputs []trace.Trace, until float64) (map[string]trace.Trace, error) {
-	res, err := b.transient(inputs, until)
+	sigs, bps, err := b.signals(inputs)
 	if err != nil {
 		return nil, err
 	}
+	trs, err := b.Digitize(sigs, bps, until, b.init, b.recordIDs)
+	if err != nil {
+		return nil, fmt.Errorf("netlist %s: composed transient: %w", b.nl.label(), err)
+	}
 	out := make(map[string]trace.Trace, len(b.recorded))
 	for i, net := range b.recorded {
-		w, err := res.Waveform(b.recordIDs[i])
-		if err != nil {
-			return nil, fmt.Errorf("netlist %s: net %q: %w", b.nl.label(), net, err)
-		}
-		out[net] = trace.Digitize(w, b.Params().Supply.Vth)
+		out[net] = trs[i]
 	}
 	return out, nil
 }
 
-// transient runs the composed analog transient behind Golden and
-// returns the recorded nets' raw waveforms.
-func (b *Bench) transient(inputs []trace.Trace, until float64) (*spice.TransientResult, error) {
+// signals turns the primary input traces into the input signals and
+// breakpoints of the composed transient.
+func (b *Bench) signals(inputs []trace.Trace) ([]waveform.Signal, []float64, error) {
 	if len(inputs) != len(b.nl.Inputs) {
-		return nil, fmt.Errorf("netlist %s: %d primary inputs, got %d traces",
+		return nil, nil, fmt.Errorf("netlist %s: %d primary inputs, got %d traces",
 			b.nl.label(), len(b.nl.Inputs), len(inputs))
 	}
 	sigs, bps, err := gate.InputSignals(b.Params(), inputs)
 	if err != nil {
-		return nil, fmt.Errorf("netlist %s: %w", b.nl.label(), err)
+		return nil, nil, fmt.Errorf("netlist %s: %w", b.nl.label(), err)
 	}
-	res, err := b.Transient(sigs, bps, until, b.init, b.recordIDs)
-	if err != nil {
-		return nil, fmt.Errorf("netlist %s: composed transient: %w", b.nl.label(), err)
-	}
-	return res, nil
+	return sigs, bps, nil
 }

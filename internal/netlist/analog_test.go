@@ -1,6 +1,7 @@
 package netlist
 
 import (
+	"math"
 	"testing"
 
 	"hybriddelay/internal/gate"
@@ -31,12 +32,13 @@ func tracesFor(t *testing.T, n, transitions int, seed int64) ([]trace.Trace, flo
 	return inputs, gen.Horizon(inputs, 600*waveform.Pico)
 }
 
+// equalTraces compares two traces bit for bit.
 func equalTraces(a, b trace.Trace) bool {
 	if a.Initial != b.Initial || len(a.Events) != len(b.Events) {
 		return false
 	}
-	for i := range a.Events {
-		if a.Events[i] != b.Events[i] {
+	for i, e := range a.Events {
+		if math.Float64bits(e.Time) != math.Float64bits(b.Events[i].Time) || e.Value != b.Events[i].Value {
 			return false
 		}
 	}

@@ -96,7 +96,11 @@ func TestGoldenWaveformPins(t *testing.T) {
 				t.Fatal(err)
 			}
 			inputs, until := tracesFor(t, 5, 4, 3)
-			res, err := b.transient(inputs, until)
+			sigs, bps, err := b.signals(inputs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := b.Transient(sigs, bps, until, b.init, b.recordIDs)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -91,7 +91,6 @@ type TransientOptions struct {
 type TransientResult struct {
 	Times []float64
 	nodes map[NodeID][]float64
-	names map[NodeID]string
 }
 
 // Waveform returns the waveform recorded for node n.

@@ -70,6 +70,17 @@ func (c *Circuit) NodeName(id NodeID) string {
 // NumNodes returns the node count including ground.
 func (c *Circuit) NumNodes() int { return len(c.nodeNames) }
 
+// recorded resolves a transient's Record list: nil records every node
+// but Ground, in ID order.
+func (c *Circuit) recorded(record []NodeID) []NodeID {
+	if record == nil {
+		for i := 1; i < c.NumNodes(); i++ {
+			record = append(record, NodeID(i))
+		}
+	}
+	return record
+}
+
 // Devices returns the devices in insertion order.
 func (c *Circuit) Devices() []Device { return c.devices }
 

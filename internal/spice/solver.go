@@ -408,19 +408,22 @@ func normalizeBreakpoints(bps []float64, tstart, tstop float64) ([]float64, erro
 	return append(dst, tstop), nil
 }
 
-// Transient runs an adaptive-step transient analysis in the solver's
-// reused workspace. Results are bit-identical to the package-level
-// Transient reference.
-func (s *Solver) Transient(opt TransientOptions) (*TransientResult, error) {
+// Run runs an adaptive-step transient analysis in the solver's reused
+// workspace and hands every accepted time point to observe, TStart
+// first: the time and the voltages of opt.Record (nil = every node) in
+// record order, 0 for Ground. The slice is reused from call to call, so
+// an observer that keeps values must copy them. An error from observe
+// stops the run and is returned as is. Run itself keeps nothing of the
+// trajectory: its memory does not grow with the number of steps.
+func (s *Solver) Run(opt TransientOptions, observe func(t float64, v []float64) error) error {
 	c := s.c
 	if opt.TStop <= opt.TStart {
-		return nil, fmt.Errorf("spice: invalid transient window [%g, %g]", opt.TStart, opt.TStop)
+		return fmt.Errorf("spice: invalid transient window [%g, %g]", opt.TStart, opt.TStop)
 	}
 	s.mode = opt.Solver
 	s.sparsePivotRel = opt.SparsePivotRel
-	span := opt.TStop - opt.TStart
 	if opt.MaxStep <= 0 {
-		opt.MaxStep = span / 50
+		opt.MaxStep = (opt.TStop - opt.TStart) / 50
 	}
 	if opt.MinStep <= 0 {
 		opt.MinStep = opt.MaxStep * 1e-9
@@ -429,25 +432,32 @@ func (s *Solver) Transient(opt TransientOptions) (*TransientResult, error) {
 		opt.LTETol = 1e-4
 	}
 
-	record := opt.Record
-	if record == nil {
-		for i := 1; i < c.NumNodes(); i++ {
-			record = append(record, NodeID(i))
-		}
-	}
-	for _, n := range record {
+	record := c.recorded(opt.Record)
+	recVars := make([]int, len(record))
+	for i, n := range record {
 		// Ground is allowed (recorded as the constant 0 V reference);
 		// anything else outside the circuit is a caller bug that used to
 		// be recorded silently as zeros (negative IDs) or panic later.
 		if int(n) < 0 || int(n) >= c.NumNodes() {
-			return nil, fmt.Errorf("spice: transient: cannot record unknown node %d", int(n))
+			return fmt.Errorf("spice: transient: cannot record unknown node %d", int(n))
 		}
+		recVars[i] = nodeVar(n)
+	}
+	vals := make([]float64, len(record))
+	emit := func(t float64, sol []float64) error {
+		for i, vi := range recVars {
+			vals[i] = 0
+			if vi >= 0 {
+				vals[i] = sol[vi]
+			}
+		}
+		return observe(t, vals)
 	}
 
 	// Breakpoint schedule.
 	bps, err := normalizeBreakpoints(opt.Breakpoints, opt.TStart, opt.TStop)
 	if err != nil {
-		return nil, err
+		return err
 	}
 
 	// Initial state. The transient solution lives in the Newton iterate.
@@ -477,45 +487,16 @@ func (s *Solver) Transient(opt TransientOptions) (*TransientResult, error) {
 	} else {
 		// OperatingPoint leaves the solved point in the iterate v.
 		if _, err := s.OperatingPoint(opt.TStart, opt.Newton); err != nil {
-			return nil, fmt.Errorf("spice: operating point failed: %w", err)
+			return fmt.Errorf("spice: operating point failed: %w", err)
 		}
 	}
 	for _, st := range s.stateful {
 		st.Init(s.ctx.x)
 	}
 
-	// Size the capture buffers for the common case — mostly MaxStep-sized
-	// accepted steps plus a short backward-Euler recovery per breakpoint.
-	estCap := 2 + int(span/opt.MaxStep) + 16*len(bps)
-	if estCap > 1<<20 {
-		estCap = 1 << 20
+	if err := emit(opt.TStart, v); err != nil {
+		return err
 	}
-	res := &TransientResult{
-		Times: make([]float64, 0, estCap),
-		nodes: map[NodeID][]float64{},
-		names: map[NodeID]string{},
-	}
-	// Capture into index-addressed columns — a map assignment per node
-	// per accepted step is pure hashing overhead on the hot path; the
-	// columns are handed to the result map once, after the loop.
-	cols := make([][]float64, len(record))
-	recVars := make([]int, len(record))
-	for ci, n := range record {
-		cols[ci] = make([]float64, 0, estCap)
-		recVars[ci] = nodeVar(n)
-		res.names[n] = c.NodeName(n)
-	}
-	capture := func(t float64, sol []float64) {
-		res.Times = append(res.Times, t)
-		for ci, vi := range recVars {
-			val := 0.0
-			if vi >= 0 {
-				val = sol[vi]
-			}
-			cols[ci] = append(cols[ci], val)
-		}
-	}
-	capture(opt.TStart, v)
 
 	t := opt.TStart
 	h := opt.MaxStep / 16
@@ -548,7 +529,7 @@ func (s *Solver) Transient(opt TransientOptions) (*TransientResult, error) {
 		err := s.newton(opt.Newton, 0, false)
 		if err != nil {
 			if hTry <= opt.MinStep*1.0001 {
-				return nil, &StepError{Time: t, Step: hTry, Err: err}
+				return &StepError{Time: t, Step: hTry, Err: err}
 			}
 			h = hTry / 4
 			s.stats.Rejected++
@@ -575,8 +556,10 @@ func (s *Solver) Transient(opt TransientOptions) (*TransientResult, error) {
 		}
 		t += hTry
 		copy(vPrev, v)
-		capture(t, v)
 		s.stats.Steps++
+		if err := emit(t, v); err != nil {
+			return err
+		}
 		justBroke = false
 		if nextBp < len(bps) && math.Abs(t-bps[nextBp]) <= 1e-24+float64(1e-12*math.Abs(t)) {
 			justBroke = true
@@ -590,8 +573,30 @@ func (s *Solver) Transient(opt TransientOptions) (*TransientResult, error) {
 			h = hTry
 		}
 	}
-	for ci, n := range record {
-		res.nodes[n] = cols[ci]
+	return nil
+}
+
+// Transient runs Run with a recorder that keeps every accepted sample of
+// the recorded nodes: 8 bytes per node and step, plus 8 for the time.
+// Callers that need only where the nodes cross a level digitize inside
+// the observer of Run instead and keep no samples.
+func (s *Solver) Transient(opt TransientOptions) (*TransientResult, error) {
+	record := s.c.recorded(opt.Record)
+	opt.Record = record
+	res := &TransientResult{nodes: map[NodeID][]float64{}}
+	cols := make([][]float64, len(record))
+	err := s.Run(opt, func(t float64, v []float64) error {
+		res.Times = append(res.Times, t)
+		for i, x := range v {
+			cols[i] = append(cols[i], x)
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	for i, n := range record {
+		res.nodes[n] = cols[i]
 	}
 	return res, nil
 }

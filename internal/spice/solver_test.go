@@ -1,6 +1,7 @@
 package spice
 
 import (
+	"errors"
 	"math"
 	"strings"
 	"testing"
@@ -92,6 +93,42 @@ func TestSolverTransientBitIdentical(t *testing.T) {
 	st := s.Stats()
 	if st.Steps == 0 || st.Iterations == 0 || st.Factorizations == 0 {
 		t.Errorf("stats not counting: %+v", st)
+	}
+}
+
+// TestRunObserverStops: an error from Run's observer ends the run at
+// that time point and comes back unchanged; the steps before it were
+// counted, the ones after it never ran.
+func TestRunObserverStops(t *testing.T) {
+	c, out := inverterCircuit()
+	s, err := NewSolver(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stop := errors.New("stop")
+	calls := 0
+	err = s.Run(inverterOptions(), func(tm float64, v []float64) error {
+		if len(v) != 3 {
+			t.Fatalf("observed %d values, want every non-ground node", len(v))
+		}
+		if calls++; calls == 10 {
+			return stop
+		}
+		return nil
+	})
+	if err != stop {
+		t.Fatalf("Run = %v, want the observer's error", err)
+	}
+	// The first call observes TStart; each later one an accepted step.
+	if st := s.Stats(); calls != 10 || st.Steps != 9 {
+		t.Errorf("observer called %d times over %d steps, want 10 over 9", calls, st.Steps)
+	}
+	err = s.Run(TransientOptions{TStart: 0, TStop: 1e-9, Record: []NodeID{out, NodeID(99)}}, func(float64, []float64) error {
+		t.Fatal("observer called for an invalid record list")
+		return nil
+	})
+	if err == nil || !strings.Contains(err.Error(), "unknown node 99") {
+		t.Errorf("recording an unknown node: got %v", err)
 	}
 }
 

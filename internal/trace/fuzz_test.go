@@ -37,14 +37,28 @@ func FuzzDigitize(f *testing.F) {
 	add(0.4, 0, math.Inf(1), 0.8, 0.0)                   // Inf time
 	add(math.NaN(), 0, 1e-12, 0.0, 0.8)                  // NaN threshold
 	add(1e-300, -1.87e78, -2.23e-134, -1, 2e-300)        // interpolation rounds past the interval end
+	add(0.5, 0, 1, 2, 0.3, 0.5, 0.7)                     // rising through a sample on the level
+	add(0.5, 0, 1, 2, 0.7, 0.5, 0.7)                     // touch from above: a zero-width dip
+	add(0.4)                                             // no samples
+	add(-1e308, 0, 1, 1e308, -1.7e308)                   // the sample-to-level distance overflows
 	f.Fuzz(func(t *testing.T, raw []byte, vth float64) {
 		vals := fuzzFloats(raw, 64)
 		n := len(vals) / 2
-		w, err := waveform.NewWaveform(vals[:n], vals[n:2*n])
+		times, values := vals[:n], vals[n:2*n]
+		// Fed one sample at a time, the digitizer rejects exactly what
+		// NewWaveform rejects, and matches batch digitization bit for
+		// bit where both accept.
+		tr, serr := stream(times, values, vth)
+		w, err := waveform.NewWaveform(times, values)
+		if (serr == nil) != (err == nil) {
+			t.Fatalf("streaming error %v, NewWaveform error %v", serr, err)
+		}
 		if err != nil {
 			return // malformed samples must error, never panic
 		}
-		tr := Digitize(w, vth)
+		if want := digitize(w, vth); !sameTrace(tr, want) {
+			t.Fatalf("streamed trace %+v, batch %+v", tr, want)
+		}
 		if err := tr.Validate(); err != nil {
 			t.Fatalf("digitized trace violates invariants: %v", err)
 		}
@@ -61,14 +75,13 @@ func FuzzDigitize(f *testing.F) {
 			}
 			prev = e.Time
 		}
-		// The initial value matches the first sample's side of the
-		// threshold, and re-digitizing is stable.
+		// The initial and the final value match the first and the last
+		// sample's side of the threshold.
 		if got, want := tr.Initial, w.Values[0] > vth; got != want {
 			t.Fatalf("initial value %v, want %v (first sample %g vs vth %g)", got, want, w.Values[0], vth)
 		}
-		again := Digitize(w, vth)
-		if again.Initial != tr.Initial || len(again.Events) != len(tr.Events) {
-			t.Fatal("digitization is not deterministic")
+		if got, want := tr.Final(), w.Values[n-1] > vth; got != want {
+			t.Fatalf("final value %v, want %v (last sample %g vs vth %g)", got, want, w.Values[n-1], vth)
 		}
 	})
 }

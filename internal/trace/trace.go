@@ -6,6 +6,7 @@ package trace
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"hybriddelay/internal/waveform"
@@ -46,17 +47,49 @@ func FromTransitions(initial bool, ts []waveform.Transition) Trace {
 	return New(initial, ev)
 }
 
-// Digitize converts an analog waveform into a digital trace by
-// thresholding at vth, exactly as the Involution Tool digitizes SPICE
-// traces.
-func Digitize(w *waveform.Waveform, vth float64) Trace {
-	initial := w.Values[0] > vth
-	crossings := w.Crossings(vth)
-	ts := make([]Event, len(crossings))
-	for i, c := range crossings {
-		ts[i] = Event{Time: c.Time, Value: c.Rising}
+// Digitizer converts an analog waveform into a digital trace by
+// thresholding at a level, exactly as the Involution Tool digitizes SPICE
+// traces, one sample at a time: it keeps the crossings (see
+// waveform.SegmentCrossing), never the samples, so a transient can be
+// digitized while it runs in memory proportional to its events.
+//
+// Fed the samples of a waveform in order, it yields the waveform's
+// initial side of the level and its Crossings as the trace's events;
+// they alternate by construction.
+type Digitizer struct {
+	level float64
+	n     int     // samples accepted
+	t, v  float64 // the last accepted sample
+	tr    Trace
+}
+
+// NewDigitizer returns a digitizer thresholding at level.
+func NewDigitizer(level float64) Digitizer { return Digitizer{level: level} }
+
+// Add feeds the next sample. It rejects, with an error and without
+// effect, exactly the samples waveform.NewWaveform rejects: a
+// non-finite time or value, or a time that does not follow the last.
+func (d *Digitizer) Add(t, v float64) error {
+	if err := waveform.CheckSample(d.n, d.t, t, v); err != nil {
+		return err
 	}
-	return New(initial, ts)
+	if d.n == 0 {
+		d.tr.Initial = v > d.level
+	} else if c, ok := waveform.SegmentCrossing(d.t, d.v, t, v, d.level); ok {
+		d.tr.Events = append(d.tr.Events, Event{Time: c.Time, Value: c.Rising})
+	}
+	d.n++
+	d.t, d.v = t, v
+	return nil
+}
+
+// Trace returns the trace of the samples fed so far; like an empty
+// waveform, no samples at all is an error.
+func (d *Digitizer) Trace() (Trace, error) {
+	if d.n == 0 {
+		return Trace{}, fmt.Errorf("trace: no samples to digitize")
+	}
+	return Trace{Initial: d.tr.Initial, Events: slices.Clip(d.tr.Events)}, nil
 }
 
 // Validate checks the sorted/alternating invariants. A NaN time is

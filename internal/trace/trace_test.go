@@ -71,15 +71,47 @@ func TestValidateRejects(t *testing.T) {
 	}
 }
 
+// digitize is the batch digitization the streaming Digitizer must
+// match: the waveform's first-sample side of vth, then its Crossings as
+// events, normalized by New.
+func digitize(w *waveform.Waveform, vth float64) Trace {
+	var ev []Event
+	for _, c := range w.Crossings(vth) {
+		ev = append(ev, Event{Time: c.Time, Value: c.Rising})
+	}
+	return New(w.Values[0] > vth, ev)
+}
+
+// stream feeds the samples to a Digitizer one at a time.
+func stream(times, values []float64, vth float64) (Trace, error) {
+	d := NewDigitizer(vth)
+	for i := range times {
+		if err := d.Add(times[i], values[i]); err != nil {
+			return Trace{}, err
+		}
+	}
+	return d.Trace()
+}
+
+// sameTrace compares two traces bit for bit.
+func sameTrace(a, b Trace) bool {
+	if a.Initial != b.Initial || len(a.Events) != len(b.Events) {
+		return false
+	}
+	for i, e := range a.Events {
+		if math.Float64bits(e.Time) != math.Float64bits(b.Events[i].Time) || e.Value != b.Events[i].Value {
+			return false
+		}
+	}
+	return true
+}
+
 func TestDigitize(t *testing.T) {
-	w, err := waveform.NewWaveform(
-		[]float64{0, 1, 2, 3, 4},
-		[]float64{0, 1, 0, 1, 0},
-	)
+	times, values := []float64{0, 1, 2, 3, 4}, []float64{0, 1, 0, 1, 0}
+	tr, err := stream(times, values, 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := Digitize(w, 0.5)
 	if tr.Initial {
 		t.Error("initial should be low")
 	}
@@ -90,6 +122,33 @@ func TestDigitize(t *testing.T) {
 	for i, e := range tr.Events {
 		if math.Abs(e.Time-wantTimes[i]) > 1e-12 {
 			t.Errorf("event %d at %g, want %g", i, e.Time, wantTimes[i])
+		}
+	}
+	if _, err := stream(nil, nil, 0.5); err == nil {
+		t.Error("digitizing no samples: want an error")
+	}
+}
+
+// TestDigitizeSampleOnLevel checks transitions through a sample that
+// lies exactly on the threshold: a sample on the level counts as low,
+// so a ramp through it crosses at that sample in either direction.
+func TestDigitizeSampleOnLevel(t *testing.T) {
+	times := []float64{0, 1, 2}
+	for _, c := range []struct {
+		values []float64
+		want   Trace
+	}{
+		{[]float64{0.3, 0.5, 0.7}, Trace{Initial: false, Events: []Event{{1, true}}}},
+		{[]float64{0.7, 0.5, 0.3}, Trace{Initial: true, Events: []Event{{1, false}}}},
+		{[]float64{0.3, 0.5, 0.3}, Trace{Initial: false}},
+		{[]float64{0.7, 0.5, 0.7}, Trace{Initial: true, Events: []Event{{1, false}, {1, true}}}},
+	} {
+		got, err := stream(times, c.values, 0.5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !sameTrace(got, c.want) {
+			t.Errorf("digitizing %v at 0.5: got %+v, want %+v", c.values, got, c.want)
 		}
 	}
 }

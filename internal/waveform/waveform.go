@@ -59,19 +59,29 @@ func NewWaveform(times, values []float64) (*Waveform, error) {
 		return nil, fmt.Errorf("waveform: empty waveform")
 	}
 	for i := range times {
-		if math.IsNaN(times[i]) || math.IsInf(times[i], 0) {
-			return nil, fmt.Errorf("waveform: non-finite time %g at index %d", times[i], i)
-		}
-		if math.IsNaN(values[i]) || math.IsInf(values[i], 0) {
-			return nil, fmt.Errorf("waveform: non-finite value %g at index %d", values[i], i)
-		}
-	}
-	for i := 1; i < len(times); i++ {
-		if times[i] <= times[i-1] {
-			return nil, fmt.Errorf("waveform: non-increasing time at index %d (%g after %g)", i, times[i], times[i-1])
+		if err := CheckSample(i, times[max(i-1, 0)], times[i], values[i]); err != nil {
+			return nil, err
 		}
 	}
 	return &Waveform{Times: times, Values: values}, nil
+}
+
+// CheckSample applies NewWaveform's rules to sample i at time t with
+// value v, the previous sample being at prev (ignored for i = 0): the
+// time and the value must be finite and the time must follow prev.
+// Streaming consumers of samples use it to reject exactly what
+// NewWaveform rejects.
+func CheckSample(i int, prev, t, v float64) error {
+	if math.IsNaN(t) || math.IsInf(t, 0) {
+		return fmt.Errorf("waveform: non-finite time %g at index %d", t, i)
+	}
+	if math.IsNaN(v) || math.IsInf(v, 0) {
+		return fmt.Errorf("waveform: non-finite value %g at index %d", v, i)
+	}
+	if i > 0 && t <= prev {
+		return fmt.Errorf("waveform: non-increasing time at index %d (%g after %g)", i, t, prev)
+	}
+	return nil
 }
 
 // Len returns the sample count.
@@ -111,24 +121,40 @@ type Crossing struct {
 }
 
 // Crossings returns all times at which the waveform crosses level,
-// resolved by linear interpolation within each sample interval. Exact
-// touches without a sign change are ignored (they do not change the
-// digital abstraction).
+// resolved by linear interpolation within each sample interval (see
+// SegmentCrossing). A sample exactly on the level counts as below it:
+// a ramp through the level crosses once, at that sample; a touch from
+// below does not cross; a touch from above is a zero-width dip, a
+// falling and a rising crossing at that sample.
 func (w *Waveform) Crossings(level float64) []Crossing {
 	var out []Crossing
 	for i := 1; i < len(w.Times); i++ {
-		v0 := w.Values[i-1] - level
-		v1 := w.Values[i] - level
-		if v0 == 0 || v0*v1 >= 0 {
-			continue
+		if c, ok := SegmentCrossing(w.Times[i-1], w.Values[i-1], w.Times[i], w.Values[i], level); ok {
+			out = append(out, c)
 		}
-		f := v0 / (v0 - v1)
-		t0, t1 := w.Times[i-1], w.Times[i]
-		// The interpolation can round past t1 when |t0| ≫ |t1|.
-		t := min(max(t0+float64(f*(t1-t0)), t0), t1)
-		out = append(out, Crossing{Time: t, Rising: v1 > v0})
 	}
 	return out
+}
+
+// SegmentCrossing reports whether the sample interval from (t0, v0) to
+// (t1, v1) crosses level — whether v > level differs between its ends —
+// and if so where: by linear interpolation, clamped to [t0, t1]. It is
+// the one crossing rule of both Crossings and streaming digitization.
+func SegmentCrossing(t0, v0, t1, v1, level float64) (Crossing, bool) {
+	rising := v1 > level
+	if (v0 > level) == rising {
+		return Crossing{}, false
+	}
+	d0, d1 := v0-level, v1-level
+	f := d0 / (d0 - d1)
+	if math.IsNaN(f) {
+		// d0 overflowed (Inf/Inf); halved, the distances cannot.
+		d0, d1 = float64(v0/2)-float64(level/2), float64(v1/2)-float64(level/2)
+		f = d0 / (d0 - d1)
+	}
+	// The interpolation can round past t1 when |t0| ≫ |t1|.
+	t := min(max(t0+float64(f*(t1-t0)), t0), t1)
+	return Crossing{Time: t, Rising: rising}, true
 }
 
 // FirstCrossingAfter returns the earliest crossing of level after time t0

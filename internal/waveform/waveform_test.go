@@ -3,6 +3,7 @@ package waveform
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -79,6 +80,28 @@ func TestCrossings(t *testing.T) {
 	}
 	if _, ok := w.FirstCrossingAfter(0, 20, true); ok {
 		t.Error("found impossible crossing")
+	}
+}
+
+// TestCrossingsSampleOnLevel checks a transition through a sample that
+// lies exactly on the level: it crosses once, at that sample, in either
+// direction; a touch from below does not cross.
+func TestCrossingsSampleOnLevel(t *testing.T) {
+	for _, c := range []struct {
+		values []float64
+		want   []Crossing
+	}{
+		{[]float64{0.3, 0.5, 0.7}, []Crossing{{1, true}}},
+		{[]float64{0.7, 0.5, 0.3}, []Crossing{{1, false}}},
+		{[]float64{0.3, 0.5, 0.3}, nil},
+	} {
+		w, err := NewWaveform([]float64{0, 1, 2}, c.values)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := w.Crossings(0.5); !reflect.DeepEqual(got, c.want) {
+			t.Errorf("Crossings of %v at 0.5 = %+v, want %+v", c.values, got, c.want)
+		}
 	}
 }
 
