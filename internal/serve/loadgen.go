@@ -80,7 +80,11 @@ func DefaultLoadSpecs() []JobSpec {
 // times, cache counters, solver traffic. Two evaluations of the same
 // job at the same operating point must agree byte for byte under this
 // projection, whether they ran through the server or the one-shot CLI.
+// A nil result (a job that never finished) is an error.
 func CanonicalResultJSON(res *session.Result) ([]byte, error) {
+	if res == nil {
+		return nil, fmt.Errorf("serve: no result to project")
+	}
 	c := *res
 	c.Stats = session.Stats{}
 	c.Models = nil // not part of the wire form (interface-typed Gate)

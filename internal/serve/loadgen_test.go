@@ -49,6 +49,14 @@ func TestAdmissionUnit(t *testing.T) {
 	}
 }
 
+// TestCanonicalResultJSONNil checks that projecting a missing result,
+// as a job that never finished leaves it, is an error and not a panic.
+func TestCanonicalResultJSONNil(t *testing.T) {
+	if b, err := CanonicalResultJSON(nil); err == nil {
+		t.Errorf("CanonicalResultJSON(nil) = %q, want an error", b)
+	}
+}
+
 // TestRunLoadMixedClients is the load harness acceptance run: 8
 // concurrent clients submit the mixed gate/circuit/sweep job set, the
 // report carries latency percentiles and throughput, and every
