@@ -40,7 +40,7 @@ func asciiPlot(title, xlabel, ylabel string, w, h int, ss []series) string {
 		maxY = minY + 1
 	}
 	// A little headroom.
-	pad := 0.05 * (maxY - minY)
+	pad := float64(0.05 * (maxY - minY))
 	minY -= pad
 	maxY += pad
 

@@ -67,8 +67,10 @@ func main() {
 		// Stimulus: both inputs drop (NOR output rises), then input A
 		// rises again sepPs later — producing an output pulse of roughly
 		// sepPs width at the NOR, which the chain may or may not carry.
+		// float64() rounds the inlined Ps product before the sum, so no
+		// platform fuses the two into one multiply-add.
 		t0 := hybriddelay.Ps(500)
-		if err := hybriddelay.Drive(sim, nets["a"], hybriddelay.NewTrace(true, t0, t0+hybriddelay.Ps(sepPs))); err != nil {
+		if err := hybriddelay.Drive(sim, nets["a"], hybriddelay.NewTrace(true, t0, t0+float64(hybriddelay.Ps(sepPs)))); err != nil {
 			log.Fatal(err)
 		}
 		if err := hybriddelay.Drive(sim, nets["b"], hybriddelay.NewTrace(true, t0)); err != nil {

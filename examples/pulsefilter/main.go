@@ -38,7 +38,9 @@ func main() {
 	for _, wPs := range []float64{5, 10, 15, 20, 25, 30, 35, 40, 50, 70, 100, 150, 250} {
 		w := hybriddelay.Ps(wPs)
 		t0 := hybriddelay.Ps(500)
-		a := hybriddelay.NewTrace(false, t0, t0+w)
+		// float64() rounds the inlined Ps product before the sum, so no
+		// platform fuses the two into one multiply-add.
+		a := hybriddelay.NewTrace(false, t0, t0+float64(w))
 		b := hybriddelay.NewTrace(false)
 
 		hm, err := models.HM.Apply([]hybriddelay.Trace{a, b}, 5e-9)

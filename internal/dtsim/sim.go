@@ -5,9 +5,9 @@
 // that inject transitions, zero-time boolean gates, and delay channels
 // that move transitions in time (with model-specific cancellation
 // semantics). Channels are pluggable: the repository ships pure delay,
-// inertial delay, involution exp-channels and SumExp channels
-// (internal/inertial, internal/idm) and the paper's hybrid 2-input NOR
-// channel (internal/hybrid).
+// inertial delay and involution exp-channels (internal/inertial,
+// internal/idm) and the paper's hybrid 2-input NOR channel
+// (internal/hybrid).
 package dtsim
 
 import (

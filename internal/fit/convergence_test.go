@@ -1,78 +1,15 @@
 package fit
 
 // Table-driven convergence tests for the numeric substrate behind the
-// Table I parametrization: bracket handling of the scalar minimisers,
-// Nelder–Mead on standard test surfaces, and residual bounds of the
-// Levenberg–Marquardt solver. fit is the package every hybrid fit rests
-// on, so its convergence contracts are pinned explicitly.
+// Table I parametrization: Nelder–Mead on standard test surfaces and
+// residual bounds of the Levenberg–Marquardt solver. fit is the package
+// every hybrid fit rests on, so its convergence contracts are pinned
+// explicitly.
 
 import (
 	"math"
 	"testing"
 )
-
-func TestBrentMinTable(t *testing.T) {
-	inf := math.Inf(1)
-	cases := []struct {
-		name    string
-		f       func(float64) float64
-		a, b    float64
-		tol     float64
-		wantX   float64
-		xTol    float64
-		wantErr bool
-	}{
-		{"quadratic", func(x float64) float64 { return (x - 2) * (x - 2) }, 0, 5, 1e-10, 2, 1e-6, false},
-		{"quartic flat bottom", func(x float64) float64 { return math.Pow(x-1, 4) }, -2, 4, 1e-10, 1, 1e-2, false},
-		{"abs kink", func(x float64) float64 { return math.Abs(x - 0.75) }, -3, 3, 1e-10, 0.75, 1e-6, false},
-		{"cosine", math.Cos, 2, 5, 1e-12, math.Pi, 1e-6, false},
-		// Minimum at the lower boundary (off zero: Brent's tolerance is
-		// relative in x, so it cannot terminate onto x = 0 itself).
-		{"boundary minimum", func(x float64) float64 { return x }, 1, 2, 1e-10, 1, 1e-4, false},
-		{"exp well", func(x float64) float64 { return math.Exp(x) - 2*x }, -1, 3, 1e-12, math.Log(2), 1e-6, false},
-		// Bracket failures: empty, inverted, degenerate and non-finite
-		// intervals must error instead of iterating on garbage.
-		{"inverted bracket", math.Cos, 5, 2, 1e-10, 0, 0, true},
-		{"degenerate bracket", math.Cos, 2, 2, 1e-10, 0, 0, true},
-		{"nan lower bound", math.Cos, math.NaN(), 2, 1e-10, 0, 0, true},
-		{"nan upper bound", math.Cos, 2, math.NaN(), 1e-10, 0, 0, true},
-		{"infinite bracket", math.Cos, -inf, inf, 1e-10, 0, 0, true},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			res, err := BrentMin(tc.f, tc.a, tc.b, tc.tol)
-			if tc.wantErr {
-				if err == nil {
-					t.Fatalf("BrentMin accepted bracket [%g, %g]", tc.a, tc.b)
-				}
-				return
-			}
-			if err != nil {
-				t.Fatal(err)
-			}
-			if math.Abs(res.X-tc.wantX) > tc.xTol {
-				t.Errorf("minimiser %g, want %g ± %g", res.X, tc.wantX, tc.xTol)
-			}
-			if res.Evals < 1 || res.Evals > 500 {
-				t.Errorf("implausible evaluation count %d", res.Evals)
-			}
-			// GoldenSection must agree on the same unimodal surface.
-			g, err := GoldenSection(tc.f, tc.a, tc.b, tc.tol)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if math.Abs(g.X-tc.wantX) > math.Max(tc.xTol, 1e-4) {
-				t.Errorf("golden section minimiser %g, want %g", g.X, tc.wantX)
-			}
-		})
-	}
-	// The same bracket validation guards GoldenSection.
-	for _, bad := range [][2]float64{{5, 2}, {math.NaN(), 1}, {0, math.Inf(1)}} {
-		if _, err := GoldenSection(math.Cos, bad[0], bad[1], 1e-10); err == nil {
-			t.Errorf("GoldenSection accepted bracket %v", bad)
-		}
-	}
-}
 
 func TestNelderMeadTable(t *testing.T) {
 	cases := []struct {

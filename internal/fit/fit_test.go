@@ -60,56 +60,6 @@ func TestNelderMeadNaNObjective(t *testing.T) {
 	}
 }
 
-func TestGoldenSection(t *testing.T) {
-	f := func(x float64) float64 { return (x - 1.5) * (x - 1.5) }
-	res, err := GoldenSection(f, 0, 4, 1e-10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(res.X-1.5) > 1e-8 {
-		t.Errorf("minimiser = %g, want 1.5", res.X)
-	}
-	if _, err := GoldenSection(f, 4, 0, 0); err == nil {
-		t.Error("expected invalid-interval error")
-	}
-}
-
-func TestBrentMin(t *testing.T) {
-	// Minimise a shifted cosine: min at pi within [2, 5].
-	res, err := BrentMin(math.Cos, 2, 5, 1e-12)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(res.X-math.Pi) > 1e-6 {
-		t.Errorf("minimiser = %g, want pi", res.X)
-	}
-	if math.Abs(res.F+1) > 1e-10 {
-		t.Errorf("minimum = %g, want -1", res.F)
-	}
-	if _, err := BrentMin(math.Cos, 5, 2, 0); err == nil {
-		t.Error("expected invalid-interval error")
-	}
-}
-
-func TestBrentMinMatchesGolden(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	for trial := 0; trial < 100; trial++ {
-		c := rng.Float64()*8 - 4
-		f := func(x float64) float64 { return (x-c)*(x-c) + 0.5*math.Abs(x-c) }
-		b, err := BrentMin(f, -6, 6, 1e-10)
-		if err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
-		}
-		g, err := GoldenSection(f, -6, 6, 1e-10)
-		if err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
-		}
-		if math.Abs(b.X-g.X) > 1e-6 {
-			t.Fatalf("trial %d: brent %g vs golden %g (true %g)", trial, b.X, g.X, c)
-		}
-	}
-}
-
 func TestLevenbergMarquardtLinear(t *testing.T) {
 	// Fit y = a x + b to exact data.
 	xs := []float64{0, 1, 2, 3, 4}

@@ -95,7 +95,7 @@ func LevenbergMarquardt(r ResidualFunc, x0 []float64, opt *LeastSquaresOptions) 
 			}
 			h := 1e-7 * scale
 			xj := x[j]
-			x[j] = xj + h
+			x[j] = xj + float64(h) // h is a product: never fuse it into the sum
 			rp := resid(x)
 			x[j] = xj
 			for i := 0; i < m; i++ {
@@ -108,9 +108,9 @@ func LevenbergMarquardt(r ResidualFunc, x0 []float64, opt *LeastSquaresOptions) 
 		for i := 0; i < m; i++ {
 			for j := 0; j < n; j++ {
 				jij := jac.At(i, j)
-				g[j] += jij * res[i]
+				g[j] += float64(jij * res[i])
 				for k := j; k < n; k++ {
-					jtj.Add(j, k, jij*jac.At(i, k))
+					jtj.Add(j, k, float64(jij*jac.At(i, k)))
 				}
 			}
 		}
@@ -128,14 +128,15 @@ func LevenbergMarquardt(r ResidualFunc, x0 []float64, opt *LeastSquaresOptions) 
 		for try := 0; try < 40; try++ {
 			a := jtj.Clone()
 			for j := 0; j < n; j++ {
-				a.Add(j, j, lambda*math.Max(jtj.At(j, j), 1e-300))
+				a.Add(j, j, float64(lambda*math.Max(jtj.At(j, j), 1e-300)))
 			}
 			negG := make([]float64, n)
 			for j := range g {
 				negG[j] = -g[j]
 			}
-			step, err := la.SolveDense(a, negG)
-			if err != nil {
+			step := make([]float64, n)
+			var lu la.LU
+			if err := lu.FactorSolveInPlace(a, step, negG); err != nil {
 				lambda *= 10
 				continue
 			}
@@ -146,7 +147,7 @@ func LevenbergMarquardt(r ResidualFunc, x0 []float64, opt *LeastSquaresOptions) 
 			resNew := resid(xNew)
 			costNew := 0.5 * dot(resNew, resNew)
 			if costNew < cost {
-				relDrop := (cost - costNew) / math.Max(cost, 1e-300)
+				relDrop := (cost - float64(costNew)) / math.Max(cost, 1e-300) // costNew is a product, as h above
 				x, res, cost = xNew, resNew, costNew
 				lambda = math.Max(lambda/3, 1e-12)
 				improved = true
@@ -171,7 +172,7 @@ func LevenbergMarquardt(r ResidualFunc, x0 []float64, opt *LeastSquaresOptions) 
 func dot(a, b []float64) float64 {
 	s := 0.0
 	for i := range a {
-		s += a[i] * b[i]
+		s += float64(a[i] * b[i])
 	}
 	return s
 }

@@ -1,12 +1,12 @@
 // Package fit provides the numerical optimisation substrate used to
-// parametrize the hybrid delay model: Nelder–Mead simplex minimisation,
-// Brent/golden-section line minimisation, and damped Gauss–Newton
-// (Levenberg–Marquardt) nonlinear least squares with numeric Jacobians.
+// parametrize the hybrid delay model: Nelder–Mead simplex minimisation
+// and damped Gauss–Newton (Levenberg–Marquardt) nonlinear least squares
+// with numeric Jacobians.
 //
 // The paper calibrates R1..R4, C_N and C_O with MATLAB's optimisation
 // toolbox (least-squares fitting plus fminbnd); Go has no comparable
-// stdlib facility, so this package rebuilds the required algorithms from
-// scratch on top of the standard library.
+// stdlib facility, so this package rebuilds the algorithms the fits
+// here use from scratch on top of the standard library.
 package fit
 
 import (
@@ -118,7 +118,7 @@ func NelderMead(f func([]float64) float64, x0 []float64, opt *NelderMeadOptions)
 			for i := 1; i <= n; i++ {
 				d := 0.0
 				for j := 0; j < n; j++ {
-					d += (simplex[i].x[j] - best.x[j]) * (simplex[i].x[j] - best.x[j])
+					d += float64((simplex[i].x[j] - best.x[j]) * (simplex[i].x[j] - best.x[j]))
 				}
 				diam = math.Max(diam, math.Sqrt(d))
 			}
@@ -163,11 +163,11 @@ func NelderMead(f func([]float64) float64, x0 []float64, opt *NelderMeadOptions)
 			// worst vertex, inside otherwise).
 			if fr < worst.f {
 				for j := 0; j < n; j++ {
-					xc[j] = centroid[j] + 0.5*(xr[j]-centroid[j])
+					xc[j] = centroid[j] + float64(0.5*(xr[j]-centroid[j]))
 				}
 			} else {
 				for j := 0; j < n; j++ {
-					xc[j] = centroid[j] + 0.5*(worst.x[j]-centroid[j])
+					xc[j] = centroid[j] + float64(0.5*(worst.x[j]-centroid[j]))
 				}
 			}
 			fc := eval(xc)
@@ -178,7 +178,7 @@ func NelderMead(f func([]float64) float64, x0 []float64, opt *NelderMeadOptions)
 				// Shrink towards the best vertex.
 				for i := 1; i <= n; i++ {
 					for j := 0; j < n; j++ {
-						simplex[i].x[j] = best.x[j] + 0.5*(simplex[i].x[j]-best.x[j])
+						simplex[i].x[j] = best.x[j] + float64(0.5*(simplex[i].x[j]-best.x[j]))
 					}
 					simplex[i].f = eval(simplex[i].x)
 				}

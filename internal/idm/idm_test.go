@@ -120,71 +120,3 @@ func TestExpDomainBoundary(t *testing.T) {
 		t.Errorf("expected -inf outside the domain, got %g", d)
 	}
 }
-
-func TestNewSumExpValidation(t *testing.T) {
-	if _, err := NewSumExp(0, 1, 0.5, 0); err == nil {
-		t.Error("expected error for zero tau1")
-	}
-	if _, err := NewSumExp(1, 1, 0, 0); err == nil {
-		t.Error("expected error for zero weight")
-	}
-	if _, err := NewSumExp(1, 1, 1.5, 0); err == nil {
-		t.Error("expected error for weight > 1")
-	}
-	if _, err := NewSumExp(1, 1, 0.5, -1); err == nil {
-		t.Error("expected error for negative dmin")
-	}
-}
-
-// TestSumExpReducesToExp: with w = 1 and equal taus the SumExp channel
-// coincides with the symmetric Exp channel.
-func TestSumExpReducesToExp(t *testing.T) {
-	tau := 40e-12
-	dmin := 10e-12
-	se, err := NewSumExp(tau, tau, 1, dmin)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ex, err := NewExp(tau, tau, dmin)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, T := range []float64{0, 5e-12, 20e-12, 100e-12, 1e-9} {
-		a := se.DelayUp(T)
-		b := ex.DelayUp(T)
-		if math.Abs(a-b) > 1e-15 {
-			t.Errorf("T=%g: sumexp %g vs exp %g", T, a, b)
-		}
-	}
-}
-
-func TestSumExpMonotone(t *testing.T) {
-	se, err := NewSumExp(30e-12, 80e-12, 0.6, 5e-12)
-	if err != nil {
-		t.Fatal(err)
-	}
-	prev := math.Inf(-1)
-	for T := 0.0; T < 400e-12; T += 2e-12 {
-		d := se.DelayUp(T)
-		if math.IsInf(d, -1) {
-			continue
-		}
-		if d < prev-1e-18 {
-			t.Fatalf("sumexp delay not monotone at T=%g (%g < %g)", T, d, prev)
-		}
-		prev = d
-	}
-}
-
-func TestSumExpInvertDecay(t *testing.T) {
-	se, _ := NewSumExp(30e-12, 80e-12, 0.6, 0)
-	for _, y := range []float64{0.9, 0.5, 0.1, 0.01} {
-		tm := se.invertDecay(y)
-		if got := se.decay(tm); math.Abs(got-y) > 1e-7 {
-			t.Errorf("invertDecay(%g): decay(%g) = %g", y, tm, got)
-		}
-	}
-	if se.invertDecay(1.5) != 0 {
-		t.Error("invertDecay above 1 should clamp to 0")
-	}
-}

@@ -41,19 +41,6 @@ func (m Mat2) MulVec(v Vec2) Vec2 {
 	return Vec2{float64(m.A11*v.X) + float64(m.A12*v.Y), float64(m.A21*v.X) + float64(m.A22*v.Y)}
 }
 
-// Mul computes m*n.
-func (m Mat2) Mul(n Mat2) Mat2 {
-	return Mat2{
-		m.A11*n.A11 + m.A12*n.A21, m.A11*n.A12 + m.A12*n.A22,
-		m.A21*n.A11 + m.A22*n.A21, m.A21*n.A12 + m.A22*n.A22,
-	}
-}
-
-// Scale returns s*m.
-func (m Mat2) Scale(s float64) Mat2 {
-	return Mat2{s * m.A11, s * m.A12, s * m.A21, s * m.A22}
-}
-
 // AddMat returns m + n.
 func (m Mat2) AddMat(n Mat2) Mat2 {
 	return Mat2{m.A11 + n.A11, m.A12 + n.A12, m.A21 + n.A21, m.A22 + n.A22}
@@ -104,8 +91,8 @@ const eigenTol = 1e-12
 func EigenDecompose2(m Mat2) (Eigen2, error) {
 	tr := m.Trace()
 	det := m.Det()
-	disc := tr*tr - 4*det
-	scale := tr*tr + math.Abs(4*det)
+	disc := float64(tr*tr) - float64(4*det)
+	scale := float64(tr*tr) + math.Abs(4*det)
 	if disc < 0 {
 		if -disc <= eigenTol*scale {
 			disc = 0 // numerically repeated eigenvalue
@@ -152,32 +139,4 @@ func eigenvector(m Mat2, lambda float64) Vec2 {
 	}
 	// v orthogonal to r: (-r.Y, r.X).
 	return Vec2{-r.Y, r.X}
-}
-
-// Expm2 returns exp(m*t) computed from the eigen-decomposition, handling
-// the defective (Jordan block) case. This is the propagator of the
-// homogeneous system V' = m V.
-func Expm2(m Mat2, t float64) (Mat2, error) {
-	e, err := EigenDecompose2(m)
-	if err != nil {
-		return Mat2{}, err
-	}
-	if e.Defective {
-		// exp(m t) = e^{lambda t} (I + (m - lambda I) t).
-		l := e.Lambda1
-		n := m.AddMat(Mat2{-l, 0, 0, -l}) // nilpotent part
-		elt := math.Exp(l * t)
-		return Mat2{1 + n.A11*t, n.A12 * t, n.A21 * t, 1 + n.A22*t}.Scale(elt), nil
-	}
-	// exp(m t) = P diag(e^{l1 t}, e^{l2 t}) P^{-1}.
-	p := Mat2{e.V1.X, e.V2.X, e.V1.Y, e.V2.Y}
-	d := p.Det()
-	if d == 0 {
-		return Mat2{}, ErrSingular
-	}
-	pinv := Mat2{p.A22 / d, -p.A12 / d, -p.A21 / d, p.A11 / d}
-	el1 := math.Exp(e.Lambda1 * t)
-	el2 := math.Exp(e.Lambda2 * t)
-	mid := Mat2{el1, 0, 0, el2}
-	return p.Mul(mid).Mul(pinv), nil
 }

@@ -56,7 +56,7 @@ func JacobiEigen(s *Matrix, tol float64) (SymEigen, error) {
 		sum := 0.0
 		for i := 0; i < n; i++ {
 			for j := i + 1; j < n; j++ {
-				sum += a.At(i, j) * a.At(i, j)
+				sum += float64(a.At(i, j) * a.At(i, j))
 			}
 		}
 		return math.Sqrt(sum)
@@ -74,28 +74,28 @@ func JacobiEigen(s *Matrix, tol float64) (SymEigen, error) {
 				app := a.At(p, p)
 				aqq := a.At(q, q)
 				theta := (aqq - app) / (2 * apq)
-				t := math.Copysign(1, theta) / (math.Abs(theta) + math.Sqrt(theta*theta+1))
-				c := 1 / math.Sqrt(t*t+1)
+				t := math.Copysign(1, theta) / (math.Abs(theta) + math.Sqrt(float64(theta*theta)+1))
+				c := 1 / math.Sqrt(float64(t*t)+1)
 				sn := t * c
 				// Apply the rotation A <- J^T A J on rows/cols p, q.
 				for k := 0; k < n; k++ {
 					akp := a.At(k, p)
 					akq := a.At(k, q)
-					a.Set(k, p, c*akp-sn*akq)
-					a.Set(k, q, sn*akp+c*akq)
+					a.Set(k, p, float64(c*akp)-float64(sn*akq))
+					a.Set(k, q, float64(sn*akp)+float64(c*akq))
 				}
 				for k := 0; k < n; k++ {
 					apk := a.At(p, k)
 					aqk := a.At(q, k)
-					a.Set(p, k, c*apk-sn*aqk)
-					a.Set(q, k, sn*apk+c*aqk)
+					a.Set(p, k, float64(c*apk)-float64(sn*aqk))
+					a.Set(q, k, float64(sn*apk)+float64(c*aqk))
 				}
 				// Accumulate eigenvectors.
 				for k := 0; k < n; k++ {
 					vkp := v.At(k, p)
 					vkq := v.At(k, q)
-					v.Set(k, p, c*vkp-sn*vkq)
-					v.Set(k, q, sn*vkp+c*vkq)
+					v.Set(k, p, float64(c*vkp)-float64(sn*vkq))
+					v.Set(k, q, float64(sn*vkp)+float64(c*vkq))
 				}
 			}
 		}

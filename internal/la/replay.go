@@ -148,10 +148,9 @@ func (r *replayState) record(k, p int) {
 
 // replay solves f.lu·x = b on the most recently used schedule. When it
 // completes the solve it returns done with the solve's error; the
-// factors are then left in stored row order, so f keeps no reusable
-// factorization (f.n is 0). Otherwise k is the first column it could
-// not replay, and lu, x, piv and sign hold the plain kernel's state at
-// the start of column k.
+// factors are then left in stored row order. Otherwise k is the first
+// column it could not replay, and lu and x hold the plain kernel's
+// state at the start of column k.
 //
 //hybrid:noalloc
 func (f *LU) replay(x, b []float64) (k int, done bool, err error) {
@@ -190,7 +189,7 @@ cols:
 				o := int(i)*n + k
 				l := lu[o] / pivot
 				lu[o] = l
-				y[i] -= l * yk
+				y[i] -= float64(l * yk)
 			}
 		} else {
 			for _, i := range c.elim {
@@ -199,10 +198,10 @@ cols:
 				lu[o] = l
 				if l != 0 {
 					for _, d := range upd {
-						lu[o+int(d)] -= l * lu[pk+int(d)]
+						lu[o+int(d)] -= float64(l * lu[pk+int(d)])
 					}
 				}
-				y[i] -= l * yk
+				y[i] -= float64(l * yk)
 			}
 		}
 	}
@@ -218,7 +217,7 @@ cols:
 		row = row[:n]
 		sum := y[c.row]
 		for _, j := range c.back {
-			sum -= row[j] * x[j]
+			sum -= float64(row[j] * x[j])
 		}
 		xi := sum / row[i] // a confirmed, nonzero pivot
 		x[i] = xi
@@ -229,20 +228,15 @@ cols:
 			return n, true, f.backSubstitute(i-1, x)
 		}
 	}
-	f.n = 0
 	return n, true, nil
 }
 
 // unpermuted moves the replay's state into the plain kernel's layout
 // at the start of column k: the row swaps of columns 0..k-1 are applied
 // to lu and to the carried right-hand side, which lands in x (whose
-// length may stop short of n), and piv and sign are set to match.
+// length may stop short of n).
 func (f *LU) unpermuted(s *schedule, k int, x []float64) {
-	n, lu, y, piv := f.n, f.lu, f.rp.y, f.piv
-	for i := range piv {
-		piv[i] = i
-	}
-	f.sign = 1
+	n, lu, y := f.n, f.lu, f.rp.y
 	for j, p := range s.seq[:k] {
 		f.rp.seq[j] = p
 		if p := int(p); p != j {
@@ -251,8 +245,6 @@ func (f *LU) unpermuted(s *schedule, k int, x []float64) {
 				rp[c], rj[c] = rj[c], rp[c]
 			}
 			y[p], y[j] = y[j], y[p]
-			piv[p], piv[j] = piv[j], piv[p]
-			f.sign = -f.sign
 		}
 	}
 	copy(x, y)

@@ -70,7 +70,8 @@ func mnaPattern(r *byteReader, n, nv int) []int32 {
 // FuzzDenseReplay drives one LU with a pattern (learning and replaying
 // pivot schedules) and one without through the same stream of systems
 // and requires the same solution bits and the same error on every
-// call. Consecutive systems flip signs and rescale entries, which
+// call, and the plain kernel's solution and error to be the
+// reference's. Consecutive systems flip signs and rescale entries, which
 // switches the pivot sequence between calls; special values cover
 // zeros, ties, overflow and non-finite entries.
 func FuzzDenseReplay(f *testing.F) {
@@ -115,11 +116,15 @@ func FuzzDenseReplay(f *testing.F) {
 				a1.Data[o] += vals[i]
 			}
 			copy(a2.Data, a1.Data)
+			want, errRef := refSolve(a1, b)
 			x1, x2 := make([]float64, n), make([]float64, n)
 			err1 := replay.FactorSolveInPlace(a1, x1, b)
 			err2 := plain.FactorSolveInPlace(a2, x2, b)
-			if err1 != err2 {
-				t.Fatalf("call %d: replay error %v, plain error %v", call, err1, err2)
+			if err1 != err2 || err2 != errRef {
+				t.Fatalf("call %d: replay error %v, plain error %v, reference error %v", call, err1, err2, errRef)
+			}
+			if errRef == nil && !sameBits(x2, want) {
+				t.Fatalf("call %d: plain x = %v, reference x = %v", call, x2, want)
 			}
 			for i := range x1 {
 				if math.Float64bits(x1[i]) != math.Float64bits(x2[i]) {
@@ -163,8 +168,8 @@ func mnaPatternOf(a *Matrix) []int32 {
 
 // TestReplayLearnsAndSwitches: a slowly drifting stream alternating
 // between two pivot sequences learns each once, replays the rest,
-// resumes the plain kernel at every switch and stays bit-identical
-// throughout.
+// resumes the plain kernel at every switch and stays bit-identical to
+// the reference throughout.
 func TestReplayLearnsAndSwitches(t *testing.T) {
 	calm := [4]float64{4, 3, 2, 5}
 	flipped := [4]float64{1, 3, 9, 5}
@@ -178,6 +183,10 @@ func TestReplayLearnsAndSwitches(t *testing.T) {
 		}
 		g[0] *= 1 + float64(call)/1024
 		a1, b := mnaSystem(g)
+		want, err := refSolve(a1, b)
+		if err != nil {
+			t.Fatal(err)
+		}
 		a2 := a1.Clone()
 		x1, x2 := make([]float64, 6), make([]float64, 6)
 		if err := replay.FactorSolveInPlace(a1, x1, b); err != nil {
@@ -186,10 +195,8 @@ func TestReplayLearnsAndSwitches(t *testing.T) {
 		if err := plain.FactorSolveInPlace(a2, x2, b); err != nil {
 			t.Fatal(err)
 		}
-		for i := range x1 {
-			if math.Float64bits(x1[i]) != math.Float64bits(x2[i]) {
-				t.Fatalf("call %d: x[%d] = %v, want %v", call, i, x1[i], x2[i])
-			}
+		if !sameBits(x1, want) || !sameBits(x2, want) {
+			t.Fatalf("call %d: x = %v (replay), %v (plain), want %v", call, x1, x2, want)
 		}
 	}
 	got := replay.ReplayStats()

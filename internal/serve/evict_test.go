@@ -33,7 +33,7 @@ func TestRegistryTerminalTTLEviction(t *testing.T) {
 	r := NewRegistry()
 	now := time.Unix(1_700_000_000, 0)
 	r.now = func() time.Time { return now }
-	r.SetRetention(time.Minute, 0)
+	r.ttl = time.Minute
 
 	done := addFinished(t, r, StateDone)
 	runCtx, runCancel := context.WithCancel(context.Background())
@@ -73,7 +73,7 @@ func TestRegistryTerminalCountCap(t *testing.T) {
 	r := NewRegistry()
 	now := time.Unix(1_700_000_000, 0)
 	r.now = func() time.Time { now = now.Add(time.Second); return now }
-	r.SetRetention(time.Hour, 2)
+	r.ttl, r.maxTerminal = time.Hour, 2
 
 	jobs := make([]*Job, 5)
 	for i := range jobs {

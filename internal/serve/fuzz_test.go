@@ -51,8 +51,8 @@ func FuzzJobSpec(f *testing.F) {
 					t.Fatalf("accepted %d transitions (limit %d)", c.Transitions, maxTransitions)
 				}
 			}
-			if len(spec.Seeds) == 0 && len(j.Seeds) > maxSeedCount {
-				t.Fatalf("accepted %d generated seeds (limit %d)", len(j.Seeds), maxSeedCount)
+			if len(j.Seeds) > maxSeedCount {
+				t.Fatalf("accepted %d seeds (limit %d)", len(j.Seeds), maxSeedCount)
 			}
 		case session.CircuitJob:
 			if n := len(j.Netlist.Instances); n > maxInstances {
@@ -60,6 +60,9 @@ func FuzzJobSpec(f *testing.F) {
 			}
 			if j.Config.Transitions > maxTransitions {
 				t.Fatalf("accepted %d transitions (limit %d)", j.Config.Transitions, maxTransitions)
+			}
+			if len(j.Seeds) > maxSeedCount {
+				t.Fatalf("accepted %d seeds (limit %d)", len(j.Seeds), maxSeedCount)
 			}
 		case session.SweepJob:
 			stimuliWithin(len(j.Spec.Stimuli))

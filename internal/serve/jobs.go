@@ -210,7 +210,7 @@ func (j *Job) finish(state State, res *session.Result, err error) {
 	j.publish(Event{Kind: "end", State: state, Err: j.errMsg})
 }
 
-// Terminal-job retention defaults: a finished job stays queryable for
+// Terminal-job retention: a finished job stays queryable for
 // DefaultTerminalTTL, and at most DefaultMaxTerminal terminal jobs are
 // retained (oldest-finished evicted first). Queued and running jobs
 // are never evicted.
@@ -230,11 +230,12 @@ type termRec struct {
 // Registry is the server's in-memory job table — the /metrics job
 // inventory and the status endpoint's source of truth. Queued and
 // running jobs live until they finish; terminal jobs are retained for
-// a bounded time and count (see SetRetention) and then evicted lazily
-// on the next registry access. Eviction only unlinks the job from the
-// table: subscribers already holding the *Job keep streaming its
-// buffered events (every terminal job's log ends with the "end"
-// marker), while new lookups of the evicted id answer not-found.
+// a bounded time and count (DefaultTerminalTTL, DefaultMaxTerminal)
+// and then evicted lazily on the next registry access. Eviction only
+// unlinks the job from the table: subscribers already holding the *Job
+// keep streaming its buffered events (every terminal job's log ends
+// with the "end" marker), while new lookups of the evicted id answer
+// not-found.
 type Registry struct {
 	mu          sync.Mutex
 	nextID      int
@@ -256,20 +257,6 @@ func NewRegistry() *Registry {
 		maxTerminal: DefaultMaxTerminal,
 		now:         time.Now,
 	}
-}
-
-// SetRetention configures terminal-job retention. Non-positive values
-// select the defaults.
-func (r *Registry) SetRetention(ttl time.Duration, maxTerminal int) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if ttl <= 0 {
-		ttl = DefaultTerminalTTL
-	}
-	if maxTerminal <= 0 {
-		maxTerminal = DefaultMaxTerminal
-	}
-	r.ttl, r.maxTerminal = ttl, maxTerminal
 }
 
 // Evictions reports how many terminal jobs retention has dropped.

@@ -223,7 +223,7 @@ func percentile(sorted []time.Duration, p float64) time.Duration {
 	if len(sorted) == 0 {
 		return 0
 	}
-	i := int(p*float64(len(sorted)-1) + 0.5)
+	i := int(float64(p*float64(len(sorted)-1)) + 0.5)
 	if i >= len(sorted) {
 		i = len(sorted) - 1
 	}

@@ -32,14 +32,6 @@ type Options struct {
 	// jobs per client identity; Backlog bounds the admission queue.
 	// Non-positive values select the defaults (see NewAdmission).
 	MaxActive, PerClient, Backlog int
-
-	// TerminalTTL bounds how long a finished job stays queryable and
-	// MaxTerminal caps how many terminal jobs the registry retains
-	// (oldest-finished evicted first). Non-positive values select the
-	// defaults (see DefaultTerminalTTL, DefaultMaxTerminal). Subscribers
-	// already streaming an evicted job's events are unaffected.
-	TerminalTTL time.Duration
-	MaxTerminal int
 }
 
 // Server exposes one session.Session as a multi-tenant HTTP service:
@@ -76,12 +68,10 @@ func NewServer(opt Options) (*Server, error) {
 		return nil, fmt.Errorf("serve: Options.Session is required")
 	}
 	ctx, cancel := context.WithCancel(context.Background())
-	reg := NewRegistry()
-	reg.SetRetention(opt.TerminalTTL, opt.MaxTerminal)
 	s := &Server{
 		sess:       opt.Session,
 		st:         opt.Store,
-		reg:        reg,
+		reg:        NewRegistry(),
 		adm:        NewAdmission(opt.MaxActive, opt.PerClient, opt.Backlog),
 		mux:        http.NewServeMux(),
 		start:      time.Now(),

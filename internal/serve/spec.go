@@ -69,7 +69,7 @@ type JobSpec struct {
 // above the paper's workloads: at most 500 transitions per stimulus,
 // four stimuli, and rca16's 144 instances.
 const (
-	maxSeedCount   = 1 << 12 // a job's or a sweep spec's seed_count
+	maxSeedCount   = 1 << 12 // a job's or a sweep spec's seeds or seed_count
 	maxTransitions = 1 << 14 // transitions per stimulus
 	maxStimuli     = 64      // stimuli per job or sweep spec
 	maxInstances   = 1024    // instances per inline netlist
@@ -79,7 +79,7 @@ const (
 // checkBounds refuses a spec past the wire-input bounds, before
 // anything is generated from it.
 func (js *JobSpec) checkBounds() error {
-	if err := checkSeedsStimuli(js.SeedCount, js.Stimuli); err != nil {
+	if err := checkSeedsStimuli(len(js.Seeds), js.SeedCount, js.Stimuli); err != nil {
 		return err
 	}
 	if err := checkInstances(js.Netlist); err != nil {
@@ -89,7 +89,7 @@ func (js *JobSpec) checkBounds() error {
 	if sp == nil {
 		return nil
 	}
-	if err := checkSeedsStimuli(sp.SeedCount, sp.Stimuli); err != nil {
+	if err := checkSeedsStimuli(len(sp.Seeds), sp.SeedCount, sp.Stimuli); err != nil {
 		return err
 	}
 	for i := range sp.Circuits {
@@ -114,9 +114,12 @@ func (js *JobSpec) checkBounds() error {
 	return nil
 }
 
-// checkSeedsStimuli bounds a seed count, a stimulus list and each
-// stimulus's length.
-func checkSeedsStimuli(seedCount int, stimuli []sweep.Stimulus) error {
+// checkSeedsStimuli bounds an explicit seed list, a seed count, a
+// stimulus list and each stimulus's length.
+func checkSeedsStimuli(seeds, seedCount int, stimuli []sweep.Stimulus) error {
+	if seeds > maxSeedCount {
+		return fmt.Errorf("serve: %d seeds exceed the limit of %d", seeds, maxSeedCount)
+	}
 	if seedCount > maxSeedCount {
 		return fmt.Errorf("serve: seed_count exceeds the limit of %d", maxSeedCount)
 	}

@@ -2,7 +2,6 @@ package spice
 
 import (
 	"fmt"
-	"sort"
 
 	"hybriddelay/internal/waveform"
 )
@@ -100,16 +99,6 @@ func (r *TransientResult) Waveform(n NodeID) (*waveform.Waveform, error) {
 		return nil, fmt.Errorf("spice: node %d was not recorded", int(n))
 	}
 	return waveform.NewWaveform(r.Times, vs)
-}
-
-// NodeIDs returns the recorded nodes in ascending order.
-func (r *TransientResult) NodeIDs() []NodeID {
-	ids := make([]NodeID, 0, len(r.nodes))
-	for id := range r.nodes {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids
 }
 
 // Transient runs an adaptive-step transient analysis.

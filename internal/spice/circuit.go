@@ -81,9 +81,6 @@ func (c *Circuit) recorded(record []NodeID) []NodeID {
 	return record
 }
 
-// Devices returns the devices in insertion order.
-func (c *Circuit) Devices() []Device { return c.devices }
-
 // Add registers a device with the circuit.
 func (c *Circuit) Add(d Device) {
 	c.devices = append(c.devices, d)

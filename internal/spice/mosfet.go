@@ -201,16 +201,3 @@ func (m *MOSFET) Commit(ctx *StampContext) {
 	m.cgd.commit(ctx)
 	m.cdb.commit(ctx)
 }
-
-// DrainCurrent returns the static channel current flowing into the drain
-// for the given solved node voltages (used in diagnostics and tests).
-func (m *MOSFET) DrainCurrent(c *Circuit, sol []float64) float64 {
-	get := func(n NodeID) float64 {
-		if i := nodeVar(n); i >= 0 {
-			return sol[i]
-		}
-		return 0
-	}
-	i, _, _, _ := m.Eval(get(m.d), get(m.g), get(m.s))
-	return i
-}

@@ -261,7 +261,4 @@ func TestRecordSubset(t *testing.T) {
 	if _, err := res.Waveform(a); err == nil {
 		t.Error("unrecorded node should error")
 	}
-	if ids := res.NodeIDs(); len(ids) != 1 || ids[0] != b {
-		t.Errorf("NodeIDs = %v", ids)
-	}
 }

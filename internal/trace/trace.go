@@ -37,16 +37,6 @@ func New(initial bool, events []Event) Trace {
 	return out
 }
 
-// FromTransitions builds a trace from threshold-crossing transitions
-// (rising = value becomes true).
-func FromTransitions(initial bool, ts []waveform.Transition) Trace {
-	ev := make([]Event, len(ts))
-	for i, t := range ts {
-		ev[i] = Event{Time: t.Time, Value: t.Rising}
-	}
-	return New(initial, ev)
-}
-
 // Digitizer converts an analog waveform into a digital trace by
 // thresholding at a level, exactly as the Involution Tool digitizes SPICE
 // traces, one sample at a time: it keeps the crossings (see

@@ -278,15 +278,10 @@ func TestCombineSimultaneous(t *testing.T) {
 	}
 }
 
-func TestFromTransitions(t *testing.T) {
-	tr := FromTransitions(false, []waveform.Transition{
-		{Time: 1, Rising: true}, {Time: 2, Rising: false},
-	})
-	if tr.NumEvents() != 2 || !tr.Events[0].Value || tr.Events[1].Value {
-		t.Errorf("FromTransitions wrong: %+v", tr.Events)
-	}
+func TestTransitions(t *testing.T) {
+	tr := New(false, []Event{{Time: 1, Value: true}, {Time: 2, Value: false}})
 	back := tr.Transitions()
 	if len(back) != 2 || !back[0].Rising || back[1].Rising {
-		t.Errorf("Transitions round-trip wrong: %+v", back)
+		t.Errorf("Transitions wrong: %+v", back)
 	}
 }

@@ -129,18 +129,3 @@ func Edges(transitions []Transition, trise, vLow, vHigh float64) (Signal, error)
 		return settled[idx]
 	}, nil
 }
-
-// Sample evaluates s on a uniform grid over [t0, t1] with n intervals.
-func Sample(s Signal, t0, t1 float64, n int) (*Waveform, error) {
-	if n < 1 {
-		return nil, fmt.Errorf("waveform: sample count must be positive")
-	}
-	times := make([]float64, n+1)
-	values := make([]float64, n+1)
-	for i := 0; i <= n; i++ {
-		t := t0 + (t1-t0)*float64(i)/float64(n)
-		times[i] = t
-		values[i] = s(t)
-	}
-	return NewWaveform(times, values)
-}

@@ -167,36 +167,3 @@ func (w *Waveform) FirstCrossingAfter(t0, level float64, rising bool) (float64, 
 	}
 	return 0, false
 }
-
-// Clip returns the waveform restricted to [t0, t1], adding interpolated
-// boundary samples.
-func (w *Waveform) Clip(t0, t1 float64) (*Waveform, error) {
-	if t1 <= t0 {
-		return nil, fmt.Errorf("waveform: invalid clip window [%g, %g]", t0, t1)
-	}
-	times := []float64{t0}
-	values := []float64{w.At(t0)}
-	for i, t := range w.Times {
-		if t > t0 && t < t1 {
-			times = append(times, t)
-			values = append(values, w.Values[i])
-		}
-	}
-	times = append(times, t1)
-	values = append(values, w.At(t1))
-	return NewWaveform(times, values)
-}
-
-// MaxAbsDiff returns the maximum absolute difference between two waveforms
-// sampled on the union of their time grids within their overlap.
-func MaxAbsDiff(a, b *Waveform) float64 {
-	times := append(append([]float64(nil), a.Times...), b.Times...)
-	sort.Float64s(times)
-	m := 0.0
-	for _, t := range times {
-		if d := math.Abs(a.At(t) - b.At(t)); d > m {
-			m = d
-		}
-	}
-	return m
-}
