@@ -34,7 +34,6 @@ var benchSetup struct {
 	bench  *Bench
 	target hybrid.Characteristic
 	models eval.Models
-	params *eval.ParamCache // the NOR2 operating point at p, prepared once
 }
 
 func setupGolden(b *testing.B) (*Bench, hybrid.Characteristic, eval.Models) {
@@ -57,16 +56,10 @@ func setupGolden(b *testing.B) (*Bench, hybrid.Characteristic, eval.Models) {
 			benchSetup.err = err
 			return
 		}
-		params := eval.NewParamCache()
-		if _, err := params.OperatingPoint(context.Background(), gate.NOR2, p, DefaultSessionExpDMin); err != nil {
-			benchSetup.err = err
-			return
-		}
 		benchSetup.p = p
 		benchSetup.bench = bench
 		benchSetup.target = target
 		benchSetup.models = models
-		benchSetup.params = params
 	})
 	if benchSetup.err != nil {
 		b.Fatal(benchSetup.err)
@@ -79,7 +72,11 @@ func setupGolden(b *testing.B) (*Bench, hybrid.Characteristic, eval.Models) {
 // benchmarks time evaluation, not parametrization.
 func evalSession(b *testing.B, workers int) *Session {
 	setupGolden(b)
-	return NewSession(SessionOptions{Workers: workers, Params: benchSetup.params})
+	s := NewSession(SessionOptions{Workers: workers})
+	if _, err := s.ParamCache().OperatingPoint(context.Background(), gate.NOR2, benchSetup.p, DefaultSessionExpDMin); err != nil {
+		b.Fatal(err)
+	}
+	return s
 }
 
 // evalNOR2 evaluates configs over seeds as one NOR2 gate job at the

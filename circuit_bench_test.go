@@ -10,40 +10,42 @@ import (
 	"sync"
 	"testing"
 
-	"hybriddelay/internal/eval"
 	"hybriddelay/internal/gate"
 	"hybriddelay/internal/gen"
 	"hybriddelay/internal/netlist"
 	"hybriddelay/internal/nor"
 )
 
-// circuitBenchState prepares the shared chain netlist and the
-// parametrization of its member gate once per process: the benchmarks
-// track evaluation cost, not parametrization cost.
+// circuitBenchState builds the shared chain netlist once per process.
 var circuitBenchState struct {
-	once   sync.Once
-	nl     *netlist.Netlist
-	p      nor.Params
-	params *eval.ParamCache
-	err    error
+	once sync.Once
+	nl   *netlist.Netlist
+	p    nor.Params
+	err  error
 }
 
-func circuitBenchSetup(b *testing.B) (*netlist.Netlist, nor.Params, *eval.ParamCache) {
+func circuitBenchSetup(b *testing.B) (*netlist.Netlist, nor.Params) {
 	s := &circuitBenchState
 	s.once.Do(func() {
 		s.nl, s.err = netlist.InverterChain("bench-chain", 3)
-		if s.err != nil {
-			return
-		}
 		s.p = nor.DefaultParams()
 		s.p.MaxStep = 8e-12
-		s.params = eval.NewParamCache()
-		_, s.err = s.params.OperatingPoint(context.Background(), gate.NOR2, s.p, DefaultSessionExpDMin)
 	})
 	if s.err != nil {
 		b.Fatal(s.err)
 	}
-	return s.nl, s.p, s.params
+	return s.nl, s.p
+}
+
+// circuitSession returns a 4-worker session that already holds the
+// operating point of the chain's member gate, so the benchmarks track
+// evaluation cost, not parametrization cost.
+func circuitSession(b *testing.B, p nor.Params) *Session {
+	s := NewSession(SessionOptions{Workers: 4})
+	if _, err := s.ParamCache().OperatingPoint(context.Background(), gate.NOR2, p, DefaultSessionExpDMin); err != nil {
+		b.Fatal(err)
+	}
+	return s
 }
 
 func circuitBenchConfig() gen.Config {
@@ -58,13 +60,16 @@ func circuitBenchJob(nl *netlist.Netlist, p *nor.Params) CircuitJob {
 }
 
 // BenchmarkEvaluateCircuitChain measures the cold circuit pipeline:
-// every iteration runs on a fresh golden cache, so it simulates the
-// composed golden transients.
+// every iteration runs on a fresh session (its operating point prepared
+// off the clock), so it simulates the composed golden transients.
 func BenchmarkEvaluateCircuitChain(b *testing.B) {
-	nl, p, params := circuitBenchSetup(b)
+	nl, p := circuitBenchSetup(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := NewSession(SessionOptions{Workers: 4, Params: params}).Evaluate(context.Background(), circuitBenchJob(nl, &p))
+		b.StopTimer()
+		s := circuitSession(b, p)
+		b.StartTimer()
+		res, err := s.Evaluate(context.Background(), circuitBenchJob(nl, &p))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -80,8 +85,8 @@ func BenchmarkEvaluateCircuitChain(b *testing.B) {
 // golden trace sets come from the session's cache, so the iteration
 // cost is the model side of the circuit pipeline.
 func BenchmarkEvaluateCircuitCached(b *testing.B) {
-	nl, p, params := circuitBenchSetup(b)
-	s := NewSession(SessionOptions{Workers: 4, Params: params})
+	nl, p := circuitBenchSetup(b)
+	s := circuitSession(b, p)
 	if _, err := s.Evaluate(context.Background(), circuitBenchJob(nl, &p)); err != nil {
 		b.Fatal(err)
 	}
@@ -99,7 +104,7 @@ func BenchmarkEvaluateCircuitCached(b *testing.B) {
 // reconvergent c17 circuit — the raw analog cost of circuit-level
 // golden generation.
 func BenchmarkComposedGoldenC17(b *testing.B) {
-	_, p, _ := circuitBenchSetup(b)
+	_, p := circuitBenchSetup(b)
 	nl := netlist.C17("c17")
 	bench, err := netlist.NewBench(nl, p)
 	if err != nil {

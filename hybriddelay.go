@@ -213,12 +213,10 @@ type RunResult = eval.RunResult
 type SeedResult = eval.SeedResult
 
 // GoldenCache memoizes digitized golden traces keyed by (bench
-// parameters, configuration, seed); share one across evaluation runs to
-// skip re-simulating identical golden transients.
+// parameters, configuration, seed); every Session owns one
+// (Session.GoldenCache), so its jobs never re-simulate an identical
+// golden transient.
 type GoldenCache = eval.GoldenCache
-
-// NewGoldenCache returns an empty golden-trace cache.
-func NewGoldenCache() *GoldenCache { return eval.NewGoldenCache() }
 
 // Session API: one long-lived, concurrency-safe engine owning the
 // bounded worker pool, the golden-trace cache and the parametrization
@@ -232,8 +230,10 @@ func NewGoldenCache() *GoldenCache { return eval.NewGoldenCache() }
 // Session is the unified evaluation engine; see NewSession.
 type Session = session.Session
 
-// SessionOptions configures a new Session: the shared worker budget
-// and optional pre-existing caches.
+// SessionOptions configures a new Session: the worker budget, the
+// solver mode and base operating point, cache bounds, and an optional
+// persistent GoldenStore. Sessions that mount one store share its
+// golden traces and prepared operating points.
 type SessionOptions = session.Options
 
 // NewSession builds a long-lived evaluation engine. The zero options
@@ -335,19 +335,17 @@ func SharedSymbolicCacheStats() SymbolicCacheStats { return spice.SharedSymbolic
 
 // ParamCache memoizes prepared operating points — the Gate.NewBench →
 // Measure → BuildModels chain — per (gate, bench parameters, expDMin)
-// content key with singleflight deduplication. Share one across
-// sessions to never re-fit a model set for a known operating point.
+// content key with singleflight deduplication. Every Session owns one
+// (Session.ParamCache); mount a GoldenStore to reuse prepared points
+// across sessions and processes.
 type ParamCache = eval.ParamCache
-
-// NewParamCache returns an empty parametrization cache.
-func NewParamCache() *ParamCache { return eval.NewParamCache() }
 
 // ParamCacheStats reports parametrization-cache effectiveness counters.
 type ParamCacheStats = eval.ParamStats
 
 // DefaultSessionExpDMin is the exp channel's empirical pure delay a
 // session job applies when not overridden (paper: 20 ps).
-const DefaultSessionExpDMin = sweep.DefaultExpDMin
+const DefaultSessionExpDMin = session.DefaultExpDMin
 
 // SessionSnapshot is a point-in-time view of a session's shared
 // resources (caches, aggregate solver traffic, worker budget) —

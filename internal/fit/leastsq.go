@@ -11,18 +11,19 @@ import (
 // minimise 0.5 * sum(r_i^2).
 type ResidualFunc func(params []float64) []float64
 
+// LevenbergMarquardt's fixed tolerances: it stops when the gradient's
+// infinity norm falls below lmTolG or a step lowers the cost by less
+// than lmTolRel relative, and starts damping at lmInitialLambda.
+const (
+	lmTolG          = 1e-14
+	lmTolRel        = 1e-12
+	lmInitialLambda = 1e-3
+)
+
 // LeastSquaresOptions configures LevenbergMarquardt.
 type LeastSquaresOptions struct {
-	// TolG terminates when the gradient infinity norm falls below TolG.
-	// Default 1e-14.
-	TolG float64
-	// TolRel terminates when the relative cost decrease in a step falls
-	// below TolRel. Default 1e-12.
-	TolRel float64
 	// MaxIter bounds outer iterations. Default 200.
 	MaxIter int
-	// InitialLambda is the starting damping factor. Default 1e-3.
-	InitialLambda float64
 	// Scale holds per-parameter magnitudes used for the finite-difference
 	// Jacobian steps. If nil, |x_i| (or 1) is used.
 	Scale []float64
@@ -49,17 +50,8 @@ func LevenbergMarquardt(r ResidualFunc, x0 []float64, opt *LeastSquaresOptions) 
 	if opt != nil {
 		o = *opt
 	}
-	if o.TolG <= 0 {
-		o.TolG = 1e-14
-	}
-	if o.TolRel <= 0 {
-		o.TolRel = 1e-12
-	}
 	if o.MaxIter <= 0 {
 		o.MaxIter = 200
-	}
-	if o.InitialLambda <= 0 {
-		o.InitialLambda = 1e-3
 	}
 
 	x := append([]float64(nil), x0...)
@@ -80,7 +72,7 @@ func LevenbergMarquardt(r ResidualFunc, x0 []float64, opt *LeastSquaresOptions) 
 		return LeastSquaresResult{}, fmt.Errorf("fit: residual function returned no residuals")
 	}
 	cost := 0.5 * dot(res, res)
-	lambda := o.InitialLambda
+	lambda := lmInitialLambda
 
 	jac := la.NewMatrix(m, n)
 	for iter := 0; iter < o.MaxIter; iter++ {
@@ -119,7 +111,7 @@ func LevenbergMarquardt(r ResidualFunc, x0 []float64, opt *LeastSquaresOptions) 
 				jtj.Set(j, k, jtj.At(k, j))
 			}
 		}
-		if la.NormInf(g) < o.TolG {
+		if la.NormInf(g) < lmTolG {
 			return LeastSquaresResult{X: x, Cost: cost, Iters: iter, Evals: evals, Converged: true}, nil
 		}
 
@@ -151,7 +143,7 @@ func LevenbergMarquardt(r ResidualFunc, x0 []float64, opt *LeastSquaresOptions) 
 				x, res, cost = xNew, resNew, costNew
 				lambda = math.Max(lambda/3, 1e-12)
 				improved = true
-				if relDrop < o.TolRel {
+				if relDrop < lmTolRel {
 					return LeastSquaresResult{X: x, Cost: cost, Iters: iter + 1, Evals: evals, Converged: true}, nil
 				}
 				break

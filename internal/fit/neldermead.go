@@ -30,22 +30,17 @@ type Result struct {
 
 // NelderMeadOptions configures the simplex minimiser.
 type NelderMeadOptions struct {
-	// InitialStep is the per-coordinate size of the starting simplex.
-	// If nil, 5% of each coordinate magnitude (or 1e-4) is used.
-	InitialStep []float64
 	// TolF terminates when the simplex function-value spread falls below
 	// TolF * (|f_best| + |f_worst| + tiny). Default 1e-12.
 	TolF float64
-	// TolX terminates when the simplex diameter falls below TolX. Default 0
-	// (disabled).
-	TolX float64
 	// MaxEvals bounds objective evaluations. Default 200 * dim^2.
 	MaxEvals int
 }
 
 // NelderMead minimises f starting from x0 using the Nelder–Mead downhill
 // simplex method with standard (1, 2, 0.5, 0.5) coefficients and adaptive
-// shrinking.
+// shrinking. The starting simplex steps each coordinate by 5% of its
+// magnitude (1e-4 for a zero coordinate).
 func NelderMead(f func([]float64) float64, x0 []float64, opt *NelderMeadOptions) (Result, error) {
 	n := len(x0)
 	if n == 0 {
@@ -64,16 +59,13 @@ func NelderMead(f func([]float64) float64, x0 []float64, opt *NelderMeadOptions)
 			o.MaxEvals = 2000
 		}
 	}
-	step := o.InitialStep
-	if step == nil {
-		step = make([]float64, n)
-		for i, v := range x0 {
-			s := 0.05 * math.Abs(v)
-			if s == 0 {
-				s = 1e-4
-			}
-			step[i] = s
+	step := make([]float64, n)
+	for i, v := range x0 {
+		s := 0.05 * math.Abs(v)
+		if s == 0 {
+			s = 1e-4
 		}
+		step[i] = s
 	}
 
 	type vertex struct {
@@ -108,23 +100,10 @@ func NelderMead(f func([]float64) float64, x0 []float64, opt *NelderMeadOptions)
 		sort.Slice(simplex, func(i, j int) bool { return simplex[i].f < simplex[j].f })
 		best, worst := simplex[0], simplex[n]
 
-		// Convergence tests.
+		// Convergence test.
 		spread := math.Abs(worst.f - best.f)
 		if spread <= o.TolF*(math.Abs(best.f)+math.Abs(worst.f)+1e-300) {
 			return Result{X: best.x, F: best.f, Evals: evals, Converged: true}, nil
-		}
-		if o.TolX > 0 {
-			diam := 0.0
-			for i := 1; i <= n; i++ {
-				d := 0.0
-				for j := 0; j < n; j++ {
-					d += float64((simplex[i].x[j] - best.x[j]) * (simplex[i].x[j] - best.x[j]))
-				}
-				diam = math.Max(diam, math.Sqrt(d))
-			}
-			if diam <= o.TolX {
-				return Result{X: best.x, F: best.f, Evals: evals, Converged: true}, nil
-			}
 		}
 
 		// Centroid of all but the worst vertex.

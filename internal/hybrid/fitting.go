@@ -36,9 +36,10 @@ type FitOptions struct {
 	// Weights scales the six residuals (same order as
 	// Characteristic.AsSlice); nil = all ones.
 	Weights []float64
-	// MaxIter bounds the Levenberg-Marquardt iterations.
-	MaxIter int
 }
+
+// fitMaxIter bounds FitCharacteristic's Levenberg-Marquardt iterations.
+const fitMaxIter = 120
 
 // FitReport describes the outcome of a parametrization.
 type FitReport struct {
@@ -71,9 +72,6 @@ func FitCharacteristic(target Characteristic, supply waveform.Supply, opt *FitOp
 	}
 	if o.CO <= 0 {
 		o.CO = 617.259e-18
-	}
-	if o.MaxIter <= 0 {
-		o.MaxIter = 120
 	}
 	dmin := o.DMin
 	if dmin < 0 {
@@ -143,7 +141,7 @@ func FitCharacteristic(target Characteristic, supply waveform.Supply, opt *FitOp
 		return out
 	}
 	res, err := fit.LevenbergMarquardt(resid, x0, &fit.LeastSquaresOptions{
-		MaxIter: o.MaxIter,
+		MaxIter: fitMaxIter,
 		Scale:   []float64{1, 1, 1, 1, 1},
 	})
 	if err != nil && !res.Converged {

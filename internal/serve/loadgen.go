@@ -26,9 +26,6 @@ type LoadOptions struct {
 	// JobsPerClient is how many jobs each client submits sequentially.
 	// Default 2.
 	JobsPerClient int
-	// Specs is the job mix; client c's j-th job uses
-	// Specs[(c+j) % len(Specs)]. Empty selects DefaultLoadSpecs().
-	Specs []JobSpec
 	// Poll is the status poll (and 429 retry) interval. Default 5 ms.
 	Poll time.Duration
 	// Reference, when non-nil, is a fresh one-shot session the harness
@@ -56,10 +53,10 @@ type LoadReport struct {
 	ByteIdentical bool    `json:"byte_identical"` // and matched exactly
 }
 
-// DefaultLoadSpecs is the mixed-tenant job mix: two gate flavours, a
+// loadSpecs is the mixed-tenant job mix: two gate flavours, a
 // builtin circuit, and a small sweep grid — the three job kinds a
 // multi-tenant characterization server interleaves.
-func DefaultLoadSpecs() []JobSpec {
+func loadSpecs() []JobSpec {
 	stim := sweep.Stimulus{Mode: gen.Local, Mu: 200 * waveform.Pico, Sigma: 100 * waveform.Pico, Transitions: 2}
 	global := stim
 	global.Mode = gen.Global
@@ -111,8 +108,8 @@ func CanonicalResultJSON(res *session.Result) ([]byte, error) {
 }
 
 // RunLoad drives the mixed-client load against a running server at
-// baseURL and assembles the latency/throughput report. ctx aborts the
-// whole run.
+// baseURL and assembles the latency/throughput report: client c's j-th
+// job is entry (c+j) mod n of the n loadSpecs. ctx aborts the whole run.
 func RunLoad(ctx context.Context, baseURL string, opt LoadOptions) (*LoadReport, error) {
 	clients := opt.Clients
 	if clients <= 0 {
@@ -122,10 +119,7 @@ func RunLoad(ctx context.Context, baseURL string, opt LoadOptions) (*LoadReport,
 	if perClient <= 0 {
 		perClient = 2
 	}
-	specs := opt.Specs
-	if len(specs) == 0 {
-		specs = DefaultLoadSpecs()
-	}
+	specs := loadSpecs()
 	poll := opt.Poll
 	if poll <= 0 {
 		poll = 5 * time.Millisecond

@@ -1,4 +1,4 @@
-package sweep
+package session
 
 import (
 	"context"
@@ -14,15 +14,15 @@ import (
 )
 
 // DefaultExpDMin is the exp channel's empirical pure delay (paper:
-// 20 ps), which Plan uses when it is handed zero.
+// 20 ps), which a job or sweep spec selects with zero.
 const DefaultExpDMin = 20 * waveform.Pico
 
-// Target is one evaluation block for Plan: a gate (Netlist nil) or a
+// target is one evaluation block for plan: a gate (Netlist nil) or a
 // validated netlist at one operating point under one configuration.
 // Label, when non-empty, prefixes the error of a failed unit and that
 // of a failed operating point the target is the first to use; Tally,
 // when non-nil, counts the block's golden lookups and unit time.
-type Target struct {
+type target struct {
 	Gate    string // registry name ("" selects the default gate); unread for a netlist
 	Netlist *netlist.Netlist
 	Params  nor.Params
@@ -31,25 +31,24 @@ type Target struct {
 	Tally   *eval.Tally
 }
 
-// Plan turns targets into evaluation blocks for eval.Run, in target
+// plan turns targets into evaluation blocks for eval.Run, in target
 // order. It prepares each distinct (gate, bench parameters) operating
-// point once through o.Params on o.Workers, reporting that phase to
-// o.Progress; a netlist target uses the points of its member gates, so
-// circuits and gates at one operating point share them. Netlist
-// targets at equal (netlist, parameters) share one composed bench
-// pool, returned at each target's index (nil for a gate target). A
-// non-nil o.Cache sits in front of every golden source; nil evaluates
-// without golden memoization. expDMin zero selects DefaultExpDMin.
+// point once through the session's parametrization cache on its
+// workers, calling prepared (when non-nil) after each; a netlist
+// target uses the points of its member gates, so circuits and gates at
+// one operating point share them. Netlist targets at equal (netlist,
+// parameters) share one composed bench pool, returned at each target's
+// index (nil for a gate target). A non-nil cache sits in front of every
+// golden source; nil evaluates without golden memoization. expDMin
+// zero selects DefaultExpDMin.
 //
 // On the first failed preparation no new point is started and the
 // error of the earliest failed point is returned; once ctx is done,
 // ctx.Err() is.
-func Plan(ctx context.Context, targets []Target, expDMin float64, o Options) ([]eval.Block, []*eval.CircuitBenchSource, error) {
+func (s *Session) plan(ctx context.Context, targets []target, expDMin float64, cache *eval.GoldenCache,
+	prepared func(completed, total int, err error)) ([]eval.Block, []*eval.CircuitBenchSource, error) {
 	if !(expDMin > 0) {
 		expDMin = DefaultExpDMin
-	}
-	if o.Params == nil {
-		o.Params = eval.NewParamCache()
 	}
 	type pointKey struct {
 		gate   string
@@ -73,7 +72,7 @@ func Plan(ctx context.Context, targets []Target, expDMin float64, o Options) ([]
 		for _, name := range names {
 			g, err := gate.Find(name)
 			if err != nil {
-				return nil, nil, fmt.Errorf("sweep: %w", err)
+				return nil, nil, fmt.Errorf("session: %w", err)
 			}
 			k := pointKey{g.Name(), t.Params}
 			at, ok := index[k]
@@ -89,13 +88,11 @@ func Plan(ctx context.Context, targets []Target, expDMin float64, o Options) ([]
 	ops := make([]*eval.OperatingPoint, len(order))
 	errs := make([]error, len(order))
 	var onDone func(i, completed int, err error)
-	if o.Progress != nil {
-		onDone = func(_, completed int, err error) {
-			o.Progress(Progress{Phase: PhasePrepare, Scenario: -1, Completed: completed, Total: len(order), Err: err})
-		}
+	if prepared != nil {
+		onDone = func(_, completed int, err error) { prepared(completed, len(order), err) }
 	}
-	ctxErr := pool.RunContext(ctx, len(order), o.Workers, func(i int) error {
-		ops[i], errs[i] = o.Params.OperatingPoint(ctx, gates[i], order[i].params, expDMin)
+	ctxErr := pool.RunContext(ctx, len(order), s.workers, func(i int) error {
+		ops[i], errs[i] = s.params.OperatingPoint(ctx, gates[i], order[i].params, expDMin)
 		return errs[i]
 	}, onDone)
 	for i, err := range errs {
@@ -127,8 +124,8 @@ func Plan(ctx context.Context, targets []Target, expDMin float64, o Options) ([]
 		if t.Netlist == nil {
 			op := ops[uses[i][0]]
 			b.Models, b.Golden = op.Models, op.Golden
-			if o.Cache != nil {
-				b.Golden = eval.CachedSource{Gate: op.Key.Gate, Bench: t.Params, Cache: o.Cache, Src: op.Golden, Tally: t.Tally}
+			if cache != nil {
+				b.Golden = eval.CachedSource{Gate: op.Key.Gate, Bench: t.Params, Cache: cache, Src: op.Golden, Tally: t.Tally}
 			}
 			blocks[i] = b
 			continue
@@ -137,7 +134,7 @@ func Plan(ctx context.Context, targets []Target, expDMin float64, o Options) ([]
 		if benches[ck] == nil {
 			bench, err := netlist.NewBench(t.Netlist, t.Params)
 			if err != nil {
-				return nil, nil, fmt.Errorf("sweep: circuit %q: %w", t.Netlist.Name, err)
+				return nil, nil, fmt.Errorf("session: circuit %q: %w", t.Netlist.Name, err)
 			}
 			benches[ck] = eval.NewCircuitBenchSource(bench)
 		}
@@ -146,8 +143,8 @@ func Plan(ctx context.Context, targets []Target, expDMin float64, o Options) ([]
 		for _, at := range uses[i] {
 			b.Set[ops[at].Key.Gate] = ops[at].Models
 		}
-		if o.Cache != nil {
-			b.Circuit = eval.CachedCircuitSource{Key: t.Netlist.ContentKey(), Bench: t.Params, Cache: o.Cache, Src: pools[i], Tally: t.Tally}
+		if cache != nil {
+			b.Circuit = eval.CachedCircuitSource{Key: t.Netlist.ContentKey(), Bench: t.Params, Cache: cache, Src: pools[i], Tally: t.Tally}
 		}
 		blocks[i] = b
 	}

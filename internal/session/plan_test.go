@@ -1,4 +1,4 @@
-package sweep
+package session
 
 import (
 	"context"
@@ -14,15 +14,15 @@ import (
 // positive override prepares its own point and reaches the exp channel
 // unchanged.
 func TestPlanExpDMin(t *testing.T) {
-	params := eval.NewParamCache()
-	targets := []Target{{Gate: "nor2", Params: *fastBench()}}
+	s := New(Options{Workers: 2})
+	targets := []target{{Gate: "nor2", Params: fastParams()}}
 	plan := func(expDMin float64, wantMisses int64) eval.Block {
 		t.Helper()
-		blocks, _, err := Plan(context.Background(), targets, expDMin, Options{Workers: 2, Params: params})
+		blocks, _, err := s.plan(context.Background(), targets, expDMin, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := params.Stats().Misses; got != wantMisses {
+		if got := s.ParamCache().Stats().Misses; got != wantMisses {
 			t.Errorf("expDMin %g: %d param-cache misses, want %d", expDMin, got, wantMisses)
 		}
 		return blocks[0]
@@ -44,8 +44,8 @@ func TestPlanPrepareErrorLabel(t *testing.T) {
 		{"sweep: scenario 0 (nor2)", "sweep: scenario 0 (nor2): operating point nor2 "},
 		{"", "operating point nor2 "},
 	} {
-		targets := []Target{{Gate: "nor2", Params: bad, Label: tc.label}}
-		_, _, err := Plan(context.Background(), targets, 0, Options{Workers: 1})
+		targets := []target{{Gate: "nor2", Params: bad, Label: tc.label}}
+		_, _, err := New(Options{Workers: 1}).plan(context.Background(), targets, 0, nil, nil)
 		if err == nil || !strings.HasPrefix(err.Error(), tc.prefix) {
 			t.Errorf("label %q: error %v, want prefix %q", tc.label, err, tc.prefix)
 		}

@@ -17,9 +17,11 @@
 // stats) and reporting through a single Progress stream. Cancellation
 // via the context is plumbed down to the unit workers: a cancelled job
 // stops claiming units and aborts in-flight units at their next stage
-// boundary. Every flavour turns into evaluation blocks through the one
-// planner, sweep.Plan, and runs its (config, seed) units through the
-// one batched fan-out in internal/eval (eval.Run).
+// boundary. Every flavour turns into evaluation blocks through the
+// session's one planner, which prepares each operating point once, and
+// runs its (config, seed) units through the one batched fan-out in
+// internal/eval (eval.Run). Package sweep contributes only the grid: a
+// SweepJob expands its spec there and folds the units into its report.
 package session
 
 import (
@@ -56,12 +58,11 @@ type Options struct {
 	// GoldenBudget, when positive, bounds the golden cache's memory: the
 	// total eviction cost (stored trace transitions) completed entries
 	// may hold before cost-based LRU eviction kicks in. Zero keeps the
-	// cache unbounded. Applied to a shared cache passed via Golden too.
+	// cache unbounded.
 	GoldenBudget int64
 
 	// ParamLimit, when positive, bounds the number of operating points
 	// the parametrization cache retains (LRU). Zero keeps it unbounded.
-	// Applied to a shared cache passed via Params too.
 	ParamLimit int
 
 	// BaseParams overrides the bench parameters jobs fall back to when
@@ -72,27 +73,16 @@ type Options struct {
 	// point all tenants share.
 	BaseParams *nor.Params
 
-	// Golden, when non-nil, seeds the session with an existing
-	// golden-trace cache (e.g. to share one cache between sessions).
-	// Nil creates a private cache owned by the session.
-	Golden *eval.GoldenCache
-
-	// Params, when non-nil, seeds the session with an existing
-	// parametrization cache. Nil creates a private cache.
-	Params *eval.ParamCache
-
 	// Store, when non-nil, mounts a persistent on-disk tier (e.g.
 	// *store.Store) below the session's golden cache: in-memory misses
 	// are served from disk when a prior process already solved them, and
 	// freshly computed traces spill to disk in the background, so
-	// fig7/sweep/circuit runs warm-start across process restarts. The
-	// store is attached to the session's golden cache, including a
-	// shared cache passed via Golden. A store that also implements
-	// eval.PointStore (store.Store does) is mounted below the
-	// parametrization cache too, including one passed via Params, so a
-	// warm start also skips measuring and fitting its operating points.
-	// The caller keeps ownership and must Close the store after the
-	// session's last use.
+	// fig7/sweep/circuit runs warm-start across process restarts. A
+	// store that also implements eval.PointStore (store.Store does) is
+	// mounted below the parametrization cache too, so a warm start also
+	// skips measuring and fitting its operating points; sessions that
+	// mount one store share its traces and points. The caller keeps
+	// ownership and must Close the store after the session's last use.
 	Store eval.PersistentStore
 }
 
@@ -114,15 +104,10 @@ type Session struct {
 
 // New builds a Session. opt zero value selects all defaults.
 func New(opt Options) *Session {
-	s := &Session{workers: opt.Workers, solver: opt.Solver, base: opt.BaseParams, golden: opt.Golden, params: opt.Params, store: opt.Store}
+	s := &Session{workers: opt.Workers, solver: opt.Solver, base: opt.BaseParams,
+		golden: eval.NewGoldenCache(), params: eval.NewParamCache(), store: opt.Store}
 	if s.workers <= 0 {
 		s.workers = runtime.GOMAXPROCS(0)
-	}
-	if s.golden == nil {
-		s.golden = eval.NewGoldenCache()
-	}
-	if s.params == nil {
-		s.params = eval.NewParamCache()
 	}
 	if opt.Store != nil {
 		s.golden.SetStore(opt.Store)
@@ -198,10 +183,10 @@ const (
 	KindSweep   Kind = "sweep"
 )
 
-// Phase names reported through Progress, shared with the sweep engine.
+// Phase names reported through Progress.
 const (
-	PhasePrepare = sweep.PhasePrepare // operating-point preparation steps
-	PhaseEval    = sweep.PhaseEval    // (config/scenario, seed) evaluation units
+	PhasePrepare = "prepare" // operating-point preparation steps (sweep jobs)
+	PhaseEval    = "eval"    // (config/scenario, seed) evaluation units
 )
 
 // Progress is the session's single progress stream: one event per
@@ -227,7 +212,7 @@ type Job interface {
 // GateJob evaluates the Fig. 7 accuracy pipeline for one gate at one
 // operating point over one or more waveform configurations. The zero
 // value of every optional field selects a default: the registry's
-// default gate, the session's bench parameters and sweep.DefaultExpDMin. The
+// default gate, the session's bench parameters and DefaultExpDMin. The
 // model set is prepared through (or served from) the session's
 // parametrization cache.
 type GateJob struct {
@@ -238,12 +223,12 @@ type GateJob struct {
 	// operating point (see Options.BaseParams).
 	Params *nor.Params
 	// Configs lists the waveform configurations; each is evaluated over
-	// Seeds and reported as one Result row.
+	// Seeds and reported as one Result row. Required.
 	Configs []gen.Config
-	// Seeds lists the repetitions per configuration.
+	// Seeds lists the repetitions per configuration. Required.
 	Seeds []int64
 	// ExpDMin overrides the exp channel's empirical pure delay;
-	// 0 selects sweep.DefaultExpDMin.
+	// 0 selects DefaultExpDMin.
 	ExpDMin float64
 	// NoCache evaluates without golden-trace memoization entirely —
 	// for workloads whose (config, seed) units never repeat, where
@@ -268,10 +253,10 @@ type CircuitJob struct {
 	Params *nor.Params
 	// Config is the waveform configuration driving the primary inputs.
 	Config gen.Config
-	// Seeds lists the repetitions.
+	// Seeds lists the repetitions. Required.
 	Seeds []int64
 	// ExpDMin overrides the exp channel's pure delay; 0 selects
-	// sweep.DefaultExpDMin.
+	// DefaultExpDMin.
 	ExpDMin float64
 	// Progress, when non-nil, receives the job's progress events.
 	Progress func(Progress)
@@ -419,28 +404,29 @@ func evalProgress(kind Kind, fn func(Progress), config func(block int) gen.Confi
 // behind the golden cache unless the job opts out — and runs them on
 // the session's workers.
 func (s *Session) evaluateGate(ctx context.Context, j GateJob) (*Result, error) {
+	if len(j.Configs) == 0 {
+		return nil, fmt.Errorf("session: GateJob.Configs is empty")
+	}
+	if len(j.Seeds) == 0 {
+		return nil, fmt.Errorf("session: GateJob.Seeds is empty")
+	}
 	cache := s.golden
 	if j.NoCache {
 		cache = nil
 	}
-	// A job without configurations still prepares its operating point
-	// and returns the model set; its one planned block is not run.
 	p := s.paramsOr(j.Params)
-	targets := make([]sweep.Target, max(len(j.Configs), 1))
-	for i := range targets {
-		targets[i] = sweep.Target{Gate: j.Gate, Params: p}
-		if i < len(j.Configs) {
-			targets[i].Config = j.Configs[i]
-		}
+	targets := make([]target, len(j.Configs))
+	for i, cfg := range j.Configs {
+		targets[i] = target{Gate: j.Gate, Params: p, Config: cfg}
 	}
-	// Options.Progress stays nil: gate and circuit jobs report one event
-	// per evaluation unit and none for the prepare phase.
-	blocks, _, err := sweep.Plan(ctx, targets, j.ExpDMin, sweep.Options{Workers: s.workers, Cache: cache, Params: s.params})
+	// Gate and circuit jobs report one event per evaluation unit and
+	// none for the prepare phase.
+	blocks, _, err := s.plan(ctx, targets, j.ExpDMin, cache, nil)
 	if err != nil {
 		return nil, err
 	}
 	models := blocks[0].Models
-	parts, _, err := eval.Run(ctx, blocks[:len(j.Configs)], j.Seeds, &eval.Options{
+	parts, _, err := eval.Run(ctx, blocks, j.Seeds, &eval.Options{
 		Workers:  s.workers,
 		Progress: evalProgress(KindGate, j.Progress, func(b int) gen.Config { return j.Configs[b] }),
 	})
@@ -469,8 +455,11 @@ func (s *Session) evaluateCircuit(ctx context.Context, j CircuitJob) (*Result, e
 	if err := nl.Validate(); err != nil {
 		return nil, err
 	}
-	target := sweep.Target{Netlist: nl, Params: s.paramsOr(j.Params), Config: j.Config}
-	blocks, pools, err := sweep.Plan(ctx, []sweep.Target{target}, j.ExpDMin, sweep.Options{Workers: s.workers, Cache: s.golden, Params: s.params})
+	if len(j.Seeds) == 0 {
+		return nil, fmt.Errorf("session: CircuitJob.Seeds is empty")
+	}
+	t := target{Netlist: nl, Params: s.paramsOr(j.Params), Config: j.Config}
+	blocks, pools, err := s.plan(ctx, []target{t}, j.ExpDMin, s.golden, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -488,10 +477,13 @@ func (s *Session) evaluateCircuit(ctx context.Context, j CircuitJob) (*Result, e
 	return &Result{Kind: KindCircuit, Circuit: &res, Stats: Stats{Golden: s.golden.Stats(), Solver: res.Solver}}, nil
 }
 
-// evaluateSweep runs the scenario grid on the session's workers; the
-// session's parametrization cache serves operating points prepared by
-// any earlier job, and its golden cache memoizes across the grid and
-// across jobs.
+// evaluateSweep expands the scenario grid, plans one block per
+// scenario — every distinct operating point prepared once, served from
+// the parametrization cache when an earlier job prepared it — and runs
+// them all on one fan-out over the session's workers behind its golden
+// cache. On the first failing step the pool stops picking up new work
+// and the error of the earliest failed step (grid-major, seed-minor) is
+// returned.
 func (s *Session) evaluateSweep(ctx context.Context, j SweepJob) (*Result, error) {
 	if j.Spec.Bench == nil {
 		// A spec without explicit bench parameters inherits the session's
@@ -499,24 +491,43 @@ func (s *Session) evaluateSweep(ctx context.Context, j SweepJob) (*Result, error
 		p := s.paramsOr(nil)
 		j.Spec.Bench = &p
 	}
-	var progress func(sweep.Progress)
-	if j.Progress != nil {
-		fn := j.Progress
-		progress = func(p sweep.Progress) {
+	scenarios, err := sweep.Expand(j.Spec)
+	if err != nil {
+		return nil, err
+	}
+	seeds := j.Spec.SeedList()
+	start := time.Now()
+	// Each scenario's Tally collects its golden hits and misses and its
+	// unit time.
+	tallies := make([]eval.Tally, len(scenarios))
+	targets := make([]target, len(scenarios))
+	for i, sc := range scenarios {
+		targets[i] = target{Gate: sc.Gate, Netlist: sc.Circuit, Params: sc.Params, Config: sc.Config,
+			Label: fmt.Sprintf("sweep: scenario %d (%s)", i, sc.Name()), Tally: &tallies[i]}
+	}
+	var prepared func(completed, total int, err error)
+	var progress func(eval.Progress)
+	if fn := j.Progress; fn != nil {
+		prepared = func(completed, total int, err error) {
+			fn(Progress{Kind: KindSweep, Phase: PhasePrepare, Scenario: -1, Completed: completed, Total: total, Err: err})
+		}
+		progress = func(p eval.Progress) {
 			fn(Progress{
-				Kind: KindSweep, Phase: p.Phase, Scenario: p.Scenario,
+				Kind: KindSweep, Phase: PhaseEval, Scenario: p.Block,
 				Seed: p.Seed, Completed: p.Completed, Total: p.Total, Err: p.Err,
 			})
 		}
 	}
-	rep, err := sweep.RunSweepContext(ctx, j.Spec, &sweep.Options{
-		Workers:  s.workers,
-		Cache:    s.golden,
-		Params:   s.params,
-		Progress: progress,
-	})
+	blocks, _, err := s.plan(ctx, targets, j.Spec.ExpDMin, s.golden, prepared)
 	if err != nil {
 		return nil, err
 	}
-	return &Result{Kind: KindSweep, Sweep: rep, Stats: Stats{Golden: s.golden.Stats()}}, nil
+	gates, circuits, err := eval.Run(ctx, blocks, seeds, &eval.Options{Workers: s.workers, Progress: progress})
+	if err != nil {
+		return nil, err
+	}
+	rep := sweep.NewReport(scenarios, seeds, gates, circuits, tallies)
+	rep.Cache = s.golden.Stats()
+	rep.WallSeconds = time.Since(start).Seconds()
+	return &Result{Kind: KindSweep, Sweep: rep, Stats: Stats{Golden: rep.Cache}}, nil
 }

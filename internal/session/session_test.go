@@ -5,6 +5,8 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"sort"
+	"strings"
 	"sync"
 	"testing"
 
@@ -72,7 +74,7 @@ func TestSessionGateJobMatchesLegacyRunner(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	models, err := gate.NOR2.BuildModels(meas, p.Supply, sweep.DefaultExpDMin)
+	models, err := gate.NOR2.BuildModels(meas, p.Supply, DefaultExpDMin)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +163,7 @@ func TestSessionCircuitJobMatchesLegacy(t *testing.T) {
 	cfg := testConfig(len(nl.Inputs), 8)
 	seeds := []int64{1, 2}
 
-	ms, err := netlist.BuildModelSet(nl, p, sweep.DefaultExpDMin)
+	ms, err := netlist.BuildModelSet(nl, p, DefaultExpDMin)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,7 +238,7 @@ func TestSessionMixedGateCircuitJob(t *testing.T) {
 		t.Errorf("3-worker circuit result differs from the 1-worker one:\n got %+v\nwant %+v", *got, *serial)
 	}
 
-	ms, err := netlist.BuildModelSet(nl, p, sweep.DefaultExpDMin)
+	ms, err := netlist.BuildModelSet(nl, p, DefaultExpDMin)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,39 +275,69 @@ func TestSessionMixedGateCircuitJob(t *testing.T) {
 	}
 }
 
-// TestSessionSweepJobMatchesLegacy: a sweep job on a fresh 4-worker
-// session encodes byte-identically to sweep.RunSweepContext run
-// directly with private caches.
-func TestSessionSweepJobMatchesLegacy(t *testing.T) {
+// TestSessionSweepJobWorkerIndependence: a sweep job's report, with
+// timings cleared, encodes byte-identically on a 1-worker and a
+// 4-worker session, and both deliver the same progress stream: one
+// prepare event per operating point and one eval event per (scenario,
+// seed) unit, each phase counting 1..Total in delivery order.
+func TestSessionSweepJobWorkerIndependence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("analog sweep in -short mode")
 	}
 	spec := testSweepSpec(8)
-	encode := func(rep *sweep.Report) string {
+	spec.VDDScale = []float64{1, 0.95}
+	type unit struct {
+		phase    string
+		scenario int
+		seed     int64
+		total    int
+	}
+	run := func(workers int) (string, []unit) {
 		t.Helper()
-		rep.ClearTimings()
-		var buf bytes.Buffer
-		if err := rep.WriteJSON(&buf); err != nil {
+		var units []unit
+		next := map[string]int{}
+		res, err := New(Options{Workers: workers}).Evaluate(context.Background(), SweepJob{Spec: spec, Progress: func(p Progress) {
+			next[p.Phase]++
+			if p.Kind != KindSweep || p.Err != nil || p.Completed != next[p.Phase] {
+				t.Errorf("%d workers: progress event %+v, want a clean sweep event numbered %d", workers, p, next[p.Phase])
+			}
+			units = append(units, unit{p.Phase, p.Scenario, p.Seed, p.Total})
+		}})
+		if err != nil {
 			t.Fatal(err)
 		}
-		return buf.String()
+		if res.Kind != KindSweep || res.Sweep == nil {
+			t.Fatalf("result shape: kind=%s sweep=%v", res.Kind, res.Sweep)
+		}
+		res.Sweep.ClearTimings()
+		var buf bytes.Buffer
+		if err := res.Sweep.WriteJSON(&buf); err != nil {
+			t.Fatal(err)
+		}
+		// Units complete in any order; the stream is the same set.
+		sort.Slice(units, func(i, j int) bool {
+			a, b := units[i], units[j]
+			if a.phase != b.phase {
+				return a.phase == PhasePrepare
+			}
+			if a.scenario != b.scenario {
+				return a.scenario < b.scenario
+			}
+			return a.seed < b.seed
+		})
+		return buf.String(), units
 	}
-	want, err := sweep.RunSweepContext(context.Background(), spec, &sweep.Options{Workers: 4})
-	if err != nil {
-		t.Fatal(err)
+	wantJSON, wantUnits := run(1)
+	gotJSON, gotUnits := run(4)
+	if gotJSON != wantJSON {
+		t.Errorf("4-worker sweep report differs from the 1-worker one:\n--- 4 workers ---\n%s\n--- 1 worker ---\n%s", gotJSON, wantJSON)
 	}
-
-	// A fresh session's golden cache is as empty as the direct run's
-	// private one, so the report's cache statistics stay comparable.
-	res, err := New(Options{Workers: 4}).Evaluate(context.Background(), SweepJob{Spec: spec})
-	if err != nil {
-		t.Fatal(err)
+	if !reflect.DeepEqual(gotUnits, wantUnits) {
+		t.Errorf("4-worker progress stream differs from the 1-worker one:\n got %+v\nwant %+v", gotUnits, wantUnits)
 	}
-	if res.Kind != KindSweep || res.Sweep == nil {
-		t.Fatalf("result shape: kind=%s sweep=%v", res.Kind, res.Sweep)
-	}
-	if got, exp := encode(res.Sweep), encode(want); got != exp {
-		t.Errorf("session sweep report differs from the direct run:\n--- session ---\n%s\n--- direct ---\n%s", got, exp)
+	// One nor2 point per VDD scale, then 2 scales × 2 stimuli × 2 seeds.
+	if len(wantUnits) != 2+8 || wantUnits[0] != (unit{PhasePrepare, -1, 0, 2}) || wantUnits[2] != (unit{PhaseEval, 0, 1, 8}) {
+		t.Errorf("progress stream %+v, want 2 prepare events then 8 eval units", wantUnits)
 	}
 }
 
@@ -331,16 +363,15 @@ func TestSessionMixedJobsConcurrent(t *testing.T) {
 	circuitJob := CircuitJob{
 		Netlist: nl, Params: &p, Config: testConfig(len(nl.Inputs), 8), Seeds: []int64{1, 2},
 	}
-	// The sweep runs on a sibling session with its own golden cache so
-	// the report's cache rows cannot depend on what the other jobs put
-	// into the shared cache first — the byte-identity assertion needs
-	// schedule-independent reports. The parametrization cache stays
-	// shared: reuse there is invisible to report bytes (preparation is
-	// deterministic).
+	// The sweep's stimuli (9 transitions) share no golden key with the
+	// gate job's (8), so its per-scenario cache rows cannot depend on
+	// what the other jobs put into the shared cache first — the
+	// byte-identity assertion needs schedule-independent reports. The
+	// parametrization cache is shared: reuse there is invisible to
+	// report bytes (preparation is deterministic).
+	sweepJob := SweepJob{Spec: testSweepSpec(9)}
 	run := func(s *Session, concurrent bool) (gateRows []eval.RunResult, circ eval.CircuitResult, sweepJSON string) {
 		t.Helper()
-		sweepJob := SweepJob{Spec: testSweepSpec(8)}
-		sweeper := New(Options{Workers: s.Workers(), Params: s.ParamCache()})
 		var gres, cres, sres *Result
 		if concurrent {
 			var wg sync.WaitGroup
@@ -348,7 +379,7 @@ func TestSessionMixedJobsConcurrent(t *testing.T) {
 			wg.Add(3)
 			go func() { defer wg.Done(); gres, errs[0] = s.Evaluate(context.Background(), gateJob) }()
 			go func() { defer wg.Done(); cres, errs[1] = s.Evaluate(context.Background(), circuitJob) }()
-			go func() { defer wg.Done(); sres, errs[2] = sweeper.Evaluate(context.Background(), sweepJob) }()
+			go func() { defer wg.Done(); sres, errs[2] = s.Evaluate(context.Background(), sweepJob) }()
 			wg.Wait()
 			for _, err := range errs {
 				if err != nil {
@@ -363,11 +394,14 @@ func TestSessionMixedJobsConcurrent(t *testing.T) {
 			if cres, err = s.Evaluate(context.Background(), circuitJob); err != nil {
 				t.Fatal(err)
 			}
-			if sres, err = sweeper.Evaluate(context.Background(), sweepJob); err != nil {
+			if sres, err = s.Evaluate(context.Background(), sweepJob); err != nil {
 				t.Fatal(err)
 			}
 		}
 		sres.Sweep.ClearTimings()
+		// The session-lifetime cache totals depend on which job finished
+		// first.
+		sres.Sweep.Cache = eval.CacheStats{}
 		var buf bytes.Buffer
 		if err := sres.Sweep.WriteJSON(&buf); err != nil {
 			t.Fatal(err)
@@ -444,6 +478,35 @@ func TestSessionJobValidation(t *testing.T) {
 	}
 }
 
+// TestSessionRejectsEmptyJobs: a gate job without configurations or
+// seeds, and a circuit job without seeds, fail with an error naming the
+// missing field before any operating point is prepared.
+func TestSessionRejectsEmptyJobs(t *testing.T) {
+	p := fastParams()
+	nl, err := netlist.Builtin("nor-invchain")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		job   Job
+		field string
+	}{
+		{GateJob{Gate: "nor2", Params: &p}, "GateJob.Configs"},
+		{GateJob{Gate: "nor2", Params: &p, Seeds: []int64{1}}, "GateJob.Configs"},
+		{GateJob{Gate: "nor2", Params: &p, Configs: []gen.Config{testConfig(2, 4)}}, "GateJob.Seeds"},
+		{CircuitJob{Netlist: nl, Params: &p, Config: testConfig(2, 4)}, "CircuitJob.Seeds"},
+	} {
+		s := New(Options{Workers: 2})
+		_, err := s.Evaluate(context.Background(), tc.job)
+		if err == nil || !strings.Contains(err.Error(), tc.field) {
+			t.Errorf("%+v: error %v, want one naming %s", tc.job, err, tc.field)
+		}
+		if st := s.ParamCache().Stats(); st.Misses != 0 {
+			t.Errorf("%+v: %d operating points prepared before the job was refused", tc.job, st.Misses)
+		}
+	}
+}
+
 func TestSessionProgressStream(t *testing.T) {
 	if testing.Short() {
 		t.Skip("analog evaluation in -short mode")
@@ -478,12 +541,7 @@ func TestSessionProgressStream(t *testing.T) {
 }
 
 func TestSessionAccessorsAndDefaults(t *testing.T) {
-	golden := eval.NewGoldenCache()
-	params := eval.NewParamCache()
-	s := New(Options{Workers: 3, Golden: golden, Params: params})
-	if s.GoldenCache() != golden || s.ParamCache() != params {
-		t.Error("session did not adopt the seeded caches")
-	}
+	s := New(Options{Workers: 3})
 	if got := s.Workers(); got != 3 {
 		t.Errorf("Workers() = %d, want the session budget 3", got)
 	}

@@ -1,18 +1,18 @@
-package sweep
+package sweep_test
 
 import (
-	"bytes"
 	"context"
 	"strings"
 	"testing"
 
-	"hybriddelay/internal/eval"
 	"hybriddelay/internal/netlist"
+	"hybriddelay/internal/session"
+	"hybriddelay/internal/sweep"
 )
 
 // circuitSpec crosses one gate and one circuit over the stimulus axis.
-func circuitSpec(transitions int) Spec {
-	return Spec{
+func circuitSpec(transitions int) sweep.Spec {
+	return sweep.Spec{
 		Gates:    []string{"nor2"},
 		Circuits: []netlist.Netlist{*mustChain(2)},
 		Stimuli:  testStimuli(transitions)[:1],
@@ -31,7 +31,7 @@ func mustChain(stages int) *netlist.Netlist {
 
 func TestExpandCircuitAxis(t *testing.T) {
 	spec := circuitSpec(10)
-	scenarios, err := Expand(spec)
+	scenarios, err := sweep.Expand(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +51,7 @@ func TestExpandCircuitAxis(t *testing.T) {
 	// Circuits-only spec: no default gate is injected.
 	only := spec
 	only.Gates = nil
-	scenarios, err = Expand(only)
+	scenarios, err = sweep.Expand(only)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,40 +63,36 @@ func TestExpandCircuitAxis(t *testing.T) {
 func TestExpandCircuitValidation(t *testing.T) {
 	bad := circuitSpec(10)
 	bad.Circuits[0].Name = ""
-	if _, err := Expand(bad); err == nil || !strings.Contains(err.Error(), "needs a name") {
+	if _, err := sweep.Expand(bad); err == nil || !strings.Contains(err.Error(), "needs a name") {
 		t.Errorf("unnamed circuit error = %v", err)
 	}
 	dup := circuitSpec(10)
 	dup.Circuits = append(dup.Circuits, dup.Circuits[0])
-	if _, err := Expand(dup); err == nil || !strings.Contains(err.Error(), "listed twice") {
+	if _, err := sweep.Expand(dup); err == nil || !strings.Contains(err.Error(), "listed twice") {
 		t.Errorf("duplicate circuit error = %v", err)
 	}
 	cyc := circuitSpec(10)
 	cyc.Circuits[0].Instances[1].Inputs = []string{"y2", "y2"}
-	if _, err := Expand(cyc); err == nil || !strings.Contains(err.Error(), "cycle") {
+	if _, err := sweep.Expand(cyc); err == nil || !strings.Contains(err.Error(), "cycle") {
 		t.Errorf("cyclic circuit error = %v", err)
 	}
 	unknown := circuitSpec(10)
 	unknown.Circuits[0].Instances[0].Gate = "bogus"
-	if _, err := Expand(unknown); err == nil || !strings.Contains(err.Error(), "unknown gate") {
+	if _, err := sweep.Expand(unknown); err == nil || !strings.Contains(err.Error(), "unknown gate") {
 		t.Errorf("unknown member gate error = %v", err)
 	}
 }
 
 // TestRunSweepCircuitAxis runs a mixed gate + circuit grid and checks
-// the circuit rows aggregate per-net scores, share the gate axis'
-// prepared operating points, and stay deterministic across worker
-// counts (byte-identical reports, also under -race).
+// the circuit rows aggregate per-net scores, stay deterministic across
+// worker counts (byte-identical reports, also under -race), and are
+// served from the golden cache on a warm rerun.
 func TestRunSweepCircuitAxis(t *testing.T) {
 	if testing.Short() {
 		t.Skip("analog sweep in -short mode")
 	}
 	spec := circuitSpec(10)
-	cache := eval.NewGoldenCache()
-	baseline, err := RunSweepContext(context.Background(), spec, &Options{Workers: 1, Cache: cache})
-	if err != nil {
-		t.Fatal(err)
-	}
+	baseline := runSweep(t, session.New(session.Options{Workers: 1}), spec)
 	if len(baseline.Scenarios) != 2 {
 		t.Fatalf("report has %d rows, want 2", len(baseline.Scenarios))
 	}
@@ -116,24 +112,20 @@ func TestRunSweepCircuitAxis(t *testing.T) {
 			t.Errorf("circuit row missing normalized entry for %s", model)
 		}
 	}
+	want, _ := encodeReport(t, baseline)
 
-	baseline.ClearTimings()
-	var want bytes.Buffer
-	if err := baseline.WriteJSON(&want); err != nil {
-		t.Fatal(err)
+	s := session.New(session.Options{Workers: 8})
+	if got, _ := encodeReport(t, runSweep(t, s, spec)); got != want {
+		t.Errorf("8-worker report differs from the 1-worker one:\n--- 8 workers ---\n%s\n--- 1 worker ---\n%s", got, want)
 	}
-	rerun, err := RunSweepContext(context.Background(), spec, &Options{Workers: 8, Cache: cache})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rerun.ClearTimings()
+	rerun := runSweep(t, s, spec)
 	// The rerun is fully warm: scenario hit counters replace the cold
 	// run's misses, so compare rows field by field instead of bytes.
 	for i := range baseline.Scenarios {
 		a, b := baseline.Scenarios[i], rerun.Scenarios[i]
 		if a.GoldenEvents != b.GoldenEvents || a.WorstSeed != b.WorstSeed ||
 			a.WorstSeedArea != b.WorstSeedArea {
-			t.Errorf("row %d differs across worker counts: %+v vs %+v", i, a, b)
+			t.Errorf("row %d differs on the warm rerun: %+v vs %+v", i, a, b)
 		}
 		for _, model := range baseline.ModelNames {
 			if a.Normalized[model] != b.Normalized[model] {
@@ -149,18 +141,20 @@ func TestRunSweepCircuitAxis(t *testing.T) {
 
 // TestRunSweepCircuitSharesGatePoints: a circuit whose member gate is
 // also on the gate axis reuses the measured operating point — the
-// run's prepare phase reports exactly one point.
+// job's prepare phase reports exactly one point.
 func TestRunSweepCircuitSharesGatePoints(t *testing.T) {
 	if testing.Short() {
 		t.Skip("analog sweep in -short mode")
 	}
-	spec := circuitSpec(8)
 	prepared := 0
-	_, err := RunSweepContext(context.Background(), spec, &Options{Workers: 2, Progress: func(p Progress) {
-		if p.Phase == PhasePrepare && p.Completed == p.Total {
-			prepared = p.Total
-		}
-	}})
+	_, err := session.New(session.Options{Workers: 2}).Evaluate(context.Background(), session.SweepJob{
+		Spec: circuitSpec(8),
+		Progress: func(p session.Progress) {
+			if p.Phase == session.PhasePrepare && p.Completed == p.Total {
+				prepared = p.Total
+			}
+		},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,11 +176,11 @@ func TestParseSpecWithCircuits(t *testing.T) {
 	  "stimuli": [{"mode": "LOCAL", "mu": 2e-10, "sigma": 1e-10, "transitions": 10}],
 	  "seed_count": 2
 	}`
-	spec, err := ParseSpec(strings.NewReader(js))
+	spec, err := sweep.ParseSpec(strings.NewReader(js))
 	if err != nil {
 		t.Fatal(err)
 	}
-	scenarios, err := Expand(spec)
+	scenarios, err := sweep.Expand(spec)
 	if err != nil {
 		t.Fatal(err)
 	}

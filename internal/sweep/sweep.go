@@ -1,34 +1,25 @@
-// Package sweep turns the single-operating-point accuracy study of
-// paper §VI (Fig. 7) into a scenario-exploration engine: a declarative
-// grid of scenario axes — gate topology (single gates and whole
-// netlist circuits), supply-voltage scaling, output load scaling,
-// stimulus configuration and seed count — expands into individual
-// scenarios, which are evaluated through the gate-generic pipeline of
-// internal/eval on one shared bounded worker pool. Circuit scenarios
-// run the circuit-level pipeline (composed analog golden, per-net
-// scoring summed into the report row) and share their member gates'
-// measured operating points with the gate axis.
+// Package sweep declares the scenario grid of the accuracy study of
+// paper §VI (Fig. 7) and reports on it: a declarative grid of scenario
+// axes — gate topology (single gates and whole netlist circuits),
+// supply-voltage scaling, output load scaling, stimulus configuration
+// and seed count — expands into individual scenarios (Expand), and the
+// evaluated units fold into a per-scenario Report (NewReport) with
+// deterministic JSON and CSV encodings. Circuit rows sum their per-net
+// scores into the report row.
 //
-// The engine reuses the existing evaluation machinery end to end: Plan
-// turns each scenario into one eval.Block of the single eval.Run
-// fan-out, preparing every distinct operating point once through the
-// parametrization cache (Gate.NewBench / Measure / fit), and golden
-// traces are memoized in a single eval.GoldenCache shared across the
-// whole grid. Plan is also the one path by which a session's gate and
-// circuit jobs turn into blocks. Cache keys incorporate the scenario's
-// bench parameters (the scaled supply and load are part of nor.Params), so
-// distinct operating points never collide even though they share one
-// cache. Results are merged deterministically in grid order: for a
-// fixed spec the Report — including its JSON and CSV encodings — is
-// bit-identical regardless of the worker count.
+// The package plans and runs nothing itself: a session SweepJob
+// prepares every distinct operating point once, puts one evaluation
+// block per scenario on one eval.Run fan-out behind the session's
+// golden cache, and hands the results to NewReport. Scenario bench
+// parameters carry the scaled supply and load, so distinct operating
+// points never share a cache key. Rows are merged in grid order: for a
+// fixed spec the Report is bit-identical regardless of the worker
+// count.
 package sweep
 
 import (
-	"context"
 	"fmt"
 	"math"
-	"runtime"
-	"time"
 
 	"hybriddelay/internal/eval"
 	"hybriddelay/internal/gate"
@@ -127,7 +118,7 @@ type Spec struct {
 	BaseSeed  int64   `json:"base_seed,omitempty"`
 
 	// ExpDMin is the exp channel's empirical pure delay; zero selects
-	// DefaultExpDMin.
+	// the session's default (20 ps, as in the paper).
 	ExpDMin float64 `json:"exp_dmin,omitempty"`
 
 	// Bench overrides the base testbench parameters the scale axes are
@@ -320,49 +311,6 @@ func Expand(spec Spec) ([]Scenario, error) {
 	return out, nil
 }
 
-// Phase names reported through Progress.
-const (
-	PhasePrepare = "prepare" // operating-point preparation (bench, measurement, fits)
-	PhaseEval    = "eval"    // (scenario, seed) evaluation units
-)
-
-// Progress describes one completed step of a running sweep.
-type Progress struct {
-	Phase     string // PhasePrepare or PhaseEval
-	Scenario  int    // scenario index (eval phase; -1 during prepare)
-	Seed      int64  // seed of the completed unit (eval phase)
-	Completed int    // steps of this phase finished so far
-	Total     int    // total steps of this phase
-	Err       error  // the step's error, if any
-}
-
-// Options configures a sweep run, and Plan (see there for how it reads
-// a nil Cache).
-type Options struct {
-	// Workers bounds the single worker pool shared by every scenario
-	// (both the prepare and the evaluation phase). Zero or negative
-	// selects runtime.GOMAXPROCS(0).
-	Workers int
-
-	// Cache, when non-nil, memoizes golden traces across the whole grid
-	// (and across RunSweepContext calls). When nil, RunSweepContext
-	// creates a private cache so hit rates are still reported.
-	Cache *eval.GoldenCache
-
-	// Params, when non-nil, memoizes prepared operating points (bench
-	// construction, characteristic measurement, model fits) across
-	// RunSweepContext calls — a sweep revisiting an operating point a
-	// previous sweep (or gate/circuit evaluation through the same
-	// session) already measured skips the whole preparation phase for
-	// it. When nil, RunSweepContext prepares privately; within one call
-	// each unique operating point is prepared only once either way.
-	Params *eval.ParamCache
-
-	// Progress, when non-nil, is invoked after each completed step.
-	// Calls are serialized; steps may complete in any order.
-	Progress func(Progress)
-}
-
 // circuitToSeedResult folds a per-net circuit unit result into the flat
 // per-model shape the sweep report aggregates: areas and golden events
 // summed over the recorded nets, in net and model order (deterministic
@@ -378,63 +326,18 @@ func circuitToSeedResult(cr eval.CircuitSeedResult) eval.SeedResult {
 	return out
 }
 
-// RunSweepContext expands the spec and evaluates every scenario. All
-// scenarios share one bounded worker pool and one golden-trace cache;
-// per-scenario results are merged in seed order and reported in grid
-// order, so the report is independent of the worker count. On the
-// first failing step the pool stops picking up new work and the error
-// of the earliest failed step (grid-major, seed-minor) is returned.
-// Once ctx is done no new preparation or evaluation units are claimed,
-// in-flight units stop at their next stage boundary, and ctx.Err() is
-// returned.
-func RunSweepContext(ctx context.Context, spec Spec, opt *Options) (*Report, error) {
-	var o Options
-	if opt != nil {
-		o = *opt
-	}
-	if o.Workers <= 0 {
-		o.Workers = runtime.GOMAXPROCS(0)
-	}
-	if o.Cache == nil {
-		o.Cache = eval.NewGoldenCache()
-	}
-	scenarios, err := Expand(spec)
-	if err != nil {
-		return nil, err
-	}
-	seeds := spec.SeedList()
-	start := time.Now()
-
-	// One block per scenario in grid order, all on one fan-out, so every
-	// scenario shares the same worker budget; each scenario's Tally
-	// collects its cache hits and misses and its unit time.
-	tallies := make([]eval.Tally, len(scenarios))
-	targets := make([]Target, len(scenarios))
-	for i, sc := range scenarios {
-		targets[i] = Target{Gate: sc.Gate, Netlist: sc.Circuit, Params: sc.Params, Config: sc.Config,
-			Label: fmt.Sprintf("sweep: scenario %d (%s)", i, sc.Name()), Tally: &tallies[i]}
-	}
-	blocks, _, err := Plan(ctx, targets, spec.ExpDMin, o)
-	if err != nil {
-		return nil, err
-	}
-	var progress func(eval.Progress)
-	if o.Progress != nil {
-		progress = func(p eval.Progress) {
-			o.Progress(Progress{Phase: PhaseEval, Scenario: p.Block, Seed: p.Seed, Completed: p.Completed, Total: p.Total, Err: p.Err})
-		}
-	}
-	gates, circuits, err := eval.Run(ctx, blocks, seeds, &eval.Options{Workers: o.Workers, Progress: progress})
-	if err != nil {
-		return nil, err
-	}
-
-	total := len(scenarios) * len(seeds)
+// NewReport folds an evaluated grid into its report: scenarios from
+// Expand, the seeds every scenario ran, the gate and circuit unit
+// results of eval.Run over one block per scenario in grid order, and
+// each scenario's tally. Per-scenario results are merged in seed order
+// and reported in grid order, so the report is independent of the
+// worker count. The caller fills in Cache and WallSeconds.
+func NewReport(scenarios []Scenario, seeds []int64, gates []eval.SeedResult, circuits []eval.CircuitSeedResult, tallies []eval.Tally) *Report {
 	rep := &Report{
 		Seeds:      seeds,
 		ModelNames: append([]string(nil), eval.ModelNames...),
 		Scenarios:  make([]ScenarioResult, len(scenarios)),
-		TotalUnits: total,
+		TotalUnits: len(scenarios) * len(seeds),
 	}
 	for si, sc := range scenarios {
 		parts := gates[si*len(seeds) : (si+1)*len(seeds)]
@@ -445,9 +348,7 @@ func RunSweepContext(ctx context.Context, spec Spec, opt *Options) (*Report, err
 		}
 		rep.Scenarios[si] = buildScenarioResult(sc, eval.MergeSeedResults(sc.Config, parts), parts, &tallies[si])
 	}
-	rep.Cache = o.Cache.Stats()
-	rep.WallSeconds = time.Since(start).Seconds()
-	return rep, nil
+	return rep
 }
 
 // buildScenarioResult folds one scenario's merged and per-seed results

@@ -1,4 +1,7 @@
-package sweep
+package sweep_test
+
+// The TestRunSweep* tests evaluate their grids the only way a grid
+// runs: as a session SweepJob through session.Evaluate.
 
 import (
 	"bytes"
@@ -10,13 +13,15 @@ import (
 	"hybriddelay/internal/eval"
 	"hybriddelay/internal/gen"
 	"hybriddelay/internal/nor"
+	"hybriddelay/internal/session"
+	"hybriddelay/internal/sweep"
 	"hybriddelay/internal/waveform"
 )
 
 // testStimuli returns a two-flavour stimulus axis small enough for
 // analog test runs.
-func testStimuli(transitions int) []Stimulus {
-	return []Stimulus{
+func testStimuli(transitions int) []sweep.Stimulus {
+	return []sweep.Stimulus{
 		{Mode: gen.Local, Mu: 200 * waveform.Pico, Sigma: 100 * waveform.Pico, Transitions: transitions},
 		{Mode: gen.Global, Mu: 200 * waveform.Pico, Sigma: 100 * waveform.Pico, Transitions: transitions},
 	}
@@ -31,8 +36,8 @@ func fastBench() *nor.Params {
 
 // testSpec is the acceptance grid: 2 gates × 2 VDD points × 2 stimulus
 // flavours over 2 seeds (8 scenarios, 16 units).
-func testSpec(transitions int) Spec {
-	return Spec{
+func testSpec(transitions int) sweep.Spec {
+	return sweep.Spec{
 		Gates:    []string{"nor2", "nand2"},
 		VDDScale: []float64{1, 0.92},
 		Stimuli:  testStimuli(transitions),
@@ -42,21 +47,21 @@ func testSpec(transitions int) Spec {
 }
 
 func TestExpandGridOrder(t *testing.T) {
-	spec := Spec{
+	spec := sweep.Spec{
 		Gates:     []string{"nor2", "nor3"},
 		VDDScale:  []float64{1, 0.9},
 		LoadScale: []float64{1, 2},
 		Stimuli:   testStimuli(10),
 		Bench:     fastBench(),
 	}
-	scenarios, err := Expand(spec)
+	scenarios, err := sweep.Expand(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(scenarios) != 2*2*2*2 {
 		t.Fatalf("expanded %d scenarios, want 16", len(scenarios))
 	}
-	base := spec.baseParams()
+	base := *spec.Bench
 	for i, sc := range scenarios {
 		if sc.Index != i {
 			t.Errorf("scenario %d has Index %d", i, sc.Index)
@@ -97,37 +102,37 @@ func TestExpandGridOrder(t *testing.T) {
 }
 
 func TestExpandValidation(t *testing.T) {
-	valid := func() Spec { return testSpec(10) }
+	valid := func() sweep.Spec { return testSpec(10) }
 	cases := []struct {
 		name    string
-		mutate  func(*Spec)
+		mutate  func(*sweep.Spec)
 		errPart string
 	}{
-		{"unknown gate", func(s *Spec) { s.Gates = []string{"xor7"} }, "unknown gate"},
-		{"duplicate gate", func(s *Spec) { s.Gates = []string{"nor2", "nor2"} }, "listed twice"},
-		{"default gate listed by name too", func(s *Spec) { s.Gates = []string{"", "nor2"} }, "listed twice"},
-		{"zero vdd scale", func(s *Spec) { s.VDDScale = []float64{0} }, "VDD scale"},
-		{"negative vdd scale", func(s *Spec) { s.VDDScale = []float64{-1} }, "VDD scale"},
-		{"nan vdd scale", func(s *Spec) { s.VDDScale = []float64{nan()} }, "VDD scale"},
-		{"zero load scale", func(s *Spec) { s.LoadScale = []float64{0} }, "load scale"},
-		{"no stimuli", func(s *Spec) { s.Stimuli = nil }, "no stimuli"},
-		{"bad mu", func(s *Spec) { s.Stimuli[0].Mu = 0 }, "gap distribution"},
-		{"negative sigma", func(s *Spec) { s.Stimuli[0].Sigma = -1e-12 }, "gap distribution"},
-		{"no transitions", func(s *Spec) { s.Stimuli[0].Transitions = 0 }, "transition"},
-		{"bad mode", func(s *Spec) { s.Stimuli[0].Mode = gen.Mode(7) }, "unknown mode"},
+		{"unknown gate", func(s *sweep.Spec) { s.Gates = []string{"xor7"} }, "unknown gate"},
+		{"duplicate gate", func(s *sweep.Spec) { s.Gates = []string{"nor2", "nor2"} }, "listed twice"},
+		{"default gate listed by name too", func(s *sweep.Spec) { s.Gates = []string{"", "nor2"} }, "listed twice"},
+		{"zero vdd scale", func(s *sweep.Spec) { s.VDDScale = []float64{0} }, "VDD scale"},
+		{"negative vdd scale", func(s *sweep.Spec) { s.VDDScale = []float64{-1} }, "VDD scale"},
+		{"nan vdd scale", func(s *sweep.Spec) { s.VDDScale = []float64{nan()} }, "VDD scale"},
+		{"zero load scale", func(s *sweep.Spec) { s.LoadScale = []float64{0} }, "load scale"},
+		{"no stimuli", func(s *sweep.Spec) { s.Stimuli = nil }, "no stimuli"},
+		{"bad mu", func(s *sweep.Spec) { s.Stimuli[0].Mu = 0 }, "gap distribution"},
+		{"negative sigma", func(s *sweep.Spec) { s.Stimuli[0].Sigma = -1e-12 }, "gap distribution"},
+		{"no transitions", func(s *sweep.Spec) { s.Stimuli[0].Transitions = 0 }, "transition"},
+		{"bad mode", func(s *sweep.Spec) { s.Stimuli[0].Mode = gen.Mode(7) }, "unknown mode"},
 		// Duplicate axis values would alias golden-cache keys across
 		// scenarios and make per-scenario hit accounting depend on
 		// scheduling — rejected on every axis.
-		{"duplicate vdd scale", func(s *Spec) { s.VDDScale = []float64{1, 1} }, "listed twice"},
-		{"duplicate load scale", func(s *Spec) { s.LoadScale = []float64{2, 2} }, "listed twice"},
-		{"duplicate stimulus", func(s *Spec) { s.Stimuli = append(s.Stimuli, s.Stimuli[0]) }, "listed twice"},
-		{"duplicate seed", func(s *Spec) { s.Seeds = []int64{1, 2, 1} }, "listed twice"},
+		{"duplicate vdd scale", func(s *sweep.Spec) { s.VDDScale = []float64{1, 1} }, "listed twice"},
+		{"duplicate load scale", func(s *sweep.Spec) { s.LoadScale = []float64{2, 2} }, "listed twice"},
+		{"duplicate stimulus", func(s *sweep.Spec) { s.Stimuli = append(s.Stimuli, s.Stimuli[0]) }, "listed twice"},
+		{"duplicate seed", func(s *sweep.Spec) { s.Seeds = []int64{1, 2, 1} }, "listed twice"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			spec := valid()
 			tc.mutate(&spec)
-			_, err := Expand(spec)
+			_, err := sweep.Expand(spec)
 			if err == nil {
 				t.Fatalf("Expand accepted %s", tc.name)
 			}
@@ -137,7 +142,7 @@ func TestExpandValidation(t *testing.T) {
 		})
 	}
 	// Defaults: empty gate/scale axes are filled in.
-	scenarios, err := Expand(Spec{Stimuli: testStimuli(10)})
+	scenarios, err := sweep.Expand(sweep.Spec{Stimuli: testStimuli(10)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,44 +160,52 @@ func nan() float64 {
 }
 
 func TestSpecSeedList(t *testing.T) {
-	if got := (Spec{Seeds: []int64{7, 9}}).SeedList(); len(got) != 2 || got[0] != 7 || got[1] != 9 {
+	if got := (sweep.Spec{Seeds: []int64{7, 9}}).SeedList(); len(got) != 2 || got[0] != 7 || got[1] != 9 {
 		t.Errorf("explicit seeds: %v", got)
 	}
-	if got := (Spec{}).SeedList(); len(got) != 1 || got[0] != 1 {
+	if got := (sweep.Spec{}).SeedList(); len(got) != 1 || got[0] != 1 {
 		t.Errorf("default seeds: %v", got)
 	}
-	if got := (Spec{SeedCount: 3, BaseSeed: 10}).SeedList(); len(got) != 3 || got[0] != 10 || got[2] != 12 {
+	if got := (sweep.Spec{SeedCount: 3, BaseSeed: 10}).SeedList(); len(got) != 3 || got[0] != 10 || got[2] != 12 {
 		t.Errorf("counted seeds: %v", got)
 	}
 }
 
+// runSweep evaluates spec as one sweep job on s.
+func runSweep(t *testing.T, s *session.Session, spec sweep.Spec) *sweep.Report {
+	t.Helper()
+	res, err := s.Evaluate(context.Background(), session.SweepJob{Spec: spec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res.Sweep
+}
+
+// encodeReport renders a report with its timings cleared.
+func encodeReport(t *testing.T, rep *sweep.Report) (string, string) {
+	t.Helper()
+	rep.ClearTimings()
+	var j, c bytes.Buffer
+	if err := rep.WriteJSON(&j); err != nil {
+		t.Fatal(err)
+	}
+	if err := rep.WriteCSV(&c); err != nil {
+		t.Fatal(err)
+	}
+	return j.String(), c.String()
+}
+
 // TestRunSweepDeterministicAcrossWorkers is the acceptance property of
-// the sweep engine: over a 3-axis grid (2 gates × 2 VDD points × 2
-// stimulus flavours), the report — including its JSON and CSV encodings
-// — is byte-identical for 1 and 8 workers (run under -race in CI).
+// the sweep: over a 3-axis grid (2 gates × 2 VDD points × 2 stimulus
+// flavours), the report — including its JSON and CSV encodings — is
+// byte-identical for 1 and 8 workers (run under -race in CI).
 func TestRunSweepDeterministicAcrossWorkers(t *testing.T) {
 	if testing.Short() {
 		t.Skip("analog sweep in -short mode")
 	}
 	spec := testSpec(12)
-	encode := func(workers int) (string, string) {
-		t.Helper()
-		rep, err := RunSweepContext(context.Background(), spec, &Options{Workers: workers})
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		rep.ClearTimings()
-		var j, c bytes.Buffer
-		if err := rep.WriteJSON(&j); err != nil {
-			t.Fatal(err)
-		}
-		if err := rep.WriteCSV(&c); err != nil {
-			t.Fatal(err)
-		}
-		return j.String(), c.String()
-	}
-	j1, c1 := encode(1)
-	j8, c8 := encode(8)
+	j1, c1 := encodeReport(t, runSweep(t, session.New(session.Options{Workers: 1}), spec))
+	j8, c8 := encodeReport(t, runSweep(t, session.New(session.Options{Workers: 8}), spec))
 	if j1 != j8 {
 		t.Errorf("JSON reports differ between 1 and 8 workers:\n--- 1 worker ---\n%s\n--- 8 workers ---\n%s", j1, j8)
 	}
@@ -208,7 +221,7 @@ func TestRunSweepDeterministicAcrossWorkers(t *testing.T) {
 // TestRunSweepOperatingPointsNeverCollide is the cross-scenario cache
 // regression test: every scenario differs from every other in at least
 // one axis that is part of the golden cache key (bench parameters or
-// stimulus configuration), so a sweep-wide shared cache must compute
+// stimulus configuration), so the session's shared cache must compute
 // every unit exactly once — a false hit would mean two operating
 // points aliased onto one key and one of them was served the wrong
 // gate's (or wrong voltage's) golden trace. Before the cache key
@@ -218,16 +231,15 @@ func TestRunSweepOperatingPointsNeverCollide(t *testing.T) {
 	if testing.Short() {
 		t.Skip("analog sweep in -short mode")
 	}
-	spec := testSpec(10)
-	cache := eval.NewGoldenCache()
-	rep, err := RunSweepContext(context.Background(), spec, &Options{Workers: 4, Cache: cache})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := session.New(session.Options{Workers: 4})
+	rep := runSweep(t, s, testSpec(10))
 	total := rep.TotalUnits
-	if st := cache.Stats(); st.Hits != 0 || st.Misses != int64(total) || st.Entries != total {
+	if st := s.GoldenCache().Stats(); st.Hits != 0 || st.Misses != int64(total) || st.Entries != total {
 		t.Errorf("shared cache stats %+v over distinct operating points, want 0 hits / %d misses / %d entries",
 			st, total, total)
+	}
+	if rep.Cache != s.GoldenCache().Stats() {
+		t.Errorf("report cache stats %+v do not describe the session cache %+v", rep.Cache, s.GoldenCache().Stats())
 	}
 	for _, sc := range rep.Scenarios {
 		if sc.CacheHits != 0 || sc.CacheMisses != int64(sc.Seeds) {
@@ -250,29 +262,23 @@ func TestRunSweepOperatingPointsNeverCollide(t *testing.T) {
 	}
 }
 
-// TestRunSweepSharedCacheHitRate: re-running a sweep against the same
-// shared cache serves every golden trace from memory and reports full
+// TestRunSweepSharedCacheHitRate: re-running a sweep on the same
+// session serves every golden trace from its cache and reports full
 // per-scenario hit rates, with identical accuracy numbers.
 func TestRunSweepSharedCacheHitRate(t *testing.T) {
 	if testing.Short() {
 		t.Skip("analog sweep in -short mode")
 	}
-	spec := Spec{
+	spec := sweep.Spec{
 		Gates:    []string{"nor2"},
 		VDDScale: []float64{1, 0.95},
 		Stimuli:  testStimuli(10),
 		Seeds:    []int64{1, 2},
 		Bench:    fastBench(),
 	}
-	cache := eval.NewGoldenCache()
-	cold, err := RunSweepContext(context.Background(), spec, &Options{Workers: 4, Cache: cache})
-	if err != nil {
-		t.Fatal(err)
-	}
-	warm, err := RunSweepContext(context.Background(), spec, &Options{Workers: 4, Cache: cache})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := session.New(session.Options{Workers: 4})
+	cold := runSweep(t, s, spec)
+	warm := runSweep(t, s, spec)
 	for i, sc := range warm.Scenarios {
 		if sc.HitRate != 1 || sc.CacheMisses != 0 || sc.CacheHits != int64(sc.Seeds) {
 			t.Errorf("warm scenario %d: hits=%d misses=%d rate=%g, want all hits", i, sc.CacheHits, sc.CacheMisses, sc.HitRate)
@@ -290,13 +296,14 @@ func TestRunSweepSharedCacheHitRate(t *testing.T) {
 }
 
 // TestRunSweepPrepareError: an unusable operating point fails the sweep
-// with a descriptive error instead of hanging the pool.
+// with a descriptive error naming the first scenario that uses it,
+// instead of hanging the pool.
 func TestRunSweepPrepareError(t *testing.T) {
-	spec := Spec{
+	spec := sweep.Spec{
 		Stimuli: testStimuli(4),
 		Bench:   &nor.Params{}, // zero-value params: invalid supply
 	}
-	_, err := RunSweepContext(context.Background(), spec, &Options{Workers: 2})
+	_, err := session.New(session.Options{Workers: 2}).Evaluate(context.Background(), session.SweepJob{Spec: spec})
 	if err == nil {
 		t.Fatal("sweep with an invalid bench succeeded")
 	}
@@ -314,17 +321,13 @@ func TestRunSweepWorstSeed(t *testing.T) {
 	if testing.Short() {
 		t.Skip("analog sweep in -short mode")
 	}
-	spec := Spec{
+	spec := sweep.Spec{
 		Gates:   []string{"nor2"},
 		Stimuli: testStimuli(10)[:1],
 		Seeds:   []int64{1, 2, 3},
 		Bench:   fastBench(),
 	}
-	rep, err := RunSweepContext(context.Background(), spec, &Options{Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sc := rep.Scenarios[0]
+	sc := runSweep(t, session.New(session.Options{Workers: 2}), spec).Scenarios[0]
 	found := false
 	for _, s := range spec.Seeds {
 		if s == sc.WorstSeed {
@@ -342,48 +345,42 @@ func TestRunSweepWorstSeed(t *testing.T) {
 	}
 }
 
-// TestRunSweepParamCacheReuse: two sweeps of the same spec through one
-// shared parametrization cache prepare each operating point exactly
-// once — the warm run re-fits nothing and still produces a
-// byte-identical report.
+// TestRunSweepParamCacheReuse: a sweep whose operating points an
+// earlier sweep on the same session already prepared re-fits nothing
+// and still produces a report byte-identical to a cold session's. The
+// earlier sweep uses other stimuli, so the two share prepared points
+// but no golden trace, and the per-scenario cache columns stay
+// comparable; only the session-lifetime cache totals differ.
 func TestRunSweepParamCacheReuse(t *testing.T) {
 	if testing.Short() {
 		t.Skip("analog sweep in -short mode")
 	}
 	spec := testSpec(10)
-	params := eval.NewParamCache()
-	encode := func() string {
+	encode := func(rep *sweep.Report) string {
 		t.Helper()
-		// Each run gets a private golden cache (as a cold caller would),
-		// so the reports stay comparable; only the parametrization cache
-		// is shared across the calls.
-		rep, err := RunSweepContext(context.Background(), spec, &Options{Workers: 4, Params: params})
-		if err != nil {
-			t.Fatal(err)
-		}
-		rep.ClearTimings()
-		var buf bytes.Buffer
-		if err := rep.WriteJSON(&buf); err != nil {
-			t.Fatal(err)
-		}
-		return buf.String()
+		rep.Cache = eval.CacheStats{}
+		j, _ := encodeReport(t, rep)
+		return j
 	}
-	cold := encode()
-	st := params.Stats()
+	coldJ := encode(runSweep(t, session.New(session.Options{Workers: 4}), spec))
+
+	s := session.New(session.Options{Workers: 4})
+	runSweep(t, s, testSpec(6))
+	st := s.ParamCache().Stats()
 	points := st.Entries
 	if points == 0 || st.Misses != int64(points) {
-		t.Fatalf("cold run stats %+v, want one miss per operating point", st)
+		t.Fatalf("first sweep's param stats %+v, want one miss per operating point", st)
 	}
-	warm := encode()
-	st = params.Stats()
+	warmJ := encode(runSweep(t, s, spec))
+	st = s.ParamCache().Stats()
 	if st.Misses != int64(points) {
-		t.Errorf("warm run re-prepared: %d misses, want still %d", st.Misses, points)
+		t.Errorf("second sweep re-prepared: %d misses, want still %d", st.Misses, points)
 	}
 	if st.Hits < int64(points) {
-		t.Errorf("warm run hit %d times, want at least %d (one per operating point)", st.Hits, points)
+		t.Errorf("second sweep hit %d times, want at least %d (one per operating point)", st.Hits, points)
 	}
-	if cold != warm {
-		t.Errorf("warm report differs from cold:\n--- cold ---\n%s\n--- warm ---\n%s", cold, warm)
+	if coldJ != warmJ {
+		t.Errorf("report over prepared points differs from the cold one:\n--- cold ---\n%s\n--- prepared ---\n%s", coldJ, warmJ)
 	}
 }
 
@@ -393,7 +390,7 @@ func TestRunSweepParamCacheReuse(t *testing.T) {
 func TestRunSweepContextCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := RunSweepContext(ctx, testSpec(4), &Options{Workers: 2})
+	_, err := session.New(session.Options{Workers: 2}).Evaluate(ctx, session.SweepJob{Spec: testSpec(4)})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled sweep returned %v, want context.Canceled", err)
 	}

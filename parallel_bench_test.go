@@ -43,8 +43,8 @@ var serialBaselineState struct {
 
 func serialBaseline(b *testing.B) float64 {
 	configs, seeds := fig7ParallelConfigs(2)
-	s := evalSession(b, 1)
 	serialBaselineState.once.Do(func() {
+		s := evalSession(b, 1)
 		start := time.Now()
 		evalNOR2(b, s, configs, seeds, true)
 		serialBaselineState.secs = time.Since(start).Seconds()

@@ -10,7 +10,6 @@ import (
 	"hybriddelay/internal/gen"
 	"hybriddelay/internal/netlist"
 	"hybriddelay/internal/nor"
-	"hybriddelay/internal/sweep"
 )
 
 // Session is the only evaluation entry point. These property tests pin
@@ -210,11 +209,6 @@ func TestRunSweepDelegatesBitIdentical(t *testing.T) {
 		}
 		return j.String(), c.String()
 	}
-	want, err := sweep.RunSweepContext(context.Background(), spec, &sweep.Options{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	wj, wc := encode(want)
 	run := func(s *Session) (string, string) {
 		t.Helper()
 		res, err := s.Evaluate(context.Background(), SweepJob{Spec: spec})
@@ -223,22 +217,34 @@ func TestRunSweepDelegatesBitIdentical(t *testing.T) {
 		}
 		return encode(res.Sweep)
 	}
-	var warm *Session
-	for _, workers := range []int{1, 4} {
-		warm = NewSession(SessionOptions{Workers: workers})
-		if gj, gc := run(warm); gj != wj || gc != wc {
-			t.Errorf("%d-worker session sweep diverged from the serial engine run:\n--- session JSON ---\n%s\n--- direct JSON ---\n%s\n--- session CSV ---\n%s\n--- direct CSV ---\n%s",
-				workers, gj, wj, gc, wc)
+	wj, wc := run(NewSession(SessionOptions{Workers: 1}))
+	if gj, gc := run(NewSession(SessionOptions{Workers: 4})); gj != wj || gc != wc {
+		t.Errorf("4-worker session sweep diverged from the serial one:\n--- 4 workers JSON ---\n%s\n--- serial JSON ---\n%s\n--- 4 workers CSV ---\n%s\n--- serial CSV ---\n%s",
+			gj, wj, gc, wc)
+	}
+	// A session whose parametrization cache already holds every
+	// scenario's operating point (no re-measurement) but whose golden
+	// cache is empty still encodes byte-identically.
+	scenarios, err := ExpandSweep(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	warm := NewSession(SessionOptions{Workers: 4})
+	for _, sc := range scenarios {
+		g, ok := LookupGate(sc.Gate)
+		if !ok {
+			t.Fatalf("gate %q not registered", sc.Gate)
+		}
+		if _, err := warm.ParamCache().OperatingPoint(context.Background(), g, sc.Params, DefaultSessionExpDMin); err != nil {
+			t.Fatal(err)
 		}
 	}
-	// A session sharing the warm parametrization cache (no
-	// re-measurement) but with a fresh golden cache still encodes
-	// byte-identically.
-	if aj, ac := run(NewSession(SessionOptions{Workers: 4, Params: warm.ParamCache()})); aj != wj || ac != wc {
+	prepared := warm.ParamCache().Stats().Misses
+	if aj, ac := run(warm); aj != wj || ac != wc {
 		t.Error("sweep with parametrization served from cache is not byte-identical to the cold run")
 	}
-	if st := warm.ParamCache().Stats(); st.Hits == 0 {
-		t.Errorf("warm parametrization cache never hit: %+v", st)
+	if st := warm.ParamCache().Stats(); st.Hits == 0 || st.Misses != prepared {
+		t.Errorf("sweep over prepared points re-prepared or never hit: %+v (%d prepared before)", st, prepared)
 	}
 }
 
@@ -317,9 +323,6 @@ func TestFacadeGoldenStoreRoundTrip(t *testing.T) {
 // constructing each aliased engine piece through the facade must stay
 // working even though the heavy paths are tested against the internals.
 func TestFacadeReexportExercise(t *testing.T) {
-	if NewParamCache() == nil {
-		t.Fatal("NewParamCache returned nil")
-	}
 	if len(Gates()) < 3 {
 		t.Errorf("Gates() = %v, want the registered registry", Gates())
 	}
