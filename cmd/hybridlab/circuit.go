@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"runtime"
 	"strings"
 	"time"
 
@@ -12,28 +11,22 @@ import (
 	"hybriddelay/internal/gen"
 	"hybriddelay/internal/netlist"
 	"hybriddelay/internal/session"
-	"hybriddelay/internal/spice"
 	"hybriddelay/internal/sweep"
 	"hybriddelay/internal/waveform"
 )
 
 // circuitOptions carries the `hybridlab circuit` flags.
 type circuitOptions struct {
+	engineFlags
+	seedFlags
 	name        string
 	netlistPath string
 	mode        string
 	mu          float64
 	sigma       float64
 	trans       int
-	reps        int
-	seed        int64
-	seeds       string
-	parallel    int
-	fast        bool
 	out         string
 	csv         bool
-	store       string
-	solver      string
 
 	stdout io.Writer // overridable for tests; nil = os.Stdout
 	stderr io.Writer // overridable for tests; nil = os.Stderr
@@ -54,15 +47,10 @@ func runCircuitCmd(args []string) error {
 	fs.Float64Var(&o.mu, "mu", 200, "mean transition gap [ps]")
 	fs.Float64Var(&o.sigma, "sigma", 100, "gap standard deviation [ps]")
 	fs.IntVar(&o.trans, "trans", 60, "transitions per run")
-	fs.IntVar(&o.reps, "reps", 3, "repetitions (seeds)")
-	fs.Int64Var(&o.seed, "seed", 1, "base RNG seed")
-	fs.StringVar(&o.seeds, "seeds", "", "explicit comma-separated seed list (overrides -reps/-seed)")
-	fs.IntVar(&o.parallel, "parallel", runtime.GOMAXPROCS(0), "evaluation workers (1 = serial)")
-	fs.BoolVar(&o.fast, "fast", false, "coarser integrator step for quick exploration")
 	fs.StringVar(&o.out, "out", "", "report output path (default stdout)")
 	fs.BoolVar(&o.csv, "csv", false, "emit the report as CSV instead of a table")
-	fs.StringVar(&o.store, "store", "", "persistent golden-store directory (created if missing; warm-starts repeat runs)")
-	solverFlagVar(fs, &o.solver)
+	o.engineFlags.register(fs)
+	o.seedFlags.register(fs, 3)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -79,7 +67,7 @@ func (o circuitOptions) run() error {
 	if err != nil {
 		return err
 	}
-	seeds, err := (options{seeds: o.seeds, reps: o.reps, seed: o.seed, fast: o.fast}).seedList()
+	seeds, err := o.seedList(o.fast)
 	if err != nil {
 		return err
 	}
@@ -88,30 +76,18 @@ func (o circuitOptions) run() error {
 	if err != nil {
 		return fmt.Errorf("circuit: stimulus: %w", err)
 	}
-	solver, err := spice.ParseSolverMode(o.solver)
-	if err != nil {
-		return err
-	}
-	p := benchParams(options{fast: o.fast})
-	p.Solver = solver
-
-	fmt.Fprintf(stderr, "circuit %s: %d instances, %d primary inputs, %d recorded nets\n",
-		nl.Name, len(nl.Instances), len(nl.Inputs), len(nl.Recorded()))
-	fmt.Fprintf(stderr, "measuring and parametrizing gates...\n")
-
-	st, finishStore, err := openStore(o.store, stderr)
+	s, _, finishStore, err := o.open(stderr, session.Options{})
 	if err != nil {
 		return err
 	}
 	defer finishStore()
+
+	fmt.Fprintf(stderr, "circuit %s: %d instances, %d primary inputs, %d recorded nets\n",
+		nl.Name, len(nl.Instances), len(nl.Inputs), len(nl.Recorded()))
+	fmt.Fprintf(stderr, "measuring and parametrizing gates...\n")
 	start := time.Now()
-	sopt := session.Options{Workers: o.parallel}
-	if st != nil {
-		sopt.Store = st
-	}
-	s := session.New(sopt)
 	jres, err := s.Evaluate(context.Background(), session.CircuitJob{
-		Netlist: nl, Params: &p, Config: cfg, Seeds: seeds,
+		Netlist: nl, Config: cfg, Seeds: seeds,
 		Progress: sessionProgress(stderr, "evaluating seeds"),
 	})
 	if err != nil {

@@ -25,7 +25,7 @@ func TestRunCircuitCmdChain(t *testing.T) {
 	}
 	out, err := runCircuit(t, circuitOptions{
 		name: "nor-invchain", mode: "local", mu: 200, sigma: 100,
-		trans: 8, reps: 1, seed: 1, parallel: 2, fast: true,
+		trans: 8, seedFlags: seedFlags{reps: 1, seed: 1}, engineFlags: engineFlags{parallel: 2, fast: true},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -44,7 +44,7 @@ func TestRunCircuitCmdCSVAndOut(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "report.csv")
 	_, err := runCircuit(t, circuitOptions{
 		name: "nor-invchain", mode: "local", mu: 200, sigma: 100,
-		trans: 8, reps: 1, seed: 1, parallel: 2, fast: true,
+		trans: 8, seedFlags: seedFlags{reps: 1, seed: 1}, engineFlags: engineFlags{parallel: 2, fast: true},
 		csv: true, out: path,
 	})
 	if err != nil {
@@ -77,9 +77,8 @@ func TestRunCircuitCmdSparseSolver(t *testing.T) {
 	var stdout, stderr bytes.Buffer
 	o := circuitOptions{
 		name: "nor-invchain", mode: "local", mu: 200, sigma: 100,
-		trans: 8, reps: 1, seed: 1, parallel: 2, fast: true,
-		solver: "sparse-fast",
-		stdout: &stdout, stderr: &stderr,
+		trans: 8, seedFlags: seedFlags{reps: 1, seed: 1},
+		engineFlags: engineFlags{parallel: 2, fast: true, solver: "sparse-fast"}, stdout: &stdout, stderr: &stderr,
 	}
 	if err := o.run(); err != nil {
 		t.Fatal(err)
@@ -110,7 +109,7 @@ func TestRunCircuitCmdNetlistFile(t *testing.T) {
 	if err := os.WriteFile(path, []byte(js), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	_, err := runCircuit(t, circuitOptions{netlistPath: path, mode: "local", mu: 200, sigma: 100, trans: 8, reps: 1})
+	_, err := runCircuit(t, circuitOptions{netlistPath: path, mode: "local", mu: 200, sigma: 100, trans: 8, seedFlags: seedFlags{reps: 1}})
 	if err == nil {
 		t.Fatal("unknown gate accepted")
 	}
@@ -125,22 +124,22 @@ func TestRunCircuitCmdNetlistFile(t *testing.T) {
 }
 
 func TestRunCircuitCmdUnknownBuiltin(t *testing.T) {
-	_, err := runCircuit(t, circuitOptions{name: "bogus", mode: "local", mu: 200, sigma: 100, trans: 8, reps: 1})
+	_, err := runCircuit(t, circuitOptions{name: "bogus", mode: "local", mu: 200, sigma: 100, trans: 8, seedFlags: seedFlags{reps: 1}})
 	if err == nil || !strings.Contains(err.Error(), "nor-invchain") {
 		t.Errorf("unknown-builtin error %v does not list the shipped circuits", err)
 	}
 	if err := runCircuitCmd([]string{"-name", "bogus"}); err == nil {
 		t.Error("runCircuitCmd accepted an unknown builtin")
 	}
-	_, err = runCircuit(t, circuitOptions{name: "c17", mode: "sideways", mu: 200, sigma: 100, trans: 8, reps: 1})
+	_, err = runCircuit(t, circuitOptions{name: "c17", mode: "sideways", mu: 200, sigma: 100, trans: 8, seedFlags: seedFlags{reps: 1}})
 	if err == nil || !strings.Contains(err.Error(), "unknown stimulus mode") {
 		t.Errorf("bad -mode error = %v", err)
 	}
-	_, err = runCircuit(t, circuitOptions{name: "c17", mode: "local", mu: 200, sigma: 100, trans: 8, seeds: "1,x"})
+	_, err = runCircuit(t, circuitOptions{name: "c17", mode: "local", mu: 200, sigma: 100, trans: 8, seedFlags: seedFlags{seeds: "1,x"}})
 	if err == nil {
 		t.Error("bad -seeds accepted")
 	}
-	_, err = runCircuit(t, circuitOptions{netlistPath: filepath.Join(t.TempDir(), "missing.json"), mode: "local", mu: 200, sigma: 100, trans: 8, reps: 1})
+	_, err = runCircuit(t, circuitOptions{netlistPath: filepath.Join(t.TempDir(), "missing.json"), mode: "local", mu: 200, sigma: 100, trans: 8, seedFlags: seedFlags{reps: 1}})
 	if err == nil {
 		t.Error("missing -netlist file accepted")
 	}

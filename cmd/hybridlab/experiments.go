@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"os"
-	"runtime"
 	"time"
 
 	"hybriddelay/internal/eval"
@@ -12,32 +11,38 @@ import (
 	"hybriddelay/internal/gen"
 	"hybriddelay/internal/hybrid"
 	"hybriddelay/internal/la"
-	"hybriddelay/internal/nor"
 	"hybriddelay/internal/session"
 	"hybriddelay/internal/waveform"
 )
 
-// benchParams returns the calibrated testbench parameters; -fast uses a
-// coarser integrator step.
-func benchParams(opt options) nor.Params {
-	p := nor.DefaultParams()
-	if opt.fast {
-		p.MaxStep = 8e-12
-	}
-	return p
-}
-
-// analogBench builds the analog golden bench of a registered gate.
+// analogBench builds the analog golden bench of a registered gate at
+// the flags' bench parameters.
 func analogBench(opt options, name string) (*gate.Analog, error) {
 	g, err := gate.Find(name)
 	if err != nil {
 		return nil, err
 	}
-	return gate.NewAnalog(g, benchParams(opt))
+	p, err := opt.benchParams()
+	if err != nil {
+		return nil, err
+	}
+	return gate.NewAnalog(g, p)
 }
 
-// goldenBench builds the calibrated golden-reference NOR bench.
-func goldenBench(opt options) (*gate.Analog, error) { return analogBench(opt, "nor2") }
+// fitGolden builds the NOR golden bench, measures its characteristic
+// delays and fits the hybrid model to them (the Table I procedure).
+func fitGolden(opt options) (b *gate.Analog, target hybrid.Characteristic, p hybrid.Params, rep hybrid.FitReport, err error) {
+	if b, err = analogBench(opt, "nor2"); err != nil {
+		return
+	}
+	meas, err := b.Measure()
+	if err != nil {
+		return
+	}
+	target = meas.Pair
+	p, rep, err = hybrid.FitCharacteristic(target, b.Params().Supply, nil)
+	return
+}
 
 // pairSweep samples the bench's pair-probe delay over the separations:
 // the falling output delays under rising inputs, the rising ones (from
@@ -73,16 +78,10 @@ func toPsSlice(xs []float64) []float64 {
 	return out
 }
 
-// measuredTarget measures the golden characteristic delays.
-func measuredTarget(b *gate.Analog) (hybrid.Characteristic, error) {
-	meas, err := b.Measure()
-	return meas.Pair, err
-}
-
 // runFig2Wave prints the analog waveforms of Fig. 2a (falling output,
 // Delta = 10 ps) and Fig. 2c (rising output, Delta = 40 ps).
 func runFig2Wave(opt options) error {
-	b, err := goldenBench(opt)
+	b, err := analogBench(opt, "nor2")
 	if err != nil {
 		return err
 	}
@@ -126,7 +125,7 @@ func runFig2Wave(opt options) error {
 
 // runFig2Fall prints the golden falling MIS sweep (Fig. 2b).
 func runFig2Fall(opt options) error {
-	b, err := goldenBench(opt)
+	b, err := analogBench(opt, "nor2")
 	if err != nil {
 		return err
 	}
@@ -163,7 +162,7 @@ func findAt(xs, ys []float64, x float64) float64 {
 
 // runFig2Rise prints the golden rising MIS sweep (Fig. 2d).
 func runFig2Rise(opt options) error {
-	b, err := goldenBench(opt)
+	b, err := analogBench(opt, "nor2")
 	if err != nil {
 		return err
 	}
@@ -221,16 +220,8 @@ func runFig4(opt options) error {
 // runTable1 measures the golden characteristic delays and fits the
 // hybrid model, printing the Table I analogue.
 func runTable1(opt options) error {
-	b, err := goldenBench(opt)
-	if err != nil {
-		return err
-	}
 	start := time.Now()
-	target, err := measuredTarget(b)
-	if err != nil {
-		return err
-	}
-	p, rep, err := hybrid.FitCharacteristic(target, b.Params().Supply, nil)
+	_, target, p, rep, err := fitGolden(opt)
 	if err != nil {
 		return err
 	}
@@ -259,15 +250,7 @@ func runTable1(opt options) error {
 // runFig5 compares the fitted hybrid model's falling MIS delays against
 // the golden sweep (Fig. 5).
 func runFig5(opt options) error {
-	b, err := goldenBench(opt)
-	if err != nil {
-		return err
-	}
-	target, err := measuredTarget(b)
-	if err != nil {
-		return err
-	}
-	p, _, err := hybrid.FitCharacteristic(target, b.Params().Supply, nil)
+	b, _, p, _, err := fitGolden(opt)
 	if err != nil {
 		return err
 	}
@@ -302,15 +285,7 @@ func runFig5(opt options) error {
 // runFig6 prints the hybrid rising delays for the three V_N initial
 // values against the golden sweep (Fig. 6).
 func runFig6(opt options) error {
-	b, err := goldenBench(opt)
-	if err != nil {
-		return err
-	}
-	target, err := measuredTarget(b)
-	if err != nil {
-		return err
-	}
-	p, _, err := hybrid.FitCharacteristic(target, b.Params().Supply, nil)
+	b, _, p, _, err := fitGolden(opt)
 	if err != nil {
 		return err
 	}
@@ -358,13 +333,7 @@ func runFig7(opt options) error {
 	if err != nil {
 		return err
 	}
-	solver, err := opt.solverMode()
-	if err != nil {
-		return err
-	}
-	p := benchParams(opt)
-	p.Solver = solver
-	seeds, err := opt.seedList()
+	seeds, err := opt.seedList(opt.fast)
 	if err != nil {
 		return err
 	}
@@ -378,21 +347,15 @@ func runFig7(opt options) error {
 		}
 	}
 	out := opt.w()
-	workers := opt.parallel
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if units := len(configs) * len(seeds); workers > units {
-		workers = units // the engine never spawns more workers than units
-	}
-	st, finishStore, err := openStore(opt.store, os.Stderr)
+	s, _, finishStore, err := opt.open(os.Stderr, session.Options{})
 	if err != nil {
 		return err
 	}
 	defer finishStore()
+	// The engine never spawns more workers than units.
+	workers := min(s.Workers(), len(configs)*len(seeds))
 	job := session.GateJob{
-		Gate: g.Name(), Params: &p,
-		Configs: configs, Seeds: seeds,
+		Gate: g.Name(), Configs: configs, Seeds: seeds,
 		// No golden cache: every (config, seed) unit in a single fig7
 		// run is unique, so memoization could never hit within one CLI
 		// invocation — it would only hold every trace in memory. With a
@@ -407,11 +370,6 @@ func runFig7(opt options) error {
 		}
 	}
 	start := time.Now()
-	sopt := session.Options{Workers: workers}
-	if st != nil {
-		sopt.Store = st
-	}
-	s := session.New(sopt)
 	jres, err := s.Evaluate(context.Background(), job)
 	if !opt.csv {
 		fmt.Fprintln(os.Stderr)
@@ -472,15 +430,7 @@ func runFig7(opt options) error {
 // runFig8 compares the hybrid model's falling delays with and without
 // the pure delay against the golden sweep (Fig. 8).
 func runFig8(opt options) error {
-	b, err := goldenBench(opt)
-	if err != nil {
-		return err
-	}
-	target, err := measuredTarget(b)
-	if err != nil {
-		return err
-	}
-	withD, _, err := hybrid.FitCharacteristic(target, b.Params().Supply, nil)
+	b, target, withD, _, err := fitGolden(opt)
 	if err != nil {
 		return err
 	}

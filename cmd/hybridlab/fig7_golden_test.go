@@ -29,7 +29,7 @@ var timingLine = regexp.MustCompile(`in \d+\.\d+s`)
 // fig7GoldenOpts pins every knob that shapes the output: fixed seed,
 // fixed transition count, serial worker pool.
 func fig7GoldenOpts() options {
-	return options{fast: true, reps: 1, trans: 24, seed: 1, parallel: 1}
+	return options{engineFlags: engineFlags{fast: true, parallel: 1}, seedFlags: seedFlags{reps: 1, seed: 1}, trans: 24}
 }
 
 // normalizeFig7 strips the wall-time measurement so the remaining

@@ -25,48 +25,49 @@
 // evaluation engine as a long-lived multi-tenant HTTP service, and
 // `hybridlab loadgen` benchmarks such a service (BENCH_serve.json).
 //
-// Common flags (accepted after the experiment name):
+// Engine flags, taken by the experiments and by circuit, sweep, serve
+// and loadgen:
 //
-//	-csv        emit CSV instead of aligned tables/plots
-//	-fast       reduce sweep resolution and repetition counts
-//	-reps N     repetitions for fig7 (default 5; paper uses 20)
-//	-trans N    transitions per fig7 run (default from the paper configs)
-//	-seed N     base RNG seed (default 1)
-//	-seeds L    explicit comma-separated seed list (overrides -reps/-seed)
-//	-parallel N evaluation workers for fig7 (default GOMAXPROCS; 1 = serial)
-//	-gate G     registered gate for fig7 (default nor2; see -list-gates)
-//	-solver M   linear-solver strategy for fig7: dense-exact (default,
+//	-parallel N evaluation workers (default GOMAXPROCS; 1 = serial)
+//	-fast       coarser integrator step; the experiments and circuit
+//	            also cap the seeds at 2, fig7 quarters the paper's
+//	            transition counts and the MIS sweeps use a 3x coarser grid
+//	-store DIR  persistent golden store (repeat runs warm-start from it)
+//	-solver M   linear-solver strategy: dense-exact (default,
 //	            bit-identical reference) or sparse-fast (structurally
 //	            sparse kernel, numerically equivalent, faster)
+//
+// Seed flags, taken by the experiments and by circuit and sweep:
+//
+//	-reps N     repetitions (experiments 5, paper uses 20; circuit and
+//	            sweep 3)
+//	-seed N     base RNG seed (default 1)
+//	-seeds L    explicit comma-separated seed list (overrides -reps/-seed)
+//
+// Experiment flags (accepted after the experiment name):
+//
+//	-csv        emit CSV instead of aligned tables/plots
+//	-trans N    transitions per fig7 run (default from the paper configs)
+//	-gate G     registered gate for fig7 (default nor2; see -list-gates)
 //
 // `hybridlab -list-gates` prints the registered gate names.
 package main
 
 import (
-	"flag"
 	"fmt"
 	"io"
 	"os"
-	"runtime"
-	"strconv"
-	"strings"
 
 	"hybriddelay/internal/gate"
-	"hybriddelay/internal/spice"
 )
 
-// options carries the common CLI flags.
+// options carries the experiment flags.
 type options struct {
-	csv      bool
-	fast     bool
-	reps     int
-	trans    int
-	seed     int64
-	seeds    string
-	parallel int
-	gate     string
-	store    string // golden-store directory; "" = no persistence
-	solver   string // linear-solver strategy for fig7 (dense-exact, sparse-fast)
+	engineFlags
+	seedFlags
+	csv   bool
+	trans int
+	gate  string
 
 	out io.Writer // experiment output; nil = os.Stdout (tests capture it)
 }
@@ -79,44 +80,10 @@ func (o options) w() io.Writer {
 	return os.Stdout
 }
 
-// gateSpec resolves the -gate flag through the shared lookup helper;
-// an unknown name errors with the registered names.
+// gateSpec resolves the -gate flag against the registry; an unknown
+// name errors with the registered names.
 func (o options) gateSpec() (gate.Gate, error) {
-	return findGate(o.gate)
-}
-
-// solverMode resolves the -solver flag against the spice registry.
-func (o options) solverMode() (spice.SolverMode, error) {
-	return spice.ParseSolverMode(o.solver)
-}
-
-// seedList resolves the evaluation seeds: an explicit -seeds list when
-// given, otherwise -reps consecutive seeds starting at -seed (capped at
-// two in -fast mode).
-func (o options) seedList() ([]int64, error) {
-	if o.seeds != "" {
-		var out []int64
-		for _, f := range strings.Split(o.seeds, ",") {
-			s, err := strconv.ParseInt(strings.TrimSpace(f), 10, 64)
-			if err != nil {
-				return nil, fmt.Errorf("bad -seeds entry %q: %w", f, err)
-			}
-			out = append(out, s)
-		}
-		return out, nil
-	}
-	reps := o.reps
-	if reps <= 0 {
-		reps = 5
-	}
-	if o.fast && reps > 2 {
-		reps = 2
-	}
-	out := make([]int64, reps)
-	for i := range out {
-		out[i] = o.seed + int64(i)
-	}
-	return out, nil
+	return gate.Find(o.gate)
 }
 
 type experiment struct {
@@ -126,7 +93,7 @@ type experiment struct {
 }
 
 // subcommand is a hybridlab mode with its own flag set (unlike the
-// experiments, which share the common flags). All subcommands run
+// experiments, which share one). All subcommands run
 // through subMain, so flag errors, unknown-name errors and exit codes
 // are reported identically.
 type subcommand struct {
@@ -137,7 +104,7 @@ type subcommand struct {
 
 func subcommands() []subcommand {
 	return []subcommand{
-		{"sweep", "scenario sweep over the gate registry (own flags; see below)", runSweepCmd},
+		{"sweep", "scenario sweep over the gate registry (own flags)", runSweepCmd},
 		{"circuit", "circuit-level accuracy report for a multi-gate netlist (own flags)", runCircuitCmd},
 		{"serve", "long-running HTTP job service around one shared session (own flags)", runServeCmd},
 		{"loadgen", "drive concurrent mixed clients against a server; writes BENCH_serve.json", runLoadgenCmd},
@@ -177,19 +144,14 @@ func main() {
 			return
 		}
 	}
-	fs := flag.NewFlagSet(name, flag.ExitOnError)
+	fs := newSubFlags(name)
 	var opt options
 	var listGatesFlag bool
+	opt.engineFlags.register(fs)
+	opt.seedFlags.register(fs, 5)
 	fs.BoolVar(&opt.csv, "csv", false, "emit CSV")
-	fs.BoolVar(&opt.fast, "fast", false, "reduced resolution")
-	fs.IntVar(&opt.reps, "reps", 5, "fig7 repetitions")
 	fs.IntVar(&opt.trans, "trans", 0, "fig7 transitions per run (0 = paper value)")
-	fs.Int64Var(&opt.seed, "seed", 1, "base RNG seed")
-	fs.StringVar(&opt.seeds, "seeds", "", "explicit comma-separated seed list (overrides -reps/-seed)")
-	fs.IntVar(&opt.parallel, "parallel", runtime.GOMAXPROCS(0), "evaluation workers (1 = serial)")
 	fs.StringVar(&opt.gate, "gate", gate.Default().Name(), "registered gate for fig7 (see -list-gates)")
-	fs.StringVar(&opt.store, "store", "", "persistent golden-store directory for fig7 (created if missing; warm-starts repeat runs)")
-	solverFlagVar(fs, &opt.solver)
 	fs.BoolVar(&listGatesFlag, "list-gates", false, "list registered gates and exit")
 	if err := fs.Parse(os.Args[2:]); err != nil {
 		os.Exit(2)
@@ -248,12 +210,11 @@ func usage() {
 	for _, sc := range subcommands() {
 		fmt.Fprintf(os.Stderr, "  %-10s %s\n", sc.name, sc.desc)
 	}
-	fmt.Fprintln(os.Stderr, "\nflags: -csv -fast -reps N -trans N -seed N -seeds L -parallel N -gate G -store DIR -solver M -list-gates")
-	fmt.Fprintln(os.Stderr, "sweep flags: -gates L -vdd L -load L -modes L -mu L -sigma L -trans N")
-	fmt.Fprintln(os.Stderr, "             -reps N -seed N -seeds L -grid FILE -out FILE -csv -fast -parallel N -store DIR -solver M")
-	fmt.Fprintln(os.Stderr, "circuit flags: -name C | -netlist FILE, -mode M -mu P -sigma P -trans N")
-	fmt.Fprintln(os.Stderr, "               -reps N -seed N -seeds L -out FILE -csv -fast -parallel N -store DIR -solver M")
-	fmt.Fprintln(os.Stderr, "serve flags: -addr A -parallel N -fast -store DIR -solver M")
-	fmt.Fprintln(os.Stderr, "             -per-client N -max-active N -backlog N -golden-budget N -param-limit N")
-	fmt.Fprintln(os.Stderr, "loadgen flags: -url U -clients N -jobs N -out FILE -verify (plus the serve flags for the in-process server)")
+	fmt.Fprintln(os.Stderr, "\nengine flags (experiments, circuit, sweep, serve, loadgen): -parallel N -fast -store DIR -solver M")
+	fmt.Fprintln(os.Stderr, "seed flags (experiments, circuit, sweep): -reps N -seed N -seeds L")
+	fmt.Fprintln(os.Stderr, "experiment flags: -csv -trans N -gate G -list-gates")
+	fmt.Fprintln(os.Stderr, "sweep flags: -gates L -vdd L -load L -modes L -mu L -sigma L -trans N -grid FILE -out FILE -csv")
+	fmt.Fprintln(os.Stderr, "circuit flags: -name C | -netlist FILE, -mode M -mu P -sigma P -trans N -out FILE -csv")
+	fmt.Fprintln(os.Stderr, "serve flags: -addr A -per-client N -max-active N -backlog N -golden-budget N -param-limit N")
+	fmt.Fprintln(os.Stderr, "loadgen flags: -url U -clients N -jobs N -out FILE -verify, plus the serve flags but -addr")
 }

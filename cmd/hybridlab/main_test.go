@@ -12,7 +12,7 @@ import (
 // Output formatting is checked implicitly (panics/errors fail the test).
 
 func fastOpts() options {
-	return options{fast: true, reps: 1, trans: 24, seed: 1}
+	return options{engineFlags: engineFlags{fast: true}, seedFlags: seedFlags{reps: 1, seed: 1}, trans: 24}
 }
 
 func TestRunCharlie(t *testing.T) {
@@ -135,21 +135,21 @@ func TestFindAt(t *testing.T) {
 }
 
 func TestSeedList(t *testing.T) {
-	o := options{seeds: "3, 5,8", reps: 2, seed: 100}
-	got, err := o.seedList()
+	o := seedFlags{seeds: "3, 5,8", reps: 2, seed: 100}
+	got, err := o.seedList(false)
 	if err != nil || len(got) != 3 || got[0] != 3 || got[1] != 5 || got[2] != 8 {
 		t.Fatalf("explicit list: %v, %v", got, err)
 	}
-	o = options{reps: 3, seed: 10}
-	if got, _ = o.seedList(); len(got) != 3 || got[0] != 10 || got[2] != 12 {
+	o = seedFlags{reps: 3, seed: 10}
+	if got, _ = o.seedList(false); len(got) != 3 || got[0] != 10 || got[2] != 12 {
 		t.Fatalf("reps expansion: %v", got)
 	}
-	o = options{reps: 5, seed: 1, fast: true}
-	if got, _ = o.seedList(); len(got) != 2 {
+	o = seedFlags{reps: 5, seed: 1}
+	if got, _ = o.seedList(true); len(got) != 2 {
 		t.Fatalf("fast cap: %v", got)
 	}
-	o = options{seeds: "1,x"}
-	if _, err = o.seedList(); err == nil {
+	o = seedFlags{seeds: "1,x"}
+	if _, err = o.seedList(false); err == nil {
 		t.Fatal("bad seed entry accepted")
 	}
 }

@@ -15,13 +15,11 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"runtime"
 	"syscall"
 	"time"
 
 	"hybriddelay/internal/serve"
 	"hybriddelay/internal/session"
-	"hybriddelay/internal/spice"
 )
 
 // Connection timeouts of the HTTP servers against slow or idle clients.
@@ -40,11 +38,8 @@ func newHTTPServer(h http.Handler) *http.Server {
 
 // serveOptions carries the `hybridlab serve` flags.
 type serveOptions struct {
+	engineFlags
 	addr      string
-	parallel  int
-	fast      bool
-	store     string
-	solver    string
 	perClient int
 	maxActive int
 	backlog   int
@@ -64,9 +59,7 @@ type serveOptions struct {
 // serveFlags registers the flags shared by serve and loadgen (both
 // build the same server).
 func serveFlags(fs *flag.FlagSet, o *serveOptions) {
-	fs.IntVar(&o.parallel, "parallel", runtime.GOMAXPROCS(0), "evaluation workers of the shared session (1 = serial)")
-	fs.BoolVar(&o.fast, "fast", false, "coarser integrator step (quick exploration; changes results)")
-	fs.StringVar(&o.store, "store", "", "persistent golden-store directory (created if missing; warm-starts restarts)")
+	o.engineFlags.register(fs)
 	fs.IntVar(&o.perClient, "per-client", 0, "concurrently running jobs per client (0 = default 2)")
 	fs.IntVar(&o.maxActive, "max-active", 0, "concurrently running jobs overall (0 = default 2×per-client)")
 	fs.IntVar(&o.backlog, "backlog", 0, "admission backlog capacity before 429 (0 = default 16)")
@@ -78,28 +71,12 @@ func serveFlags(fs *flag.FlagSet, o *serveOptions) {
 // subcommands. The returned cleanup reports store traffic and closes
 // it (after the server has been shut down).
 func (o *serveOptions) buildServer(stderr io.Writer) (*serve.Server, func(), error) {
-	solver, err := spice.ParseSolverMode(o.solver)
+	s, st, finishStore, err := o.open(stderr, session.Options{GoldenBudget: o.golden, ParamLimit: o.params})
 	if err != nil {
 		return nil, nil, err
-	}
-	st, finishStore, err := openStore(o.store, stderr)
-	if err != nil {
-		return nil, nil, err
-	}
-	p := benchParams(options{fast: o.fast})
-	p.Solver = solver
-	sopt := session.Options{
-		Workers:      o.parallel,
-		Solver:       solver,
-		BaseParams:   &p,
-		GoldenBudget: o.golden,
-		ParamLimit:   o.params,
-	}
-	if st != nil {
-		sopt.Store = st
 	}
 	srv, err := serve.NewServer(serve.Options{
-		Session:   session.New(sopt),
+		Session:   s,
 		Store:     st,
 		MaxActive: o.maxActive,
 		PerClient: o.perClient,
@@ -120,7 +97,6 @@ func runServeCmd(args []string) error {
 	fs := newSubFlags("serve")
 	fs.StringVar(&o.addr, "addr", "127.0.0.1:8080", "listen address")
 	serveFlags(fs, &o)
-	solverFlagVar(fs, &o.solver)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -200,7 +176,6 @@ func runLoadgenCmd(args []string) error {
 	fs.StringVar(&o.out, "out", "BENCH_serve.json", "report output path (- for stdout)")
 	fs.BoolVar(&o.verify, "verify", true, "replay every distinct job on a one-shot session and require byte-identical results")
 	serveFlags(fs, &o.serveOptions)
-	solverFlagVar(fs, &o.solver)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -237,14 +212,15 @@ func (o *loadgenOptions) run() error {
 	lopt := serve.LoadOptions{Clients: o.clients, JobsPerClient: o.jobs}
 	if o.verify {
 		// The reference session runs the same operating point but none
-		// of the server's caches: a genuinely independent one-shot run.
-		p := benchParams(options{fast: o.fast})
-		solver, err := spice.ParseSolverMode(o.solver)
+		// of the server's caches, the store included: a genuinely
+		// independent one-shot run.
+		ref := o.engineFlags
+		ref.store = ""
+		s, _, _, err := ref.open(stderr, session.Options{})
 		if err != nil {
 			return err
 		}
-		p.Solver = solver
-		lopt.Reference = session.New(session.Options{Workers: o.parallel, Solver: solver, BaseParams: &p})
+		lopt.Reference = s
 	}
 	fmt.Fprintf(stderr, "loadgen: %d clients × %d jobs against %s\n", o.clients, o.jobs, baseURL)
 	rep, err := serve.RunLoad(context.Background(), baseURL, lopt)
@@ -257,13 +233,13 @@ func (o *loadgenOptions) run() error {
 		fmt.Fprintf(stderr, "loadgen: WARNING: server results diverge from the one-shot reference\n")
 	}
 
-	var w io.Writer = stdout
-	closeReport := func() error { return nil }
-	if o.out != "" && o.out != "-" {
-		w, closeReport, err = openReport(o.out, stdout)
-		if err != nil {
-			return err
-		}
+	out := o.out
+	if out == "-" {
+		out = ""
+	}
+	w, closeReport, err := openReport(out, stdout)
+	if err != nil {
+		return err
 	}
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")

@@ -26,7 +26,7 @@ func TestRunServeCmdLifecycle(t *testing.T) {
 	ready := make(chan string, 1)
 	stop := make(chan struct{})
 	o := serveOptions{
-		addr: "127.0.0.1:0", parallel: 2, fast: true, store: dir,
+		addr: "127.0.0.1:0", engineFlags: engineFlags{parallel: 2, fast: true, store: dir},
 		stderr: &stderr,
 		ready:  func(url string) { ready <- url },
 		stop:   stop,
@@ -128,7 +128,7 @@ func TestRunServeCmdLifecycle(t *testing.T) {
 // is bound.
 func TestRunServeCmdBadSolver(t *testing.T) {
 	var stderr bytes.Buffer
-	o := serveOptions{addr: "127.0.0.1:0", solver: "warp-drive", stderr: &stderr}
+	o := serveOptions{addr: "127.0.0.1:0", engineFlags: engineFlags{solver: "warp-drive"}, stderr: &stderr}
 	if err := o.run(); err == nil || !strings.Contains(err.Error(), "unknown solver mode") {
 		t.Errorf("bad -solver error = %v", err)
 	}
@@ -157,7 +157,7 @@ func TestRunLoadgenCmdEndToEnd(t *testing.T) {
 	out := filepath.Join(t.TempDir(), "BENCH_serve.json")
 	var stdout, stderr bytes.Buffer
 	o := loadgenOptions{
-		serveOptions: serveOptions{parallel: 4, fast: true, stdout: &stdout, stderr: &stderr},
+		serveOptions: serveOptions{engineFlags: engineFlags{parallel: 4, fast: true}, stdout: &stdout, stderr: &stderr},
 		clients:      4, jobs: 1, out: out, verify: true,
 	}
 	if err := o.run(); err != nil {

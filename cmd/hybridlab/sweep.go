@@ -5,37 +5,30 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"runtime"
 	"strconv"
 	"strings"
 	"time"
 
 	"hybriddelay/internal/gen"
 	"hybriddelay/internal/session"
-	"hybriddelay/internal/spice"
 	"hybriddelay/internal/sweep"
 	"hybriddelay/internal/waveform"
 )
 
 // sweepOptions carries the `hybridlab sweep` flags.
 type sweepOptions struct {
-	gates    string
-	vdd      string
-	load     string
-	modes    string
-	mu       string
-	sigma    string
-	trans    int
-	reps     int
-	seed     int64
-	seeds    string
-	grid     string
-	out      string
-	csv      bool
-	fast     bool
-	parallel int
-	store    string
-	solver   string
+	engineFlags
+	seedFlags
+	gates string
+	vdd   string
+	load  string
+	modes string
+	mu    string
+	sigma string
+	trans int
+	grid  string
+	out   string
+	csv   bool
 
 	stdout io.Writer // overridable for tests; nil = os.Stdout
 	stderr io.Writer // overridable for tests; nil = os.Stderr
@@ -55,16 +48,11 @@ func runSweepCmd(args []string) error {
 	fs.StringVar(&o.mu, "mu", "200", "comma-separated mean transition gaps [ps], paired with -sigma")
 	fs.StringVar(&o.sigma, "sigma", "100", "comma-separated gap standard deviations [ps] (length 1 broadcasts)")
 	fs.IntVar(&o.trans, "trans", 100, "transitions per run")
-	fs.IntVar(&o.reps, "reps", 3, "repetitions (seeds) per scenario")
-	fs.Int64Var(&o.seed, "seed", 1, "base RNG seed")
-	fs.StringVar(&o.seeds, "seeds", "", "explicit comma-separated seed list (overrides -reps/-seed)")
 	fs.StringVar(&o.grid, "grid", "", "JSON grid-spec file (overrides every axis flag)")
 	fs.StringVar(&o.out, "out", "", "report output path (default stdout)")
 	fs.BoolVar(&o.csv, "csv", false, "emit the report as CSV instead of JSON")
-	fs.BoolVar(&o.fast, "fast", false, "coarser integrator step for quick exploration")
-	fs.IntVar(&o.parallel, "parallel", runtime.GOMAXPROCS(0), "evaluation workers (1 = serial)")
-	fs.StringVar(&o.store, "store", "", "persistent golden-store directory (created if missing; warm-starts repeat runs)")
-	solverFlagVar(fs, &o.solver)
+	o.engineFlags.register(fs)
+	o.seedFlags.register(fs, 3)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -77,21 +65,6 @@ func (o sweepOptions) run() error {
 	if err != nil {
 		return err
 	}
-	solver, err := spice.ParseSolverMode(o.solver)
-	if err != nil {
-		return err
-	}
-	if solver != spice.DenseExact {
-		// The flag overrides the spec's solver strategy (grid files keep
-		// everything else); the key change makes the whole grid miss the
-		// dense cache tier, as it must.
-		p := benchParams(options{fast: o.fast})
-		if spec.Bench != nil {
-			p = *spec.Bench
-		}
-		p.Solver = solver
-		spec.Bench = &p
-	}
 	// Expansion is a microsecond cross product; running it once up
 	// front surfaces spec errors (and the grid size) before any analog
 	// work starts. The sweep job re-expands internally.
@@ -102,17 +75,12 @@ func (o sweepOptions) run() error {
 	fmt.Fprintf(stderr, "sweep: %d scenarios, %d seeds each, %d workers\n",
 		len(scenarios), len(spec.SeedList()), o.parallel)
 
-	st, finishStore, err := openStore(o.store, stderr)
+	s, _, finishStore, err := o.open(stderr, session.Options{})
 	if err != nil {
 		return err
 	}
 	defer finishStore()
 	start := time.Now()
-	sopt := session.Options{Workers: o.parallel}
-	if st != nil {
-		sopt.Store = st
-	}
-	s := session.New(sopt)
 	res, err := s.Evaluate(context.Background(), session.SweepJob{
 		Spec:     spec,
 		Progress: sessionProgress(stderr, "evaluating units"),
@@ -123,7 +91,7 @@ func (o sweepOptions) run() error {
 	rep := res.Sweep
 	fmt.Fprintf(stderr, "sweep: %d units in %.1fs (cache: %d hits / %d misses / %d entries; operating points: %d fitted / %d reused)\n",
 		rep.TotalUnits, time.Since(start).Seconds(),
-		rep.Cache.Hits, rep.Cache.Misses, rep.Cache.Entries,
+		rep.Cache.Hits, rep.Cache.Misses, res.Stats.Golden.Entries,
 		res.Stats.Params.Misses, res.Stats.Params.Hits)
 	reportSolver(stderr, res.Stats.Solver)
 
@@ -204,16 +172,19 @@ func (o sweepOptions) spec() (sweep.Spec, error) {
 	// seed configuration (explicit seeds, or seed_count/base_seed,
 	// which Spec.SeedList resolves).
 	if o.grid == "" {
-		seeds, err := (options{seeds: o.seeds, reps: o.reps, seed: o.seed}).seedList()
+		seeds, err := o.seedList(false)
 		if err != nil {
 			return sweep.Spec{}, err
 		}
 		spec.Seeds = seeds
 	}
-	if spec.Bench == nil && o.fast {
-		p := benchParams(options{fast: true})
-		spec.Bench = &p
+	// -fast and -solver shape the bench every scenario scales; a grid
+	// file carries none (Spec.Bench is not part of its JSON).
+	p, err := o.benchParams()
+	if err != nil {
+		return sweep.Spec{}, err
 	}
+	spec.Bench = &p
 	return spec, nil
 }
 

@@ -17,8 +17,8 @@ import (
 func fastSweepOpts() sweepOptions {
 	return sweepOptions{
 		gates: "nor2", vdd: "1", load: "1", modes: "local",
-		mu: "200", sigma: "100", trans: 10, reps: 1, seed: 1,
-		fast: true, parallel: 2,
+		mu: "200", sigma: "100", trans: 10, seedFlags: seedFlags{reps: 1, seed: 1},
+		engineFlags: engineFlags{fast: true, parallel: 2},
 	}
 }
 

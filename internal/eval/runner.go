@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -77,10 +76,9 @@ func EvaluateSeedContext(ctx context.Context, golden GoldenSource, m Models, cfg
 // the parts — this is what makes the fan-out deterministic.
 func MergeSeedResults(cfg gen.Config, parts []SeedResult) RunResult {
 	res := RunResult{
-		Config:     cfg,
-		Seeds:      make([]int64, 0, len(parts)),
-		Area:       map[string]float64{},
-		Normalized: map[string]float64{},
+		Config: cfg,
+		Seeds:  make([]int64, 0, len(parts)),
+		Area:   map[string]float64{},
 	}
 	for _, p := range parts {
 		res.Seeds = append(res.Seeds, p.Seed)
@@ -90,17 +88,7 @@ func MergeSeedResults(cfg gen.Config, parts []SeedResult) RunResult {
 			res.Area[name] += a
 		}
 	}
-	base := res.Area[ModelInertial]
-	//hybrid:nondet-ok each model writes its own Normalized[name] from a base read before the loop; distinct keys
-	for name, a := range res.Area {
-		if base <= 0 {
-			// No inertial deviation to normalize against: the ratio is
-			// undefined, not astronomically large (see RunResult.Normalized).
-			res.Normalized[name] = math.NaN()
-		} else {
-			res.Normalized[name] = a / base
-		}
-	}
+	res.Normalized = normalizeBy(res.Area)
 	return res
 }
 

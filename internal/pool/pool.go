@@ -35,25 +35,22 @@ func call(fn func(i int) error, i int) (err error) {
 	return fn(i)
 }
 
-// Run executes fn(i) for every i in [0, total) on min(workers, total)
-// goroutines (at least one). Units are claimed in index order but may
-// complete in any order; after the first unit returns an error no new
-// units are claimed (units already claimed still finish). onDone, when
-// non-nil, is invoked after each completed unit with the unit's index,
-// the in-order completion count and the unit's error; calls are
-// serialized. Run returns when every claimed unit has finished.
-func Run(total, workers int, fn func(i int) error, onDone func(i, completed int, err error)) {
-	RunContext(context.Background(), total, workers, fn, onDone)
-}
-
-// RunContext is Run with cancellation: once ctx is done, no new units
-// are claimed (units already claimed still finish, so shared state
-// stays consistent) and ctx.Err() is returned. A nil error means every
-// unit was claimed; individual unit errors are reported through fn's
-// return value and onDone, exactly as in Run. A unit that panics fails
-// with a *PanicError like any unit error, and RunContext returns the
-// first such error in place of ctx.Err(), so callers that keep unit
-// errors in their own slots still see it.
+// RunContext executes fn(i) for every i in [0, total) on
+// min(workers, total) goroutines (at least one). Units are claimed in
+// index order but may complete in any order; after the first unit
+// returns an error no new units are claimed (units already claimed
+// still finish). onDone, when non-nil, is invoked after each completed
+// unit with the unit's index, the in-order completion count and the
+// unit's error; calls are serialized. RunContext returns when every
+// claimed unit has finished.
+//
+// Once ctx is done, no new units are claimed (units already claimed
+// still finish, so shared state stays consistent) and ctx.Err() is
+// returned. A nil error means every unit was claimed; individual unit
+// errors are reported through fn's return value and onDone. A unit
+// that panics fails with a *PanicError like any unit error, and
+// RunContext returns the first such error in place of ctx.Err(), so
+// callers that keep unit errors in their own slots still see it.
 func RunContext(ctx context.Context, total, workers int, fn func(i int) error, onDone func(i, completed int, err error)) error {
 	if total <= 0 {
 		return ctx.Err()

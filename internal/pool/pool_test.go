@@ -13,7 +13,7 @@ func TestRunCoversEveryUnit(t *testing.T) {
 		done := make([]atomic.Int64, 20)
 		var callbacks atomic.Int64
 		lastCompleted := 0
-		Run(len(done), workers, func(i int) error {
+		RunContext(context.Background(), len(done), workers, func(i int) error {
 			done[i].Add(1)
 			return nil
 		}, func(i, completed int, err error) {
@@ -40,7 +40,7 @@ func TestRunCoversEveryUnit(t *testing.T) {
 func TestRunStopsAfterError(t *testing.T) {
 	var ran atomic.Int64
 	sawErr := false
-	Run(1000, 1, func(i int) error {
+	RunContext(context.Background(), 1000, 1, func(i int) error {
 		ran.Add(1)
 		if i == 3 {
 			return fmt.Errorf("unit 3 failed")
@@ -61,9 +61,9 @@ func TestRunStopsAfterError(t *testing.T) {
 }
 
 func TestRunEmptyAndNilCallback(t *testing.T) {
-	Run(0, 4, func(i int) error { t.Fatal("fn called for empty total"); return nil }, nil)
+	RunContext(context.Background(), 0, 4, func(i int) error { t.Fatal("fn called for empty total"); return nil }, nil)
 	var ran atomic.Int64
-	Run(5, 2, func(i int) error { ran.Add(1); return nil }, nil) // nil onDone is fine
+	RunContext(context.Background(), 5, 2, func(i int) error { ran.Add(1); return nil }, nil) // nil onDone is fine
 	if ran.Load() != 5 {
 		t.Errorf("%d units ran, want 5", ran.Load())
 	}

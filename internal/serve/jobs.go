@@ -130,17 +130,6 @@ func (j *Job) State() State {
 	return j.state
 }
 
-// Result returns the terminal outcome (result or error); ok is false
-// while the job is still queued or running.
-func (j *Job) Result() (res *session.Result, errMsg string, ok bool) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if !j.state.terminal() {
-		return nil, "", false
-	}
-	return j.result, j.errMsg, true
-}
-
 // publish appends one event, assigning its sequence number, and wakes
 // every waiting subscriber.
 func (j *Job) publish(e Event) {

@@ -26,8 +26,6 @@ type LoadOptions struct {
 	// JobsPerClient is how many jobs each client submits sequentially.
 	// Default 2.
 	JobsPerClient int
-	// Poll is the status poll (and 429 retry) interval. Default 5 ms.
-	Poll time.Duration
 	// Reference, when non-nil, is a fresh one-shot session the harness
 	// replays every distinct spec on, asserting the server's results
 	// are byte-identical (canonical JSON, timings and cache counters
@@ -120,10 +118,6 @@ func RunLoad(ctx context.Context, baseURL string, opt LoadOptions) (*LoadReport,
 		perClient = 2
 	}
 	specs := loadSpecs()
-	poll := opt.Poll
-	if poll <= 0 {
-		poll = 5 * time.Millisecond
-	}
 
 	type outcome struct {
 		latency time.Duration
@@ -140,7 +134,7 @@ func RunLoad(ctx context.Context, baseURL string, opt LoadOptions) (*LoadReport,
 			key := fmt.Sprintf("loadgen-%d", c)
 			for jn := 0; jn < perClient; jn++ {
 				si := (c + jn) % len(specs)
-				res, lat, retries, err := runOneJob(ctx, hc, baseURL, key, specs[si], poll)
+				res, lat, retries, err := runOneJob(ctx, hc, baseURL, key, specs[si])
 				results <- outcome{latency: lat, retries: retries, spec: si, result: res, err: err}
 			}
 		}(c)
@@ -224,10 +218,13 @@ func percentile(sorted []time.Duration, p float64) time.Duration {
 	return sorted[i]
 }
 
+// poll is the load generator's status poll (and 429 retry) interval.
+const poll = 5 * time.Millisecond
+
 // runOneJob submits one spec (retrying 429s), polls to a terminal
 // state, and decodes the result. Latency covers submit through
 // observed completion.
-func runOneJob(ctx context.Context, hc *http.Client, baseURL, key string, spec JobSpec, poll time.Duration) (*session.Result, time.Duration, int, error) {
+func runOneJob(ctx context.Context, hc *http.Client, baseURL, key string, spec JobSpec) (*session.Result, time.Duration, int, error) {
 	body, err := json.Marshal(spec)
 	if err != nil {
 		return nil, 0, 0, err

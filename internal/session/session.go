@@ -527,7 +527,6 @@ func (s *Session) evaluateSweep(ctx context.Context, j SweepJob) (*Result, error
 		return nil, err
 	}
 	rep := sweep.NewReport(scenarios, seeds, gates, circuits, tallies)
-	rep.Cache = s.golden.Stats()
 	rep.WallSeconds = time.Since(start).Seconds()
-	return &Result{Kind: KindSweep, Sweep: rep, Stats: Stats{Golden: rep.Cache}}, nil
+	return &Result{Kind: KindSweep, Sweep: rep, Stats: Stats{Golden: s.golden.Stats()}}, nil
 }

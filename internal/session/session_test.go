@@ -399,9 +399,6 @@ func TestSessionMixedJobsConcurrent(t *testing.T) {
 			}
 		}
 		sres.Sweep.ClearTimings()
-		// The session-lifetime cache totals depend on which job finished
-		// first.
-		sres.Sweep.Cache = eval.CacheStats{}
 		var buf bytes.Buffer
 		if err := sres.Sweep.WriteJSON(&buf); err != nil {
 			t.Fatal(err)
@@ -433,6 +430,42 @@ func TestSessionMixedJobsConcurrent(t *testing.T) {
 	}
 	if st.Hits < 2 {
 		t.Errorf("mixed-session param stats %+v, want >= 2 hits (circuit and sweep reuse)", st)
+	}
+}
+
+// TestSessionSweepReportOwnLookups: a sweep report counts the sweep's
+// own golden lookups, so an unrelated gate job run first on the same
+// session leaves the report as a fresh session's; the result's
+// Stats.Golden still describes the whole session cache.
+func TestSessionSweepReportOwnLookups(t *testing.T) {
+	if testing.Short() {
+		t.Skip("analog evaluation in -short mode")
+	}
+	p := fastParams()
+	gateJob := GateJob{Gate: "nor2", Params: &p, Configs: []gen.Config{testConfig(2, 8)}, Seeds: []int64{1, 2}}
+	sweepJSON := func(s *Session) string {
+		t.Helper()
+		res, err := s.Evaluate(context.Background(), SweepJob{Spec: testSweepSpec(9)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := s.GoldenCache().Stats(); res.Stats.Golden != got {
+			t.Errorf("sweep Stats.Golden %+v, want the session cache %+v", res.Stats.Golden, got)
+		}
+		res.Sweep.ClearTimings()
+		var buf bytes.Buffer
+		if err := res.Sweep.WriteJSON(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.String()
+	}
+	fresh := sweepJSON(New(Options{Workers: 2}))
+	s := New(Options{Workers: 2})
+	if _, err := s.Evaluate(context.Background(), gateJob); err != nil {
+		t.Fatal(err)
+	}
+	if after := sweepJSON(s); after != fresh {
+		t.Errorf("sweep report after a gate job differs from a fresh session's:\n--- after ---\n%s\n--- fresh ---\n%s", after, fresh)
 	}
 }
 

@@ -130,9 +130,6 @@ func Open(dir string) (*Store, error) {
 	return s, nil
 }
 
-// Dir returns the store's root directory.
-func (s *Store) Dir() string { return s.dir }
-
 // Stats returns a snapshot of the traffic counters. Pending background
 // writes are not yet counted; call Flush first for exact totals.
 func (s *Store) Stats() Stats {

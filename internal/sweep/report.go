@@ -90,12 +90,16 @@ type ScenarioResult struct {
 // the same spec (with equally warm caches) encode byte-identically no
 // matter how they were scheduled.
 type Report struct {
-	Seeds       []int64          `json:"seeds"`
-	ModelNames  []string         `json:"model_names"`
-	Scenarios   []ScenarioResult `json:"scenarios"`
-	TotalUnits  int              `json:"total_units"`
-	Cache       eval.CacheStats  `json:"cache"`
-	WallSeconds float64          `json:"wall_seconds"`
+	Seeds      []int64          `json:"seeds"`
+	ModelNames []string         `json:"model_names"`
+	Scenarios  []ScenarioResult `json:"scenarios"`
+	TotalUnits int              `json:"total_units"`
+	// Cache sums the scenarios' golden lookups (CacheHits and
+	// CacheMisses), so it counts this sweep's lookups only. DiskHits,
+	// Evictions and Entries are always zero: they describe the shared
+	// cache, whose snapshot is the session result's Stats.Golden.
+	Cache       eval.CacheStats `json:"cache"`
+	WallSeconds float64         `json:"wall_seconds"`
 }
 
 // ClearTimings zeroes every wall-time field, leaving only the

@@ -331,7 +331,7 @@ func circuitToSeedResult(cr eval.CircuitSeedResult) eval.SeedResult {
 // results of eval.Run over one block per scenario in grid order, and
 // each scenario's tally. Per-scenario results are merged in seed order
 // and reported in grid order, so the report is independent of the
-// worker count. The caller fills in Cache and WallSeconds.
+// worker count. The caller fills in WallSeconds.
 func NewReport(scenarios []Scenario, seeds []int64, gates []eval.SeedResult, circuits []eval.CircuitSeedResult, tallies []eval.Tally) *Report {
 	rep := &Report{
 		Seeds:      seeds,
@@ -347,6 +347,8 @@ func NewReport(scenarios []Scenario, seeds []int64, gates []eval.SeedResult, cir
 			}
 		}
 		rep.Scenarios[si] = buildScenarioResult(sc, eval.MergeSeedResults(sc.Config, parts), parts, &tallies[si])
+		rep.Cache.Hits += rep.Scenarios[si].CacheHits
+		rep.Cache.Misses += rep.Scenarios[si].CacheMisses
 	}
 	return rep
 }

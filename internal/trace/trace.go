@@ -135,17 +135,6 @@ func (t Trace) Transitions() []waveform.Transition {
 	return out
 }
 
-// Clip restricts the trace to [t0, t1], resampling the initial value.
-func (t Trace) Clip(t0, t1 float64) Trace {
-	out := Trace{Initial: t.At(t0)}
-	for _, e := range t.Events {
-		if e.Time > t0 && e.Time <= t1 {
-			out.Events = append(out.Events, e)
-		}
-	}
-	return out
-}
-
 // Invert returns the logical complement of the trace.
 func (t Trace) Invert() Trace {
 	out := Trace{Initial: !t.Initial, Events: make([]Event, len(t.Events))}

@@ -227,13 +227,6 @@ func TestDeviationAreaMetricProperties(t *testing.T) {
 
 func TestClipShiftInvert(t *testing.T) {
 	tr := mkTrace(false, 10, 20, 30)
-	c := tr.Clip(15, 25)
-	if !c.Initial {
-		t.Error("clip initial should be the value at 15 (true)")
-	}
-	if c.NumEvents() != 1 || c.Events[0].Time != 20 {
-		t.Errorf("clip events wrong: %+v", c.Events)
-	}
 	s := tr.Shift(5)
 	if s.Events[0].Time != 15 {
 		t.Error("shift wrong")
