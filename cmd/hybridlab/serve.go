@@ -15,6 +15,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"slices"
 	"syscall"
 	"time"
 
@@ -179,8 +180,23 @@ func runLoadgenCmd(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if o.url != "" {
+		var err error
+		fs.Visit(func(f *flag.Flag) {
+			if err == nil && slices.Contains(inProcessFlags, f.Name) {
+				err = fmt.Errorf("loadgen: -%s configures the in-process server; it cannot be combined with -url", f.Name)
+			}
+		})
+		if err != nil {
+			return err
+		}
+	}
 	return o.run()
 }
+
+// inProcessFlags are the loadgen flags that only the in-process server
+// reads: a run against -url refuses them rather than ignore them.
+var inProcessFlags = []string{"store", "golden-budget", "param-limit", "per-client", "max-active", "backlog"}
 
 // run drives the load and writes the report.
 func (o *loadgenOptions) run() error {

@@ -184,3 +184,19 @@ func TestRunLoadgenCmdEndToEnd(t *testing.T) {
 		t.Errorf("loadgen stderr silent:\n%s", stderr.String())
 	}
 }
+
+// TestRunLoadgenCmdRefusesServerFlagsWithURL: the flags only the
+// in-process server reads are refused next to -url, by name, before
+// any request is made; the engine flags the reference session reads
+// stay valid.
+func TestRunLoadgenCmdRefusesServerFlagsWithURL(t *testing.T) {
+	for _, fl := range [][]string{
+		{"-store", t.TempDir()}, {"-golden-budget", "10"}, {"-param-limit", "1"},
+		{"-per-client", "1"}, {"-max-active", "1"}, {"-backlog", "1"},
+	} {
+		err := runLoadgenCmd(append([]string{"-url", "http://127.0.0.1:1", "-fast", "-parallel", "1"}, fl...))
+		if err == nil || !strings.Contains(err.Error(), fl[0]+" ") || !strings.Contains(err.Error(), "-url") {
+			t.Errorf("loadgen -url with %s: error %v, want one naming %s", fl[0], err, fl[0])
+		}
+	}
+}

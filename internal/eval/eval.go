@@ -69,7 +69,7 @@ func RunModels(m Models, inputs []trace.Trace, until float64) (map[string]trace.
 // inertial baseline accumulated zero deviation area — every model output
 // is then either perfect or incomparable — the ratio is undefined and
 // every Normalized entry is NaN (check with math.IsNaN) rather than a
-// misleading ±Inf-scale value.
+// misleading ±Inf-scale value; JSON carries it as null (see Ratio).
 type RunResult struct {
 	Config     gen.Config
 	Seeds      []int64

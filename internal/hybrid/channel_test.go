@@ -263,10 +263,10 @@ func TestChannelStateAccessors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m := ch.future.segs[0].mode; m != Mode00 {
+	if m := ch.core.future.segs[0].mode; m != Mode00 {
 		t.Errorf("initial mode %v", m)
 	}
-	st := ch.future.At(0)
+	st := ch.core.future.At(0)
 	if math.Abs(st[0]-p.Supply.VDD) > 1e-12 || math.Abs(st[1]-p.Supply.VDD) > 1e-12 {
 		t.Errorf("initial state %v", st)
 	}
@@ -286,10 +286,10 @@ func TestApplyNORRejectsInvalidParams(t *testing.T) {
 
 // TestApplyNORAllocs pins the channel's allocation budget on the
 // stimulus of BenchmarkChannelOverheadHybrid (the paper's first
-// configuration at 400 transitions). The mode systems are prepared once
-// per channel and the crossing search allocates nothing; what remains
-// is set-up and the doubling growth of the event slab and the recorded
-// output.
+// configuration at 400 transitions). The channel core is recycled, the
+// mode systems are prepared once per call and the crossing search
+// allocates nothing; what remains is the trajectory and the doubling
+// growth of the output.
 func TestApplyNORAllocs(t *testing.T) {
 	cfg := gen.PaperConfigs()[0]
 	cfg.Transitions = 400
@@ -305,7 +305,173 @@ func TestApplyNORAllocs(t *testing.T) {
 		}
 	})
 	t.Logf("%.0f allocs per ApplyNOR", allocs)
-	if allocs > 35 {
-		t.Errorf("ApplyNOR allocates %.0f times per run, budget 35", allocs)
+	if allocs > 11 {
+		t.Errorf("ApplyNOR allocates %.0f times per run, budget 11", allocs)
 	}
+}
+
+// applyNORSim is ApplyNOR through the event-driven Channel inside a
+// dtsim.Simulator driven by both traces: the reference ApplyNOR's
+// offline loop must reproduce bit for bit.
+func applyNORSim(p Params, a, b trace.Trace, until, vn0 float64) (trace.Trace, error) {
+	sim := dtsim.NewSimulator()
+	na := dtsim.NewNet("a", a.Initial)
+	nb := dtsim.NewNet("b", b.Initial)
+	no := dtsim.NewNet("o", false)
+	no.Record()
+	if _, err := NewChannel(sim, p, na, nb, no, vn0); err != nil {
+		return trace.Trace{}, err
+	}
+	if err := dtsim.Drive(sim, na, a); err != nil {
+		return trace.Trace{}, err
+	}
+	if err := dtsim.Drive(sim, nb, b); err != nil {
+		return trace.Trace{}, err
+	}
+	if err := sim.Run(until); err != nil {
+		return trace.Trace{}, err
+	}
+	return no.Trace(), nil
+}
+
+// offlineStimulus draws two input traces of up to n events each from
+// seed. Gaps are zero (ties), shorter than dmin, shorter than a gate
+// delay or long, and a quarter of the events repeat their input's
+// value. flags&1 copies some of a's times into b (ties across inputs),
+// flags&2 swaps neighbouring events (unsorted traces), and flags&4
+// puts the time special at a random place (flags&8 and flags&16 are
+// read by the fuzz target).
+func offlineStimulus(seed int64, n int, flags uint8, dmin, special float64) (a, b trace.Trace) {
+	rng := rand.New(rand.NewSource(seed))
+	ins := make([]trace.Trace, 2)
+	for i := range ins {
+		ins[i].Initial = rng.Intn(2) == 1
+		v, tm := ins[i].Initial, 0.0
+		for j := rng.Intn(n + 1); j > 0; j-- {
+			switch rng.Intn(4) {
+			case 0:
+			case 1:
+				tm += rng.Float64() * dmin
+			case 2:
+				tm += rng.Float64() * 40e-12
+			default:
+				tm += 50e-12 + rng.Float64()*300e-12
+			}
+			if rng.Intn(4) > 0 {
+				v = !v
+			}
+			ins[i].Events = append(ins[i].Events, trace.Event{Time: tm, Value: v})
+		}
+	}
+	a, b = ins[0], ins[1]
+	if flags&1 != 0 {
+		for j := range b.Events {
+			if j < len(a.Events) && rng.Intn(2) == 0 {
+				b.Events[j].Time = a.Events[j].Time
+			}
+		}
+	}
+	for _, tr := range ins {
+		if flags&2 != 0 && len(tr.Events) > 1 {
+			k := rng.Intn(len(tr.Events) - 1)
+			tr.Events[k], tr.Events[k+1] = tr.Events[k+1], tr.Events[k]
+		}
+	}
+	if i := rng.Intn(2); flags&4 != 0 {
+		if len(ins[i].Events) == 0 {
+			i = 1 - i
+		}
+		if evs := ins[i].Events; len(evs) > 0 {
+			evs[rng.Intn(len(evs))].Time = special
+		}
+	}
+	return a, b
+}
+
+// inputAtCrossing adds to a a change of its value at the time of the
+// first output event of the reference run on (a, b), so that an input
+// event and the pending output event fall at the same time.
+func inputAtCrossing(p Params, a, b trace.Trace, vn0 float64) trace.Trace {
+	out, err := applyNORSim(p, a, b, math.Inf(1), vn0)
+	if err != nil || len(out.Events) == 0 || !trace.Sorted(a.Events) {
+		return a
+	}
+	tc := out.Events[0].Time
+	k, v := 0, a.Initial
+	for ; k < len(a.Events) && a.Events[k].Time <= tc; k++ {
+		v = a.Events[k].Value
+	}
+	evs := append(append(a.Events[:k:k], trace.Event{Time: tc, Value: !v}), a.Events[k:]...)
+	return trace.Trace{Initial: a.Initial, Events: evs}
+}
+
+// sameTraceBits reports whether two traces have the same initial value
+// and events, times compared bit for bit.
+func sameTraceBits(x, y trace.Trace) bool {
+	if x.Initial != y.Initial || len(x.Events) != len(y.Events) {
+		return false
+	}
+	for i, e := range x.Events {
+		if math.Float64bits(e.Time) != math.Float64bits(y.Events[i].Time) || e.Value != y.Events[i].Value {
+			return false
+		}
+	}
+	return true
+}
+
+// FuzzApplyNOROffline checks that ApplyNOR's offline loop and the
+// Channel inside a simulator produce bit-identical outputs, or both
+// fail: on ties within and across inputs, unsorted traces, events that
+// do not change their input, events after until, negative and
+// non-finite times, and any pure delay.
+func FuzzApplyNOROffline(f *testing.F) {
+	// Ties (flags 1), unsorted traces (2), both, an input event at an
+	// output event (8) and until at an output event (16).
+	f.Add(int64(1), uint8(12), uint8(0), 18.0, 20.0, 0.0, 0.8)
+	f.Add(int64(2), uint8(16), uint8(1), 18.0, 20.0, 0.0, 0.0)
+	f.Add(int64(3), uint8(16), uint8(2), 10.0, 20.0, 0.0, 0.8)
+	f.Add(int64(4), uint8(16), uint8(3), 0.0, 20.0, 0.0, 0.4)
+	f.Add(int64(1), uint8(12), uint8(8), 18.0, 20.0, 0.0, 0.8)
+	f.Add(int64(3), uint8(16), uint8(9), 0.0, 20.0, 0.0, 0.8)
+	f.Add(int64(1), uint8(12), uint8(16), 18.0, 0.0, 0.0, 0.8)
+	f.Add(int64(11), uint8(16), uint8(7), 5.0, math.Inf(1), 0.0, 0.8)
+	f.Add(int64(13), uint8(24), uint8(1), 18.0, math.NaN(), 0.0, 0.8)
+	// Acting on one of its events that do not change their input
+	// moves output bits.
+	f.Add(int64(161), uint8(23), uint8(1), 498.0, math.NaN(), -4952.0, 14220.0)
+	// Events after until, and special times (flags 4): negative,
+	// negative after until, NaN, +Inf after until and -Inf.
+	f.Add(int64(5), uint8(20), uint8(0), 18.0, 1.0, 0.0, 0.8)
+	f.Add(int64(6), uint8(16), uint8(4), 18.0, 20.0, -5.0, 0.8)
+	f.Add(int64(7), uint8(16), uint8(4), 18.0, -1.0, -0.5, 0.8)
+	f.Add(int64(8), uint8(16), uint8(4), 18.0, 20.0, math.NaN(), 0.8)
+	f.Add(int64(9), uint8(16), uint8(4), 18.0, 1.0, math.Inf(1), 0.8)
+	f.Add(int64(10), uint8(16), uint8(4), 18.0, 20.0, math.Inf(-1), 0.0)
+	f.Fuzz(func(t *testing.T, seed int64, n, flags uint8, dminPs, untilNs, specialPs, vn0 float64) {
+		p := TableI()
+		if p.DMin = math.Mod(math.Abs(dminPs), 100) * 1e-12; math.IsNaN(p.DMin) {
+			p.DMin = 0
+		}
+		if vn0 = math.Abs(vn0); !(vn0 <= p.Supply.VDD) {
+			vn0 = 0
+		}
+		a, b := offlineStimulus(seed, int(n%32), flags, p.DMin, specialPs*1e-12)
+		until := untilNs * 1e-9
+		if flags&8 != 0 {
+			a = inputAtCrossing(p, a, b, vn0)
+		}
+		if flags&16 != 0 { // until at an output event
+			if out, err := applyNORSim(p, a, b, math.Inf(1), vn0); err == nil && len(out.Events) > 0 {
+				until = out.Events[len(out.Events)-1].Time
+			}
+		}
+		got, err := ApplyNOR(p, a, b, until, vn0)
+		want, werr := applyNORSim(p, a, b, until, vn0)
+		if (err != nil) != (werr != nil) {
+			t.Fatalf("offline error %v, simulator error %v", err, werr)
+		}
+		if err == nil && !sameTraceBits(got, want) {
+			t.Fatalf("offline %+v\nsimulator %+v", got, want)
+		}
+	})
 }

@@ -1,6 +1,8 @@
 package hybrid
 
 import (
+	"math"
+
 	"hybriddelay/internal/ode"
 	"hybriddelay/internal/roots"
 )
@@ -16,7 +18,7 @@ const crossScanDensity = 256
 // output node of an n-node switch-level segment (solN). exps writes the
 // modal exponentials at a time, at evaluates the curve from them, and
 // bound encloses every value at returns for a time in [ta, tb] (see
-// ode.Solution2.BoundY). All derive the local time as t - start, so a
+// ode.Solution2.BoundYExp). All derive the local time as t - start, so a
 // window whose ends are grid times covers every grid time between them
 // exactly. It is a concrete type rather than an interface so that the
 // search allocates nothing.
@@ -25,6 +27,8 @@ type curve struct {
 	solN  *ode.SolutionN
 	node  int
 	start float64
+	memo  *expMemo // memo of sol2's exponentials, or nil
+	mode  Mode     // sol2's mode, the memo's key
 }
 
 // exps writes the modal exponentials at time t into e. At local time 0
@@ -36,11 +40,42 @@ func (c *curve) exps(t float64, e []float64) {
 		for k := range e {
 			e[k] = 1
 		}
-	case c.sol2 != nil:
+	case c.sol2 == nil:
+		c.solN.Exps(local, e)
+	case c.memo == nil:
 		c.sol2.Exps(local, e)
 	default:
-		c.solN.Exps(local, e)
+		c.memo.exps(c.mode, c.sol2, local, e)
 	}
+}
+
+// expMemoBits sizes an expMemo at 1<<expMemoBits entries.
+const expMemoBits = 10
+
+// expMemo is a direct-mapped memo of the modal exponentials e^{l1 t},
+// e^{l2 t} of a channel's four prepared modes, keyed by the mode and
+// the exact bits of the local time t. Every fresh segment of a mode is
+// searched on much the same local-time grid, so many evaluations repeat
+// exactly; a hit returns the very bits the evaluation produced, so the
+// memo changes no result.
+type expMemo [1 << expMemoBits]struct {
+	bits uint64 // the local time's bits
+	mode Mode   // the mode plus one; 0 marks an empty entry
+	e    [2]float64
+}
+
+// exps writes sol's exponentials at local time t into e. sol must be a
+// solution of the core's prepared system of mode.
+//
+//hybrid:noalloc
+func (m *expMemo) exps(mode Mode, sol *ode.Solution2, t float64, e []float64) {
+	bits := math.Float64bits(t)
+	ent := &m[(bits^uint64(mode))*0x9E3779B97F4A7C15>>(64-expMemoBits)]
+	if ent.bits != bits || ent.mode != mode+1 {
+		sol.Exps(t, ent.e[:])
+		ent.bits, ent.mode = bits, mode+1
+	}
+	e[0], e[1] = ent.e[0], ent.e[1]
 }
 
 // slowestTimeConstant returns the magnitude of the curve's slowest

@@ -46,7 +46,7 @@ func (c *curve) value(t float64) float64 {
 	if c.sol2 != nil {
 		return c.sol2.At(t - c.start).Y
 	}
-	return c.solN.Component(c.node, t-c.start)
+	return c.solN.ComponentExp(c.node, t-c.start, nil)
 }
 
 // gridPoint is grid point j of the window [t0, t1], as both searches
@@ -451,4 +451,79 @@ func FuzzFirstCrossing(f *testing.F) {
 			sameCrossing(t, cc.name+"/at-crossing", cc.c, level, !rising, tc, t1)
 		}
 	})
+}
+
+// TestExpMemoBits: the exponential memo returns the bits an uncached
+// evaluation gives, for every mode, on ±0, subnormal, huge, infinite
+// and NaN local times, on a repeat (a hit), and across direct-mapped
+// collisions of one mode's keys and of two modes' keys.
+func TestExpMemoBits(t *testing.T) {
+	var c channelCore
+	if err := c.init(TableI(), Mode00, 0, 0); err != nil {
+		t.Fatal(err)
+	}
+	var sols [4]ode.Solution2
+	for m := range sols {
+		sols[m] = c.modes[m].Solve(la.Vec2{X: 0.3, Y: 0.5})
+	}
+	check := func(m Mode, tau float64) {
+		t.Helper()
+		var got, want [2]float64
+		c.memo.exps(m, &sols[m], tau, got[:])
+		sols[m].Exps(tau, want[:])
+		for k := range got {
+			if math.Float64bits(got[k]) != math.Float64bits(want[k]) {
+				t.Errorf("mode %v, tau %g: exponential %d is %x, want %x", m, tau, k,
+					math.Float64bits(got[k]), math.Float64bits(want[k]))
+			}
+		}
+	}
+	taus := []float64{0, math.Copysign(0, -1), 5e-324, -5e-324, 3e-310, 1e300, -1e300,
+		math.MaxFloat64, math.Inf(1), math.Inf(-1), math.NaN(), 1e-12, 2.5e-11}
+	for pass := 0; pass < 2; pass++ {
+		for m := range sols {
+			for _, tau := range taus {
+				check(Mode(m), tau)
+			}
+		}
+	}
+
+	// index finds the entry a key occupies by filling an empty memo.
+	index := func(m Mode, tau float64) int {
+		var memo expMemo
+		var e [2]float64
+		memo.exps(m, &sols[m], tau, e[:])
+		for i := range memo {
+			if memo[i].mode != 0 {
+				return i
+			}
+		}
+		t.Fatal("memo stored nothing")
+		return -1
+	}
+	// Alternate keys that share an entry: two local times of one mode,
+	// and local times of two modes.
+	tau := 3.7e-11
+	i := index(Mode10, tau)
+	collide := func(m Mode) float64 {
+		n := tau
+		for k := 0; k < 1<<16; k++ {
+			if n = math.Nextafter(n, 1); index(m, n) == i {
+				return n
+			}
+		}
+		t.Fatalf("no key of mode %v collides with entry %d", m, i)
+		return 0
+	}
+	same, other := collide(Mode10), collide(Mode01)
+	for _, k := range []struct {
+		m   Mode
+		tau float64
+	}{{Mode10, tau}, {Mode10, same}, {Mode10, tau}, {Mode01, other}, {Mode10, tau}, {Mode01, other}, {Mode10, same}} {
+		check(k.m, k.tau)
+		if e := c.memo[i]; e.mode != k.m+1 || e.bits != math.Float64bits(k.tau) {
+			t.Errorf("entry %d holds mode %v, local time bits %x after mode %v, local time %g",
+				i, e.mode-1, e.bits, k.m, k.tau)
+		}
+	}
 }

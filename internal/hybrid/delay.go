@@ -172,23 +172,20 @@ type SweepPoint struct {
 
 // FallingSweep samples delta_fall over the given separations (Fig. 5).
 func (p Params) FallingSweep(deltas []float64) ([]SweepPoint, error) {
-	out := make([]SweepPoint, 0, len(deltas))
-	for _, d := range deltas {
-		v, err := p.FallingDelay(d)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, SweepPoint{Delta: d, Delay: v})
-	}
-	return out, nil
+	return sweep(deltas, p.FallingDelay)
 }
 
 // RisingSweep samples delta_rise over the given separations for a given
 // V_N initial value (Fig. 6).
 func (p Params) RisingSweep(deltas []float64, vn VNInitial) ([]SweepPoint, error) {
+	return sweep(deltas, func(d float64) (float64, error) { return p.RisingDelay(d, vn) })
+}
+
+// sweep samples a delay function over the given separations.
+func sweep(deltas []float64, delay func(delta float64) (float64, error)) ([]SweepPoint, error) {
 	out := make([]SweepPoint, 0, len(deltas))
 	for _, d := range deltas {
-		v, err := p.RisingDelay(d, vn)
+		v, err := delay(d)
 		if err != nil {
 			return nil, err
 		}

@@ -128,28 +128,12 @@ func (n NANDParams) Characteristic() (Characteristic, error) {
 
 // FallingSweep samples the falling NAND delays over the separations.
 func (n NANDParams) FallingSweep(deltas []float64, vm0 float64) ([]SweepPoint, error) {
-	out := make([]SweepPoint, 0, len(deltas))
-	for _, d := range deltas {
-		v, err := n.FallingDelay(d, vm0)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, SweepPoint{Delta: d, Delay: v})
-	}
-	return out, nil
+	return sweep(deltas, func(d float64) (float64, error) { return n.FallingDelay(d, vm0) })
 }
 
 // RisingSweep samples the rising NAND delays over the separations.
 func (n NANDParams) RisingSweep(deltas []float64) ([]SweepPoint, error) {
-	out := make([]SweepPoint, 0, len(deltas))
-	for _, d := range deltas {
-		v, err := n.RisingDelay(d)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, SweepPoint{Delta: d, Delay: v})
-	}
-	return out, nil
+	return sweep(deltas, n.RisingDelay)
 }
 
 // ApplyNAND runs two digital input traces through the hybrid NAND

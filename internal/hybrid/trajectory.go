@@ -30,6 +30,9 @@ type Phase struct {
 type Trajectory struct {
 	segs []segment
 	out  int // output node of the n-node bodies
+	// memo, if set, memoizes the two-node segments' exponentials; their
+	// solutions must all refer to one channelCore's prepared modes.
+	memo *expMemo
 }
 
 // segment is one leg of a Trajectory, solved in local time t - start.
@@ -141,15 +144,7 @@ func (tr *Trajectory) curve(i int) curve {
 	if seg.solN != nil {
 		return curve{solN: seg.solN, node: tr.out, start: seg.start}
 	}
-	return curve{sol2: &seg.sol2, start: seg.start}
-}
-
-// cut drops the segments that start after t and returns the two-node
-// state at t: the start state of a segment appended at t.
-func (tr *Trajectory) cut(t float64) la.Vec2 {
-	i := tr.seg(t)
-	tr.segs = tr.segs[:i+1]
-	return tr.segs[i].sol2.At(t - tr.segs[i].start)
+	return curve{sol2: &seg.sol2, start: seg.start, memo: tr.memo, mode: seg.mode}
 }
 
 // prune drops the segments that ended at or before now, keeping the

@@ -13,7 +13,7 @@ import "math"
 // sign. So the exact range of every term over [a, b] is spanned by its two
 // endpoint values, and adding the per-term ranges bounds the component.
 //
-// The evaluators (Solution2.At, SolutionN.Component) round, so the value
+// The evaluators (Solution2.At, SolutionN.ComponentExp) round, so the value
 // they return at a float64 τ in [a, b] can leave the exact range. Each
 // bound therefore comes with a margin m such that
 //
@@ -110,19 +110,12 @@ func (acc *boundAcc) result() (lo, hi, margin float64, ok bool) {
 	return acc.lo, acc.hi, margin, ok
 }
 
-// BoundY bounds the output component V(τ).Y over the local-time window
-// [a, b] (a <= b): every value At(τ).Y returns for a float64 τ in [a, b]
-// lies in [lo - margin, hi + margin]. See the derivation at the top of
-// this file. The defective kind has a polynomial factor that is not
-// monotone termwise and reports ok = false.
-func (sol *Solution2) BoundY(a, b float64) (lo, hi, margin float64, ok bool) {
-	var ea, eb [2]float64
-	sol.Exps(a, ea[:])
-	sol.Exps(b, eb[:])
-	return sol.BoundYExp(a, b, ea[:], eb[:])
-}
-
-// BoundYExp is BoundY given the exponentials Exps(a) and Exps(b).
+// BoundYExp bounds the output component V(τ).Y over the local-time
+// window [a, b] (a <= b), given the exponentials Exps(a) and Exps(b):
+// every value At(τ).Y returns for a float64 τ in [a, b] lies in
+// [lo - margin, hi + margin]. See the derivation at the top of this
+// file. The defective kind has a polynomial factor that is not monotone
+// termwise and reports ok = false.
 func (sol *Solution2) BoundYExp(a, b float64, ea, eb []float64) (lo, hi, margin float64, ok bool) {
 	var acc boundAcc
 	p := sol.sys
@@ -143,7 +136,7 @@ func (sol *Solution2) BoundYExp(a, b float64, ea, eb []float64) (lo, hi, margin 
 
 // BoundComponentExp bounds component i over the local-time window
 // [a, b] (a <= b) given the exponentials Exps(a) and Exps(b): every
-// value Component(i, τ) returns for a float64 τ in [a, b] lies in
+// value ComponentExp(i, τ, nil) returns for a float64 τ in [a, b] lies in
 // [lo - margin, hi + margin]. See the derivation at the top of this file.
 func (sol *SolutionN) BoundComponentExp(i int, a, b float64, ea, eb []float64) (lo, hi, margin float64, ok bool) {
 	p := sol.sys

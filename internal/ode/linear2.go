@@ -133,7 +133,7 @@ func (p *Prepared2) Solve(v0 la.Vec2) (sol Solution2) {
 }
 
 // Exps writes the modal exponentials e^{l1 t}, e^{l2 t} that At and
-// BoundY evaluate at local time t into e (length 2).
+// BoundYExp evaluate at local time t into e (length 2).
 func (sol *Solution2) Exps(t float64, e []float64) {
 	e[0] = math.Exp(sol.sys.l1 * t)
 	e[1] = math.Exp(sol.sys.l2 * t)

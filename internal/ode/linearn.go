@@ -135,7 +135,7 @@ func (sol *SolutionN) mode(k int, t, e float64) float64 {
 	return float64(sol.w0[k]*e) + float64(sol.sys.f[k]*phi(sol.sys.lambda[k], t, e))
 }
 
-// Exps writes the modal exponentials e^{lambda_k t} that Component and
+// Exps writes the modal exponentials e^{lambda_k t} that ComponentExp and
 // BoundComponentExp evaluate at local time t into e (length Dim).
 func (sol *SolutionN) Exps(t float64, e []float64) {
 	for k, l := range sol.sys.lambda {
@@ -143,14 +143,9 @@ func (sol *SolutionN) Exps(t float64, e []float64) {
 	}
 }
 
-// Component evaluates a single state component at time t (cheaper than
-// At when only the output voltage matters).
-func (sol *SolutionN) Component(i int, t float64) float64 {
-	return sol.ComponentExp(i, t, nil)
-}
-
-// ComponentExp is Component given the exponentials Exps(t) in e; a nil e
-// computes them on the fly.
+// ComponentExp evaluates a single state component at time t (cheaper
+// than At when only the output voltage matters) from the exponentials
+// Exps(t) in e; a nil e computes them on the fly.
 func (sol *SolutionN) ComponentExp(i int, t float64, e []float64) float64 {
 	p := sol.sys
 	v := 0.0

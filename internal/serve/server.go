@@ -128,10 +128,10 @@ func writeJSON(w http.ResponseWriter, status int, v any) error {
 	return nil
 }
 
-// writeStatus answers a job status. A result that cannot be encoded
-// (eval reports a normalized area as NaN when the inertial baseline has
-// no deviation) is left out, and the status carries an error that says
-// why, so the client still sees the job's terminal state.
+// writeStatus answers a job status. Every result encodes (an undefined
+// normalized area is null); as a last resort, a result that still cannot
+// be encoded is left out, and the status carries an error that says why,
+// so the client still sees the job's terminal state.
 func writeStatus(w http.ResponseWriter, status int, st JobStatus) {
 	err := writeJSON(w, status, st)
 	if err == nil {

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -461,12 +462,67 @@ func TestServeShutdownRefusesAndFlushes(t *testing.T) {
 	}
 }
 
+// TestServeCircuitUndefinedRatio: a circuit job with a net whose
+// inertial baseline has no area — net o = NOR(a, NAND(a, a)) is held at
+// 0 and never switches — is served whole. Its status carries the result
+// with the net's ratios as null, and its canonical projection equals a
+// one-shot session's.
+func TestServeCircuitUndefinedRatio(t *testing.T) {
+	if testing.Short() {
+		t.Skip("analog evaluation in -short mode")
+	}
+	_, hs := newTestServer(t, Options{})
+	nl := &netlist.Netlist{Name: "stuck", Inputs: []string{"a"}, Outputs: []string{"n", "o"}, Instances: []netlist.Instance{
+		{Name: "g1", Gate: "nand2", Inputs: []string{"a", "a"}, Output: "n"},
+		{Name: "g2", Gate: "nor2", Inputs: []string{"a", "n"}, Output: "o"},
+	}}
+	spec := JobSpec{Kind: session.KindCircuit, Netlist: nl, Stimuli: []sweep.Stimulus{testStimulus(20)}, Seeds: []int64{1}}
+	id := submit(t, hs.URL, spec, "")
+	st := waitTerminal(t, hs.URL, id, 120*time.Second)
+	if st.State != StateDone || st.Result == nil || st.Result.Circuit == nil || st.Error != "" {
+		t.Fatalf("state %s, result %v, error %q", st.State, st.Result != nil, st.Error)
+	}
+	res := st.Result.Circuit
+	for m, r := range res.Normalized["o"] {
+		if !math.IsNaN(r) {
+			t.Errorf("net o, model %s: ratio %g over a zero baseline, want NaN", m, r)
+		}
+	}
+	for m, r := range res.Normalized["n"] {
+		if math.IsNaN(r) {
+			t.Errorf("net n, model %s: undefined ratio", m)
+		}
+	}
+	job, err := spec.Job()
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := fastParams()
+	ref, err := session.New(session.Options{BaseParams: &p}).Evaluate(context.Background(), job)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := CanonicalResultJSON(st.Result)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := CanonicalResultJSON(ref)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("served result differs from the one-shot reference:\n got %s\nwant %s", got, want)
+	}
+	if !bytes.Contains(got, []byte(`"o": {`)) || !bytes.Contains(got, []byte("null")) {
+		t.Errorf("canonical result has no null ratio for net o:\n%s", got)
+	}
+}
+
 // TestServeNaNResultStatus: a result holding a NaN normalized area
 // (NAND2 100/50 LOCAL at 20 transitions, seed 4 at the test operating
-// point: the inertial baseline has no deviation) cannot be encoded as
-// JSON. The status endpoint must still answer the done state, without
-// the result and with an error saying why, instead of a 200 with an
-// empty body. A NaN-free result keeps its exact bytes.
+// point: the inertial baseline has no deviation) is served whole, with
+// the undefined ratios as JSON null, which decode back to NaN. A
+// NaN-free result keeps its exact bytes.
 func TestServeNaNResultStatus(t *testing.T) {
 	if testing.Short() {
 		t.Skip("analog evaluation in -short mode")
@@ -478,14 +534,13 @@ func TestServeNaNResultStatus(t *testing.T) {
 	}
 
 	nan := waitTerminal(t, hs.URL, submit(t, hs.URL, spec(4), ""), 120*time.Second)
-	if nan.State != StateDone {
-		t.Fatalf("NaN job ended %s: %s", nan.State, nan.Error)
+	if nan.State != StateDone || nan.Result == nil || nan.Error != "" {
+		t.Fatalf("NaN job: state %s, result %v, error %q", nan.State, nan.Result != nil, nan.Error)
 	}
-	if nan.Result != nil {
-		t.Errorf("unencodable result was served: %+v", nan.Result)
-	}
-	if !strings.Contains(nan.Error, "NaN") {
-		t.Errorf("error %q does not say the result holds a NaN", nan.Error)
+	for m, r := range nan.Result.Gate[0].Normalized {
+		if !math.IsNaN(r) {
+			t.Errorf("model %s: ratio %g over a zero baseline, want NaN", m, r)
+		}
 	}
 
 	id := submit(t, hs.URL, spec(1), "")

@@ -11,38 +11,12 @@ import (
 	"hybriddelay/internal/eval"
 )
 
-// Ratio is a normalized deviation-area ratio that survives JSON: an
-// undefined ratio (zero inertial baseline, stored as NaN) encodes as
-// null instead of breaking the encoder, and decodes back to NaN.
-type Ratio float64
+// Ratio is a normalized deviation-area ratio that survives JSON (see
+// eval.Ratio).
+type Ratio = eval.Ratio
 
-// IsDefined reports whether the ratio has a defined value.
-func (r Ratio) IsDefined() bool { return !math.IsNaN(float64(r)) }
-
-// MarshalJSON implements json.Marshaler.
-func (r Ratio) MarshalJSON() ([]byte, error) {
-	if !r.IsDefined() {
-		return []byte("null"), nil
-	}
-	return json.Marshal(float64(r))
-}
-
-// UnmarshalJSON implements json.Unmarshaler.
-func (r *Ratio) UnmarshalJSON(b []byte) error {
-	if string(b) == "null" {
-		*r = Ratio(math.NaN())
-		return nil
-	}
-	var v float64
-	if err := json.Unmarshal(b, &v); err != nil {
-		return err
-	}
-	*r = Ratio(v)
-	return nil
-}
-
-// csv renders the ratio for the CSV encoder ("NaN" when undefined).
-func (r Ratio) csv() string {
+// ratioCSV renders a ratio for the CSV encoder ("NaN" when undefined).
+func ratioCSV(r Ratio) string {
 	if !r.IsDefined() {
 		return "NaN"
 	}
@@ -154,7 +128,7 @@ func (r *Report) WriteCSV(w io.Writer) error {
 			if !ok {
 				ratio = Ratio(math.NaN())
 			}
-			cols = append(cols, ratio.csv())
+			cols = append(cols, ratioCSV(ratio))
 		}
 		cols = append(cols,
 			strconv.Itoa(s.GoldenEvents),
