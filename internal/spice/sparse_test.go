@@ -1,10 +1,13 @@
 package spice
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
 	"math"
 	"testing"
 
+	"hybriddelay/internal/la/sparse"
 	"hybriddelay/internal/waveform"
 )
 
@@ -385,6 +388,64 @@ func TestSparseFallbackOffTouchedGarbage(t *testing.T) {
 	}
 }
 
+// loadedParts are the devices loadedInverter adds to the inverter.
+type loadedParts struct {
+	r  *Resistor
+	cx *Capacitor
+	is *ISource
+}
+
+// loadedInverter is inverterCircuit with a resistor, a capacitor and a
+// current source on its output, so that a current source and several
+// capacitor companions share RHS rows.
+func loadedInverter() (*Circuit, loadedParts) {
+	c, out := inverterCircuit()
+	return c, loadedParts{
+		r:  c.AddResistor("RL", out, Ground, 50e3),
+		cx: c.AddCapacitor("CX", out, Ground, 1e-15),
+		is: c.AddISource("IL", out, Ground, 1e-6),
+	}
+}
+
+// TestSparseLoadedInverterPin pins a SparseFast transient of
+// loadedInverter at full precision: a SHA-256 over the raw bits of the
+// time axis and every node's samples, and the solver's work counters.
+// The per-solve RHS sums a current source and capacitor companions on
+// one row, so a re-stamp that reorders those writes moves the hash.
+func TestSparseLoadedInverterPin(t *testing.T) {
+	const pin = "55bdcaf2da947ec2d162023d4081eb862a92048d719a3bf4679c7df7744f4a82 steps=737 rejected=3 iterations=1239 factorizations=1239 sparse=1234 reuses=494"
+	c, _ := loadedInverter()
+	sv, err := NewSolver(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sv.SetSymbolicCache(sparse.NewSymbolicCache(0))
+	opt := inverterOptions()
+	opt.Solver = SparseFast
+	res, err := sv.Transient(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := sha256.New()
+	var buf [8]byte
+	put := func(xs []float64) {
+		for _, x := range xs {
+			binary.LittleEndian.PutUint64(buf[:], math.Float64bits(x))
+			h.Write(buf[:])
+		}
+	}
+	put(res.Times)
+	for _, n := range c.recorded(nil) {
+		put(res.nodes[n])
+	}
+	st := sv.Stats()
+	got := fmt.Sprintf("%x steps=%d rejected=%d iterations=%d factorizations=%d sparse=%d reuses=%d",
+		h.Sum(nil), st.Steps, st.Rejected, st.Iterations, st.Factorizations, st.SparseFactorizations, st.LinearReuses)
+	if got != pin {
+		t.Errorf("loaded inverter, sparse-fast:\n got %s\npin %s", got, pin)
+	}
+}
+
 // TestSparseLinearBaseFollowsParameters: the frozen linear base is
 // keyed on the step size and method, so it must also be rebuilt when a
 // device parameter changes between two transients on one solver. Here
@@ -394,19 +455,7 @@ func TestSparseFallbackOffTouchedGarbage(t *testing.T) {
 // capacitor into the second, and the second result would differ from
 // a fresh solver's.
 func TestSparseLinearBaseFollowsParameters(t *testing.T) {
-	type parts struct {
-		r  *Resistor
-		cx *Capacitor
-		is *ISource
-	}
-	build := func() (*Circuit, parts) {
-		c, out := inverterCircuit()
-		return c, parts{
-			r:  c.AddResistor("RL", out, Ground, 50e3),
-			cx: c.AddCapacitor("CX", out, Ground, 1e-15),
-			is: c.AddISource("IL", out, Ground, 1e-6),
-		}
-	}
+	build := loadedInverter
 	opt := inverterOptions()
 	opt.Solver = SparseFast
 	opt.Method = BackwardEuler
@@ -414,11 +463,11 @@ func TestSparseLinearBaseFollowsParameters(t *testing.T) {
 	opt.Breakpoints = nil
 	for _, tc := range []struct {
 		name   string
-		mutate func(parts)
+		mutate func(loadedParts)
 	}{
-		{"R", func(p parts) { p.r.R = 20e3 }},
-		{"C", func(p parts) { p.cx.C = 5e-15 }},
-		{"I", func(p parts) { p.is.I = -2e-6 }},
+		{"R", func(p loadedParts) { p.r.R = 20e3 }},
+		{"C", func(p loadedParts) { p.cx.C = 5e-15 }},
+		{"I", func(p loadedParts) { p.is.I = -2e-6 }},
 	} {
 		c, p := build()
 		sv, err := NewSolver(c)
