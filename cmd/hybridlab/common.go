@@ -202,7 +202,7 @@ func reportSolver(stderr io.Writer, st spice.SolverStats) {
 	fmt.Fprintf(stderr, "solver: %d steps (%d rejected), %d Newton iterations, %d factorizations\n",
 		st.Steps, st.Rejected, st.Iterations, st.Factorizations)
 	if st.SparseFactorizations > 0 || st.LinearReuses > 0 || st.SparseFallbacks > 0 {
-		fmt.Fprintf(stderr, "solver: sparse path: %d sparse factorizations, %d dense fallbacks, %d linear restamps skipped\n",
+		fmt.Fprintf(stderr, "solver: sparse path: %d sparse factorizations, %d dense fallbacks, %d iterations after the first of their solve\n",
 			st.SparseFactorizations, st.SparseFallbacks, st.LinearReuses)
 	}
 	if st.SymbolicHits > 0 || st.SymbolicMisses > 0 {

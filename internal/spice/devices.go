@@ -109,7 +109,9 @@ type pairCells struct{ aa, ab, ba, bb, a, b int32 }
 
 // Device is an element that can stamp itself into the MNA system. A
 // device binds every cell it stamps before its first stamp, so the
-// interface is closed to this package's device kinds.
+// interface is closed to this package's device kinds. Only the MOSFET
+// channel reads the iterate: the sparse solver freezes every other
+// stamp into its linear base.
 type Device interface {
 	Name() string
 	Nodes() []NodeID
@@ -117,17 +119,6 @@ type Device interface {
 	// Newton iterate.
 	Stamp(ctx *StampContext)
 	bind(b *binder)
-}
-
-// Stateful devices carry charge state across timesteps.
-type Stateful interface {
-	Device
-	// Init establishes device state from a converged DC solution or
-	// user-supplied initial conditions: v holds the MNA unknowns and,
-	// past them, a 0 for ground.
-	Init(v []float64)
-	// Commit updates internal state after a step has been accepted.
-	Commit(ctx *StampContext)
 }
 
 // ---------------------------------------------------------------------
@@ -157,9 +148,6 @@ func (r *Resistor) Stamp(ctx *StampContext) {
 	G[p.ab] -= g
 	G[p.ba] -= g
 }
-
-// StampLinearRHS implements LinearStamper: a resistor stamps no RHS.
-func (r *Resistor) StampLinearRHS(*StampContext) {}
 
 // ---------------------------------------------------------------------
 // Capacitor
@@ -210,38 +198,43 @@ func (s *capState) stamp(ctx *StampContext, c float64) {
 	rhs[p.b] -= ieq
 }
 
-// stampRHS adds only the companion current of stamp, recomputed from
-// the cached geq and the committed state: the RHS half of a stamp at
-// the (Dt, Method) geq was last computed for, outside DC. The formula
-// and the write order are stamp's, so the sums are bit-identical.
-func (s *capState) stampRHS(ctx *StampContext) {
-	if ctx.Method == BackwardEuler {
-		s.ieq = s.geq * s.vPrev
-	} else {
-		s.ieq = float64(s.geq*s.vPrev) + s.iPrev
+// stampRHS adds only the companion current of stamp into rhs,
+// recomputed from the cached geq and the committed state: the RHS half
+// of a stamp at the (Dt, Method) geq was last computed for, outside
+// DC; be selects backward Euler. The formula and the write order are
+// stamp's, so the sums are bit-identical.
+func (s *capState) stampRHS(rhs []float64, be bool) {
+	ieq := float64(s.geq*s.vPrev) + s.iPrev
+	if be {
+		ieq = s.geq * s.vPrev
 	}
-	rhs := ctx.rhs
-	rhs[s.cells.a] += s.ieq
-	rhs[s.cells.b] -= s.ieq
+	s.ieq = ieq
+	rhs[s.cells.a] += ieq
+	rhs[s.cells.b] -= ieq
 }
 
-// commit records the accepted branch voltage/current. A transient
-// commit always follows a converged Newton solve at the same (Dt,
-// Method, state), so the cached companion values from stamp are
-// exactly what a recomputation would produce.
-func (s *capState) commit(ctx *StampContext) {
-	v := ctx.x[s.cells.a] - ctx.x[s.cells.b]
-	if ctx.DC || ctx.Dt == 0 {
-		s.vPrev, s.iPrev = v, 0
-		return
-	}
+// commit records the branch voltage/current of an accepted transient
+// step from its solution x. A commit always follows a converged Newton
+// solve at the same (Dt, Method, state), so the cached companion values
+// from stamp are exactly what a recomputation would produce.
+func (s *capState) commit(x []float64) {
+	v := x[s.cells.a] - x[s.cells.b]
 	s.iPrev = float64(s.geq*v) - s.ieq
 	s.vPrev = v
 }
 
-// init sets the stored voltage from the iterate x and zeroes the
-// current.
+// init sets the stored voltage from the iterate x (the MNA unknowns
+// and, past them, a 0 for ground) and zeroes the current.
 func (s *capState) init(x []float64) { s.vPrev, s.iPrev = x[s.cells.a]-x[s.cells.b], 0 }
+
+// companion is a capacitor companion state or, with cap nil, a current
+// source: a current injected into the RHS that the sparse solver's
+// linear base re-stamps on every solve. Voltage sources write only
+// their own branch rows, so that re-stamp handles them apart.
+type companion struct {
+	cap *capState
+	src *ISource
+}
 
 // Capacitor is a linear two-terminal capacitor.
 type Capacitor struct {
@@ -261,15 +254,6 @@ func (c *Capacitor) bind(b *binder) { c.state.cells = b.pair(c.a, c.b) }
 
 // Stamp implements Device.
 func (c *Capacitor) Stamp(ctx *StampContext) { c.state.stamp(ctx, c.C) }
-
-// StampLinearRHS implements LinearStamper.
-func (c *Capacitor) StampLinearRHS(ctx *StampContext) { c.state.stampRHS(ctx) }
-
-// Init implements Stateful.
-func (c *Capacitor) Init(x []float64) { c.state.init(x) }
-
-// Commit implements Stateful.
-func (c *Capacitor) Commit(ctx *StampContext) { c.state.commit(ctx) }
 
 // ---------------------------------------------------------------------
 // Voltage source
@@ -312,9 +296,6 @@ func (v *VSource) Stamp(ctx *StampContext) {
 	ctx.rhs[v.ib] += ctx.srcVals[v.branch]
 }
 
-// StampLinearRHS implements LinearStamper.
-func (v *VSource) StampLinearRHS(ctx *StampContext) { ctx.rhs[v.ib] += ctx.srcVals[v.branch] }
-
 // Current returns the branch current of the source in a solution vector.
 func (v *VSource) Current(c *Circuit, sol []float64) float64 {
 	return sol[c.branchVar(v.branch)]
@@ -346,6 +327,3 @@ func (s *ISource) Stamp(ctx *StampContext) {
 	ctx.rhs[s.im] -= s.I
 	ctx.rhs[s.ip] += s.I
 }
-
-// StampLinearRHS implements LinearStamper: the whole stamp is RHS.
-func (s *ISource) StampLinearRHS(ctx *StampContext) { s.Stamp(ctx) }

@@ -25,12 +25,8 @@ type MOSFET struct {
 	d, g, s NodeID
 	P       MOSParams
 
+	ch            channel // bound unknowns and cells; channel() loads P's parameters
 	cgs, cgd, cdb capState
-
-	// Bound cells: the terminal unknowns and the Jacobian block rows
-	// {d, g, s} by columns {d, g, s}.
-	iD, iG, iS                         int32
-	dd, dg, ds, gd, gg, gs, sd, sg, ss int32
 }
 
 // Name returns the device name.
@@ -39,45 +35,50 @@ func (m *MOSFET) Name() string { return m.name }
 // Nodes returns drain, gate, source.
 func (m *MOSFET) Nodes() []NodeID { return []NodeID{m.d, m.g, m.s} }
 
-// idsLaw evaluates the square-law channel current for an nMOS-oriented
-// device with vds >= 0, plus its partial derivatives with respect to vgs
-// and vds. The model is C1-continuous across the cutoff boundary
-// (vgs = VT0) and the triode/saturation boundary (vds = vgs - VT0), which
-// keeps the Newton iteration stable.
-func idsLaw(p MOSParams, vgs, vds float64) (i, gm, gds float64) {
-	vov := vgs - p.VT0
-	if vov <= 0 {
-		return 0, 0, 0
-	}
-	lam := 1 + float64(p.Lambda*vds)
-	if vds < vov {
-		// Triode region.
-		q := float64(vov*vds) - float64(0.5*vds*vds)
-		i = p.K * q * lam
-		gm = p.K * vds * lam
-		gds = float64(p.K*(vov-vds)*lam) + float64(p.K*q*p.Lambda)
-	} else {
-		// Saturation.
-		q := 0.5 * vov * vov
-		i = p.K * q * lam
-		gm = p.K * vov * lam
-		gds = p.K * q * p.Lambda
-	}
-	return i, gm, gds
+// channel is the square-law channel of one MOSFET as a solver stamps
+// it: the four parameters the channel reads, the terminal unknowns and
+// the cells of the drain and source rows by columns {d, g, s}. It is a
+// plain value, so the sparse solver keeps copies of its MOSFETs'
+// channels in one contiguous bank; the dense Stamp uses the device's own.
+type channel struct {
+	vt0, k, lambda         float64
+	iD, iG, iS             int32
+	dd, dg, ds, sd, sg, ss int32
+	pmos                   bool
 }
 
-// Eval returns the static channel current I flowing into the physical
-// drain terminal for node voltages (vd, vg, vs), along with the partial
-// derivatives dI/dvd, dI/dvg, dI/dvs. Polarity (pMOS) and reverse biasing
-// (vds < 0) are handled by symmetry mappings, so the returned quantities
-// are exact for every quadrant.
-func (m *MOSFET) Eval(vd, vg, vs float64) (i, gd, gg, gs float64) {
+// channel loads the parameters m.P holds now into m's bound channel
+// and returns it.
+func (m *MOSFET) channel() *channel {
+	ch := &m.ch
+	ch.pmos, ch.vt0, ch.k, ch.lambda = m.P.PMOS, m.P.VT0, m.P.K, m.P.Lambda
+	return ch
+}
+
+// stamp linearises the channel current around the iterate x,
+//
+//	I(v) ~= I0 + Gd*(vd-vd0) + Gg*(vg-vg0) + Gs*(vs-vs0),
+//
+// adding the partials into the Jacobian G and the affine remainder, as
+// an equivalent current source, into rhs; it returns I0 (the current
+// into the physical drain terminal) and the partials. This is the one
+// place the channel law is written out, for the dense Stamp and the
+// sparse bank alike.
+//
+// The law is the square-law current of an nMOS with vds >= 0,
+// C1-continuous across the cutoff boundary (vgs = VT0) and the
+// triode/saturation boundary (vds = vgs - VT0), which keeps the Newton
+// iteration stable. Polarity (pMOS) and reverse biasing (vds < 0) are
+// handled by symmetry mappings, so the partials are exact in every
+// quadrant.
+func (ch *channel) stamp(G, rhs, x []float64) (i0, gd, gg, gs float64) {
+	vd, vg, vs := x[ch.iD], x[ch.iG], x[ch.iS]
 	// Map pMOS onto nMOS by negating all terminal voltages. Under the
 	// mapping w = -v the physical current flips sign, while dI/dv =
 	// sign(dI_w/dw)*sign(dw/dv) leaves the conductances unchanged.
 	sign := 1.0
 	wd, wg, ws := vd, vg, vs
-	if m.P.PMOS {
+	if ch.pmos {
 		wd, wg, ws = -vd, -vg, -vs
 		sign = -1
 	}
@@ -89,115 +90,89 @@ func (m *MOSFET) Eval(vd, vg, vs float64) (i, gd, gg, gs float64) {
 		ed, es = es, ed
 		swapped = true
 	}
-	cur, gm, gds := idsLaw(m.P, wg-es, ed-es)
-	// Partials of the effective current with respect to the effective
-	// terminal voltages.
-	dDeff := gds
-	dG := gm
-	dSeff := -gm - gds
-	// Current into the *physical* drain terminal in the w-frame, and its
-	// partials with respect to (wd, wg, ws).
-	var iw, dwd, dwg, dws float64
-	if !swapped {
-		iw, dwd, dwg, dws = cur, dDeff, dG, dSeff
-	} else {
-		iw, dwd, dwg, dws = -cur, -dSeff, -dG, -dDeff
+	// The nMOS-oriented current at (vgs, vds) = (wg-es, ed-es) and its
+	// partials gm = dI/dvgs, gds = dI/dvds.
+	var cur, gm, gds float64
+	if vov, vds := wg-es-ch.vt0, ed-es; vov > 0 {
+		lam := 1 + float64(ch.lambda*vds)
+		if vds < vov {
+			// Triode region.
+			q := float64(vov*vds) - float64(0.5*vds*vds)
+			cur = ch.k * q * lam
+			gm = ch.k * vds * lam
+			gds = float64(ch.k*(vov-vds)*lam) + float64(ch.k*q*ch.lambda)
+		} else {
+			// Saturation.
+			q := 0.5 * vov * vov
+			cur = ch.k * q * lam
+			gm = ch.k * vov * lam
+			gds = ch.k * q * ch.lambda
+		}
 	}
-	return sign * iw, dwd, dwg, dws
+	// The current into the *physical* drain terminal in the w-frame,
+	// and its partials with respect to (wd, wg, ws); those of the
+	// effective terminals are gds, gm and -gm-gds.
+	if !swapped {
+		i0, gd, gg, gs = cur, gds, gm, -gm-gds
+	} else {
+		i0, gd, gg, gs = -cur, -(-gm - gds), -gm, -gds
+	}
+	i0 = float64(sign * i0)
+
+	// KCL at drain: +I leaves the node into the device.
+	G[ch.dd] += gd
+	G[ch.dg] += gg
+	G[ch.ds] += gs
+	// KCL at source: -I.
+	G[ch.sd] -= gd
+	G[ch.sg] -= gg
+	G[ch.ss] -= gs
+	// Affine remainder as a current leaving the drain, entering the source.
+	ieq := i0 - float64(gd*vd) - float64(gg*vg) - float64(gs*vs)
+	rhs[ch.iD] -= ieq
+	rhs[ch.iS] += ieq
+	return i0, gd, gg, gs
 }
 
-// Stamp implements Device. The channel current is linearised around the
-// iterate,
-//
-//	I(v) ~= I0 + Gd*(vd-vd0) + Gg*(vg-vg0) + Gs*(vs-vs0),
-//
-// stamping the partials into the Jacobian and the affine remainder as an
-// equivalent current source.
-// The stamp is split into StampNonlinear (the iterate-dependent channel
-// linearisation) and StampLinear (the iterate-independent leakage and
-// parasitic capacitances), called in exactly the historical accumulation
-// order so the dense golden path stays bit-identical. The sparse solver
-// calls the two halves separately: the linear half is frozen into a base
-// once per step size and only the channel is re-stamped per iteration.
+// Stamp implements Device: the channel linearised around the iterate,
+// then the iterate-independent part (stampLinear). The sparse solver
+// freezes the latter into its linear base and stamps the channel from
+// its bank; both halves run the same code as here.
 func (m *MOSFET) Stamp(ctx *StampContext) {
-	m.StampNonlinear(ctx)
-	m.StampLinear(ctx)
+	m.channel().stamp(ctx.g, ctx.rhs, ctx.x)
+	m.stampLinear(ctx)
 }
 
 func (m *MOSFET) bind(b *binder) {
-	m.iD, m.iG, m.iS = b.node(m.d), b.node(m.g), b.node(m.s)
-	m.dd, m.dg, m.ds = b.cell(m.iD, m.iD), b.cell(m.iD, m.iG), b.cell(m.iD, m.iS)
-	m.gd, m.gg, m.gs = b.cell(m.iG, m.iD), b.cell(m.iG, m.iG), b.cell(m.iG, m.iS)
-	m.sd, m.sg, m.ss = b.cell(m.iS, m.iD), b.cell(m.iS, m.iG), b.cell(m.iS, m.iS)
+	ch := &m.ch
+	ch.iD, ch.iG, ch.iS = b.node(m.d), b.node(m.g), b.node(m.s)
+	ch.dd, ch.dg, ch.ds = b.cell(ch.iD, ch.iD), b.cell(ch.iD, ch.iG), b.cell(ch.iD, ch.iS)
+	// The channel draws no gate current: the gate row is bound for the
+	// structural pattern (and its slot order) only.
+	b.cell(ch.iG, ch.iD)
+	b.cell(ch.iG, ch.iG)
+	b.cell(ch.iG, ch.iS)
+	ch.sd, ch.sg, ch.ss = b.cell(ch.iS, ch.iD), b.cell(ch.iS, ch.iG), b.cell(ch.iS, ch.iS)
 	m.cgs.cells = b.pair(m.g, m.s)
 	m.cgd.cells = b.pair(m.g, m.d)
 	m.cdb.cells = b.pair(m.d, Ground)
 }
 
-// StampNonlinear stamps only the channel linearisation — the part of
-// the device that depends on the Newton iterate.
-func (m *MOSFET) StampNonlinear(ctx *StampContext) {
-	x := ctx.x
-	vd, vg, vs := x[m.iD], x[m.iG], x[m.iS]
-
-	i0, gd, gg, gs := m.Eval(vd, vg, vs)
-
-	G := ctx.g
-	// KCL at drain: +I leaves the node into the device.
-	G[m.dd] += gd
-	G[m.dg] += gg
-	G[m.ds] += gs
-	// KCL at source: -I.
-	G[m.sd] -= gd
-	G[m.sg] -= gg
-	G[m.ss] -= gs
-	// Affine remainder as a current leaving the drain, entering the source.
-	ieq := i0 - float64(gd*vd) - float64(gg*vg) - float64(gs*vs)
-	rhs := ctx.rhs
-	rhs[m.iD] -= ieq
-	rhs[m.iS] += ieq
-}
-
-// StampLinear stamps the iterate-independent part of the device: the
+// stampLinear stamps the iterate-independent part of the device: the
 // convergence leakage conductance and the parasitic capacitances'
-// companion models. Within one Newton solve these values are constant
-// (companion values depend only on Dt, Method and committed state), so
-// the sparse solver stamps them into a frozen base: the Jacobian part
-// once per step size, the RHS part (StampLinearRHS) once per solve.
-func (m *MOSFET) StampLinear(ctx *StampContext) {
+// companion models.
+func (m *MOSFET) stampLinear(ctx *StampContext) {
 	// Leakage conductance for convergence robustness.
 	if g := m.P.Gmin; g > 0 {
-		G := ctx.g
-		G[m.dd] += g
-		G[m.ds] -= g
-		G[m.ss] += g
-		G[m.sd] -= g
+		G, ch := ctx.g, &m.ch
+		G[ch.dd] += g
+		G[ch.ds] -= g
+		G[ch.ss] += g
+		G[ch.sd] -= g
 	}
 
 	// Parasitic capacitances.
 	m.cgs.stamp(ctx, m.P.Cgs)
 	m.cgd.stamp(ctx, m.P.Cgd)
 	m.cdb.stamp(ctx, m.P.Cdb)
-}
-
-// StampLinearRHS implements SplitStamper: the RHS half of StampLinear,
-// the parasitic capacitances' companion currents.
-func (m *MOSFET) StampLinearRHS(ctx *StampContext) {
-	m.cgs.stampRHS(ctx)
-	m.cgd.stampRHS(ctx)
-	m.cdb.stampRHS(ctx)
-}
-
-// Init implements Stateful.
-func (m *MOSFET) Init(x []float64) {
-	m.cgs.init(x)
-	m.cgd.init(x)
-	m.cdb.init(x)
-}
-
-// Commit implements Stateful.
-func (m *MOSFET) Commit(ctx *StampContext) {
-	m.cgs.commit(ctx)
-	m.cgd.commit(ctx)
-	m.cdb.commit(ctx)
 }

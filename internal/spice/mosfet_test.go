@@ -16,20 +16,40 @@ func pmosParams() MOSParams {
 	return p
 }
 
+// law is an unbound channel with a MOSFET's parameters: eval reads
+// the channel current and its partials off a stamp, ids the
+// nMOS-oriented current and its partials gm and gds.
+type law struct{ ch channel }
+
+func lawOf(p MOSParams) *law {
+	l := &law{*(&MOSFET{P: p}).channel()}
+	l.ch.iD, l.ch.iG, l.ch.iS = 0, 1, 2
+	return l
+}
+
+func (l *law) eval(vd, vg, vs float64) (i, gd, gg, gs float64) {
+	return l.ch.stamp(make([]float64, 1), make([]float64, 3), []float64{vd, vg, vs})
+}
+
+func (l *law) ids(vgs, vds float64) (i, gm, gds float64) {
+	i, gds, gm, _ = l.eval(vds, vgs, 0)
+	return i, gm, gds
+}
+
 func TestIdsRegions(t *testing.T) {
 	p := nmosParams()
 	// Cutoff.
-	if i, gm, gds := idsLaw(p, 0.1, 0.5); i != 0 || gm != 0 || gds != 0 {
+	if i, gm, gds := lawOf(p).ids(0.1, 0.5); i != 0 || gm != 0 || gds != 0 {
 		t.Errorf("cutoff: got (%g, %g, %g)", i, gm, gds)
 	}
 	// Saturation: vgs=0.8, vds=0.8 > vov=0.6.
-	i, _, _ := idsLaw(p, 0.8, 0.8)
+	i, _, _ := lawOf(p).ids(0.8, 0.8)
 	want := 0.5 * p.K * 0.6 * 0.6 * (1 + p.Lambda*0.8)
 	if math.Abs(i-want) > 1e-12 {
 		t.Errorf("saturation: i = %g, want %g", i, want)
 	}
 	// Triode: vgs=0.8, vds=0.1 < vov.
-	i, _, _ = idsLaw(p, 0.8, 0.1)
+	i, _, _ = lawOf(p).ids(0.8, 0.1)
 	want = p.K * (0.6*0.1 - 0.005) * (1 + p.Lambda*0.1)
 	if math.Abs(i-want) > 1e-12 {
 		t.Errorf("triode: i = %g, want %g", i, want)
@@ -41,8 +61,8 @@ func TestIdsContinuity(t *testing.T) {
 	// C0 and C1 at the triode/saturation boundary.
 	vgs := 0.7
 	vov := vgs - p.VT0
-	iBelow, gmBelow, gdsBelow := idsLaw(p, vgs, vov-1e-9)
-	iAbove, gmAbove, gdsAbove := idsLaw(p, vgs, vov+1e-9)
+	iBelow, gmBelow, gdsBelow := lawOf(p).ids(vgs, vov-1e-9)
+	iAbove, gmAbove, gdsAbove := lawOf(p).ids(vgs, vov+1e-9)
 	if math.Abs(iBelow-iAbove) > 1e-12 {
 		t.Errorf("current discontinuous at vdsat: %g vs %g", iBelow, iAbove)
 	}
@@ -53,8 +73,8 @@ func TestIdsContinuity(t *testing.T) {
 		t.Errorf("gds discontinuous at vdsat: %g vs %g", gdsBelow, gdsAbove)
 	}
 	// At the cutoff boundary.
-	iOff, _, _ := idsLaw(p, p.VT0-1e-12, 0.5)
-	iOn, gmOn, _ := idsLaw(p, p.VT0+1e-9, 0.5)
+	iOff, _, _ := lawOf(p).ids(p.VT0-1e-12, 0.5)
+	iOn, gmOn, _ := lawOf(p).ids(p.VT0+1e-9, 0.5)
 	if iOff != 0 || iOn > 1e-10 || gmOn > 1e-7 {
 		t.Errorf("cutoff boundary rough: iOff=%g iOn=%g gmOn=%g", iOff, iOn, gmOn)
 	}
@@ -67,21 +87,21 @@ func TestEvalDerivatives(t *testing.T) {
 	for _, pmos := range []bool{false, true} {
 		p := nmosParams()
 		p.PMOS = pmos
-		m := &MOSFET{name: "t", d: 1, g: 2, s: 3, P: p}
+		m := lawOf(p)
 		for trial := 0; trial < 500; trial++ {
 			vd := rng.Float64()*1.6 - 0.4
 			vg := rng.Float64()*1.6 - 0.4
 			vs := rng.Float64()*1.6 - 0.4
-			_, gd, gg, gs := m.Eval(vd, vg, vs)
+			_, gd, gg, gs := m.eval(vd, vg, vs)
 			const h = 1e-7
-			ip, _, _, _ := m.Eval(vd+h, vg, vs)
-			im, _, _, _ := m.Eval(vd-h, vg, vs)
+			ip, _, _, _ := m.eval(vd+h, vg, vs)
+			im, _, _, _ := m.eval(vd-h, vg, vs)
 			ngd := (ip - im) / (2 * h)
-			ip, _, _, _ = m.Eval(vd, vg+h, vs)
-			im, _, _, _ = m.Eval(vd, vg-h, vs)
+			ip, _, _, _ = m.eval(vd, vg+h, vs)
+			im, _, _, _ = m.eval(vd, vg-h, vs)
 			ngg := (ip - im) / (2 * h)
-			ip, _, _, _ = m.Eval(vd, vg, vs+h)
-			im, _, _, _ = m.Eval(vd, vg, vs-h)
+			ip, _, _, _ = m.eval(vd, vg, vs+h)
+			im, _, _, _ = m.eval(vd, vg, vs-h)
 			ngs := (ip - im) / (2 * h)
 			scale := 1e-6 + math.Abs(gd) + math.Abs(gg) + math.Abs(gs)
 			if math.Abs(gd-ngd) > 1e-3*scale || math.Abs(gg-ngg) > 1e-3*scale || math.Abs(gs-ngs) > 1e-3*scale {
@@ -98,13 +118,13 @@ func TestEvalSymmetry(t *testing.T) {
 	for _, pmos := range []bool{false, true} {
 		p := nmosParams()
 		p.PMOS = pmos
-		m := &MOSFET{name: "t", d: 1, g: 2, s: 3, P: p}
+		m := lawOf(p)
 		for trial := 0; trial < 200; trial++ {
 			vd := rng.Float64()
 			vg := rng.Float64()
 			vs := rng.Float64()
-			i1, _, _, _ := m.Eval(vd, vg, vs)
-			i2, _, _, _ := m.Eval(vs, vg, vd)
+			i1, _, _, _ := m.eval(vd, vg, vs)
+			i2, _, _, _ := m.eval(vs, vg, vd)
 			if math.Abs(i1+i2) > 1e-15 {
 				t.Fatalf("pmos=%v: drain/source symmetry broken: %g vs %g", pmos, i1, i2)
 			}
@@ -115,24 +135,24 @@ func TestEvalSymmetry(t *testing.T) {
 // TestEvalPolarity: a pMOS conducts when its gate is low relative to the
 // source, mirroring the nMOS.
 func TestEvalPolarity(t *testing.T) {
-	n := &MOSFET{name: "n", d: 1, g: 2, s: 3, P: nmosParams()}
-	p := &MOSFET{name: "p", d: 1, g: 2, s: 3, P: pmosParams()}
+	n := lawOf(nmosParams())
+	p := lawOf(pmosParams())
 	// nMOS: vd=0.8, vg=0.8, vs=0 -> conducting, current into drain > 0.
-	iN, _, _, _ := n.Eval(0.8, 0.8, 0)
+	iN, _, _, _ := n.eval(0.8, 0.8, 0)
 	if iN <= 0 {
 		t.Errorf("nMOS on-current = %g, want > 0", iN)
 	}
 	// pMOS: source at VDD, gate low, drain low: current flows out of the
 	// drain terminal (charging the node): negative by our convention.
-	iP, _, _, _ := p.Eval(0, 0, 0.8)
+	iP, _, _, _ := p.eval(0, 0, 0.8)
 	if iP >= 0 {
 		t.Errorf("pMOS on-current = %g, want < 0", iP)
 	}
 	// Off states.
-	if i, _, _, _ := n.Eval(0.8, 0, 0); i != 0 {
+	if i, _, _, _ := n.eval(0.8, 0, 0); i != 0 {
 		t.Errorf("nMOS off-current = %g", i)
 	}
-	if i, _, _, _ := p.Eval(0, 0.8, 0.8); i != 0 {
+	if i, _, _, _ := p.eval(0, 0.8, 0.8); i != 0 {
 		t.Errorf("pMOS off-current = %g", i)
 	}
 }

@@ -36,12 +36,18 @@ type Solver struct {
 	c   *Circuit
 	ctx StampContext
 
-	xNew     []float64  // next Newton iterate
-	vPrev    []float64  // last accepted transient solution
-	srcVals  []float64  // hoisted per-solve source values, by branch
-	stateful []Stateful // the circuit's stateful devices, in order
-	nbound   int        // devices bound by ensure
-	packed   bool       // devices are bound to packed slots (SparseFast)
+	xNew    []float64 // next Newton iterate
+	vPrev   []float64 // last accepted transient solution
+	srcVals []float64 // hoisted per-solve source values, by branch
+	nbound  int       // devices bound by ensure
+	packed  bool      // devices are bound to packed slots (SparseFast)
+
+	// companions lists every capacitor companion state and current
+	// source in the order a full freeze of the sparse linear base
+	// stamps them: the other devices' in device order, then each
+	// MOSFET's cgs, cgd and cdb. Init and commit walk its capacitor
+	// states; the sparse per-solve RHS re-stamp walks all of it.
+	companions []companion
 
 	// pattern holds the dense offsets of every Jacobian cell a device
 	// stamp can touch: the union of the cells bound by ensure. The
@@ -54,7 +60,7 @@ type Solver struct {
 	lu    la.LU
 
 	mode SolverMode  // linear-solver strategy of the current transient
-	sp   sparseState // SparseFast workspace (device partition, base, symbolic)
+	sp   sparseState // SparseFast workspace (device banks, base, symbolic)
 
 	// Symbolic-analysis sharing and tuning (SparseFast only): the
 	// cache the solver resolves Symbolics through (nil = the
@@ -79,7 +85,7 @@ type SolverStats struct {
 	Reused int64
 
 	// SparseFast-mode counters (zero on the dense golden path).
-	LinearReuses         int64 // iterations that reused the frozen linear stamp base
+	LinearReuses         int64 // sparse Newton iterations after the first of their solve
 	SparseFactorizations int64 // factorizations done by the static-pivot sparse kernel
 	SparseFallbacks      int64 // sparse refactors abandoned to the dense kernel
 	SymbolicHits         int64 // symbolic analyses served from the shared cache
@@ -151,11 +157,19 @@ func (s *Solver) bind() {
 	if s.packed {
 		b.trash = 0
 	}
-	s.stateful = s.stateful[:0]
+	s.companions = s.companions[:0]
 	for _, d := range c.devices {
 		d.bind(b)
-		if st, ok := d.(Stateful); ok {
-			s.stateful = append(s.stateful, st)
+		switch d := d.(type) {
+		case *Capacitor:
+			s.companions = append(s.companions, companion{cap: &d.state})
+		case *ISource:
+			s.companions = append(s.companions, companion{src: d})
+		}
+	}
+	for _, d := range c.devices {
+		if m, ok := d.(*MOSFET); ok {
+			s.companions = append(s.companions, companion{cap: &m.cgs}, companion{cap: &m.cgd}, companion{cap: &m.cdb})
 		}
 	}
 	s.pattern = b.pattern
@@ -203,8 +217,8 @@ func (s *Solver) bind() {
 //
 // This loop is allocation-free in the steady state, enforced twice:
 // statically by hybridlint's noalloc analyzer (this annotation), and
-// dynamically by CI's zero-allocation gates on BenchmarkSolverNewton
-// and BenchmarkSolverNewtonSparse.
+// dynamically by CI's zero-allocation gates on BenchmarkSolverNewton,
+// BenchmarkSolverNewtonSparse and BenchmarkSolverNewtonSparseChain.
 //
 //hybrid:noalloc
 func (s *Solver) newton(opt NewtonOptions, gmin float64, gminStage bool) error {
@@ -464,7 +478,7 @@ func (s *Solver) Run(opt TransientOptions, observe func(t float64, v []float64) 
 	// The first sparse solve re-freezes the linear base: device
 	// parameters may have changed since the last transient.
 	s.ensure()
-	s.sp.frozen = false
+	s.sp.frozen, s.sp.uncommitted = false, false
 	v := s.ctx.V
 	if opt.InitialConditions != nil {
 		clear(v)
@@ -490,8 +504,10 @@ func (s *Solver) Run(opt TransientOptions, observe func(t float64, v []float64) 
 			return fmt.Errorf("spice: operating point failed: %w", err)
 		}
 	}
-	for _, st := range s.stateful {
-		st.Init(s.ctx.x)
+	for _, c := range s.companions {
+		if c.cap != nil {
+			c.cap.init(s.ctx.x)
+		}
 	}
 
 	if err := emit(opt.TStart, v); err != nil {
@@ -550,9 +566,12 @@ func (s *Solver) Run(opt TransientOptions, observe func(t float64, v []float64) 
 			continue
 		}
 
-		// Accept.
-		for _, st := range s.stateful {
-			st.Commit(ctx)
+		// Accept. The sparse path commits in the next solve's linear
+		// re-stamp (see freezeLinear).
+		if s.mode == SparseFast {
+			s.sp.uncommitted = true
+		} else {
+			s.commit()
 		}
 		t += hTry
 		copy(vPrev, v)
@@ -574,6 +593,19 @@ func (s *Solver) Run(opt TransientOptions, observe func(t float64, v []float64) 
 		}
 	}
 	return nil
+}
+
+// commit records an accepted step, whose solution the iterate holds,
+// in every capacitor companion state.
+//
+//hybrid:noalloc
+func (s *Solver) commit() {
+	x := s.ctx.x
+	for _, c := range s.companions {
+		if c.cap != nil {
+			c.cap.commit(x)
+		}
+	}
 }
 
 // Transient runs Run with a recorder that keeps every accepted sample of

@@ -2,6 +2,7 @@ package spice
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -12,21 +13,34 @@ import (
 // inverterCircuit builds a CMOS inverter with a raised-cosine input
 // edge — a small nonlinear circuit whose transient exercises MOSFET
 // stamps, charge state and the adaptive stepper.
-func inverterCircuit() (*Circuit, NodeID) {
+func inverterCircuit() (*Circuit, NodeID) { return inverterChain(1) }
+
+// inverterChain builds n of inverterCircuit's inverters in series
+// behind its input edge, each stage loaded like its output; it returns
+// the last stage's output. inverterChain(1) is inverterCircuit.
+func inverterChain(n int) (*Circuit, NodeID) {
 	c := NewCircuit()
 	vdd := c.Node("vdd")
 	in := c.Node("in")
-	out := c.Node("out")
 	c.AddDCVSource("VDD", vdd, Ground, 0.8)
 	c.AddVSource("VIN", in, Ground, waveform.RaisedCosineEdge(2e-9, 1e-9, 0, 0.8))
 	pp := pmosParams()
 	pp.Cgs, pp.Cgd, pp.Cdb = 0.1e-15, 0.1e-15, 0.2e-15
 	np := nmosParams()
 	np.Cgs, np.Cgd, np.Cdb = 0.1e-15, 0.1e-15, 0.2e-15
-	c.AddMOSFET("MP", out, in, vdd, pp)
-	c.AddMOSFET("MN", out, in, Ground, np)
-	c.AddCapacitor("CL", out, Ground, 2e-15)
-	return c, out
+	for i := 0; i < n; i++ {
+		name, sfx := "out", ""
+		if i > 0 {
+			sfx = fmt.Sprint(i)
+			name += sfx
+		}
+		out := c.Node(name)
+		c.AddMOSFET("MP"+sfx, out, in, vdd, pp)
+		c.AddMOSFET("MN"+sfx, out, in, Ground, np)
+		c.AddCapacitor("CL"+sfx, out, Ground, 2e-15)
+		in = out
+	}
+	return c, in
 }
 
 func inverterOptions() TransientOptions {

@@ -38,32 +38,36 @@ func TestParseSolverMode(t *testing.T) {
 	}
 }
 
-// TestMOSFETSplitStampMatchesStamp: StampNonlinear followed by
-// StampLinear must accumulate bit-exactly what Stamp accumulates —
-// that equality is what keeps the dense golden path byte-identical
-// after the split.
+// TestMOSFETSplitStampMatchesStamp: the sparse solver's split of a
+// MOSFET stamp, its channel from the bank followed by stampLinear, must
+// accumulate bit-exactly what Stamp accumulates — that equality is
+// what keeps the bank on the dense path's channel law and parameters.
 func TestMOSFETSplitStampMatchesStamp(t *testing.T) {
 	c, _ := inverterCircuit()
 	s, err := NewSolver(c)
 	if err != nil {
 		t.Fatal(err)
 	}
+	s.mode = SparseFast
 	s.ensure()
 	n := c.unknowns()
 	for i := 0; i < n; i++ {
 		s.ctx.V[i] = 0.1 * float64(i+1)
 	}
+	ctx := &s.ctx
+	ctx.Time, ctx.Dt, ctx.Method, ctx.DC = 1e-9, 1e-12, Trapezoidal, false
+	s.freezeLinear()
 	stampAll := func(split bool) ([]float64, []float64) {
-		ctx := &s.ctx
-		ctx.Time, ctx.Dt, ctx.Method, ctx.DC = 1e-9, 1e-12, Trapezoidal, false
 		ctx.capFresh = true
 		clear(ctx.g)
 		clear(ctx.rhs)
+		k := 0
 		for _, d := range c.devices {
 			m, ok := d.(*MOSFET)
 			if ok && split {
-				m.StampNonlinear(ctx)
-				m.StampLinear(ctx)
+				s.sp.channels[k].stamp(ctx.g, ctx.rhs, ctx.x)
+				m.stampLinear(ctx)
+				k++
 			} else {
 				d.Stamp(ctx)
 			}
@@ -217,8 +221,9 @@ func TestSparseSingleUnknown(t *testing.T) {
 
 // switchDevice is a programmable conductance block used to break the
 // static pivot order between solves: it stamps raw values into its
-// bound {a,b} node block. It is neither a LinearStamper nor a
-// SplitStamper, so the sparse solver re-stamps it on every iteration.
+// bound {a,b} node block. Like every device but the MOSFET it is
+// frozen into the sparse solver's linear base, so its values change
+// only between transients.
 type switchDevice struct {
 	name               string // "" defaults to "SW"
 	a, b               NodeID
@@ -388,11 +393,13 @@ func TestSparseFallbackOffTouchedGarbage(t *testing.T) {
 	}
 }
 
-// loadedParts are the devices loadedInverter adds to the inverter.
+// loadedParts are the devices loadedInverter adds to the inverter,
+// and the inverter's nMOS.
 type loadedParts struct {
 	r  *Resistor
 	cx *Capacitor
 	is *ISource
+	mn *MOSFET
 }
 
 // loadedInverter is inverterCircuit with a resistor, a capacitor and a
@@ -400,11 +407,17 @@ type loadedParts struct {
 // capacitor companions share RHS rows.
 func loadedInverter() (*Circuit, loadedParts) {
 	c, out := inverterCircuit()
-	return c, loadedParts{
+	p := loadedParts{
 		r:  c.AddResistor("RL", out, Ground, 50e3),
 		cx: c.AddCapacitor("CX", out, Ground, 1e-15),
 		is: c.AddISource("IL", out, Ground, 1e-6),
 	}
+	for _, d := range c.devices {
+		if d.Name() == "MN" {
+			p.mn = d.(*MOSFET)
+		}
+	}
+	return c, p
 }
 
 // TestSparseLoadedInverterPin pins a SparseFast transient of
@@ -453,7 +466,9 @@ func TestSparseLoadedInverterPin(t *testing.T) {
 // step size and backward Euler the method — so a base keyed on (Dt,
 // Method) alone would carry the first transient's resistor or
 // capacitor into the second, and the second result would differ from
-// a fresh solver's.
+// a fresh solver's. The MOSFET cases hold the same for the channel
+// bank: a bank built once and never refreshed would carry the first
+// transient's K, VT0 or Lambda into the second.
 func TestSparseLinearBaseFollowsParameters(t *testing.T) {
 	build := loadedInverter
 	opt := inverterOptions()
@@ -468,6 +483,10 @@ func TestSparseLinearBaseFollowsParameters(t *testing.T) {
 		{"R", func(p loadedParts) { p.r.R = 20e3 }},
 		{"C", func(p loadedParts) { p.cx.C = 5e-15 }},
 		{"I", func(p loadedParts) { p.is.I = -2e-6 }},
+		{"K", func(p loadedParts) { p.mn.P.K = 90e-6 }},
+		{"VT0", func(p loadedParts) { p.mn.P.VT0 = 0.25 }},
+		{"Lambda", func(p loadedParts) { p.mn.P.Lambda = 0.1 }},
+		{"Cgs", func(p loadedParts) { p.mn.P.Cgs = 0.3e-15 }},
 	} {
 		c, p := build()
 		sv, err := NewSolver(c)

@@ -2,50 +2,41 @@ package spice
 
 import "hybriddelay/internal/la/sparse"
 
-// LinearStamper is a Device whose stamp does not depend on the Newton
-// iterate. Its Jacobian part depends only on (Dt, Method) and the
-// device's parameters; StampLinearRHS adds only its RHS part (source
-// values, companion currents), in Stamp's write order, so the sparse
-// solver re-stamps the Jacobian part only when the step size or method
-// changes.
-type LinearStamper interface {
-	Device
-	StampLinearRHS(ctx *StampContext)
-}
-
-// SplitStamper is a Device whose stamp separates into a part that is
-// constant across the iterations of one Newton solve (StampLinear) and
-// a part that depends on the current iterate (StampNonlinear). Calling
-// both in order must accumulate exactly what Stamp accumulates.
-// StampLinearRHS adds only the RHS part of StampLinear, as for a
-// LinearStamper. The sparse solver freezes the linear parts of all
-// devices into a base once per step size and replays only the
-// nonlinear parts per iteration.
-type SplitStamper interface {
-	Device
-	StampLinear(ctx *StampContext)
-	StampNonlinear(ctx *StampContext)
-	StampLinearRHS(ctx *StampContext)
-}
-
 // sparseState is the Solver's workspace for the SparseFast mode: the
-// device partition, the frozen linear base, and the symbolic/numeric
+// device banks, the frozen linear base, and the symbolic/numeric
 // factorization pair over the solver's stamp pattern. Topology is
 // fixed per solver, so everything but the symbolic analysis is built
-// exactly once.
+// exactly once, and dropped with the binding it addresses.
+//
+// Every stamp but a MOSFET channel's is independent of the Newton
+// iterate, so it goes into the frozen base: a linear device's whole
+// stamp, a MOSFET's leakage and parasitics (stampLinear). The
+// per-iteration restamp and the per-solve RHS re-stamp, which also
+// commits the last accepted step, walk two banks instead of the
+// devices:
+//   - channels holds, per MOSFET in device order, its channel: the
+//     unknowns, cells and parameters its stamp reads. Every full freeze
+//     refreshes it from the devices, so a parameter changed between
+//     transients reaches it with the first freeze of the next one;
+//   - the Solver's companions list the base's per-solve RHS writers in
+//     the order a full freeze stamps them, so each RHS cell receives the
+//     same sums in the same order either way.
 type sparseState struct {
 	built bool
 
-	linDevs   []LinearStamper // wholly linear: base stamped once per step size
-	splitDevs []SplitStamper  // linear part frozen, nonlinear replayed
-	nlDevs    []Device        // neither: re-stamped every iteration
+	linear   []Device // every device but the MOSFETs, in device order
+	mosfets  []*MOSFET
+	channels []channel // the channel bank: channels[k] is mosfets[k]'s
 
 	// The frozen linear base in the packed layout of StampContext's g
 	// and rhs (trash cells included), so bound stamps write it
 	// directly. The Jacobian half linG was stamped at (dt, method);
 	// frozen is false until the first freeze of a transient.
+	// uncommitted is true from an accepted step to the next freeze,
+	// which commits it.
 	linG, linRHS []float64
 	frozen       bool
+	uncommitted  bool
 	dt           float64
 	method       IntegrationMethod
 
@@ -133,9 +124,7 @@ func (s *Solver) resolveSymbolic() error {
 	return nil
 }
 
-// ensureSparse builds the device partition from the stamp methods each
-// device implements. A SplitStamper also has LinearStamper's method
-// set, so it is matched first.
+// ensureSparse builds the device partition and sizes the channel bank.
 //
 //hybrid:alloc-ok one-time topology build, guarded by sp.built; never re-runs in the iteration loop
 func (s *Solver) ensureSparse() {
@@ -144,15 +133,13 @@ func (s *Solver) ensureSparse() {
 		return
 	}
 	for _, d := range s.c.devices {
-		switch dev := d.(type) {
-		case SplitStamper:
-			sp.splitDevs = append(sp.splitDevs, dev)
-		case LinearStamper:
-			sp.linDevs = append(sp.linDevs, dev)
-		default:
-			sp.nlDevs = append(sp.nlDevs, d)
+		if m, ok := d.(*MOSFET); ok {
+			sp.mosfets = append(sp.mosfets, m)
+		} else {
+			sp.linear = append(sp.linear, d)
 		}
 	}
+	sp.channels = make([]channel, len(sp.mosfets))
 	sp.linG = make([]float64, len(s.ctx.g))
 	sp.linRHS = make([]float64, len(s.ctx.rhs))
 	sp.built = true
@@ -163,11 +150,19 @@ func (s *Solver) ensureSparse() {
 // so it is re-stamped only on the first solve of a transient (the
 // parameters may have changed since the last one) and when the step
 // size or method differs from the last freeze; capFresh then makes the
-// capacitor companion models recompute geq/ieq. Otherwise only the RHS
-// half is re-stamped, in the same device order, with the companion
-// currents recomputed from the cached geq and the committed state. The
-// cached values are also what Commit consumes after acceptance,
-// exactly as on the dense path.
+// capacitor companion models recompute geq/ieq, and the channel bank
+// is refreshed from the devices. Otherwise only the RHS half is
+// re-stamped: the source values, and the companions with their
+// currents recomputed from the cached geq and the committed state.
+//
+// The commit of an accepted step happens here, before the companions
+// read the committed state: a solve starts from the last accepted
+// solution, so the iterate holds what a commit at acceptance would
+// read, and the cached values are those of the accepted solve, exactly
+// as on the dense path. The RHS re-stamp folds the commit into its own
+// pass over the companions.
+//
+//hybrid:noalloc
 func (s *Solver) freezeLinear() {
 	s.ensureSparse()
 	sp := &s.sp
@@ -176,39 +171,52 @@ func (s *Solver) freezeLinear() {
 	ctx.g, ctx.rhs = sp.linG, sp.linRHS
 	clear(sp.linRHS)
 	if sp.frozen && ctx.Dt == sp.dt && ctx.Method == sp.method {
-		for _, d := range sp.linDevs {
-			d.StampLinearRHS(ctx)
+		for _, v := range s.c.vsources {
+			sp.linRHS[v.ib] += ctx.srcVals[v.branch]
 		}
-		for _, d := range sp.splitDevs {
-			d.StampLinearRHS(ctx)
+		be, uncommitted, x := ctx.Method == BackwardEuler, sp.uncommitted, ctx.x
+		for _, c := range s.companions {
+			if cs := c.cap; cs != nil {
+				if uncommitted {
+					cs.commit(x)
+				}
+				cs.stampRHS(sp.linRHS, be)
+			} else {
+				c.src.Stamp(ctx)
+			}
 		}
 	} else {
+		if sp.uncommitted {
+			s.commit()
+		}
 		clear(sp.linG)
 		ctx.capFresh = true
-		for _, d := range sp.linDevs {
+		for _, d := range sp.linear {
 			d.Stamp(ctx)
 		}
-		for _, d := range sp.splitDevs {
-			d.StampLinear(ctx)
+		for k, m := range sp.mosfets {
+			m.stampLinear(ctx)
+			sp.channels[k] = *m.channel()
 		}
 		sp.frozen, sp.dt, sp.method = true, ctx.Dt, ctx.Method
 	}
+	sp.uncommitted = false
 	ctx.g, ctx.rhs = g, rhs
 }
 
 // restampSparse rebuilds the Jacobian and RHS for the current iterate
 // from the frozen linear base (fill slots are never stamped, so they
-// come back as zeros) and replays only the nonlinear stamps.
+// come back as zeros) and the channel bank.
+//
+//hybrid:noalloc
 func (s *Solver) restampSparse() {
 	sp := &s.sp
 	ctx := &s.ctx
-	copy(ctx.g, sp.linG)
-	copy(ctx.rhs, sp.linRHS)
-	for _, d := range sp.splitDevs {
-		d.StampNonlinear(ctx)
-	}
-	for _, d := range sp.nlDevs {
-		d.Stamp(ctx)
+	g, rhs, x := ctx.g, ctx.rhs, ctx.x
+	copy(g, sp.linG)
+	copy(rhs, sp.linRHS)
+	for k := range sp.channels {
+		sp.channels[k].stamp(g, rhs, x)
 	}
 }
 
