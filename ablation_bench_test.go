@@ -1,7 +1,7 @@
 package hybriddelay
 
-// Ablation benchmarks for the design choices DESIGN.md calls out:
-// the golden simulator's integration scheme, the integrator step bound,
+// Ablation benchmarks for the reproduction's design choices: the
+// golden simulator's integration scheme, the integrator step bound,
 // the tail-weighted parametrization, and the NAND duality extension.
 // Each reports the quantity the choice affects as a benchmark metric.
 

@@ -1,8 +1,7 @@
 package hybriddelay
 
 // The benchmark harness regenerates every table and figure of the paper
-// (see DESIGN.md §4 for the experiment index) and reports the headline
-// numbers as custom benchmark metrics, so that
+// and reports the headline numbers as custom benchmark metrics, so that
 //
 //	go test -bench=. -benchmem
 //

@@ -29,33 +29,60 @@ func analogBench(opt options, name string) (*gate.Analog, error) {
 	return gate.NewAnalog(g, p)
 }
 
-// fitGolden builds the NOR golden bench, measures its characteristic
-// delays and fits the hybrid model to them (the Table I procedure).
-func fitGolden(opt options) (b *gate.Analog, target hybrid.Characteristic, p hybrid.Params, rep hybrid.FitReport, err error) {
-	if b, err = analogBench(opt, "nor2"); err != nil {
-		return
-	}
-	meas, err := b.Measure()
+// sessionFit returns the NOR2 operating point's measure-and-fit output
+// from the session the engine flags build: the parametrization fig7
+// scores, loaded from the -store directory when it holds the point.
+func sessionFit(opt options) (gate.Fitted, error) {
+	p, err := opt.benchParams()
 	if err != nil {
-		return
+		return gate.Fitted{}, err
 	}
-	target = meas.Pair
-	p, rep, err = hybrid.FitCharacteristic(target, b.Params().Supply, nil)
-	return
+	s, _, finishStore, err := opt.open(os.Stderr, session.Options{})
+	if err != nil {
+		return gate.Fitted{}, err
+	}
+	defer finishStore()
+	pt, err := s.ParamCache().OperatingPoint(context.Background(), gate.NOR2, p, session.DefaultExpDMin)
+	if err != nil {
+		return gate.Fitted{}, err
+	}
+	return pt.Fitted(), nil
 }
 
-// pairSweep samples the bench's pair-probe delay over the separations:
-// the falling output delays under rising inputs, the rising ones (from
-// the worst case V_N = GND) under falling inputs.
-func pairSweep(b *gate.Analog, deltas []float64, rising bool) ([]float64, error) {
+// pairSweep samples the NOR2 bench's pair-probe delay over the
+// separations: the falling output delays under rising inputs, the
+// rising ones (from the worst case V_N = GND) under falling inputs.
+func pairSweep(opt options, deltas []float64, rising bool) ([]float64, error) {
+	b, err := analogBench(opt, "nor2")
+	if err != nil {
+		return nil, err
+	}
 	out := make([]float64, len(deltas))
 	for i, d := range deltas {
-		var err error
 		if out[i], err = b.Delay(b.Pair(d, rising)); err != nil {
 			return nil, err
 		}
 	}
 	return out, nil
+}
+
+// sweepPs returns a model sweep's delays in ps.
+func sweepPs(pts []hybrid.SweepPoint) []float64 {
+	out := make([]float64, len(pts))
+	for i := range pts {
+		out[i] = waveform.ToPs(pts[i].Delay)
+	}
+	return out
+}
+
+// printSweep prints MIS delay series over Delta as CSV under -csv,
+// otherwise as a plot.
+func printSweep(opt options, title string, ss []series) {
+	if opt.csv {
+		fmt.Print(csvOut("delta_ps", ss))
+	} else {
+		fmt.Print(asciiPlot(title, "Delta [ps]", "delay [ps]", 90, 18, ss))
+	}
 }
 
 // deltaGrid returns the MIS sweep grid in seconds.
@@ -125,21 +152,15 @@ func runFig2Wave(opt options) error {
 
 // runFig2Fall prints the golden falling MIS sweep (Fig. 2b).
 func runFig2Fall(opt options) error {
-	b, err := analogBench(opt, "nor2")
-	if err != nil {
-		return err
-	}
 	deltas := deltaGrid(opt, 60, 5)
-	delays, err := pairSweep(b, deltas, true)
+	delays, err := pairSweep(opt, deltas, true)
 	if err != nil {
 		return err
 	}
 	xs, ys := toPsSlice(deltas), toPsSlice(delays)
 	s := []series{{name: "delta_fall_S", marker: '*', xs: xs, ys: ys}}
-	if opt.csv {
-		fmt.Print(csvOut("delta_ps", s))
-	} else {
-		fmt.Print(asciiPlot("Fig. 2b — golden falling MIS delay", "Delta [ps]", "delay [ps]", 90, 18, s))
+	printSweep(opt, "Fig. 2b — golden falling MIS delay", s)
+	if !opt.csv {
 		tail := ys[0]
 		fmt.Printf("speed-up at Delta=0: %.1f%% (paper: ~-28%%)\n", 100*(findAt(xs, ys, 0)-tail)/tail)
 	}
@@ -162,21 +183,13 @@ func findAt(xs, ys []float64, x float64) float64 {
 
 // runFig2Rise prints the golden rising MIS sweep (Fig. 2d).
 func runFig2Rise(opt options) error {
-	b, err := analogBench(opt, "nor2")
-	if err != nil {
-		return err
-	}
 	deltas := deltaGrid(opt, 60, 5)
-	delays, err := pairSweep(b, deltas, false)
+	delays, err := pairSweep(opt, deltas, false)
 	if err != nil {
 		return err
 	}
 	s := []series{{name: "delta_rise_S", marker: '*', xs: toPsSlice(deltas), ys: toPsSlice(delays)}}
-	if opt.csv {
-		fmt.Print(csvOut("delta_ps", s))
-	} else {
-		fmt.Print(asciiPlot("Fig. 2d — golden rising MIS delay", "Delta [ps]", "delay [ps]", 90, 18, s))
-	}
+	printSweep(opt, "Fig. 2d — golden rising MIS delay", s)
 	return nil
 }
 
@@ -217,93 +230,85 @@ func runFig4(opt options) error {
 	return nil
 }
 
-// runTable1 measures the golden characteristic delays and fits the
-// hybrid model, printing the Table I analogue.
+// runTable1 prints the Table I analogue: the golden characteristic
+// delays of the session's NOR2 operating point and the hybrid model
+// fitted to them.
 func runTable1(opt options) error {
-	start := time.Now()
-	_, target, p, rep, err := fitGolden(opt)
+	f, err := sessionFit(opt)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("golden characteristic delays [ps]:\n")
-	fmt.Printf("  fall(-inf)=%.2f fall(0)=%.2f fall(+inf)=%.2f\n",
-		waveform.ToPs(target.FallMinusInf), waveform.ToPs(target.FallZero), waveform.ToPs(target.FallPlusInf))
-	fmt.Printf("  rise(-inf)=%.2f rise(0)=%.2f rise(+inf)=%.2f\n",
-		waveform.ToPs(target.RiseMinusInf), waveform.ToPs(target.RiseZero), waveform.ToPs(target.RisePlusInf))
-	fmt.Printf("\nTable I (this testbench):\n")
-	fmt.Printf("  Parameter  Value\n")
-	fmt.Printf("  R1         %10.3f kΩ\n", p.R1/1e3)
-	fmt.Printf("  R2         %10.3f kΩ\n", p.R2/1e3)
-	fmt.Printf("  R3         %10.3f kΩ\n", p.R3/1e3)
-	fmt.Printf("  R4         %10.3f kΩ\n", p.R4/1e3)
-	fmt.Printf("  CN         %10.3f aF\n", p.CN/1e-18)
-	fmt.Printf("  CO         %10.3f aF\n", p.CO/1e-18)
-	fmt.Printf("  δmin       %10.3f ps (auto; paper: 18 ps for its ratio)\n", waveform.ToPs(rep.DMin))
-	fmt.Printf("\nachieved [ps]: fall %.2f/%.2f/%.2f rise %.2f/%.2f/%.2f (cost %.3g, %d evals, %.1fs)\n",
-		waveform.ToPs(rep.Achieved.FallMinusInf), waveform.ToPs(rep.Achieved.FallZero), waveform.ToPs(rep.Achieved.FallPlusInf),
-		waveform.ToPs(rep.Achieved.RiseMinusInf), waveform.ToPs(rep.Achieved.RiseZero), waveform.ToPs(rep.Achieved.RisePlusInf),
-		rep.Cost, rep.Evals, time.Since(start).Seconds())
-	fmt.Printf("\npaper Table I reference: %s\n", hybrid.TableI())
+	target, p := f.Meas.Pair, f.HM
+	achieved, err := p.Characteristic()
+	if err != nil {
+		return err
+	}
+	ps := func(c hybrid.Characteristic) (out []any) {
+		for _, d := range c.AsSlice() {
+			out = append(out, waveform.ToPs(d))
+		}
+		return out
+	}
+	w := opt.w()
+	fmt.Fprintf(w, "golden characteristic delays [ps]:\n")
+	fmt.Fprintf(w, "  fall(-inf)=%.2f fall(0)=%.2f fall(+inf)=%.2f\n  rise(-inf)=%.2f rise(0)=%.2f rise(+inf)=%.2f\n", ps(target)...)
+	fmt.Fprintf(w, "\nTable I (this testbench):\n")
+	fmt.Fprintf(w, "  Parameter  Value\n")
+	fmt.Fprintf(w, "  R1         %10.3f kΩ\n", p.R1/1e3)
+	fmt.Fprintf(w, "  R2         %10.3f kΩ\n", p.R2/1e3)
+	fmt.Fprintf(w, "  R3         %10.3f kΩ\n", p.R3/1e3)
+	fmt.Fprintf(w, "  R4         %10.3f kΩ\n", p.R4/1e3)
+	fmt.Fprintf(w, "  CN         %10.3f aF\n", p.CN/1e-18)
+	fmt.Fprintf(w, "  CO         %10.3f aF\n", p.CO/1e-18)
+	fmt.Fprintf(w, "  δmin       %10.3f ps (auto; paper: 18 ps for its ratio)\n", waveform.ToPs(p.DMin))
+	fmt.Fprintf(w, "\nachieved [ps]: fall %.2f/%.2f/%.2f rise %.2f/%.2f/%.2f\n", ps(achieved)...)
+	fmt.Fprintf(w, "\npaper Table I reference: %s\n", hybrid.TableI())
 	return nil
 }
 
-// runFig5 compares the fitted hybrid model's falling MIS delays against
-// the golden sweep (Fig. 5).
+// runFig5 compares the session's hybrid model's falling MIS delays
+// against the golden sweep (Fig. 5).
 func runFig5(opt options) error {
-	b, _, p, _, err := fitGolden(opt)
+	f, err := sessionFit(opt)
 	if err != nil {
 		return err
 	}
 	deltas := deltaGrid(opt, 60, 5)
-	golden, err := pairSweep(b, deltas, true)
+	golden, err := pairSweep(opt, deltas, true)
 	if err != nil {
 		return err
 	}
-	modelPts, err := p.FallingSweep(deltas)
+	model, err := f.HM.FallingSweep(deltas)
 	if err != nil {
 		return err
 	}
 	xs := toPsSlice(deltas)
-	gold := toPsSlice(golden)
-	model := make([]float64, len(modelPts))
-	for i := range modelPts {
-		model[i] = waveform.ToPs(modelPts[i].Delay)
-	}
 	ss := []series{
-		{name: "delta_fall_S (golden)", marker: '*', xs: xs, ys: gold},
-		{name: "delta_fall_M (hybrid)", marker: 'o', xs: xs, ys: model},
+		{name: "delta_fall_S (golden)", marker: '*', xs: xs, ys: toPsSlice(golden)},
+		{name: "delta_fall_M (hybrid)", marker: 'o', xs: xs, ys: sweepPs(model)},
 	}
-	if opt.csv {
-		fmt.Print(csvOut("delta_ps", ss))
-	} else {
-		fmt.Print(asciiPlot("Fig. 5 — falling MIS delays: hybrid model vs golden",
-			"Delta [ps]", "delay [ps]", 90, 18, ss))
-	}
+	printSweep(opt, "Fig. 5 — falling MIS delays: hybrid model vs golden", ss)
 	return nil
 }
 
-// runFig6 prints the hybrid rising delays for the three V_N initial
-// values against the golden sweep (Fig. 6).
+// runFig6 prints the session's hybrid rising delays for the three V_N
+// initial values against the golden sweep (Fig. 6).
 func runFig6(opt options) error {
-	b, _, p, _, err := fitGolden(opt)
+	f, err := sessionFit(opt)
 	if err != nil {
 		return err
 	}
 	deltas := deltaGrid(opt, 90, 7.5)
-	golden, err := pairSweep(b, deltas, false)
+	golden, err := pairSweep(opt, deltas, false)
 	if err != nil {
 		return err
 	}
 	xs := toPsSlice(deltas)
 	ss := []series{{name: "delta_rise_S (golden)", marker: '*', xs: xs, ys: toPsSlice(golden)}}
 	for _, vn := range []hybrid.VNInitial{hybrid.VNGround, hybrid.VNHalf, hybrid.VNSupply} {
-		pts, err := p.RisingSweep(deltas, vn)
+		pts, err := f.HM.RisingSweep(deltas, vn)
 		if err != nil {
 			return err
-		}
-		ys := make([]float64, len(pts))
-		for i := range pts {
-			ys[i] = waveform.ToPs(pts[i].Delay)
 		}
 		marker := byte('g')
 		switch vn {
@@ -312,13 +317,10 @@ func runFig6(opt options) error {
 		case hybrid.VNSupply:
 			marker = 'v'
 		}
-		ss = append(ss, series{name: "HM VN=" + vn.String(), marker: marker, xs: xs, ys: ys})
+		ss = append(ss, series{name: "HM VN=" + vn.String(), marker: marker, xs: xs, ys: sweepPs(pts)})
 	}
-	if opt.csv {
-		fmt.Print(csvOut("delta_ps", ss))
-	} else {
-		fmt.Print(asciiPlot("Fig. 6 — rising MIS delays: hybrid model (3 V_N values) vs golden",
-			"Delta [ps]", "delay [ps]", 90, 18, ss))
+	printSweep(opt, "Fig. 6 — rising MIS delays: hybrid model (3 V_N values) vs golden", ss)
+	if !opt.csv {
 		fmt.Println("note: the model is flat for Delta <= 0 at VN=GND — the deficiency §IV reports.")
 	}
 	return nil
@@ -427,50 +429,33 @@ func runFig7(opt options) error {
 	return nil
 }
 
-// runFig8 compares the hybrid model's falling delays with and without
-// the pure delay against the golden sweep (Fig. 8).
+// runFig8 compares the session's hybrid model's falling delays with
+// and without the pure delay against the golden sweep (Fig. 8).
 func runFig8(opt options) error {
-	b, target, withD, _, err := fitGolden(opt)
-	if err != nil {
-		return err
-	}
-	tailW := []float64{3, 1, 3, 3, 1, 3}
-	without, _, err := hybrid.FitCharacteristic(target, b.Params().Supply, &hybrid.FitOptions{DMin: 0, Weights: tailW})
+	f, err := sessionFit(opt)
 	if err != nil {
 		return err
 	}
 	deltas := deltaGrid(opt, 60, 5)
-	golden, err := pairSweep(b, deltas, true)
+	golden, err := pairSweep(opt, deltas, true)
 	if err != nil {
 		return err
 	}
-	a, err := withD.FallingSweep(deltas)
+	with, err := f.HM.FallingSweep(deltas)
 	if err != nil {
 		return err
 	}
-	c, err := without.FallingSweep(deltas)
+	without, err := f.HMNoDMin.FallingSweep(deltas)
 	if err != nil {
 		return err
 	}
 	xs := toPsSlice(deltas)
-	mk := func(pts []hybrid.SweepPoint) []float64 {
-		out := make([]float64, len(pts))
-		for i := range pts {
-			out[i] = waveform.ToPs(pts[i].Delay)
-		}
-		return out
-	}
 	ss := []series{
 		{name: "golden", marker: '*', xs: xs, ys: toPsSlice(golden)},
-		{name: "HM with δmin", marker: 'o', xs: xs, ys: mk(a)},
-		{name: "HM without δmin", marker: 'x', xs: xs, ys: mk(c)},
+		{name: "HM with δmin", marker: 'o', xs: xs, ys: sweepPs(with)},
+		{name: "HM without δmin", marker: 'x', xs: xs, ys: sweepPs(without)},
 	}
-	if opt.csv {
-		fmt.Print(csvOut("delta_ps", ss))
-	} else {
-		fmt.Print(asciiPlot("Fig. 8 — falling delays: pure delay ablation",
-			"Delta [ps]", "delay [ps]", 90, 18, ss))
-	}
+	printSweep(opt, "Fig. 8 — falling delays: pure delay ablation", ss)
 	return nil
 }
 
@@ -501,7 +486,8 @@ func runCharlie(opt options) error {
 		fmt.Printf("\nliteral eq (10) at the printed w = 100 ps: %.2f ps (exact %.2f ps)\n",
 			waveform.ToPs(lit), waveform.ToPs(e[2]))
 		fmt.Println("  -> the printed expansion point predates the Table I time constants;")
-		fmt.Println("     this repo uses the slow-mode estimate as the expansion point (see DESIGN.md).")
+		fmt.Println("     this repo uses the slow-mode estimate as the expansion point")
+		fmt.Println("     (see the header of internal/hybrid/charlie.go).")
 	}
 	return nil
 }

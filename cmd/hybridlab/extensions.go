@@ -10,7 +10,7 @@ import (
 )
 
 // runNAND compares the duality-derived NAND model against the
-// transistor-level NAND bench (extension X1 of DESIGN.md).
+// transistor-level NAND bench (an extension beyond the paper's NOR).
 func runNAND(opt options) error {
 	bench, err := analogBench(opt, "nand2")
 	if err != nil {

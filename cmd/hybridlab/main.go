@@ -20,6 +20,9 @@
 //	charlie     closed-form Charlie formulas vs exact solver (§V)
 //	all         every experiment at reduced size
 //
+// table1, fig5, fig6 and fig8 read the session's NOR2 parametrization,
+// the model fig7 scores at the same engine flags; -store warm-starts it.
+//
 // Beyond the experiments, `hybridlab sweep` and `hybridlab circuit`
 // run one-shot jobs with their own flags, `hybridlab serve` runs the
 // evaluation engine as a long-lived multi-tenant HTTP service, and

@@ -37,7 +37,7 @@ func main() {
 		(target.FallMinusInf-dmin)/(target.FallZero-dmin))
 
 	// Least-squares fit of R1..R4 and CN (CO pinned — only RC products
-	// matter, see DESIGN.md).
+	// matter, see the header of internal/hybrid/fitting.go).
 	p, rep, err := hybriddelay.FitCharacteristic(target, hybriddelay.DefaultSupply(), nil)
 	if err != nil {
 		log.Fatal(err)

@@ -75,8 +75,8 @@
 //	d, _ := p.FallingDelay(0)              // MIS delay at Delta = 0
 //	fmt.Println(d)                         // ~28 ps
 //
-// See examples/ for runnable programs and EXPERIMENTS.md for the full
-// paper-vs-measured record.
+// See examples/ for runnable programs and cmd/hybridlab for the command
+// that regenerates every table and figure of the paper.
 package hybriddelay
 
 import (

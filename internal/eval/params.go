@@ -40,6 +40,10 @@ type OperatingPoint struct {
 	fitted gate.Fitted // the measure-and-fit output a PointStore persists
 }
 
+// Fitted returns the measure-and-fit output the point was assembled
+// from: the bench measurement and the two NOR-frame hybrid fits.
+func (pt *OperatingPoint) Fitted() gate.Fitted { return pt.fitted }
+
 // ParamCache memoizes prepared operating points — the Gate.NewBench →
 // Measure → Fit → Assemble chain every workload runs before its first
 // unit, and its most expensive fixed cost — so a long-lived Session

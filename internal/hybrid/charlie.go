@@ -26,9 +26,9 @@ import (
 // O(t^2) error claim only holds when |lambda| * w << 1. We therefore keep
 // the paper's algebraic structure and coefficients but choose w as the
 // slow-mode crossing estimate (fast eigenmode dropped), which makes the
-// one-step expansion accurate to O((t - w)^2) as intended. EXPERIMENTS.md
-// records the accuracy of both variants; the literal printed w is also
-// available via the *AtW functions for comparison.
+// one-step expansion accurate to O((t - w)^2) as intended. `hybridlab
+// charlie` prints the accuracy of both variants; the literal printed w
+// is also available via the *AtW functions for comparison.
 
 // CharlieFallZero returns the exact delta_fall(0) of equation (8):
 //

@@ -82,7 +82,8 @@ func TestCharlieFallPlusInf(t *testing.T) {
 // preprint: evaluated literally at the printed w = 1e-10 s the Taylor
 // expansion lands far from the exact value (the trajectory has settled
 // long before 100 ps for Table I constants), whereas the slow-mode
-// expansion point recovers it. This pins our DESIGN.md claim.
+// expansion point recovers it. This pins the claim of charlie.go's
+// header comment.
 func TestCharlieFallPlusInfPaperW(t *testing.T) {
 	p := TableI()
 	exact, err := p.FallingDelay(SISFar)
@@ -95,7 +96,7 @@ func TestCharlieFallPlusInfPaperW(t *testing.T) {
 	}
 	if math.Abs(literal-exact) < 5e-12 {
 		t.Errorf("literal w=100ps expansion unexpectedly accurate (%g vs %g) — "+
-			"if this starts passing, revisit the DESIGN.md note", literal, exact)
+			"if this starts passing, revisit charlie.go's header comment", literal, exact)
 	}
 	// A nearby expansion point works fine.
 	good, err := p.CharlieFallPlusInfAtW(20e-12)

@@ -2,6 +2,8 @@ package spice
 
 import (
 	"errors"
+	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -195,5 +197,45 @@ func TestMOSFETConvergenceFromBadGuess(t *testing.T) {
 	}
 	if v := sol[int(out)-1]; v > 0.05 {
 		t.Errorf("inverter output = %g with high input, want ~0", v)
+	}
+}
+
+// TestLongInverterChainOperatingPoint: a chain of 32 inverters has no
+// DC solution reachable by the plain solve or the fixed gmin schedule
+// from all-zero voltages; the homotopy's split steps reach it, and
+// every stage settles at the logic level its parity gives.
+func TestLongInverterChainOperatingPoint(t *testing.T) {
+	c, _ := inverterChain(32)
+	sol, err := OperatingPoint(c, 0, NewtonOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 32; i++ {
+		name := "out"
+		if i > 0 {
+			name += fmt.Sprint(i)
+		}
+		want := 0.8 * float64(1-i%2) // the input is low at t=0
+		if v := sol[int(c.Node(name))-1]; math.Abs(v-want) > 1e-3 {
+			t.Errorf("%s = %g V, want %g", name, v, want)
+		}
+	}
+}
+
+// TestGminStageFailureIsTyped: a gmin stage that cannot converge (one
+// Newton iteration per solve) fails with a *SolveError naming the
+// stage.
+func TestGminStageFailureIsTyped(t *testing.T) {
+	c, _ := inverterChain(2)
+	_, err := OperatingPoint(c, 0, NewtonOptions{MaxIter: 1})
+	var se *SolveError
+	if !errors.As(err, &se) {
+		t.Fatalf("error %v does not wrap a *SolveError", err)
+	}
+	if se.Time != 0 || se.Step != 0 || se.Iterations != 1 || se.Node == "" || se.Err != nil {
+		t.Errorf("context = %+v, want one non-converged DC iteration with a worst node", se)
+	}
+	if !strings.HasPrefix(err.Error(), "spice: operating point gmin stage 0.001 failed: spice: Newton did not converge") {
+		t.Errorf("message %q does not name the stage", err)
 	}
 }

@@ -202,8 +202,8 @@ func (s *Solver) bind() {
 // the starting point on entry and the solution on success. gmin, when
 // positive, adds a shunt conductance from every node to ground
 // (homotopy stage); gminStage additionally selects the undamped
-// iteration and error wording of the historical gmin solver, so stage
-// behaviour is bit-identical to the per-call reference.
+// iteration of the historical gmin solver, so stage behaviour is
+// bit-identical to the per-call reference.
 //
 // The factor backend is fixed for the solve. The dense backend
 // re-stamps every device and runs the fused factor+solve with the
@@ -213,7 +213,7 @@ func (s *Solver) bind() {
 // scheduled pivot degrades. DC operating points and gmin homotopy
 // stages have a different structural pattern (capacitors open, added
 // shunt diagonals) and run once per transient, so they stay dense. A
-// failed solve outside a gmin stage returns a *SolveError.
+// failed solve returns a *SolveError.
 //
 // This loop is allocation-free in the steady state, enforced twice:
 // statically by hybridlint's noalloc analyzer (this annotation), and
@@ -268,9 +268,6 @@ func (s *Solver) newton(opt NewtonOptions, gmin float64, gminStage bool) error {
 			}
 		}
 		if err != nil {
-			if gminStage {
-				return err
-			}
 			return s.solveError(iter, worst, err)
 		}
 		s.stats.Iterations++
@@ -302,9 +299,6 @@ func (s *Solver) newton(opt NewtonOptions, gmin float64, gminStage bool) error {
 		if maxDelta <= opt.AbsTol+float64(opt.RelTol*maxV) {
 			return nil
 		}
-	}
-	if gminStage {
-		return fmt.Errorf("spice: gmin stage did not converge")
 	}
 	return s.solveError(opt.MaxIter, worst, nil)
 }
@@ -376,18 +370,38 @@ func (s *Solver) OperatingPoint(t float64, opt NewtonOptions) ([]float64, error)
 	if err := s.newton(opt, 0, false); err == nil {
 		return slices.Clone(v), nil
 	}
-	// Gmin homotopy: solve with shrinking shunts to ground, carrying the
-	// solution from stage to stage, then polish without the shunts.
-	clear(v)
-	for _, gmin := range gminStages {
-		if err := s.newton(opt, gmin, true); err != nil {
-			return nil, fmt.Errorf("spice: operating point gmin stage %g failed: %w", gmin, err)
-		}
+	// Gmin homotopy, then a polish without the shunts.
+	if err := s.gminHomotopy(opt); err != nil {
+		return nil, err
 	}
 	if err := s.newton(opt, 0, false); err != nil {
 		return nil, err
 	}
 	return slices.Clone(v), nil
+}
+
+// gminHomotopy solves the DC system with shrinking shunts to ground
+// from all-zero voltages, carrying the solution from stage to stage. A
+// failed step restarts from the last converged solution at the
+// geometric mean of its shunt and the failed one, up to 8 times a stage.
+func (s *Solver) gminHomotopy(opt NewtonOptions) error {
+	v := s.ctx.V
+	clear(v)
+	last, prev := make([]float64, len(v)), 0.0
+	for _, gmin := range gminStages {
+		for g, splits := gmin, 0; prev != gmin; {
+			if err := s.newton(opt, g, true); err == nil {
+				copy(last, v)
+				prev, g = g, gmin
+			} else if prev > 0 && splits < 8 {
+				copy(v, last)
+				g, splits = math.Sqrt(prev*g), splits+1
+			} else {
+				return fmt.Errorf("spice: operating point gmin stage %g failed: %w", gmin, err)
+			}
+		}
+	}
+	return nil
 }
 
 // normalizeBreakpoints validates and canonicalizes the breakpoint

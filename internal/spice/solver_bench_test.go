@@ -1,9 +1,6 @@
 package spice
 
-import (
-	"slices"
-	"testing"
-)
+import "testing"
 
 // BenchmarkSolverNewton measures one Newton solve in a warm workspace —
 // the transient inner loop. The allocation count here is guarded by CI:
@@ -83,23 +80,13 @@ func benchNewtonSparse(b *testing.B, stages int) {
 		b.Fatal(err)
 	}
 	s.mode = SparseFast
-	// A long chain's operating point does not converge from all zeros,
-	// so it starts from the logic levels: input low, stage outputs
-	// alternately high and low.
-	s.ensure()
-	v := s.ctx.V
-	v[0] = 0.8
-	for i := 0; i < stages; i += 2 {
-		v[2+i] = 0.8
-	}
-	s.ctx.Time, s.ctx.Dt, s.ctx.Method, s.ctx.DC = 0, 0, Trapezoidal, true
-	if err := s.newton(NewtonOptions{}, 0, false); err != nil {
+	op, err := s.OperatingPoint(0, NewtonOptions{})
+	if err != nil {
 		b.Fatal(err)
 	}
-	op := slices.Clone(v)
 	s.ctx.Time, s.ctx.Dt, s.ctx.Method, s.ctx.DC = 10e-12, 10e-12, Trapezoidal, false
 	// Warm-up solve performs the symbolic analysis.
-	copy(v, op)
+	copy(s.ctx.V, op)
 	if err := s.newton(NewtonOptions{}, 0, false); err != nil {
 		b.Fatal(err)
 	}
